@@ -2,7 +2,10 @@
 #
 #   make verify   build + unit tests + go vet + race suite + fuzz smoke + faults
 #   make test     tier-1 only (what CI gates on)
-#   make fuzz     short fuzz smoke over the XPath/XQuery parsers (5s each)
+#   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, and
+#                 the fused SQL/XML emitter against the tree serializer
+#   make bench-vet  vet + build the read-only benchmark module against the
+#                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
 #   make crash    crash-recovery suite: WAL torn-tail/offset-sweep property
 #                 tests plus the durability and snapshot-isolation tests,
@@ -25,9 +28,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-history bench-wal bench-serve demo console serve
+.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-history bench-wal bench-serve demo console serve
 
-verify: test vet race fuzz faults crash diag-smoke bench-exec bench-serve bench-obs-events
+verify: test vet bench-vet race fuzz faults crash diag-smoke bench-exec bench-serve bench-obs-events
 
 test:
 	$(GO) build ./...
@@ -35,6 +38,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (not covered by ./...) and is read-only to engine
+# changes: it must keep compiling against whatever the engine exports.
+bench-vet:
+	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
 
 race:
 	$(GO) test -race ./...
@@ -45,6 +53,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
+	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 
 # The robustness suite arms faultpoints (degradation, breaker, panic
 # containment, cancellation promptness) — run it under the race detector.

@@ -3,13 +3,16 @@ package xsltdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/relstore"
+	"repro/internal/xslt"
 )
 
 // batchABRows is sized above relstore.MorselMinRows so that worker counts
@@ -194,5 +197,47 @@ func TestBatchFaultNoTruncationMorsels(t *testing.T) {
 	defer faultpoint.Reset()
 	if _, err := ct.Run(context.Background(), WithWorkers(4)); !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want the injected fault", err)
+	}
+}
+
+// TestParallelConstructByteIdentity: the SQL strategy's construction fan-out
+// — one goroutine and one buffer per worker over a contiguous chunk of the
+// drained driving rows — emits the serial run's bytes at every worker count,
+// more workers than rows included, over a view whose every row runs a
+// correlated subquery. The per-row fault point, the fault-fails-the-run
+// contract and the worker panic conversion all survive the chunking.
+func TestParallelConstructByteIdentity(t *testing.T) {
+	d := newBenchDeptDB(t, 57)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithForcedStrategy(StrategySQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runRows(t, ct, WithWorkers(1))
+	if len(baseline.Rows) != 59 {
+		t.Fatalf("baseline produced %d rows", len(baseline.Rows))
+	}
+	for _, workers := range []int{2, 3, 4, 64} {
+		res := runRows(t, ct, WithWorkers(workers))
+		assertSameRows(t, fmt.Sprintf("workers=%d", workers), baseline.Rows, res.Rows)
+		if res.Stats.IndexProbes != baseline.Stats.IndexProbes {
+			t.Fatalf("workers=%d ran %d probes, serial ran %d", workers, res.Stats.IndexProbes, baseline.Stats.IndexProbes)
+		}
+	}
+
+	defer faultpoint.Reset()
+	faultpoint.EnableAfter("sqlxml.query.next", math.MaxInt32, nil)
+	runRows(t, ct, WithWorkers(4))
+	if hits := faultpoint.Hits("sqlxml.query.next"); hits != 59 {
+		t.Fatalf("per-row fault point hit %d times under 4 workers, want once per row (59)", hits)
+	}
+
+	faultpoint.EnableAfter("sqlxml.query.next", 40, errBoom)
+	if res, err := ct.Run(context.Background(), WithWorkers(4)); !errors.Is(err, errBoom) || res.Rows != nil {
+		t.Fatalf("err = %v with %d rows, want the injected fault and no rows", err, len(res.Rows))
+	}
+
+	faultpoint.EnablePanic("sqlxml.query.next")
+	if _, err := ct.Run(context.Background(), WithWorkers(4)); err == nil || !strings.Contains(err.Error(), "worker panic") {
+		t.Fatalf("err = %v, want the worker's panic converted to an error", err)
 	}
 }

@@ -323,7 +323,7 @@ func BenchmarkRewriteCompilation(b *testing.B) {
 
 // newBenchDeptDB builds a dept/emp database with nDepts departments of 20
 // employees each through the public API, with both indexes.
-func newBenchDeptDB(b *testing.B, nDepts int) *Database {
+func newBenchDeptDB(b testing.TB, nDepts int) *Database {
 	b.Helper()
 	d := NewDatabase()
 	if err := sqlxml.SetupDeptEmp(d.Rel()); err != nil {

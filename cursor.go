@@ -248,20 +248,17 @@ func (c *Cursor) openStrategy(st *planState, s Strategy, opts compileOptions) (p
 		if err != nil {
 			return nil, err
 		}
-		serSp := c.spec.Span.Start("serialize")
+		// The row's bytes are emitted into a buffer this cursor reuses for
+		// every row (only one Next runs at a time); the string handed to the
+		// caller is its one copy.
+		var buf []byte
 		return func() (string, error) {
-			doc, err := qc.Next()
+			var err error
+			buf, err = qc.AppendNext(buf[:0])
 			if err != nil {
 				return "", err
 			}
-			if serSp == nil {
-				return serialize(doc), nil
-			}
-			start := time.Now()
-			out := serialize(doc)
-			serSp.ObserveSince(start)
-			serSp.AddRowsOut(1)
-			return out, nil
+			return string(buf), nil
 		}, nil
 
 	case StrategyXQuery:

@@ -158,7 +158,7 @@ func TestViewDDLSurvivesReopen(t *testing.T) {
 		}
 		out := make([]string, len(docs))
 		for i, doc := range docs {
-			out[i] = serialize(doc)
+			out[i] = doc.Pretty()
 		}
 		return out
 	}

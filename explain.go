@@ -102,7 +102,7 @@ func writeMisestimates(sb *strings.Builder, db *Database, view string) {
 
 // ExplainAnalyze runs the whole pipeline — the view-backed first stage plus
 // every chained stage — and renders both operator trees: the first stage's
-// "run" tree (scan / construct / serialize with actuals) and the "chain"
+// "run" tree (scan / construct with actuals) and the "chain"
 // tree with one span per chained stage. The header is the FIRST stage's
 // (the only stage with a physical plan); a chain summary line names the
 // stages that follow it.

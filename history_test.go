@@ -554,8 +554,7 @@ run DUR rows_out=3 view=rows access_path="TABLE SCAN row"
 ├─ compile DUR cache=fresh
 └─ sql-rewrite DUR rows_out=3 gov_ticks=N
  ├─ scan DUR calls=2 rows_out=3 path="TABLE SCAN row" est_rows=3 batch_size=1024 workers=1
- ├─ construct DUR calls=3 rows_in=3 rows_out=3
- └─ serialize DUR rows_in=3 rows_out=3
+ └─ construct DUR calls=3 rows_in=3 rows_out=3 bytes_out=51
 chain DUR
 └─ stage-1 DUR calls=3 rows_in=3 rows_out=3 mode=xquery-rewrite
 `

@@ -399,3 +399,55 @@ func TestLargeScaleIndexVsScanAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitSeq: the database's data version moves forward on every applied
+// write — table and index DDL as well as each inserted row — and never on a
+// rejected one; a table that belongs to no database has no counter to move.
+func TestCommitSeq(t *testing.T) {
+	db := NewDB()
+	if got := db.CommitSeq(); got != 0 {
+		t.Fatalf("fresh database at version %d", got)
+	}
+	last := db.CommitSeq()
+	moved := func(what string) {
+		t.Helper()
+		if now := db.CommitSeq(); now <= last {
+			t.Fatalf("%s left the version at %d (was %d)", what, now, last)
+		} else {
+			last = now
+		}
+	}
+	tab, err := db.CreateTable("t", Column{Name: "k", Type: IntCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved("CreateTable")
+	for i := 0; i < 3; i++ {
+		if _, err := tab.Insert(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		moved("Insert")
+	}
+	if err := tab.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	moved("CreateIndex")
+
+	if _, err := tab.Insert("not a number"); err == nil {
+		t.Fatal("bad insert accepted")
+	}
+	if _, err := db.CreateTable("t", Column{Name: "k", Type: IntCol}); err == nil {
+		t.Fatal("duplicate table accepted")
+	}
+	if now := db.CommitSeq(); now != last {
+		t.Fatalf("rejected writes moved the version from %d to %d", last, now)
+	}
+
+	loose, err := NewTable("loose", Column{Name: "k", Type: IntCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loose.Insert(int64(1)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // ColType is the declared type of a column.
@@ -44,6 +45,18 @@ type Table struct {
 	rows    [][]Value
 	colIdx  map[string]int
 	indexes map[string]*BTree
+
+	// commits is the owning database's commit counter (nil for a table that
+	// was never registered with one); see DB.CommitSeq.
+	commits *atomic.Int64
+}
+
+// committed bumps the owning database's commit counter. Callers invoke it
+// after the write is visible to new snapshots and before reporting success.
+func (t *Table) committed() {
+	if t.commits != nil {
+		t.commits.Add(1)
+	}
 }
 
 // NewTable creates a table with the given columns.
@@ -173,6 +186,7 @@ func (t *Table) Insert(values ...Value) (int, error) {
 			idx.Insert(row[ci], id)
 		}
 	}
+	t.committed()
 	return id, nil
 }
 
@@ -214,6 +228,7 @@ func (t *Table) CreateIndex(col string) error {
 		}
 	}
 	t.indexes[col] = idx
+	t.committed()
 	return nil
 }
 
@@ -231,7 +246,17 @@ func (t *Table) HasIndex(col string) bool { return t.Index(col) != nil }
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+
+	commits atomic.Int64
 }
+
+// CommitSeq is the database's data version: a counter that moves forward on
+// every applied write — each inserted row, each created table or index,
+// live or replayed from the log. A write bumps it once the change is visible
+// to new snapshots and before the write returns, so a reader that starts
+// after a write has returned can never observe a pre-write version. Reading
+// it is one atomic load.
+func (db *DB) CommitSeq() int64 { return db.commits.Load() }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
@@ -249,7 +274,9 @@ func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("relstore: table %q already exists", name)
 	}
+	t.commits = &db.commits
 	db.tables[name] = t
+	t.committed()
 	return t, nil
 }
 

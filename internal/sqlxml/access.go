@@ -2,8 +2,10 @@ package sqlxml
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultpoint"
@@ -419,6 +421,144 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 		}
 		return drainCursor(c)
 	}
+	d, err := e.drainDriving(q, workers, sink, g, spec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*xmltree.Node, len(d.ids))
+	err = d.constructParallel(workers, func(_ int, ec *evalContext, i int) (err error) {
+		out[i], err = ec.evalDoc(d.body, d.ts, d.ids[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EmitQuerySpec runs the query and returns its result serialized: body holds
+// every row's XML followed by a newline, rows[i] is row i's slice of body
+// (without the newline). This is the SQL strategy's execution: bytes are
+// appended straight from the driving rows into one pooled buffer — no tree,
+// no per-row string — and copied out once, so the returned strings are
+// immutable and share no memory with any later run. With workers >= 2 the
+// drained driving rows are constructed in contiguous chunks, one goroutine
+// and one buffer per worker, and concatenated in order; output is identical
+// at every worker count.
+func (e *Executor) EmitQuerySpec(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) (body string, rows []string, err error) {
+	out := getEmitBuf()
+	defer putEmitBuf(out)
+	if workers < 2 {
+		c, err := e.OpenQueryCursorSpec(q, sink, g, spec)
+		if err != nil {
+			return "", nil, err
+		}
+		for {
+			out.buf, err = c.AppendNext(out.buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return "", nil, err
+			}
+			out.endRow()
+		}
+	} else {
+		d, err := e.drainDriving(q, workers, sink, g, spec)
+		if err != nil {
+			return "", nil, err
+		}
+		parts := make([]*emitBuf, workers)
+		for w := range parts {
+			parts[w] = getEmitBuf()
+			defer putEmitBuf(parts[w])
+		}
+		err = d.constructParallel(workers, func(w int, ec *evalContext, i int) error {
+			p := parts[w]
+			if err := ec.eval(&p.byteSink, d.body, d.ts, d.ids[i]); err != nil {
+				return err
+			}
+			p.endRow()
+			return nil
+		})
+		if err != nil {
+			return "", nil, err
+		}
+		for _, p := range parts {
+			out.appendRows(p)
+		}
+		if d.buildSp != nil && len(out.ends) > 0 {
+			d.buildSp.SetAttr("bytes_out", len(out.buf)-len(out.ends))
+		}
+	}
+	body, rows = out.strings()
+	return body, rows, nil
+}
+
+// emitBuf accumulates serialized rows: its sink's buf holds each row followed
+// by '\n', ends[i] is the offset of row i's newline.
+type emitBuf struct {
+	byteSink
+	ends []int
+}
+
+var emitBufPool = sync.Pool{New: func() any { return new(emitBuf) }}
+
+func getEmitBuf() *emitBuf { return emitBufPool.Get().(*emitBuf) }
+
+// putEmitBuf recycles b. Nothing handed to a caller may alias b.buf:
+// strings() copies.
+func putEmitBuf(b *emitBuf) {
+	b.byteSink = byteSink{buf: b.buf[:0]}
+	b.ends = b.ends[:0]
+	emitBufPool.Put(b)
+}
+
+// endRow terminates the row just appended to buf.
+func (b *emitBuf) endRow() {
+	b.ends = append(b.ends, len(b.buf))
+	b.buf = append(b.buf, '\n')
+}
+
+// appendRows appends p's rows after b's.
+func (b *emitBuf) appendRows(p *emitBuf) {
+	base := len(b.buf)
+	b.buf = append(b.buf, p.buf...)
+	for _, end := range p.ends {
+		b.ends = append(b.ends, base+end)
+	}
+}
+
+// strings copies the accumulated rows out: one string for the whole body
+// and one substring of it per row.
+func (b *emitBuf) strings() (body string, rows []string) {
+	body = string(b.buf)
+	rows = make([]string, len(b.ends))
+	start := 0
+	for i, end := range b.ends {
+		rows[i] = body[start:end]
+		start = end + 1
+	}
+	return body, rows
+}
+
+// drivingRows is a fully drained driving scan: the qualifying row ids and row
+// references in scan order, ready to be constructed by several workers.
+type drivingRows struct {
+	snap    *relstore.Snapshot
+	ts      *relstore.TableSnap
+	body    XMLExpr
+	ids     []int
+	rows    [][]relstore.Value
+	sink    *relstore.Stats
+	gov     *governor.G
+	buildSp *obs.Span
+}
+
+// drainDriving plans the driving access path under spec, binds the body, and
+// pulls the whole scan (the parallel executions construct from a complete id
+// list; the serial ones stream through a QueryCursor instead).
+func (e *Executor) drainDriving(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*drivingRows, error) {
 	snap := spec.snapshot(e.DB)
 	ts := snap.Table(q.Table)
 	if ts == nil {
@@ -432,14 +572,15 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 	if err != nil {
 		return nil, err
 	}
-	var scanSp, buildSp *obs.Span
+	d := &drivingRows{snap: snap, ts: ts, body: body, sink: sink, gov: g}
+	var scanSp *obs.Span
 	if sp := spec.span(); sp != nil {
 		scanSp = sp.Start("scan")
 		scanSp.SetAttr("path", plan.Explain(ts.Table()))
 		scanSp.SetAttr("est_rows", plan.EstimateRows())
 		scanSp.SetAttr("parallel_workers", workers)
 		scanSp.SetAttr("batch_size", spec.batchOpts().Size())
-		buildSp = sp.Start("construct")
+		d.buildSp = sp.Start("construct")
 	}
 	scanStart := time.Now()
 	it := plan.OpenBatchAt(ts, sink, g, spec.batchOpts())
@@ -450,20 +591,18 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 		}
 		scanSp.SetAttr("workers", w)
 	}
-	var ids []int
-	var rowRefs [][]relstore.Value
 	batch := relstore.GetBatch(spec.batchOpts().Size())
 	for {
 		if _, ok := it.NextBatch(batch); !ok {
 			break
 		}
-		ids = append(ids, batch.IDs...)
-		rowRefs = append(rowRefs, batch.Rows...)
+		d.ids = append(d.ids, batch.IDs...)
+		d.rows = append(d.rows, batch.Rows...)
 	}
 	relstore.PutBatch(batch)
 	if scanSp != nil {
 		scanSp.ObserveSince(scanStart)
-		scanSp.AddRowsOut(int64(len(ids)))
+		scanSp.AddRowsOut(int64(len(d.ids)))
 		if ms, ok := it.(interface{ MorselsExecuted() int }); ok {
 			if n := ms.MorselsExecuted(); n > 0 {
 				scanSp.SetAttr("morsels", n)
@@ -474,60 +613,77 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 		scanSp.Fail(err)
 		return nil, err
 	}
-	out := make([]*xmltree.Node, len(ids))
-	errs := make([]error, len(ids))
+	return d, nil
+}
+
+// constructParallel constructs every drained row, splitting them into one
+// contiguous chunk per worker: worker w calls row(w, ec, i) for each index i
+// of its chunk in order, with ec its own eval context pinned to row i. Every
+// worker stops at its first error, at the governor's verdict, or as soon as
+// another worker has failed; of several failures the one in the earliest
+// chunk is returned.
+func (d *drivingRows) constructParallel(workers int, row func(w int, ec *evalContext, i int) error) error {
+	n := len(d.ids)
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, workers)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, id := range ids {
-		// Stop handing out work once the governor has a verdict; rows
-		// already dispatched unwind through their own Tick checks.
-		if err := g.Check(); err != nil {
-			errs[i] = err
-			break
-		}
+	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, id int) {
+		go func(w int) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			// A panic on a worker goroutine would kill the process before
-			// the facade's recovery could see it; convert it to this row's
-			// error instead so the run fails like any other row failure.
+			// the facade's recovery could see it; convert it to this
+			// worker's error so the run fails like any other row failure.
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("sqlxml: worker panic: %v", r)
+					errs[w] = fmt.Errorf("sqlxml: worker panic: %v", r)
+					failed.Store(true)
 				}
 			}()
-			if err := faultpoint.Hit("sqlxml.query.next"); err != nil {
-				errs[i] = err
-				return
+			ec := &evalContext{snap: d.snap, stats: d.sink, gov: d.gov}
+			for i := lo; i < hi && !failed.Load(); i++ {
+				if errs[w] = d.constructRow(ec, i, w, row); errs[w] != nil {
+					failed.Store(true)
+					return
+				}
 			}
-			var rowStart time.Time
-			if buildSp != nil {
-				rowStart = time.Now()
-				buildSp.AddRowsIn(1)
-			}
-			ec := &evalContext{snap: snap, stats: sink, gov: g}
-			ec.setRow(ts, id, rowRefs[i])
-			doc := xmltree.NewDocument()
-			if err := ec.evalInto(doc, body, ts, id); err != nil {
-				errs[i] = err
-				return
-			}
-			doc.Renumber()
-			out[i] = doc
-			if buildSp != nil {
-				buildSp.ObserveSince(rowStart)
-				buildSp.AddRowsOut(1)
-			}
-		}(i, id)
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			buildSp.Fail(err)
-			return nil, err
+			d.buildSp.Fail(err)
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// constructRow is one row of a worker's chunk: governor check, the per-row
+// fault point, then the construction under the construct span.
+func (d *drivingRows) constructRow(ec *evalContext, i, w int, row func(w int, ec *evalContext, i int) error) error {
+	if err := d.gov.Check(); err != nil {
+		return err
+	}
+	if err := faultpoint.Hit("sqlxml.query.next"); err != nil {
+		return err
+	}
+	var start time.Time
+	if d.buildSp != nil {
+		start = time.Now()
+		d.buildSp.AddRowsIn(1)
+	}
+	ec.setRow(d.ts, d.ids[i], d.rows[i])
+	if err := row(w, ec, i); err != nil {
+		return err
+	}
+	if d.buildSp != nil {
+		d.buildSp.ObserveSince(start)
+		d.buildSp.AddRowsOut(1)
+	}
+	return nil
 }

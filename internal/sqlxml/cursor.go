@@ -14,9 +14,10 @@ import (
 // This file is the streaming half of the executor (the paper's §6
 // iterator-based pull evaluation): instead of collecting every driving row
 // up front, a cursor holds the relstore access-path iterator open and
-// constructs one XMLType instance per Next call. The materializing
-// ExecQuery/MaterializeView entry points in view.go drain these cursors, so
-// both execution styles share one construction path.
+// constructs one XMLType instance per call — as a tree (Next, what the
+// functional strategies evaluate over) or directly as serialized bytes
+// (AppendNext, the SQL strategy's output). The materializing entry points
+// drain these cursors, so every execution style shares one construction path.
 //
 // Cursors write physical-operator counters to the sink passed at open time;
 // passing a per-run sink keeps concurrent executions from sharing counters.
@@ -32,10 +33,10 @@ type DocCursor interface {
 
 // QueryCursor streams a SQL/XML query one qualifying driving row at a time.
 // Internally it consumes the driving access path batch-at-a-time: the scan
-// refills a pooled relstore.Batch of row ids + row references, and Next
-// constructs one document per buffered row — the per-call surface stays
-// row-oriented while the storage layer pays its locks, fault checks and
-// governor ticks once per ~1024 rows.
+// refills a pooled relstore.Batch of row ids + row references, and each call
+// constructs one buffered row — the per-call surface stays row-oriented
+// while the storage layer pays its locks, fault checks and governor ticks
+// once per ~1024 rows.
 type QueryCursor struct {
 	body XMLExpr
 	ts   *relstore.TableSnap
@@ -46,9 +47,11 @@ type QueryCursor struct {
 	batch *relstore.Batch // current chunk (nil before first refill / after EOF)
 	bpos  int             // consumption offset into batch
 
+	out      byteSink // AppendNext's sink, reused across rows
+	bytesOut int64    // serialized bytes produced so far
+
 	// Operator spans, set only when the RunSpec carried a trace span
-	// (startOperators). Next dispatches on scanSp so an untraced cursor
-	// pays exactly one nil check per row.
+	// (startOperators); an untraced cursor pays one nil check per span site.
 	scanSp  *obs.Span
 	buildSp *obs.Span
 }
@@ -75,6 +78,9 @@ func (c *QueryCursor) refill() error {
 					c.scanSp.SetAttr("morsels", n)
 				}
 			}
+			if c.bytesOut > 0 {
+				c.buildSp.SetAttr("bytes_out", c.bytesOut)
+			}
 		}
 		return io.EOF
 	}
@@ -93,69 +99,93 @@ func (e *Executor) OpenQueryCursorGoverned(q *Query, sink *relstore.Stats, g *go
 	return e.OpenQueryCursorSpec(q, sink, g, nil)
 }
 
-// Next constructs the XML for the next qualifying driving row. It returns
-// io.EOF when the driving iterator is exhausted, and the iterator's
-// terminal error (cancellation, injected fault) when it stopped early.
-func (c *QueryCursor) Next() (*xmltree.Node, error) {
-	if c.scanSp != nil {
-		return c.nextTraced()
-	}
-	if err := faultpoint.Hit(c.fp); err != nil {
-		return nil, err
-	}
-	if c.batch == nil || c.bpos >= c.batch.Len() {
-		if err := c.refill(); err != nil {
-			return nil, err
-		}
-	}
-	id := c.batch.IDs[c.bpos]
-	c.ec.setRow(c.ts, id, c.batch.Rows[c.bpos])
-	c.bpos++
-	doc := xmltree.NewDocument()
-	if err := c.ec.evalInto(doc, c.body, c.ts, id); err != nil {
-		return nil, err
-	}
-	doc.Renumber()
-	return doc, nil
-}
-
-// nextTraced is Next with per-operator timing: the driving iterator's
-// batch refills accrue on the scan span, the XML construction on the
-// construct span, so EXPLAIN ANALYZE can attribute a streaming run's time.
-// Scan rows-out is credited per refilled batch (the sum over refills equals
-// the row count, exactly as the per-row accounting did).
-func (c *QueryCursor) nextTraced() (*xmltree.Node, error) {
+// advance moves to the next qualifying driving row and pins it in the eval
+// context. It returns io.EOF when the driving iterator is exhausted, and the
+// iterator's terminal error (cancellation, injected fault) when it stopped
+// early. Under a trace the batch refills accrue on the scan span, with
+// rows-out credited per refilled batch.
+func (c *QueryCursor) advance() (id int, err error) {
 	if err := faultpoint.Hit(c.fp); err != nil {
 		c.scanSp.Fail(err)
-		return nil, err
+		return 0, err
 	}
 	if c.batch == nil || c.bpos >= c.batch.Len() {
-		scanStart := time.Now()
+		var scanStart time.Time
+		if c.scanSp != nil {
+			scanStart = time.Now()
+		}
 		err := c.refill()
-		c.scanSp.ObserveSince(scanStart)
-		if err != nil {
-			if err != io.EOF {
+		if c.scanSp != nil {
+			c.scanSp.ObserveSince(scanStart)
+			if err == nil {
+				c.scanSp.AddRowsOut(int64(c.batch.Len()))
+			} else if err != io.EOF {
 				c.scanSp.Fail(err)
 			}
-			return nil, err
 		}
-		c.scanSp.AddRowsOut(int64(c.batch.Len()))
+		if err != nil {
+			return 0, err
+		}
 	}
-	id := c.batch.IDs[c.bpos]
+	id = c.batch.IDs[c.bpos]
 	c.ec.setRow(c.ts, id, c.batch.Rows[c.bpos])
 	c.bpos++
-	buildStart := time.Now()
-	c.buildSp.AddRowsIn(1)
-	doc := xmltree.NewDocument()
-	if err := c.ec.evalInto(doc, c.body, c.ts, id); err != nil {
-		c.buildSp.ObserveSince(buildStart)
+	return id, nil
+}
+
+// buildStart / buildEnd bracket one row's construction with the construct
+// span's accounting, so EXPLAIN ANALYZE can attribute a run's time between
+// scan and construct.
+func (c *QueryCursor) buildStart() (start time.Time) {
+	if c.buildSp != nil {
+		start = time.Now()
+		c.buildSp.AddRowsIn(1)
+	}
+	return start
+}
+
+func (c *QueryCursor) buildEnd(start time.Time, err error) {
+	if c.buildSp == nil {
+		return
+	}
+	c.buildSp.ObserveSince(start)
+	if err != nil {
 		c.buildSp.Fail(err)
+		return
+	}
+	c.buildSp.AddRowsOut(1)
+}
+
+// Next constructs the XML tree for the next qualifying driving row (see
+// advance for the end-of-stream and error contract).
+func (c *QueryCursor) Next() (*xmltree.Node, error) {
+	id, err := c.advance()
+	if err != nil {
 		return nil, err
 	}
-	doc.Renumber()
-	c.buildSp.ObserveSince(buildStart)
-	c.buildSp.AddRowsOut(1)
-	return doc, nil
+	start := c.buildStart()
+	doc, err := c.ec.evalDoc(c.body, c.ts, id)
+	c.buildEnd(start, err)
+	return doc, err
+}
+
+// AppendNext appends the serialized XML of the next qualifying driving row
+// to dst — the bytes Next's tree would serialize to, produced without the
+// tree. On error (io.EOF included) the returned slice is dst, unextended.
+func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
+	id, err := c.advance()
+	if err != nil {
+		return dst, err
+	}
+	start := c.buildStart()
+	c.out = byteSink{buf: dst}
+	err = c.ec.eval(&c.out, c.body, c.ts, id)
+	c.buildEnd(start, err)
+	if err != nil {
+		return dst, err
+	}
+	c.bytesOut += int64(len(c.out.buf) - len(dst))
+	return c.out.buf, nil
 }
 
 // OpenViewCursor opens a streaming materialization of v: one XMLType

@@ -168,6 +168,10 @@ func (q *SubQuery) fromWhereSQL() string {
 // Every table read — driving row, correlated subquery, scalar aggregate —
 // goes through one pinned database snapshot, so a whole run observes a
 // single committed state no matter how many inserts land mid-run.
+//
+// An evalContext belongs to one goroutine and is reused for every driving
+// row it constructs, so the scratch below is allocated once per run, not
+// once per row or per subquery.
 type evalContext struct {
 	snap  *relstore.Snapshot
 	stats *relstore.Stats
@@ -181,9 +185,19 @@ type evalContext struct {
 	curTable *relstore.TableSnap
 	curRow   []relstore.Value
 	curID    int
+
+	// preds is the predicate list of the correlated subquery being planned
+	// (its iterator is drained before the next subquery starts). ids holds
+	// one selected-row-id list per Agg nesting depth: the list at depth d is
+	// being iterated while the subqueries of its body fill depth d+1.
+	preds []relstore.Pred
+	ids   [][]int
+	depth int
+	// num is the formatting buffer for numeric values.
+	num [32]byte
 }
 
-// setRow pins the driving row the next evalInto constructs from. row may be
+// setRow pins the driving row the next eval constructs from. row may be
 // nil to unpin (reads fall back to the snapshot's Value path).
 func (ec *evalContext) setRow(ts *relstore.TableSnap, id int, row []relstore.Value) {
 	ec.curTable, ec.curID, ec.curRow = ts, id, row
@@ -200,41 +214,52 @@ func (ec *evalContext) cell(ts *relstore.TableSnap, id int, col string) relstore
 	return ts.Value(id, col)
 }
 
-// evalInto appends the XML produced by expr for (table,rowID) to parent.
-func (ec *evalContext) evalInto(parent *xmltree.Node, expr XMLExpr, table *relstore.TableSnap, rowID int) error {
+// evalDoc constructs the XML of expr for (table,rowID) as a document tree.
+func (ec *evalContext) evalDoc(expr XMLExpr, table *relstore.TableSnap, rowID int) (*xmltree.Node, error) {
+	doc := xmltree.NewDocument()
+	if err := ec.eval(&treeSink{cur: doc}, expr, table, rowID); err != nil {
+		return nil, err
+	}
+	doc.Renumber()
+	return doc, nil
+}
+
+// eval walks expr for (table,rowID) and reports what it constructs to out.
+func (ec *evalContext) eval(out xmlSink, expr XMLExpr, table *relstore.TableSnap, rowID int) error {
 	if err := ec.gov.Tick(); err != nil {
 		return err
 	}
 	switch e := expr.(type) {
 	case *Literal:
-		appendText(parent, e.Text)
+		out.text(e.Text)
 		return nil
 	case *Column:
-		v := ec.cell(table, rowID, e.Name)
-		if v != nil {
-			appendText(parent, valueText(v))
-		}
+		ec.emitValue(out, ec.cell(table, rowID, e.Name))
 		return nil
 	case *Element:
-		el := xmltree.NewElement(e.Name)
-		for _, a := range e.Attrs {
-			val, err := ec.scalarText(a.Value, table, rowID)
-			if err != nil {
-				return err
+		out.startElement(e.Name)
+		for i, a := range e.Attrs {
+			// An element carries one attribute per name: a repeated name
+			// keeps the first one's position and the last one's value.
+			if last := lastAttrNamed(e.Attrs, i); last >= 0 {
+				out.startAttr(a.Name)
+				err := ec.evalScalar(out, e.Attrs[last].Value, table, rowID)
+				out.endAttr()
+				if err != nil {
+					return err
+				}
 			}
-			el.SetAttr(a.Name, val)
 		}
 		for _, c := range e.Children {
-			if err := ec.evalInto(el, c, table, rowID); err != nil {
+			if err := ec.eval(out, c, table, rowID); err != nil {
 				return err
 			}
 		}
-		el.Parent = parent
-		parent.Children = append(parent.Children, el)
+		out.endElement(e.Name)
 		return nil
 	case *Concat:
 		for _, it := range e.Items {
-			if err := ec.evalInto(parent, it, table, rowID); err != nil {
+			if err := ec.eval(out, it, table, rowID); err != nil {
 				return err
 			}
 		}
@@ -244,18 +269,20 @@ func (ec *evalContext) evalInto(parent *xmltree.Node, expr XMLExpr, table *relst
 		if err != nil {
 			return err
 		}
+		ec.depth++ // ids stays live while the body's subqueries fill the next depth
 		for _, id := range ids {
-			if err := ec.evalInto(parent, e.Sub.Body, inner, id); err != nil {
-				return err
+			if err = ec.eval(out, e.Sub.Body, inner, id); err != nil {
+				break
 			}
 		}
-		return nil
+		ec.depth--
+		return err
 	case *ScalarAgg:
 		inner, ids, err := ec.subqueryRows(e.Sub, table, rowID)
 		if err != nil {
 			return err
 		}
-		appendText(parent, scalarAggText(e, inner, ids))
+		ec.emitScalarAgg(out, e, inner, ids)
 		return nil
 	case *Cond:
 		holds := true
@@ -266,53 +293,144 @@ func (ec *evalContext) evalInto(parent *xmltree.Node, expr XMLExpr, table *relst
 			}
 		}
 		if holds {
-			return ec.evalInto(parent, e.Then, table, rowID)
+			return ec.eval(out, e.Then, table, rowID)
 		}
 		if e.Else != nil {
-			return ec.evalInto(parent, e.Else, table, rowID)
+			return ec.eval(out, e.Else, table, rowID)
 		}
 		return nil
 	}
 	return fmt.Errorf("sqlxml: unhandled expression %T", expr)
 }
 
-func scalarAggText(e *ScalarAgg, inner *relstore.TableSnap, ids []int) string {
-	switch e.Fn {
-	case "count":
-		return fmt.Sprintf("%d", len(ids))
-	default:
-		var total float64
-		var count int
-		var best relstore.Value
-		for _, id := range ids {
-			v := inner.Value(id, e.Col)
-			if v == nil {
-				continue
-			}
-			count++
-			total += toF(v)
-			if best == nil ||
-				(e.Fn == "min" && relstore.CompareValues(v, best) < 0) ||
-				(e.Fn == "max" && relstore.CompareValues(v, best) > 0) {
-				best = v
-			}
-		}
-		switch e.Fn {
-		case "sum":
-			return trimFloat(total)
-		case "avg":
-			if count == 0 {
-				return ""
-			}
-			return trimFloat(total / float64(count))
-		case "min", "max":
-			if best == nil {
-				return ""
-			}
-			return valueText(best)
+// lastAttrNamed resolves attribute i of an element against repeated names:
+// -1 when an earlier attribute already claimed the name (this one only
+// overrides that one's value), otherwise the index of the last attribute
+// with the same name — i itself in the usual, duplicate-free case.
+func lastAttrNamed(attrs []Attr, i int) int {
+	if len(attrs) == 1 {
+		return i
+	}
+	for j := 0; j < i; j++ {
+		if sameName(attrs[j].Name, attrs[i].Name) {
+			return -1
 		}
 	}
-	return ""
+	last := i
+	for j := i + 1; j < len(attrs); j++ {
+		if sameName(attrs[j].Name, attrs[i].Name) {
+			last = j
+		}
+	}
+	return last
+}
+
+// sameName reports whether two qualified names denote the same (prefix,
+// local) pair, which is how an xmltree element keys its attributes.
+func sameName(a, b string) bool {
+	if a == b {
+		return true
+	}
+	pa, la := splitName(a)
+	pb, lb := splitName(b)
+	return pa == pb && la == lb
+}
+
+// splitName splits a qualified name at its first ':' as xmltree nodes do.
+func splitName(name string) (prefix, local string) {
+	if i := strings.IndexByte(name, ':'); i >= 0 {
+		return name[:i], name[i+1:]
+	}
+	return "", name
+}
+
+// evalScalar evaluates a scalar-producing expression (Column, Literal,
+// ScalarAgg, or a Concat of those) into the attribute out has open.
+func (ec *evalContext) evalScalar(out xmlSink, expr XMLExpr, table *relstore.TableSnap, rowID int) error {
+	switch e := expr.(type) {
+	case *Literal:
+		out.text(e.Text)
+		return nil
+	case *Column:
+		ec.emitValue(out, ec.cell(table, rowID, e.Name))
+		return nil
+	case *ScalarAgg:
+		inner, ids, err := ec.subqueryRows(e.Sub, table, rowID)
+		if err != nil {
+			return err
+		}
+		ec.emitScalarAgg(out, e, inner, ids)
+		return nil
+	case *Concat:
+		for _, it := range e.Items {
+			if err := ec.evalScalar(out, it, table, rowID); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("sqlxml: attribute value must be scalar, got %T", expr)
+}
+
+// emitValue reports one cell value as text: NULL is no text, integers and
+// floats print as %d / trimmed %g would.
+func (ec *evalContext) emitValue(out xmlSink, v relstore.Value) {
+	switch x := v.(type) {
+	case nil:
+	case string:
+		out.text(x)
+	case int64:
+		out.number(strconv.AppendInt(ec.num[:0], x, 10))
+	case float64:
+		out.number(appendFloat(ec.num[:0], x))
+	default:
+		out.text(fmt.Sprint(v))
+	}
+}
+
+// appendFloat formats f the way the SQL layer prints numbers: an integral
+// value as an integer, anything else in the shortest %g form.
+func appendFloat(dst []byte, f float64) []byte {
+	if f == float64(int64(f)) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// emitScalarAgg reports a SQL aggregate over the selected inner rows. An
+// aggregate over no (non-NULL) values is NULL — no text — except count and
+// sum, which are 0.
+func (ec *evalContext) emitScalarAgg(out xmlSink, e *ScalarAgg, inner *relstore.TableSnap, ids []int) {
+	if e.Fn == "count" {
+		out.number(strconv.AppendInt(ec.num[:0], int64(len(ids)), 10))
+		return
+	}
+	var total float64
+	var count int
+	var best relstore.Value
+	for _, id := range ids {
+		v := inner.Value(id, e.Col)
+		if v == nil {
+			continue
+		}
+		count++
+		total += toF(v)
+		if best == nil ||
+			(e.Fn == "min" && relstore.CompareValues(v, best) < 0) ||
+			(e.Fn == "max" && relstore.CompareValues(v, best) > 0) {
+			best = v
+		}
+	}
+	switch e.Fn {
+	case "sum":
+		out.number(appendFloat(ec.num[:0], total))
+	case "avg":
+		if count > 0 {
+			out.number(appendFloat(ec.num[:0], total/float64(count)))
+		}
+	case "min", "max":
+		ec.emitValue(out, best)
+	}
 }
 
 func toF(v relstore.Value) float64 {
@@ -328,57 +446,27 @@ func toF(v relstore.Value) float64 {
 	return 0
 }
 
-func trimFloat(f float64) string {
-	if f == float64(int64(f)) {
-		return fmt.Sprintf("%d", int64(f))
-	}
-	return fmt.Sprintf("%g", f)
-}
-
-// scalarText evaluates a scalar-producing expression (Column, Literal,
-// ScalarAgg, or a Concat of those) to a string.
-func (ec *evalContext) scalarText(expr XMLExpr, table *relstore.TableSnap, rowID int) (string, error) {
-	switch e := expr.(type) {
-	case *Literal:
-		return e.Text, nil
-	case *Column:
-		return valueText(ec.cell(table, rowID, e.Name)), nil
-	case *ScalarAgg:
-		inner, ids, err := ec.subqueryRows(e.Sub, table, rowID)
-		if err != nil {
-			return "", err
-		}
-		return scalarAggText(e, inner, ids), nil
-	case *Concat:
-		var sb strings.Builder
-		for _, it := range e.Items {
-			s, err := ec.scalarText(it, table, rowID)
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString(s)
-		}
-		return sb.String(), nil
-	}
-	return "", fmt.Errorf("sqlxml: attribute value must be scalar, got %T", expr)
-}
-
 // subqueryRows plans and runs the subquery for one outer row, returning the
 // pinned inner table and the selected row ids (ordered). The inner scan
 // reads the run's snapshot, so a subquery re-evaluated per outer row always
-// sees the same inner rows.
+// sees the same inner rows. The returned ids are the context's scratch for
+// the current nesting depth: valid until the next subqueryRows at that depth.
 func (ec *evalContext) subqueryRows(sub *SubQuery, outer *relstore.TableSnap, outerRow int) (*relstore.TableSnap, []int, error) {
 	inner := ec.snap.Table(sub.Table)
 	if inner == nil {
 		return nil, nil, fmt.Errorf("sqlxml: unknown table %q", sub.Table)
 	}
-	preds := append([]relstore.Pred{}, sub.Where...)
+	preds := sub.Where
 	if sub.CorrInner != "" {
 		ov := ec.cell(outer, outerRow, sub.CorrOuter)
-		preds = append(preds, relstore.Pred{Col: sub.CorrInner, Op: relstore.CmpEq, Val: ov})
+		ec.preds = append(append(ec.preds[:0], sub.Where...), relstore.Pred{Col: sub.CorrInner, Op: relstore.CmpEq, Val: ov})
+		preds = ec.preds
 	}
 	it := relstore.AccessPathBatchAt(inner, preds, ec.stats, ec.gov)
-	var ids []int
+	for len(ec.ids) <= ec.depth {
+		ec.ids = append(ec.ids, nil)
+	}
+	ids := ec.ids[ec.depth][:0]
 	batch := relstore.GetBatch(0)
 	for {
 		n, ok := it.NextBatch(batch)
@@ -388,6 +476,7 @@ func (ec *evalContext) subqueryRows(sub *SubQuery, outer *relstore.TableSnap, ou
 		ids = append(ids, batch.IDs[:n]...)
 	}
 	relstore.PutBatch(batch)
+	ec.ids[ec.depth] = ids
 	if err := it.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -395,33 +484,6 @@ func (ec *evalContext) subqueryRows(sub *SubQuery, outer *relstore.TableSnap, ou
 		sortByCol(inner, ids, sub.OrderBy, sub.Descending)
 	}
 	return inner, ids, nil
-}
-
-func appendText(parent *xmltree.Node, data string) {
-	if data == "" {
-		return
-	}
-	if n := len(parent.Children); n > 0 && parent.Children[n-1].Kind == xmltree.TextNode {
-		parent.Children[n-1].Data += data
-		return
-	}
-	t := xmltree.NewText(data)
-	t.Parent = parent
-	parent.Children = append(parent.Children, t)
-}
-
-func valueText(v relstore.Value) string {
-	switch x := v.(type) {
-	case nil:
-		return ""
-	case string:
-		return x
-	case int64:
-		return fmt.Sprintf("%d", x)
-	case float64:
-		return trimFloat(x)
-	}
-	return fmt.Sprint(v)
 }
 
 func sortByCol(t *relstore.TableSnap, ids []int, col string, desc bool) {

@@ -102,12 +102,7 @@ func (e *Executor) MaterializeRow(v *ViewDef, rowID int) (*xmltree.Node, error) 
 		return nil, fmt.Errorf("sqlxml: view %q references unknown table %q", v.Name, v.Table)
 	}
 	ec := &evalContext{snap: snap, stats: &e.Stats}
-	doc := xmltree.NewDocument()
-	if err := ec.evalInto(doc, v.Body, ts, rowID); err != nil {
-		return nil, err
-	}
-	doc.Renumber()
-	return doc, nil
+	return ec.evalDoc(v.Body, ts, rowID)
 }
 
 // ExecQuery runs a SQL/XML query: one result fragment per qualifying row of

@@ -229,3 +229,24 @@ func TestEscaping(t *testing.T) {
 		t.Fatal("EscapeAttr must escape quotes")
 	}
 }
+
+// TestAppendEscapeMatchesEscape: the append forms print exactly what the
+// string forms print, after whatever dst already holds, and a value with
+// nothing to escape costs no allocation beyond dst's growth.
+func TestAppendEscapeMatchesEscape(t *testing.T) {
+	for _, s := range []string{
+		"", "plain", `a<b>&c`, `say "hi"`, "line\nbreak\ttab", "&&&", `<`, `"`, "trailing&",
+		"ünïcödé 日本語 🙂 <&>", "\r\n", "\xff\xfe<", `]]>`, `&amp;`,
+	} {
+		if got := string(AppendEscapeText([]byte("pre"), s)); got != "pre"+EscapeText(s) {
+			t.Errorf("AppendEscapeText(%q) = %q, want %q", s, got, "pre"+EscapeText(s))
+		}
+		if got := string(AppendEscapeAttr([]byte("pre"), s)); got != "pre"+EscapeAttr(s) {
+			t.Errorf("AppendEscapeAttr(%q) = %q, want %q", s, got, "pre"+EscapeAttr(s))
+		}
+	}
+	dst := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { dst = AppendEscapeAttr(dst[:0], "nothing to escape here") }); n != 0 {
+		t.Errorf("AppendEscapeAttr allocated %.0f times into a buffer with room", n)
+	}
+}

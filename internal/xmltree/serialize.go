@@ -145,3 +145,40 @@ func EscapeText(s string) string { return textEscaper.Replace(s) }
 // EscapeAttr escapes character data for use inside a double-quoted
 // attribute value.
 func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
+
+// AppendEscapeText appends s to dst escaped exactly as EscapeText would,
+// without building the intermediate string: a value with nothing to escape
+// costs one append.
+func AppendEscapeText(dst []byte, s string) []byte { return appendEscaped(dst, s, false) }
+
+// AppendEscapeAttr is the append form of EscapeAttr.
+func AppendEscapeAttr(dst []byte, s string) []byte { return appendEscaped(dst, s, true) }
+
+func appendEscaped(dst []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch c := s[i]; {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case !attr:
+			continue
+		case c == '"':
+			esc = "&quot;"
+		case c == '\n':
+			esc = "&#10;"
+		case c == '\t':
+			esc = "&#9;"
+		default:
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, esc...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func findSpan(spans []obs.SpanJSON, name string) *obs.SpanJSON {
 // the strategy's per-operator spans with row counts.
 func TestTraceThroughRun(t *testing.T) {
 	operators := map[Strategy][]string{
-		StrategySQL:       {"scan", "construct", "serialize"},
+		StrategySQL:       {"scan", "construct"},
 		StrategyXQuery:    {"xquery-eval"},
 		StrategyNoRewrite: {"xslt-interpret"},
 	}
@@ -87,6 +88,18 @@ func TestTraceThroughRun(t *testing.T) {
 				if est := findSpan(attempt.Children, "scan").Attrs["est_rows"]; est == "" {
 					t.Error("scan span missing est_rows estimate")
 				}
+				// The fused operator reports the bytes it emitted; there is
+				// no separate serialize step to account for them.
+				total := 0
+				for _, row := range res.Rows {
+					total += len(row)
+				}
+				if got := findSpan(attempt.Children, "construct").Attrs["bytes_out"]; got != strconv.Itoa(total) {
+					t.Errorf("construct bytes_out = %q, want %d", got, total)
+				}
+				if findSpan(attempt.Children, "serialize") != nil {
+					t.Errorf("phantom serialize span:\n%s", tr.Tree())
+				}
 			}
 		})
 	}
@@ -129,7 +142,7 @@ func TestTraceThroughCursor(t *testing.T) {
 	if root.Error != "" {
 		t.Errorf("clean cursor tagged with error %q", root.Error)
 	}
-	for _, name := range []string{"compile", "sql-rewrite", "scan", "construct", "serialize"} {
+	for _, name := range []string{"compile", "sql-rewrite", "scan", "construct"} {
 		if findSpan(exp, name) == nil {
 			t.Errorf("no %s span:\n%s", name, tr.Tree())
 		}
@@ -143,7 +156,7 @@ func TestTraceThroughCursor(t *testing.T) {
 // header plus per-operator actuals for all three strategies.
 func TestExplainAnalyzeStrategies(t *testing.T) {
 	operators := map[Strategy][]string{
-		StrategySQL:       {"scan", "construct", "serialize"},
+		StrategySQL:       {"scan", "construct"},
 		StrategyXQuery:    {"xquery-eval"},
 		StrategyNoRewrite: {"xslt-interpret"},
 	}

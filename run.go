@@ -2,6 +2,8 @@ package xsltdb
 
 import (
 	"fmt"
+	"io"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/relstore"
@@ -84,8 +86,8 @@ func WithoutPushdown() RunOption {
 }
 
 // WithTrace attaches an observability trace to this run: every pipeline
-// phase — compile stages on a recompile, each strategy attempt, the scan /
-// construct / serialize operators — records a span with wall time, rows and
+// phase — compile stages on a recompile, each strategy attempt, the scan and
+// construct operators — records a span with wall time, rows and
 // attributes. Render the result with t.Tree() (the EXPLAIN ANALYZE view) or
 // t.JSON(). A run without WithTrace pays only a nil check per instrumented
 // site, so tracing is strictly opt-in per run.
@@ -142,11 +144,43 @@ func buildRunOptions(opts []RunOption) runOptions {
 // returns a non-nil Result even when the execution fails partway — Stats
 // then describes the work done up to the failure.
 type Result struct {
-	// Rows holds the serialized results, one per driving row.
+	// Rows holds the serialized results, one per driving row. Under the SQL
+	// strategy the rows are slices of one string holding the whole result,
+	// so keeping a single row reachable keeps the run's entire output alive;
+	// strings.Clone a row that should outlive the rest.
 	Rows []string
 	// Stats describes this run: physical operator counters, the access path
 	// chosen, strategy degradations, wall times.
 	Stats ExecStats
+
+	// body is the string Rows are slices of when the SQL strategy produced
+	// them: every row followed by a newline. Empty otherwise.
+	body string
+}
+
+// WriteTo writes the result as Run returned it — every row followed by a
+// newline — with a single write, and implements io.WriterTo. Under the SQL
+// strategy that write is the run's one backing string, handed over without
+// copying (a writer that implements io.StringWriter, such as an
+// http.ResponseWriter, receives it as is). Changes made to Rows after Run
+// returned are not reflected.
+func (r *Result) WriteTo(w io.Writer) (int64, error) {
+	body := r.body
+	if body == "" && len(r.Rows) > 0 {
+		size := len(r.Rows)
+		for _, row := range r.Rows {
+			size += len(row)
+		}
+		var sb strings.Builder
+		sb.Grow(size)
+		for _, row := range r.Rows {
+			sb.WriteString(row)
+			sb.WriteByte('\n')
+		}
+		body = sb.String()
+	}
+	n, err := io.WriteString(w, body)
+	return int64(n), err
 }
 
 // runSpec resolves the run options against a compiled state: WithWhere

@@ -22,7 +22,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key  string
-	rows []string
+	body response
 }
 
 // ResultCacheStats is a point-in-time snapshot of the cache counters.
@@ -41,34 +41,34 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{cap: capacity, ll: list.New(), idx: map[string]*list.Element{}}
 }
 
-func (c *resultCache) get(key string) ([]string, bool) {
+func (c *resultCache) get(key string) (response, bool) {
 	if c.cap == 0 {
-		return nil, false
+		return response{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return response{}, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).rows, true
+	return el.Value.(*cacheEntry).body, true
 }
 
-func (c *resultCache) put(key string, rows []string) {
+func (c *resultCache) put(key string, body response) {
 	if c.cap == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
-		el.Value.(*cacheEntry).rows = rows
+		el.Value.(*cacheEntry).body = body
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.idx[key] = c.ll.PushFront(&cacheEntry{key: key, rows: rows})
+	c.idx[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

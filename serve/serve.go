@@ -22,6 +22,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -160,7 +161,7 @@ type compiledKey struct {
 // flightCall is one in-flight execution that followers can join.
 type flightCall struct {
 	done   chan struct{}
-	rows   []string
+	body   response
 	stats  xsltdb.ExecStats
 	err    error
 	shared atomic.Int64 // followers that joined
@@ -476,7 +477,7 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 
 	key := s.execKey(def, keyParams)
 
-	if rows, ok := s.cache.get(key); ok {
+	if body, ok := s.cache.get(key); ok {
 		ts.cacheHits.Add(1)
 		ts.served.Add(1)
 		mResultCacheHits.Inc()
@@ -486,15 +487,15 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 			sp.End()
 		}
 		tel.ev.Cache = "hit"
-		tel.ev.Rows = int64(len(rows))
-		s.writeRows(w, tel.start, tenant, "cache-hit", rows, "hit", "")
+		tel.ev.Rows = int64(body.rows)
+		s.writeBody(w, tel.start, tenant, "cache-hit", body, "hit", "")
 		s.finishTelemetry(tel, tenant, "cache-hit", http.StatusOK, nil, nil)
 		return
 	}
 	mResultCacheMisses.Inc()
 	tel.ev.Cache = "miss"
 
-	rows, stats, role, err := s.execute(r, def, tenant, ts, lim, key, runOpts, tel)
+	body, stats, role, err := s.execute(r, def, tenant, ts, lim, key, runOpts, tel)
 	tel.ev.Coalesce = role
 	if err != nil {
 		s.window.record(time.Since(tel.start))
@@ -530,22 +531,36 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Xsltd-Coalesced", "1")
 	}
 	ts.served.Add(1)
-	s.writeRows(w, tel.start, tenant, "ok", rows, "miss", stats.StrategyUsed.String())
+	s.writeBody(w, tel.start, tenant, "ok", body, "miss", stats.StrategyUsed.String())
 	s.finishTelemetry(tel, tenant, "ok", http.StatusOK, nil, &stats)
 }
 
-// writeRows writes a successful response and records its latency.
-func (s *Server) writeRows(w http.ResponseWriter, start time.Time, tenant, outcome string, rows []string, cache, strategy string) {
+// response is one transform result as it goes on the wire: every row
+// followed by a newline, in a single immutable string that the leader, its
+// followers and every later cache hit all write without copying.
+type response struct {
+	text string
+	rows int
+}
+
+// WriteString makes *response the io.StringWriter that Result.WriteTo hands
+// the run's backing string to: the first write is adopted as is.
+func (b *response) WriteString(p string) (int, error) {
+	b.text += p
+	return len(p), nil
+}
+
+func (b *response) Write(p []byte) (int, error) { return b.WriteString(string(p)) }
+
+// writeBody writes a successful response and records its latency.
+func (s *Server) writeBody(w http.ResponseWriter, start time.Time, tenant, outcome string, body response, cache, strategy string) {
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	w.Header().Set("X-Xsltd-Cache", cache)
 	if strategy != "" {
 		w.Header().Set("X-Xsltd-Strategy", strategy)
 	}
 	w.WriteHeader(http.StatusOK)
-	for _, row := range rows {
-		_, _ = w.Write([]byte(row))
-		_, _ = w.Write([]byte("\n"))
-	}
+	_, _ = io.WriteString(w, body.text) // a dropped client is the transport's problem, not the run's
 	d := time.Since(start)
 	s.window.record(d)
 	mRequestSeconds.Observe(d.Seconds())
@@ -560,11 +575,11 @@ var (
 
 // execute coalesces: the first request for key becomes the leader and runs
 // the transform under admission control; concurrent identical requests wait
-// on the leader's flightCall and share its rows without adding any load.
+// on the leader's flightCall and share its body without adding any load.
 // tel receives the serve-layer spans — coalesce role, admission decision —
 // and, on the leader, threads the request's trace into the engine run so
 // the archived span tree covers HTTP → strategy → operators.
-func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *tenantState, lim xsltdb.TenantLimits, key string, runOpts []xsltdb.RunOption, tel *reqTel) ([]string, xsltdb.ExecStats, string, error) {
+func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *tenantState, lim xsltdb.TenantLimits, key string, runOpts []xsltdb.RunOption, tel *reqTel) (response, xsltdb.ExecStats, string, error) {
 	s.flightMu.Lock()
 	if c, ok := s.flight[key]; ok {
 		c.shared.Add(1) // counted on join, so a blocked follower is observable
@@ -574,12 +589,12 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 		select {
 		case <-c.done:
 			sp.End()
-			return c.rows, c.stats, "follower", c.err
+			return c.body, c.stats, "follower", c.err
 		case <-r.Context().Done():
 			err := fmt.Errorf("serve: %w", r.Context().Err())
 			sp.Fail(err)
 			sp.End()
-			return nil, xsltdb.ExecStats{}, "follower", err
+			return response{}, xsltdb.ExecStats{}, "follower", err
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
@@ -603,14 +618,14 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 		c.err = errShedLatency
 		adm.SetAttr("decision", "shed-latency")
 		adm.End()
-		return nil, xsltdb.ExecStats{}, "leader", c.err
+		return response{}, xsltdb.ExecStats{}, "leader", c.err
 	}
 	release, err := s.admit(ts)
 	if err != nil {
 		c.err = err
 		adm.SetAttr("decision", "shed-quota")
 		adm.End()
-		return nil, xsltdb.ExecStats{}, "leader", err
+		return response{}, xsltdb.ExecStats{}, "leader", err
 	}
 	adm.SetAttr("decision", "admitted")
 	adm.End()
@@ -619,7 +634,7 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 	ct, err := s.compiledFor(def, tenant, lim)
 	if err != nil {
 		c.err = err
-		return nil, xsltdb.ExecStats{}, "leader", err
+		return response{}, xsltdb.ExecStats{}, "leader", err
 	}
 	if gate := s.execGate; gate != nil {
 		gate()
@@ -634,13 +649,14 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 		c.err = err
 		if res != nil {
 			c.stats = res.Stats
-			return nil, res.Stats, "leader", err
+			return response{}, res.Stats, "leader", err
 		}
-		return nil, xsltdb.ExecStats{}, "leader", err
+		return response{}, xsltdb.ExecStats{}, "leader", err
 	}
-	c.rows, c.stats = res.Rows, res.Stats
-	s.cache.put(key, res.Rows)
-	return res.Rows, res.Stats, "leader", nil
+	c.body.rows, c.stats = len(res.Rows), res.Stats
+	_, _ = res.WriteTo(&c.body) // cannot fail: response's writes never do
+	s.cache.put(key, c.body)
+	return c.body, res.Stats, "leader", nil
 }
 
 // admit takes the tenant's slot and a global slot, or sheds.
@@ -848,25 +864,14 @@ func parseRunArgs(r *http.Request) ([]xsltdb.RunOption, string, error) {
 }
 
 // execKey is the request identity everything hangs off: view at its current
-// MVCC version, committed-data fingerprint, stylesheet hash, canonical
-// bound params. Two requests with equal keys are interchangeable —
-// coalescable and cacheable. The version covers DDL (ReplaceXMLView bumps
-// it); the fingerprint covers DML (the store is insert-only, so the total
-// committed row count is monotone and changes on every insert) — either
-// kind of write makes every older cached result unreachable.
+// MVCC version, committed-data version, stylesheet hash, canonical bound
+// params. Two requests with equal keys are interchangeable — coalescable
+// and cacheable. The view version covers view DDL (ReplaceXMLView bumps
+// it); the data version is the store's commit counter, which moves on every
+// applied insert and table/index DDL — either kind of write makes every
+// older cached result unreachable.
 func (s *Server) execKey(def *transformDef, params string) string {
 	return def.view + "\x00" + strconv.Itoa(s.db.ViewVersion(def.view)) +
-		"\x00" + strconv.FormatInt(s.dataVersion(), 10) +
+		"\x00" + strconv.FormatInt(s.db.Rel().CommitSeq(), 10) +
 		"\x00" + def.hash + "\x00" + params
-}
-
-// dataVersion fingerprints the committed data: the store is append-only, so
-// the total row count across tables increases on every insert.
-func (s *Server) dataVersion() int64 {
-	rel := s.db.Rel()
-	var n int64
-	for _, name := range rel.TableNames() {
-		n += int64(rel.Table(name).NumRows())
-	}
-	return n
 }

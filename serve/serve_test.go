@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -608,5 +609,80 @@ func TestShedBodyCarriesRequestID(t *testing.T) {
 	}
 	if shed.TraceID != reqID || shed.Status != http.StatusTooManyRequests || shed.ShedReason == "" || shed.Tenant != "alpha" {
 		t.Fatalf("shed event = %+v", shed)
+	}
+}
+
+// TestCachedBodySurvivesLaterRuns: the engine emits every run into a pooled
+// buffer, so a cached body must be its own copy — fetched again after a
+// thousand other runs have recycled that buffer (two clients at once, so the
+// race detector watches the pool), it is still byte for byte what the first
+// request returned and what a fresh library Run produces.
+func TestCachedBodySurvivesLaterRuns(t *testing.T) {
+	d, s := newDeptServer(t, Config{CacheCapacity: 2048})
+	for dn := 100; dn < 160; dn++ {
+		if err := d.Insert("dept", int64(dn), fmt.Sprintf("D<%d>&", dn), "CITY"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert("emp", int64(dn*10), fmt.Sprintf("E%d", dn), "STAFF", int64(3000+dn), int64(dn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	window := func(lo, hi int) string {
+		return fmt.Sprintf("/v1/transform/paper?p.lo=%d&p.hi=%d&where=%s", lo, hi, "deptno+%3E%3D+%24lo+and+deptno+%3C+%24hi")
+	}
+
+	resp, first := get(t, ts, window(100, 130), nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Xsltd-Cache") != "miss" || strings.Count(first, "\n") != 30 {
+		t.Fatalf("first request: status %d cache %q rows %d", resp.StatusCode, resp.Header.Get("X-Xsltd-Cache"), strings.Count(first, "\n"))
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				lo := 100 + (i*7+c)%50
+				path := window(lo, lo+1+(i+c*500)%10) + fmt.Sprintf("&p.n=%d", c*500+i) // p.n makes every key distinct
+				req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.Header.Get("X-Xsltd-Cache") != "miss" {
+					t.Errorf("intervening request %d/%d was a %q", c, i, resp.Header.Get("X-Xsltd-Cache"))
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	resp, again := get(t, ts, window(100, 130), nil)
+	if resp.Header.Get("X-Xsltd-Cache") != "hit" {
+		t.Fatalf("refetch was a %q, want a cache hit", resp.Header.Get("X-Xsltd-Cache"))
+	}
+	if again != first {
+		t.Fatalf("cached body changed after 1000 intervening runs:\n first %q\n again %q", first, again)
+	}
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ct.Run(context.Background(), xsltdb.WithWhere("deptno >= $lo and deptno < $hi"), xsltdb.WithParam("lo", 100), xsltdb.WithParam("hi", 130))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := strings.Join(res.Rows, "\n") + "\n"; fresh != first {
+		t.Fatalf("served body differs from a library Run:\n served %q\n run    %q", first, fresh)
 	}
 }

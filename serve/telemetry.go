@@ -72,7 +72,7 @@ func (s *Server) beginTelemetry(r *http.Request, def *transformDef, tenant strin
 		Transform:   def.name,
 		View:        def.view,
 		ViewVersion: s.db.ViewVersion(def.view),
-		DataVersion: s.dataVersion(),
+		DataVersion: s.db.Rel().CommitSeq(),
 		SheetHash:   def.hash,
 	}
 	tel.walAppends0, tel.walFsyncs0 = xsltdb.WALCounters()

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -828,7 +827,7 @@ func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Resul
 	res := &Result{Stats: ExecStats{Recompiles: int64(recompiled), CompileWall: time.Since(start)}}
 	es := &res.Stats
 	var sink relstore.Stats
-	rows, err := ct.db.runGoverned(ctx, st, ct.opts, spec, &sink, es, root)
+	rows, body, err := ct.db.runGoverned(ctx, st, ct.opts, spec, &sink, es, root)
 	es.ExecWall = time.Since(start) - es.CompileWall
 	es.mergeSink(sink.Snapshot())
 	es.RowsProduced = int64(len(rows))
@@ -847,11 +846,10 @@ func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Resul
 	emitSlowRun(ct.opts.SlowThreshold, ct.opts.SlowSink, ct.viewName, tr, es, err)
 	keep := sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
 	ct.db.archiveRun(hist, "run", ct.viewName, start, spec, es, err, tr, keep, err == nil)
-	res.Rows = rows
 	if err != nil {
-		res.Rows = nil
 		return res, err
 	}
+	res.Rows, res.body = rows, body
 	return res, nil
 }
 
@@ -861,8 +859,10 @@ func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Resul
 // double-charge across attempts), and on a non-governance failure the run
 // falls through to the next strategy. Governance verdicts — cancellation,
 // resource limits, recursion limits — are final: retrying cannot help, so
-// they return immediately and do not count against the breaker.
-func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, es *ExecStats, root *obs.Span) ([]string, error) {
+// they return immediately and do not count against the breaker. body is the
+// winning strategy's backing string (see runStrategy); a failed attempt's
+// output is dropped whole, so a degraded run carries none of its bytes.
+func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, es *ExecStats, root *obs.Span) (rows []string, body string, err error) {
 	chain := st.chain(opts)
 	var lastErr error
 	for i, s := range chain {
@@ -885,18 +885,16 @@ func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileO
 			}
 		}
 		spec.Span = attempt // strategies run sequentially; the last wins
-		var rows []string
-		var err error
 		if d.history.Load() != nil {
 			// With the console enabled, label this goroutine's profile
 			// samples so /debug/pprof/profile breaks CPU down by strategy
 			// and view. Only here — labeling per cursor row would dominate
 			// the per-row cost.
 			pprof.Do(ctx, pprof.Labels("strategy", s.String(), "view", st.view.Name), func(context.Context) {
-				rows, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
+				rows, body, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
 			})
 		} else {
-			rows, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
+			rows, body, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
 		}
 		if attempt != nil {
 			attempt.SetAttr("gov_ticks", g.Ticks())
@@ -909,7 +907,7 @@ func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileO
 				attempt.AddRowsOut(int64(len(rows)))
 			}
 			attempt.End()
-			return rows, nil
+			return rows, body, nil
 		}
 		attempt.Fail(err)
 		attempt.End()
@@ -917,7 +915,7 @@ func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileO
 			es.PanicsRecovered++
 		}
 		if governor.IsGovernance(err) {
-			return nil, err
+			return nil, "", err
 		}
 		if st.brk.failure(s) {
 			es.BreakerTrips++
@@ -931,7 +929,7 @@ func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileO
 			}
 		}
 	}
-	return nil, lastErr
+	return nil, "", lastErr
 }
 
 // runStrategy executes one strategy of a compiled state under governor g,
@@ -942,10 +940,15 @@ func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileO
 // XQuery environment. Engine panics are contained here — at the strategy
 // boundary — so a panicking strategy degrades like any other failure
 // instead of crashing the caller.
-func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, g *governor.G, sp *obs.Span) (out []string, err error) {
+//
+// The SQL strategy never builds a tree: the executor emits every row's bytes
+// into one buffer and hands back body, the whole result as one string (each
+// row newline-terminated), with out its per-row substrings. The functional
+// strategies return independent row strings and an empty body.
+func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, g *governor.G, sp *obs.Span) (out []string, body string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("xsltdb: %s: %w", s, &InternalError{Panic: r, Stack: debug.Stack()})
+			out, body, err = nil, "", fmt.Errorf("xsltdb: %s: %w", s, &InternalError{Panic: r, Stack: debug.Stack()})
 		}
 	}()
 
@@ -971,28 +974,21 @@ func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, s
 		if spec != nil && spec.Batch.Workers > 0 {
 			workers = spec.Batch.Workers
 		}
-		docs, err := d.exec.ExecQueryParallelSpec(st.plan, workers, sink, g, spec)
+		body, out, err := d.exec.EmitQuerySpec(st.plan, workers, sink, g, spec)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		serSp := sp.Start("serialize")
-		defer serSp.End()
-		serSp.AddRowsIn(int64(len(docs)))
-		out := make([]string, len(docs))
-		for i, doc := range docs {
-			out[i] = serialize(doc)
-			if err := charge(out[i]); err != nil {
-				serSp.Fail(err)
-				return nil, err
+		for _, row := range out {
+			if err := charge(row); err != nil {
+				return nil, "", err
 			}
 		}
-		serSp.AddRowsOut(int64(len(out)))
-		return out, nil
+		return out, body, nil
 
 	case StrategyXQuery:
 		rows, err := d.exec.MaterializeViewSpec(st.view, st.drivingWhere(), sink, g, spec)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		evalSp := sp.Start("xquery-eval")
 		defer evalSp.End()
@@ -1007,25 +1003,25 @@ func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, s
 			seq, err := xquery.EvalModule(st.rewrite.Module, env.Govern(g).Meter(meter))
 			if err != nil {
 				evalSp.Fail(err)
-				return nil, fmt.Errorf("xsltdb: row %d: %w", i, err)
+				return nil, "", fmt.Errorf("xsltdb: row %d: %w", i, err)
 			}
 			out[i] = xquery.SerializeSeq(seq)
 			evalSp.AddRowsOut(1)
 			if err := charge(out[i]); err != nil {
 				evalSp.Fail(err)
-				return nil, err
+				return nil, "", err
 			}
 		}
 		if meter != nil {
 			evalSp.SetAttr("eval_steps", meter.Steps.Load())
 			evalSp.SetAttr("func_calls", meter.FuncCalls.Load())
 		}
-		return out, nil
+		return out, "", nil
 
 	default: // StrategyNoRewrite
 		rows, err := d.exec.MaterializeViewSpec(st.view, st.drivingWhere(), sink, g, spec)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		eng := xslt.New(st.sheet).Govern(g)
 		interpSp := sp.Start("xslt-interpret")
@@ -1036,26 +1032,20 @@ func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, s
 			s, err := eng.TransformToString(row)
 			if err != nil {
 				interpSp.Fail(err)
-				return nil, fmt.Errorf("xsltdb: row %d: %w", i, err)
+				return nil, "", fmt.Errorf("xsltdb: row %d: %w", i, err)
 			}
 			out[i] = s
 			interpSp.AddRowsOut(1)
 			if err := charge(s); err != nil {
 				interpSp.Fail(err)
-				return nil, err
+				return nil, "", err
 			}
 		}
 		if interpSp != nil {
 			interpSp.SetAttr("templates_applied", eng.TemplatesApplied())
 		}
-		return out, nil
+		return out, "", nil
 	}
-}
-
-func serialize(n *xmltree.Node) string {
-	var sb strings.Builder
-	n.Serialize(&sb, xmltree.SerializeOptions{OmitDecl: true})
-	return sb.String()
 }
 
 // Transform applies a stylesheet to standalone XML text functionally (the
@@ -1238,6 +1228,7 @@ func (c *ChainedTransform) Run(ctx context.Context, opts ...RunOption) (*Result,
 	if err != nil {
 		return res, err
 	}
+	res.body = "" // the stages below replace the first stage's rows
 	sps, chainSp := stageSpans(buildRunOptions(opts).trace, c.stages)
 	defer chainSp.End()
 	g := governor.New(ctx).Limits(fo.MaxRows, fo.MaxOutputBytes, fo.MaxRecursionDepth)
