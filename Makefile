@@ -2,8 +2,9 @@
 #
 #   make verify   build + unit tests + go vet + race suite + fuzz smoke + faults
 #   make test     tier-1 only (what CI gates on)
-#   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, and
-#                 the fused SQL/XML emitter against the tree serializer
+#   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
+#                 fused SQL/XML emitter against the tree serializer, and the
+#                 group-join against a nested loop
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
@@ -54,19 +55,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
 
 # The robustness suite arms faultpoints (degradation, breaker, panic
 # containment, cancellation promptness) — run it under the race detector.
 faults:
-	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestTimeout|TestMax|TestRecursionLimit|TestDegradation|TestCircuitBreaker|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance' .
+	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestOneRowAggCancel|TestJoinFault|TestTimeout|TestMax|TestRecursionLimit|TestDegradation|TestCircuitBreaker|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance' .
 	$(GO) test -race ./internal/faultpoint ./internal/governor
 
 # Crash recovery: the WAL's torn-tail and every-byte-offset truncation
 # property tests, the facade kill-and-replay/fault-matrix durability suite,
-# and the MVCC snapshot-isolation races — all under the race detector.
+# and the MVCC snapshot-isolation races (posting-list views under inserts
+# included) — all under the race detector.
 crash:
 	$(GO) test -race ./internal/wal
-	$(GO) test -race -run 'TestOpenReopen|TestKillAndReplay|TestViewDDLSurvives|TestTornWrite|TestFsyncFault|TestRotateFault|TestCloseIdempotent|TestCloseDurable|TestConcurrentClose|TestGroupCommit|TestCursorIsolated|TestRunsRace|TestSnapshotPinsGauge' .
+	$(GO) test -race -run 'TestGroupJoinViewsArePinned' ./internal/relstore
+	$(GO) test -race -run 'TestOpenReopen|TestKillAndReplay|TestViewDDLSurvives|TestTornWrite|TestFsyncFault|TestRotateFault|TestCloseIdempotent|TestCloseDurable|TestConcurrentClose|TestGroupCommit|TestCursorIsolated|TestRunsRace|TestSnapshotPinsGauge|TestPostingViewsPinned' .
 
 # Flight-recorder smoke: boot with the recorder armed, induce a WAL fsync
 # stall (wal.fsync faultpoint) and a latency-spike overload, assert each

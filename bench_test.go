@@ -410,6 +410,33 @@ func BenchmarkCursorVsRun(b *testing.B) {
 	})
 }
 
+// BenchmarkRunDeptWindow is serve_miss's engine shape: a 25-department
+// window of 2 000 departments × 20 employees, both deptno columns indexed —
+// a two-sided driving range feeding one index join (EXPERIMENTS.md
+// "Group-join" profiles this).
+func BenchmarkRunDeptWindow(b *testing.B) {
+	d := newBenchDeptDB(b, 2000)
+	if err := d.CreateIndex("dept", "deptno"); err != nil {
+		b.Fatal(err)
+	}
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := []RunOption{WithWhere("deptno >= $lo and deptno < $hi"), WithParam("lo", 2030), WithParam("hi", 2055)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ct.Run(context.Background(), opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 25 {
+			b.Fatalf("window selected %d departments", len(res.Rows))
+		}
+	}
+}
+
 // BenchmarkParallelRuns hammers ONE shared compiled transform from all
 // procs — the per-run stats sinks mean the goroutines never contend on a
 // shared counter.

@@ -11,6 +11,8 @@
 //
 //	relstore.scan.batch   — full-scan batch fetch (one hit per NextBatch)
 //	relstore.index.batch  — index-scan batch fetch (one hit per NextBatch)
+//	relstore.join.batch   — group-join of one batch of outer keys (one hit
+//	                        per Join)
 //	sqlxml.query.next     — SQL/XML cursor row construction
 //	sqlxml.view.row       — view row materialization
 //	clobstore.parse       — CLOB document parse

@@ -16,8 +16,10 @@ import (
 // fill a caller-supplied Batch under a single lock acquisition, charge the
 // governor once with TickN(n), and check their fault point once per
 // NextBatch call. The per-row Iterator/RowAdapter shim that bridged the
-// migration is gone — every consumer, including the correlated-subquery
-// scans inside XML construction, drains batches directly.
+// migration is gone — every consumer drains batches directly. Correlated
+// subqueries inside XML construction do not open an iterator per outer row
+// at all: they go through the group-join (join.go), which takes a batch of
+// outer keys.
 
 // DefaultBatchSize is the number of row ids a Batch carries unless the
 // caller asks otherwise. 1024 rows is large enough to make the per-batch
@@ -266,19 +268,17 @@ func scanExplain(t *Table, preds []Pred) string {
 }
 
 // batchIndexIter drives a B-tree descent over a pinned snapshot and emits
-// the (sorted) posting list in batches: the descent runs once under the
-// table lock (the tree mutates in place on Insert), filtered to rows
+// the (ascending) posting list in batches: the descent runs once under the
+// table lock (the tree mutates in place on Insert), bounded to rows
 // committed before the snapshot; residual predicates then apply lock-free
 // against the snapshot's row references.
 type batchIndexIter struct {
 	snap     *TableSnap
-	indexCol string
-	lo, hi   Bound
+	plan     AccessPlan
 	residual predClosure
-	probe    bool
 	size     int // rows per emitted batch
 
-	ids   []int
+	ids   []int // read-only: may be a view of a posting list (TableSnap.IndexIDs)
 	pos   int
 	run   bool
 	stats *Stats
@@ -287,11 +287,14 @@ type batchIndexIter struct {
 }
 
 func (it *batchIndexIter) materialize() {
+	it.run = true
+	if it.plan.emptyInterval() {
+		return // contradictory bounds: no key to descend to
+	}
 	if it.stats != nil {
 		atomic.AddInt64(&it.stats.IndexProbes, 1)
 	}
-	it.ids = it.snap.IndexIDs(it.indexCol, it.lo, it.hi)
-	it.run = true
+	it.ids = it.snap.IndexIDs(it.plan.Col, it.plan.Lo, it.plan.Hi)
 }
 
 func (it *batchIndexIter) NextBatch(batch *Batch) (int, bool) {
@@ -353,17 +356,7 @@ func (it *batchIndexIter) Err() error { return it.err }
 
 func (it *batchIndexIter) Reset() { it.pos = 0; it.err = nil }
 
-func (it *batchIndexIter) Explain() string {
-	op := "INDEX RANGE SCAN"
-	if it.probe {
-		op = "INDEX PROBE"
-	}
-	rng := describeRange(it.indexCol, it.lo, it.hi)
-	if len(it.residual.preds) == 0 {
-		return op + " " + it.snap.Name() + "(" + it.indexCol + ") " + rng
-	}
-	return op + " " + it.snap.Name() + "(" + it.indexCol + ") " + rng + " FILTER " + predsString(it.residual.preds)
-}
+func (it *batchIndexIter) Explain() string { return it.plan.Explain(it.snap.tab) }
 
 // OpenBatch turns the plan into a live batch iterator over t's current
 // committed state, with counters routed to stats (may be nil) under governor
@@ -394,8 +387,7 @@ func (p AccessPlan) OpenBatchAt(ts *TableSnap, stats *Stats, g *governor.G, opts
 		atomic.AddInt64(&stats.RangeScans, 1)
 	}
 	return &batchIndexIter{
-		snap: ts, indexCol: p.Col, lo: p.Lo, hi: p.Hi,
-		residual: closePreds(ts.tab, p.Residual), probe: p.Kind == PathIndexProbe,
+		snap: ts, plan: p, residual: closePreds(ts.tab, p.Residual),
 		size: opts.Size(), stats: stats, gov: g,
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/governor"
 )
 
 // Stats counts physical work done by operators; the benchmark harness reads
@@ -15,13 +13,20 @@ import (
 // iterators; read a live sink with Snapshot.
 type Stats struct {
 	RowsScanned int64 // heap rows visited by full scans
-	IndexProbes int64 // B-tree descents
+	// IndexProbes counts the B-tree descents actually made: one per opened
+	// index scan with a non-empty interval, one per non-NULL outer key of an
+	// index join. A descent that was skipped is not counted.
+	IndexProbes int64
 	RowsEmitted int64
 	FullScans   int64 // full-scan operators started
-	RangeScans  int64 // B-tree range-scan operators started
+	// RangeScans counts index operators started: one per opened index scan
+	// (probe or range), one per index-join batch.
+	RangeScans int64
 	// RowsFiltered counts rows an access path visited but rejected on a
 	// residual predicate — the "rows in minus rows out" of the filter
-	// operator, which EXPLAIN ANALYZE reports as filter selectivity.
+	// operator, which EXPLAIN ANALYZE reports as filter selectivity. Every
+	// bound on the driving index column is part of the B-tree interval, so a
+	// two-sided range filters nothing on that column.
 	RowsFiltered int64
 	// Batches counts the chunks emitted by batch producers — RowsEmitted
 	// divided by Batches is the realized average batch size.
@@ -197,7 +202,7 @@ func boundText(v Value) any {
 
 func describeRange(col string, lo, hi Bound) string {
 	switch {
-	case !lo.Unbounded && !hi.Unbounded && lo.Inclusive && hi.Inclusive && CompareValues(lo.Value, hi.Value) == 0:
+	case isPoint(lo, hi):
 		return fmt.Sprintf("%s = %v", col, boundText(lo.Value))
 	case lo.Unbounded && hi.Unbounded:
 		return "(full)"
@@ -284,54 +289,125 @@ func PlanAccess(t *Table, preds []Pred) AccessPlan {
 	return PlanAccessAt(t.Snap(), preds)
 }
 
+// sargable reports whether p can bound a B-tree interval.
+func sargable(p Pred) bool { return p.Op != CmpNe && p.Val != nil }
+
 // PlanAccessAt is PlanAccess against a pinned snapshot: the TableRows
 // statistic is the snapshot's committed row count, so a plan chosen for a
 // pinned run reflects exactly the state that run will scan.
+//
+// Every sargable predicate on the chosen index column folds into ONE
+// interval [Lo, Hi]: the tightest bound on each side wins and, at equal
+// values, an exclusive bound beats an inclusive one, so `c >= 10 AND c < 35`
+// walks the keys it returns and nothing else. Contradictory bounds make an
+// interval no key is in — an empty scan, not an error. A bound that cannot
+// be ordered against the one already in place (an unbound placeholder at
+// EXPLAIN time) stays a residual filter.
 func PlanAccessAt(ts *TableSnap, preds []Pred) AccessPlan {
 	rows := ts.NumRows()
 	best := -1
 	for i, p := range preds {
-		if p.Op == CmpNe || p.Val == nil {
-			continue // not sargable
-		}
-		if !ts.HasIndex(p.Col) {
+		if !sargable(p) || !ts.HasIndex(p.Col) {
 			continue
 		}
 		// Prefer equality probes over ranges.
-		if best == -1 || (preds[i].Op == CmpEq && preds[best].Op != CmpEq) {
+		if best == -1 || (p.Op == CmpEq && preds[best].Op != CmpEq) {
 			best = i
 		}
 	}
 	if best == -1 {
 		return AccessPlan{Kind: PathFullScan, Residual: preds, TableRows: rows}
 	}
-	p := preds[best]
-	var residual []Pred
-	for i, q := range preds {
-		if i != best {
-			residual = append(residual, q)
+	plan := AccessPlan{Kind: PathIndexRange, Col: preds[best].Col, TableRows: rows, Lo: UnboundedBound, Hi: UnboundedBound}
+	plan.tighten(preds[best]) // first, so an equality is never displaced by a placeholder bound
+	for i, p := range preds {
+		if i == best {
+			continue
+		}
+		if p.Col != plan.Col || !sargable(p) || !plan.tighten(p) {
+			plan.Residual = append(plan.Residual, p)
 		}
 	}
-	plan := AccessPlan{Col: p.Col, Residual: residual, TableRows: rows, Lo: UnboundedBound, Hi: UnboundedBound}
-	switch p.Op {
-	case CmpEq:
+	if isPoint(plan.Lo, plan.Hi) {
 		plan.Kind = PathIndexProbe
-		plan.Lo = Bound{Value: p.Val, Inclusive: true}
-		plan.Hi = plan.Lo
-	case CmpLt:
-		plan.Kind = PathIndexRange
-		plan.Hi = Bound{Value: p.Val}
-	case CmpLe:
-		plan.Kind = PathIndexRange
-		plan.Hi = Bound{Value: p.Val, Inclusive: true}
-	case CmpGt:
-		plan.Kind = PathIndexRange
-		plan.Lo = Bound{Value: p.Val}
-	case CmpGe:
-		plan.Kind = PathIndexRange
-		plan.Lo = Bound{Value: p.Val, Inclusive: true}
 	}
 	return plan
+}
+
+// tighten intersects the plan's interval with one sargable predicate on its
+// column. It reports false, leaving the interval as it was, when the
+// predicate's value cannot be ordered against a bound already in place.
+func (p *AccessPlan) tighten(q Pred) bool {
+	lo, hi := UnboundedBound, UnboundedBound
+	switch q.Op {
+	case CmpEq:
+		lo = Bound{Value: q.Val, Inclusive: true}
+		hi = lo
+	case CmpLt:
+		hi = Bound{Value: q.Val}
+	case CmpLe:
+		hi = Bound{Value: q.Val, Inclusive: true}
+	case CmpGt:
+		lo = Bound{Value: q.Val}
+	case CmpGe:
+		lo = Bound{Value: q.Val, Inclusive: true}
+	}
+	newLo, okLo := tighterBound(p.Lo, lo, 1)
+	newHi, okHi := tighterBound(p.Hi, hi, -1)
+	if !okLo || !okHi {
+		return false
+	}
+	p.Lo, p.Hi = newLo, newHi
+	return true
+}
+
+// tighterBound picks the tighter of two bounds on one side of an interval:
+// dir is 1 for lower bounds (the larger value is tighter) and -1 for upper
+// bounds. ok is false when both are bounded and either value is an unbound
+// placeholder, whose order against the other is unknown until run time.
+func tighterBound(cur, cand Bound, dir int) (b Bound, ok bool) {
+	switch {
+	case cand.Unbounded:
+		return cur, true
+	case cur.Unbounded:
+		return cand, true
+	case isParam(cur.Value) || isParam(cand.Value):
+		return cur, false
+	}
+	switch c := dir * CompareValues(cand.Value, cur.Value); {
+	case c > 0 || (c == 0 && !cand.Inclusive):
+		return cand, true
+	default:
+		return cur, true
+	}
+}
+
+func isParam(v Value) bool {
+	_, ok := v.(ParamValue)
+	return ok
+}
+
+// isPoint reports whether [lo, hi] is the closed interval of one value —
+// an equality probe. Two placeholders are one value only when they are the
+// same placeholder.
+func isPoint(lo, hi Bound) bool {
+	if lo.Unbounded || hi.Unbounded || !lo.Inclusive || !hi.Inclusive {
+		return false
+	}
+	if isParam(lo.Value) || isParam(hi.Value) {
+		return lo.Value == hi.Value
+	}
+	return CompareValues(lo.Value, hi.Value) == 0
+}
+
+// emptyInterval reports whether the interval provably holds no key (its
+// bounds contradict each other); unbound placeholders prove nothing.
+func (p AccessPlan) emptyInterval() bool {
+	if p.Kind == PathFullScan || p.Lo.Unbounded || p.Hi.Unbounded || isParam(p.Lo.Value) || isParam(p.Hi.Value) {
+		return false
+	}
+	c := CompareValues(p.Lo.Value, p.Hi.Value)
+	return c > 0 || (c == 0 && !(p.Lo.Inclusive && p.Hi.Inclusive))
 }
 
 // EstimateRows is the planner's cardinality estimate for the access path:
@@ -347,6 +423,9 @@ func (p AccessPlan) EstimateRows() int {
 		}
 		return 1
 	case PathIndexRange:
+		if p.emptyInterval() {
+			return 0
+		}
 		return p.TableRows/3 + 1
 	default:
 		return p.TableRows
@@ -364,9 +443,21 @@ func FullScanPlanAt(ts *TableSnap, preds []Pred) AccessPlan {
 	return AccessPlan{Kind: PathFullScan, Residual: preds, TableRows: ts.NumRows()}
 }
 
-// Explain describes the planned operator without opening it.
+// Explain describes the planned operator from the plan's own fields — no
+// snapshot is pinned and nothing is opened.
 func (p AccessPlan) Explain(t *Table) string {
-	return p.OpenBatch(t, nil, nil, BatchOpts{Workers: 1}).Explain()
+	if p.Kind == PathFullScan {
+		return scanExplain(t, p.Residual)
+	}
+	op := "INDEX RANGE SCAN"
+	if p.Kind == PathIndexProbe {
+		op = "INDEX PROBE"
+	}
+	s := op + " " + t.Name + "(" + p.Col + ") " + describeRange(p.Col, p.Lo, p.Hi)
+	if len(p.Residual) > 0 {
+		s += " FILTER " + predsString(p.Residual)
+	}
+	return s
 }
 
 // Shape is the normalized identity of the access path: kind, table, driving
@@ -388,15 +479,4 @@ func (p AccessPlan) Shape(t *Table) string {
 		fmt.Fprintf(&sb, " +%d residual", n)
 	}
 	return sb.String()
-}
-
-// AccessPathBatchAt plans and opens the physical access for a conjunction of
-// predicates against a pinned snapshot (PlanAccessAt + OpenBatchAt): planning
-// statistics and the opened scan both reflect the snapshot, never the live
-// table — the building block for snapshot-pinned subqueries. The returned
-// iterator stops early (Err reports why) when g is cancelled or over budget,
-// so a scan over a large table aborts mid-pass instead of running to
-// exhaustion. stats and g may be nil.
-func AccessPathBatchAt(ts *TableSnap, preds []Pred, stats *Stats, g *governor.G) BatchIterator {
-	return PlanAccessAt(ts, preds).OpenBatchAt(ts, stats, g, BatchOpts{Workers: 1})
 }

@@ -1,0 +1,328 @@
+package relstore
+
+import (
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/faultpoint"
+	"repro/internal/governor"
+)
+
+// This file is the relational layer's one join: an index group-join. The
+// SQL/XML plan nests an XMLAgg subquery under every outer row
+// (inner.col = outer.col plus constant predicates); instead of planning,
+// locking and opening the inner table once per outer row, the executor hands
+// this operator a BATCH of outer keys and gets back, for each of them, the
+// run of matching inner row ids. The fault point, the table lock and the
+// governor charge are paid once per batch, and — when no constant predicate
+// has to be applied — a run is a view of the B-tree's own posting list
+// (snapshot.go explains why that is snapshot-safe), so a group costs a
+// descent and a slice header.
+//
+// Which variant runs is decided by what the table has, never by a caller:
+// an index on the correlation column gives the index join (one descent per
+// non-NULL outer key); without one the scan join makes ONE pass over the
+// inner access path per batch and routes each row to the outer keys it
+// equals, where a nested loop would make one pass per outer row.
+
+// GroupJoin is a planned group-join against one pinned inner table. Plan it
+// once per run with PlanGroupJoin; Join may then be called any number of
+// times, from one goroutine per Groups. The zero value is not usable.
+type GroupJoin struct {
+	inner *TableSnap
+	// col is the inner correlation column; "" joins without a correlation
+	// (every outer row's group is every qualifying inner row).
+	col string
+	ord int // ordinal of col in the inner table, -1 when absent
+	// indexed selects the index variant: col has a B-tree.
+	indexed bool
+	// access is the inner pass of the scan variant, planned over the
+	// constant predicates (so an indexed constant predicate still drives a
+	// range scan). Unused by the index variant.
+	access AccessPlan
+	// filter holds the constant predicates the index variant applies to
+	// each posting list.
+	filter predClosure
+}
+
+// PlanGroupJoin plans the join of inner.col = <outer key> AND preds against
+// the pinned inner table. preds must be bound (no ParamValue placeholders)
+// before Join runs.
+func PlanGroupJoin(inner *TableSnap, col string, preds []Pred) GroupJoin {
+	j := GroupJoin{inner: inner, col: col, ord: -1}
+	if col != "" {
+		j.ord = inner.ColIndex(col)
+		j.indexed = inner.HasIndex(col)
+	}
+	if j.indexed {
+		j.filter = closePreds(inner.tab, preds)
+	} else {
+		j.access = PlanAccessAt(inner, preds)
+	}
+	return j
+}
+
+// Inner returns the pinned inner table the join reads.
+func (j *GroupJoin) Inner() *TableSnap { return j.inner }
+
+// Explain describes the planned operator; outerCol names the outer side of
+// the correlation.
+func (j *GroupJoin) Explain(outerCol string) string {
+	if j.col == "" {
+		return j.access.Explain(j.inner.tab)
+	}
+	on := j.inner.Name() + "(" + j.col + ") = outer." + outerCol
+	switch {
+	case j.indexed && len(j.filter.preds) == 0:
+		return "INDEX JOIN " + on
+	case j.indexed:
+		return "INDEX JOIN " + on + " FILTER " + predsString(j.filter.preds)
+	case j.access.Kind != PathFullScan:
+		return "SCAN JOIN " + on + " OVER " + j.access.Explain(j.inner.tab)
+	case len(j.access.Residual) == 0:
+		return "SCAN JOIN " + on
+	default:
+		return "SCAN JOIN " + on + " FILTER " + predsString(j.access.Residual)
+	}
+}
+
+// Groups is the result of one Join and the scratch the next one reuses.
+type Groups struct {
+	// Runs[i] holds the inner row ids matching outer key i, ascending.
+	// READ-ONLY, and valid until the next Join into this Groups: a run may be
+	// a view of a B-tree posting list, and equal outer keys may share one.
+	Runs [][]int
+
+	// arena backs the runs that are not posting-list views. A run sliced off
+	// before the arena grew keeps pointing at the old array, which still
+	// holds exactly its ids.
+	arena []int
+	// Scan-variant scratch: the batch's distinct non-NULL keys in
+	// CompareValues order, the outer positions sorted the same way, the slot
+	// (index into distinct) of each outer key, and the matched (slot, inner
+	// id) pairs before they are bucketed.
+	distinct []Value
+	order    []int32
+	slotOf   []int32
+	pairs    []slotID
+	ends     []int
+}
+
+type slotID struct {
+	slot int32
+	id   int
+}
+
+func (gr *Groups) reset(n int) {
+	if cap(gr.Runs) < n {
+		gr.Runs = make([][]int, n)
+	}
+	gr.Runs = gr.Runs[:n]
+	clear(gr.Runs)
+	gr.arena = gr.arena[:0]
+}
+
+// Release empties the result and drops every reference into table data the
+// scratch holds (posting-list views, key values), keeping its capacity: what
+// an owner calls before parking a Groups in a pool for a later run.
+func (gr *Groups) Release() {
+	clear(gr.Runs)
+	gr.Runs = gr.Runs[:0]
+	clear(gr.distinct)
+	gr.distinct = gr.distinct[:0]
+}
+
+// Join computes, for every outer key in keys (in the caller's outer order),
+// the run of inner row ids with the correlation column equal to it and every constant
+// predicate satisfied. Equality is CompareValues equality (an INT 7 equals a
+// FLOAT 7), and a NULL key or cell equals nothing. A non-nil error — the
+// fault point "relstore.join.batch", a fault in the inner scan, the
+// governor's verdict — means out holds no usable group: a run is never
+// silently truncated. stats and g may be nil.
+func (j *GroupJoin) Join(keys []Value, out *Groups, stats *Stats, g *governor.G) error {
+	if err := faultpoint.Hit("relstore.join.batch"); err != nil {
+		return err
+	}
+	out.reset(len(keys))
+	if j.indexed {
+		return j.indexJoin(keys, out, stats, g)
+	}
+	return j.scanJoin(keys, out, stats, g)
+}
+
+// indexJoin descends once per non-NULL key under one lock acquisition and
+// captures each posting list's committed prefix as a view; the constant
+// predicates then filter the views lock-free (rows below the pinned length
+// are immutable) into the arena.
+func (j *GroupJoin) indexJoin(keys []Value, out *Groups, stats *Stats, g *governor.G) error {
+	rows := j.inner.rows
+	var descents, visited int
+	t := j.inner.tab
+	t.mu.RLock()
+	idx := t.indexes[j.col]
+	for i, k := range keys {
+		if k == nil {
+			continue
+		}
+		descents++
+		run := committedPrefix(idx.Lookup(k), len(rows))
+		out.Runs[i] = run
+		visited += len(run)
+	}
+	t.mu.RUnlock()
+
+	emitted, charged := visited, 0
+	if len(j.filter.preds) > 0 {
+		emitted = 0
+		uncharged := 0
+		for i, run := range out.Runs {
+			start := len(out.arena)
+			for _, id := range run {
+				if j.filter.matches(rows[id]) {
+					out.arena = append(out.arena, id)
+				}
+			}
+			out.Runs[i] = out.arena[start:len(out.arena):len(out.arena)]
+			emitted += len(out.arena) - start
+			// Filtering is the only part of the join whose cost grows with
+			// the inner table; keep cancellation latency bounded like a scan.
+			if uncharged += len(run); uncharged >= scanChunkRows {
+				if err := g.TickN(uncharged); err != nil {
+					return err
+				}
+				charged += uncharged
+				uncharged = 0
+			}
+		}
+	}
+	if stats != nil {
+		atomic.AddInt64(&stats.RangeScans, 1)
+		atomic.AddInt64(&stats.IndexProbes, int64(descents))
+		atomic.AddInt64(&stats.RowsFiltered, int64(visited-emitted))
+		atomic.AddInt64(&stats.RowsEmitted, int64(emitted))
+		atomic.AddInt64(&stats.Batches, 1)
+	}
+	return g.TickN(visited - charged)
+}
+
+// scanJoin makes one pass over the inner access path and routes every
+// qualifying row to the outer keys its correlation cell equals. The pass is
+// an ordinary batch scan: its fault points, stats and governor charges are
+// the scan's own.
+func (j *GroupJoin) scanJoin(keys []Value, out *Groups, stats *Stats, g *governor.G) error {
+	correlated := j.col != ""
+	if correlated && !out.assignSlots(keys, j.ord) {
+		return nil // no key can match: every group is empty, no scan needed
+	}
+	it := j.access.OpenBatchAt(j.inner, stats, g, BatchOpts{Workers: 1})
+	batch := GetBatch(0)
+	defer PutBatch(batch)
+	out.pairs = out.pairs[:0]
+	for {
+		if _, ok := it.NextBatch(batch); !ok {
+			break
+		}
+		if !correlated {
+			out.arena = append(out.arena, batch.IDs...)
+			continue
+		}
+		for r, row := range batch.Rows {
+			cell := row[j.ord]
+			if cell == nil {
+				continue
+			}
+			// Distinct keys equal to one cell are adjacent in CompareValues
+			// order (more than one only when an INT and a FLOAT column meet
+			// beyond 2^53).
+			s, _ := slices.BinarySearchFunc(out.distinct, cell, CompareValues)
+			for ; s < len(out.distinct) && CompareValues(out.distinct[s], cell) == 0; s++ {
+				out.pairs = append(out.pairs, slotID{int32(s), batch.IDs[r]})
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	if !correlated {
+		all := out.arena[:len(out.arena):len(out.arena)]
+		for i := range out.Runs {
+			out.Runs[i] = all
+		}
+		return nil
+	}
+	out.bucketPairs()
+	return nil
+}
+
+// assignSlots sorts the batch's non-NULL keys, numbers the distinct ones
+// (slots) and records each outer position's slot (-1 for NULL). It reports
+// whether any key can match at all.
+func (gr *Groups) assignSlots(keys []Value, ord int) bool {
+	gr.order = gr.order[:0]
+	if ord >= 0 {
+		for i, k := range keys {
+			if k != nil {
+				gr.order = append(gr.order, int32(i))
+			}
+		}
+	}
+	if len(gr.order) == 0 {
+		return false
+	}
+	slices.SortFunc(gr.order, func(a, b int32) int { return CompareValues(keys[a], keys[b]) })
+	if cap(gr.slotOf) < len(keys) {
+		gr.slotOf = make([]int32, len(keys))
+	}
+	gr.slotOf = gr.slotOf[:len(keys)]
+	for i := range gr.slotOf {
+		gr.slotOf[i] = -1
+	}
+	clear(gr.distinct) // drop the previous batch's value references
+	gr.distinct = gr.distinct[:0]
+	for _, pos := range gr.order {
+		k := keys[pos]
+		if n := len(gr.distinct); n == 0 || CompareValues(gr.distinct[n-1], k) != 0 {
+			gr.distinct = append(gr.distinct, k)
+		}
+		gr.slotOf[pos] = int32(len(gr.distinct) - 1)
+	}
+	return true
+}
+
+// bucketPairs turns the matched (slot, id) pairs into one run per slot — a
+// counting sort, stable, so ids stay in the ascending order the scan
+// produced them — and points every outer position at its slot's run.
+func (gr *Groups) bucketPairs() {
+	slots := len(gr.distinct)
+	if cap(gr.ends) < slots {
+		gr.ends = make([]int, slots)
+	}
+	gr.ends = gr.ends[:slots]
+	clear(gr.ends)
+	for _, p := range gr.pairs {
+		gr.ends[p.slot]++
+	}
+	total := 0
+	for s, n := range gr.ends {
+		gr.ends[s] = total // start of slot s, advanced to its end while filling
+		total += n
+	}
+	if cap(gr.arena) < total {
+		gr.arena = make([]int, total)
+	}
+	gr.arena = gr.arena[:total]
+	for _, p := range gr.pairs {
+		gr.arena[gr.ends[p.slot]] = p.id
+		gr.ends[p.slot]++
+	}
+	for i, s := range gr.slotOf {
+		if s < 0 {
+			continue
+		}
+		start := 0
+		if s > 0 {
+			start = gr.ends[s-1]
+		}
+		gr.Runs[i] = gr.arena[start:gr.ends[s]:gr.ends[s]]
+	}
+}

@@ -13,14 +13,20 @@ import "sort"
 // it writes only indexes at or above the pinned length — different
 // addresses, invisible to the snapshot).
 //
-// Secondary indexes need one extra step: the B-tree mutates in place on
-// Insert, so a pinned reader materializes posting lists under the table lock
-// and filters out row ids at or above the pinned length — ids are assigned
-// in append order, so "id < pinned length" is exactly "committed before the
-// snapshot was taken".
+// Secondary indexes need one extra step: the B-tree's nodes mutate in place
+// on Insert, so a pinned reader descends under the table lock. What it
+// brings back needs no copy, though. A posting list is append-only and
+// ascending — row ids are assigned in append order and every index entry is
+// written by the Insert that assigned the id — so the prefix of a list below
+// the pinned length is exactly "committed before the snapshot was taken",
+// and no later writer ever touches it: an append either writes at or past
+// the list's current length or moves the list to a new array. A reader
+// therefore captures rows[:k] under the lock (committedPrefix) and keeps
+// reading it lock-free for as long as it likes — a view, never a copy.
 
-// TableSnap is an immutable point-in-time view of one table. All read
-// methods are lock-free except IndexIDs (see above). The zero value is not
+// TableSnap is an immutable point-in-time view of one table. Row reads are
+// lock-free; the index reads (IndexIDs here, GroupJoin.Join in join.go) hold
+// the table's read lock for the B-tree descent only. The zero value is not
 // usable; pin one with Table.Snap or DB.Snapshot.
 type TableSnap struct {
 	tab  *Table
@@ -79,28 +85,52 @@ func (s *TableSnap) Value(id int, col string) Value {
 // the live table is safe.
 func (s *TableSnap) HasIndex(col string) bool { return s.tab.HasIndex(col) }
 
-// IndexIDs materializes the posting list for the bounded interval on col,
-// restricted to rows committed before the snapshot. The B-tree descent runs
-// under the table's read lock because Insert rewrites tree nodes in place;
-// the returned ids are sorted ascending (row-id order ≈ heap order, which
-// keeps index-path output deterministic). A missing index yields nil.
+// committedPrefix bounds a posting list to the rows committed before a
+// snapshot of n rows: the list is ascending, so that is a prefix. The
+// result is a view of the list (capacity clipped, so an append by the caller
+// cannot reach the tree's array); see the header for why it stays valid
+// after the table lock is released.
+func committedPrefix(rows []int, n int) []int {
+	k := len(rows)
+	if k > 0 && rows[k-1] >= n {
+		k = sort.SearchInts(rows, n)
+	}
+	return rows[:k:k]
+}
+
+// IndexIDs returns the row ids in the bounded interval on col that were
+// committed before the snapshot, ascending (row-id order is heap order,
+// which keeps index-path output deterministic). The B-tree descent runs
+// under the table's read lock because Insert rewrites tree nodes in place.
+// The result is READ-ONLY: an interval holding one key returns a view of
+// that key's posting list; only an interval spanning several keys is copied
+// (their lists have to be merged into one order). A missing index yields
+// nil.
 func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
-	s.tab.mu.RLock()
-	idx := s.tab.indexes[col]
 	var ids []int
-	if idx != nil {
+	merged := false // ids is a private copy holding more than one list
+	s.tab.mu.RLock()
+	if idx := s.tab.indexes[col]; idx != nil {
 		n := len(s.rows)
 		idx.Range(lo, hi, func(_ Value, rows []int) bool {
-			for _, id := range rows {
-				if id < n {
-					ids = append(ids, id)
-				}
+			rows = committedPrefix(rows, n)
+			switch {
+			case len(rows) == 0:
+			case ids == nil:
+				ids = rows
+			case !merged:
+				ids = append(append(make([]int, 0, 2*(len(ids)+len(rows))), ids...), rows...)
+				merged = true
+			default:
+				ids = append(ids, rows...)
 			}
 			return true
 		})
 	}
 	s.tab.mu.RUnlock()
-	sort.Ints(ids)
+	if merged {
+		sort.Ints(ids)
+	}
 	return ids
 }
 

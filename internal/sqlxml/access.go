@@ -391,7 +391,7 @@ func (e *Executor) ExplainQuerySpec(q *Query, spec *RunSpec) string {
 	spec.recordPath(ts, plan)
 	var sb strings.Builder
 	sb.WriteString(plan.Explain(ts.Table()))
-	explainSubqueries(e.DB, q.Body, &sb, "  ")
+	explainSubqueries(snap, ts, q.Body, &sb, "  ")
 	return sb.String()
 }
 
@@ -427,7 +427,7 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 	}
 	out := make([]*xmltree.Node, len(d.ids))
 	err = d.constructParallel(workers, func(_ int, ec *evalContext, i int) (err error) {
-		out[i], err = ec.evalDoc(d.body, d.ts, d.ids[i])
+		out[i], err = ec.evalDoc(d.body)
 		return err
 	})
 	if err != nil {
@@ -475,7 +475,7 @@ func (e *Executor) EmitQuerySpec(q *Query, workers int, sink *relstore.Stats, g 
 		}
 		err = d.constructParallel(workers, func(w int, ec *evalContext, i int) error {
 			p := parts[w]
-			if err := ec.eval(&p.byteSink, d.body, d.ts, d.ids[i]); err != nil {
+			if err := ec.evalRow(&p.byteSink, d.body); err != nil {
 				return err
 			}
 			p.endRow()
@@ -545,11 +545,14 @@ func (b *emitBuf) strings() (body string, rows []string) {
 // drivingRows is a fully drained driving scan: the qualifying row ids and row
 // references in scan order, ready to be constructed by several workers.
 type drivingRows struct {
-	snap    *relstore.Snapshot
-	ts      *relstore.TableSnap
-	body    XMLExpr
-	ids     []int
-	rows    [][]relstore.Value
+	snap *relstore.Snapshot
+	ts   *relstore.TableSnap
+	body XMLExpr
+	ids  []int
+	rows [][]relstore.Value
+	// batch is the run's batch size: how many rows of a worker's chunk are
+	// group-joined at once, as a streaming cursor joins per driving batch.
+	batch   int
 	sink    *relstore.Stats
 	gov     *governor.G
 	buildSp *obs.Span
@@ -572,7 +575,7 @@ func (e *Executor) drainDriving(q *Query, workers int, sink *relstore.Stats, g *
 	if err != nil {
 		return nil, err
 	}
-	d := &drivingRows{snap: snap, ts: ts, body: body, sink: sink, gov: g}
+	d := &drivingRows{snap: snap, ts: ts, body: body, batch: spec.batchOpts().Size(), sink: sink, gov: g}
 	var scanSp *obs.Span
 	if sp := spec.span(); sp != nil {
 		scanSp = sp.Start("scan")
@@ -618,10 +621,11 @@ func (e *Executor) drainDriving(q *Query, workers int, sink *relstore.Stats, g *
 
 // constructParallel constructs every drained row, splitting them into one
 // contiguous chunk per worker: worker w calls row(w, ec, i) for each index i
-// of its chunk in order, with ec its own eval context pinned to row i. Every
-// worker stops at its first error, at the governor's verdict, or as soon as
-// another worker has failed; of several failures the one in the earliest
-// chunk is returned.
+// of its chunk in order, with ec its own eval context positioned on row i
+// (the chunk is installed a batch at a time, so subqueries join per batch).
+// Every worker stops at its first error, at the governor's verdict, or as
+// soon as another worker has failed; of several failures the one in the
+// earliest chunk is returned.
 func (d *drivingRows) constructParallel(workers int, row func(w int, ec *evalContext, i int) error) error {
 	n := len(d.ids)
 	if workers > n {
@@ -645,7 +649,14 @@ func (d *drivingRows) constructParallel(workers int, row func(w int, ec *evalCon
 				}
 			}()
 			ec := &evalContext{snap: d.snap, stats: d.sink, gov: d.gov}
+			defer ec.release()
 			for i := lo; i < hi && !failed.Load(); i++ {
+				at := (i - lo) % d.batch
+				if at == 0 {
+					end := min(i+d.batch, hi)
+					ec.setRows(d.ts, d.ids[i:end], d.rows[i:end])
+				}
+				ec.setPos(at)
 				if errs[w] = d.constructRow(ec, i, w, row); errs[w] != nil {
 					failed.Store(true)
 					return
@@ -677,7 +688,6 @@ func (d *drivingRows) constructRow(ec *evalContext, i, w int, row func(w int, ec
 		start = time.Now()
 		d.buildSp.AddRowsIn(1)
 	}
-	ec.setRow(d.ts, d.ids[i], d.rows[i])
 	if err := row(w, ec, i); err != nil {
 		return err
 	}

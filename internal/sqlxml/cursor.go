@@ -56,9 +56,13 @@ type QueryCursor struct {
 	buildSp *obs.Span
 }
 
-// refill pulls the next batch from the driving iterator. It returns io.EOF
-// on clean exhaustion, the iterator's terminal error otherwise, and returns
-// the batch to the pool once the stream ends either way.
+// refill pulls the next batch from the driving iterator and installs it as
+// the eval context's driving row list — the unit the body's subqueries are
+// group-joined against, so WithBatchSize bounds both a cursor's time to its
+// first row and the memory its groups hold. It returns io.EOF on clean
+// exhaustion, the iterator's terminal error otherwise, and returns the batch
+// and the context's subquery scratch to their pools once the stream ends
+// either way.
 func (c *QueryCursor) refill() error {
 	if c.batch == nil {
 		c.batch = relstore.GetBatch(0)
@@ -67,6 +71,7 @@ func (c *QueryCursor) refill() error {
 	if _, ok := c.it.NextBatch(c.batch); !ok {
 		relstore.PutBatch(c.batch)
 		c.batch = nil
+		c.ec.release()
 		if err := c.it.Err(); err != nil {
 			return err
 		}
@@ -84,6 +89,7 @@ func (c *QueryCursor) refill() error {
 		}
 		return io.EOF
 	}
+	c.ec.setRows(c.ts, c.batch.IDs, c.batch.Rows)
 	return nil
 }
 
@@ -99,15 +105,15 @@ func (e *Executor) OpenQueryCursorGoverned(q *Query, sink *relstore.Stats, g *go
 	return e.OpenQueryCursorSpec(q, sink, g, nil)
 }
 
-// advance moves to the next qualifying driving row and pins it in the eval
-// context. It returns io.EOF when the driving iterator is exhausted, and the
-// iterator's terminal error (cancellation, injected fault) when it stopped
-// early. Under a trace the batch refills accrue on the scan span, with
-// rows-out credited per refilled batch.
-func (c *QueryCursor) advance() (id int, err error) {
+// advance moves the eval context to the next qualifying driving row. It
+// returns io.EOF when the driving iterator is exhausted, and the iterator's
+// terminal error (cancellation, injected fault) when it stopped early. Under
+// a trace the batch refills accrue on the scan span, with rows-out credited
+// per refilled batch.
+func (c *QueryCursor) advance() error {
 	if err := faultpoint.Hit(c.fp); err != nil {
 		c.scanSp.Fail(err)
-		return 0, err
+		return err
 	}
 	if c.batch == nil || c.bpos >= c.batch.Len() {
 		var scanStart time.Time
@@ -124,13 +130,12 @@ func (c *QueryCursor) advance() (id int, err error) {
 			}
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
 	}
-	id = c.batch.IDs[c.bpos]
-	c.ec.setRow(c.ts, id, c.batch.Rows[c.bpos])
+	c.ec.setPos(c.bpos)
 	c.bpos++
-	return id, nil
+	return nil
 }
 
 // buildStart / buildEnd bracket one row's construction with the construct
@@ -145,6 +150,9 @@ func (c *QueryCursor) buildStart() (start time.Time) {
 }
 
 func (c *QueryCursor) buildEnd(start time.Time, err error) {
+	if err != nil {
+		c.ec.release() // a failed row ends the stream
+	}
 	if c.buildSp == nil {
 		return
 	}
@@ -159,12 +167,11 @@ func (c *QueryCursor) buildEnd(start time.Time, err error) {
 // Next constructs the XML tree for the next qualifying driving row (see
 // advance for the end-of-stream and error contract).
 func (c *QueryCursor) Next() (*xmltree.Node, error) {
-	id, err := c.advance()
-	if err != nil {
+	if err := c.advance(); err != nil {
 		return nil, err
 	}
 	start := c.buildStart()
-	doc, err := c.ec.evalDoc(c.body, c.ts, id)
+	doc, err := c.ec.evalDoc(c.body)
 	c.buildEnd(start, err)
 	return doc, err
 }
@@ -173,13 +180,12 @@ func (c *QueryCursor) Next() (*xmltree.Node, error) {
 // to dst — the bytes Next's tree would serialize to, produced without the
 // tree. On error (io.EOF included) the returned slice is dst, unextended.
 func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
-	id, err := c.advance()
-	if err != nil {
+	if err := c.advance(); err != nil {
 		return dst, err
 	}
 	start := c.buildStart()
 	c.out = byteSink{buf: dst}
-	err = c.ec.eval(&c.out, c.body, c.ts, id)
+	err := c.ec.evalRow(&c.out, c.body)
 	c.buildEnd(start, err)
 	if err != nil {
 		return dst, err

@@ -7,7 +7,6 @@ package sqlxml
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -170,71 +169,81 @@ func (q *SubQuery) fromWhereSQL() string {
 // single committed state no matter how many inserts land mid-run.
 //
 // An evalContext belongs to one goroutine and is reused for every driving
-// row it constructs, so the scratch below is allocated once per run, not
-// once per row or per subquery.
+// row it constructs, so nothing below is set up per row or per subquery
+// evaluation: the row frames live as long as the context, and the subquery
+// plans with their group scratch are drawn from a pool once per run.
 type evalContext struct {
 	snap  *relstore.Snapshot
 	stats *relstore.Stats
 	// gov, when non-nil, bounds the construction: deep Agg nests and wide
 	// scans abort promptly on cancellation or budget exhaustion.
 	gov *governor.G
+	// ticks counts the expression nodes walked since the governor was last
+	// charged (flushTicks): the run's shared tick counter is one contended
+	// cache line, so construction charges it every tickFlush nodes and at the
+	// end of each driving row instead of once per node.
+	ticks int
 
-	// Pinned driving row (setRow): the batch engine hands the cursor row
-	// references straight from the snapshot, so cell reads on the current
-	// driving row skip even the snapshot's bounds check.
-	curTable *relstore.TableSnap
-	curRow   []relstore.Value
-	curID    int
-
-	// preds is the predicate list of the correlated subquery being planned
-	// (its iterator is drained before the next subquery starts). ids holds
-	// one selected-row-id list per Agg nesting depth: the list at depth d is
-	// being iterated while the subqueries of its body fill depth d+1.
-	preds []relstore.Pred
-	ids   [][]int
-	depth int
+	// driving is the row list being constructed at nesting depth 0 — the
+	// driving batch; the group an Agg iterates is the list of its inner
+	// frame, one level down.
+	driving frame
+	// lists numbers the row lists installed so far (frame.list).
+	lists uint64
+	// subs holds the run's subquery plans, found by SubQuery identity
+	// (subBuf backs the first few).
+	subs   []*subPlan
+	subBuf [4]*subPlan
 	// num is the formatting buffer for numeric values.
 	num [32]byte
 }
 
-// setRow pins the driving row the next eval constructs from. row may be
-// nil to unpin (reads fall back to the snapshot's Value path).
-func (ec *evalContext) setRow(ts *relstore.TableSnap, id int, row []relstore.Value) {
-	ec.curTable, ec.curID, ec.curRow = ts, id, row
+// tickFlush is how many expression nodes construction walks between
+// governor charges — the governor's own amortization interval, so every
+// flush performs a full cancellation check.
+const tickFlush = 64
+
+// flushTicks charges the nodes walked since the last flush.
+func (ec *evalContext) flushTicks() error {
+	n := ec.ticks
+	ec.ticks = 0
+	return ec.gov.TickN(n)
 }
 
-// cell reads one column of (ts, id), via the pinned row when it matches.
-func (ec *evalContext) cell(ts *relstore.TableSnap, id int, col string) relstore.Value {
-	if ec.curRow != nil && ts == ec.curTable && id == ec.curID {
-		if ci := ts.ColIndex(col); ci >= 0 && ci < len(ec.curRow) {
-			return ec.curRow[ci]
-		}
-		return nil
+// evalRow constructs expr for the current row of the driving frame and
+// settles the row's governor charge.
+func (ec *evalContext) evalRow(out xmlSink, expr XMLExpr) error {
+	if err := ec.eval(out, expr, &ec.driving); err != nil {
+		return err
 	}
-	return ts.Value(id, col)
+	return ec.flushTicks()
 }
 
-// evalDoc constructs the XML of expr for (table,rowID) as a document tree.
-func (ec *evalContext) evalDoc(expr XMLExpr, table *relstore.TableSnap, rowID int) (*xmltree.Node, error) {
+// evalDoc constructs the XML of expr for the current driving row as a
+// document tree.
+func (ec *evalContext) evalDoc(expr XMLExpr) (*xmltree.Node, error) {
 	doc := xmltree.NewDocument()
-	if err := ec.eval(&treeSink{cur: doc}, expr, table, rowID); err != nil {
+	if err := ec.evalRow(&treeSink{cur: doc}, expr); err != nil {
 		return nil, err
 	}
 	doc.Renumber()
 	return doc, nil
 }
 
-// eval walks expr for (table,rowID) and reports what it constructs to out.
-func (ec *evalContext) eval(out xmlSink, expr XMLExpr, table *relstore.TableSnap, rowID int) error {
-	if err := ec.gov.Tick(); err != nil {
-		return err
+// eval walks expr for the current row of f and reports what it constructs
+// to out.
+func (ec *evalContext) eval(out xmlSink, expr XMLExpr, f *frame) error {
+	if ec.ticks++; ec.ticks >= tickFlush {
+		if err := ec.flushTicks(); err != nil {
+			return err
+		}
 	}
 	switch e := expr.(type) {
 	case *Literal:
 		out.text(e.Text)
 		return nil
 	case *Column:
-		ec.emitValue(out, ec.cell(table, rowID, e.Name))
+		ec.emitValue(out, f.cell(e.Name))
 		return nil
 	case *Element:
 		out.startElement(e.Name)
@@ -243,7 +252,7 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, table *relstore.TableSnap
 			// keeps the first one's position and the last one's value.
 			if last := lastAttrNamed(e.Attrs, i); last >= 0 {
 				out.startAttr(a.Name)
-				err := ec.evalScalar(out, e.Attrs[last].Value, table, rowID)
+				err := ec.evalScalar(out, e.Attrs[last].Value, f)
 				out.endAttr()
 				if err != nil {
 					return err
@@ -251,7 +260,7 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, table *relstore.TableSnap
 			}
 		}
 		for _, c := range e.Children {
-			if err := ec.eval(out, c, table, rowID); err != nil {
+			if err := ec.eval(out, c, f); err != nil {
 				return err
 			}
 		}
@@ -259,26 +268,28 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, table *relstore.TableSnap
 		return nil
 	case *Concat:
 		for _, it := range e.Items {
-			if err := ec.eval(out, it, table, rowID); err != nil {
+			if err := ec.eval(out, it, f); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *Agg:
-		inner, ids, err := ec.subqueryRows(e.Sub, table, rowID)
+		inner, ids, err := ec.group(e.Sub, f)
 		if err != nil {
 			return err
 		}
-		ec.depth++ // ids stays live while the body's subqueries fill the next depth
-		for _, id := range ids {
-			if err = ec.eval(out, e.Sub.Body, inner, id); err != nil {
-				break
+		// The group becomes the row list one level down, so the subqueries
+		// of the body join against all of it at once.
+		body := ec.nest(f, inner, ids)
+		for i := range ids {
+			body.setPos(i)
+			if err := ec.eval(out, e.Sub.Body, body); err != nil {
+				return err
 			}
 		}
-		ec.depth--
-		return err
+		return nil
 	case *ScalarAgg:
-		inner, ids, err := ec.subqueryRows(e.Sub, table, rowID)
+		inner, ids, err := ec.group(e.Sub, f)
 		if err != nil {
 			return err
 		}
@@ -287,16 +298,16 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, table *relstore.TableSnap
 	case *Cond:
 		holds := true
 		for _, p := range e.Preds {
-			if !p.Matches(ec.cell(table, rowID, p.Col)) {
+			if !p.Matches(f.cell(p.Col)) {
 				holds = false
 				break
 			}
 		}
 		if holds {
-			return ec.eval(out, e.Then, table, rowID)
+			return ec.eval(out, e.Then, f)
 		}
 		if e.Else != nil {
-			return ec.eval(out, e.Else, table, rowID)
+			return ec.eval(out, e.Else, f)
 		}
 		return nil
 	}
@@ -346,16 +357,16 @@ func splitName(name string) (prefix, local string) {
 
 // evalScalar evaluates a scalar-producing expression (Column, Literal,
 // ScalarAgg, or a Concat of those) into the attribute out has open.
-func (ec *evalContext) evalScalar(out xmlSink, expr XMLExpr, table *relstore.TableSnap, rowID int) error {
+func (ec *evalContext) evalScalar(out xmlSink, expr XMLExpr, f *frame) error {
 	switch e := expr.(type) {
 	case *Literal:
 		out.text(e.Text)
 		return nil
 	case *Column:
-		ec.emitValue(out, ec.cell(table, rowID, e.Name))
+		ec.emitValue(out, f.cell(e.Name))
 		return nil
 	case *ScalarAgg:
-		inner, ids, err := ec.subqueryRows(e.Sub, table, rowID)
+		inner, ids, err := ec.group(e.Sub, f)
 		if err != nil {
 			return err
 		}
@@ -363,7 +374,7 @@ func (ec *evalContext) evalScalar(out xmlSink, expr XMLExpr, table *relstore.Tab
 		return nil
 	case *Concat:
 		for _, it := range e.Items {
-			if err := ec.evalScalar(out, it, table, rowID); err != nil {
+			if err := ec.evalScalar(out, it, f); err != nil {
 				return err
 			}
 		}
@@ -408,8 +419,12 @@ func (ec *evalContext) emitScalarAgg(out xmlSink, e *ScalarAgg, inner *relstore.
 	var total float64
 	var count int
 	var best relstore.Value
+	ord := inner.ColIndex(e.Col)
 	for _, id := range ids {
-		v := inner.Value(id, e.Col)
+		var v relstore.Value
+		if ord >= 0 {
+			v = inner.Row(id)[ord]
+		}
 		if v == nil {
 			continue
 		}
@@ -444,56 +459,4 @@ func toF(v relstore.Value) float64 {
 		return f
 	}
 	return 0
-}
-
-// subqueryRows plans and runs the subquery for one outer row, returning the
-// pinned inner table and the selected row ids (ordered). The inner scan
-// reads the run's snapshot, so a subquery re-evaluated per outer row always
-// sees the same inner rows. The returned ids are the context's scratch for
-// the current nesting depth: valid until the next subqueryRows at that depth.
-func (ec *evalContext) subqueryRows(sub *SubQuery, outer *relstore.TableSnap, outerRow int) (*relstore.TableSnap, []int, error) {
-	inner := ec.snap.Table(sub.Table)
-	if inner == nil {
-		return nil, nil, fmt.Errorf("sqlxml: unknown table %q", sub.Table)
-	}
-	preds := sub.Where
-	if sub.CorrInner != "" {
-		ov := ec.cell(outer, outerRow, sub.CorrOuter)
-		ec.preds = append(append(ec.preds[:0], sub.Where...), relstore.Pred{Col: sub.CorrInner, Op: relstore.CmpEq, Val: ov})
-		preds = ec.preds
-	}
-	it := relstore.AccessPathBatchAt(inner, preds, ec.stats, ec.gov)
-	for len(ec.ids) <= ec.depth {
-		ec.ids = append(ec.ids, nil)
-	}
-	ids := ec.ids[ec.depth][:0]
-	batch := relstore.GetBatch(0)
-	for {
-		n, ok := it.NextBatch(batch)
-		if !ok {
-			break
-		}
-		ids = append(ids, batch.IDs[:n]...)
-	}
-	relstore.PutBatch(batch)
-	ec.ids[ec.depth] = ids
-	if err := it.Err(); err != nil {
-		return nil, nil, err
-	}
-	if sub.OrderBy != "" {
-		sortByCol(inner, ids, sub.OrderBy, sub.Descending)
-	}
-	return inner, ids, nil
-}
-
-func sortByCol(t *relstore.TableSnap, ids []int, col string, desc bool) {
-	lessAsc := func(a, b int) bool {
-		return relstore.CompareValues(t.Value(a, col), t.Value(b, col)) < 0
-	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		if desc {
-			return lessAsc(ids[j], ids[i])
-		}
-		return lessAsc(ids[i], ids[j])
-	})
 }

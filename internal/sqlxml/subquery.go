@@ -1,0 +1,224 @@
+package sqlxml
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+
+	"repro/internal/relstore"
+)
+
+// This file decorrelates the SQL/XML plan. A nested XMLAgg / scalar
+// aggregate is written as a subquery correlated to ONE outer row, but it is
+// executed as a group-join (relstore.GroupJoin) against the whole LIST of
+// outer rows construction is working through: the driving batch, or — one
+// level down — the group an enclosing Agg is iterating, so dept → emp →
+// project composes the same call at every level. The first outer row of a
+// list to reach a subquery triggers the join for the entire list; every
+// later row of that list reads its group from the plan's scratch. A
+// subquery no row reaches (a Cond branch never taken) is never joined.
+
+// frame is one level of the row nest being constructed: a list of rows of
+// one table and the position construction has reached in it.
+type frame struct {
+	ts  *relstore.TableSnap
+	ids []int
+	// rows[i] is the row of ids[i] when the producer had the references at
+	// hand (the driving batch); nil means read them from the snapshot.
+	rows [][]relstore.Value
+	// list identifies this (ts, ids) list among all the lists the context
+	// has installed, so a subquery plan knows which one its groups are for.
+	list uint64
+	pos  int
+	row  []relstore.Value // the row at pos
+	// inner is the frame one level down, created when an Agg first needs it.
+	inner *frame
+}
+
+// setList installs ids (rows of ts) as f's row list; position it with
+// setPos. rows may be nil.
+func (ec *evalContext) setList(f *frame, ts *relstore.TableSnap, ids []int, rows [][]relstore.Value) {
+	ec.lists++
+	f.ts, f.ids, f.rows, f.list = ts, ids, rows, ec.lists
+}
+
+// setRows installs the driving rows the next evalRow calls construct from;
+// position with setPos.
+func (ec *evalContext) setRows(ts *relstore.TableSnap, ids []int, rows [][]relstore.Value) {
+	ec.setList(&ec.driving, ts, ids, rows)
+}
+
+// setPos moves the driving frame to row i of its list.
+func (ec *evalContext) setPos(i int) { ec.driving.setPos(i) }
+
+// nest installs ids (rows of ts) as the row list one level below f.
+func (ec *evalContext) nest(f *frame, ts *relstore.TableSnap, ids []int) *frame {
+	if f.inner == nil {
+		f.inner = new(frame)
+	}
+	ec.setList(f.inner, ts, ids, nil)
+	return f.inner
+}
+
+func (f *frame) rowAt(i int) []relstore.Value {
+	if f.rows != nil {
+		return f.rows[i]
+	}
+	return f.ts.Row(f.ids[i])
+}
+
+func (f *frame) setPos(i int) { f.pos, f.row = i, f.rowAt(i) }
+
+// cell reads one column of the current row; a column the table does not
+// have (or a row id outside the snapshot) reads as NULL.
+func (f *frame) cell(col string) relstore.Value {
+	if ci := f.ts.ColIndex(col); ci >= 0 && ci < len(f.row) {
+		return f.row[ci]
+	}
+	return nil
+}
+
+// subPlan is the per-run plan of one SubQuery: everything that does not
+// depend on the outer row is resolved once — the pinned inner table, the
+// join variant and its constant-predicate ordinals (relstore.PlanGroupJoin),
+// the outer key and ORDER BY ordinals — next to the scratch its groups live
+// in. The scratch outlives the run: subPlans are pooled, so a warmed-up
+// process joins without allocating (release).
+type subPlan struct {
+	sub      *SubQuery
+	outer    *relstore.TableSnap
+	join     relstore.GroupJoin
+	outerOrd int // ordinal of CorrOuter in outer; -1: uncorrelated or absent
+	orderOrd int // ordinal of OrderBy in the inner table; -1: unordered
+
+	// groups holds the join's result for the outer list numbered list
+	// (0: not joined yet). An uncorrelated subquery selects the same rows
+	// for every outer row of the run: it is joined once, as a single group.
+	groups relstore.Groups
+	list   uint64
+	keys   []relstore.Value // the outer keys of the last join
+	sorted []int            // the current group in ORDER BY order
+}
+
+var subPlanPool = sync.Pool{New: func() any { return new(subPlan) }}
+
+// planSub plans sub as it appears under rows of outer, against snap. The
+// plan comes from a pool: release it when the run (or the EXPLAIN) is over.
+func planSub(snap *relstore.Snapshot, sub *SubQuery, outer *relstore.TableSnap) (*subPlan, error) {
+	inner := snap.Table(sub.Table)
+	if inner == nil {
+		return nil, fmt.Errorf("sqlxml: unknown table %q", sub.Table)
+	}
+	p := subPlanPool.Get().(*subPlan)
+	p.sub, p.outer, p.outerOrd, p.orderOrd, p.list = sub, outer, -1, -1, 0
+	p.join = relstore.PlanGroupJoin(inner, sub.CorrInner, sub.Where)
+	if sub.CorrInner != "" {
+		p.outerOrd = outer.ColIndex(sub.CorrOuter)
+	}
+	if sub.OrderBy != "" {
+		p.orderOrd = inner.ColIndex(sub.OrderBy)
+	}
+	return p, nil
+}
+
+// release parks the plan's scratch for a later run, dropping everything
+// that points into this run's snapshot.
+func (p *subPlan) release() {
+	p.sub, p.outer, p.join = nil, nil, relstore.GroupJoin{}
+	p.groups.Release()
+	clear(p.keys)
+	p.keys = p.keys[:0]
+	subPlanPool.Put(p)
+}
+
+// release returns the context's subquery plans to their pool. The context
+// stays usable (a later row would plan afresh), so calling it at every end
+// of stream — EOF, error, both — is safe; nothing obtained from group may
+// be read afterwards.
+func (ec *evalContext) release() {
+	for i, p := range ec.subs {
+		p.release()
+		ec.subs[i] = nil
+	}
+	ec.subs = ec.subs[:0]
+}
+
+// plan returns the run's plan for sub under rows of outer, planning it on
+// first use.
+func (ec *evalContext) plan(sub *SubQuery, outer *relstore.TableSnap) (*subPlan, error) {
+	for _, p := range ec.subs {
+		if p.sub == sub && p.outer == outer {
+			return p, nil
+		}
+	}
+	p, err := planSub(ec.snap, sub, outer)
+	if err != nil {
+		return nil, err
+	}
+	if ec.subs == nil {
+		ec.subs = ec.subBuf[:0]
+	}
+	ec.subs = append(ec.subs, p)
+	return p, nil
+}
+
+// group returns the pinned inner table of sub and the inner row ids it
+// selects for the current row of f, in output order. The ids are read-only
+// and valid until the next group call for the same subquery.
+func (ec *evalContext) group(sub *SubQuery, f *frame) (*relstore.TableSnap, []int, error) {
+	p, err := ec.plan(sub, f.ts)
+	if err != nil {
+		return nil, nil, err
+	}
+	at := 0
+	switch {
+	case sub.CorrInner == "":
+		if p.list == 0 {
+			p.keys = append(p.keys[:0], nil)
+			if err := p.join.Join(p.keys, &p.groups, ec.stats, ec.gov); err != nil {
+				return nil, nil, err
+			}
+			p.list = f.list
+		}
+	default:
+		if p.list != f.list {
+			if err := ec.joinList(p, f); err != nil {
+				return nil, nil, err
+			}
+			p.list = f.list
+		}
+		at = f.pos
+	}
+	ids := p.groups.Runs[at]
+	if p.orderOrd >= 0 && len(ids) > 1 {
+		p.sorted = append(p.sorted[:0], ids...)
+		ids = p.sorted
+		sortByOrdinal(p.join.Inner(), ids, p.orderOrd, sub.Descending)
+	}
+	return p.join.Inner(), ids, nil
+}
+
+// joinList runs p's group-join for every row of f's list.
+func (ec *evalContext) joinList(p *subPlan, f *frame) error {
+	p.keys = p.keys[:0]
+	for i := range f.ids {
+		var k relstore.Value
+		if row := f.rowAt(i); p.outerOrd >= 0 && p.outerOrd < len(row) {
+			k = row[p.outerOrd]
+		}
+		p.keys = append(p.keys, k)
+	}
+	return p.join.Join(p.keys, &p.groups, ec.stats, ec.gov)
+}
+
+// sortByOrdinal orders ids by one column of t, stably: rows with equal keys
+// keep their heap order in both directions.
+func sortByOrdinal(t *relstore.TableSnap, ids []int, ord int, desc bool) {
+	slices.SortStableFunc(ids, func(a, b int) int {
+		c := relstore.CompareValues(t.Row(a)[ord], t.Row(b)[ord])
+		if desc {
+			return -c
+		}
+		return c
+	})
+}

@@ -102,7 +102,10 @@ func (e *Executor) MaterializeRow(v *ViewDef, rowID int) (*xmltree.Node, error) 
 		return nil, fmt.Errorf("sqlxml: view %q references unknown table %q", v.Name, v.Table)
 	}
 	ec := &evalContext{snap: snap, stats: &e.Stats}
-	return ec.evalDoc(v.Body, ts, rowID)
+	defer ec.release()
+	ec.setRows(ts, []int{rowID}, nil)
+	ec.setPos(0)
+	return ec.evalDoc(v.Body)
 }
 
 // ExecQuery runs a SQL/XML query: one result fragment per qualifying row of
@@ -128,39 +131,43 @@ func (e *Executor) ExplainQuery(q *Query) string {
 	return e.ExplainQuerySpec(q, nil)
 }
 
-func explainSubqueries(db *relstore.DB, expr XMLExpr, sb *strings.Builder, pad string) {
+// explainSubqueries appends one line per subquery of expr, which constructs
+// from rows of outer: the group-join the executor would run for it, rendered
+// from the same per-run plan (planSub) against the same pinned snapshot.
+func explainSubqueries(snap *relstore.Snapshot, outer *relstore.TableSnap, expr XMLExpr, sb *strings.Builder, pad string) {
 	switch x := expr.(type) {
 	case *Element:
+		for _, a := range x.Attrs {
+			explainSubqueries(snap, outer, a.Value, sb, pad)
+		}
 		for _, c := range x.Children {
-			explainSubqueries(db, c, sb, pad)
+			explainSubqueries(snap, outer, c, sb, pad)
 		}
 	case *Concat:
 		for _, c := range x.Items {
-			explainSubqueries(db, c, sb, pad)
+			explainSubqueries(snap, outer, c, sb, pad)
+		}
+	case *Cond:
+		explainSubqueries(snap, outer, x.Then, sb, pad)
+		if x.Else != nil {
+			explainSubqueries(snap, outer, x.Else, sb, pad)
 		}
 	case *Agg:
-		explainSub(db, x.Sub, sb, pad)
+		explainSub(snap, outer, x.Sub, sb, pad)
 	case *ScalarAgg:
-		explainSub(db, x.Sub, sb, pad)
+		explainSub(snap, outer, x.Sub, sb, pad)
 	}
 }
 
-func explainSub(db *relstore.DB, sub *SubQuery, sb *strings.Builder, pad string) {
-	inner := db.Table(sub.Table)
-	if inner == nil {
+func explainSub(snap *relstore.Snapshot, outer *relstore.TableSnap, sub *SubQuery, sb *strings.Builder, pad string) {
+	p, err := planSub(snap, sub, outer)
+	if err != nil {
 		return
 	}
-	preds := append([]relstore.Pred{}, sub.Where...)
-	if sub.CorrInner != "" {
-		// Correlation value is per-row; plan with a placeholder.
-		preds = append(preds, relstore.Pred{Col: sub.CorrInner, Op: relstore.CmpEq, Val: int64(0)})
-	}
-	sb.WriteString("\n" + pad + "-> " + relstore.PlanAccess(inner, preds).Explain(inner))
-	if sub.CorrInner != "" {
-		sb.WriteString(" (correlated: " + sub.CorrInner + " = outer." + sub.CorrOuter + ")")
-	}
+	defer p.release()
+	sb.WriteString("\n" + pad + "-> " + p.join.Explain(sub.CorrOuter))
 	if sub.Body != nil {
-		explainSubqueries(db, sub.Body, sb, pad+"  ")
+		explainSubqueries(snap, p.join.Inner(), sub.Body, sb, pad+"  ")
 	}
 }
 

@@ -148,14 +148,21 @@ func TestExplainShowsIndexUse(t *testing.T) {
 			Body:  &Element{Name: "e", Children: []XMLExpr{&Column{Name: "ename"}}},
 		}},
 	}
-	before := ex.ExplainQuery(q)
-	if !strings.Contains(before, "TABLE SCAN emp") {
-		t.Fatalf("expected emp scan before indexing:\n%s", before)
-	}
-	_ = db.Table("emp").CreateIndex("sal")
-	after := ex.ExplainQuery(q)
-	if !strings.Contains(after, "INDEX RANGE SCAN emp(sal)") {
-		t.Fatalf("expected index scan after indexing:\n%s", after)
+	// The subquery line is the group-join the executor runs, and which
+	// variant it is follows from the indexes alone.
+	for _, step := range []struct{ index, want string }{
+		{"", "-> SCAN JOIN emp(deptno) = outer.deptno FILTER sal > 2000"},
+		{"sal", "-> SCAN JOIN emp(deptno) = outer.deptno OVER INDEX RANGE SCAN emp(sal) sal > 2000"},
+		{"deptno", "-> INDEX JOIN emp(deptno) = outer.deptno FILTER sal > 2000"},
+	} {
+		if step.index != "" {
+			if err := db.Table("emp").CreateIndex(step.index); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if plan := ex.ExplainQuery(q); !strings.Contains(plan, step.want) {
+			t.Fatalf("after indexing %q want %q in:\n%s", step.index, step.want, plan)
+		}
 	}
 }
 
@@ -207,6 +214,42 @@ func TestOrderBySubquery(t *testing.T) {
 	got := nows(docs[0].String())
 	if !strings.Contains(got, "<e>CLARK</e><e>MILLER</e>") {
 		t.Fatalf("order by desc wrong: %s", got)
+	}
+}
+
+// TestSubqueriesJoinPerList: a subquery is joined when the first row of an
+// outer list reaches it, for the whole list — so a correlated one scans the
+// unindexed inner table once for both departments, an uncorrelated one once
+// per run, and one under a branch no row takes not at all.
+func TestSubqueriesJoinPerList(t *testing.T) {
+	_, ex := setup(t)
+	emps := func(sub *SubQuery) XMLExpr {
+		sub.Table = "emp"
+		sub.Body = &Element{Name: "e", Children: []XMLExpr{&Column{Name: "ename"}}}
+		return &Agg{Sub: sub}
+	}
+	never := []relstore.Pred{{Col: "loc", Op: relstore.CmpEq, Val: "NOWHERE"}}
+	for _, c := range []struct {
+		name      string
+		body      XMLExpr
+		empScans  int64
+		firstDept string
+	}{
+		{"correlated", emps(&SubQuery{CorrInner: "deptno", CorrOuter: "deptno"}), 1, "<e>CLARK</e><e>MILLER</e>"},
+		{"uncorrelated", emps(&SubQuery{}), 1, "<e>CLARK</e><e>MILLER</e><e>SMITH</e>"},
+		{"branch never taken", &Cond{Preds: never, Then: emps(&SubQuery{CorrInner: "deptno", CorrOuter: "deptno"})}, 0, ""},
+	} {
+		var stats relstore.Stats
+		docs, err := ex.ExecQueryWith(&Query{Table: "dept", Body: c.body}, &stats)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := strings.TrimPrefix(nows(docs[0].String()), `<?xml version="1.0"?>`); len(docs) != 2 || got != c.firstDept {
+			t.Fatalf("%s: %d docs, first = %q, want %q", c.name, len(docs), got, c.firstDept)
+		}
+		if scans := stats.FullScans - 1; scans != c.empScans { // minus the driving scan of dept
+			t.Fatalf("%s: emp scanned %d times, want %d", c.name, scans, c.empScans)
+		}
 	}
 }
 

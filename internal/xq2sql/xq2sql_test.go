@@ -81,8 +81,9 @@ func TestExample1FullRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	explain := ex.ExplainQuery(q)
-	// The correlated deptno equality plans as a B-tree probe per outer row.
-	if !strings.Contains(explain, "INDEX PROBE emp") {
+	// The correlated deptno equality plans as an index join on emp(deptno),
+	// the sal predicate filtering each group.
+	if !strings.Contains(explain, "INDEX JOIN emp(deptno) = outer.deptno FILTER sal > 2000") {
 		t.Fatalf("plan should use the emp index:\n%s", explain)
 	}
 
