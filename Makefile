@@ -60,7 +60,7 @@ fuzz:
 # The robustness suite arms faultpoints (degradation, breaker, panic
 # containment, cancellation promptness) — run it under the race detector.
 faults:
-	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestOneRowAggCancel|TestJoinFault|TestTimeout|TestMax|TestRecursionLimit|TestDegradation|TestCircuitBreaker|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance' .
+	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestOneRowAggCancel|TestJoinFault|TestTimeout|TestMax|TestLimits|TestRecursionLimit|TestDegradation|TestCircuitBreaker|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance|TestChainedStageFailure' .
 	$(GO) test -race ./internal/faultpoint ./internal/governor
 
 # Crash recovery: the WAL's torn-tail and every-byte-offset truncation

@@ -4,9 +4,8 @@ package xsltdb
 // archiving (EnableRunHistory → obs.Archive), the trace-sampling policy that
 // decides which runs carry full traces into the archive, the always-on
 // cardinality-accuracy tracker, and the debug console handler that serves
-// all of it (cmd/xsltdb -console-addr). The per-run recording hooks live at
-// the two places an execution finishes: CompiledTransform.Run (xsltdb.go)
-// and Cursor.release (cursor.go), both of which call archiveRun.
+// all of it (cmd/xsltdb -console-addr). The per-run recording hook is
+// execution.finish (xsltdb.go), which Run and Cursor.release both end in.
 
 import (
 	"net/http"
@@ -271,6 +270,6 @@ func (d *Database) archiveRun(a *obs.Archive, kind, view string, start time.Time
 		id = a.Record(rec)
 	}
 	if complete {
-		d.cards.Observe(id, view, es.StrategyUsed.String(), specShape(spec), es.EstRows, es.RowsProduced)
+		d.cards.Observe(id, view, es.StrategyUsed.String(), spec.Driving.Shape(), es.EstRows, es.RowsProduced)
 	}
 }

@@ -84,7 +84,7 @@ func loadCase(tb testing.TB, name string, n int) *benchEnv {
 	if err != nil {
 		tb.Fatalf("%s does not lower: %v", name, err)
 	}
-	rows, err := exec.MaterializeView(view)
+	rows, err := exec.MaterializeViewSpec(view, nil, &exec.Stats, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func loadCase(tb testing.TB, name string, n int) *benchEnv {
 
 // runRewrite executes the SQL/XML plan (the paper's "rewrite" series).
 func (e *benchEnv) runRewrite(tb testing.TB) {
-	docs, err := e.exec.ExecQuery(e.plan)
+	docs, err := e.exec.ExecQueryParallelSpec(e.plan, 0, &e.exec.Stats, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func (e *benchEnv) runRewrite(tb testing.TB) {
 // over the DOM (the paper's "no-rewrite" series). Materialization cost is
 // included, exactly as in the paper's functional XMLTransform() evaluation.
 func (e *benchEnv) runNoRewrite(tb testing.TB) {
-	rows, err := e.exec.MaterializeView(e.view)
+	rows, err := e.exec.MaterializeViewSpec(e.view, nil, &e.exec.Stats, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func BenchmarkAblationStreaming(b *testing.B) {
 	})
 	b.Run("materialize-then-xquery", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rows, err := env.exec.MaterializeView(env.view)
+			rows, err := env.exec.MaterializeViewSpec(env.view, nil, &env.exec.Stats, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -567,7 +567,7 @@ func BenchmarkAblationStorageModels(b *testing.B) {
 
 	// CLOB / tree backing: the same documents, serialized.
 	store := clobstore.New()
-	docs, err := exec.MaterializeView(view)
+	docs, err := exec.MaterializeViewSpec(view, nil, &exec.Stats, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func BenchmarkAblationStorageModels(b *testing.B) {
 
 	b.Run("object-relational", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exec.ExecQuery(plan); err != nil {
+			if _, err := exec.ExecQueryParallelSpec(plan, 0, &exec.Stats, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -700,7 +700,7 @@ func BenchmarkAblationParallelism(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.ExecQueryParallel(plan, workers); err != nil {
+				if _, err := exec.ExecQueryParallelSpec(plan, workers, &exec.Stats, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

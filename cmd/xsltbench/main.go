@@ -234,7 +234,7 @@ func load(name string, n int) (*paths, error) {
 			g, stop := runGovernor()
 			defer stop()
 			if !streamMode {
-				docs, err := exec.ExecQueryParallelGoverned(plan, 1, &exec.Stats, g)
+				docs, err := exec.ExecQueryParallelSpec(plan, 1, &exec.Stats, g, nil)
 				if err != nil {
 					return err
 				}
@@ -248,7 +248,7 @@ func load(name string, n int) (*paths, error) {
 			// Streaming: pull one document at a time off the plan's access
 			// path; counters still land in the executor aggregate.
 			var sink relstore.Stats
-			qc, err := exec.OpenQueryCursorGoverned(plan, &sink, g)
+			qc, err := exec.OpenQueryCursorSpec(plan, &sink, g, nil)
 			if err != nil {
 				return err
 			}
@@ -268,7 +268,7 @@ func load(name string, n int) (*paths, error) {
 		noRewrite: func() error {
 			g, stop := runGovernor()
 			defer stop()
-			rows, err := exec.MaterializeViewGoverned(view, &exec.Stats, g)
+			rows, err := exec.MaterializeViewSpec(view, nil, &exec.Stats, g, nil)
 			if err != nil {
 				return err
 			}
@@ -389,7 +389,7 @@ func storageModels(reps, scale int) {
 		os.Exit(1)
 	}
 	store := clobstore.New()
-	docs, err := exec.MaterializeView(view)
+	docs, err := exec.MaterializeViewSpec(view, nil, &exec.Stats, nil, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -406,7 +406,7 @@ func storageModels(reps, scale int) {
 		name string
 		f    func() error
 	}{
-		{"object-relational", func() error { _, err := exec.ExecQuery(plan); return err }},
+		{"object-relational", func() error { _, err := exec.ExecQueryParallelSpec(plan, 0, &exec.Stats, nil, nil); return err }},
 		{"tree", func() error {
 			for id := 0; id < store.Len(); id++ {
 				doc, err := store.Tree(id)
@@ -850,7 +850,8 @@ func benchExec(reps, scale, workersFlag, batchFlag int, baselinePath string) {
 			d := median(reps, func() error {
 				g := governor.New(context.Background())
 				opts := relstore.BatchOpts{Workers: w, BatchSize: batchFlag}
-				it := relstore.FullScanPlan(tab, preds).OpenBatch(tab, nil, g, opts)
+				ts := tab.Snap()
+				it := relstore.FullScanPlanAt(ts, preds).OpenBatchAt(ts, nil, g, opts)
 				b := relstore.GetBatch(opts.Size())
 				defer relstore.PutBatch(b)
 				got := 0

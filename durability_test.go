@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultpoint"
 )
@@ -374,6 +375,42 @@ func TestCloseIdempotentAndFailsCursors(t *testing.T) {
 	}
 	if err := d.ReplaceXMLView(keyedViewDef()); !errors.Is(err, ErrDatabaseClosed) {
 		t.Fatalf("ReplaceXMLView after Close: %v, want ErrDatabaseClosed", err)
+	}
+}
+
+// TestCloseRacingOpenReportsNothing: a cursor whose open loses the race with
+// Database.Close is refused like any other failed open — the gauges it bumped
+// are restored and, since it never ran, no slow-run report is made for it.
+func TestCloseRacingOpenReportsNothing(t *testing.T) {
+	d := newKeyedDB(t, 50)
+	reported := false
+	ct, err := d.CompileTransform("rows", keyedSheet,
+		WithSlowThreshold(time.Nanosecond), WithSlowRunSink(func(SlowRun) { reported = true }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursors, pins := mActiveCursors.Value(), mSnapshotPins.Value()
+	faultpoint.EnableSleep("sqlxml.query.open", 50*time.Millisecond)
+	defer faultpoint.Reset()
+	opened := make(chan error)
+	go func() {
+		_, err := ct.OpenCursor(context.Background())
+		opened <- err
+	}()
+	for faultpoint.Hits("sqlxml.query.open") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := d.Close(); err != nil { // while the open sleeps in its plan
+		t.Fatal(err)
+	}
+	if err := <-opened; !errors.Is(err, ErrDatabaseClosed) {
+		t.Fatalf("OpenCursor = %v, want ErrDatabaseClosed", err)
+	}
+	if reported {
+		t.Fatal("a cursor that was never returned was reported as a slow run")
+	}
+	if c, p := mActiveCursors.Value(), mSnapshotPins.Value(); c != cursors || p != pins {
+		t.Fatalf("gauges not restored: cursors %d → %d, pins %d → %d", cursors, c, pins, p)
 	}
 }
 

@@ -66,9 +66,9 @@ func main() {
 			switch {
 			case err == nil:
 				sqlOK = "yes"
-				r := timeIt(func() error { _, e := exec.ExecQuery(plan); return e })
+				r := timeIt(func() error { _, e := exec.ExecQueryParallelSpec(plan, 0, &exec.Stats, nil, nil); return e })
 				nr := timeIt(func() error {
-					rows, e := exec.MaterializeView(view)
+					rows, e := exec.MaterializeViewSpec(view, nil, &exec.Stats, nil, nil)
 					if e != nil {
 						return e
 					}

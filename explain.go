@@ -43,7 +43,7 @@ func (ct *CompiledTransform) ExplainPlan(opts ...RunOption) string {
 	st := ct.snapshot()
 	var sb strings.Builder
 	ct.writeExplainHeader(&sb, st)
-	spec, _, err := ct.db.runSpec(st, buildRunOptions(opts), true)
+	spec, err := ct.db.runSpec(st, buildRunOptions(opts), true)
 	if err != nil {
 		sb.WriteString("explain: " + err.Error())
 		return sb.String()

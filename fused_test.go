@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultpoint"
@@ -148,9 +149,10 @@ func deptWindow(t *testing.T) (*CompiledTransform, []RunOption) {
 // buy: a Run over 25 departments of 20 employees (≈ 8 000 allocations when
 // every row was a tree, then a builder, then a string; ≈ 320 while every
 // department planned, opened and copied its own index probe) stays under
-// 150. What remains does not grow with the departments: the run's fixed
-// costs — option and spec handling, the driving plan and scan, the result
-// strings (the subquery plan and its group scratch come from a pool).
+// 90. What remains does not grow with the departments: the run's fixed
+// costs — option and spec handling, the driving plan and scan, the one
+// pipeline the chain walk opens, the result strings (the subquery plan and
+// its group scratch come from a pool).
 func TestRunAllocationCeiling(t *testing.T) {
 	ct, opts := deptWindow(t)
 	ctx := context.Background()
@@ -163,9 +165,28 @@ func TestRunAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("Run over 25 departments: %.0f allocs", allocs)
-	if allocs > 150 {
-		t.Fatalf("Run allocated %.0f times per run, ceiling is 150", allocs)
+	ceiling := 90.0
+	if poolsDropItems() {
+		ceiling = 150 // the run's pooled buffers, batches and subquery plans are reallocated at random
 	}
+	if allocs > ceiling {
+		t.Fatalf("Run allocated %.0f times per run, ceiling is %.0f", allocs, ceiling)
+	}
+}
+
+// poolsDropItems reports whether sync.Pool is discarding a share of what is
+// put into it, as it does — one Put in four — under the race detector, where
+// an allocation count therefore says little about the code being measured.
+func poolsDropItems() bool {
+	var pool sync.Pool
+	item := new(int)
+	for i := 0; i < 64; i++ {
+		pool.Put(item)
+		if pool.Get() == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCursorNextAllocationCeiling: a streamed department row costs one
@@ -225,30 +246,44 @@ func TestDegradedRunDropsAbandonedBytes(t *testing.T) {
 	}
 }
 
-// TestChainedWriteTo: WriteTo after a chained run writes the final stage's
-// rows, not the first stage's backing string.
+// writeCounter records what a Result writes and in how many writes.
+type writeCounter struct {
+	strings.Builder
+	writes int
+}
+
+func (w *writeCounter) WriteString(s string) (int, error) {
+	w.writes++
+	return w.Builder.WriteString(s)
+}
+
+// TestChainedWriteTo: whatever strategy ran the first stage, WriteTo after a
+// chained run writes the final stage's rows — every row followed by a
+// newline — as the one string they are slices of.
 func TestChainedWriteTo(t *testing.T) {
 	d := newKeyedDB(t, 5)
-	ct, err := d.CompileTransform("rows", keyedSheet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := ct.Then(`<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	for _, s := range []Strategy{StrategySQL, StrategyXQuery, StrategyNoRewrite} {
+		ct, err := d.CompileTransform("rows", keyedSheet, WithForcedStrategy(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := ct.Then(`<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 	<xsl:template match="hit"><HIT><xsl:value-of select="."/></HIT></xsl:template>
 </xsl:stylesheet>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := chain.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if _, err := res.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != joinRows(res.Rows) || !strings.Contains(sb.String(), "<HIT>") {
-		t.Fatalf("WriteTo wrote %q, want the chained rows %q", sb.String(), res.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := chain.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w writeCounter
+		if _, err := res.WriteTo(&w); err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.Join(res.Rows, "\n") + "\n"; w.String() != want || !strings.Contains(want, "<HIT>") || w.writes != 1 {
+			t.Fatalf("%v: WriteTo wrote %q in %d writes, want the chained rows %q in one", s, w.String(), w.writes, want)
+		}
 	}
 }
 

@@ -13,6 +13,8 @@
 //	relstore.index.batch  — index-scan batch fetch (one hit per NextBatch)
 //	relstore.join.batch   — group-join of one batch of outer keys (one hit
 //	                        per Join)
+//	sqlxml.query.open     — SQL/XML query open: planning the driving access
+//	                        path, before any row is touched
 //	sqlxml.query.next     — SQL/XML cursor row construction
 //	sqlxml.view.row       — view row materialization
 //	clobstore.parse       — CLOB document parse

@@ -218,6 +218,16 @@ func (g *G) AddOutput(n int) error {
 	return nil
 }
 
+// ChargeRow charges one produced result row of n serialized bytes against
+// the row and output budgets — what every row source does as soon as a row
+// exists, so a budget stops the execution at the row that exceeds it.
+func (g *G) ChargeRow(n int) error {
+	if err := g.AddRow(); err != nil {
+		return err
+	}
+	return g.AddOutput(n)
+}
+
 // Ticks returns the number of amortized checks performed so far — a cheap
 // proxy for engine work (evaluation steps, rows, nodes) that the
 // observability layer records as a span attribute without the engines

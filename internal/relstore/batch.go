@@ -358,17 +358,9 @@ func (it *batchIndexIter) Reset() { it.pos = 0; it.err = nil }
 
 func (it *batchIndexIter) Explain() string { return it.plan.Explain(it.snap.tab) }
 
-// OpenBatch turns the plan into a live batch iterator over t's current
-// committed state, with counters routed to stats (may be nil) under governor
-// g (may be nil). It pins a fresh snapshot for the scan; callers that need a
-// run-lifetime consistent view (the executor) pin one Snapshot up front and
-// use OpenBatchAt instead.
-func (p AccessPlan) OpenBatch(t *Table, stats *Stats, g *governor.G, opts BatchOpts) BatchIterator {
-	return p.OpenBatchAt(t.Snap(), stats, g, opts)
-}
-
 // OpenBatchAt turns the plan into a live batch iterator over a pinned table
-// snapshot: every row the iterator emits was committed before the snapshot
+// snapshot, with counters routed to stats (may be nil) under governor g (may
+// be nil): every row the iterator emits was committed before the snapshot
 // was taken, no matter how many inserts race the scan. Full scans over
 // snapshots at or above MorselMinRows split into morsels dispatched to a
 // worker pool when opts allows more than one worker; the merge preserves

@@ -53,7 +53,7 @@ func drainBatches(t *testing.T, it BatchIterator, size int) ([]int, []int) {
 // and the ids in heap order, with row references matching the table.
 func TestBatchScanChunking(t *testing.T) {
 	tab := mkBigTable(t, 2500)
-	it := FullScanPlan(tab, nil).OpenBatch(tab, nil, nil, BatchOpts{BatchSize: 1000, Workers: 1})
+	it := openScan(tab, nil, nil, nil, BatchOpts{BatchSize: 1000, Workers: 1})
 	b := GetBatch(1000)
 	defer PutBatch(b)
 	var total int
@@ -90,8 +90,8 @@ func TestBatchScanChunking(t *testing.T) {
 func TestBatchDrainDeterministic(t *testing.T) {
 	tab := mkBigTable(t, 3000)
 	preds := []Pred{{Col: "v", Op: CmpLt, Val: int64(500)}}
-	wantIDs, _ := drainBatches(t, PlanAccess(tab, preds).OpenBatch(tab, nil, nil, BatchOpts{Workers: 1}), 0)
-	got := collect(PlanAccess(tab, preds).OpenBatch(tab, nil, nil, BatchOpts{Workers: 1}))
+	wantIDs, _ := drainBatches(t, openPlan(tab, preds, nil, nil, BatchOpts{Workers: 1}), 0)
+	got := collect(openPlan(tab, preds, nil, nil, BatchOpts{Workers: 1}))
 	if len(got) != len(wantIDs) {
 		t.Fatalf("second drain %d rows vs first %d", len(got), len(wantIDs))
 	}
@@ -108,11 +108,11 @@ func TestBatchDrainDeterministic(t *testing.T) {
 func TestMorselScanMatchesSerial(t *testing.T) {
 	tab := mkBigTable(t, MorselMinRows*2+777) // big enough to go parallel
 	preds := []Pred{{Col: "v", Op: CmpGe, Val: int64(700)}}
-	serial, _ := drainBatches(t, PlanAccess(tab, preds).OpenBatch(tab, nil, nil, BatchOpts{Workers: 1}), 0)
+	serial, _ := drainBatches(t, openPlan(tab, preds, nil, nil, BatchOpts{Workers: 1}), 0)
 	for _, workers := range []int{2, 4, 8} {
 		for _, size := range []int{0, 64, 4096} {
 			stats := &Stats{}
-			it := PlanAccess(tab, preds).OpenBatch(tab, stats, nil, BatchOpts{Workers: workers, BatchSize: size})
+			it := openPlan(tab, preds, stats, nil, BatchOpts{Workers: workers, BatchSize: size})
 			got, _ := drainBatches(t, it, size)
 			if len(got) != len(serial) {
 				t.Fatalf("workers=%d size=%d: %d rows vs serial %d", workers, size, len(got), len(serial))
@@ -125,7 +125,7 @@ func TestMorselScanMatchesSerial(t *testing.T) {
 			if stats.Morsels == 0 {
 				t.Fatalf("workers=%d: expected morsel execution, stats=%+v", workers, stats)
 			}
-			if it.Explain() != PlanAccess(tab, preds).Explain(tab) {
+			if it.Explain() != PlanAccessAt(tab.Snap(), preds).Explain(tab) {
 				t.Fatalf("morsel Explain drifted: %s", it.Explain())
 			}
 		}
@@ -136,7 +136,7 @@ func TestMorselScanMatchesSerial(t *testing.T) {
 // output again.
 func TestMorselScanReset(t *testing.T) {
 	tab := mkBigTable(t, MorselMinRows*2)
-	it := FullScanPlan(tab, nil).OpenBatch(tab, nil, nil, BatchOpts{Workers: 4})
+	it := openScan(tab, nil, nil, nil, BatchOpts{Workers: 4})
 	first, _ := drainBatches(t, it, 0)
 	it.Reset()
 	second, _ := drainBatches(t, it, 0)
@@ -159,14 +159,14 @@ func TestBatchFaultSurfacesViaErr(t *testing.T) {
 		open func() BatchIterator
 	}{
 		{"serial-scan", "relstore.scan.batch", func() BatchIterator {
-			return FullScanPlan(tab, nil).OpenBatch(tab, nil, nil, BatchOpts{Workers: 1, BatchSize: 512})
+			return openScan(tab, nil, nil, nil, BatchOpts{Workers: 1, BatchSize: 512})
 		}},
 		{"morsel-scan", "relstore.scan.batch", func() BatchIterator {
-			return FullScanPlan(tab, nil).OpenBatch(tab, nil, nil, BatchOpts{Workers: 4, BatchSize: 512})
+			return openScan(tab, nil, nil, nil, BatchOpts{Workers: 4, BatchSize: 512})
 		}},
 		{"index-scan", "relstore.index.batch", func() BatchIterator {
 			preds := []Pred{{Col: "v", Op: CmpGe, Val: int64(100)}}
-			return PlanAccess(tab, preds).OpenBatch(tab, nil, nil, BatchOpts{Workers: 1, BatchSize: 512})
+			return openPlan(tab, preds, nil, nil, BatchOpts{Workers: 1, BatchSize: 512})
 		}},
 	}
 	for _, tc := range cases {
@@ -192,7 +192,7 @@ func TestBatchGovernorCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		g := governor.New(ctx)
-		it := FullScanPlan(tab, nil).OpenBatch(tab, nil, g, BatchOpts{Workers: workers, BatchSize: 256})
+		it := openScan(tab, nil, nil, g, BatchOpts{Workers: workers, BatchSize: 256})
 		b := GetBatch(256)
 		if _, ok := it.NextBatch(b); !ok {
 			t.Fatalf("workers=%d: first batch failed: %v", workers, it.Err())
@@ -235,7 +235,7 @@ func TestBatchScanConcurrentInsert(t *testing.T) {
 				}
 			}
 		}()
-		it := FullScanPlan(tab, nil).OpenBatch(tab, nil, nil, BatchOpts{Workers: workers, BatchSize: 512})
+		it := openScan(tab, nil, nil, nil, BatchOpts{Workers: workers, BatchSize: 512})
 		ids, _ := drainBatches(t, it, 512)
 		close(stop)
 		wg.Wait()
@@ -260,7 +260,7 @@ func TestBatchStatsCounters(t *testing.T) {
 	tab := mkBigTable(t, 3000)
 	preds := []Pred{{Col: "v", Op: CmpLt, Val: int64(200)}}
 	stats := &Stats{}
-	it := PlanAccess(tab, preds).OpenBatch(tab, stats, nil, BatchOpts{BatchSize: 128, Workers: 1})
+	it := openPlan(tab, preds, stats, nil, BatchOpts{BatchSize: 128, Workers: 1})
 	ids, sizes := drainBatches(t, it, 128)
 	if stats.RowsScanned != 3000 {
 		t.Fatalf("RowsScanned = %d", stats.RowsScanned)

@@ -260,7 +260,7 @@ func (k PathKind) String() string {
 	}
 }
 
-// AccessPlan is a planned physical access path: the outcome of PlanAccess,
+// AccessPlan is a planned physical access path: the outcome of PlanAccessAt,
 // openable into a BatchIterator. Separating planning from opening lets callers
 // (the sqlxml access-path chooser) inspect or veto the choice — and report
 // it — before any row is touched.
@@ -278,23 +278,18 @@ type AccessPlan struct {
 	TableRows int
 }
 
-// PlanAccess plans the physical access for a conjunction of predicates: a
-// B-tree probe when an indexed column has an equality predicate, a range
-// scan for an indexed inequality, otherwise a full scan. This is the
-// "standard relational optimizer can select the index on the sal column"
-// step of the paper (§2.1). Predicates carrying unbound ParamValue
-// placeholders are still planned (the plan shape does not depend on the
-// value) but must be bound before Open.
-func PlanAccess(t *Table, preds []Pred) AccessPlan {
-	return PlanAccessAt(t.Snap(), preds)
-}
-
 // sargable reports whether p can bound a B-tree interval.
 func sargable(p Pred) bool { return p.Op != CmpNe && p.Val != nil }
 
-// PlanAccessAt is PlanAccess against a pinned snapshot: the TableRows
-// statistic is the snapshot's committed row count, so a plan chosen for a
-// pinned run reflects exactly the state that run will scan.
+// PlanAccessAt plans the physical access for a conjunction of predicates over
+// a pinned snapshot: a B-tree probe when an indexed column has an equality
+// predicate, a range scan for an indexed inequality, otherwise a full scan.
+// This is the "standard relational optimizer can select the index on the sal
+// column" step of the paper (§2.1). The TableRows statistic is the snapshot's
+// committed row count, so a plan chosen for a pinned run reflects exactly the
+// state that run will scan. Predicates carrying unbound ParamValue
+// placeholders are still planned (the plan shape does not depend on the
+// value) but must be bound before Open.
 //
 // Every sargable predicate on the chosen index column folds into ONE
 // interval [Lo, Hi]: the tightest bound on each side wins and, at equal
@@ -432,13 +427,9 @@ func (p AccessPlan) EstimateRows() int {
 	}
 }
 
-// FullScanPlan plans an unconditional full scan with preds as residual
-// filters — the pushdown-disabled access path: same rows, no index use.
-func FullScanPlan(t *Table, preds []Pred) AccessPlan {
-	return AccessPlan{Kind: PathFullScan, Residual: preds, TableRows: t.NumRows()}
-}
-
-// FullScanPlanAt is FullScanPlan against a pinned snapshot.
+// FullScanPlanAt plans an unconditional full scan of a pinned snapshot with
+// preds as residual filters — the pushdown-disabled access path: same rows,
+// no index use.
 func FullScanPlanAt(ts *TableSnap, preds []Pred) AccessPlan {
 	return AccessPlan{Kind: PathFullScan, Residual: preds, TableRows: ts.NumRows()}
 }

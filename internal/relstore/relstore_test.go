@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/governor"
 )
 
 func mkDeptEmp(t *testing.T) (*DB, *Table, *Table) {
@@ -52,10 +54,20 @@ func collect(it BatchIterator) []int {
 	}
 }
 
-// accessPath plans and opens the batch access path for preds over t's
-// current state — the test-side replacement for the retired per-row helper.
+// openPlan plans and opens the batch access path for preds over a snapshot of
+// t's current state; openScan does the same for the forced full scan.
+func openPlan(t *Table, preds []Pred, stats *Stats, g *governor.G, opts BatchOpts) BatchIterator {
+	ts := t.Snap()
+	return PlanAccessAt(ts, preds).OpenBatchAt(ts, stats, g, opts)
+}
+
+func openScan(t *Table, preds []Pred, stats *Stats, g *governor.G, opts BatchOpts) BatchIterator {
+	ts := t.Snap()
+	return FullScanPlanAt(ts, preds).OpenBatchAt(ts, stats, g, opts)
+}
+
 func accessPath(t *Table, preds []Pred, stats *Stats) BatchIterator {
-	return PlanAccess(t, preds).OpenBatch(t, stats, nil, BatchOpts{Workers: 1})
+	return openPlan(t, preds, stats, nil, BatchOpts{Workers: 1})
 }
 
 func TestTableBasics(t *testing.T) {
@@ -342,7 +354,7 @@ func TestAccessPathPrefersEquality(t *testing.T) {
 
 func TestIteratorReset(t *testing.T) {
 	_, _, emp := mkDeptEmp(t)
-	it := FullScanPlan(emp, nil).OpenBatch(emp, nil, nil, BatchOpts{Workers: 1})
+	it := openScan(emp, nil, nil, nil, BatchOpts{Workers: 1})
 	first := collect(it)
 	it.Reset()
 	second := collect(it)

@@ -2,7 +2,6 @@ package sqlxml
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,8 @@ import (
 // never see each other's parameters.
 
 // RunSpec carries per-run execution parameters into the executor. A nil
-// *RunSpec means "no per-run parameters"; the legacy Governed entry points
-// pass nil and behave exactly as before.
+// *RunSpec means "no per-run parameters": the plan's own predicates over a
+// fresh snapshot.
 type RunSpec struct {
 	// Extra holds driving-table predicates supplied at run time (WithWhere);
 	// they AND with the plan's compiled WHERE clause.
@@ -37,17 +36,10 @@ type RunSpec struct {
 	// residual filter: same rows, no index use (the WithoutPushdown debug
 	// option; output must be byte-identical).
 	NoPushdown bool
-	// AccessPath, when non-nil, receives the EXPLAIN line of the chosen
-	// driving access path (surfaced as ExecStats.AccessPath).
-	AccessPath *string
-	// EstRows, when non-nil, receives the planner's cardinality estimate
-	// for the chosen driving access path (surfaced as ExecStats.EstRows and
-	// compared against actual rows by the cardinality-accuracy tracker).
-	EstRows *int64
-	// AccessShape, when non-nil, receives the normalized access-path shape
-	// (kind + table + column, no bound values — relstore AccessPlan.Shape):
-	// the aggregation key under which est-vs-actual accuracy is tracked.
-	AccessShape *string
+	// Driving is written by the executor whenever it plans this run's driving
+	// access path: the facade formats ExecStats.AccessPath and EstRows from
+	// it and keys the cardinality-accuracy tracker by its shape.
+	Driving DrivingPlan
 	// Span, when non-nil, is the trace span of the strategy attempt this run
 	// executes under; the executor opens scan/construct operator spans
 	// beneath it. Nil (the usual case) disables operator tracing entirely.
@@ -57,10 +49,38 @@ type RunSpec struct {
 	Batch relstore.BatchOpts
 	// Snap, when non-nil, is the MVCC snapshot this run is pinned to: every
 	// table read — driving scan, subqueries, aggregates — resolves against
-	// it, so concurrent DML never perturbs an in-flight run. Nil (the legacy
-	// entry points) pins a fresh snapshot at open time.
+	// it, so concurrent DML never perturbs an in-flight run. Nil pins a fresh
+	// snapshot at open time.
 	Snap *relstore.Snapshot
 }
+
+// DrivingPlan is the driving access path the executor chose for a run, with
+// the table it was planned over. The zero value — nothing planned yet —
+// explains as "" and estimates 0 rows.
+type DrivingPlan struct {
+	Plan  relstore.AccessPlan
+	Table *relstore.Table
+}
+
+// Explain is the EXPLAIN line of the access path.
+func (d DrivingPlan) Explain() string {
+	if d.Table == nil {
+		return ""
+	}
+	return d.Plan.Explain(d.Table)
+}
+
+// Shape is the access path's normalized identity (relstore AccessPlan.Shape):
+// kind, table and column, no bound values.
+func (d DrivingPlan) Shape() string {
+	if d.Table == nil {
+		return ""
+	}
+	return d.Plan.Shape(d.Table)
+}
+
+// EstRows is the planner's cardinality estimate for the access path.
+func (d DrivingPlan) EstRows() int64 { return int64(d.Plan.EstimateRows()) }
 
 // snapshot returns the spec's pinned snapshot, or pins a fresh one from db
 // for specs (and nil specs) that did not carry one.
@@ -136,17 +156,8 @@ func (s *RunSpec) startOperators(ts *relstore.TableSnap, plan relstore.AccessPla
 }
 
 func (s *RunSpec) recordPath(ts *relstore.TableSnap, plan relstore.AccessPlan) {
-	if s == nil {
-		return
-	}
-	if s.AccessPath != nil {
-		*s.AccessPath = plan.Explain(ts.Table())
-	}
-	if s.EstRows != nil {
-		*s.EstRows = int64(plan.EstimateRows())
-	}
-	if s.AccessShape != nil {
-		*s.AccessShape = plan.Shape(ts.Table())
+	if s != nil {
+		s.Driving = DrivingPlan{Plan: plan, Table: ts.Table()}
 	}
 }
 
@@ -312,20 +323,32 @@ func bindSub(s *SubQuery, params map[string]relstore.Value) (*SubQuery, error) {
 	return &cp, nil
 }
 
-// OpenQueryCursorSpec is the spec-carrying form of OpenQueryCursor: the
-// driving access path is planned from the compiled WHERE clause plus the
-// spec's run-time predicates, with parameters bound for this run only.
+// planQuery resolves what every execution of q under spec starts from: the
+// pinned snapshot, the driving table in it, the driving access path and the
+// body with this run's parameters bound.
+func (e *Executor) planQuery(q *Query, spec *RunSpec) (snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, body XMLExpr, err error) {
+	if err = faultpoint.Hit("sqlxml.query.open"); err != nil {
+		return
+	}
+	snap = spec.snapshot(e.DB)
+	if ts = snap.Table(q.Table); ts == nil {
+		err = fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
+		return
+	}
+	if plan, err = spec.planDriving(ts, q.Where); err != nil {
+		return
+	}
+	body, err = bindXML(q.Body, spec.params())
+	return
+}
+
+// OpenQueryCursorSpec opens a streaming execution of q: the driving access
+// path is planned from the compiled WHERE clause plus the spec's run-time
+// predicates, with parameters bound for this run only. Operator counters go
+// to sink (nil discards them); g (may be nil) governs the scan and the
+// construction.
 func (e *Executor) OpenQueryCursorSpec(q *Query, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
-	snap := spec.snapshot(e.DB)
-	ts := snap.Table(q.Table)
-	if ts == nil {
-		return nil, fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
-	}
-	plan, err := spec.planDriving(ts, q.Where)
-	if err != nil {
-		return nil, err
-	}
-	body, err := bindXML(q.Body, spec.params())
+	snap, ts, plan, body, err := e.planQuery(q, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -340,11 +363,11 @@ func (e *Executor) OpenQueryCursorSpec(q *Query, sink *relstore.Stats, g *govern
 	return c, nil
 }
 
-// OpenViewCursorSpec is the spec-carrying form of OpenViewCursor, with an
-// explicit set of driving predicates. The fallback execution strategies pass
-// the compiled plan's WHERE clause here so a run that could not be lowered to
-// SQL still filters (and index-probes) the driving table exactly like the
-// SQL path would — cross-strategy result consistency.
+// OpenViewCursorSpec opens a streaming materialization of v — one XMLType
+// instance per driving row passing where, pulled on demand. The fallback
+// execution strategies pass the compiled plan's WHERE clause so a run that
+// could not be lowered to SQL still filters (and index-probes) the driving
+// table exactly like the SQL path would — cross-strategy result consistency.
 func (e *Executor) OpenViewCursorSpec(v *ViewDef, where []relstore.Pred, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
 	snap := spec.snapshot(e.DB)
 	ts := snap.Table(v.Table)
@@ -366,17 +389,19 @@ func (e *Executor) OpenViewCursorSpec(v *ViewDef, where []relstore.Pred, sink *r
 	return c, nil
 }
 
-// MaterializeViewSpec materializes the view rows passing where under the
-// given spec (see OpenViewCursorSpec).
+// MaterializeViewSpec builds the XMLType instance — a document node — of
+// every view row passing where (the paper's "functional evaluation" input
+// path: the XML is materialized before XSLT runs on it).
 func (e *Executor) MaterializeViewSpec(v *ViewDef, where []relstore.Pred, sink *relstore.Stats, g *governor.G, spec *RunSpec) ([]*xmltree.Node, error) {
 	c, err := e.OpenViewCursorSpec(v, where, sink, g, spec)
 	if err != nil {
 		return nil, err
 	}
-	return drainCursor(c)
+	return c.drain()
 }
 
-// ExplainQuerySpec describes the physical plan the spec would produce.
+// ExplainQuerySpec describes the physical plan the spec would produce: the
+// driving access path plus each nested subquery's join.
 // Binding is lenient here: an unbound parameter renders as a :name bind
 // variable instead of failing — the plan's shape does not depend on the
 // value.
@@ -410,16 +435,19 @@ func (e *Executor) ExplainViewSpec(v *ViewDef, where []relstore.Pred, spec *RunS
 	return plan.Explain(ts.Table())
 }
 
-// ExecQueryParallelSpec is the spec-carrying form of ExecQueryParallel: the
-// driving access path honors the spec, and every worker constructs from the
-// run's bound body.
+// ExecQueryParallelSpec runs the query to trees: one result fragment per
+// qualifying driving row, in driving-row order. With workers >= 2 the drained
+// driving rows are constructed with row-level parallelism (the paper notes the
+// rewritten SQL/XML "can be efficiently executed by the underlying RDBMS
+// aggregation process in parallel manner"); below that the query streams
+// through a QueryCursor.
 func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) ([]*xmltree.Node, error) {
 	if workers < 2 {
 		c, err := e.OpenQueryCursorSpec(q, sink, g, spec)
 		if err != nil {
 			return nil, err
 		}
-		return drainCursor(c)
+		return c.drain()
 	}
 	d, err := e.drainDriving(q, workers, sink, g, spec)
 	if err != nil {
@@ -436,92 +464,87 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 	return out, nil
 }
 
-// EmitQuerySpec runs the query and returns its result serialized: body holds
-// every row's XML followed by a newline, rows[i] is row i's slice of body
-// (without the newline). This is the SQL strategy's execution: bytes are
-// appended straight from the driving rows into one pooled buffer — no tree,
-// no per-row string — and copied out once, so the returned strings are
-// immutable and share no memory with any later run. With workers >= 2 the
-// drained driving rows are constructed in contiguous chunks, one goroutine
-// and one buffer per worker, and concatenated in order; output is identical
-// at every worker count.
-func (e *Executor) EmitQuerySpec(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) (body string, rows []string, err error) {
-	out := getEmitBuf()
-	defer putEmitBuf(out)
-	if workers < 2 {
-		c, err := e.OpenQueryCursorSpec(q, sink, g, spec)
-		if err != nil {
-			return "", nil, err
-		}
-		for {
-			out.buf, err = c.AppendNext(out.buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return "", nil, err
-			}
-			out.endRow()
-		}
-	} else {
-		d, err := e.drainDriving(q, workers, sink, g, spec)
-		if err != nil {
-			return "", nil, err
-		}
-		parts := make([]*emitBuf, workers)
-		for w := range parts {
-			parts[w] = getEmitBuf()
-			defer putEmitBuf(parts[w])
-		}
-		err = d.constructParallel(workers, func(w int, ec *evalContext, i int) error {
-			p := parts[w]
-			if err := ec.evalRow(&p.byteSink, d.body); err != nil {
-				return err
-			}
-			p.endRow()
-			return nil
-		})
-		if err != nil {
-			return "", nil, err
-		}
-		for _, p := range parts {
-			out.appendRows(p)
-		}
-		if d.buildSp != nil && len(out.ends) > 0 {
-			d.buildSp.SetAttr("bytes_out", len(out.buf)-len(out.ends))
-		}
+// EmitQuerySpec is the chunked parallel form of the SQL strategy's
+// execution: the driving scan is drained, its rows are split into one
+// contiguous chunk per worker, every worker serializes its chunk into a
+// buffer of its own — no tree, no per-row string — and the chunks are
+// appended to out in order, so the output is identical at every worker
+// count (and to a QueryCursor's AppendNext stream). Each row is charged to g
+// as it is emitted, so a row or output budget stops every worker at the
+// verdict. On error out may hold part of the result.
+func (e *Executor) EmitQuerySpec(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec, out *RowBuf) error {
+	workers = max(workers, 1)
+	d, err := e.drainDriving(q, workers, sink, g, spec)
+	if err != nil {
+		return err
 	}
-	body, rows = out.strings()
-	return body, rows, nil
+	parts := make([]*RowBuf, workers)
+	for w := range parts {
+		parts[w] = GetRowBuf()
+		defer PutRowBuf(parts[w])
+	}
+	err = d.constructParallel(workers, func(w int, ec *evalContext, i int) error {
+		p := parts[w]
+		start := len(p.buf)
+		if err := ec.evalRow(&p.byteSink, d.body); err != nil {
+			return err
+		}
+		n := len(p.buf) - start
+		p.EndRow(p.buf)
+		return g.ChargeRow(n)
+	})
+	if err != nil {
+		return err
+	}
+	bytesOut := 0
+	for _, p := range parts {
+		out.appendRows(p)
+		bytesOut += len(p.buf) - len(p.ends)
+	}
+	if d.buildSp != nil && bytesOut > 0 {
+		d.buildSp.SetAttr("bytes_out", bytesOut)
+	}
+	return nil
 }
 
-// emitBuf accumulates serialized rows: its sink's buf holds each row followed
-// by '\n', ends[i] is the offset of row i's newline.
-type emitBuf struct {
+// RowBuf accumulates a run's serialized rows in one buffer: each row followed
+// by '\n'. Append the next row to Bytes() and hand the extended slice to
+// EndRow; Strings copies the finished result out, so a RowBuf can go back to
+// its pool (GetRowBuf / PutRowBuf) while the strings live on.
+type RowBuf struct {
 	byteSink
-	ends []int
+	ends []int // ends[i] is the offset of row i's newline
 }
 
-var emitBufPool = sync.Pool{New: func() any { return new(emitBuf) }}
+var rowBufPool = sync.Pool{New: func() any { return new(RowBuf) }}
 
-func getEmitBuf() *emitBuf { return emitBufPool.Get().(*emitBuf) }
+// GetRowBuf takes an empty buffer from the pool.
+func GetRowBuf() *RowBuf { return rowBufPool.Get().(*RowBuf) }
 
-// putEmitBuf recycles b. Nothing handed to a caller may alias b.buf:
-// strings() copies.
-func putEmitBuf(b *emitBuf) {
+// PutRowBuf recycles b. Nothing handed to a caller may alias its bytes:
+// Strings copies.
+func PutRowBuf(b *RowBuf) {
+	b.Reset()
+	rowBufPool.Put(b)
+}
+
+// Reset drops every row, keeping the capacity.
+func (b *RowBuf) Reset() {
 	b.byteSink = byteSink{buf: b.buf[:0]}
 	b.ends = b.ends[:0]
-	emitBufPool.Put(b)
 }
 
-// endRow terminates the row just appended to buf.
-func (b *emitBuf) endRow() {
-	b.ends = append(b.ends, len(b.buf))
-	b.buf = append(b.buf, '\n')
+// Bytes is the buffer so far: the slice the next row is appended to.
+func (b *RowBuf) Bytes() []byte { return b.buf }
+
+// EndRow takes buf — Bytes() extended by one row — and terminates the row.
+func (b *RowBuf) EndRow(buf []byte) {
+	b.ends = append(b.ends, len(buf))
+	b.buf = append(buf, '\n')
 }
 
 // appendRows appends p's rows after b's.
-func (b *emitBuf) appendRows(p *emitBuf) {
+func (b *RowBuf) appendRows(p *RowBuf) {
 	base := len(b.buf)
 	b.buf = append(b.buf, p.buf...)
 	for _, end := range p.ends {
@@ -529,9 +552,9 @@ func (b *emitBuf) appendRows(p *emitBuf) {
 	}
 }
 
-// strings copies the accumulated rows out: one string for the whole body
-// and one substring of it per row.
-func (b *emitBuf) strings() (body string, rows []string) {
+// Strings copies the accumulated rows out: one string for the whole body
+// and one substring of it per row (without the newline).
+func (b *RowBuf) Strings() (body string, rows []string) {
 	body = string(b.buf)
 	rows = make([]string, len(b.ends))
 	start := 0
@@ -562,16 +585,7 @@ type drivingRows struct {
 // pulls the whole scan (the parallel executions construct from a complete id
 // list; the serial ones stream through a QueryCursor instead).
 func (e *Executor) drainDriving(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*drivingRows, error) {
-	snap := spec.snapshot(e.DB)
-	ts := snap.Table(q.Table)
-	if ts == nil {
-		return nil, fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
-	}
-	plan, err := spec.planDriving(ts, q.Where)
-	if err != nil {
-		return nil, err
-	}
-	body, err := bindXML(q.Body, spec.params())
+	snap, ts, plan, body, err := e.planQuery(q, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
-	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/xmltree"
@@ -24,12 +23,6 @@ import (
 // A governor passed at open time bounds the execution: the driving iterator
 // and the per-row construction both stop promptly when it reports
 // cancellation or an exhausted budget.
-
-// DocCursor is the common pull interface of the streaming executors: Next
-// returns the next constructed document, or io.EOF at end of stream.
-type DocCursor interface {
-	Next() (*xmltree.Node, error)
-}
 
 // QueryCursor streams a SQL/XML query one qualifying driving row at a time.
 // Internally it consumes the driving access path batch-at-a-time: the scan
@@ -91,18 +84,6 @@ func (c *QueryCursor) refill() error {
 	}
 	c.ec.setRows(c.ts, c.batch.IDs, c.batch.Rows)
 	return nil
-}
-
-// OpenQueryCursor opens a streaming execution of q. Operator counters go to
-// sink (which may be nil to discard them).
-func (e *Executor) OpenQueryCursor(q *Query, sink *relstore.Stats) (*QueryCursor, error) {
-	return e.OpenQueryCursorGoverned(q, sink, nil)
-}
-
-// OpenQueryCursorGoverned is OpenQueryCursor under an execution governor
-// (may be nil). It is the nil-spec form of OpenQueryCursorSpec.
-func (e *Executor) OpenQueryCursorGoverned(q *Query, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
-	return e.OpenQueryCursorSpec(q, sink, g, nil)
 }
 
 // advance moves the eval context to the next qualifying driving row. It
@@ -194,22 +175,9 @@ func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
 	return c.out.buf, nil
 }
 
-// OpenViewCursor opens a streaming materialization of v: one XMLType
-// instance per driving-table row, pulled on demand.
-func (e *Executor) OpenViewCursor(v *ViewDef, sink *relstore.Stats) (*QueryCursor, error) {
-	return e.OpenViewCursorGoverned(v, sink, nil)
-}
-
-// OpenViewCursorGoverned is OpenViewCursor under an execution governor
-// (may be nil). It is the nil-spec, unfiltered form of OpenViewCursorSpec:
-// every driving row materializes.
-func (e *Executor) OpenViewCursorGoverned(v *ViewDef, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
-	return e.OpenViewCursorSpec(v, nil, sink, g, nil)
-}
-
-// drainCursor collects a cursor's remaining documents (the materializing
+// drain collects the cursor's remaining documents (the materializing
 // execution style, layered on the streaming one).
-func drainCursor(c DocCursor) ([]*xmltree.Node, error) {
+func (c *QueryCursor) drain() ([]*xmltree.Node, error) {
 	var out []*xmltree.Node
 	for {
 		doc, err := c.Next()

@@ -183,10 +183,11 @@ func assertEmitMatchesTrees(tb testing.TB, ex *Executor, q *Query) []string {
 		same(fmt.Sprintf("trees/workers=%d", workers), serializeDocs(docs))
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
-		body, rows, err := ex.EmitQuerySpec(q, workers, nil, nil, nil)
-		if err != nil {
+		var out RowBuf
+		if err := ex.EmitQuerySpec(q, workers, nil, nil, nil, &out); err != nil {
 			tb.Fatal(err)
 		}
+		body, rows := out.Strings()
 		same(fmt.Sprintf("emit/workers=%d", workers), rows)
 		if wantBody := strings.Join(want, "\n") + "\n"; len(want) > 0 && body != wantBody {
 			tb.Fatalf("emit/workers=%d: body %q, want %q", workers, body, wantBody)

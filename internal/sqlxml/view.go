@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/governor"
 	"repro/internal/relstore"
 	"repro/internal/xmltree"
 	"repro/internal/xschema"
@@ -56,8 +55,8 @@ type Executor struct {
 	DB *relstore.DB
 	// Stats accumulates physical-operator counters across executions.
 	// Concurrent runs that need isolated counters pass their own sink to
-	// the ...With variants and merge it back via AddStats; read this field
-	// with Stats.Snapshot while runs are in flight.
+	// the entry points and merge it back via AddStats; read this field with
+	// Stats.Snapshot while runs are in flight.
 	Stats relstore.Stats
 }
 
@@ -69,29 +68,6 @@ func NewExecutor(db *relstore.DB) *Executor {
 // AddStats merges a per-run stats sink into the executor's accumulated
 // counters (atomically).
 func (e *Executor) AddStats(s *relstore.Stats) { e.Stats.Add(s) }
-
-// MaterializeView builds the XMLType instance for every row of the view's
-// driving table (the paper's "functional evaluation" input path: the XML
-// must be materialized before XSLT can run on it). Each result is a
-// document node. Counters accumulate into e.Stats.
-func (e *Executor) MaterializeView(v *ViewDef) ([]*xmltree.Node, error) {
-	return e.MaterializeViewWith(v, &e.Stats)
-}
-
-// MaterializeViewWith is MaterializeView with an explicit stats sink.
-func (e *Executor) MaterializeViewWith(v *ViewDef, sink *relstore.Stats) ([]*xmltree.Node, error) {
-	return e.MaterializeViewGoverned(v, sink, nil)
-}
-
-// MaterializeViewGoverned is MaterializeViewWith under an execution
-// governor (may be nil).
-func (e *Executor) MaterializeViewGoverned(v *ViewDef, sink *relstore.Stats, g *governor.G) ([]*xmltree.Node, error) {
-	c, err := e.OpenViewCursorGoverned(v, sink, g)
-	if err != nil {
-		return nil, err
-	}
-	return drainCursor(c)
-}
 
 // MaterializeRow builds the XMLType instance for a single driving row,
 // pinning a fresh snapshot for the construction.
@@ -106,29 +82,6 @@ func (e *Executor) MaterializeRow(v *ViewDef, rowID int) (*xmltree.Node, error) 
 	ec.setRows(ts, []int{rowID}, nil)
 	ec.setPos(0)
 	return ec.evalDoc(v.Body)
-}
-
-// ExecQuery runs a SQL/XML query: one result fragment per qualifying row of
-// the driving table. The access path uses indexes when available. Counters
-// accumulate into e.Stats.
-func (e *Executor) ExecQuery(q *Query) ([]*xmltree.Node, error) {
-	return e.ExecQueryWith(q, &e.Stats)
-}
-
-// ExecQueryWith is ExecQuery with an explicit stats sink.
-func (e *Executor) ExecQueryWith(q *Query, sink *relstore.Stats) ([]*xmltree.Node, error) {
-	c, err := e.OpenQueryCursor(q, sink)
-	if err != nil {
-		return nil, err
-	}
-	return drainCursor(c)
-}
-
-// ExplainQuery describes the physical plan: the driving access path plus
-// each nested subquery's access path. It is the nil-spec form of
-// ExplainQuerySpec.
-func (e *Executor) ExplainQuery(q *Query) string {
-	return e.ExplainQuerySpec(q, nil)
 }
 
 // explainSubqueries appends one line per subquery of expr, which constructs
@@ -357,28 +310,4 @@ func SetupDeptEmp(db *relstore.DB) error {
 		}
 	}
 	return nil
-}
-
-// ExecQueryParallel runs the query with row-level parallelism across
-// workers goroutines (the paper notes the rewritten SQL/XML "can be
-// efficiently executed by the underlying RDBMS aggregation process in
-// parallel manner"). Results keep driving-row order. workers < 2 falls back
-// to the serial path. Counters accumulate into e.Stats.
-func (e *Executor) ExecQueryParallel(q *Query, workers int) ([]*xmltree.Node, error) {
-	return e.ExecQueryParallelWith(q, workers, &e.Stats)
-}
-
-// ExecQueryParallelWith is ExecQueryParallel with an explicit stats sink.
-// All workers write to sink atomically; callers that need per-run isolation
-// pass a fresh sink and merge it back with AddStats.
-func (e *Executor) ExecQueryParallelWith(q *Query, workers int, sink *relstore.Stats) ([]*xmltree.Node, error) {
-	return e.ExecQueryParallelGoverned(q, workers, sink, nil)
-}
-
-// ExecQueryParallelGoverned is ExecQueryParallelWith under an execution
-// governor (may be nil): the driving scan, every worker's construction, and
-// the dispatch loop itself all stop promptly when g reports cancellation or
-// an exhausted budget. It is the nil-spec form of ExecQueryParallelSpec.
-func (e *Executor) ExecQueryParallelGoverned(q *Query, workers int, sink *relstore.Stats, g *governor.G) ([]*xmltree.Node, error) {
-	return e.ExecQueryParallelSpec(q, workers, sink, g, nil)
 }

@@ -1,6 +1,7 @@
 package sqlxml
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func nows(s string) string {
 // dept_emp view generates.
 func TestDeptEmpView(t *testing.T) {
 	_, ex := setup(t)
-	docs, err := ex.MaterializeView(DeptEmpView())
+	docs, err := ex.MaterializeViewSpec(DeptEmpView(), nil, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestExample1FinalQuery(t *testing.T) {
 				}},
 		}},
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestExplainShowsIndexUse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if plan := ex.ExplainQuery(q); !strings.Contains(plan, step.want) {
+		if plan := ex.ExplainQuerySpec(q, nil); !strings.Contains(plan, step.want) {
 			t.Fatalf("after indexing %q want %q in:\n%s", step.index, step.want, plan)
 		}
 	}
@@ -185,7 +186,7 @@ func TestScalarAggregates(t *testing.T) {
 			}},
 		}},
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestOrderBySubquery(t *testing.T) {
 			Body: &Element{Name: "e", Children: []XMLExpr{&Column{Name: "ename"}}},
 		}},
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestSubqueriesJoinPerList(t *testing.T) {
 		{"branch never taken", &Cond{Preds: never, Then: emps(&SubQuery{CorrInner: "deptno", CorrOuter: "deptno"})}, 0, ""},
 	} {
 		var stats relstore.Stats
-		docs, err := ex.ExecQueryWith(&Query{Table: "dept", Body: c.body}, &stats)
+		docs, err := ex.ExecQueryParallelSpec(&Query{Table: "dept", Body: c.body}, 0, &stats, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -326,7 +327,7 @@ func TestDeriveSchemaWithAttrsAndAggregates(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	db, ex := setup(t)
 	_ = db.Table("emp").CreateIndex("deptno")
-	if _, err := ex.MaterializeView(DeptEmpView()); err != nil {
+	if _, err := ex.MaterializeViewSpec(DeptEmpView(), nil, &ex.Stats, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Stats.IndexProbes == 0 {
@@ -339,22 +340,22 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	_, ex := setup(t)
-	if _, err := ex.MaterializeView(&ViewDef{Name: "v", Table: "missing", Body: &Literal{}}); err == nil {
+	if _, err := ex.MaterializeViewSpec(&ViewDef{Name: "v", Table: "missing", Body: &Literal{}}, nil, &ex.Stats, nil, nil); err == nil {
 		t.Fatal("unknown driving table should error")
 	}
-	if _, err := ex.ExecQuery(&Query{Table: "missing", Body: &Literal{}}); err == nil {
+	if _, err := ex.ExecQueryParallelSpec(&Query{Table: "missing", Body: &Literal{}}, 0, &ex.Stats, nil, nil); err == nil {
 		t.Fatal("unknown query table should error")
 	}
 	bad := &ViewDef{Name: "v", Table: "dept", Body: &Element{Name: "x", Children: []XMLExpr{
 		&Agg{Sub: &SubQuery{Table: "missing", Body: &Element{Name: "y"}}},
 	}}}
-	if _, err := ex.MaterializeView(bad); err == nil {
+	if _, err := ex.MaterializeViewSpec(bad, nil, &ex.Stats, nil, nil); err == nil {
 		t.Fatal("unknown subquery table should error")
 	}
 	// Attribute values must be scalar.
 	bad2 := &ViewDef{Name: "v", Table: "dept", Body: &Element{Name: "x",
 		Attrs: []Attr{{Name: "a", Value: &Element{Name: "nested"}}}}}
-	if _, err := ex.MaterializeView(bad2); err == nil {
+	if _, err := ex.MaterializeViewSpec(bad2, nil, &ex.Stats, nil, nil); err == nil {
 		t.Fatal("element-valued attribute should error")
 	}
 }
@@ -379,11 +380,11 @@ func TestExecQueryParallelMatchesSerial(t *testing.T) {
 				Body: &Element{Name: "e", Children: []XMLExpr{&Column{Name: "empno"}}}}},
 		}},
 	}
-	serial, err := ex.ExecQuery(q)
+	serial, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ex.ExecQueryParallel(q, 8)
+	parallel, err := ex.ExecQueryParallelSpec(q, 8, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestExecQueryParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	// workers<2 degrades to serial.
-	one, err := ex.ExecQueryParallel(q, 1)
+	one, err := ex.ExecQueryParallelSpec(q, 1, &ex.Stats, nil, nil)
 	if err != nil || len(one) != len(serial) {
 		t.Fatal("workers=1 fallback wrong")
 	}
@@ -415,11 +416,29 @@ func TestDeriveSchemaRejectsMixedContent(t *testing.T) {
 		t.Fatal("mixed content must be rejected (fallback to functional evaluation)")
 	}
 	// The view still materializes fine — only the rewrite refuses.
-	docs, err := ex.MaterializeView(v)
+	docs, err := ex.MaterializeViewSpec(v, nil, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nows(docs[0].String()) != `<?xml version="1.0"?><p>prefix <b>x</b></p>` {
 		t.Fatalf("materialize = %s", docs[0].String())
+	}
+}
+
+// TestExecutorSurface pins the executor's method set: one Spec-taking entry
+// point per operation. A new method is a reviewed change to this list, so the
+// nil-forwarding ...With/...Governed ladder cannot grow back unnoticed.
+func TestExecutorSurface(t *testing.T) {
+	want := []string{
+		"AddStats", "DeriveSchema", "EmitQuerySpec", "ExecQueryParallelSpec", "ExplainQuerySpec",
+		"ExplainViewSpec", "MaterializeRow", "MaterializeViewSpec", "OpenQueryCursorSpec", "OpenViewCursorSpec",
+	}
+	typ := reflect.TypeOf(&Executor{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("*Executor exports %v, want exactly %v", got, want)
 	}
 }

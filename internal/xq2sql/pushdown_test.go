@@ -64,7 +64,7 @@ func TestRootPredicateHoisting(t *testing.T) {
 	if !predsEqual(q.Where, want) {
 		t.Fatalf("Where = %v, want %v", q.Where, want)
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRootPredicateChildElement(t *testing.T) {
 	if len(q.Where) != 1 || q.Where[0].Col != "name" {
 		t.Fatalf("Where = %v", q.Where)
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,14 +80,14 @@ func TestExample1FullRewrite(t *testing.T) {
 	if err := db.Table("emp").CreateIndex("deptno"); err != nil {
 		t.Fatal(err)
 	}
-	explain := ex.ExplainQuery(q)
+	explain := ex.ExplainQuerySpec(q, nil)
 	// The correlated deptno equality plans as an index join on emp(deptno),
 	// the sal predicate filtering each group.
 	if !strings.Contains(explain, "INDEX JOIN emp(deptno) = outer.deptno FILTER sal > 2000") {
 		t.Fatalf("plan should use the emp index:\n%s", explain)
 	}
 
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestExample1FullRewrite(t *testing.T) {
 
 	// Compare against the functional path: materialize view rows, run the
 	// XSLT interpreter.
-	views, err := ex.MaterializeView(view)
+	views, err := ex.MaterializeViewSpec(view, nil, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestExample2Combined(t *testing.T) {
 
 	// Execution matches the composition of the two functional stages.
 	_ = db.Table("emp").CreateIndex("sal")
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestScalarAggregateLowering(t *testing.T) {
 	if !strings.Contains(sql, "SELECT COUNT(*)") || !strings.Contains(sql, "SELECT SUM(SAL)") {
 		t.Fatalf("aggregates not lowered:\n%s", sql)
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestOrderByLowering(t *testing.T) {
 	if !strings.Contains(q.SQL(), "ORDER BY SAL DESC") {
 		t.Fatalf("order by not lowered:\n%s", q.SQL())
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestConditionalLowering(t *testing.T) {
 	if !strings.Contains(sql, "CASE WHEN") || !strings.Contains(sql, "SAL > 2000 AND SAL < 4000") {
 		t.Fatalf("conditional SQL wrong:\n%s", sql)
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestComputedConstructorLowering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Translate: %v\n%s", err, res.Module.String())
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestPredicateVariants(t *testing.T) {
 	if !strings.Contains(sql, "SAL >= 2000") || !strings.Contains(sql, "ENAME = 'CLARK'") {
 		t.Fatalf("predicate SQL wrong:\n%s", sql)
 	}
-	docs, err := ex.ExecQuery(q)
+	docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func TestRelationalBackingMatchesDocuments(t *testing.T) {
 				t.Fatal(err)
 			}
 			ex := sqlxml.NewExecutor(db)
-			docs, err := ex.MaterializeView(c.Rel.View())
+			docs, err := ex.MaterializeViewSpec(c.Rel.View(), nil, &ex.Stats, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func TestFigureCasesLowerToSQL(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lowering failed: %v\n%s", err, res.Module.String())
 			}
-			docs, err := ex.ExecQuery(q)
+			docs, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestFigureCasesLowerToSQL(t *testing.T) {
 			docs[0].Serialize(&sb, xmltree.SerializeOptions{OmitDecl: true})
 
 			// Functional reference: materialize + interpret.
-			views, err := ex.MaterializeView(view)
+			views, err := ex.MaterializeViewSpec(view, nil, &ex.Stats, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,12 +254,12 @@ func TestDbonerowUsesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explain := ex.ExplainQuery(q)
+	explain := ex.ExplainQuerySpec(q, nil)
 	if !strings.Contains(explain, "INDEX PROBE sales(id)") {
 		t.Fatalf("dbonerow should probe the id index:\n%s", explain)
 	}
 	before := ex.Stats
-	if _, err := ex.ExecQuery(q); err != nil {
+	if _, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	scanned := ex.Stats.RowsScanned - before.RowsScanned

@@ -3,8 +3,8 @@ package xsltdb
 // The facade half of the observability layer: the engine's built-in metric
 // instruments (registered on obs.Default and served by Registry.Handler /
 // cmd/xsltdb -metrics-addr) and the slow-run log. Per-run trace plumbing
-// lives in xsltdb.go (Run) and cursor.go (OpenCursor); everything here is
-// the process-wide aggregation those runs feed.
+// lives in xsltdb.go (execution) and pipeline.go; everything here is the
+// process-wide aggregation those runs feed.
 
 import (
 	"sync"

@@ -605,3 +605,70 @@ func TestGovernanceNotBreakerFailure(t *testing.T) {
 		t.Fatalf("limit errors leaked into the breaker: %+v", bs.SQL)
 	}
 }
+
+// TestLimitsBoundTheWork: a row or output budget stops an execution AT the
+// row that exceeds it — under every strategy, and through Run exactly as
+// through a cursor. Over 2 002 departments neither entry point may scan past
+// the driving scan's first batch, and Run may not do more governed work than
+// the cursor does (it used to scan, join and construct every row and only
+// then count them).
+func TestLimitsBoundTheWork(t *testing.T) {
+	d := newBenchDeptDB(t, 2000)
+	ctx := context.Background()
+	limits := map[string]Option{"rows": WithMaxRows(3), "output-bytes": WithMaxOutputBytes(2000)}
+	for kind, limit := range limits {
+		for _, s := range []Strategy{StrategySQL, StrategyXQuery, StrategyNoRewrite} {
+			t.Run(kind+"/"+s.String(), func(t *testing.T) {
+				ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithForcedStrategy(s), limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := func(entry string, es ExecStats, err error) {
+					t.Helper()
+					var le *governor.LimitError
+					if !errors.As(err, &le) || le.Kind != kind {
+						t.Fatalf("%s: err = %v, want a %s LimitError", entry, err, kind)
+					}
+					if es.RowsScanned == 0 || es.RowsScanned > 1024 {
+						t.Fatalf("%s scanned %d driving rows, want at most one batch (1024)", entry, es.RowsScanned)
+					}
+				}
+				res, err := ct.Run(ctx)
+				check("Run", res.Stats, err)
+				cur, err := ct.OpenCursor(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = cur.Collect()
+				check("cursor", cur.Stats(), err)
+				if run, stream := res.Stats.GovTicks, cur.Stats().GovTicks; run > 2*stream {
+					t.Fatalf("Run charged %d governor ticks, the cursor %d: Run must stop where the cursor stops", run, stream)
+				}
+			})
+		}
+	}
+
+	// The chunked parallel construction drains its driving scan first, but
+	// every construct worker stops at the verdict.
+	t.Run("workers", func(t *testing.T) {
+		unlimited, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := unlimited.Run(ctx, WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithMaxRows(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ct.Run(ctx, WithWorkers(4))
+		if !errors.Is(err, ErrLimitExceeded) {
+			t.Fatalf("err = %v, want ErrLimitExceeded", err)
+		}
+		if res.Stats.GovTicks*10 > all.Stats.GovTicks {
+			t.Fatalf("limited parallel run charged %d ticks of the unlimited run's %d: the workers did not stop", res.Stats.GovTicks, all.Stats.GovTicks)
+		}
+	})
+}

@@ -3,13 +3,11 @@ package xsltdb
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/sqlxml"
 	"repro/internal/xq2sql"
-	"repro/internal/xquery"
 )
 
 // RunOption configures one execution of a compiled transform (Run,
@@ -144,61 +142,44 @@ func buildRunOptions(opts []RunOption) runOptions {
 // returns a non-nil Result even when the execution fails partway — Stats
 // then describes the work done up to the failure.
 type Result struct {
-	// Rows holds the serialized results, one per driving row. Under the SQL
-	// strategy the rows are slices of one string holding the whole result,
-	// so keeping a single row reachable keeps the run's entire output alive;
-	// strings.Clone a row that should outlive the rest.
+	// Rows holds the serialized results, one per driving row. The rows are
+	// slices of one string holding the whole result, so keeping a single row
+	// reachable keeps the run's entire output alive; strings.Clone a row that
+	// should outlive the rest.
 	Rows []string
 	// Stats describes this run: physical operator counters, the access path
 	// chosen, strategy degradations, wall times.
 	Stats ExecStats
 
-	// body is the string Rows are slices of when the SQL strategy produced
-	// them: every row followed by a newline. Empty otherwise.
+	// body is the string Rows are slices of: every row followed by a newline.
 	body string
 }
 
 // WriteTo writes the result as Run returned it — every row followed by a
-// newline — with a single write, and implements io.WriterTo. Under the SQL
-// strategy that write is the run's one backing string, handed over without
-// copying (a writer that implements io.StringWriter, such as an
-// http.ResponseWriter, receives it as is). Changes made to Rows after Run
-// returned are not reflected.
+// newline — with a single write, and implements io.WriterTo. That write is
+// the run's one backing string, handed over without copying (a writer that
+// implements io.StringWriter, such as an http.ResponseWriter, receives it as
+// is). Changes made to Rows after Run returned are not reflected.
 func (r *Result) WriteTo(w io.Writer) (int64, error) {
-	body := r.body
-	if body == "" && len(r.Rows) > 0 {
-		size := len(r.Rows)
-		for _, row := range r.Rows {
-			size += len(row)
-		}
-		var sb strings.Builder
-		sb.Grow(size)
-		for _, row := range r.Rows {
-			sb.WriteString(row)
-			sb.WriteByte('\n')
-		}
-		body = sb.String()
-	}
-	n, err := io.WriteString(w, body)
+	n, err := io.WriteString(w, r.body)
 	return int64(n), err
 }
 
 // runSpec resolves the run options against a compiled state: WithWhere
 // expressions are parsed and lowered to driving-table predicates, parameter
 // bindings are validated against the driving predicates, and the sqlxml
-// RunSpec is assembled. The returned string pointer receives the chosen
-// access path's EXPLAIN line. lenient skips the parameter-coverage check —
+// RunSpec is assembled. lenient skips the parameter-coverage check —
 // ExplainPlan renders unbound parameters as :name placeholders instead of
 // failing, since the plan's shape does not depend on the bound value.
-func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.RunSpec, *string, error) {
+func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.RunSpec, error) {
 	if ro.err != nil {
-		return nil, nil, ro.err
+		return nil, ro.err
 	}
 	var extras []relstore.Pred
 	for _, expr := range ro.whereExprs {
 		preds, err := xq2sql.ExtractWhere(st.view, expr)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", ErrBadRunOption, err)
+			return nil, fmt.Errorf("%w: %w", ErrBadRunOption, err)
 		}
 		extras = append(extras, preds...)
 	}
@@ -211,11 +192,11 @@ func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.
 	// semantics.
 	ts := snap.Table(st.view.Table)
 	if ts == nil {
-		return nil, nil, fmt.Errorf("xsltdb: view %q references unknown table %q: %w", st.view.Name, st.view.Table, ErrNoTable)
+		return nil, fmt.Errorf("xsltdb: view %q references unknown table %q: %w", st.view.Name, st.view.Table, ErrNoTable)
 	}
 	for _, p := range extras {
 		if _, ok := ts.ColType(p.Col); !ok {
-			return nil, nil, fmt.Errorf("xsltdb: WithWhere: view %q exposes no column %q: %w", st.view.Name, p.Col, ErrBadRunOption)
+			return nil, fmt.Errorf("xsltdb: WithWhere: view %q exposes no column %q: %w", st.view.Name, p.Col, ErrBadRunOption)
 		}
 	}
 	// Validate parameter coverage of the DRIVING predicates up front: an
@@ -228,36 +209,16 @@ func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.
 		}
 		merged = append(merged, extras...)
 		if _, err := relstore.BindPreds(merged, ro.params); err != nil {
-			return nil, nil, fmt.Errorf("xsltdb: %w", err)
+			return nil, fmt.Errorf("xsltdb: %w", err)
 		}
 	}
-	access := new(string)
 	return &sqlxml.RunSpec{
-		Extra:       extras,
-		Params:      ro.params,
-		NoPushdown:  ro.noPushdown,
-		AccessPath:  access,
-		EstRows:     new(int64),
-		AccessShape: new(string),
-		Batch:       relstore.BatchOpts{BatchSize: ro.batchSize, Workers: ro.workers},
-		Snap:        snap,
-	}, access, nil
-}
-
-// specEstRows / specShape read the planning feedback a spec accumulated —
-// zero values when the run failed before planning a driving access.
-func specEstRows(spec *sqlxml.RunSpec) int64 {
-	if spec == nil || spec.EstRows == nil {
-		return 0
-	}
-	return *spec.EstRows
-}
-
-func specShape(spec *sqlxml.RunSpec) string {
-	if spec == nil || spec.AccessShape == nil {
-		return ""
-	}
-	return *spec.AccessShape
+		Extra:      extras,
+		Params:     ro.params,
+		NoPushdown: ro.noPushdown,
+		Batch:      relstore.BatchOpts{BatchSize: ro.batchSize, Workers: ro.workers},
+		Snap:       snap,
+	}, nil
 }
 
 // drivingWhere returns the compiled plan's driving predicates, which the
@@ -268,28 +229,4 @@ func (st *planState) drivingWhere() []relstore.Pred {
 		return nil
 	}
 	return st.plan.Where
-}
-
-// bindEnv binds run parameters into an XQuery environment so the fallback
-// XQuery strategy sees the same $name values the SQL plan binds into its
-// predicates. (The no-rewrite interpreter has no parameter mechanism;
-// parameterized runs that degrade that far fail when the stylesheet actually
-// dereferences the variable.)
-func bindEnv(env *xquery.Env, params map[string]relstore.Value) *xquery.Env {
-	for name, v := range params {
-		env.Bind(name, xquery.Seq{xqueryItem(v)})
-	}
-	return env
-}
-
-func xqueryItem(v relstore.Value) xquery.Item {
-	switch x := v.(type) {
-	case int64:
-		return float64(x) // XQuery numbers are doubles
-	case float64:
-		return x
-	case string:
-		return x
-	}
-	return fmt.Sprint(v)
 }

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/faultpoint"
+	"repro/internal/governor"
+	"repro/internal/obs"
 	"repro/internal/sqlxml"
 	"repro/internal/xslt"
 )
@@ -29,37 +33,121 @@ func collect(t *testing.T, c *Cursor) []string {
 	}
 }
 
+// executionCase is one row of the entry-point equivalence table: how the
+// transform is compiled and what state the plan is put in before EACH entry
+// point executes it.
+type executionCase struct {
+	name string
+	opts []Option
+	arm  func(t *testing.T, ct *CompiledTransform)
+	// want checks that the scenario really happened.
+	want func(es ExecStats) bool
+}
+
+func executionCases() []executionCase {
+	setBreaker := func(ct *CompiledTransform, cell breakerCell) {
+		b := ct.snapshot().brk
+		b.mu.Lock()
+		b.cells = [3]breakerCell{StrategySQL: cell}
+		b.mu.Unlock()
+	}
+	forced := func(s Strategy) executionCase {
+		return executionCase{
+			name: s.String(), opts: []Option{WithForcedStrategy(s)},
+			want: func(es ExecStats) bool { return es.StrategyUsed == s && es.Degradations == 0 },
+		}
+	}
+	return []executionCase{
+		forced(StrategySQL), forced(StrategyXQuery), forced(StrategyNoRewrite),
+		{
+			name: "breaker-open",
+			arm: func(_ *testing.T, ct *CompiledTransform) {
+				setBreaker(ct, breakerCell{open: true, skipsLeft: breakerCooldown})
+			},
+			want: func(es ExecStats) bool { return es.StrategyUsed == StrategyXQuery && es.BreakerSkips == 1 },
+		},
+		{
+			name: "panic-at-open",
+			arm: func(t *testing.T, ct *CompiledTransform) {
+				setBreaker(ct, breakerCell{})
+				faultpoint.EnablePanic("sqlxml.query.open")
+				t.Cleanup(faultpoint.Reset)
+			},
+			want: func(es ExecStats) bool {
+				return es.StrategyUsed == StrategyXQuery && es.Degradations == 1 && es.PanicsRecovered == 1
+			},
+		},
+	}
+}
+
+// assertEntriesAgree executes one case through a materializing and a
+// streaming entry point and demands the same bytes, the same account of how
+// the strategy was chosen, and — root name aside — the same span tree.
+func assertEntriesAgree(t *testing.T, c executionCase, ct *CompiledTransform,
+	run func(context.Context, ...RunOption) (*Result, error),
+	open func(context.Context, ...RunOption) (*Cursor, error)) {
+	t.Helper()
+	arm := func() {
+		if c.arm != nil {
+			c.arm(t, ct)
+		}
+	}
+	arm()
+	runTrace := obs.New()
+	defer runTrace.Release()
+	res, err := run(context.Background(), WithTrace(runTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm()
+	curTrace := obs.New()
+	defer curTrace.Release()
+	cur, err := open(context.Background(), WithTrace(curTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, cur)
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, "cursor vs run", res.Rows, got)
+
+	// What the chain walk decided, and the plan it drove, must not depend on
+	// who pulls.
+	decided := func(es ExecStats) ExecStats {
+		return ExecStats{
+			RowsProduced: es.RowsProduced, AccessPath: es.AccessPath, EstRows: es.EstRows,
+			StrategyUsed: es.StrategyUsed, Degradations: es.Degradations, BreakerSkips: es.BreakerSkips,
+			BreakerTrips: es.BreakerTrips, PanicsRecovered: es.PanicsRecovered,
+		}
+	}
+	if r, s := decided(res.Stats), decided(cur.Stats()); r != s {
+		t.Fatalf("run and cursor disagree:\nrun:    %+v\ncursor: %+v", r, s)
+	}
+	if !c.want(res.Stats) || res.Stats.AccessPath == "" {
+		t.Fatalf("scenario did not take place: %+v", res.Stats)
+	}
+	runTree := strings.Replace(normalizeAnalyze(runTrace.Tree()), "run ", "cursor ", 1)
+	if curTree := normalizeAnalyze(curTrace.Tree()); runTree != curTree {
+		t.Fatalf("span trees differ beyond the root's name:\n--- run ---\n%s--- cursor ---\n%s", runTree, curTree)
+	}
+}
+
 // TestCursorMatchesRunAllStrategies: the streaming cursor must be
-// byte-identical to the materializing Run for every strategy.
+// byte-identical to the materializing Run for every strategy — and agree
+// with it on everything else a caller can observe, whether the strategy ran
+// clean, was skipped by an open breaker, or panicked while opening.
 func TestCursorMatchesRunAllStrategies(t *testing.T) {
-	d := newDeptDB(t)
-	_ = d.CreateIndex("emp", "deptno")
-	for _, s := range []Strategy{StrategySQL, StrategyXQuery, StrategyNoRewrite} {
-		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithForcedStrategy(s))
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		wantRes, err := ct.Run(context.Background())
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		want := wantRes.Rows
-		cur, err := ct.OpenCursor(context.Background())
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		got := collect(t, cur)
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: cursor rows = %d, Run rows = %d", s, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v row %d:\ncursor: %s\nrun:    %s", s, i, got[i], want[i])
+	for _, c := range executionCases() {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDeptDB(t)
+			_ = d.CreateIndex("emp", "deptno")
+			ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, c.opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			assertEntriesAgree(t, c, ct, ct.Run, ct.OpenCursor)
+		})
 	}
 }
 
@@ -89,9 +177,9 @@ func TestCursorMatchesRunOuterPath(t *testing.T) {
 	}
 }
 
-// TestChainedCursorMatchesRun streams a two-stage pipeline.
+// TestChainedCursorMatchesRun streams a two-stage pipeline over the same
+// table of cases.
 func TestChainedCursorMatchesRun(t *testing.T) {
-	d := newDeptDB(t)
 	stage1 := `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 		<xsl:template match="dept">
 			<report><xsl:for-each select="employees/emp"><row><xsl:value-of select="sal"/></row></xsl:for-each></report>
@@ -100,29 +188,116 @@ func TestChainedCursorMatchesRun(t *testing.T) {
 	stage2 := `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 		<xsl:template match="report"><rich n="{count(row[. > 2000])}"/></xsl:template>
 	</xsl:stylesheet>`
-	ct, err := d.CompileTransform("dept_emp", stage1)
+	for _, c := range executionCases() {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDeptDB(t)
+			ct, err := d.CompileTransform("dept_emp", stage1, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain, err := ct.Then(stage2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEntriesAgree(t, c, ct, chain.Run, chain.OpenCursor)
+		})
+	}
+}
+
+// TestChainedStageFailureIsBlameless: a deterministic error in a chained
+// stage is returned once and says nothing about the first stage's strategy —
+// no degradation re-runs the first stage on a weaker strategy, and however
+// often it repeats the shared plan's breaker never hears of it — through the
+// serial route, the parallel one and the cursor alike.
+func TestChainedStageFailureIsBlameless(t *testing.T) {
+	d := newDeptDB(t)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := ct.Then(stage2)
+	chain, err := ct.Then(`<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+		<xsl:template match="/"><x><xsl:value-of select="no-such-function(.)"/></x></xsl:template>
+	</xsl:stylesheet>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := chain.Run(context.Background())
+	run := func(opts ...RunOption) (ExecStats, error) {
+		res, err := chain.Run(context.Background(), opts...)
+		return res.Stats, err
+	}
+	stream := func(opts ...RunOption) (ExecStats, error) {
+		cur, err := chain.OpenCursor(context.Background(), opts...)
+		if err != nil {
+			return ExecStats{}, err
+		}
+		_, err = cur.Collect()
+		return cur.Stats(), err
+	}
+	for _, e := range []struct {
+		name  string
+		entry func(...RunOption) (ExecStats, error)
+		opts  []RunOption
+	}{
+		{"run", run, nil}, {"run-parallel", run, []RunOption{WithWorkers(2)}}, {"cursor", stream, nil},
+	} {
+		clean, err := ct.Run(context.Background(), e.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2*breakerThreshold; i++ {
+			es, err := e.entry(e.opts...)
+			if err == nil || governor.IsGovernance(err) || !strings.Contains(err.Error(), "no-such-function") {
+				t.Fatalf("%s: err = %v, want the stage's unknown-function error", e.name, err)
+			}
+			if es.StrategyUsed != StrategySQL || es.Degradations != 0 || es.BreakerTrips != 0 || es.BreakerSkips != 0 {
+				t.Fatalf("%s #%d: a stage failure was charged to the strategy: %+v", e.name, i, es)
+			}
+			if es.RowsScanned > clean.Stats.RowsScanned {
+				t.Fatalf("%s: scanned %d rows, a clean run scans %d — the first stage ran more than once",
+					e.name, es.RowsScanned, clean.Stats.RowsScanned)
+			}
+		}
+	}
+	after, err := ct.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wantRes.Rows
-	cur, err := chain.OpenCursor(context.Background())
+	if after.Stats.StrategyUsed != StrategySQL || after.Stats.BreakerSkips != 0 {
+		t.Fatalf("the plain transform was demoted by its chain's failures: %+v", after.Stats)
+	}
+}
+
+// TestChainedRunParallelMatchesSerial: a chained Run under WithWorkers takes
+// the parallel construction route like a plain one, with the same bytes and
+// the same final-row limit.
+func TestChainedRunParallelMatchesSerial(t *testing.T) {
+	d := newKeyedDB(t, 50)
+	ct, err := d.CompileTransform("rows", keyedSheet, WithMaxRows(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cur.Collect()
+	chain, err := ct.Then(`<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	<xsl:template match="hit"><HIT><xsl:value-of select="."/></HIT></xsl:template>
+</xsl:stylesheet>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("chained cursor %v != run %v", got, want)
+	serial, err := chain.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	defer tr.Release()
+	parallel, err := chain.Run(context.Background(), WithWorkers(2), WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, "parallel vs serial chained run", serial.Rows, parallel.Rows)
+	if len(parallel.Rows) != 50 || !strings.Contains(parallel.Rows[0], "<HIT>") {
+		t.Fatalf("rows = %d, first %q", len(parallel.Rows), parallel.Rows[0])
+	}
+	if !strings.Contains(tr.Tree(), "parallel_workers=2") {
+		t.Fatalf("the chained run did not construct in parallel:\n%s", tr.Tree())
 	}
 }
 

@@ -23,10 +23,9 @@ package xsltdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -463,7 +462,7 @@ func (d *Database) MaterializeView(name string) ([]*xmltree.Node, error) {
 	if v == nil {
 		return nil, fmt.Errorf("xsltdb: no view %q: %w", name, ErrNoView)
 	}
-	return d.exec.MaterializeView(v)
+	return d.exec.MaterializeViewSpec(v, nil, &d.exec.Stats, nil, nil)
 }
 
 // DeriveSchema computes the structural schema of a view's output (§3.2).
@@ -763,58 +762,121 @@ func (ct *CompiledTransform) SQL() string {
 	return st.plan.SQL()
 }
 
+// execution is what Run and OpenCursor set up before a strategy is chosen:
+// the trace (the caller's, or the execution's own when a slow threshold or
+// the sampling policy demands one), the root span, the freshly compiled state
+// and the run's spec — and what they report to when it is over.
+type execution struct {
+	ct       *CompiledTransform
+	kind     string // "run" or "cursor": the root span's name and the archive record's kind
+	start    time.Time
+	trace    *obs.Trace
+	ownTrace bool
+	sampled  bool
+	root     *obs.Span
+	st       *planState
+	spec     *sqlxml.RunSpec
+	es       ExecStats // Recompiles and CompileWall, the stats every execution starts from
+}
+
+// begin resolves the run options, decides on tracing, recompiles the
+// transform if its view was redefined since compilation (§7.3) and pins the
+// run's snapshot in its spec. A run under a slow threshold traces itself when
+// the caller did not, so a slow-run report always carries the full operator
+// tree; the same applies when the trace-sampling policy selects this run for
+// the run-history archive.
+func (ct *CompiledTransform) begin(kind string, opts []RunOption) (x execution, err error) {
+	if err := ct.db.checkOpen(); err != nil {
+		return x, err
+	}
+	ro := buildRunOptions(opts)
+	x = execution{ct: ct, kind: kind, trace: ro.trace}
+	x.sampled = ct.opts.Sampling.wantTrace(ct.db.history.Load())
+	if x.trace == nil && (x.sampled || (ct.opts.SlowThreshold > 0 && ct.opts.SlowSink != nil)) {
+		x.trace, x.ownTrace = obs.New(), true
+	}
+	x.start = time.Now()
+	x.root = x.trace.Start(kind)
+	if x.root != nil {
+		x.root.SetAttr("view", ct.viewName)
+	}
+	compileSp := x.root.Start("compile")
+	st, recompiled, err := ct.ensureFresh(compileSp)
+	compileSp.End()
+	if err == nil {
+		x.st = st
+		x.spec, err = ct.db.runSpec(st, ro, false)
+	}
+	if err != nil {
+		x.abort(err)
+		return x, err
+	}
+	x.es = ExecStats{Recompiles: int64(recompiled), CompileWall: time.Since(x.start)}
+	return x, nil
+}
+
+// abort closes an execution that failed before any strategy ran: nothing was
+// executed, so nothing is reported.
+func (x *execution) abort(err error) {
+	x.root.Fail(err)
+	x.root.End()
+	if x.ownTrace {
+		x.trace.Release()
+	}
+}
+
+// finish reports a finished execution: the root span, the run metrics, the
+// slow-run log and the run-history archive. err is the terminal error (nil
+// for success); complete says the actual row count is the true cardinality —
+// the run succeeded, the cursor reached its end — and not that of a failed or
+// abandoned stream, which says nothing about the planner's estimate.
+func (x *execution) finish(es *ExecStats, err error, complete bool) {
+	if x.root != nil {
+		x.root.AddRowsOut(es.RowsProduced)
+		if es.AccessPath != "" {
+			x.root.SetAttr("access_path", es.AccessPath)
+		}
+		x.root.Fail(err)
+		x.root.End()
+	}
+	ct := x.ct
+	recordRunMetrics(es, err)
+	emitSlowRun(ct.opts.SlowThreshold, ct.opts.SlowSink, ct.viewName, x.trace, es, err)
+	keep := x.sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
+	ct.db.archiveRun(ct.db.history.Load(), x.kind, ct.viewName, x.start, x.spec, es, err, x.trace, keep, complete)
+	if x.ownTrace {
+		x.trace.Release()
+	}
+}
+
 // Run executes the transformation — one serialized result per qualifying
 // driving row — and returns the rows together with this run's private
-// ExecStats. It is the single execution entry point: the context governs
-// cancellation (plus the transform's WithTimeout, if any), and RunOptions
-// parameterize the compiled plan without recompiling it — WithParam binds
-// variables, WithWhere adds driving predicates (pushed down to index
-// probes when possible), WithoutPushdown forces the full-scan baseline.
+// ExecStats. The context governs cancellation (plus the transform's
+// WithTimeout, if any), and RunOptions parameterize the compiled plan without
+// recompiling it — WithParam binds variables, WithWhere adds driving
+// predicates (pushed down to index probes when possible), WithoutPushdown
+// forces the full-scan baseline.
 //
 // A transform whose view was redefined since compilation recompiles
 // automatically first (§7.3). On a run-stage error the returned Result is
 // still non-nil: its Stats describe the work done up to the failure,
 // including degradations, breaker activity, and recovered panics.
 func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Result, error) {
-	if err := ct.db.checkOpen(); err != nil {
-		return nil, err
-	}
+	return ct.run(ctx, nil, opts)
+}
+
+// run is Run with the chained stages (nil for a plain transform) every row
+// flows through. It walks the degradation chain with open + drain as the
+// attempt: each strategy streams into the run's pooled buffer, which is
+// emptied before every attempt, so a run that degrades mid-stream carries
+// none of the failed attempt's bytes. The one other route is the SQL
+// strategy's chunked parallel construction, taken at two or more workers.
+func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts []RunOption) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ro := buildRunOptions(opts)
-	// A run under a slow threshold traces itself when the caller did not,
-	// so a slow-run report always carries the full operator tree. The same
-	// applies when the trace-sampling policy selects this run for the
-	// run-history archive.
-	hist := ct.db.history.Load()
-	sampled := ct.opts.Sampling.wantTrace(hist)
-	tr := ro.trace
-	ownTrace := false
-	if tr == nil && (sampled || (ct.opts.SlowThreshold > 0 && ct.opts.SlowSink != nil)) {
-		tr = obs.New()
-		ownTrace = true
-	}
-	if ownTrace {
-		defer tr.Release()
-	}
-
-	start := time.Now()
-	root := tr.Start("run")
-	defer root.End()
-	if root != nil {
-		root.SetAttr("view", ct.viewName)
-	}
-	compileSp := root.Start("compile")
-	st, recompiled, err := ct.ensureFresh(compileSp)
-	compileSp.End()
+	x, err := ct.begin("run", opts)
 	if err != nil {
-		root.Fail(err)
-		return nil, err
-	}
-	spec, access, err := ct.db.runSpec(st, ro, false)
-	if err != nil {
-		root.Fail(err)
 		return nil, err
 	}
 	pin := snapPins.pin()
@@ -824,228 +886,47 @@ func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Resul
 		ctx, cancel = context.WithTimeout(ctx, ct.opts.Timeout)
 		defer cancel()
 	}
-	res := &Result{Stats: ExecStats{Recompiles: int64(recompiled), CompileWall: time.Since(start)}}
+	res := &Result{Stats: x.es}
 	es := &res.Stats
 	var sink relstore.Stats
-	rows, body, err := ct.db.runGoverned(ctx, st, ct.opts, spec, &sink, es, root)
-	es.ExecWall = time.Since(start) - es.CompileWall
+	out := sqlxml.GetRowBuf()
+	defer sqlxml.PutRowBuf(out)
+	chain := startChain(x.trace, stages)
+	// A per-run WithWorkers overrides the compile-time parallelism for both
+	// the scan's morsel pool (via spec.Batch) and the construction fan-out.
+	workers := ct.opts.Parallelism
+	if x.spec.Batch.Workers > 0 {
+		workers = x.spec.Batch.Workers
+	}
+	p, err := ct.db.walkChain(ctx, x.st, ct.opts, x.spec, x.root, es, func(p *pipeline) error {
+		out.Reset()
+		chain.govern(ctx, &ct.opts)
+		if p.strategy == StrategySQL && workers >= 2 {
+			err := ct.db.exec.EmitQuerySpec(x.st.plan, workers, &sink, p.gov, x.spec, out)
+			if err != nil || chain == nil {
+				return err
+			}
+			return chain.restage(out)
+		}
+		if err := ct.db.open(p, x.st, x.spec, &sink); err != nil {
+			return err
+		}
+		return p.drain(chain, out)
+	})
+	if err == nil {
+		res.body, res.Rows = out.Strings()
+		es.RowsProduced = int64(len(res.Rows))
+		es.GovTicks += int64(p.gov.Ticks())
+		p.end(es.RowsProduced, io.EOF)
+	}
+	chain.end()
+	es.ExecWall = time.Since(x.start) - es.CompileWall
 	es.mergeSink(sink.Snapshot())
-	es.RowsProduced = int64(len(rows))
-	es.AccessPath = *access
-	es.EstRows = specEstRows(spec)
+	es.AccessPath = x.spec.Driving.Explain()
+	es.EstRows = x.spec.Driving.EstRows()
 	ct.db.exec.AddStats(&sink)
-	if root != nil {
-		root.AddRowsOut(es.RowsProduced)
-		if es.AccessPath != "" {
-			root.SetAttr("access_path", es.AccessPath)
-		}
-		root.Fail(err)
-		root.End()
-	}
-	recordRunMetrics(es, err)
-	emitSlowRun(ct.opts.SlowThreshold, ct.opts.SlowSink, ct.viewName, tr, es, err)
-	keep := sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
-	ct.db.archiveRun(hist, "run", ct.viewName, start, spec, es, err, tr, keep, err == nil)
-	if err != nil {
-		return res, err
-	}
-	res.Rows, res.body = rows, body
-	return res, nil
-}
-
-// runGoverned walks the plan's degradation chain: each strategy is skipped
-// if its circuit breaker is open (never the last — something must always
-// run), attempted under a fresh governor (so resource budgets never
-// double-charge across attempts), and on a non-governance failure the run
-// falls through to the next strategy. Governance verdicts — cancellation,
-// resource limits, recursion limits — are final: retrying cannot help, so
-// they return immediately and do not count against the breaker. body is the
-// winning strategy's backing string (see runStrategy); a failed attempt's
-// output is dropped whole, so a degraded run carries none of its bytes.
-func (d *Database) runGoverned(ctx context.Context, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, es *ExecStats, root *obs.Span) (rows []string, body string, err error) {
-	chain := st.chain(opts)
-	var lastErr error
-	for i, s := range chain {
-		last := i == len(chain)-1
-		if !last && !st.brk.allow(s) {
-			es.BreakerSkips++
-			if root != nil {
-				sk := root.Start(s.String())
-				sk.SetAttr("breaker", "open")
-				sk.SetAttr("skipped", "true")
-				sk.End()
-			}
-			continue
-		}
-		g := governor.New(ctx).Limits(opts.MaxRows, opts.MaxOutputBytes, opts.MaxRecursionDepth)
-		attempt := root.Start(s.String())
-		if attempt != nil {
-			if bs := st.brk.state(s); bs != "closed" {
-				attempt.SetAttr("breaker", bs)
-			}
-		}
-		spec.Span = attempt // strategies run sequentially; the last wins
-		if d.history.Load() != nil {
-			// With the console enabled, label this goroutine's profile
-			// samples so /debug/pprof/profile breaks CPU down by strategy
-			// and view. Only here — labeling per cursor row would dominate
-			// the per-row cost.
-			pprof.Do(ctx, pprof.Labels("strategy", s.String(), "view", st.view.Name), func(context.Context) {
-				rows, body, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
-			})
-		} else {
-			rows, body, err = d.runStrategy(s, st, opts, spec, sink, g, attempt)
-		}
-		if attempt != nil {
-			attempt.SetAttr("gov_ticks", g.Ticks())
-		}
-		es.GovTicks += int64(g.Ticks())
-		if err == nil {
-			st.brk.success(s)
-			es.StrategyUsed = s
-			if attempt != nil {
-				attempt.AddRowsOut(int64(len(rows)))
-			}
-			attempt.End()
-			return rows, body, nil
-		}
-		attempt.Fail(err)
-		attempt.End()
-		if errors.Is(err, ErrInternal) {
-			es.PanicsRecovered++
-		}
-		if governor.IsGovernance(err) {
-			return nil, "", err
-		}
-		if st.brk.failure(s) {
-			es.BreakerTrips++
-		}
-		lastErr = err
-		if !last {
-			es.Degradations++
-			if root != nil {
-				root.SetAttr("degraded_from", s.String())
-				root.SetAttr("degradation_reason", err.Error())
-			}
-		}
-	}
-	return nil, "", lastErr
-}
-
-// runStrategy executes one strategy of a compiled state under governor g,
-// with counters routed to sink and the run's spec applied: the SQL plan
-// binds parameters and extra predicates into its access path; the fallback
-// strategies apply the same driving predicates at view materialization (so
-// every strategy selects the same rows) and bind the parameters into the
-// XQuery environment. Engine panics are contained here — at the strategy
-// boundary — so a panicking strategy degrades like any other failure
-// instead of crashing the caller.
-//
-// The SQL strategy never builds a tree: the executor emits every row's bytes
-// into one buffer and hands back body, the whole result as one string (each
-// row newline-terminated), with out its per-row substrings. The functional
-// strategies return independent row strings and an empty body.
-func (d *Database) runStrategy(s Strategy, st *planState, opts compileOptions, spec *sqlxml.RunSpec, sink *relstore.Stats, g *governor.G, sp *obs.Span) (out []string, body string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, body, err = nil, "", fmt.Errorf("xsltdb: %s: %w", s, &InternalError{Panic: r, Stack: debug.Stack()})
-		}
-	}()
-
-	// charge bills one produced row against the governor's budgets. It also
-	// ticks the cancellation check so that post-query loops (serialization,
-	// per-row evaluation) stay responsive even with no budgets configured.
-	charge := func(row string) error {
-		if err := g.Tick(); err != nil {
-			return err
-		}
-		if err := g.AddRow(); err != nil {
-			return err
-		}
-		return g.AddOutput(len(row))
-	}
-
-	switch s {
-	case StrategySQL:
-		// A per-run WithWorkers overrides the compile-time parallelism for
-		// both the scan's morsel pool (via spec.Batch) and the construction
-		// fan-out here.
-		workers := opts.Parallelism
-		if spec != nil && spec.Batch.Workers > 0 {
-			workers = spec.Batch.Workers
-		}
-		body, out, err := d.exec.EmitQuerySpec(st.plan, workers, sink, g, spec)
-		if err != nil {
-			return nil, "", err
-		}
-		for _, row := range out {
-			if err := charge(row); err != nil {
-				return nil, "", err
-			}
-		}
-		return out, body, nil
-
-	case StrategyXQuery:
-		rows, err := d.exec.MaterializeViewSpec(st.view, st.drivingWhere(), sink, g, spec)
-		if err != nil {
-			return nil, "", err
-		}
-		evalSp := sp.Start("xquery-eval")
-		defer evalSp.End()
-		var meter *xquery.EvalStats
-		if evalSp != nil {
-			meter = new(xquery.EvalStats)
-		}
-		out := make([]string, len(rows))
-		for i, row := range rows {
-			evalSp.AddRowsIn(1)
-			env := bindEnv(xquery.NewEnv(xquery.Item(row)), spec.Params)
-			seq, err := xquery.EvalModule(st.rewrite.Module, env.Govern(g).Meter(meter))
-			if err != nil {
-				evalSp.Fail(err)
-				return nil, "", fmt.Errorf("xsltdb: row %d: %w", i, err)
-			}
-			out[i] = xquery.SerializeSeq(seq)
-			evalSp.AddRowsOut(1)
-			if err := charge(out[i]); err != nil {
-				evalSp.Fail(err)
-				return nil, "", err
-			}
-		}
-		if meter != nil {
-			evalSp.SetAttr("eval_steps", meter.Steps.Load())
-			evalSp.SetAttr("func_calls", meter.FuncCalls.Load())
-		}
-		return out, "", nil
-
-	default: // StrategyNoRewrite
-		rows, err := d.exec.MaterializeViewSpec(st.view, st.drivingWhere(), sink, g, spec)
-		if err != nil {
-			return nil, "", err
-		}
-		eng := xslt.New(st.sheet).Govern(g)
-		interpSp := sp.Start("xslt-interpret")
-		defer interpSp.End()
-		out := make([]string, len(rows))
-		for i, row := range rows {
-			interpSp.AddRowsIn(1)
-			s, err := eng.TransformToString(row)
-			if err != nil {
-				interpSp.Fail(err)
-				return nil, "", fmt.Errorf("xsltdb: row %d: %w", i, err)
-			}
-			out[i] = s
-			interpSp.AddRowsOut(1)
-			if err := charge(s); err != nil {
-				interpSp.Fail(err)
-				return nil, "", err
-			}
-		}
-		if interpSp != nil {
-			interpSp.SetAttr("templates_applied", eng.TemplatesApplied())
-		}
-		return out, "", nil
-	}
+	x.finish(es, err, err == nil)
+	return res, err
 }
 
 // Transform applies a stylesheet to standalone XML text functionally (the
@@ -1144,17 +1025,113 @@ func (c *ChainedTransform) Stages() (rewritten, interpreted int) {
 	return rewritten, interpreted
 }
 
-// applyStages runs one row of the first stage's output through every
-// chained stage under governor g (nil = ungoverned); shared by the
-// materializing Run and the streaming cursor. sps, when non-nil, carries
-// one operator span per stage (see stageSpans): each accumulates the
-// per-row wall time and row counts of its stage.
-func applyStages(stages []chainStage, sps []*obs.Span, row string, g *governor.G) (string, error) {
-	for i, st := range stages {
+// chainRun is the chained stages of one execution with their trace spans:
+// a "chain" root span and, under it, one operator span per stage that
+// accumulates the stage's per-row wall time and row counts. Untraced, the
+// spans are nil and apply skips all span work.
+type chainRun struct {
+	stages []chainStage
+	root   *obs.Span
+	sps    []*obs.Span
+	// gov charges the pipeline's FINAL rows against the first stage's limits
+	// — a chained stage can expand its input past what the first stage's own
+	// governor saw — and bounds the stages' recursion.
+	gov *governor.G
+}
+
+// startChain returns the chainRun of stages under tr — nil when there are no
+// stages, which is how a plain transform runs.
+func startChain(tr *obs.Trace, stages []chainStage) *chainRun {
+	if len(stages) == 0 {
+		return nil
+	}
+	cr := &chainRun{stages: stages}
+	if tr != nil {
+		cr.root = tr.Start("chain")
+		cr.sps = make([]*obs.Span, len(stages))
+		for i, st := range stages {
+			cr.sps[i] = cr.root.Start(fmt.Sprintf("stage-%d", i+1))
+			if st.Rewritten {
+				cr.sps[i].SetAttr("mode", "xquery-rewrite")
+			} else {
+				cr.sps[i].SetAttr("mode", "interpreted")
+			}
+		}
+	}
+	return cr
+}
+
+// end closes the chain's root span when the execution finishes.
+func (cr *chainRun) end() {
+	if cr != nil {
+		cr.root.End()
+	}
+}
+
+// govern starts cr's final-row accounting afresh: once per cursor, once per
+// attempt of a Run, so a run that degrades mid-stream never double-charges.
+func (cr *chainRun) govern(ctx context.Context, o *compileOptions) {
+	if cr != nil {
+		cr.gov = o.governor(ctx)
+	}
+}
+
+// stageError marks a failure downstream of the first stage's strategy — a
+// chained stage's error or panic, the final-row limit — so that it is never
+// charged to that strategy (see blameless).
+type stageError struct{ error }
+
+func (e stageError) Unwrap() error { return e.error }
+
+// appendNext is p.appendNext with the row then passed through the chained
+// stages and charged as a final row; on a nil cr — a plain transform — it is
+// p.appendNext alone. This is the one stage decorator: Cursor.Next and drain
+// both pull through it.
+func (cr *chainRun) appendNext(p *pipeline, dst []byte) ([]byte, error) {
+	out, err := p.appendNext(dst)
+	if err != nil || cr == nil {
+		return out, err
+	}
+	return cr.stage(dst, string(out[len(dst):]))
+}
+
+// stage appends to dst what the chained stages make of row, charged to
+// cr.gov. Every error it returns is a stageError.
+func (cr *chainRun) stage(dst []byte, row string) ([]byte, error) {
+	s, err := cr.apply(row)
+	if err == nil {
+		err = cr.gov.ChargeRow(len(s))
+	}
+	if err != nil {
+		return dst, stageError{err}
+	}
+	return append(dst, s...), nil
+}
+
+// restage replaces the rows of out — a first stage constructed in parallel,
+// whole — with what the chained stages make of them.
+func (cr *chainRun) restage(out *sqlxml.RowBuf) error {
+	_, rows := out.Strings()
+	out.Reset()
+	for _, row := range rows {
+		buf, err := cr.stage(out.Bytes(), row)
+		if err != nil {
+			return err
+		}
+		out.EndRow(buf)
+	}
+	return nil
+}
+
+// apply runs one row of the first stage's output through every chained stage.
+func (cr *chainRun) apply(row string) (_ string, err error) {
+	defer contain("chained stage", &err)
+	g := cr.gov
+	for i, st := range cr.stages {
 		var sp *obs.Span
 		var stageStart time.Time
-		if sps != nil {
-			sp = sps[i]
+		if cr.sps != nil {
+			sp = cr.sps[i]
 			stageStart = time.Now()
 			sp.AddRowsIn(1)
 		}
@@ -1186,67 +1163,14 @@ func applyStages(stages []chainStage, sps []*obs.Span, row string, g *governor.G
 	return row, nil
 }
 
-// stageSpans opens one operator span per chained stage under a "chain" root
-// span of tr (nil-safe: a nil trace yields nil everywhere, and applyStages
-// skips all span work). The caller Ends the returned root when the pipeline
-// finishes.
-func stageSpans(tr *obs.Trace, stages []chainStage) ([]*obs.Span, *obs.Span) {
-	if tr == nil {
-		return nil, nil
-	}
-	root := tr.Start("chain")
-	sps := make([]*obs.Span, len(stages))
-	for i, st := range stages {
-		sps[i] = root.Start(fmt.Sprintf("stage-%d", i+1))
-		if st.Rewritten {
-			sps[i].SetAttr("mode", "xquery-rewrite")
-		} else {
-			sps[i].SetAttr("mode", "interpreted")
-		}
-	}
-	return sps, root
-}
-
 // Run executes the pipeline for every view row: the first stage runs with
-// the given RunOptions, then each row flows through every chained stage.
-// The chained stages honor the FIRST stage's full governance options — not
-// just its recursion bound: MaxRows and MaxOutputBytes are enforced against
-// the pipeline's final rows (a chained stage can expand its input, so
-// charging only the first stage would let the pipeline overshoot the
-// caller's budget), and WithTimeout covers the chained processing too.
+// the given RunOptions, and each of its rows flows through every chained
+// stage before the next is pulled. The chained stages honor the FIRST
+// stage's full governance options — not just its recursion bound: a second
+// governor charges the pipeline's final rows against MaxRows and
+// MaxOutputBytes (a chained stage can expand its input, so charging only the
+// first stage would let the pipeline overshoot the caller's budget), and
+// WithTimeout covers the chained processing too.
 func (c *ChainedTransform) Run(ctx context.Context, opts ...RunOption) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fo := c.first.opts
-	if fo.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, fo.Timeout)
-		defer cancel()
-	}
-	res, err := c.first.Run(ctx, opts...)
-	if err != nil {
-		return res, err
-	}
-	res.body = "" // the stages below replace the first stage's rows
-	sps, chainSp := stageSpans(buildRunOptions(opts).trace, c.stages)
-	defer chainSp.End()
-	g := governor.New(ctx).Limits(fo.MaxRows, fo.MaxOutputBytes, fo.MaxRecursionDepth)
-	for i, row := range res.Rows {
-		out, err := applyStages(c.stages, sps, row, g)
-		if err != nil {
-			res.Rows = nil
-			return res, err
-		}
-		if err := g.AddRow(); err != nil {
-			res.Rows = nil
-			return res, err
-		}
-		if err := g.AddOutput(len(out)); err != nil {
-			res.Rows = nil
-			return res, err
-		}
-		res.Rows[i] = out
-	}
-	return res, nil
+	return c.first.run(ctx, c.stages, opts)
 }
