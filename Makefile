@@ -13,13 +13,13 @@
 #                 with IO faults injected, under -race
 #   make diag-smoke  flight-recorder smoke: faultpoint-induced WAL fsync
 #                 stall and latency-spike overload must each capture exactly
-#                 one complete bundle; plus the metric-naming lint
+#                 one complete bundle; plus the metric-naming lint and the
+#                 signal-surface golden
 #   make bench    the paper-evaluation benchmarks
 #   make bench-json  pushdown speedup measurements -> BENCH_pushdown.json
 #   make bench-obs   observability overhead guard  -> BENCH_obs.json
 #   make bench-obs-events  wide-event pipeline overhead guard -> BENCH_obs.json
 #   make bench-exec  batched/morsel execution-engine guard -> BENCH_exec.json
-#   make bench-history  run-history archive overhead (disabled/enabled/contended)
 #   make bench-wal   durable insert throughput per fsync policy -> BENCH_wal.json
 #   make bench-serve serving-layer throughput guard -> BENCH_serve.json
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
@@ -29,7 +29,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-history bench-wal bench-serve demo console serve
+.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-wal bench-serve demo console serve
 
 verify: test vet bench-vet race fuzz faults crash diag-smoke bench-exec bench-serve bench-obs-events
 
@@ -75,9 +75,11 @@ crash:
 # Flight-recorder smoke: boot with the recorder armed, induce a WAL fsync
 # stall (wal.fsync faultpoint) and a latency-spike overload, assert each
 # captures exactly one bundle with every section; lint metric names
-# (snake_case, xsltdb_/xsltd_ prefix, HELP text, counters end _total).
+# (snake_case, xsltdb_/xsltd_ prefix, HELP text, counters end _total) and
+# compare the whole signal surface — metric families, event fields, console
+# pages, bundle sections — with serve/testdata/signal_surface.golden.
 diag-smoke:
-	$(GO) test -race -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint' ./serve
+	$(GO) test -race -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint|TestSignalSurface' ./serve
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx .
@@ -93,7 +95,6 @@ bench-json:
 # in internal/obs. Artifact: BENCH_obs.json.
 bench-obs:
 	$(GO) run ./cmd/xsltbench -obs-overhead -obs-baseline BENCH_obs.json
-	$(GO) run ./cmd/xsltbench -events-overhead -obs-baseline BENCH_obs.json
 	$(GO) test -bench 'BenchmarkNilSpanOps|BenchmarkTracedSpanOps' -benchmem -run xxx ./internal/obs
 
 # Wide-event pipeline guard: serving throughput with per-request events on
@@ -108,11 +109,6 @@ bench-obs-events:
 # baseline. Artifact: BENCH_exec.json.
 bench-exec:
 	$(GO) run ./cmd/xsltbench -exec -exec-baseline BENCH_exec.json
-
-# Run-history archive overhead: the keyed lookup with the archive disabled,
-# enabled, and enabled under concurrent console readers.
-bench-history:
-	$(GO) run ./cmd/xsltbench -history
 
 # Durable insert throughput per WAL fsync policy (never / interval / always)
 # against the in-memory baseline, plus replay speed. Artifact: BENCH_wal.json.

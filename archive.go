@@ -100,40 +100,6 @@ func (p TraceSampling) keep(wall time.Duration, err error) bool {
 	return false
 }
 
-// WantTrace decides up front — before any work has run — whether the seq-th
-// unit of work (1-based) should carry a trace under this policy. It is the
-// serving layer's entry into the same policy engine the archive uses: the
-// slow-only and errors-only policies return true because qualification is
-// only known at the end. The zero policy returns false.
-func (p TraceSampling) WantTrace(seq uint64) bool {
-	switch p.mode {
-	case samplingAlways, samplingSlow, samplingErrors:
-		return true
-	case samplingRatio:
-		return sampleHit(seq, p.ratio)
-	}
-	return false
-}
-
-// Sample decides at completion time whether the seq-th unit of work (1-based)
-// is selected by this policy, given its wall time and terminal error — the
-// serving layer's wide-event sampling decision. The zero policy returns
-// false; serve treats the zero value as "emit every event" before consulting
-// this method.
-func (p TraceSampling) Sample(seq uint64, wall time.Duration, err error) bool {
-	switch p.mode {
-	case samplingAlways:
-		return true
-	case samplingRatio:
-		return sampleHit(seq, p.ratio)
-	case samplingSlow:
-		return wall >= p.threshold
-	case samplingErrors:
-		return err != nil
-	}
-	return false
-}
-
 // sampleHit reports whether the n-th execution (1-based) falls on a sampling
 // boundary for ratio r: true exactly when floor(n·r) advances past
 // floor((n-1)·r), which spaces hits evenly at every ratio.
@@ -168,29 +134,10 @@ func (d *Database) EnableRunHistory(capacity int) *obs.Archive {
 func (d *Database) RunHistory() *obs.Archive { return d.history.Load() }
 
 // Cardinality returns the database's cardinality-accuracy tracker: per
-// access-path est-vs-actual aggregates, and the misestimate log of runs
-// whose q-error crossed the threshold. Always on — its cost is one short
-// critical section per completed run — and always non-nil.
+// access-path est-vs-actual aggregates, with a count of the runs whose
+// q-error crossed the threshold. Always on — its cost is one short critical
+// section per completed run — and always non-nil.
 func (d *Database) Cardinality() *obs.CardTracker { return d.cards }
-
-// ConsoleHandler builds the live debug console over this database: recent
-// runs (with sampled traces), plan-cache entries and per-plan aggregates,
-// the cardinality misestimate log, the process metrics registry, and the
-// pprof endpoints. Serve it on an internal port:
-//
-//	go http.ListenAndServe("localhost:6060", db.ConsoleHandler())
-//
-// The /runs endpoints stay empty until EnableRunHistory is called.
-func (d *Database) ConsoleHandler() http.Handler {
-	return d.ConsoleHandlerWithTenants(nil)
-}
-
-// ConsoleHandlerWithTenants is ConsoleHandler plus a /tenants section fed by
-// the serving layer's per-tenant admission state (see the serve package);
-// tenants may be nil, leaving /tenants empty.
-func (d *Database) ConsoleHandlerWithTenants(tenants func() any) http.Handler {
-	return d.ConsoleHandlerWith(ConsoleSections{Tenants: tenants})
-}
 
 // ConsoleSections are the serving- and diagnostics-layer feeds a console can
 // attach on top of the engine's own sections. Every field may be nil,
@@ -211,10 +158,17 @@ type ConsoleSections struct {
 	CaptureBundle func() (string, error)
 }
 
-// ConsoleHandlerWith is ConsoleHandler plus the serving and diagnostics
-// sections: /tenants, /events (with tenant/trace filters), /debug/anomalies,
-// and /debug/bundle.
-func (d *Database) ConsoleHandlerWith(s ConsoleSections) http.Handler {
+// ConsoleHandler builds the live debug console over this database: recent
+// runs (with sampled traces), plan-cache entries and per-plan aggregates,
+// the per-shape cardinality accuracy, the process metrics registry and the
+// pprof endpoints, plus whatever serving and diagnostics sections s attaches
+// (the zero ConsoleSections is the engine alone). Serve it on an internal
+// port:
+//
+//	go http.ListenAndServe("localhost:6060", db.ConsoleHandler(xsltdb.ConsoleSections{}))
+//
+// The /runs endpoints stay empty until EnableRunHistory is called.
+func (d *Database) ConsoleHandler(s ConsoleSections) http.Handler {
 	return obs.ConsoleHandler(obs.ConsoleConfig{
 		Archive:       d.history.Load(),
 		Cards:         d.cards,
@@ -237,7 +191,6 @@ func (d *Database) ConsoleHandlerWith(s ConsoleSections) http.Handler {
 // keepTrace marks the record sampled and attaches the rendered trace; the
 // caller still owns tr and releases it afterwards if it was self-created.
 func (d *Database) archiveRun(a *obs.Archive, kind, view string, start time.Time, spec *sqlxml.RunSpec, es *ExecStats, err error, tr *obs.Trace, keepTrace bool, complete bool) {
-	var id uint64
 	if a != nil {
 		rec := obs.RunRecord{
 			Kind: kind, Start: start, View: view,
@@ -267,9 +220,9 @@ func (d *Database) archiveRun(a *obs.Archive, kind, view string, start time.Time
 				rec.TraceJSON = b
 			}
 		}
-		id = a.Record(rec)
+		a.Record(rec)
 	}
 	if complete {
-		d.cards.Observe(id, view, es.StrategyUsed.String(), spec.Driving.Shape(), es.EstRows, es.RowsProduced)
+		d.cards.Observe(view, spec.Driving.Shape(), es.EstRows, es.RowsProduced)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	xsltdb "repro"
@@ -66,7 +65,6 @@ func main() {
 	execBaseline := flag.String("exec-baseline", "", "compare the -exec measurement against this committed BENCH_exec.json and report the delta")
 	workersFlag := flag.Int("workers", 0, "highest morsel worker count for -exec (0 = GOMAXPROCS)")
 	batchFlag := flag.Int("batch-size", 0, "batch size for the -exec batched/morsel configurations (0 = engine default)")
-	history := flag.Bool("history", false, "measure the run-history archive's overhead (disabled vs enabled under concurrent console readers)")
 	walBench := flag.Bool("wal", false, "measure durable insert throughput per WAL fsync policy and replay speed, write BENCH_wal.json")
 	serveBench := flag.Bool("serve", false, "measure the HTTP serving layer: uncached vs result-cache vs coalesced throughput, write BENCH_serve.json")
 	serveBaseline := flag.String("serve-baseline", "", "compare the -serve measurement against this committed BENCH_serve.json and report the delta")
@@ -111,10 +109,6 @@ func main() {
 	}
 	if *all || *execBench {
 		benchExec(*reps, *scale, *workersFlag, *batchFlag, *execBaseline)
-		ran = true
-	}
-	if *all || *history {
-		benchHistory(*reps, *scale)
 		ran = true
 	}
 	if *all || *walBench {
@@ -514,13 +508,6 @@ func pushdown(reps, scale int, jsonPath string) {
 // index on id behind a one-element-per-row view, and a one-template lookup
 // stylesheet compiled against it.
 func keyedLookupTransform(n int) *xsltdb.CompiledTransform {
-	_, ct := keyedLookupDB(n)
-	return ct
-}
-
-// keyedLookupDB is keyedLookupTransform exposing the database too, for
-// benchmarks that toggle database-level features (run history).
-func keyedLookupDB(n int) (*xsltdb.Database, *xsltdb.CompiledTransform) {
 	const sheet = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
 	<xsl:template match="row"><hit><xsl:value-of select="name"/></hit></xsl:template>
 </xsl:stylesheet>`
@@ -545,7 +532,7 @@ func keyedLookupDB(n int) (*xsltdb.Database, *xsltdb.CompiledTransform) {
 	}))
 	ct, err := db.CompileTransform("rows", sheet)
 	check(err)
-	return db, ct
+	return ct
 }
 
 // tracedRun executes one Run with a trace attached and offers it to the
@@ -935,79 +922,6 @@ func compareExecBaseline(path string, r execReport) {
 	if cur.BatchSpeedup < old.BatchSpeedup*0.8 {
 		fmt.Printf("note: batch speedup fell more than 20%% below the committed baseline\n")
 	}
-}
-
-// benchHistory measures the run-history archive's cost on the hot path: the
-// same indexed lookup with the archive disabled (one atomic load per run),
-// enabled (every run appends a RunRecord and folds into per-plan
-// aggregates), and enabled while console readers concurrently snapshot
-// /runs and /plans — the contention case the lock-cheap ring is built for.
-func benchHistory(reps, scale int) {
-	fmt.Println("Run-history archive overhead (indexed lookup)")
-	n := 20_000 * scale
-	db, ct := keyedLookupDB(n)
-
-	key := 0
-	run := func() error {
-		key = (key*7919 + 1) % n
-		res, err := ct.Run(context.Background(),
-			xsltdb.WithWhere("@id = $key"), xsltdb.WithParam("key", key))
-		if err != nil {
-			return err
-		}
-		if len(res.Rows) != 1 {
-			return fmt.Errorf("lookup produced %d rows, want 1", len(res.Rows))
-		}
-		return nil
-	}
-	const batch = 500
-	batched := func() error {
-		for i := 0; i < batch; i++ {
-			if err := run(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	disabled := median(reps, batched)
-
-	arch := db.EnableRunHistory(0)
-	enabled := median(reps, batched)
-
-	// Console readers hammering the archive while runs append to it.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					_ = arch.Runs(50)
-					_ = arch.Plans()
-					_ = db.PlanCacheEntries()
-				}
-			}
-		}()
-	}
-	contended := median(reps, batched)
-	close(stop)
-	wg.Wait()
-
-	per := func(d time.Duration) time.Duration { return d / batch }
-	pct := func(d time.Duration) float64 {
-		return (float64(d) - float64(disabled)) / float64(disabled) * 100
-	}
-	fmt.Printf("%-26s %-14s %s\n", "", "per run", "vs disabled")
-	fmt.Printf("%-26s %-14s %s\n", "archive disabled", per(disabled), "-")
-	fmt.Printf("%-26s %-14s %+.1f%%\n", "archive enabled", per(enabled), pct(enabled))
-	fmt.Printf("%-26s %-14s %+.1f%%  (4 reader goroutines)\n", "enabled + console readers", per(contended), pct(contended))
-	fmt.Printf("archived: %d records retained (cap %d), %d plan aggregates\n\n",
-		arch.Len(), arch.Cap(), len(arch.Plans()))
 }
 
 // check aborts the benchmark on a setup error.

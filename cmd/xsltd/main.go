@@ -5,7 +5,7 @@
 //	xsltd [-listen :8080] [-console-addr :6060] [-dir path]
 //	      [-api-key key=tenant ...] [-tenant name=maxconcurrent ...]
 //	      [-cache n] [-max-inflight n] [-target-p95 d]
-//	      [-events-file path] [-events-otlp url] [-events-buffer n]
+//	      [-events-file path] [-events-buffer n]
 //	      [-slo-target d] [-slo-objective f]
 //	      [-diag-dir path] [-diag-max-bundles n] [-diag-debounce d]
 //
@@ -24,10 +24,10 @@
 //
 // Telemetry: every request gets (or propagates) a W3C traceparent and
 // returns its trace ID as X-Request-Id. -events-file writes one wide event
-// per request as NDJSON ("-" = stdout); -events-otlp exports OTLP-style
-// JSON log batches to the given collector URL. The wide-event pipeline also
-// feeds the console's /events page whenever the console is on. -slo-target
-// and -slo-objective parameterize the per-tenant SLO burn-rate gauge.
+// per request as NDJSON ("-" = stdout). The wide-event pipeline also feeds
+// the console's /events page whenever the console is on, and the flight
+// recorder's latency-spike rule whenever -diag-dir is set. -slo-target and
+// -slo-objective parameterize the per-tenant SLO burn-rate gauge.
 //
 // Diagnostics: -diag-dir turns on the anomaly-triggered flight recorder —
 // detectors watch the process's own signals (p95 latency vs trailing
@@ -66,7 +66,6 @@ func main() {
 	maxInFlight := fs.Int("max-inflight", 0, "global cap on concurrent executions (0 = unlimited)")
 	targetP95 := fs.Duration("target-p95", 0, "shed new executions while sliding p95 exceeds this (0 = off)")
 	eventsFile := fs.String("events-file", "", "write wide events as NDJSON to this file (\"-\" = stdout); empty = off")
-	eventsOTLP := fs.String("events-otlp", "", "export wide events as OTLP-style JSON logs to this collector URL; empty = off")
 	eventsBuffer := fs.Int("events-buffer", 0, "event-bus buffer size (0 = default); overflow drops events, never blocks requests")
 	sloTarget := fs.Duration("slo-target", 0, "per-request latency objective for the SLO burn-rate gauge (0 = target-p95)")
 	sloObjective := fs.Float64("slo-objective", 0.99, "fraction of requests that must meet the SLO target")
@@ -132,9 +131,6 @@ func main() {
 		}
 		eventSinks = append(eventSinks, obs.NewNDJSONSink(w))
 	}
-	if *eventsOTLP != "" {
-		eventSinks = append(eventSinks, obs.NewOTLPSink(*eventsOTLP, 0))
-	}
 
 	srv, err := serve.New(serve.Config{
 		DB:             db,
@@ -142,7 +138,7 @@ func main() {
 		CacheCapacity:  *cache,
 		MaxInFlight:    *maxInFlight,
 		TargetP95:      *targetP95,
-		EnableEvents:   len(eventSinks) > 0 || *consoleAddr != "" || *diagDir != "",
+		EnableEvents:   *consoleAddr != "",
 		EventSinks:     eventSinks,
 		EventBuffer:    *eventsBuffer,
 		SLOTarget:      *sloTarget,

@@ -196,7 +196,7 @@ func cmdDemo(args []string) {
 		db.EnableRunHistory(0)
 		govern = append(govern, xsltdb.WithTraceSampling(xsltdb.SampleAlways()))
 		go func() {
-			if err := http.ListenAndServe(*consoleAddr, db.ConsoleHandler()); err != nil {
+			if err := http.ListenAndServe(*consoleAddr, db.ConsoleHandler(xsltdb.ConsoleSections{})); err != nil {
 				fatal(err)
 			}
 		}()

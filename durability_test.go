@@ -380,12 +380,12 @@ func TestCloseIdempotentAndFailsCursors(t *testing.T) {
 
 // TestCloseRacingOpenReportsNothing: a cursor whose open loses the race with
 // Database.Close is refused like any other failed open — the gauges it bumped
-// are restored and, since it never ran, no slow-run report is made for it.
+// are restored and, since it never ran, nothing is archived for it — not even
+// under a policy that keeps every run slower than a nanosecond.
 func TestCloseRacingOpenReportsNothing(t *testing.T) {
 	d := newKeyedDB(t, 50)
-	reported := false
-	ct, err := d.CompileTransform("rows", keyedSheet,
-		WithSlowThreshold(time.Nanosecond), WithSlowRunSink(func(SlowRun) { reported = true }))
+	d.EnableRunHistory(0)
+	ct, err := d.CompileTransform("rows", keyedSheet, WithTraceSampling(SampleSlowerThan(time.Nanosecond)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +406,8 @@ func TestCloseRacingOpenReportsNothing(t *testing.T) {
 	if err := <-opened; !errors.Is(err, ErrDatabaseClosed) {
 		t.Fatalf("OpenCursor = %v, want ErrDatabaseClosed", err)
 	}
-	if reported {
-		t.Fatal("a cursor that was never returned was reported as a slow run")
+	if n := d.RunHistory().Len(); n != 0 {
+		t.Fatalf("a cursor that was never returned left %d archived runs", n)
 	}
 	if c, p := mActiveCursors.Value(), mSnapshotPins.Value(); c != cursors || p != pins {
 		t.Fatalf("gauges not restored: cursors %d → %d, pins %d → %d", cursors, c, pins, p)

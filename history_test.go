@@ -71,11 +71,32 @@ func TestRunHistoryArchivesEveryRun(t *testing.T) {
 		t.Fatalf("unsampled run carries a trace: %+v", r)
 	}
 
+	// One fold, one set of numbers: a traced run's ExecStats, its archived
+	// record and its root span say the same thing.
+	tr := obs.New()
+	res, err := ct.Run(context.Background(), WithWhere("@id < 5"), WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, rec, root := res.Stats, arch.Runs(1)[0], tr.Export()[0]
+	if rec.Strategy != es.StrategyUsed.String() || rec.AccessPath != es.AccessPath || rec.Rows != es.RowsProduced ||
+		rec.CompileWall != es.CompileWall || rec.ExecWall != es.ExecWall || rec.Stats != es.String() {
+		t.Fatalf("record %+v disagrees with ExecStats %+v", rec, es)
+	}
+	if root.Name != "run" || root.Attrs["strategy"] != rec.Strategy || root.Attrs["access_path"] != rec.AccessPath ||
+		root.RowsOut != rec.Rows || root.Attrs["compile_ns"] != fmt.Sprint(int64(rec.CompileWall)) ||
+		root.Attrs["exec_ns"] != fmt.Sprint(int64(rec.ExecWall)) {
+		t.Fatalf("root span %+v disagrees with record %+v", root, rec)
+	}
+	if es.DataVersion != d.Rel().CommitSeq() {
+		t.Fatalf("ExecStats.DataVersion = %d on an idle database at %d", es.DataVersion, d.Rel().CommitSeq())
+	}
+
 	plans := arch.Plans()
-	if len(plans) != 1 || plans[0].View != "rows" || plans[0].Calls != 3 || plans[0].Rows != 3 {
+	if len(plans) != 1 || plans[0].View != "rows" || plans[0].Calls != 4 || plans[0].Rows != 8 {
 		t.Fatalf("plan aggregates = %+v", plans)
 	}
-	if len(plans[0].Slowest) != 3 || plans[0].P50 <= 0 {
+	if len(plans[0].Slowest) != 4 || plans[0].P50 <= 0 {
 		t.Fatalf("plan aggregate detail = %+v", plans[0])
 	}
 }
@@ -214,14 +235,13 @@ func TestCursorRunsArchived(t *testing.T) {
 	}
 }
 
-// TestCardinalityMisestimateLog drives the skewed case the tracker exists
-// for: the planner estimates a range scan at rows/3 while the predicate
-// selects 5 of 300 — q-error ≈ 20 lands in the misestimate log, the metric,
-// and EXPLAIN ANALYZE's worst-offenders block.
-func TestCardinalityMisestimateLog(t *testing.T) {
+// TestCardinalityMisestimate drives the skewed case the tracker exists for:
+// the planner estimates a range scan at rows/3 while the predicate selects 5
+// of 300 — q-error ≈ 20 lands in the shape's aggregate, the metric, and
+// EXPLAIN ANALYZE's worst-offenders block.
+func TestCardinalityMisestimate(t *testing.T) {
 	const n = 300
 	d := newKeyedDB(t, n)
-	arch := d.EnableRunHistory(0)
 	ct, err := d.CompileTransform("rows", keyedSheet)
 	if err != nil {
 		t.Fatal(err)
@@ -245,25 +265,11 @@ func TestCardinalityMisestimateLog(t *testing.T) {
 		t.Fatalf("misestimates_total went %d -> %d, want +1", before, mMisestimates.Value())
 	}
 
-	log := d.Cardinality().Misestimates(0)
-	if len(log) != 1 {
-		t.Fatalf("misestimate log has %d entries, want 1", len(log))
-	}
-	m := log[0]
 	wantQ := float64(n/3+1) / 5
-	if m.View != "rows" || m.Est != int64(n/3+1) || m.Actual != 5 || m.QError != wantQ {
-		t.Fatalf("misestimate = %+v, want q-error %v", m, wantQ)
-	}
-	if !strings.Contains(m.Shape, "INDEX RANGE SCAN row(id)") {
-		t.Fatalf("misestimate shape = %q", m.Shape)
-	}
-	// The log links back to the archived record.
-	if rec, ok := arch.Run(m.RunID); !ok || rec.View != "rows" {
-		t.Fatalf("misestimate RunID %d does not resolve in the archive", m.RunID)
-	}
-
 	worst := d.Cardinality().Worst("rows", 3)
-	if len(worst) != 1 || worst[0].MaxQError != wantQ || worst[0].Misestimates != 1 {
+	if len(worst) != 1 || worst[0].MaxQError != wantQ || worst[0].Misestimates != 1 ||
+		worst[0].EstRows != int64(n/3+1) || worst[0].ActualRows != 5 ||
+		!strings.Contains(worst[0].Shape, "INDEX RANGE SCAN row(id)") {
 		t.Fatalf("Worst = %+v", worst)
 	}
 
@@ -361,7 +367,7 @@ func TestConsoleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(d.ConsoleHandler())
+	srv := httptest.NewServer(d.ConsoleHandler(ConsoleSections{}))
 	defer srv.Close()
 	get := func(path string) string {
 		t.Helper()
@@ -405,7 +411,7 @@ func TestConsoleEndToEnd(t *testing.T) {
 	}
 
 	mis := get("/misestimates")
-	if !strings.Contains(mis, "INDEX RANGE SCAN row(id)") || !strings.Contains(mis, `"q_error"`) {
+	if !strings.Contains(mis, "INDEX RANGE SCAN row(id)") || !strings.Contains(mis, `"max_q_error"`) {
 		t.Fatalf("/misestimates = %s", mis)
 	}
 	metrics := get("/metrics")
@@ -511,7 +517,7 @@ func TestActiveCursorsGaugeReturnsToZero(t *testing.T) {
 // width varies with the duration text).
 var (
 	durationRe = regexp.MustCompile(`\b\d+(\.\d+)?(ns|µs|ms|m|h|s)+\b`)
-	counterRe  = regexp.MustCompile(`\b(gov_ticks|gov-ticks|eval_steps|func_calls|templates_applied)=\d+`)
+	counterRe  = regexp.MustCompile(`\b(gov_ticks|gov-ticks|eval_steps|func_calls|templates_applied|compile_ns|exec_ns|data-version)=\d+`)
 	spacesRe   = regexp.MustCompile(`  +`)
 )
 
@@ -549,8 +555,8 @@ func TestChainedExplainAnalyzeGolden(t *testing.T) {
 	const golden = `strategy: sql-rewrite
 plan cache: cached=true entries=1 hits=0 misses=1
 chain: 1 stage(s) after the view stage (1 rewritten, 0 interpreted)
-actual: rows=3 scanned=3 probes=0 range-scans=0 full-scans=1 emitted=3 filtered=0 recompiles=0 compile=DUR exec=DUR batches=1 morsels=0 access="TABLE SCAN row" est=3 gov-ticks=N
-run DUR rows_out=3 view=rows access_path="TABLE SCAN row"
+actual: rows=3 scanned=3 probes=0 range-scans=0 full-scans=1 emitted=3 filtered=0 recompiles=0 compile=DUR exec=DUR batches=1 morsels=0 access="TABLE SCAN row" est=3 data-version=N gov-ticks=N
+run DUR rows_out=3 view=rows strategy=sql-rewrite access_path="TABLE SCAN row" compile_ns=N exec_ns=N
 ├─ compile DUR cache=fresh
 └─ sql-rewrite DUR rows_out=3 gov_ticks=N
  ├─ scan DUR calls=2 rows_out=3 path="TABLE SCAN row" est_rows=3 batch_size=1024 workers=1

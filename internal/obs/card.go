@@ -4,20 +4,16 @@ package obs
 // reports the planner's row estimate for its driving access path next to the
 // actual row count, and the tracker aggregates the q-error — the symmetric
 // ratio max(est/actual, actual/est) — per (view, access-path shape). A
-// q-error above the threshold lands in a bounded misestimate log and bumps
-// an optional counter (xsltdb_misestimates_total). This is the feedback
-// signal adaptive re-planning consumes: a plan whose estimates are honest
-// has q ≈ 1; a skewed table shows up here long before it shows up as a slow
+// q-error above the threshold is counted against its shape and bumps an
+// optional counter (xsltdb_misestimates_total). This is the feedback signal
+// adaptive re-planning consumes: a plan whose estimates are honest has
+// q ≈ 1; a skewed table shows up here long before it shows up as a slow
 // query.
 
 import (
 	"sort"
 	"sync"
-	"time"
 )
-
-// misestimateLogCap bounds the misestimate ring.
-const misestimateLogCap = 128
 
 // QError is the symmetric relative error between an estimate and an actual
 // row count: max(est/actual, actual/est), with both sides clamped to >= 1 so
@@ -34,20 +30,6 @@ func QError(est, actual int64) float64 {
 		return e / a
 	}
 	return a / e
-}
-
-// Misestimate is one run whose q-error exceeded the tracker's threshold.
-type Misestimate struct {
-	// RunID links to the archive record (0 when the archive is disabled).
-	RunID    uint64    `json:"run_id,omitempty"`
-	At       time.Time `json:"at"`
-	View     string    `json:"view"`
-	Strategy string    `json:"strategy,omitempty"`
-	// Shape is the normalized access path (relstore AccessPlan.Shape).
-	Shape  string  `json:"shape"`
-	Est    int64   `json:"est_rows"`
-	Actual int64   `json:"actual_rows"`
-	QError float64 `json:"q_error"`
 }
 
 // CardStat is the aggregate estimate-accuracy of one (view, shape) pair.
@@ -86,8 +68,6 @@ type CardTracker struct {
 
 	mu    sync.Mutex
 	paths map[cardKey]*cardAgg
-	log   []Misestimate // ring of the most recent misestimates
-	logAt int           // next write position once the ring is full
 }
 
 // NewCardTracker returns a tracker flagging runs whose q-error is >=
@@ -111,7 +91,7 @@ func (c *CardTracker) Threshold() float64 {
 // Observe folds one completed run's estimate accuracy into the tracker.
 // Callers only report runs that ran to completion — a partial actual (an
 // abandoned cursor, a failed run) says nothing about the estimate.
-func (c *CardTracker) Observe(runID uint64, view, strategy, shape string, est, actual int64) {
+func (c *CardTracker) Observe(view, shape string, est, actual int64) {
 	if c == nil || shape == "" {
 		return
 	}
@@ -134,16 +114,6 @@ func (c *CardTracker) Observe(runID uint64, view, strategy, shape string, est, a
 	}
 	if miss {
 		agg.misestimates++
-		m := Misestimate{
-			RunID: runID, At: time.Now(), View: view, Strategy: strategy,
-			Shape: shape, Est: est, Actual: actual, QError: q,
-		}
-		if len(c.log) < misestimateLogCap {
-			c.log = append(c.log, m)
-		} else {
-			c.log[c.logAt] = m
-			c.logAt = (c.logAt + 1) % misestimateLogCap
-		}
 	}
 	c.mu.Unlock()
 
@@ -199,30 +169,6 @@ func (c *CardTracker) Worst(view string, k int) []CardStat {
 		if len(out) == k {
 			break
 		}
-	}
-	return out
-}
-
-// Misestimates returns the most recent over-threshold runs, newest first.
-// limit <= 0 returns everything retained.
-func (c *CardTracker) Misestimates(limit int) []Misestimate {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.log)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]Misestimate, 0, limit)
-	// Newest is just before logAt once the ring wrapped, else at n-1.
-	for i := 0; i < limit; i++ {
-		idx := (c.logAt - 1 - i + 2*misestimateLogCap) % misestimateLogCap
-		if len(c.log) < misestimateLogCap {
-			idx = n - 1 - i
-		}
-		out = append(out, c.log[idx])
 	}
 	return out
 }

@@ -2,13 +2,15 @@ package obs
 
 // The live debug console: one http.Handler serving the retention layer —
 // archived runs with their traces, per-plan aggregates and plan-cache
-// entries, the cardinality misestimate log, the metrics registry, and the
+// entries, the per-shape cardinality accuracy, the metrics registry, and the
 // runtime pprof endpoints (strategy execution runs under pprof labels, so
 // CPU profiles segment by strategy and view). Everything is stdlib-only and
 // read-only; mount it on an internal port (cmd/xsltdb -console-addr).
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -47,55 +49,32 @@ type ConsoleConfig struct {
 	CaptureBundle func() (string, error)
 }
 
-// ConsoleHandler builds the debug console:
-//
-//	/                 index (text)
-//	/runs?n=50        recent runs, newest first (JSON array)
-//	/runs/<id>        one run in full, including its sampled trace; <id> is
-//	                  the archive sequence number or a request's 32-hex
-//	                  trace ID (the X-Request-Id a served request returned)
-//	/events?n=50      recent wide events, newest first (when serving);
-//	                  ?tenant= and ?trace= restrict to one tenant / trace ID
-//	/plans            plan-cache entries + per-plan latency aggregates
-//	/misestimates?n=  cardinality misestimate log + per-path accuracy
-//	/tenants          per-tenant admission state (when serving)
-//	/debug/anomalies  diagnostics monitor: detectors + recent anomalies
-//	/debug/bundle     GET lists retained diagnostic bundles; POST captures one
-//	/metrics          Prometheus text exposition
-//	/debug/pprof/...  runtime profiles (CPU samples carry strategy/view labels)
+// ConsoleHandler builds the debug console. Every page is registered through
+// one helper that also writes its line of the index at "/", so the index
+// cannot list a page the mux does not serve (TestSignalSurface in serve pins
+// the list). <id> in /runs/<id> is the archive sequence number or a request's
+// 32-hex trace ID (the X-Request-Id a served request returned); CPU samples
+// under /debug/pprof/ carry strategy/view labels.
 func ConsoleHandler(cfg ConsoleConfig) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("xsltdb debug console\n\n" +
-			"  /runs?n=50        recent runs (newest first)\n" +
-			"  /runs/<id>        one run in full, with its sampled trace (<id>: sequence number or 32-hex trace ID)\n" +
-			"  /events?n=50      recent wide events (newest first, when serving);\n" +
-			"                    ?tenant=<name> and ?trace=<32-hex> filter\n" +
-			"  /plans            plan-cache entries + per-plan aggregates (p50/p95/p99, top-K slowest)\n" +
-			"  /misestimates     cardinality-accuracy: per-path q-error + misestimate log\n" +
-			"  /tenants          per-tenant admission state (when serving)\n" +
-			"  /debug/anomalies  diagnostics: installed detectors + recent anomalies\n" +
-			"  /debug/bundle     GET lists diagnostic bundles; POST captures one now\n" +
-			"  /metrics          Prometheus text exposition\n" +
-			"  /debug/pprof/     runtime profiles (CPU samples labeled strategy/view)\n"))
-	})
-	mux.HandleFunc("/runs", func(w http.ResponseWriter, r *http.Request) {
+	index := "xsltdb debug console\n\n"
+	// usage is the mux pattern plus, for the index only, a sample query or
+	// an <id> placeholder.
+	page := func(usage, help string, h http.HandlerFunc) {
+		pattern, _, _ := strings.Cut(usage, "?")
+		mux.HandleFunc(strings.TrimSuffix(pattern, "<id>"), h)
+		index += fmt.Sprintf("  %-17s %s\n", usage, help)
+	}
+	page("/runs?n=50", "recent runs (newest first)", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, cfg.Archive.Runs(queryInt(r, "n", 50)))
 	})
-	mux.HandleFunc("/runs/", func(w http.ResponseWriter, r *http.Request) {
+	page("/runs/<id>", "one run in full, with its sampled trace (<id>: sequence number or 32-hex trace ID)", func(w http.ResponseWriter, r *http.Request) {
 		idText := strings.TrimPrefix(r.URL.Path, "/runs/")
 		var rec RunRecord
 		var ok bool
 		if id, err := strconv.ParseUint(idText, 10, 64); err == nil {
 			rec, ok = cfg.Archive.Run(id)
 		} else if len(idText) == 32 {
-			// A served request's identity: the trace-id hex it got back as
-			// X-Request-Id resolves to the run it executed.
 			rec, ok = cfg.Archive.RunByTrace(idText)
 		} else {
 			http.Error(w, "bad run id "+strconv.Quote(idText), http.StatusBadRequest)
@@ -107,7 +86,7 @@ func ConsoleHandler(cfg ConsoleConfig) http.Handler {
 		}
 		writeJSON(w, rec)
 	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
+	page("/events?n=50", "recent wide events (newest first, when serving); ?tenant=<name> and ?trace=<32-hex> filter", func(w http.ResponseWriter, r *http.Request) {
 		var events any
 		if cfg.Events != nil {
 			q := r.URL.Query()
@@ -115,14 +94,37 @@ func ConsoleHandler(cfg ConsoleConfig) http.Handler {
 		}
 		writeJSON(w, events)
 	})
-	mux.HandleFunc("/debug/anomalies", func(w http.ResponseWriter, r *http.Request) {
-		var page any
-		if cfg.Anomalies != nil {
-			page = cfg.Anomalies(queryInt(r, "n", 50))
+	page("/plans", "plan-cache entries + per-plan aggregates (p50/p95/p99, top-K slowest)", func(w http.ResponseWriter, _ *http.Request) {
+		var cache any
+		if cfg.Plans != nil {
+			cache = cfg.Plans()
 		}
-		writeJSON(w, page)
+		writeJSON(w, map[string]any{
+			"cache":      cache,
+			"aggregates": cfg.Archive.Plans(),
+		})
 	})
-	mux.HandleFunc("/debug/bundle", func(w http.ResponseWriter, r *http.Request) {
+	page("/misestimates", "cardinality accuracy: q-error per (view, access-path shape)", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, map[string]any{
+			"q_error_threshold": cfg.Cards.Threshold(),
+			"paths":             cfg.Cards.Stats(),
+		})
+	})
+	page("/tenants", "per-tenant admission state (when serving)", func(w http.ResponseWriter, _ *http.Request) {
+		var tenants any
+		if cfg.Tenants != nil {
+			tenants = cfg.Tenants()
+		}
+		writeJSON(w, tenants)
+	})
+	page("/debug/anomalies", "diagnostics: installed detectors + recent anomalies", func(w http.ResponseWriter, r *http.Request) {
+		var anomalies any
+		if cfg.Anomalies != nil {
+			anomalies = cfg.Anomalies(queryInt(r, "n", 50))
+		}
+		writeJSON(w, anomalies)
+	})
+	page("/debug/bundle", "GET lists diagnostic bundles; POST captures one now", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
 			if cfg.CaptureBundle == nil {
@@ -143,38 +145,22 @@ func ConsoleHandler(cfg ConsoleConfig) http.Handler {
 			writeJSON(w, bundles)
 		}
 	})
-	mux.HandleFunc("/plans", func(w http.ResponseWriter, _ *http.Request) {
-		var cache any
-		if cfg.Plans != nil {
-			cache = cfg.Plans()
-		}
-		writeJSON(w, map[string]any{
-			"cache":      cache,
-			"aggregates": cfg.Archive.Plans(),
-		})
-	})
-	mux.HandleFunc("/tenants", func(w http.ResponseWriter, _ *http.Request) {
-		var tenants any
-		if cfg.Tenants != nil {
-			tenants = cfg.Tenants()
-		}
-		writeJSON(w, tenants)
-	})
-	mux.HandleFunc("/misestimates", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
-			"q_error_threshold": cfg.Cards.Threshold(),
-			"paths":             cfg.Cards.Stats(),
-			"log":               cfg.Cards.Misestimates(queryInt(r, "n", 50)),
-		})
-	})
 	if cfg.Registry != nil {
-		mux.Handle("/metrics", cfg.Registry.Handler())
+		page("/metrics", "Prometheus text exposition", cfg.Registry.Handler().ServeHTTP)
 	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	page("/debug/pprof/", "runtime profiles (CPU samples labeled strategy/view)", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = io.WriteString(w, index)
+	})
 	return mux
 }
 

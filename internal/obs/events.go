@@ -10,17 +10,13 @@ package obs
 // Events flow through a bounded asynchronous bus: Publish never blocks —
 // when the buffer is full the event is dropped and counted, because losing
 // telemetry must never cost a caller latency. A single dispatcher goroutine
-// drains the buffer into pluggable sinks (NDJSON, OTLP-style JSON export,
-// and the console's in-memory ring). All EventBus methods are nil-safe, so
+// drains the buffer into pluggable sinks (NDJSON and the console's in-memory
+// ring). All EventBus methods are nil-safe, so
 // a server with events disabled pays one pointer check per request.
 
 import (
-	"bytes"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -170,15 +166,8 @@ type EventSink interface {
 	Emit(Event)
 }
 
-// flushableSink is implemented by sinks that buffer (the OTLP exporter);
-// the bus flushes them on EventBus.Flush and Close.
-type flushableSink interface {
-	Flush() error
-}
-
 // busMsg is one dispatcher work item: an event, or a flush token (ack is
-// closed once everything queued before it has been delivered and sinks are
-// flushed).
+// closed once everything queued before it has been delivered).
 type busMsg struct {
 	ev  Event
 	ack chan struct{}
@@ -194,7 +183,6 @@ type EventBus struct {
 	published atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
-	onDrop    func()
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -206,18 +194,16 @@ type EventBus struct {
 const DefaultEventBuffer = 1024
 
 // NewEventBus starts a bus with the given buffer size (<= 0 uses
-// DefaultEventBuffer) draining into sinks. onDrop, when non-nil, fires once
-// per dropped event (the hook the serving layer wires to its drop counter).
-func NewEventBus(buffer int, onDrop func(), sinks ...EventSink) *EventBus {
+// DefaultEventBuffer) draining into sinks.
+func NewEventBus(buffer int, sinks ...EventSink) *EventBus {
 	if buffer <= 0 {
 		buffer = DefaultEventBuffer
 	}
 	b := &EventBus{
-		ch:     make(chan busMsg, buffer),
-		sinks:  sinks,
-		onDrop: onDrop,
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		ch:    make(chan busMsg, buffer),
+		sinks: sinks,
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	go b.dispatch()
 	return b
@@ -231,7 +217,7 @@ func (b *EventBus) Publish(ev Event) bool {
 		return false
 	}
 	if b.closed.Load() {
-		b.drop()
+		b.dropped.Add(1)
 		return false
 	}
 	select {
@@ -239,21 +225,14 @@ func (b *EventBus) Publish(ev Event) bool {
 		b.published.Add(1)
 		return true
 	default:
-		b.drop()
+		b.dropped.Add(1)
 		return false
 	}
 }
 
-func (b *EventBus) drop() {
-	b.dropped.Add(1)
-	if b.onDrop != nil {
-		b.onDrop()
-	}
-}
-
 // Flush blocks until every event published before the call has been handed
-// to every sink and buffering sinks have flushed. Tests and shutdown paths
-// use it; the request path never does.
+// to every sink. Tests and shutdown paths use it; the request path never
+// does.
 func (b *EventBus) Flush() {
 	if b == nil {
 		return
@@ -303,8 +282,7 @@ func (b *EventBus) Stats() EventBusStats {
 }
 
 // dispatch is the single drain goroutine: events go to every sink in order;
-// a flush token first drains everything already buffered, then flushes
-// buffering sinks, then acks.
+// a flush token first drains everything already buffered, then acks.
 func (b *EventBus) dispatch() {
 	defer close(b.done)
 	for {
@@ -317,7 +295,6 @@ func (b *EventBus) dispatch() {
 				case m := <-b.ch:
 					b.handle(m)
 				default:
-					b.flushSinks()
 					return
 				}
 			}
@@ -332,7 +309,6 @@ func (b *EventBus) handle(m busMsg) {
 			case m2 := <-b.ch:
 				b.handle(m2)
 			default:
-				b.flushSinks()
 				close(m.ack)
 				return
 			}
@@ -342,14 +318,6 @@ func (b *EventBus) handle(m busMsg) {
 		s.Emit(m.ev)
 	}
 	b.delivered.Add(1)
-}
-
-func (b *EventBus) flushSinks() {
-	for _, s := range b.sinks {
-		if f, ok := s.(flushableSink); ok {
-			_ = f.Flush()
-		}
-	}
 }
 
 // NDJSONSink writes one JSON object per line — the grep-able on-disk form
@@ -430,145 +398,4 @@ func (s *RingSink) RecentFiltered(n int, keep func(Event) bool) []Event {
 		}
 	}
 	return out
-}
-
-// OTLPSink exports events as OTLP/HTTP-style JSON log records: batches are
-// POSTed to the endpoint as a resourceLogs envelope, each event one
-// logRecord whose body is the event JSON and whose traceId carries the
-// request's trace identity. "OTLP-style" because it speaks the JSON shape
-// without the protobuf schema — enough for any OTLP/HTTP JSON collector
-// that tolerates unknown-field-free payloads, and for humans with jq.
-type OTLPSink struct {
-	endpoint string
-	client   *http.Client
-
-	mu    sync.Mutex
-	batch []Event
-	max   int
-
-	exported atomic.Uint64
-	errors   atomic.Uint64
-}
-
-// DefaultOTLPBatch is the export batch size when NewOTLPSink is given 0.
-const DefaultOTLPBatch = 64
-
-// NewOTLPSink exports to endpoint in batches of batchMax (<= 0 uses
-// DefaultOTLPBatch). Export failures are counted, never retried: the event
-// stream is a lossy telemetry channel by contract.
-func NewOTLPSink(endpoint string, batchMax int) *OTLPSink {
-	if batchMax <= 0 {
-		batchMax = DefaultOTLPBatch
-	}
-	return &OTLPSink{
-		endpoint: endpoint,
-		client:   &http.Client{Timeout: 5 * time.Second},
-		max:      batchMax,
-	}
-}
-
-// Emit buffers the event, exporting when the batch fills.
-func (s *OTLPSink) Emit(ev Event) {
-	s.mu.Lock()
-	s.batch = append(s.batch, ev)
-	full := len(s.batch) >= s.max
-	var out []Event
-	if full {
-		out, s.batch = s.batch, nil
-	}
-	s.mu.Unlock()
-	if full {
-		s.export(out)
-	}
-}
-
-// Flush exports whatever is buffered.
-func (s *OTLPSink) Flush() error {
-	s.mu.Lock()
-	out := s.batch
-	s.batch = nil
-	s.mu.Unlock()
-	if len(out) > 0 {
-		s.export(out)
-	}
-	return nil
-}
-
-// Exported and Errors report the sink's lifetime counters.
-func (s *OTLPSink) Exported() uint64 { return s.exported.Load() }
-func (s *OTLPSink) Errors() uint64   { return s.errors.Load() }
-
-// otlpEnvelope mirrors the OTLP/HTTP JSON logs shape.
-type otlpEnvelope struct {
-	ResourceLogs []otlpResourceLogs `json:"resourceLogs"`
-}
-type otlpResourceLogs struct {
-	ScopeLogs []otlpScopeLogs `json:"scopeLogs"`
-}
-type otlpScopeLogs struct {
-	Scope      otlpScope       `json:"scope"`
-	LogRecords []otlpLogRecord `json:"logRecords"`
-}
-type otlpScope struct {
-	Name string `json:"name"`
-}
-type otlpLogRecord struct {
-	TimeUnixNano string          `json:"timeUnixNano"`
-	TraceID      string          `json:"traceId,omitempty"`
-	Body         otlpBody        `json:"body"`
-	Attributes   []otlpAttribute `json:"attributes,omitempty"`
-}
-type otlpBody struct {
-	StringValue string `json:"stringValue"`
-}
-type otlpAttribute struct {
-	Key   string        `json:"key"`
-	Value otlpAttrValue `json:"value"`
-}
-type otlpAttrValue struct {
-	StringValue string `json:"stringValue"`
-}
-
-func (s *OTLPSink) export(events []Event) {
-	records := make([]otlpLogRecord, 0, len(events))
-	for _, ev := range events {
-		body, err := json.Marshal(ev)
-		if err != nil {
-			continue
-		}
-		rec := otlpLogRecord{
-			TimeUnixNano: fmt.Sprintf("%d", ev.Time.UnixNano()),
-			Body:         otlpBody{StringValue: string(body)},
-			Attributes: []otlpAttribute{
-				{Key: "tenant", Value: otlpAttrValue{StringValue: ev.Tenant}},
-				{Key: "outcome", Value: otlpAttrValue{StringValue: ev.Outcome}},
-			},
-		}
-		if id, err := hex.DecodeString(ev.TraceID); err == nil && len(id) == 16 {
-			rec.TraceID = ev.TraceID
-		}
-		records = append(records, rec)
-	}
-	payload, err := json.Marshal(otlpEnvelope{ResourceLogs: []otlpResourceLogs{{
-		ScopeLogs: []otlpScopeLogs{{
-			Scope:      otlpScope{Name: "xsltd"},
-			LogRecords: records,
-		}},
-	}}})
-	if err != nil {
-		s.errors.Add(1)
-		return
-	}
-	resp, err := s.client.Post(s.endpoint, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		s.errors.Add(1)
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		s.errors.Add(1)
-		return
-	}
-	s.exported.Add(uint64(len(records)))
 }

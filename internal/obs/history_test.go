@@ -157,11 +157,11 @@ func TestCardTrackerObserveAndWorst(t *testing.T) {
 
 	// An honest path (q=1) and a skewed one (q=50).
 	for i := 0; i < 4; i++ {
-		ct.Observe(uint64(i+1), "v", "sql-rewrite", "INDEX PROBE t(id)", 1, 1)
+		ct.Observe("v", "INDEX PROBE t(id)", 1, 1)
 	}
-	ct.Observe(5, "v", "sql-rewrite", "INDEX RANGE SCAN t(id)", 100, 2)
-	ct.Observe(6, "w", "no-rewrite", "TABLE SCAN t", 10, 10)
-	ct.Observe(7, "v", "sql-rewrite", "", 1, 99) // no shape: ignored
+	ct.Observe("v", "INDEX RANGE SCAN t(id)", 100, 2)
+	ct.Observe("w", "TABLE SCAN t", 10, 10)
+	ct.Observe("v", "", 1, 99) // no shape: ignored
 
 	if ctr.Value() != 1 {
 		t.Fatalf("misestimate counter = %d, want 1", ctr.Value())
@@ -181,38 +181,12 @@ func TestCardTrackerObserveAndWorst(t *testing.T) {
 	if w := ct.Worst("w", 3); len(w) != 0 {
 		t.Fatalf("Worst(w) = %+v, want none (q=1)", w)
 	}
-
-	log := ct.Misestimates(0)
-	if len(log) != 1 || log[0].RunID != 5 || log[0].QError != 50 {
-		t.Fatalf("misestimate log = %+v", log)
-	}
-}
-
-func TestCardTrackerLogRingWraps(t *testing.T) {
-	ct := NewCardTracker(2.0, nil)
-	total := misestimateLogCap + 10
-	for i := 1; i <= total; i++ {
-		ct.Observe(uint64(i), "v", "s", "TABLE SCAN t", int64(100*i), 1)
-	}
-	log := ct.Misestimates(0)
-	if len(log) != misestimateLogCap {
-		t.Fatalf("log retained %d, want %d", len(log), misestimateLogCap)
-	}
-	if log[0].RunID != uint64(total) {
-		t.Fatalf("newest log entry RunID = %d, want %d", log[0].RunID, total)
-	}
-	if log[len(log)-1].RunID != uint64(total-misestimateLogCap+1) {
-		t.Fatalf("oldest log entry RunID = %d, want %d", log[len(log)-1].RunID, total-misestimateLogCap+1)
-	}
-	if got := ct.Misestimates(3); len(got) != 3 || got[0].RunID != uint64(total) {
-		t.Fatalf("Misestimates(3) = %+v", got)
-	}
 }
 
 func TestCardTrackerNilSafe(t *testing.T) {
 	var ct *CardTracker
-	ct.Observe(1, "v", "s", "shape", 1, 100)
-	if ct.Stats() != nil || ct.Worst("", 5) != nil || ct.Misestimates(0) != nil || ct.Threshold() != 0 {
+	ct.Observe("v", "shape", 1, 100)
+	if ct.Stats() != nil || ct.Worst("", 5) != nil || ct.Threshold() != 0 {
 		t.Fatal("nil tracker not inert")
 	}
 }
@@ -222,7 +196,7 @@ func TestConsoleEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.NewCounter("console_test_total", "test counter").Add(3)
 	cards := NewCardTracker(2.0, nil)
-	cards.Observe(1, "v", "sql-rewrite", "INDEX RANGE SCAN t(id)", 100, 2)
+	cards.Observe("v", "INDEX RANGE SCAN t(id)", 100, 2)
 	id := a.Record(RunRecord{Kind: "run", View: "v", Strategy: "sql-rewrite",
 		Rows: 2, Wall: 5 * time.Millisecond, Sampled: true, Trace: "run 5ms"})
 
@@ -285,14 +259,13 @@ func TestConsoleEndpoints(t *testing.T) {
 	}
 
 	var mis struct {
-		Threshold float64       `json:"q_error_threshold"`
-		Paths     []CardStat    `json:"paths"`
-		Log       []Misestimate `json:"log"`
+		Threshold float64    `json:"q_error_threshold"`
+		Paths     []CardStat `json:"paths"`
 	}
 	if err := json.Unmarshal([]byte(get("/misestimates", 200)), &mis); err != nil {
 		t.Fatal(err)
 	}
-	if mis.Threshold != 2.0 || len(mis.Paths) != 1 || len(mis.Log) != 1 {
+	if mis.Threshold != 2.0 || len(mis.Paths) != 1 || mis.Paths[0].Misestimates != 1 {
 		t.Fatalf("/misestimates = %+v", mis)
 	}
 

@@ -145,6 +145,7 @@ func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
 // observability; that bookkeeping lives there, not here.)
 type Snapshot struct {
 	db   *DB
+	seq  int64
 	taps map[string]*TableSnap
 }
 
@@ -152,14 +153,23 @@ type Snapshot struct {
 // are invisible to it (Table returns nil), exactly like rows inserted after
 // the pin.
 func (db *DB) Snapshot() *Snapshot {
+	// Read before the tables are pinned: a write bumps the counter only once
+	// new snapshots can see it, so every write numbered <= seq is in this
+	// snapshot (later ones may be too — never fewer).
+	seq := db.commits.Load()
 	db.mu.RLock()
 	taps := make(map[string]*TableSnap, len(db.tables))
 	for name, t := range db.tables {
 		taps[name] = t.Snap()
 	}
 	db.mu.RUnlock()
-	return &Snapshot{db: db, taps: taps}
+	return &Snapshot{db: db, seq: seq, taps: taps}
 }
+
+// CommitSeq is the data version the snapshot was pinned at (DB.CommitSeq read
+// at pin time): what a result computed from this snapshot may be cached under,
+// because a reader that later observes the same version is owed nothing newer.
+func (s *Snapshot) CommitSeq() int64 { return s.seq }
 
 // Table returns the pinned view of the named table, or nil if the table did
 // not exist when the snapshot was taken.

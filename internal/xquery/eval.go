@@ -413,14 +413,16 @@ func evalBinary(b *Binary, env *Env) (Seq, error) {
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
 		}
-		lo := int(itemToNumber(l[0]))
-		hi := int(itemToNumber(r[0]))
-		if hi < lo {
+		// Compared as floats first: a NaN or infinite bound (a node, a
+		// division by zero) converts to an arbitrary int.
+		lf, hf := itemToNumber(l[0]), itemToNumber(r[0])
+		if !(hf >= lf) {
 			return nil, nil
 		}
-		if hi-lo > 10_000_000 {
-			return nil, dynErrf("range %d to %d too large", lo, hi)
+		if !(hf-lf <= 10_000_000) {
+			return nil, dynErrf("range %v to %v too large", lf, hf)
 		}
+		lo, hi := int(lf), int(hf)
 		out := make(Seq, 0, hi-lo+1)
 		for i := lo; i <= hi; i++ {
 			out = append(out, float64(i))

@@ -2,7 +2,6 @@ package xsltdb
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -361,92 +360,6 @@ func TestFaultTraceErrorTagged(t *testing.T) {
 	})
 }
 
-// TestSlowRunSink configures a 1ns threshold so every run is slow and
-// asserts the sink receives the full report — including the operator tree,
-// which the run traced on its own because the caller attached no trace.
-func TestSlowRunSink(t *testing.T) {
-	var (
-		mu      sync.Mutex
-		reports []SlowRun
-	)
-	sink := func(sr SlowRun) {
-		mu.Lock()
-		reports = append(reports, sr)
-		mu.Unlock()
-	}
-	d := newKeyedDB(t, 25)
-	ct, err := d.CompileTransform("rows", keyedSheet,
-		WithSlowThreshold(time.Nanosecond), WithSlowRunSink(sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowBefore := mSlowRuns.Value()
-
-	res, err := ct.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cur, err := ct.OpenCursor(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cur.Collect(); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reports) != 2 {
-		t.Fatalf("sink received %d reports, want 2 (Run + cursor)", len(reports))
-	}
-	if got := mSlowRuns.Value() - slowBefore; got != 2 {
-		t.Errorf("slow_runs_total delta = %d, want 2", got)
-	}
-	roots := []string{"run", "cursor"}
-	for i, sr := range reports {
-		if sr.View != "rows" {
-			t.Errorf("report %d view = %q, want rows", i, sr.View)
-		}
-		if sr.Err != "" {
-			t.Errorf("report %d unexpected error %q", i, sr.Err)
-		}
-		if sr.Wall < sr.Threshold {
-			t.Errorf("report %d wall %v below threshold %v", i, sr.Wall, sr.Threshold)
-		}
-		if sr.Stats.RowsProduced != res.Stats.RowsProduced {
-			t.Errorf("report %d rows = %d, want %d", i, sr.Stats.RowsProduced, res.Stats.RowsProduced)
-		}
-		if !strings.Contains(sr.Trace, roots[i]) || !strings.Contains(sr.Trace, "scan") {
-			t.Errorf("report %d trace missing operator tree:\n%s", i, sr.Trace)
-		}
-		var spans []obs.SpanJSON
-		if err := json.Unmarshal(sr.TraceJSON, &spans); err != nil {
-			t.Errorf("report %d TraceJSON invalid: %v", i, err)
-		} else if findSpan(spans, roots[i]) == nil {
-			t.Errorf("report %d TraceJSON missing %s root", i, roots[i])
-		}
-	}
-}
-
-// TestSlowRunSinkNotTriggered asserts a generous threshold keeps the sink
-// quiet and runs pay no tracing cost they didn't ask for.
-func TestSlowRunSinkNotTriggered(t *testing.T) {
-	called := false
-	d := newKeyedDB(t, 10)
-	ct, err := d.CompileTransform("rows", keyedSheet,
-		WithSlowThreshold(time.Hour), WithSlowRunSink(func(SlowRun) { called = true }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ct.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("sink fired for a run far under threshold")
-	}
-}
-
 // TestExecStatsStringComplete is the reflection guard: every ExecStats field
 // must have a token in statsFieldTokens, and a fully-populated value must
 // render every token — adding a field without teaching String() about it
@@ -468,7 +381,7 @@ func TestExecStatsStringComplete(t *testing.T) {
 		RowsProduced: 1, RowsScanned: 2, IndexProbes: 3, RangeScans: 4,
 		FullScans: 5, RowsEmitted: 6, RowsFiltered: 7, Batches: 1,
 		MorselsExecuted: 1, Recompiles: 1,
-		AccessPath: "INDEX PROBE t(c)", EstRows: 8, CompileWall: time.Millisecond,
+		AccessPath: "INDEX PROBE t(c)", EstRows: 8, DataVersion: 9, CompileWall: time.Millisecond,
 		ExecWall: time.Millisecond, StrategyUsed: StrategySQL,
 		Degradations: 1, BreakerSkips: 1, BreakerTrips: 1, PanicsRecovered: 1,
 		GovTicks: 1,

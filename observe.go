@@ -2,9 +2,9 @@ package xsltdb
 
 // The facade half of the observability layer: the engine's built-in metric
 // instruments (registered on obs.Default and served by Registry.Handler /
-// cmd/xsltdb -metrics-addr) and the slow-run log. Per-run trace plumbing
-// lives in xsltdb.go (execution) and pipeline.go; everything here is the
-// process-wide aggregation those runs feed.
+// cmd/xsltdb -metrics-addr). Per-run trace plumbing lives in xsltdb.go
+// (execution) and pipeline.go; everything here is the process-wide
+// aggregation those runs feed.
 
 import (
 	"sync"
@@ -41,8 +41,6 @@ var (
 		"Engine panics contained at the facade boundary.")
 	mActiveCursors = obs.Default.NewGauge("xsltdb_active_cursors",
 		"Cursors currently open (streaming executions in flight).")
-	mSlowRuns = obs.Default.NewCounter("xsltdb_slow_runs_total",
-		"Runs that exceeded their transform's slow threshold.")
 	mMisestimates = obs.Default.NewCounter("xsltdb_misestimates_total",
 		"Completed runs whose cardinality q-error (est vs actual rows) crossed the tracker threshold.")
 	mSnapshotPins = obs.Default.NewGauge("xsltdb_snapshot_pins",
@@ -150,63 +148,6 @@ func recordRunMetrics(es *ExecStats, err error) {
 	mBreakerSkips.Add(es.BreakerSkips)
 	mBreakerTrips.Add(es.BreakerTrips)
 	mPanics.Add(es.PanicsRecovered)
-}
-
-// SlowRun describes one execution that exceeded the transform's
-// WithSlowThreshold, delivered to the WithSlowRunSink callback. When the
-// caller did not attach its own trace, the run traced itself so the report
-// always carries the full operator tree.
-type SlowRun struct {
-	// View is the transform's backing view.
-	View string
-	// Strategy is the strategy that produced (or last attempted) the run.
-	Strategy Strategy
-	// Wall is the run's total wall time (compile + exec).
-	Wall time.Duration
-	// Threshold is the configured slow threshold the run exceeded.
-	Threshold time.Duration
-	// Stats is the run's full ExecStats.
-	Stats ExecStats
-	// Err is the terminal error ("" when the run succeeded but was slow).
-	Err string
-	// Trace is the rendered operator tree of the run.
-	Trace string
-	// TraceJSON is the same trace in JSON, for structured log pipelines.
-	TraceJSON []byte
-	// TraceID is the request's W3C trace identity when the run executed on
-	// behalf of a served request ("" otherwise) — it joins the slow-run log
-	// record to the request's wide event and archived span tree.
-	TraceID string
-}
-
-// emitSlowRun reports one finished execution to the slow-run sink when it
-// exceeded the threshold. Callers must not hold locks the sink could need:
-// the callback may call back into the public API.
-func emitSlowRun(threshold time.Duration, sink func(SlowRun), view string, tr *obs.Trace, es *ExecStats, err error) {
-	if threshold <= 0 || sink == nil {
-		return
-	}
-	wall := es.CompileWall + es.ExecWall
-	if wall < threshold {
-		return
-	}
-	mSlowRuns.Inc()
-	sr := SlowRun{
-		View:      view,
-		Strategy:  es.StrategyUsed,
-		Wall:      wall,
-		Threshold: threshold,
-		Stats:     *es,
-		Trace:     tr.Tree(),
-		TraceID:   tr.ID(),
-	}
-	if b, jerr := tr.JSON(); jerr == nil {
-		sr.TraceJSON = b
-	}
-	if err != nil {
-		sr.Err = err.Error()
-	}
-	sink(sr)
 }
 
 // MetricsRegistry returns the process-wide metrics registry the engine's

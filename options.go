@@ -66,24 +66,6 @@ func WithMaxRecursionDepth(n int) Option {
 	return optionFunc(func(o *compileOptions) { o.MaxRecursionDepth = n })
 }
 
-// WithSlowThreshold marks executions of this transform slower than d
-// (compile + exec wall time) as slow runs: each is counted in the
-// xsltdb_slow_runs_total metric and reported to the WithSlowRunSink
-// callback with its full trace. A run that did not attach its own WithTrace
-// traces itself when a threshold and sink are configured, so the slow
-// report always carries the operator tree. Zero disables slow-run logging.
-func WithSlowThreshold(d time.Duration) Option {
-	return optionFunc(func(o *compileOptions) { o.SlowThreshold = d })
-}
-
-// WithSlowRunSink installs the callback that receives SlowRun reports for
-// executions exceeding WithSlowThreshold. The sink runs synchronously at the
-// end of the slow run (after the cursor released, for streaming runs) and
-// must not block; it may safely call back into the public API.
-func WithSlowRunSink(fn func(SlowRun)) Option {
-	return optionFunc(func(o *compileOptions) { o.SlowSink = fn })
-}
-
 // WithPlanTag namespaces the compiled plan: transforms differing only in
 // tag get distinct plan-cache entries — and therefore distinct circuit
 // breakers and fallback state. The serving layer uses one tag per tenant so
@@ -114,11 +96,6 @@ type compileOptions struct {
 	// MaxRecursionDepth bounds template/function recursion (see
 	// WithMaxRecursionDepth).
 	MaxRecursionDepth int
-	// SlowThreshold marks runs slower than this as slow (see
-	// WithSlowThreshold). Zero disables slow-run logging.
-	SlowThreshold time.Duration
-	// SlowSink receives SlowRun reports (see WithSlowRunSink).
-	SlowSink func(SlowRun)
 	// Sampling selects which executions trace themselves into the run-
 	// history archive (see WithTraceSampling). The zero value samples
 	// nothing. Like the governance options it tunes execution, not the

@@ -14,7 +14,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,6 +164,48 @@ func TestDiagSmokeLatencySpike(t *testing.T) {
 	// the 10ms floor.
 	for i := 0; i < 256; i++ {
 		m.Emit(obs.Event{TotalNS: int64(80 * time.Millisecond)})
+	}
+	assertBundle(t, diagDir, "latency-spike")
+}
+
+// TestDiagSmokeRecorderAloneHasAFeed: DiagDir is the only thing a caller has
+// to set for the latency-spike rule to see real requests — the recorder turns
+// the event pipeline on itself. Healthy cache hits set the baseline, then
+// requests held 15ms at the exec gate make one anomaly and one bundle.
+func TestDiagSmokeRecorderAloneHasAFeed(t *testing.T) {
+	diagDir := t.TempDir()
+	// An hour's interval: detectors run when this test polls, never between.
+	_, s := newDeptServer(t, Config{DiagDir: diagDir, DiagInterval: time.Hour, DiagDebounce: time.Minute})
+	defer s.Close()
+	var slow atomic.Bool
+	s.execGate = func() {
+		if slow.Load() {
+			time.Sleep(15 * time.Millisecond)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 32; i++ {
+		get(t, ts, "/v1/transform/paper", nil)
+	}
+	s.EventBus().Flush()
+	s.Monitor().Poll() // the first reading becomes the baseline
+	slow.Store(true)
+	for i := 0; i < 16; i++ {
+		get(t, ts, "/v1/transform/paper?p.i="+strconv.Itoa(i), nil) // distinct keys: every one runs
+	}
+	s.EventBus().Flush()
+	s.Monitor().Poll()
+
+	spikes := 0
+	for _, a := range s.Monitor().Anomalies(0) {
+		if a.Detector == "latency-spike" {
+			spikes++
+		}
+	}
+	if spikes != 1 {
+		t.Fatalf("latency-spike anomalies = %d, want 1: %+v", spikes, s.Monitor().Anomalies(0))
 	}
 	assertBundle(t, diagDir, "latency-spike")
 }

@@ -8,37 +8,29 @@ import (
 )
 
 // Serving-layer instruments, registered on the same default registry as the
-// engine's xsltdb_* series so one /metrics scrape covers both.
+// engine's xsltdb_* series so one /metrics scrape covers both. One fact, one
+// family: none of these is a sum or a slice of another, and all but the
+// in-flight gauge and the eviction counter are updated in exactly one place,
+// the request fold (Server.account). The result cache's own hit/miss counts
+// are CacheStats; the bus's published/delivered counts are EventBus.Stats.
 var (
 	mRequests = obs.Default.NewCounterVec("xsltd_requests_total",
 		"HTTP transform requests by tenant and outcome (ok, cache-hit, shed, error).",
 		"tenant", "outcome")
-	mRequestSeconds = obs.Default.NewHistogram("xsltd_request_seconds",
-		"End-to-end HTTP request latency in seconds.", nil)
+	mRequestSeconds = obs.Default.NewHistogramVec("xsltd_request_seconds",
+		"End-to-end HTTP request latency in seconds, by tenant.", nil, "tenant")
+	mSheds = obs.Default.NewCounterVec("xsltd_sheds_total",
+		"Requests shed with 429, by tenant and reason (quota, latency).", "tenant", "reason")
 	mCoalesceHits = obs.Default.NewCounter("xsltd_coalesce_hits_total",
 		"Requests that joined an identical in-flight execution instead of running.")
-	mResultCacheHits = obs.Default.NewCounter("xsltd_result_cache_hits_total",
-		"Requests served from the result cache.")
-	mResultCacheMisses = obs.Default.NewCounter("xsltd_result_cache_misses_total",
-		"Requests that missed the result cache.")
 	mResultCacheEvictions = obs.Default.NewCounter("xsltd_result_cache_evictions_total",
 		"Result-cache entries evicted by the LRU bound.")
-	mSheds = obs.Default.NewCounterVec("xsltd_sheds_total",
-		"Requests shed with 429 by reason (quota, latency).", "reason")
 	mInFlight = obs.Default.NewGauge("xsltd_inflight_executions",
 		"Transform executions currently running on behalf of HTTP requests.")
-	mTenantRequestSeconds = obs.Default.NewHistogramVec("xsltd_tenant_request_seconds",
-		"End-to-end HTTP request latency in seconds, by tenant.", nil, "tenant")
-	mTenantSheds = obs.Default.NewCounterVec("xsltd_tenant_sheds_total",
-		"Requests shed with 429, by tenant and reason (quota, latency).", "tenant", "reason")
-	mTenantCacheHits = obs.Default.NewCounterVec("xsltd_tenant_cache_hits_total",
-		"Requests served from the result cache, by tenant.", "tenant")
 	mSLOBurnRate = obs.Default.NewGaugeVec("xsltd_slo_burn_rate_milli",
 		"Per-tenant SLO burn rate ×1000 over the sliding request window: "+
 			"1000 means errors are arriving exactly at the rate the objective's "+
 			"error budget allows; above that the budget is burning down.", "tenant")
-	mEventsPublished = obs.Default.NewCounter("xsltd_events_published_total",
-		"Wide events accepted by the event bus.")
 	mEventsDropped = obs.Default.NewCounter("xsltd_events_dropped_total",
 		"Wide events dropped because the event-bus buffer was full.")
 )

@@ -55,29 +55,17 @@ type Config struct {
 	// Window is the number of recent latencies the shedding p95 is
 	// computed over (default 256).
 	Window int
-	// RetryAfter is the hint returned with every 429 (default 1s).
-	RetryAfter time.Duration
 
 	// EnableEvents turns on the wide-event pipeline: one structured event
 	// per request through a bounded async bus that never blocks the request
-	// path. Implied when EventSinks is non-empty. The console ring sink
-	// (/events) is always attached when the pipeline is on.
+	// path. Implied when EventSinks is non-empty or DiagDir is set. The
+	// console ring sink (/events) is always attached when the pipeline is on.
 	EnableEvents bool
-	// EventSinks are additional sinks (NDJSON file, OTLP exporter) the bus
-	// fans out to.
+	// EventSinks are additional sinks (an NDJSON file) the bus fans out to.
 	EventSinks []obs.EventSink
 	// EventBuffer bounds the bus (0 = obs.DefaultEventBuffer). Events beyond
 	// a full buffer are dropped and counted, never waited for.
 	EventBuffer int
-	// EventSampling selects which requests emit wide events. The zero value
-	// emits one per request; SampleRatio/SampleSlowerThan/SampleErrors thin
-	// the stream the same way trace sampling thins the archive.
-	EventSampling xsltdb.TraceSampling
-	// TraceSampling selects which requests — beyond those arriving with a
-	// traceparent header, which are always traced — carry an engine trace
-	// into the run-history archive. The zero value traces only
-	// traceparent-supplied requests.
-	TraceSampling xsltdb.TraceSampling
 	// SLOTarget is the per-request latency objective for the SLO burn-rate
 	// gauge: a request slower than this (or failed) spends error budget.
 	// Defaults to TargetP95; 0 with no TargetP95 counts only failures.
@@ -90,7 +78,9 @@ type Config struct {
 	// watches the process's own signals (latency p95 vs trailing baseline,
 	// SLO burn rate, circuit-breaker trips, WAL fsync stalls, snapshot-pin
 	// age, event-bus drops, goroutine count) and captures a diagnostic
-	// bundle under this directory when one fires. Empty = diagnostics off.
+	// bundle under this directory when one fires. The monitor rides the
+	// event bus (the latency-spike rule reads request events), so setting
+	// DiagDir turns the wide-event pipeline on. Empty = diagnostics off.
 	DiagDir string
 	// DiagMaxBundles bounds bundle retention (default 8).
 	DiagMaxBundles int
@@ -113,12 +103,10 @@ type Server struct {
 	global chan struct{} // global in-flight slots, nil = unlimited
 
 	// events is the wide-event bus (nil = pipeline off); eventsRing backs
-	// the console's /events page; slo tracks per-tenant burn rates;
-	// telemetrySeq numbers requests for the sampling policies.
-	events       *obs.EventBus
-	eventsRing   *obs.RingSink
-	slo          *sloTracker
-	telemetrySeq atomic.Uint64
+	// the console's /events page; slo tracks per-tenant burn rates.
+	events     *obs.EventBus
+	eventsRing *obs.RingSink
+	slo        *sloTracker
 
 	// monitor/recorder are the diagnostics layer (nil = off); ready gates
 	// /readyz — flipped by MarkReady once startup (WAL replay, transform
@@ -162,12 +150,13 @@ type compiledKey struct {
 type flightCall struct {
 	done   chan struct{}
 	body   response
-	stats  xsltdb.ExecStats
+	stats  *xsltdb.ExecStats // the leader's run; nil when it never ran (shed, compile error)
 	err    error
 	shared atomic.Int64 // followers that joined
 }
 
-// tenantState is the live admission state for one tenant.
+// tenantState is the live admission state for one tenant. The counters are
+// written only by the request fold (Server.account).
 type tenantState struct {
 	name string
 	sem  chan struct{} // nil = unlimited
@@ -189,9 +178,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 256
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -226,7 +212,7 @@ func New(cfg Config) (*Server, error) {
 		})...)
 		s.monitor.Start()
 	}
-	if cfg.EnableEvents || len(cfg.EventSinks) > 0 {
+	if cfg.EnableEvents || len(cfg.EventSinks) > 0 || s.monitor != nil {
 		s.eventsRing = obs.NewRingSink(0)
 		sinks := append(append([]obs.EventSink{}, cfg.EventSinks...), s.eventsRing)
 		if s.monitor != nil {
@@ -235,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 			// speed (rate-limited to one pass per interval).
 			sinks = append(sinks, s.monitor)
 		}
-		s.events = obs.NewEventBus(cfg.EventBuffer, mEventsDropped.Inc, sinks...)
+		s.events = obs.NewEventBus(cfg.EventBuffer, sinks...)
 	}
 	sloTarget := cfg.SLOTarget
 	if sloTarget == 0 {
@@ -255,8 +241,8 @@ func (s *Server) Close() {
 
 // diagSources wires the flight recorder's bundle sections to the layers
 // below: the shared metrics registry, the console event ring, run history,
-// the plan cache, the misestimate log, WAL/recovery state, and the anomaly
-// ring itself.
+// the plan cache, the per-shape cardinality accuracy, WAL/recovery state, and
+// the anomaly ring itself.
 func (s *Server) diagSources() diag.Sources {
 	return diag.Sources{
 		Registry: obs.Default,
@@ -267,8 +253,7 @@ func (s *Server) diagSources() diag.Sources {
 		},
 		Plans: func() any { return s.db.PlanCacheEntries() },
 		Misestimates: func() any {
-			c := s.db.Cardinality()
-			return map[string]any{"paths": c.Stats(), "log": c.Misestimates(50)}
+			return map[string]any{"paths": s.db.Cardinality().Stats()}
 		},
 		WAL: func() any {
 			appends, fsyncs := xsltdb.WALCounters()
@@ -388,7 +373,7 @@ func (s *Server) Console() http.Handler {
 		sections.Bundles = func() any { return s.recorder.Bundles() }
 		sections.CaptureBundle = func() (string, error) { return s.recorder.Capture("manual") }
 	}
-	return s.db.ConsoleHandlerWith(sections)
+	return s.db.ConsoleHandler(sections)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -443,10 +428,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTransform is the hot path: establish trace identity → resolve
-// tenant → try the result cache → join or lead a coalesced execution
-// (admission control applies to leaders only; followers add no load). Every
-// path through the handler ends in exactly one finishTelemetry call, which
-// publishes the request's wide event.
+// tenant → answer (serveTransform, which only fills in the request's wide
+// event) → account (the one fold over that event). Every request that
+// resolves to a transform and a tenant reaches the fold exactly once, whatever
+// its outcome.
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/v1/transform/")
 	s.mu.RLock()
@@ -467,72 +452,50 @@ func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", tel.id)
 	w.Header().Set("Traceparent", tel.tc.Traceparent())
 	w.Header().Set("X-Xsltd-Tenant", tenant)
+	s.serveTransform(w, r, def, ts, lim, tel)
+	s.account(tel, ts)
+}
 
-	runOpts, keyParams, err := parseRunArgs(r)
+// serveTransform answers one request: try the result cache, else join or
+// lead a coalesced execution (admission control applies to leaders only;
+// followers add no load). It records every decision in tel.ev and touches no
+// counter — accounting is the fold's.
+func (s *Server) serveTransform(w http.ResponseWriter, r *http.Request, def *transformDef, ts *tenantState, lim xsltdb.TenantLimits, tel *reqTel) {
+	ev := &tel.ev
+	runOpts, params, err := parseRunArgs(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		s.finishTelemetry(tel, tenant, "error", http.StatusBadRequest, err, nil)
+		tel.fail(w, http.StatusBadRequest, err)
 		return
 	}
-
-	key := s.execKey(def, keyParams)
-
-	if body, ok := s.cache.get(key); ok {
-		ts.cacheHits.Add(1)
-		ts.served.Add(1)
-		mResultCacheHits.Inc()
-		mTenantCacheHits.With(tenant).Inc()
+	key := execKey(def, ev.ViewVersion, ev.DataVersion, params)
+	body, hit := s.cache.get(key)
+	if hit {
 		if sp := tel.root.Start("cache"); sp != nil {
 			sp.SetAttr("outcome", "hit")
 			sp.End()
 		}
-		tel.ev.Cache = "hit"
-		tel.ev.Rows = int64(body.rows)
-		s.writeBody(w, tel.start, tenant, "cache-hit", body, "hit", "")
-		s.finishTelemetry(tel, tenant, "cache-hit", http.StatusOK, nil, nil)
-		return
-	}
-	mResultCacheMisses.Inc()
-	tel.ev.Cache = "miss"
-
-	body, stats, role, err := s.execute(r, def, tenant, ts, lim, key, runOpts, tel)
-	tel.ev.Coalesce = role
-	if err != nil {
-		s.window.record(time.Since(tel.start))
-		if errors.Is(err, errShedQuota) || errors.Is(err, errShedLatency) {
-			ts.shed.Add(1)
-			reason := "quota"
-			if errors.Is(err, errShedLatency) {
-				reason = "latency"
+		ev.Cache, ev.Outcome, ev.Rows = "hit", "cache-hit", int64(body.rows)
+	} else {
+		ev.Cache = "miss"
+		body, err = s.execute(r, def, ts, lim, key, params, runOpts, tel)
+		if err != nil {
+			if ev.ShedReason = shedReason(err); ev.ShedReason != "" {
+				w.Header().Set("Retry-After", "1")
 			}
-			mSheds.With(reason).Inc()
-			mTenantSheds.With(tenant, reason).Inc()
-			tel.ev.ShedReason = reason
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-			http.Error(w, err.Error()+requestIDSuffix(tel), http.StatusTooManyRequests)
-			mRequests.With(tenant, "shed").Inc()
-			s.finishTelemetry(tel, tenant, "shed", http.StatusTooManyRequests, err, nil)
+			tel.fail(w, statusFor(err), err)
 			return
 		}
-		status := statusFor(err)
-		body := err.Error()
-		if status >= 500 {
-			body += requestIDSuffix(tel)
+		ev.Outcome = "ok"
+		if ev.Coalesce == "follower" {
+			w.Header().Set("X-Xsltd-Coalesced", "1")
 		}
-		http.Error(w, body, status)
-		mRequests.With(tenant, "error").Inc()
-		s.finishTelemetry(tel, tenant, "error", status, err, &stats)
-		return
+		w.Header().Set("X-Xsltd-Strategy", ev.Strategy)
 	}
-	if role == "follower" {
-		ts.coalesced.Add(1)
-		mCoalesceHits.Inc()
-		w.Header().Set("X-Xsltd-Coalesced", "1")
-	}
-	ts.served.Add(1)
-	s.writeBody(w, tel.start, tenant, "ok", body, "miss", stats.StrategyUsed.String())
-	s.finishTelemetry(tel, tenant, "ok", http.StatusOK, nil, &stats)
+	ev.Status = http.StatusOK
+	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	w.Header().Set("X-Xsltd-Cache", ev.Cache)
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, body.text) // a dropped client is the transport's problem, not the run's
 }
 
 // response is one transform result as it goes on the wire: every row
@@ -552,49 +515,49 @@ func (b *response) WriteString(p string) (int, error) {
 
 func (b *response) Write(p []byte) (int, error) { return b.WriteString(string(p)) }
 
-// writeBody writes a successful response and records its latency.
-func (s *Server) writeBody(w http.ResponseWriter, start time.Time, tenant, outcome string, body response, cache, strategy string) {
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Header().Set("X-Xsltd-Cache", cache)
-	if strategy != "" {
-		w.Header().Set("X-Xsltd-Strategy", strategy)
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, body.text) // a dropped client is the transport's problem, not the run's
-	d := time.Since(start)
-	s.window.record(d)
-	mRequestSeconds.Observe(d.Seconds())
-	mRequests.With(tenant, outcome).Inc()
-}
-
 // Shed sentinels — mapped to 429 by the handler.
 var (
 	errShedQuota   = errors.New("serve: over tenant capacity, retry later")
 	errShedLatency = errors.New("serve: shedding load (p95 over target), retry later")
 )
 
+// shedReason names the admission rule behind a shed error ("" for any other
+// error) — a follower of a shed leader is shed for the same reason.
+func shedReason(err error) string {
+	switch {
+	case errors.Is(err, errShedQuota):
+		return "quota"
+	case errors.Is(err, errShedLatency):
+		return "latency"
+	}
+	return ""
+}
+
 // execute coalesces: the first request for key becomes the leader and runs
 // the transform under admission control; concurrent identical requests wait
 // on the leader's flightCall and share its body without adding any load.
 // tel receives the serve-layer spans — coalesce role, admission decision —
-// and, on the leader, threads the request's trace into the engine run so
-// the archived span tree covers HTTP → strategy → operators.
-func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *tenantState, lim xsltdb.TenantLimits, key string, runOpts []xsltdb.RunOption, tel *reqTel) (response, xsltdb.ExecStats, string, error) {
+// and the run's engine fields, and on the leader threads the request's trace
+// into the engine run so the archived span tree covers HTTP → strategy →
+// operators.
+func (s *Server) execute(r *http.Request, def *transformDef, ts *tenantState, lim xsltdb.TenantLimits, key, params string, runOpts []xsltdb.RunOption, tel *reqTel) (response, error) {
 	s.flightMu.Lock()
 	if c, ok := s.flight[key]; ok {
 		c.shared.Add(1) // counted on join, so a blocked follower is observable
 		s.flightMu.Unlock()
+		tel.ev.Coalesce = "follower"
 		sp := tel.root.Start("coalesce")
 		sp.SetAttr("role", "follower")
 		select {
 		case <-c.done:
 			sp.End()
-			return c.body, c.stats, "follower", c.err
+			tel.engine(c.stats)
+			return c.body, c.err
 		case <-r.Context().Done():
 			err := fmt.Errorf("serve: %w", r.Context().Err())
 			sp.Fail(err)
 			sp.End()
-			return response{}, xsltdb.ExecStats{}, "follower", err
+			return response{}, err
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
@@ -606,6 +569,7 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 		s.flightMu.Unlock()
 		close(c.done)
 	}()
+	tel.ev.Coalesce = "leader"
 	if sp := tel.root.Start("coalesce"); sp != nil {
 		sp.SetAttr("role", "leader")
 		sp.End()
@@ -618,23 +582,23 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 		c.err = errShedLatency
 		adm.SetAttr("decision", "shed-latency")
 		adm.End()
-		return response{}, xsltdb.ExecStats{}, "leader", c.err
+		return response{}, c.err
 	}
 	release, err := s.admit(ts)
 	if err != nil {
 		c.err = err
 		adm.SetAttr("decision", "shed-quota")
 		adm.End()
-		return response{}, xsltdb.ExecStats{}, "leader", err
+		return response{}, err
 	}
 	adm.SetAttr("decision", "admitted")
 	adm.End()
 	defer release()
 
-	ct, err := s.compiledFor(def, tenant, lim)
+	ct, err := s.compiledFor(def, ts.name, lim)
 	if err != nil {
 		c.err = err
-		return response{}, xsltdb.ExecStats{}, "leader", err
+		return response{}, err
 	}
 	if gate := s.execGate; gate != nil {
 		gate()
@@ -645,18 +609,27 @@ func (s *Server) execute(r *http.Request, def *transformDef, tenant string, ts *
 	mInFlight.Inc()
 	res, err := ct.Run(r.Context(), runOpts...)
 	mInFlight.Dec()
+	if res != nil {
+		c.stats = &res.Stats
+	}
+	arrival := tel.ev.DataVersion
+	tel.engine(c.stats)
 	if err != nil {
 		c.err = err
-		if res != nil {
-			c.stats = res.Stats
-			return response{}, res.Stats, "leader", err
-		}
-		return response{}, xsltdb.ExecStats{}, "leader", err
+		return response{}, err
 	}
-	c.body.rows, c.stats = len(res.Rows), res.Stats
+	c.body.rows = len(res.Rows)
 	_, _ = res.WriteTo(&c.body) // cannot fail: response's writes never do
-	s.cache.put(key, c.body)
-	return c.body, res.Stats, "leader", nil
+	// The result is filed under the version the run's snapshot read — the
+	// event's, by now — not the one the request saw on arrival: a write that
+	// landed in between is in the body, and the key it retired would never be
+	// looked up again. The flight stays under the arrival key.
+	filed := key
+	if tel.ev.DataVersion != arrival {
+		filed = execKey(def, tel.ev.ViewVersion, tel.ev.DataVersion, params)
+	}
+	s.cache.put(filed, c.body)
+	return c.body, nil
 }
 
 // admit takes the tenant's slot and a global slot, or sheds.
@@ -807,9 +780,11 @@ func (s *Server) TenantsState() []TenantInfo {
 // CacheStats reports the result cache's live counters.
 func (s *Server) CacheStats() ResultCacheStats { return s.cache.stats() }
 
-// statusFor maps engine errors to HTTP statuses.
+// statusFor maps shed and engine errors to HTTP statuses.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, errShedQuota), errors.Is(err, errShedLatency):
+		return http.StatusTooManyRequests
 	case errors.Is(err, xsltdb.ErrDatabaseClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, xsltdb.ErrBadRunOption), errors.Is(err, xsltdb.ErrUnboundParam):
@@ -863,15 +838,17 @@ func parseRunArgs(r *http.Request) ([]xsltdb.RunOption, string, error) {
 	return opts, sig.String(), nil
 }
 
-// execKey is the request identity everything hangs off: view at its current
-// MVCC version, committed-data version, stylesheet hash, canonical bound
-// params. Two requests with equal keys are interchangeable — coalescable
-// and cacheable. The view version covers view DDL (ReplaceXMLView bumps
-// it); the data version is the store's commit counter, which moves on every
-// applied insert and table/index DDL — either kind of write makes every
-// older cached result unreachable.
-func (s *Server) execKey(def *transformDef, params string) string {
-	return def.view + "\x00" + strconv.Itoa(s.db.ViewVersion(def.view)) +
-		"\x00" + strconv.FormatInt(s.db.Rel().CommitSeq(), 10) +
+// execKey is the request identity everything hangs off: view at its MVCC
+// version, committed-data version, stylesheet hash, canonical bound params.
+// Two requests with equal keys are interchangeable — coalescable and
+// cacheable. The view version covers view DDL (ReplaceXMLView bumps it); the
+// data version is the store's commit counter, which moves on every applied
+// insert and table/index DDL — either kind of write makes every older cached
+// result unreachable. A request looks up under the versions it read on
+// arrival (its event's); a run files its result under the version its
+// snapshot read (ExecStats.DataVersion).
+func execKey(def *transformDef, viewVersion int, dataVersion int64, params string) string {
+	return def.view + "\x00" + strconv.Itoa(viewVersion) +
+		"\x00" + strconv.FormatInt(dataVersion, 10) +
 		"\x00" + def.hash + "\x00" + params
 }

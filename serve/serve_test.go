@@ -2,10 +2,14 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,7 +213,7 @@ func TestCoalescing(t *testing.T) {
 	s.mu.RLock()
 	def := s.transforms["paper"]
 	s.mu.RUnlock()
-	key := s.execKey(def, "")
+	key := execKey(def, s.db.ViewVersion(def.view), s.db.Rel().CommitSeq(), "")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s.flightMu.Lock()
@@ -545,6 +549,278 @@ func TestEndToEndTelemetry(t *testing.T) {
 	}
 	if recent[0].TraceID != freshID {
 		t.Fatalf("cache-hit event trace = %q, want %q", recent[0].TraceID, freshID)
+	}
+
+	t.Run("agreement", testSignalsAgree)
+}
+
+// accounting is what one batch of requests did to every place a request is
+// counted: the request-accounting metric series and the per-server tenant
+// counters.
+type accounting struct {
+	series  map[string]int64
+	tenants map[string]TenantInfo
+}
+
+func takeAccounting(t *testing.T, s *Server) accounting {
+	t.Helper()
+	var buf strings.Builder
+	if _, err := obs.Default.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	a := accounting{series: map[string]int64{}, tenants: map[string]TenantInfo{}}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		counted := false
+		for _, fam := range []string{"xsltd_requests_total", "xsltd_request_seconds_count", "xsltd_sheds_total", "xsltd_coalesce_hits_total"} {
+			counted = counted || strings.HasPrefix(line, fam)
+		}
+		if i := strings.LastIndexByte(line, ' '); counted && i > 0 {
+			n, err := strconv.ParseInt(line[i+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			a.series[line[:i]] = n
+		}
+	}
+	for _, ti := range s.TenantsState() {
+		a.tenants[ti.Name] = ti
+	}
+	return a
+}
+
+// since returns what moved between before and a, zero deltas dropped, in the
+// vocabulary modelAccounting predicts.
+func (a accounting) since(before accounting) map[string]int64 {
+	out := map[string]int64{}
+	for k, v := range a.series {
+		if d := v - before.series[k]; d != 0 {
+			out[k] = d
+		}
+	}
+	for name, ti := range a.tenants {
+		b := before.tenants[name]
+		for k, d := range map[string]uint64{
+			"served": ti.Served - b.Served, "shed": ti.Shed - b.Shed,
+			"cache_hits": ti.CacheHits - b.CacheHits, "coalesced": ti.Coalesced - b.Coalesced,
+		} {
+			if d != 0 {
+				out["tenant "+name+" "+k] = int64(d)
+			}
+		}
+	}
+	return out
+}
+
+// modelAccounting is what the requests behind evs must have moved, derived
+// from their wide events alone — one requests_total and one request_seconds
+// observation per event, labelled as the event says.
+func modelAccounting(evs []obs.Event) map[string]int64 {
+	want := map[string]int64{}
+	for _, ev := range evs {
+		want[fmt.Sprintf(`xsltd_requests_total{tenant="%s",outcome="%s"}`, ev.Tenant, ev.Outcome)]++
+		want[fmt.Sprintf(`xsltd_request_seconds_count{tenant="%s"}`, ev.Tenant)]++
+		served := ev.Outcome == "ok" || ev.Outcome == "cache-hit"
+		if served {
+			want["tenant "+ev.Tenant+" served"]++
+		}
+		if ev.Cache == "hit" {
+			want["tenant "+ev.Tenant+" cache_hits"]++
+		}
+		if served && ev.Coalesce == "follower" {
+			want["tenant "+ev.Tenant+" coalesced"]++
+			want["xsltd_coalesce_hits_total"]++
+		}
+		if ev.Outcome == "shed" {
+			want["tenant "+ev.Tenant+" shed"]++
+			want[fmt.Sprintf(`xsltd_sheds_total{tenant="%s",reason="%s"}`, ev.Tenant, ev.ShedReason)]++
+		}
+	}
+	return want
+}
+
+// testSignalsAgree is the agreement table: every exit path of the transform
+// handler, and for each the same three checks — the events say what happened,
+// the metrics and the tenant counters moved by exactly what the events say
+// (one requests_total increment and one request_seconds observation per
+// request, whatever its outcome), and a traced request's event, archived run
+// and engine root span carry the same strategy, access path, rows and wall
+// times as the run's ExecStats.
+func testSignalsAgree(t *testing.T) {
+	d, s := newDeptServer(t, Config{
+		EnableEvents: true,
+		APIKeys:      map[string]string{"k-main": "main", "k-alpha": "alpha", "k-tiny": "tiny"},
+	})
+	defer s.Close()
+	d.EnableRunHistory(0)
+	for name, lim := range map[string]xsltdb.TenantLimits{"alpha": {MaxConcurrent: 1}, "tiny": {MaxRows: 1}} {
+		if err := d.RegisterTenant(name, lim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	traceN := 0
+	// call makes one request and returns its X-Request-Id; traced requests
+	// carry a fresh traceparent.
+	call := func(key, query string, traced bool) string {
+		hdr := map[string]string{"X-Api-Key": key}
+		if traced {
+			traceN++
+			hdr["traceparent"] = fmt.Sprintf("00-%032x-00f067aa0ba902b7-01", traceN)
+		}
+		resp, _ := get(t, ts, "/v1/transform/paper"+query, hdr)
+		return resp.Header.Get("X-Request-Id")
+	}
+	// held runs first with the leader parked at the exec gate, then second
+	// once the leader is there (and, for a follower, has been joined).
+	held := func(first func() string, second func() string, joins int64) []string {
+		reached, release := make(chan struct{}, 1), make(chan struct{})
+		var once atomic.Bool
+		s.execGate = func() {
+			if once.CompareAndSwap(false, true) {
+				reached <- struct{}{}
+				<-release
+			}
+		}
+		defer func() { s.execGate = nil }()
+		ids := make(chan string, 2)
+		go func() { ids <- first() }()
+		<-reached
+		go func() { ids <- second() }()
+		for deadline := time.Now().Add(10 * time.Second); joins > 0; time.Sleep(time.Millisecond) {
+			var joined int64
+			s.flightMu.Lock()
+			for _, c := range s.flight {
+				joined += c.shared.Load()
+			}
+			s.flightMu.Unlock()
+			if joined == joins {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d/%d followers joined", joined, joins)
+			}
+		}
+		if joins == 0 {
+			second := <-ids // a shed request returns while the leader is still held
+			close(release)
+			return []string{<-ids, second}
+		}
+		close(release)
+		return []string{<-ids, <-ids}
+	}
+
+	rows := []struct {
+		name string
+		prep func()
+		do   func() []string
+		want []string // tenant outcome status cache coalesce shed-reason, one per request, sorted
+	}{
+		{name: "miss leader",
+			do:   func() []string { return []string{call("k-main", "?p.c=1", true)} },
+			want: []string{"main ok 200 miss leader "}},
+		{name: "hit",
+			do:   func() []string { return []string{call("k-main", "?p.c=1", true)} },
+			want: []string{"main cache-hit 200 hit  "}},
+		{name: "follower",
+			do: func() []string {
+				one := func() string { return call("k-main", "?p.c=2", false) }
+				return held(one, one, 1)
+			},
+			want: []string{"main ok 200 miss follower ", "main ok 200 miss leader "}},
+		{name: "shed quota",
+			do: func() []string {
+				return held(func() string { return call("k-alpha", "?p.c=3", false) },
+					func() string { return call("k-alpha", "?p.c=4", false) }, 0)
+			},
+			want: []string{"alpha ok 200 miss leader ", "alpha shed 429 miss leader quota"}},
+		{name: "unknown parameter",
+			do:   func() []string { return []string{call("k-main", "?bogus=1", false)} },
+			want: []string{"main error 400   "}},
+		{name: "malformed where",
+			do:   func() []string { return []string{call("k-main", "?where=nosuchcol+%3D+1", true)} },
+			want: []string{"main error 400 miss leader "}},
+		{name: "run error",
+			do:   func() []string { return []string{call("k-tiny", "?p.c=5", true)} },
+			want: []string{"tiny error 413 miss leader "}},
+		{name: "shed latency",
+			prep: func() {
+				for i := 0; i < 8; i++ { // the shedding p95 needs eight samples
+					call("k-main", "?p.c=1", false)
+				}
+				s.cfg.TargetP95 = time.Nanosecond
+			},
+			do:   func() []string { return []string{call("k-main", "?p.c=6", false)} },
+			want: []string{"main shed 429 miss leader latency"}},
+	}
+	for _, row := range rows {
+		if row.prep != nil {
+			row.prep()
+		}
+		before := takeAccounting(t, s)
+		ids := row.do()
+		s.EventBus().Flush()
+		after := takeAccounting(t, s)
+
+		var evs []obs.Event
+		var got []string
+		for _, id := range ids {
+			page := s.EventsStateFiltered(0, "", id).Recent
+			if len(page) != 1 {
+				t.Fatalf("%s: request %s published %d events, want exactly 1", row.name, id, len(page))
+			}
+			ev := page[0]
+			evs = append(evs, ev)
+			got = append(got, fmt.Sprintf("%s %s %d %s %s %s", ev.Tenant, ev.Outcome, ev.Status, ev.Cache, ev.Coalesce, ev.ShedReason))
+			if ev.TotalNS <= 0 {
+				t.Errorf("%s: event without latency: %+v", row.name, ev)
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, row.want) {
+			t.Errorf("%s: events\n got  %q\n want %q", row.name, got, row.want)
+		}
+		if moved, want := after.since(before), modelAccounting(evs); !reflect.DeepEqual(moved, want) {
+			t.Errorf("%s: accounting disagrees with the events\n moved %v\n want  %v", row.name, moved, want)
+		}
+
+		for _, ev := range evs {
+			if ev.RunID == 0 {
+				continue
+			}
+			rec, ok := d.RunHistory().Run(ev.RunID)
+			if !ok || rec.TraceID != ev.TraceID {
+				t.Fatalf("%s: event's run %d not archived under its trace (%+v)", row.name, ev.RunID, rec)
+			}
+			var spans []obs.SpanJSON
+			if err := json.Unmarshal(rec.TraceJSON, &spans); err != nil {
+				t.Fatalf("%s: archived trace: %v", row.name, err)
+			}
+			var run obs.SpanJSON
+			for _, sp := range spans {
+				if sp.Name == "run" {
+					run = sp
+				}
+			}
+			type engine struct {
+				strategy, access  string
+				rows              int64
+				compileNS, execNS string
+			}
+			fromEvent := engine{ev.Strategy, ev.AccessPath, ev.Rows, fmt.Sprint(ev.CompileNS), fmt.Sprint(ev.ExecNS)}
+			fromRecord := engine{rec.Strategy, rec.AccessPath, rec.Rows, fmt.Sprint(int64(rec.CompileWall)), fmt.Sprint(int64(rec.ExecWall))}
+			fromSpan := engine{run.Attrs["strategy"], run.Attrs["access_path"], run.RowsOut, run.Attrs["compile_ns"], run.Attrs["exec_ns"]}
+			if fromEvent != fromRecord || fromEvent != fromSpan || fromEvent.strategy == "" {
+				t.Errorf("%s: engine fields disagree\n event  %+v\n record %+v\n span   %+v", row.name, fromEvent, fromRecord, fromSpan)
+			}
+			// rec.Stats is the run's ExecStats as the engine rendered it.
+			for _, token := range []string{fmt.Sprintf("rows=%d ", ev.Rows), fmt.Sprintf("data-version=%d", ev.DataVersion)} {
+				if !strings.Contains(rec.Stats+" ", token) {
+					t.Errorf("%s: ExecStats %q lacks the event's %q", row.name, rec.Stats, token)
+				}
+			}
+		}
 	}
 }
 

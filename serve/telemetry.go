@@ -1,13 +1,14 @@
 package serve
 
-// Per-request telemetry: W3C trace-context propagation and the wide event
-// each request emits. beginTelemetry runs first thing in the handler — it
-// parses or mints the traceparent, decides whether this request carries an
-// engine trace, and prefills the event with the request's identity.
-// finishTelemetry runs exactly once per request, whatever the outcome: it
-// closes the serve-layer root span, completes the event (outcome, engine
-// work, WAL attribution, latency breakdown), publishes it, and folds the
-// request into the per-tenant latency and SLO instruments.
+// Per-request telemetry: W3C trace-context propagation, the wide event each
+// request fills in, and the one fold that accounts it. beginTelemetry runs
+// first thing in the handler — it parses or mints the traceparent, decides
+// whether this request carries an engine trace, and prefills the event with
+// the request's identity and the versions it read. The handler then records
+// its decisions in the event and nothing else; account runs exactly once per
+// request, whatever the outcome, and is the only place a request moves a
+// tenant counter, a metric, the admission window, the SLO gauge or the bus —
+// so those signals agree by construction.
 
 import (
 	"net/http"
@@ -25,38 +26,33 @@ type reqTel struct {
 	tc obs.TraceContext
 	// id is the 32-hex trace ID — the X-Request-Id and the archive key.
 	id string
-	// supplied reports whether the caller sent a valid traceparent.
-	supplied bool
 	// tr is the request's engine trace (nil when this request is untraced);
 	// root is its serve-layer "http" root span.
 	tr   *obs.Trace
 	root *obs.Span
 	// ev accumulates the wide event; handler code fills fields as decisions
-	// are made, finishTelemetry completes and publishes it.
+	// are made, account completes, folds and publishes it.
 	ev obs.Event
-	// seq is the sampling sequence number shared by the trace and event
-	// sampling decisions.
-	seq uint64
 	// walAppends0/walFsyncs0 snapshot the process WAL counters at request
-	// start; the deltas at finish are the event's WAL attribution.
+	// start; the deltas at the fold are the event's WAL attribution.
 	walAppends0, walFsyncs0 int64
 }
 
 // beginTelemetry establishes the request's trace identity and telemetry
 // state. A request is traced through the engine when the caller supplied a
-// traceparent (an upstream asked for this request specifically) or when the
-// server's TraceSampling policy selects it.
+// traceparent: an upstream asked for this request specifically. The view and
+// data versions are read here, once — the cache key is built from the event's
+// copy, so the two cannot differ.
 func (s *Server) beginTelemetry(r *http.Request, def *transformDef, tenant string) *reqTel {
-	tel := &reqTel{start: time.Now(), seq: s.telemetrySeq.Add(1)}
-	if tc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
+	tel := &reqTel{start: time.Now()}
+	tc, supplied := obs.ParseTraceparent(r.Header.Get("traceparent"))
+	if supplied {
 		tel.tc = tc.WithNewSpan()
-		tel.supplied = true
 	} else {
 		tel.tc = obs.NewTraceContext()
 	}
 	tel.id = tel.tc.TraceIDString()
-
-	if tel.supplied || s.cfg.TraceSampling.WantTrace(tel.seq) {
+	if supplied {
 		tel.tr = obs.New()
 		tel.tr.SetID(tel.id)
 		tel.root = tel.tr.Start("http")
@@ -79,69 +75,82 @@ func (s *Server) beginTelemetry(r *http.Request, def *transformDef, tenant strin
 	return tel
 }
 
-// finishTelemetry completes the request's wide event and publishes it,
-// closes the serve-layer span tree, records per-tenant latency and SLO
-// state, and releases the trace. Called exactly once per request.
-func (s *Server) finishTelemetry(tel *reqTel, tenant, outcome string, status int, err error, stats *xsltdb.ExecStats) {
+// engine copies a run's ExecStats into the event — the leader's own run, or
+// the one a follower shared; nil (no run happened) leaves the event as is.
+// DataVersion becomes the version the run's snapshot read.
+func (tel *reqTel) engine(stats *xsltdb.ExecStats) {
+	if stats == nil {
+		return
+	}
+	ev := &tel.ev
+	ev.DataVersion = stats.DataVersion
+	ev.Strategy = stats.StrategyUsed.String()
+	ev.AccessPath = stats.AccessPath
+	ev.Rows = stats.RowsProduced
+	ev.GovTicks = stats.GovTicks
+	ev.CompileNS = int64(stats.CompileWall)
+	ev.ExecNS = int64(stats.ExecWall)
+}
+
+// fail answers the request with err and records it as the event's outcome:
+// "shed" when an admission rule refused it, "error" otherwise. Shed and
+// server-error bodies quote the request ID, so a caller holding only the
+// error text can still hand an operator the exact request.
+func (tel *reqTel) fail(w http.ResponseWriter, status int, err error) {
+	ev := &tel.ev
+	ev.Outcome, ev.Status, ev.Error = "error", status, err.Error()
+	if ev.ShedReason != "" {
+		ev.Outcome = "shed"
+	}
+	tel.root.Fail(err)
+	body := ev.Error
+	if status >= 500 || status == http.StatusTooManyRequests {
+		body += " (request_id " + tel.id + ")"
+	}
+	http.Error(w, body, status)
+}
+
+// account is the request fold: it completes the wide event (latency, WAL
+// attribution, the archived run's ID), closes the serve-layer span tree, and
+// updates — once each, from the event alone — the tenant's counters, the
+// process metrics, the admission window, the SLO gauge and the event bus.
+func (s *Server) account(tel *reqTel, ts *tenantState) {
+	ev := &tel.ev
 	total := time.Since(tel.start)
-
-	tel.ev.Outcome = outcome
-	tel.ev.Status = status
-	tel.ev.TotalNS = int64(total)
-	if err != nil {
-		tel.ev.Error = err.Error()
-	}
-	if stats != nil {
-		tel.ev.Strategy = stats.StrategyUsed.String()
-		tel.ev.AccessPath = stats.AccessPath
-		tel.ev.Rows = stats.RowsProduced
-		tel.ev.GovTicks = stats.GovTicks
-		tel.ev.CompileNS = int64(stats.CompileWall)
-		tel.ev.ExecNS = int64(stats.ExecWall)
-	}
+	ev.TotalNS = int64(total)
 	appends, fsyncs := xsltdb.WALCounters()
-	tel.ev.WalAppends = appends - tel.walAppends0
-	tel.ev.WalFsyncs = fsyncs - tel.walFsyncs0
-
-	if tel.root != nil {
-		tel.root.SetAttr("status", status)
-		tel.root.Fail(err)
-		tel.root.End()
-	}
+	ev.WalAppends, ev.WalFsyncs = appends-tel.walAppends0, fsyncs-tel.walFsyncs0
 	if tel.tr != nil {
+		tel.root.SetAttr("status", ev.Status)
+		tel.root.End()
 		// The engine archived any leader run under this trace ID; the run ID
 		// joins the event to /runs/<id> in the console.
 		if rec, ok := s.db.RunHistory().RunByTrace(tel.id); ok {
-			tel.ev.RunID = rec.ID
+			ev.RunID = rec.ID
 		}
 	}
 
-	if s.events != nil && s.eventSelected(tel.seq, total, err) {
-		if s.events.Publish(tel.ev) {
-			mEventsPublished.Inc()
+	switch ev.Outcome {
+	case "ok", "cache-hit":
+		ts.served.Add(1)
+		if ev.Cache == "hit" {
+			ts.cacheHits.Add(1)
 		}
+		if ev.Coalesce == "follower" {
+			ts.coalesced.Add(1)
+			mCoalesceHits.Inc()
+		}
+	case "shed":
+		ts.shed.Add(1)
+		mSheds.With(ts.name, ev.ShedReason).Inc()
 	}
-
-	mTenantRequestSeconds.With(tenant).Observe(total.Seconds())
-	failed := status >= 500 || status == http.StatusTooManyRequests
-	if s.slo != nil {
-		mSLOBurnRate.With(tenant).Set(s.slo.record(tenant, total, failed))
+	mRequests.With(ts.name, ev.Outcome).Inc()
+	mRequestSeconds.With(ts.name).Observe(total.Seconds())
+	s.window.record(total)
+	failed := ev.Status >= 500 || ev.Status == http.StatusTooManyRequests
+	mSLOBurnRate.With(ts.name).Set(s.slo.record(ts.name, total, failed))
+	if s.events != nil && !s.events.Publish(*ev) {
+		mEventsDropped.Inc()
 	}
-
 	tel.tr.Release()
-}
-
-// eventSelected applies the event-sampling policy: the zero policy emits an
-// event for every request, a configured policy decides per request.
-func (s *Server) eventSelected(seq uint64, total time.Duration, err error) bool {
-	if s.cfg.EventSampling == (xsltdb.TraceSampling{}) {
-		return true
-	}
-	return s.cfg.EventSampling.Sample(seq, total, err)
-}
-
-// requestIDSuffix is appended to shed and server-error bodies so a caller
-// holding only the error text can still quote the request to an operator.
-func requestIDSuffix(tel *reqTel) string {
-	return " (request_id " + tel.id + ")"
 }

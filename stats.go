@@ -46,6 +46,11 @@ type ExecStats struct {
 	// judge the estimate; the cardinality-accuracy tracker does exactly
 	// that per access-path shape. Meaningless when AccessPath is "".
 	EstRows int64
+	// DataVersion is the commit sequence number of the MVCC snapshot this
+	// execution read (relstore Snapshot.CommitSeq): the version a cache may
+	// file the result under. Every write numbered <= DataVersion is in the
+	// result.
+	DataVersion int64
 	// CompileWall is the wall time of the compile/recompile stage.
 	CompileWall time.Duration
 	// ExecWall is the wall time of the execution stage (for cursors: the
@@ -103,6 +108,7 @@ var statsFieldTokens = map[string]string{
 	"Recompiles":      "recompiles=",
 	"AccessPath":      "access=",
 	"EstRows":         "est=",
+	"DataVersion":     "data-version=",
 	"CompileWall":     "compile=",
 	"ExecWall":        "exec=",
 	"StrategyUsed":    "strategy=",
@@ -125,6 +131,9 @@ func (s ExecStats) String() string {
 	}
 	if s.AccessPath != "" {
 		line += fmt.Sprintf(" access=%q est=%d", s.AccessPath, s.EstRows)
+	}
+	if s.DataVersion != 0 {
+		line += fmt.Sprintf(" data-version=%d", s.DataVersion)
 	}
 	if s.Degradations > 0 || s.BreakerSkips > 0 || s.BreakerTrips > 0 || s.PanicsRecovered > 0 {
 		line += fmt.Sprintf(" strategy=%s degradations=%d breaker-skips=%d breaker-trips=%d panics=%d",

@@ -763,9 +763,9 @@ func (ct *CompiledTransform) SQL() string {
 }
 
 // execution is what Run and OpenCursor set up before a strategy is chosen:
-// the trace (the caller's, or the execution's own when a slow threshold or
-// the sampling policy demands one), the root span, the freshly compiled state
-// and the run's spec — and what they report to when it is over.
+// the trace (the caller's, or the execution's own when the sampling policy
+// demands one), the root span, the freshly compiled state and the run's spec
+// — and what they report to when it is over.
 type execution struct {
 	ct       *CompiledTransform
 	kind     string // "run" or "cursor": the root span's name and the archive record's kind
@@ -781,10 +781,8 @@ type execution struct {
 
 // begin resolves the run options, decides on tracing, recompiles the
 // transform if its view was redefined since compilation (§7.3) and pins the
-// run's snapshot in its spec. A run under a slow threshold traces itself when
-// the caller did not, so a slow-run report always carries the full operator
-// tree; the same applies when the trace-sampling policy selects this run for
-// the run-history archive.
+// run's snapshot in its spec. A run the trace-sampling policy selects for the
+// run-history archive traces itself when the caller did not.
 func (ct *CompiledTransform) begin(kind string, opts []RunOption) (x execution, err error) {
 	if err := ct.db.checkOpen(); err != nil {
 		return x, err
@@ -792,7 +790,7 @@ func (ct *CompiledTransform) begin(kind string, opts []RunOption) (x execution, 
 	ro := buildRunOptions(opts)
 	x = execution{ct: ct, kind: kind, trace: ro.trace}
 	x.sampled = ct.opts.Sampling.wantTrace(ct.db.history.Load())
-	if x.trace == nil && (x.sampled || (ct.opts.SlowThreshold > 0 && ct.opts.SlowSink != nil)) {
+	if x.trace == nil && x.sampled {
 		x.trace, x.ownTrace = obs.New(), true
 	}
 	x.start = time.Now()
@@ -811,7 +809,7 @@ func (ct *CompiledTransform) begin(kind string, opts []RunOption) (x execution, 
 		x.abort(err)
 		return x, err
 	}
-	x.es = ExecStats{Recompiles: int64(recompiled), CompileWall: time.Since(x.start)}
+	x.es = ExecStats{Recompiles: int64(recompiled), DataVersion: x.spec.Snap.CommitSeq(), CompileWall: time.Since(x.start)}
 	return x, nil
 }
 
@@ -825,23 +823,26 @@ func (x *execution) abort(err error) {
 	}
 }
 
-// finish reports a finished execution: the root span, the run metrics, the
-// slow-run log and the run-history archive. err is the terminal error (nil
-// for success); complete says the actual row count is the true cardinality —
-// the run succeeded, the cursor reached its end — and not that of a failed or
+// finish is the engine's one fold over a finished execution: the root span,
+// the run metrics and the run-history archive all read the same ExecStats
+// here, so they cannot disagree. err is the terminal error (nil for success);
+// complete says the actual row count is the true cardinality — the run
+// succeeded, the cursor reached its end — and not that of a failed or
 // abandoned stream, which says nothing about the planner's estimate.
 func (x *execution) finish(es *ExecStats, err error, complete bool) {
 	if x.root != nil {
 		x.root.AddRowsOut(es.RowsProduced)
+		x.root.SetAttr("strategy", es.StrategyUsed.String())
 		if es.AccessPath != "" {
 			x.root.SetAttr("access_path", es.AccessPath)
 		}
+		x.root.SetAttr("compile_ns", int64(es.CompileWall))
+		x.root.SetAttr("exec_ns", int64(es.ExecWall))
 		x.root.Fail(err)
 		x.root.End()
 	}
 	ct := x.ct
 	recordRunMetrics(es, err)
-	emitSlowRun(ct.opts.SlowThreshold, ct.opts.SlowSink, ct.viewName, x.trace, es, err)
 	keep := x.sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
 	ct.db.archiveRun(ct.db.history.Load(), x.kind, ct.viewName, x.start, x.spec, es, err, x.trace, keep, complete)
 	if x.ownTrace {
