@@ -1,6 +1,8 @@
-# Tier-1 gate plus static, race, fuzz-smoke, and fault-injection checks.
+# Tier-1 gate plus static, race, fuzz-smoke, fault-injection and an
+# end-to-end benchmark smoke. No target writes a tracked file.
 #
-#   make verify   build + unit tests + go vet + race suite + fuzz smoke + faults
+#   make verify   build + unit tests + go vet + bench-vet + race suite + fuzz
+#                 smoke + faults + crash + diag-smoke + bench-smoke
 #   make test     tier-1 only (what CI gates on)
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
 #                 fused SQL/XML emitter against the tree serializer, and the
@@ -15,13 +17,10 @@
 #                 stall and latency-spike overload must each capture exactly
 #                 one complete bundle; plus the metric-naming lint and the
 #                 signal-surface golden
-#   make bench    the paper-evaluation benchmarks
-#   make bench-json  pushdown speedup measurements -> BENCH_pushdown.json
-#   make bench-obs   observability overhead guard  -> BENCH_obs.json
-#   make bench-obs-events  wide-event pipeline overhead guard -> BENCH_obs.json
-#   make bench-exec  batched/morsel execution-engine guard -> BENCH_exec.json
-#   make bench-wal   durable insert throughput per fsync policy -> BENCH_wal.json
-#   make bench-serve serving-layer throughput guard -> BENCH_serve.json
+#   make bench-smoke  every repo-benchmark workload for one second; each must
+#                 answer correctly (no-rewrite oracle) with no failed request
+#   make bench    the Go benchmarks (go test -bench); the paper's evaluation
+#                 is the repo benchmark, bash bench/run.sh
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
 #   make demo     paper Examples 1 and 2 end to end, streamed with stats
 #   make console  the demo serving the live debug console on :6060
@@ -29,9 +28,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench bench-json bench-obs bench-obs-events bench-exec bench-wal bench-serve demo console serve
+.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench demo console serve
 
-verify: test vet bench-vet race fuzz faults crash diag-smoke bench-exec bench-serve bench-obs-events
+verify: test vet bench-vet race fuzz faults crash diag-smoke bench-smoke
 
 test:
 	$(GO) build ./...
@@ -81,45 +80,27 @@ crash:
 diag-smoke:
 	$(GO) test -race -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint|TestSignalSurface' ./serve
 
+# End-to-end correctness over the repo benchmark: each workload runs for one
+# timed second through bench/run.sh (the command BENCHMARK.json declares),
+# and its JSON result line must read "correct":true — every response's bytes
+# equal the no-rewrite oracle's — with "failed":0. All five take 20 s on a
+# 2-vCPU Xeon once .bench_build/ holds the build, 36 s from a cold one. It
+# writes only the gitignored .bench_build/ and bench/out/; a workload's
+# stderr is kept in .bench_build/smoke-<w>.err.
+WORKLOADS = serve_hit serve_miss lib_scan paper_figs mixed_rw
+
+bench-smoke:
+	@mkdir -p .bench_build
+	@for w in $(WORKLOADS); do \
+		line=$$(bash bench/run.sh --workload $$w --seconds 1 --trace 0 2>.bench_build/smoke-$$w.err | tail -n 1); \
+		case "$$line" in \
+		*'"correct":true,'*'"failed":0,'*) echo "bench-smoke $$w: ok";; \
+		*) echo "bench-smoke $$w: FAILED: $$line"; tail -n 20 .bench_build/smoke-$$w.err; exit 1;; \
+		esac; \
+	done
+
 bench:
-	$(GO) test -bench . -benchmem -run xxx .
-
-# Machine-readable pushdown measurements: index probe vs full-scan baseline
-# through the public Run API, written to BENCH_pushdown.json.
-bench-json:
-	$(GO) run ./cmd/xsltbench -pushdown -json BENCH_pushdown.json
-
-# Observability overhead guard: nil-trace fast path must stay under 2%
-# estimated overhead (exits non-zero otherwise), compared against the
-# committed BENCH_obs.json baseline; also runs the span-op microbenchmarks
-# in internal/obs. Artifact: BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/xsltbench -obs-overhead -obs-baseline BENCH_obs.json
-	$(GO) test -bench 'BenchmarkNilSpanOps|BenchmarkTracedSpanOps' -benchmem -run xxx ./internal/obs
-
-# Wide-event pipeline guard: serving throughput with per-request events on
-# (NDJSON sink) must stay within 3% of events-off on the cached mix (exits
-# non-zero otherwise). Merges into the shared BENCH_obs.json artifact.
-bench-obs-events:
-	$(GO) run ./cmd/xsltbench -events-overhead -obs-baseline BENCH_obs.json
-
-# Execution-engine guard: the batched scan must stay >=1.3x the row-at-a-time
-# engine single-threaded, and the morsel-parallel scan >=2x when GOMAXPROCS>1
-# (exits non-zero otherwise), compared against the committed BENCH_exec.json
-# baseline. Artifact: BENCH_exec.json.
-bench-exec:
-	$(GO) run ./cmd/xsltbench -exec -exec-baseline BENCH_exec.json
-
-# Durable insert throughput per WAL fsync policy (never / interval / always)
-# against the in-memory baseline, plus replay speed. Artifact: BENCH_wal.json.
-bench-wal:
-	$(GO) run ./cmd/xsltbench -wal
-
-# Serving-layer guard: the result cache must be >=2x the uncached mix's
-# throughput over real HTTP (exits non-zero otherwise), compared against the
-# committed BENCH_serve.json baseline. Artifact: BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/xsltbench -serve -serve-baseline BENCH_serve.json
+	$(GO) test -bench . -benchmem -run '^$$' . ./internal/obs
 
 # The serving daemon over the in-memory demo database: the paper stylesheet
 # at http://localhost:8080/v1/transform/paper, console at :6060.

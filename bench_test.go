@@ -1,34 +1,23 @@
 package xsltdb
 
-// The benchmark harness regenerates the paper's evaluation (§5):
+// Go benchmarks over code that production runs: the XSLT→XQuery translation
+// modes, the two functional XSLT executors, compilation and the plan cache,
+// and Run / Cursor over the paper's dept/emp view (BenchmarkPushdownLookup
+// lives with the pushdown tests). The paper's evaluation itself — rewrite vs
+// no-rewrite over the Figure 2/3 cases — is the repo benchmark, bench/run.sh.
 //
-//   - BenchmarkFigure2_*: the 'dbonerow' XSLTMark case — XSLT rewrite vs
-//     no-rewrite across document sizes. The paper's 8M/16M/32M/64M stored
-//     documents map to scale factors over the generated sales data; the
-//     claim under test is the SHAPE: no-rewrite grows linearly with the
-//     document, rewrite stays nearly flat thanks to the B-tree probe.
-//   - BenchmarkFigure3_*: 'avts', 'chart', 'metric', 'total' — no value
-//     index applies, yet the rewrite avoids materializing and walking the
-//     DOM entirely.
-//   - BenchmarkAblation*: the design choices DESIGN.md calls out.
-//
-// Run: go test -bench=. -benchmem  (cmd/xsltbench prints figure tables).
+// Run: go test -bench=. -benchmem -run xxx  (make bench).
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"strings"
 	"testing"
 
-	"strings"
-
-	"repro/internal/clobstore"
 	"repro/internal/core"
-	"repro/internal/relstore"
 	"repro/internal/sqlxml"
 	"repro/internal/xmltree"
-	"repro/internal/xq2sql"
 	"repro/internal/xquery"
 	"repro/internal/xschema"
 	"repro/internal/xslt"
@@ -36,127 +25,6 @@ import (
 	"repro/internal/xsltvm"
 	"repro/internal/xtest"
 )
-
-// benchEnv packages a case loaded at a scale factor.
-type benchEnv struct {
-	db    *relstore.DB
-	exec  *sqlxml.Executor
-	view  *sqlxml.ViewDef
-	sheet *xslt.Stylesheet
-	// plan is the lowered SQL/XML query (rewrite path).
-	plan *sqlxml.Query
-	// rows is the materialized XMLType input (no-rewrite path input).
-	rows []*xmltree.Node
-	// module is the intermediate XQuery.
-	module *xquery.Module
-}
-
-// loadCase builds everything both paths need, with the case's indexes.
-func loadCase(tb testing.TB, name string, n int) *benchEnv {
-	tb.Helper()
-	c := xsltmark.ByName(name)
-	if c == nil || c.Rel == nil {
-		tb.Fatalf("case %q not database-backed", name)
-	}
-	db := relstore.NewDB()
-	if err := c.Rel.Setup(db, n); err != nil {
-		tb.Fatal(err)
-	}
-	for table, cols := range c.Rel.IndexCols {
-		for _, col := range cols {
-			if err := db.Table(table).CreateIndex(col); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	exec := sqlxml.NewExecutor(db)
-	view := c.Rel.View()
-	schema, err := exec.DeriveSchema(view)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sheet := xtest.Sheet(tb, c.Stylesheet)
-	res, err := core.Rewrite(sheet, schema, core.ModeAuto)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	plan, err := xq2sql.Translate(res.Module, view)
-	if err != nil {
-		tb.Fatalf("%s does not lower: %v", name, err)
-	}
-	rows, err := exec.MaterializeViewSpec(view, nil, &exec.Stats, nil, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &benchEnv{db: db, exec: exec, view: view, sheet: sheet, plan: plan, rows: rows, module: res.Module}
-}
-
-// runRewrite executes the SQL/XML plan (the paper's "rewrite" series).
-func (e *benchEnv) runRewrite(tb testing.TB) {
-	docs, err := e.exec.ExecQueryParallelSpec(e.plan, 0, &e.exec.Stats, nil, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if len(docs) == 0 {
-		tb.Fatal("no output")
-	}
-}
-
-// runNoRewrite materializes the XMLType value and interprets the stylesheet
-// over the DOM (the paper's "no-rewrite" series). Materialization cost is
-// included, exactly as in the paper's functional XMLTransform() evaluation.
-func (e *benchEnv) runNoRewrite(tb testing.TB) {
-	rows, err := e.exec.MaterializeViewSpec(e.view, nil, &e.exec.Stats, nil, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng := xslt.New(e.sheet)
-	for _, row := range rows {
-		if _, err := eng.Transform(row); err != nil {
-			tb.Fatal(err)
-		}
-	}
-}
-
-// Figure2Sizes are the scale factors standing in for the paper's
-// 8M/16M/32M/64M stored documents (rows of generated sales data).
-var Figure2Sizes = []int{2000, 4000, 8000, 16000}
-
-func BenchmarkFigure2(b *testing.B) {
-	for _, n := range Figure2Sizes {
-		env := loadCase(b, "dbonerow", n)
-		b.Run(fmt.Sprintf("rows=%d/rewrite", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env.runRewrite(b)
-			}
-		})
-		b.Run(fmt.Sprintf("rows=%d/no-rewrite", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env.runNoRewrite(b)
-			}
-		})
-	}
-}
-
-// Figure3Cases are the four non-predicate cases of the paper's Figure 3.
-var Figure3Cases = []string{"avts", "chart", "metric", "total"}
-
-func BenchmarkFigure3(b *testing.B) {
-	const n = 4000
-	for _, name := range Figure3Cases {
-		env := loadCase(b, name, n)
-		b.Run(name+"/rewrite", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env.runRewrite(b)
-			}
-		})
-		b.Run(name+"/no-rewrite", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				env.runNoRewrite(b)
-			}
-		})
-	}
-}
 
 // BenchmarkAblationTranslationModes compares the three XSLT→XQuery
 // generation strategies executing FUNCTIONALLY over the same document:
@@ -197,77 +65,6 @@ func BenchmarkAblationTranslationModes(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationIndexVsScan isolates the B-tree's contribution to
-// Figure 2: the same lowered dbonerow plan with and without the id index.
-func BenchmarkAblationIndexVsScan(b *testing.B) {
-	const n = 8000
-	c := xsltmark.ByName("dbonerow")
-
-	build := func(withIndex bool) *benchEnv {
-		db := relstore.NewDB()
-		if err := c.Rel.Setup(db, n); err != nil {
-			b.Fatal(err)
-		}
-		if withIndex {
-			if err := db.Table("sales").CreateIndex("id"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		exec := sqlxml.NewExecutor(db)
-		view := c.Rel.View()
-		schema, _ := exec.DeriveSchema(view)
-		res, err := core.Rewrite(xtest.Sheet(b, c.Stylesheet), schema, core.ModeAuto)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := xq2sql.Translate(res.Module, view)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return &benchEnv{db: db, exec: exec, view: view, plan: plan}
-	}
-
-	withIdx := build(true)
-	b.Run("index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			withIdx.runRewrite(b)
-		}
-	})
-	noIdx := build(false)
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			noIdx.runRewrite(b)
-		}
-	})
-}
-
-// BenchmarkAblationStreaming compares constructing the result directly from
-// columns (the lowered plan) against materializing the XML view first and
-// then running the GENERATED XQUERY functionally — isolating the benefit of
-// skipping materialization even with an optimal query.
-func BenchmarkAblationStreaming(b *testing.B) {
-	const n = 4000
-	env := loadCase(b, "avts", n)
-	b.Run("streaming-sql", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			env.runRewrite(b)
-		}
-	})
-	b.Run("materialize-then-xquery", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rows, err := env.exec.MaterializeViewSpec(env.view, nil, &env.exec.Stats, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, row := range rows {
-				if _, err := xquery.EvalModule(env.module, xquery.NewEnv(xquery.Item(row))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkAblationVMvsInterpreter compares the two functional XSLT
@@ -510,200 +307,4 @@ func newVM(tb testing.TB, sheet *xslt.Stylesheet) *xsltvm.VM {
 		tb.Fatal(err)
 	}
 	return xsltvm.New(prog)
-}
-
-// BenchmarkAblationStorageModels is the study the paper's §7.4 proposes:
-// the same XSLT workload over the three physical XMLType storage models.
-// The workload is Example-1-shaped: many dept documents, transform each.
-//
-//   - object-relational: base tables + view; the rewrite runs as a SQL plan
-//   - tree: pre-parsed DOMs, functional interpretation (no parse cost)
-//   - clob: serialized text, parse-then-interpret per transformation
-//   - clob+pvindex: a path/value index pre-selects the documents a
-//     predicate-bearing query needs, parsing only those
-func BenchmarkAblationStorageModels(b *testing.B) {
-	const nDepts = 200
-	const empsPer = 20
-
-	// Object-relational backing.
-	db := relstore.NewDB()
-	if err := sqlxml.SetupDeptEmp(db); err != nil {
-		b.Fatal(err)
-	}
-	dept := db.Table("dept")
-	emp := db.Table("emp")
-	for d := 1000; d < 1000+nDepts; d++ {
-		if _, err := dept.Insert(int64(d), fmt.Sprintf("D%d", d), "CITY"); err != nil {
-			b.Fatal(err)
-		}
-		for e := 0; e < empsPer; e++ {
-			if _, err := emp.Insert(int64(d*100+e), fmt.Sprintf("E%d", e), "STAFF",
-				int64(500+(e*397)%4500), int64(d)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := emp.CreateIndex("sal"); err != nil {
-		b.Fatal(err)
-	}
-	if err := emp.CreateIndex("deptno"); err != nil {
-		b.Fatal(err)
-	}
-	exec := sqlxml.NewExecutor(db)
-	view := sqlxml.DeptEmpView()
-	schema, err := exec.DeriveSchema(view)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sheet := xtest.Sheet(b, xslt.PaperStylesheet)
-	res, err := core.Rewrite(sheet, schema, core.ModeAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := xq2sql.Translate(res.Module, view)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// CLOB / tree backing: the same documents, serialized.
-	store := clobstore.New()
-	docs, err := exec.MaterializeViewSpec(view, nil, &exec.Stats, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, doc := range docs {
-		if _, err := store.Add(doc.String()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := store.CreatePathIndex("/dept/employees/emp/sal"); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("object-relational", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.ExecQueryParallelSpec(plan, 0, &exec.Stats, nil, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tree", func(b *testing.B) {
-		eng := xslt.New(sheet)
-		for i := 0; i < b.N; i++ {
-			for id := 0; id < store.Len(); id++ {
-				doc, err := store.Tree(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Transform(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("clob", func(b *testing.B) {
-		eng := xslt.New(sheet)
-		for i := 0; i < b.N; i++ {
-			for id := 0; id < store.Len(); id++ {
-				doc, err := store.ParseDoc(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Transform(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	// Selection workload: transform only the documents containing a very
-	// high salary — the path/value index skips parsing the rest.
-	const threshold = 4900
-	b.Run("clob-pvindex-select", func(b *testing.B) {
-		eng := xslt.New(sheet)
-		for i := 0; i < b.N; i++ {
-			ids, used, err := store.SelectDocs("/dept/employees/emp/sal",
-				relstore.Pred{Op: relstore.CmpGe, Val: int64(threshold)})
-			if err != nil || !used {
-				b.Fatal("index not used")
-			}
-			for _, id := range ids {
-				doc, err := store.ParseDoc(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Transform(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("clob-scan-select", func(b *testing.B) {
-		eng := xslt.New(sheet)
-		for i := 0; i < b.N; i++ {
-			// No index available for this spelling: parse and test all.
-			for id := 0; id < store.Len(); id++ {
-				doc, err := store.ParseDoc(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hit := false
-				for _, sal := range doc.ElementsByName("sal") {
-					if v, err2 := strconv.ParseInt(sal.StringValue(), 10, 64); err2 == nil && v >= threshold {
-						hit = true
-						break
-					}
-				}
-				if hit {
-					if _, err := eng.Transform(doc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkAblationParallelism measures row-parallel SQL/XML execution (the
-// paper's "parallel manner" aggregation remark): many departments, each an
-// independent driving row of the Example 1 plan.
-func BenchmarkAblationParallelism(b *testing.B) {
-	db := relstore.NewDB()
-	if err := sqlxml.SetupDeptEmp(db); err != nil {
-		b.Fatal(err)
-	}
-	for d := 1000; d < 1400; d++ {
-		if _, err := db.Table("dept").Insert(int64(d), fmt.Sprintf("D%d", d), "CITY"); err != nil {
-			b.Fatal(err)
-		}
-		for e := 0; e < 40; e++ {
-			if _, err := db.Table("emp").Insert(int64(d*100+e), "E", "S",
-				int64(500+(e*397)%4500), int64(d)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	_ = db.Table("emp").CreateIndex("deptno")
-	exec := sqlxml.NewExecutor(db)
-	view := sqlxml.DeptEmpView()
-	schema, err := exec.DeriveSchema(view)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := core.Rewrite(xtest.Sheet(b, xslt.PaperStylesheet), schema, core.ModeAuto)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := xq2sql.Translate(res.Module, view)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.ExecQueryParallelSpec(plan, workers, &exec.Stats, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -518,3 +518,71 @@ func TestGroupCommitPolicies(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkDurableInsert is what durability costs: 1 000 facade Inserts
+// (one statement each) into an in-memory database, then into a logged one
+// under each fsync policy, opening and closing the log; replay reopens a
+// 1 000-insert log. EXPERIMENTS.md "Durable insert cost" has a run.
+func BenchmarkDurableInsert(b *testing.B) {
+	const rows = 1000
+	fill := func(b *testing.B, d *Database) {
+		if err := d.CreateTable("wal_bench",
+			TableColumn{Name: "id", Type: IntCol},
+			TableColumn{Name: "name", Type: StringCol}); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := d.Insert("wal_bench", int64(i), fmt.Sprintf("payload-%06d", i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	open := func(b *testing.B, opts ...OpenOption) *Database {
+		d, err := Open(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	b.Run("memory", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fill(b, NewDatabase())
+		}
+	})
+	for _, p := range []struct {
+		name string
+		opts []OpenOption
+	}{
+		{"never", []OpenOption{WithSyncPolicy(SyncNever)}},
+		{"interval-16", []OpenOption{WithSyncPolicy(SyncInterval), WithSyncEvery(16)}},
+		{"always", []OpenOption{WithSyncPolicy(SyncAlways)}},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d := open(b, append([]OpenOption{WithDir(b.TempDir())}, p.opts...)...)
+				fill(b, d)
+				if err := d.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("replay", func(b *testing.B) {
+		dir := b.TempDir()
+		d := open(b, WithDir(dir), WithSyncPolicy(SyncNever))
+		fill(b, d)
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d := open(b, WithDir(dir))
+			if got := d.RecoveryStats().Records; got != rows+1 {
+				b.Fatalf("replayed %d records, want %d", got, rows+1)
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

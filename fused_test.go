@@ -82,25 +82,7 @@ func TestFusedMatchesTreesXSLTMark(t *testing.T) {
 		if c.Rel == nil {
 			continue
 		}
-		d := NewDatabase()
-		if err := c.Rel.Setup(d.Rel(), 60); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		for table, cols := range c.Rel.IndexCols {
-			for _, col := range cols {
-				if err := d.CreateIndex(table, col); err != nil {
-					t.Fatalf("%s: %v", c.Name, err)
-				}
-			}
-		}
-		view := c.Rel.View()
-		if err := d.CreateXMLView(view); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		ct, err := d.CompileTransform(view.Name, c.Stylesheet)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
+		d, ct := compileCase(t, c, 60)
 		if ct.Strategy() != StrategySQL {
 			continue
 		}

@@ -16,8 +16,8 @@
 //	sqlxml.query.open     — SQL/XML query open: planning the driving access
 //	                        path, before any row is touched
 //	sqlxml.query.next     — SQL/XML cursor row construction
-//	sqlxml.view.row       — view row materialization
-//	clobstore.parse       — CLOB document parse
+//	sqlxml.view.row       — view row materialization (one hit each time a
+//	                        view cursor advances)
 //	xq2sql.translate      — XQuery→SQL/XML lowering
 //	wal.append            — WAL record append; firing leaves a torn
 //	                        half-frame on disk and wedges the log

@@ -75,8 +75,8 @@ type Event struct {
 // order, omitempty elisions, and escaping) but allocation-free when buf has
 // capacity. The NDJSON sink sits on the dispatcher goroutine behind every
 // request's telemetry; hand-rolling the encoder keeps the event pipeline's
-// serving overhead inside the bench-obs guard on small machines where the
-// dispatcher shares a core with the serving workers.
+// serving overhead small on machines where the dispatcher shares a core with
+// the serving workers.
 func (e *Event) AppendJSON(buf []byte) []byte {
 	buf = append(buf, `{"time":"`...)
 	buf = e.Time.AppendFormat(buf, time.RFC3339Nano)

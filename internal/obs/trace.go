@@ -315,8 +315,8 @@ func (t *Trace) Export() []SpanJSON {
 	return out
 }
 
-// JSON marshals the whole trace, indented, for offline inspection
-// (xsltbench -trace-out).
+// JSON marshals the whole trace, indented, for offline inspection (the run
+// archive keeps it with every retained trace).
 func (t *Trace) JSON() ([]byte, error) {
 	return json.MarshalIndent(t.Export(), "", "  ")
 }

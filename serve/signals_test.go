@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -218,4 +219,76 @@ func TestSignalSurface(t *testing.T) {
 	if xsltd > 9 {
 		t.Errorf("%d xsltd_* families, want at most 9: one fact, one family", xsltd)
 	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but the headers, so
+// what a request costs is the handler's own allocations. Like net/http's
+// writer it takes strings without a copy.
+type discardWriter struct{ header http.Header }
+
+func (w *discardWriter) Header() http.Header               { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error)       { return len(p), nil }
+func (w *discardWriter) WriteString(s string) (int, error) { return len(s), nil }
+func (w *discardWriter) WriteHeader(int)                   {}
+
+// TestEventsCostNoAllocations: turning the wide-event pipeline on — an NDJSON
+// sink, the console ring and the diagnostics monitor on the bus — adds no
+// allocation to a cached hit, the cheapest request the server answers and so
+// the one where the pipeline's share is largest. The event is filled in on
+// the request path either way (the request fold reads it); publishing copies
+// it into the bus's channel, and encoding and fan-out run on the dispatcher
+// from a reused buffer.
+func TestEventsCostNoAllocations(t *testing.T) {
+	const hits = 200 // under the bus's 1024-event buffer: nothing is dropped
+	perHit := func(cfg Config) (float64, obs.EventBusStats) {
+		_, s := newDeptServer(t, cfg)
+		defer s.Close()
+		h := s.Handler()
+		req := httptest.NewRequest(http.MethodGet, "/v1/transform/paper", nil)
+		w := &discardWriter{header: http.Header{}}
+		for i := 0; i < 10; i++ { // the first is the miss that fills the cache
+			h.ServeHTTP(w, req)
+		}
+		s.EventBus().Flush()
+		allocs := testing.AllocsPerRun(hits, func() { h.ServeHTTP(w, req) })
+		if got := w.header.Get("X-Xsltd-Cache"); got != "hit" {
+			t.Fatalf("X-Xsltd-Cache = %q, want hit", got)
+		}
+		s.EventBus().Flush()
+		return allocs, s.EventBus().Stats()
+	}
+	off, _ := perHit(Config{})
+	on, bus := perHit(Config{
+		EnableEvents: true,
+		EventSinks:   []obs.EventSink{obs.NewNDJSONSink(io.Discard)},
+		DiagDir:      t.TempDir(),
+	})
+	t.Logf("cached hit: %.1f allocs events off, %.1f events on (%d events published)", off, on, bus.Published)
+	if bus.Published < hits || bus.Dropped != 0 {
+		t.Fatalf("events on: %+v, want every hit published and none dropped", bus)
+	}
+	ceiling := 20.0
+	if poolsDropItems() {
+		ceiling = 40 // the request's pooled buffers are reallocated at random
+	} else if on > off {
+		t.Errorf("events on: %.1f allocs per hit, events off %.1f — the pipeline must not allocate on the request path", on, off)
+	}
+	if off > ceiling {
+		t.Errorf("events off: %.1f allocs per hit, ceiling is %.0f", off, ceiling)
+	}
+}
+
+// poolsDropItems reports whether sync.Pool is discarding a share of what is
+// put into it, as it does under the race detector, where an allocation count
+// therefore says little about the code being measured.
+func poolsDropItems() bool {
+	var pool sync.Pool
+	item := new(int)
+	for i := 0; i < 64; i++ {
+		pool.Put(item)
+		if pool.Get() == nil {
+			return true
+		}
+	}
+	return false
 }
