@@ -56,10 +56,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
 
-# The robustness suite arms faultpoints (degradation, breaker, panic
-# containment, cancellation promptness) — run it under the race detector.
+# The robustness suite arms faultpoints (degradation, persistent faults,
+# panic containment, cancellation promptness) — run it under the race
+# detector.
 faults:
-	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestOneRowAggCancel|TestJoinFault|TestTimeout|TestMax|TestLimits|TestRecursionLimit|TestDegradation|TestCircuitBreaker|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance|TestChainedStageFailure' .
+	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestOneRowAggCancel|TestJoinFault|TestTimeout|TestMax|TestLimits|TestRecursionLimit|TestDegradation|TestPersistentFault|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance|TestChainedStageFailure' .
 	$(GO) test -race ./internal/faultpoint ./internal/governor
 
 # Crash recovery: the WAL's torn-tail and every-byte-offset truncation
@@ -76,9 +77,11 @@ crash:
 # captures exactly one bundle with every section; lint metric names
 # (snake_case, xsltdb_/xsltd_ prefix, HELP text, counters end _total) and
 # compare the whole signal surface — metric families, event fields, console
-# pages, bundle sections — with serve/testdata/signal_surface.golden.
+# pages, bundle sections — with serve/testdata/signal_surface.golden. Two
+# passes in one process: a server must leave nothing in the process-wide
+# registry that trips the next one's detectors.
 diag-smoke:
-	$(GO) test -race -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint|TestSignalSurface' ./serve
+	$(GO) test -race -count=2 -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint|TestSignalSurface' ./serve
 
 # End-to-end correctness over the repo benchmark: each workload runs for one
 # timed second through bench/run.sh (the command BENCHMARK.json declares),

@@ -31,10 +31,10 @@
 //
 // Diagnostics: -diag-dir turns on the anomaly-triggered flight recorder —
 // detectors watch the process's own signals (p95 latency vs trailing
-// baseline, SLO burn rate, breaker trips, WAL fsync stalls, snapshot-pin
-// age, event drops, goroutine count) and capture a diagnostic bundle
-// (profiles, metrics, recent events, plan and run state) under -diag-dir
-// when one fires, debounced by -diag-debounce and retained up to
+// baseline, SLO burn rate, strategy degradations, WAL fsync stalls,
+// snapshot-pin age, event drops, goroutine count) and capture a diagnostic
+// bundle (profiles, metrics, recent events, plan and run state) under
+// -diag-dir when one fires, debounced by -diag-debounce and retained up to
 // -diag-max-bundles. The console serves /debug/anomalies and /debug/bundle.
 // The public API serves /readyz (readiness: startup complete and not
 // shedding) next to the /healthz liveness probe.

@@ -64,11 +64,10 @@ type Cursor struct {
 // binds variables, WithWhere adds driving predicates (pushed down to the
 // access path), WithoutPushdown forces the full-scan baseline.
 //
-// The strategy is fixed at open time: strategies whose circuit breaker is
-// open are skipped, and a strategy that fails (or panics) while opening
-// degrades to the next one in the chain. Mid-stream failures terminate the
-// cursor — a half-delivered stream cannot be transparently restarted on a
-// weaker strategy without re-emitting rows.
+// The strategy is fixed at open time: a strategy that fails (or panics)
+// while opening degrades to the next one in the chain. Mid-stream failures
+// terminate the cursor — a half-delivered stream cannot be transparently
+// restarted on a weaker strategy without re-emitting rows.
 func (ct *CompiledTransform) OpenCursor(ctx context.Context, opts ...RunOption) (*Cursor, error) {
 	return ct.openCursor(ctx, nil, opts)
 }
@@ -167,12 +166,10 @@ func (c *Cursor) Next() (string, error) {
 }
 
 // release cancels the run, merges this cursor's counters into the
-// database-wide aggregate, ends the pipeline — its outcome goes to the
-// plan's circuit breaker and its spans — and reports the finished execution,
-// exactly once over the cursor's lifetime however Close, end-of-stream, and
-// errors interleave. Must be called WITHOUT c.mu held: it takes the lock for
-// the final accounting and runs the slow-run sink (which may call Stats)
-// unlocked.
+// database-wide aggregate, ends the pipeline and its spans and reports the
+// finished execution, exactly once over the cursor's lifetime however Close,
+// end-of-stream, and errors interleave. Must be called WITHOUT c.mu held: it
+// takes the lock for the final accounting and reports unlocked.
 func (c *Cursor) release() {
 	c.releaseOnce.Do(func() {
 		c.cancel()
@@ -190,9 +187,7 @@ func (c *Cursor) release() {
 		if errors.Is(err, ErrInternal) {
 			c.x.es.PanicsRecovered++
 		}
-		if p.end(c.x.es.RowsProduced, err) {
-			c.x.es.BreakerTrips++
-		}
+		p.end(c.x.es.RowsProduced, err)
 		es := c.statsLocked()
 		c.mu.Unlock()
 
@@ -209,9 +204,8 @@ func (c *Cursor) release() {
 
 // failDatabaseClosed terminates an in-flight cursor because its database
 // was closed: the sticky error becomes ErrDatabaseClosed and the cursor is
-// released. Unlike an ordinary failure it never counts against the plan's
-// circuit breaker — the strategy did nothing wrong — and it is safe to race
-// with Next and Close (release runs exactly once).
+// released. It is safe to race with Next and Close (release runs exactly
+// once).
 func (c *Cursor) failDatabaseClosed() {
 	c.mu.Lock()
 	if c.closed || c.err != nil {

@@ -122,21 +122,9 @@ func Open(opts ...OpenOption) (*Database, error) {
 	if oo.dir == "" {
 		return d, nil
 	}
-	oo.walOpts.OnAppend = func(d time.Duration) {
-		mWalAppends.Inc()
-		mWalAppendSeconds.Observe(d.Seconds())
-	}
-	oo.walOpts.OnFsync = func(d time.Duration) {
-		mWalFsyncs.Inc()
-		mWalFsyncSeconds.Observe(d.Seconds())
-		if d >= walStallThreshold {
-			mWalSlowFsyncs.Inc()
-		}
-	}
-	oo.walOpts.OnRotate = func(d time.Duration) {
-		mWalRotations.Inc()
-		mWalRotateSeconds.Observe(d.Seconds())
-	}
+	oo.walOpts.OnAppend = func(d time.Duration) { mWalAppendSeconds.Observe(d.Seconds()) }
+	oo.walOpts.OnFsync = func(d time.Duration) { mWalFsyncSeconds.Observe(d.Seconds()) }
+	oo.walOpts.OnRotate = func(d time.Duration) { mWalRotateSeconds.Observe(d.Seconds()) }
 	start := time.Now()
 	lg, rs, err := wal.Open(oo.dir, oo.walOpts, d.replayRecord)
 	if err != nil {

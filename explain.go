@@ -62,10 +62,9 @@ func (ct *CompiledTransform) ExplainPlan(opts ...RunOption) string {
 // the EXPLAIN ANALYZE of the XSLT pipeline. The same header as ExplainPlan
 // precedes the tree, followed by the run's ExecStats line.
 //
-// The run is a real execution with real side effects on statistics,
-// metrics, and the plan's circuit breaker. On failure the rendered tree is
-// still returned — error-tagged spans show where the run stopped — together
-// with the error.
+// The run is a real execution with real side effects on statistics and
+// metrics. On failure the rendered tree is still returned — error-tagged
+// spans show where the run stopped — together with the error.
 func (ct *CompiledTransform) ExplainAnalyze(ctx context.Context, opts ...RunOption) (string, error) {
 	tr := obs.New()
 	defer tr.Release()

@@ -307,7 +307,7 @@ type DetectorOptions struct {
 //
 //	latency-spike        window p95 vs trailing baseline (event-fed)
 //	slo-burn             per-tenant burn rate over bound, with hysteresis
-//	breaker-trip         any circuit-breaker trip since last check
+//	degradation          any strategy degradation since last check
 //	wal-fsync-stall      fsync observations above the stall threshold
 //	snapshot-pin-age     oldest MVCC pin older than bound
 //	event-drops          wide events dropped at the full bus buffer
@@ -326,8 +326,8 @@ func StandardDetectors(reg *obs.Registry, o DetectorOptions) []Detector {
 		&LatencySpikeDetector{DetectorName: "latency-spike", Factor: o.LatencyFactor, Floor: o.LatencyFloor},
 		&GaugeBoundDetector{DetectorName: "slo-burn", Registry: reg,
 			Metric: "xsltd_slo_burn_rate_milli", Bound: o.BurnBound, Severity: SeverityCritical},
-		&CounterDeltaDetector{DetectorName: "breaker-trip", Registry: reg,
-			Metric: "xsltdb_breaker_trips_total", Severity: SeverityCritical},
+		&CounterDeltaDetector{DetectorName: "degradation", Registry: reg,
+			Metric: "xsltdb_degradations_total", Severity: SeverityWarn},
 		&HistogramTailDetector{DetectorName: "wal-fsync-stall", Registry: reg,
 			Metric: "xsltdb_wal_fsync_seconds", Threshold: o.WALStallThreshold, Severity: SeverityCritical},
 		&GaugeBoundDetector{DetectorName: "snapshot-pin-age", Registry: reg,

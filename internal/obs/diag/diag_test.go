@@ -335,7 +335,7 @@ func TestMonitorEmitPolls(t *testing.T) {
 func TestStandardDetectors(t *testing.T) {
 	ds := StandardDetectors(obs.NewRegistry(), DetectorOptions{})
 	want := map[string]bool{
-		"latency-spike": true, "slo-burn": true, "breaker-trip": true,
+		"latency-spike": true, "slo-burn": true, "degradation": true,
 		"wal-fsync-stall": true, "snapshot-pin-age": true,
 		"event-drops": true, "goroutine-spike": true,
 	}

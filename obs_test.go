@@ -383,7 +383,7 @@ func TestExecStatsStringComplete(t *testing.T) {
 		MorselsExecuted: 1, Recompiles: 1,
 		AccessPath: "INDEX PROBE t(c)", EstRows: 8, DataVersion: 9, CompileWall: time.Millisecond,
 		ExecWall: time.Millisecond, StrategyUsed: StrategySQL,
-		Degradations: 1, BreakerSkips: 1, BreakerTrips: 1, PanicsRecovered: 1,
+		Degradations: 1, PanicsRecovered: 1,
 		GovTicks: 1,
 	}
 	line := full.String()

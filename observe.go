@@ -33,10 +33,6 @@ var (
 		"Compilations that actually ran the pipeline.")
 	mDegradations = obs.Default.NewCounter("xsltdb_degradations_total",
 		"Strategy degradations (a failing strategy fell through to a weaker one).")
-	mBreakerSkips = obs.Default.NewCounter("xsltdb_breaker_skips_total",
-		"Strategies skipped because their circuit breaker was open.")
-	mBreakerTrips = obs.Default.NewCounter("xsltdb_breaker_trips_total",
-		"Circuit-breaker cells tripped open by run failures.")
 	mPanics = obs.Default.NewCounter("xsltdb_panics_recovered_total",
 		"Engine panics contained at the facade boundary.")
 	mActiveCursors = obs.Default.NewGauge("xsltdb_active_cursors",
@@ -45,19 +41,11 @@ var (
 		"Completed runs whose cardinality q-error (est vs actual rows) crossed the tracker threshold.")
 	mSnapshotPins = obs.Default.NewGauge("xsltdb_snapshot_pins",
 		"MVCC snapshots currently pinned by in-flight runs and open cursors.")
-	mWalAppends = obs.Default.NewCounter("xsltdb_wal_appends_total",
-		"Records appended to the write-ahead log.")
-	mWalFsyncs = obs.Default.NewCounter("xsltdb_wal_fsyncs_total",
-		"fsync calls issued by the write-ahead log.")
 	mWalAppendSeconds = obs.Default.NewHistogram("xsltdb_wal_append_seconds",
 		"Wall time of one WAL append (frame write plus any policy-driven fsync or rotation).",
 		walLatencyBuckets)
 	mWalFsyncSeconds = obs.Default.NewHistogram("xsltdb_wal_fsync_seconds",
 		"Wall time of one WAL fsync call.", walLatencyBuckets)
-	mWalSlowFsyncs = obs.Default.NewCounter("xsltdb_wal_slow_fsyncs_total",
-		"WAL fsync calls slower than the stall threshold (100ms) — the durability layer's explicit stall signal.")
-	mWalRotations = obs.Default.NewCounter("xsltdb_wal_rotations_total",
-		"WAL segment rotations (seal + open next segment).")
 	mWalRotateSeconds = obs.Default.NewHistogram("xsltdb_wal_rotate_seconds",
 		"Wall time of one WAL segment rotation.", walLatencyBuckets)
 	mWalReplaySeconds = obs.Default.NewHistogram("xsltdb_wal_replay_seconds",
@@ -71,14 +59,10 @@ func init() {
 }
 
 // walLatencyBuckets resolve the microsecond-to-millisecond range WAL IO
-// lives in; the default buckets start at 1ms and would flatten it.
+// lives in; the default buckets start at 1ms and would flatten it. The 0.1 s
+// bound is the stall threshold the diagnostics layer's wal-fsync-stall
+// detector reads the fsync histogram's tail above.
 var walLatencyBuckets = []float64{0.00001, 0.0001, 0.001, 0.01, 0.1, 1}
-
-// walStallThreshold is the fsync duration counted as a stall. It sits on a
-// walLatencyBuckets bound so the histogram-tail view and the counter agree
-// exactly; the diagnostics layer's wal-fsync-stall detector uses the same
-// value.
-const walStallThreshold = 100 * time.Millisecond
 
 // snapPins tracks every live MVCC snapshot pin with its acquisition time so
 // the oldest-pin-age gauge can expose long-held snapshots (a stuck cursor
@@ -125,11 +109,12 @@ func (p *pinTracker) oldestAgeSeconds() float64 {
 	return time.Since(oldest).Seconds()
 }
 
-// WALCounters reports the process-wide WAL append and fsync totals. The
-// serving layer reads them before and after a request to attribute WAL
-// activity to the wide event it emits for that request.
+// WALCounters reports the process-wide WAL append and fsync totals — the
+// observation counts of their latency histograms. The serving layer reads
+// them before and after a request to attribute WAL activity to the wide
+// event it emits for that request.
 func WALCounters() (appends, fsyncs int64) {
-	return mWalAppends.Value(), mWalFsyncs.Value()
+	return mWalAppendSeconds.Count(), mWalFsyncSeconds.Count()
 }
 
 // recordRunMetrics folds one finished execution into the process-wide
@@ -145,8 +130,6 @@ func recordRunMetrics(es *ExecStats, err error) {
 	mRowsScanned.Add(es.RowsScanned)
 	mRowsReturned.Add(es.RowsProduced)
 	mDegradations.Add(es.Degradations)
-	mBreakerSkips.Add(es.BreakerSkips)
-	mBreakerTrips.Add(es.BreakerTrips)
 	mPanics.Add(es.PanicsRecovered)
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Option configures CompileTransform. Options are functional: compose
-// WithForcedStrategy, WithParallelism, WithOuterPath, the governance knobs
+// WithForcedStrategy, WithOuterPath, the governance knobs
 // (WithTimeout, WithMaxRows, ...) and WithPlanTag freely; later options win.
 type Option interface {
 	applyOption(*compileOptions)
@@ -24,12 +24,6 @@ func (f optionFunc) applyOption(o *compileOptions) { f(o) }
 // ErrRewriteFellBack when the forced strategy cannot be reached.
 func WithForcedStrategy(s Strategy) Option {
 	return optionFunc(func(o *compileOptions) { o.Force = &s })
-}
-
-// WithParallelism runs the SQL strategy with row-level parallelism across n
-// workers when n > 1 (the paper's "parallel manner" aggregation note).
-func WithParallelism(n int) Option {
-	return optionFunc(func(o *compileOptions) { o.Parallelism = n })
 }
 
 // WithOuterPath composes an XQuery child path over the TRANSFORM OUTPUT
@@ -67,9 +61,9 @@ func WithMaxRecursionDepth(n int) Option {
 }
 
 // WithPlanTag namespaces the compiled plan: transforms differing only in
-// tag get distinct plan-cache entries — and therefore distinct circuit
-// breakers and fallback state. The serving layer uses one tag per tenant so
-// a tenant tripping a plan's breaker cannot degrade another tenant's runs.
+// tag get distinct plan-cache entries, so a tagged compilation always runs
+// the whole pipeline once instead of sharing an existing plan (a cold
+// compile on demand).
 func WithPlanTag(tag string) Option {
 	return optionFunc(func(o *compileOptions) { o.PlanTag = tag })
 }
@@ -82,9 +76,6 @@ type compileOptions struct {
 	// OuterPath composes an XQuery child path over the TRANSFORM OUTPUT
 	// (paper Example 2): e.g. []string{"table", "tr"}.
 	OuterPath []string
-	// Parallelism runs the SQL strategy with row-level parallelism when
-	// > 1 (the paper's "parallel manner" aggregation note).
-	Parallelism int
 
 	// Timeout bounds each execution's wall time (see WithTimeout).
 	Timeout time.Duration
@@ -115,11 +106,11 @@ func buildOptions(opts []Option) compileOptions {
 }
 
 // planKey identifies one cached compilation: same view (at the same
-// version), same stylesheet text, same plan-affecting options. Parallelism
-// and the resource-governance options (Timeout, MaxRows, MaxOutputBytes,
+// version), same stylesheet text, same plan-affecting options. The
+// resource-governance options (Timeout, MaxRows, MaxOutputBytes,
 // MaxRecursionDepth) are deliberately excluded — they tune execution, not
 // the compiled plan — so transforms differing only in those share a cache
-// entry (and therefore a circuit breaker).
+// entry.
 type planKey struct {
 	view    string
 	version int

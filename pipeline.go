@@ -5,8 +5,8 @@ package xsltdb
 //
 //	walkChain ──► open(strategy) ──► appendNext ──► { Cursor.Next | drain }
 //
-// walkChain owns everything about choosing a strategy — breaker gate, attempt
-// and skip spans, degradation bookkeeping, the governance-is-final rule;
+// walkChain owns everything about choosing a strategy — attempt spans,
+// degradation bookkeeping, the governance-is-final rule;
 // open owns the switch over Strategy; appendNext owns the per-row work —
 // limit check before the pull, row/output charge after it, panic
 // containment around it. Run and Cursor differ only in who pulls: a cursor
@@ -38,7 +38,6 @@ import (
 // double-charges its budgets.
 type pipeline struct {
 	strategy Strategy
-	brk      *breaker
 	gov      *governor.G
 	span     *obs.Span // nil when the run is untraced
 
@@ -190,29 +189,22 @@ func contain(what string, err *error) {
 
 // blameless reports whether err says nothing about the health of the
 // strategy it stopped: a governance verdict, a closed database, a failure of
-// a chained stage downstream of it. Such an error never counts against the
-// circuit breaker.
+// a chained stage downstream of it. Another strategy would only meet such an
+// error again, so it is final instead of degrading.
 func blameless(err error) bool {
 	var stage stageError
 	return governor.IsGovernance(err) || errors.Is(err, ErrDatabaseClosed) || errors.As(err, &stage)
 }
 
-// end finishes the attempt with its outcome — io.EOF for a stream that ran
-// to its end, nil for one abandoned healthy (a cursor closed early), else
-// the error that stopped it — after rows rows were handed on. The outcome
-// goes on the attempt's spans and to the plan's circuit breaker, where a
-// drained stream is a success and a failure counts unless it is blameless.
-// It reports whether the failure tripped the breaker open.
-func (p *pipeline) end(rows int64, err error) (tripped bool) {
-	switch {
-	case err == io.EOF:
-		p.brk.success(p.strategy)
-		err = nil
-	case err != nil && !blameless(err):
-		tripped = p.brk.failure(p.strategy)
-	}
+// end finishes the attempt's spans with its outcome — io.EOF for a stream
+// that ran to its end, nil for one abandoned healthy (a cursor closed early),
+// else the error that stopped it — after rows rows were handed on.
+func (p *pipeline) end(rows int64, err error) {
 	if p.span == nil {
-		return tripped
+		return
+	}
+	if err == io.EOF {
+		err = nil
 	}
 	if p.meter != nil {
 		p.evalSp.SetAttr("eval_steps", p.meter.Steps.Load())
@@ -225,44 +217,22 @@ func (p *pipeline) end(rows int64, err error) (tripped bool) {
 	p.span.AddRowsOut(rows)
 	p.span.Fail(err)
 	p.span.End()
-	return tripped
 }
 
 // walkChain walks the plan's degradation chain, strongest strategy first,
-// until attempt succeeds on one: a strategy whose circuit breaker is open is
-// skipped (never the last — something must always run); each of the others
-// is attempted as a fresh pipeline, with engine panics contained; a failed
-// attempt is ended and the walk falls through to the next strategy. A
-// blameless failure — cancellation, a resource or recursion limit, an error
-// in a chained stage — is final: another strategy would only meet it again,
-// so it returns at once. The winning pipeline is
-// returned still open for the caller to end; the walk's counters — skips,
-// trips, degradations, recovered panics, the failed attempts' governor
-// ticks — and the winning strategy go to es.
+// until attempt succeeds on one: each strategy is attempted as a fresh
+// pipeline, with engine panics contained; a failed attempt is ended and the
+// walk falls through to the next strategy. A blameless failure —
+// cancellation, a resource or recursion limit, an error in a chained stage —
+// is final and returns at once. The winning pipeline is returned still open
+// for the caller to end; the walk's counters — degradations, recovered
+// panics, the failed attempts' governor ticks — and the winning strategy go
+// to es.
 func (d *Database) walkChain(ctx context.Context, st *planState, opts compileOptions, spec *sqlxml.RunSpec, root *obs.Span, es *ExecStats, attempt func(*pipeline) error) (*pipeline, error) {
 	strategies := st.chain(opts)
 	var lastErr error
 	for i, s := range strategies {
-		last := i == len(strategies)-1
-		if !last && !st.brk.allow(s) {
-			es.BreakerSkips++
-			if root != nil {
-				sk := root.Start(s.String())
-				sk.SetAttr("breaker", "open")
-				sk.SetAttr("skipped", "true")
-				sk.End()
-			}
-			continue
-		}
-		p := &pipeline{
-			strategy: s, brk: st.brk, span: root.Start(s.String()),
-			gov: opts.governor(ctx),
-		}
-		if p.span != nil {
-			if bs := st.brk.state(s); bs != "closed" {
-				p.span.SetAttr("breaker", bs)
-			}
-		}
+		p := &pipeline{strategy: s, span: root.Start(s.String()), gov: opts.governor(ctx)}
 		spec.Span = p.span // attempts run one after another; the last wins
 		err := d.try(ctx, st, p, attempt)
 		if err == nil {
@@ -270,9 +240,7 @@ func (d *Database) walkChain(ctx context.Context, st *planState, opts compileOpt
 			return p, nil
 		}
 		es.GovTicks += int64(p.gov.Ticks())
-		if p.end(0, err) {
-			es.BreakerTrips++
-		}
+		p.end(0, err)
 		if errors.Is(err, ErrInternal) {
 			es.PanicsRecovered++
 		}
@@ -280,7 +248,7 @@ func (d *Database) walkChain(ctx context.Context, st *planState, opts compileOpt
 			return nil, err
 		}
 		lastErr = err
-		if !last {
+		if i < len(strategies)-1 {
 			es.Degradations++
 			if root != nil {
 				root.SetAttr("degraded_from", s.String())

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // keyedViewDef is the pushdown fixture view: one document per driving row,
@@ -182,27 +184,33 @@ func TestWithParamOnePlanManyBindings(t *testing.T) {
 }
 
 // TestRunOptionErrors: invalid run options fail fast with typed errors —
-// before the execution chain runs (no breaker pollution, no partial work).
+// before the execution chain runs (no strategy attempted, no degradation, no
+// partial work).
 func TestRunOptionErrors(t *testing.T) {
 	d := newKeyedDB(t, 10)
 	ct, err := d.CompileTransform("rows", keyedSheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ct.Run(context.Background(), WithWhere("@id = $key")); !errors.Is(err, ErrUnboundParam) {
-		t.Fatalf("unbound param err = %v, want ErrUnboundParam", err)
-	}
-	if _, err := ct.Run(context.Background(), WithParam("key", []int{1})); !errors.Is(err, ErrBadRunOption) {
-		t.Fatalf("bad value type err = %v, want ErrBadRunOption", err)
-	}
-	if _, err := ct.Run(context.Background(), WithWhere("bogus = 1")); !errors.Is(err, ErrBadRunOption) {
-		t.Fatalf("unknown column err = %v, want ErrBadRunOption", err)
-	}
-	if _, err := ct.Run(context.Background(), WithWhere("@id = 1 or @id = 2")); !errors.Is(err, ErrBadRunOption) {
-		t.Fatalf("disjunction err = %v, want ErrBadRunOption", err)
-	}
-	if bs := ct.BreakerStats(); bs.SQL.ConsecutiveFailures != 0 {
-		t.Fatalf("option errors leaked into the breaker: %+v", bs.SQL)
+	for _, c := range []struct {
+		name string
+		opt  RunOption
+		want error
+	}{
+		{"unbound param", WithWhere("@id = $key"), ErrUnboundParam},
+		{"bad value type", WithParam("key", []int{1}), ErrBadRunOption},
+		{"unknown column", WithWhere("bogus = 1"), ErrBadRunOption},
+		{"disjunction", WithWhere("@id = 1 or @id = 2"), ErrBadRunOption},
+	} {
+		tr := obs.New()
+		res, err := ct.Run(context.Background(), c.opt, WithTrace(tr))
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s err = %v, want %v", c.name, err, c.want)
+		}
+		if (res != nil && res.Stats.Degradations != 0) || tr.Find(ct.Strategy().String()) != nil {
+			t.Fatalf("%s: a strategy was attempted:\n%s", c.name, tr.Tree())
+		}
+		tr.Release()
 	}
 	// The same validation guards the cursor before it opens.
 	if _, err := ct.OpenCursor(context.Background(), WithWhere("@id = $key")); !errors.Is(err, ErrUnboundParam) {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultpoint"
 	"repro/internal/governor"
+	"repro/internal/obs"
 	"repro/internal/sqlxml"
 	"repro/internal/xslt"
 )
@@ -42,7 +43,7 @@ var errBoom = errors.New("injected fault")
 
 // runWithStats runs once and splits the Result into the rows+stats shape
 // many of these assertions are written against; stats stay available on
-// failed runs (degradation counts, breaker trips).
+// failed runs (degradation counts, recovered panics).
 func runWithStats(ct *CompiledTransform) ([]string, *ExecStats, error) {
 	res, err := ct.Run(context.Background())
 	if res == nil {
@@ -110,7 +111,7 @@ func TestRunContextCancelPrompt(t *testing.T) {
 // fanned out over workers — the dispatch loop and every worker must stop.
 func TestParallelRunCancel(t *testing.T) {
 	d := newBigDeptDB(t, 10_000)
-	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4))
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestParallelRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ct.Run(ctx)
+		_, err := ct.Run(ctx, WithWorkers(4))
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -284,10 +285,10 @@ func TestDegradationOnInjectedFault(t *testing.T) {
 	}
 }
 
-// TestCircuitBreakerTripAndRecover drives the SQL strategy to failure until
-// its per-plan breaker trips, verifies subsequent runs skip it, then heals
-// the fault and watches the half-open probe close the breaker.
-func TestCircuitBreakerTripAndRecover(t *testing.T) {
+// TestPersistentFaultDegradesEveryRun: a strategy that fails on every run
+// is attempted on every run — nothing remembers the failure — and every run
+// still degrades to the same bytes.
+func TestPersistentFaultDegradesEveryRun(t *testing.T) {
 	d := newDeptDB(t)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
@@ -302,56 +303,21 @@ func TestCircuitBreakerTripAndRecover(t *testing.T) {
 	faultpoint.Enable("sqlxml.query.next", errBoom)
 	defer faultpoint.Reset()
 
-	// breakerThreshold consecutive failures trip the cell; every run still
-	// succeeds via degradation.
-	for i := 0; i < breakerThreshold; i++ {
+	for i := 0; i < 12; i++ {
+		hitsBefore := faultpoint.Hits("sqlxml.query.next")
 		got, es, err := runWithStats(ct)
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("run %d: %v (%d rows)", i, err, len(got))
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
-		if es.Degradations != 1 {
-			t.Fatalf("run %d: degradations = %d", i, es.Degradations)
+		if es.Degradations != 1 || es.StrategyUsed != StrategyXQuery {
+			t.Fatalf("run %d: degradations=%d strategy=%v", i, es.Degradations, es.StrategyUsed)
 		}
-		if i == breakerThreshold-1 && es.BreakerTrips != 1 {
-			t.Fatalf("final failure must trip the breaker, got %d trips", es.BreakerTrips)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: degraded rows differ:\n%v\n%v", i, got, want)
 		}
-	}
-	bs := ct.BreakerStats()
-	if !bs.SQL.Open || bs.SQL.Trips != 1 {
-		t.Fatalf("breaker state = %+v, want open with 1 trip", bs.SQL)
-	}
-
-	// While open, runs skip the SQL strategy without attempting it.
-	hitsBefore := faultpoint.Hits("sqlxml.query.next")
-	_, es, err := runWithStats(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es.BreakerSkips != 1 || es.StrategyUsed != StrategyXQuery {
-		t.Fatalf("open-breaker run: skips=%d strategy=%v", es.BreakerSkips, es.StrategyUsed)
-	}
-	if faultpoint.Hits("sqlxml.query.next") != hitsBefore {
-		t.Fatal("open breaker must not touch the SQL plan at all")
-	}
-
-	// Heal the fault, spend the cooldown, and let the half-open probe
-	// close the breaker again.
-	faultpoint.Disable("sqlxml.query.next")
-	for i := 0; i < breakerCooldown+1; i++ {
-		if _, err := ct.Run(context.Background()); err != nil {
-			t.Fatalf("cooldown run %d: %v", i, err)
+		if faultpoint.Hits("sqlxml.query.next") == hitsBefore {
+			t.Fatalf("run %d skipped the SQL strategy", i)
 		}
-	}
-	bs = ct.BreakerStats()
-	if bs.SQL.Open {
-		t.Fatalf("breaker should have closed after probe: %+v", bs.SQL)
-	}
-	_, es, err = runWithStats(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es.StrategyUsed != StrategySQL || es.Degradations != 0 {
-		t.Fatalf("recovered run: strategy=%v degradations=%d", es.StrategyUsed, es.Degradations)
 	}
 }
 
@@ -454,13 +420,13 @@ func TestCursorDoubleClose(t *testing.T) {
 // in flight must release the iterators exactly once and leave the cursor in
 // a coherent terminal state — run with -race.
 func TestCursorCloseDuringNext(t *testing.T) {
-	for _, opts := range [][]Option{nil, {WithParallelism(4)}} {
+	for _, opts := range [][]RunOption{nil, {WithWorkers(4)}} {
 		d := newBigDeptDB(t, 2_000)
-		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, opts...)
+		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := ct.OpenCursor(context.Background())
+		cur, err := ct.OpenCursor(context.Background(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,19 +493,18 @@ func TestCursorCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestCursorBreakerInteraction: a mid-stream fault terminates the cursor
-// (no silent truncation) and counts against the plan's breaker; an open
-// breaker makes the next cursor open on the weaker strategy.
-func TestCursorBreakerInteraction(t *testing.T) {
+// TestCursorSurfacesMidStreamFault: a mid-stream fault terminates the
+// cursor with the typed, sticky error — no silent truncation, no restart on a
+// weaker strategy — however many cursors in a row meet it.
+func TestCursorSurfacesMidStreamFault(t *testing.T) {
 	d := newDeptDB(t)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultpoint.EnableAfter("sqlxml.query.next", 1, errBoom)
 	defer faultpoint.Reset()
-
-	for i := 0; i < breakerThreshold; i++ {
+	for i := 0; i < 12; i++ {
+		faultpoint.EnableAfter("sqlxml.query.next", 1, errBoom) // re-arm the pass budget
 		cur, err := ct.OpenCursor(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -550,25 +515,13 @@ func TestCursorBreakerInteraction(t *testing.T) {
 		if _, err := cur.Next(); !errors.Is(err, errBoom) {
 			t.Fatalf("cursor %d must surface the fault, got %v", i, err)
 		}
+		if _, err := cur.Next(); !errors.Is(err, errBoom) {
+			t.Fatalf("cursor %d: the fault must be sticky, got %v", i, err)
+		}
+		if es := cur.Stats(); es.StrategyUsed != StrategySQL || es.Degradations != 0 {
+			t.Fatalf("cursor %d stats: strategy=%v degradations=%d", i, es.StrategyUsed, es.Degradations)
+		}
 		cur.Close()
-		faultpoint.EnableAfter("sqlxml.query.next", 1, errBoom) // re-arm pass budget
-	}
-	if bs := ct.BreakerStats(); !bs.SQL.Open {
-		t.Fatalf("mid-stream cursor failures must trip the breaker: %+v", bs.SQL)
-	}
-	cur, err := ct.OpenCursor(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := cur.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("degraded cursor produced nothing")
-	}
-	if es := cur.Stats(); es.StrategyUsed != StrategyXQuery || es.BreakerSkips != 1 {
-		t.Fatalf("degraded cursor stats: strategy=%v skips=%d", es.StrategyUsed, es.BreakerSkips)
 	}
 }
 
@@ -588,21 +541,25 @@ func TestFaultMidScanNoTruncation(t *testing.T) {
 	}
 }
 
-// TestGovernanceNotBreakerFailure: cancellations and limits must not count
-// against the strategy's breaker — they say nothing about plan health.
+// TestGovernanceNotBreakerFailure: cancellations and limits say nothing
+// about the strategy's health, so they never degrade — the failing strategy
+// is the only one attempted, on every run.
 func TestGovernanceNotBreakerFailure(t *testing.T) {
 	d := newDeptDB(t)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithMaxRows(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < breakerThreshold+1; i++ {
-		if _, err := ct.Run(context.Background()); !errors.Is(err, ErrLimitExceeded) {
+	for i := 0; i < 4; i++ {
+		tr := obs.New()
+		res, err := ct.Run(context.Background(), WithTrace(tr))
+		if !errors.Is(err, ErrLimitExceeded) {
 			t.Fatalf("run %d: %v", i, err)
 		}
-	}
-	if bs := ct.BreakerStats(); bs.SQL.Open || bs.SQL.ConsecutiveFailures != 0 {
-		t.Fatalf("limit errors leaked into the breaker: %+v", bs.SQL)
+		if res.Stats.Degradations != 0 || tr.Find(StrategySQL.String()) == nil || tr.Find(StrategyXQuery.String()) != nil {
+			t.Fatalf("run %d: a limit error degraded (degradations=%d):\n%s", i, res.Stats.Degradations, tr.Tree())
+		}
+		tr.Release()
 	}
 }
 

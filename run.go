@@ -97,8 +97,8 @@ func WithTrace(t *obs.Trace) RunOption {
 // full scan fans out to AND the parallel construction workers of the SQL
 // strategy. 1 forces fully serial execution (the debugging baseline — output
 // is byte-identical at any worker count); 0 or unset means the defaults
-// (GOMAXPROCS morsel workers, compile-time WithParallelism for
-// construction). Negative counts are rejected as ErrBadRunOption.
+// (GOMAXPROCS morsel workers, serial construction). Negative counts are
+// rejected as ErrBadRunOption.
 func WithWorkers(n int) RunOption {
 	return runOptionFunc(func(o *runOptions) {
 		if n < 0 {
@@ -201,7 +201,7 @@ func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.
 	}
 	// Validate parameter coverage of the DRIVING predicates up front: an
 	// unbound parameter would otherwise fail every strategy in the chain,
-	// counting three spurious failures against the plan's circuit breaker.
+	// degrading twice only to report the same error.
 	if !lenient {
 		var merged []relstore.Pred
 		if st.plan != nil {

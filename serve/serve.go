@@ -11,12 +11,12 @@
 //     cached result for that view by construction — stale entries can
 //     never be served, they just age out of the LRU.
 //  3. Per-tenant admission control — an API key resolves to a tenant whose
-//     TenantLimits cap concurrent runs and per-run budgets, and whose
-//     WithPlanTag-isolated plans keep circuit-breaker state private to the
-//     tenant. On top sits latency shedding: when the sliding p95 of recent
-//     requests breaches the configured target, new executions are shed
-//     with 429 + Retry-After while cache hits, coalesce joins, and
-//     in-flight runs complete — graceful degradation, not collapse.
+//     TenantLimits cap concurrent runs and per-run budgets; tenants share
+//     one immutable compiled plan. On top sits latency shedding: when the
+//     sliding p95 of recent requests breaches the configured target, new
+//     executions are shed with 429 + Retry-After while cache hits, coalesce
+//     joins, and in-flight runs complete — graceful degradation, not
+//     collapse.
 package serve
 
 import (
@@ -76,7 +76,7 @@ type Config struct {
 
 	// DiagDir enables the diagnostics flight recorder: a detector monitor
 	// watches the process's own signals (latency p95 vs trailing baseline,
-	// SLO burn rate, circuit-breaker trips, WAL fsync stalls, snapshot-pin
+	// SLO burn rate, strategy degradations, WAL fsync stalls, snapshot-pin
 	// age, event-bus drops, goroutine count) and captures a diagnostic
 	// bundle under this directory when one fires. The monitor rides the
 	// event bus (the latency-spike rule reads request events), so setting
@@ -232,11 +232,18 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close flushes and stops the wide-event pipeline and the diagnostics
-// monitor. Requests may still be served afterwards; their events are dropped
-// and counted.
+// monitor, and zeroes its tenants' SLO burn gauges: the registry is
+// process-wide and outlives the server, and a closed server burns no budget.
+// Requests may still be served afterwards; their events are dropped and
+// counted.
 func (s *Server) Close() {
 	s.events.Close()
 	s.monitor.Close()
+	s.tenantMu.Lock()
+	for name := range s.tenants {
+		mSLOBurnRate.With(name).Set(0)
+	}
+	s.tenantMu.Unlock()
 }
 
 // diagSources wires the flight recorder's bundle sections to the layers
@@ -664,10 +671,8 @@ func (s *Server) admit(ts *tenantState) (release func(), err error) {
 }
 
 // compiledFor returns the tenant's compilation of def, compiling on first
-// use. Each named tenant compiles with WithPlanTag, so its plan-cache entry
-// — and therefore its circuit breakers and fallback state — is isolated
-// from every other tenant's; the tenant's per-run budgets ride along as
-// compile options.
+// use. The tenant's per-run budgets ride along as compile options; they are
+// not part of the plan-cache key, so every tenant shares one cached plan.
 func (s *Server) compiledFor(def *transformDef, tenant string, lim xsltdb.TenantLimits) (*xsltdb.CompiledTransform, error) {
 	key := compiledKey{name: def.name, tenant: tenant}
 	s.mu.RLock()
@@ -677,9 +682,6 @@ func (s *Server) compiledFor(def *transformDef, tenant string, lim xsltdb.Tenant
 		return ct, nil
 	}
 	opts := append([]xsltdb.Option{}, def.opts...)
-	if tenant != "" {
-		opts = append(opts, xsltdb.WithPlanTag("tenant:"+tenant))
-	}
 	if lim.Timeout > 0 {
 		opts = append(opts, xsltdb.WithTimeout(lim.Timeout))
 	}

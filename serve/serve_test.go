@@ -322,6 +322,46 @@ type reply1 struct {
 	body   string
 }
 
+// TestTenantsShareOnePlan: tenants with different limits run one cached
+// plan — registration compiles it once and no tenant compiles again — while
+// each tenant's budget still applies to its own runs only.
+func TestTenantsShareOnePlan(t *testing.T) {
+	d := xsltdb.NewDatabase()
+	if err := sqlxml.SetupDeptEmp(d.Rel()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateXMLView(sqlxml.DeptEmpView()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterTenant("alpha", xsltdb.TenantLimits{MaxRows: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterTenant("beta", xsltdb.TenantLimits{MaxRows: 100}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{DB: d, APIKeys: map[string]string{"key-a": "alpha", "key-b": "beta"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missesBefore := d.PlanCacheStats().CacheMisses
+	if err := s.RegisterTransform("paper", "dept_emp", xslt.PaperStylesheet); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// alpha first: a failed run is never cached, so beta runs too.
+	if resp, body := get(t, ts, "/v1/transform/paper", map[string]string{"X-Api-Key": "key-a"}); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("alpha (MaxRows 1) status = %d body %q, want 413", resp.StatusCode, body)
+	}
+	if resp, body := get(t, ts, "/v1/transform/paper", map[string]string{"X-Api-Key": "key-b"}); resp.StatusCode != http.StatusOK || strings.Count(body, "\n") != 2 {
+		t.Fatalf("beta (MaxRows 100) status = %d body %q, want both rows", resp.StatusCode, body)
+	}
+	if grown := d.PlanCacheStats().CacheMisses - missesBefore; grown != 1 {
+		t.Fatalf("plan-cache misses grew by %d over registration and two tenants, want 1", grown)
+	}
+}
+
 // TestAuth: with API keys configured, a missing or unknown key is 401.
 func TestAuth(t *testing.T) {
 	_, s := newDeptServer(t, Config{APIKeys: map[string]string{"k": "tenant"}})

@@ -63,12 +63,6 @@ type ExecStats struct {
 	// Degradations counts how many times this run fell from a failing
 	// strategy to a weaker one (SQL plan → per-row XQuery → interpreter).
 	Degradations int64
-	// BreakerSkips counts strategies this run skipped because their
-	// per-plan circuit breaker was open.
-	BreakerSkips int64
-	// BreakerTrips counts circuit-breaker cells this run's failures
-	// tripped open.
-	BreakerTrips int64
 	// PanicsRecovered counts engine panics contained at the facade
 	// boundary during this run (surfaced as ErrInternal, possibly handled
 	// by degradation).
@@ -113,8 +107,6 @@ var statsFieldTokens = map[string]string{
 	"ExecWall":        "exec=",
 	"StrategyUsed":    "strategy=",
 	"Degradations":    "degradations=",
-	"BreakerSkips":    "breaker-skips=",
-	"BreakerTrips":    "breaker-trips=",
 	"PanicsRecovered": "panics=",
 	"GovTicks":        "gov-ticks=",
 }
@@ -135,9 +127,9 @@ func (s ExecStats) String() string {
 	if s.DataVersion != 0 {
 		line += fmt.Sprintf(" data-version=%d", s.DataVersion)
 	}
-	if s.Degradations > 0 || s.BreakerSkips > 0 || s.BreakerTrips > 0 || s.PanicsRecovered > 0 {
-		line += fmt.Sprintf(" strategy=%s degradations=%d breaker-skips=%d breaker-trips=%d panics=%d",
-			s.StrategyUsed, s.Degradations, s.BreakerSkips, s.BreakerTrips, s.PanicsRecovered)
+	if s.Degradations > 0 || s.PanicsRecovered > 0 {
+		line += fmt.Sprintf(" strategy=%s degradations=%d panics=%d",
+			s.StrategyUsed, s.Degradations, s.PanicsRecovered)
 	}
 	if s.GovTicks > 0 {
 		line += fmt.Sprintf(" gov-ticks=%d", s.GovTicks)

@@ -45,12 +45,6 @@ type executionCase struct {
 }
 
 func executionCases() []executionCase {
-	setBreaker := func(ct *CompiledTransform, cell breakerCell) {
-		b := ct.snapshot().brk
-		b.mu.Lock()
-		b.cells = [3]breakerCell{StrategySQL: cell}
-		b.mu.Unlock()
-	}
 	forced := func(s Strategy) executionCase {
 		return executionCase{
 			name: s.String(), opts: []Option{WithForcedStrategy(s)},
@@ -60,16 +54,8 @@ func executionCases() []executionCase {
 	return []executionCase{
 		forced(StrategySQL), forced(StrategyXQuery), forced(StrategyNoRewrite),
 		{
-			name: "breaker-open",
-			arm: func(_ *testing.T, ct *CompiledTransform) {
-				setBreaker(ct, breakerCell{open: true, skipsLeft: breakerCooldown})
-			},
-			want: func(es ExecStats) bool { return es.StrategyUsed == StrategyXQuery && es.BreakerSkips == 1 },
-		},
-		{
 			name: "panic-at-open",
-			arm: func(t *testing.T, ct *CompiledTransform) {
-				setBreaker(ct, breakerCell{})
+			arm: func(t *testing.T, _ *CompiledTransform) {
 				faultpoint.EnablePanic("sqlxml.query.open")
 				t.Cleanup(faultpoint.Reset)
 			},
@@ -117,8 +103,7 @@ func assertEntriesAgree(t *testing.T, c executionCase, ct *CompiledTransform,
 	decided := func(es ExecStats) ExecStats {
 		return ExecStats{
 			RowsProduced: es.RowsProduced, AccessPath: es.AccessPath, EstRows: es.EstRows,
-			StrategyUsed: es.StrategyUsed, Degradations: es.Degradations, BreakerSkips: es.BreakerSkips,
-			BreakerTrips: es.BreakerTrips, PanicsRecovered: es.PanicsRecovered,
+			StrategyUsed: es.StrategyUsed, Degradations: es.Degradations, PanicsRecovered: es.PanicsRecovered,
 		}
 	}
 	if r, s := decided(res.Stats), decided(cur.Stats()); r != s {
@@ -136,7 +121,7 @@ func assertEntriesAgree(t *testing.T, c executionCase, ct *CompiledTransform,
 // TestCursorMatchesRunAllStrategies: the streaming cursor must be
 // byte-identical to the materializing Run for every strategy — and agree
 // with it on everything else a caller can observe, whether the strategy ran
-// clean, was skipped by an open breaker, or panicked while opening.
+// clean or panicked while opening.
 func TestCursorMatchesRunAllStrategies(t *testing.T) {
 	for _, c := range executionCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -206,8 +191,7 @@ func TestChainedCursorMatchesRun(t *testing.T) {
 
 // TestChainedStageFailureIsBlameless: a deterministic error in a chained
 // stage is returned once and says nothing about the first stage's strategy —
-// no degradation re-runs the first stage on a weaker strategy, and however
-// often it repeats the shared plan's breaker never hears of it — through the
+// no degradation re-runs the first stage on a weaker strategy — through the
 // serial route, the parallel one and the cursor alike.
 func TestChainedStageFailureIsBlameless(t *testing.T) {
 	d := newDeptDB(t)
@@ -244,26 +228,17 @@ func TestChainedStageFailureIsBlameless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2*breakerThreshold; i++ {
-			es, err := e.entry(e.opts...)
-			if err == nil || governor.IsGovernance(err) || !strings.Contains(err.Error(), "no-such-function") {
-				t.Fatalf("%s: err = %v, want the stage's unknown-function error", e.name, err)
-			}
-			if es.StrategyUsed != StrategySQL || es.Degradations != 0 || es.BreakerTrips != 0 || es.BreakerSkips != 0 {
-				t.Fatalf("%s #%d: a stage failure was charged to the strategy: %+v", e.name, i, es)
-			}
-			if es.RowsScanned > clean.Stats.RowsScanned {
-				t.Fatalf("%s: scanned %d rows, a clean run scans %d — the first stage ran more than once",
-					e.name, es.RowsScanned, clean.Stats.RowsScanned)
-			}
+		es, err := e.entry(e.opts...)
+		if err == nil || governor.IsGovernance(err) || !strings.Contains(err.Error(), "no-such-function") {
+			t.Fatalf("%s: err = %v, want the stage's unknown-function error", e.name, err)
 		}
-	}
-	after, err := ct.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Stats.StrategyUsed != StrategySQL || after.Stats.BreakerSkips != 0 {
-		t.Fatalf("the plain transform was demoted by its chain's failures: %+v", after.Stats)
+		if es.StrategyUsed != StrategySQL || es.Degradations != 0 {
+			t.Fatalf("%s: a stage failure was charged to the strategy: %+v", e.name, es)
+		}
+		if es.RowsScanned > clean.Stats.RowsScanned {
+			t.Fatalf("%s: scanned %d rows, a clean run scans %d — the first stage ran more than once",
+				e.name, es.RowsScanned, clean.Stats.RowsScanned)
+		}
 	}
 }
 
@@ -468,13 +443,13 @@ func TestTypedErrors(t *testing.T) {
 func TestPlanTagOption(t *testing.T) {
 	d := newDeptDB(t)
 	base, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet,
-		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithParallelism(2))
+		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	entriesBefore := len(d.PlanCacheEntries())
 	same, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet,
-		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithParallelism(2))
+		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,8 +457,7 @@ func TestPlanTagOption(t *testing.T) {
 		t.Fatalf("identical compile added a cache entry: %d -> %d", entriesBefore, n)
 	}
 	tagged, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet,
-		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithParallelism(2),
-		WithPlanTag("tenant-a"))
+		WithForcedStrategy(StrategyXQuery), WithOuterPath("table", "tr"), WithPlanTag("tenant-a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,12 +505,12 @@ func TestPlanCacheHit(t *testing.T) {
 	if s := d.PlanCacheStats(); s.CacheMisses != 2 {
 		t.Fatalf("outer-path compile should miss: %+v", s)
 	}
-	// Parallelism does not affect the plan → still a hit.
-	if _, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4)); err != nil {
+	// Governance options do not affect the plan → still a hit.
+	if _, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithMaxRows(4)); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.PlanCacheStats(); s.CacheHits != 2 {
-		t.Fatalf("parallelism-only compile should hit: %+v", s)
+		t.Fatalf("governance-only compile should hit: %+v", s)
 	}
 
 	// Redefining the view invalidates: next compile is a miss, and the
@@ -670,7 +644,7 @@ func TestConcurrentRunAndReplace(t *testing.T) {
 func TestConcurrentParallelExecAndStats(t *testing.T) {
 	d := newDeptDB(t)
 	_ = d.CreateIndex("emp", "deptno")
-	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4))
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,10 +662,10 @@ func TestConcurrentParallelExecAndStats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if _, es, err := runWithStats(ct); err != nil {
+				if res, err := ct.Run(context.Background(), WithWorkers(4)); err != nil {
 					errs <- err
 					return
-				} else if es.RowsProduced == 0 {
+				} else if res.Stats.RowsProduced == 0 {
 					errs <- errors.New("no rows")
 					return
 				}

@@ -1,10 +1,11 @@
 package xsltdb
 
-// Multi-tenancy: a Database can host several tenants that share its tables
-// and views but not its failure domains. Each tenant gets its own limits
-// (resolved by the serving layer on every request) and — via WithPlanTag —
-// its own plan-cache entries and circuit breakers, so one tenant tripping a
-// plan's breaker or burning its budget cannot degrade another's runs.
+// Multi-tenancy: a Database can host several tenants that share its tables,
+// views and compiled plans but not their budgets. Each tenant gets its own
+// limits, resolved by the serving layer on every request, so one tenant
+// burning its budget cannot slow another's runs. Plans are immutable and a
+// failing strategy degrades per run, so sharing one compile across tenants
+// leaks no state between them.
 
 import (
 	"sort"

@@ -474,9 +474,10 @@ func (d *Database) DeriveSchema(name string) (*xschema.Schema, error) {
 	return d.exec.DeriveSchema(v)
 }
 
-// planState is the immutable result of one compilation. The plan cache
-// shares planStates across CompiledTransforms and concurrent runs, so
-// nothing in here may be mutated after compilePlanUncached returns.
+// planState is the immutable result of one compilation: it has no mutable
+// member, so the plan cache shares it across CompiledTransforms, tenants and
+// concurrent runs without a lock. Nothing in here may be mutated after
+// compilePlanUncached returns.
 type planState struct {
 	view        *ViewDef
 	viewVersion int
@@ -485,11 +486,6 @@ type planState struct {
 	rewrite     *core.Result  // nil for no-rewrite
 	plan        *sqlxml.Query // nil unless StrategySQL
 	fallback    string        // why a stronger strategy was not used
-
-	// brk is the plan's circuit breaker. It is the one mutable member —
-	// internally synchronized — and, because the plan cache shares
-	// planStates, its trip state is genuinely per-plan.
-	brk *breaker
 }
 
 // chain lists the runtime degradation chain for this plan, strongest
@@ -551,9 +547,8 @@ func (ct *CompiledTransform) Recompiles() int {
 
 // CompileTransform compiles stylesheet text against the named view,
 // choosing the strongest applicable strategy. Options may be the functional
-// kind (WithForcedStrategy, WithParallelism, WithOuterPath) or a single
-// legacy compileOptions struct. Identical compilations are served from the
-// database's plan cache.
+// kind (WithForcedStrategy, WithOuterPath, the governance knobs).
+// Identical compilations are served from the database's plan cache.
 func (d *Database) CompileTransform(viewName, stylesheet string, opts ...Option) (*CompiledTransform, error) {
 	co := buildOptions(opts)
 	st, err := d.compilePlan(viewName, stylesheet, co, nil)
@@ -611,7 +606,7 @@ func (d *Database) compilePlanUncached(view *ViewDef, version int, stylesheet st
 		return nil, fmt.Errorf("%w: %w", ErrCompile, err)
 	}
 	parseSp.End()
-	st = &planState{view: view, viewVersion: version, sheet: sheet, strategy: StrategyNoRewrite, brk: &breaker{}}
+	st = &planState{view: view, viewVersion: version, sheet: sheet, strategy: StrategyNoRewrite}
 
 	if opts.Force != nil && *opts.Force == StrategyNoRewrite {
 		if len(opts.OuterPath) > 0 {
@@ -861,7 +856,7 @@ func (x *execution) finish(es *ExecStats, err error, complete bool) {
 // A transform whose view was redefined since compilation recompiles
 // automatically first (§7.3). On a run-stage error the returned Result is
 // still non-nil: its Stats describe the work done up to the failure,
-// including degradations, breaker activity, and recovered panics.
+// including degradations and recovered panics.
 func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Result, error) {
 	return ct.run(ctx, nil, opts)
 }
@@ -893,12 +888,9 @@ func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts 
 	out := sqlxml.GetRowBuf()
 	defer sqlxml.PutRowBuf(out)
 	chain := startChain(x.trace, stages)
-	// A per-run WithWorkers overrides the compile-time parallelism for both
-	// the scan's morsel pool (via spec.Batch) and the construction fan-out.
-	workers := ct.opts.Parallelism
-	if x.spec.Batch.Workers > 0 {
-		workers = x.spec.Batch.Workers
-	}
+	// WithWorkers sizes both the scan's morsel pool (via spec.Batch) and the
+	// construction fan-out.
+	workers := x.spec.Batch.Workers
 	p, err := ct.db.walkChain(ctx, x.st, ct.opts, x.spec, x.root, es, func(p *pipeline) error {
 		out.Reset()
 		chain.govern(ctx, &ct.opts)

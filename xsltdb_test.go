@@ -337,19 +337,15 @@ func TestKeyFunctionFallsBack(t *testing.T) {
 
 func TestParallelStrategyAgrees(t *testing.T) {
 	d := newDeptDB(t)
-	serial, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithParallelism(4))
+	ra, err := ct.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := serial.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := par.Run(context.Background())
+	rb, err := ct.Run(context.Background(), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
