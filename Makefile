@@ -5,8 +5,9 @@
 #                 smoke + faults + crash + diag-smoke + bench-smoke
 #   make test     tier-1 only (what CI gates on)
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
-#                 fused SQL/XML emitter against the tree serializer, and the
-#                 group-join against a nested loop
+#                 fused SQL/XML emitter against the tree serializer, the
+#                 group-join against a nested loop, and xsltd's p.*/where=
+#                 parameters (no 500, no panic, cached equals uncached)
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
+	$(GO) test -run '^$$' -fuzz '^FuzzTransformParams$$' -fuzztime $(FUZZTIME) ./serve
 
 # The robustness suite arms faultpoints (degradation, persistent faults,
 # panic containment, cancellation promptness) — run it under the race

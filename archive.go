@@ -2,17 +2,16 @@ package xsltdb
 
 // The retention half of the facade's observability layer: run-history
 // archiving (EnableRunHistory → obs.Archive), the trace-sampling policy that
-// decides which runs carry full traces into the archive, the always-on
-// cardinality-accuracy tracker, and the debug console handler that serves
-// all of it (cmd/xsltdb -console-addr). The per-run recording hook is
-// execution.finish (xsltdb.go), which Run and Cursor.release both end in.
+// decides which runs carry full traces into the archive, and the debug
+// console handler that serves all of it (cmd/xsltdb -console-addr). The
+// per-run recording hook is execution.finish (xsltdb.go), which Run and
+// Cursor.release both end in.
 
 import (
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sqlxml"
 )
 
 type samplingMode uint8
@@ -133,12 +132,6 @@ func (d *Database) EnableRunHistory(capacity int) *obs.Archive {
 // unconditionally.
 func (d *Database) RunHistory() *obs.Archive { return d.history.Load() }
 
-// Cardinality returns the database's cardinality-accuracy tracker: per
-// access-path est-vs-actual aggregates, with a count of the runs whose
-// q-error crossed the threshold. Always on — its cost is one short critical
-// section per completed run — and always non-nil.
-func (d *Database) Cardinality() *obs.CardTracker { return d.cards }
-
 // ConsoleSections are the serving- and diagnostics-layer feeds a console can
 // attach on top of the engine's own sections. Every field may be nil,
 // leaving its endpoint empty. The funcs stay `any`-typed so the facade does
@@ -160,10 +153,9 @@ type ConsoleSections struct {
 
 // ConsoleHandler builds the live debug console over this database: recent
 // runs (with sampled traces), plan-cache entries and per-plan aggregates,
-// the per-shape cardinality accuracy, the process metrics registry and the
-// pprof endpoints, plus whatever serving and diagnostics sections s attaches
-// (the zero ConsoleSections is the engine alone). Serve it on an internal
-// port:
+// the process metrics registry and the pprof endpoints, plus whatever
+// serving and diagnostics sections s attaches (the zero ConsoleSections is
+// the engine alone). Serve it on an internal port:
 //
 //	go http.ListenAndServe("localhost:6060", db.ConsoleHandler(xsltdb.ConsoleSections{}))
 //
@@ -171,7 +163,6 @@ type ConsoleSections struct {
 func (d *Database) ConsoleHandler(s ConsoleSections) http.Handler {
 	return obs.ConsoleHandler(obs.ConsoleConfig{
 		Archive:       d.history.Load(),
-		Cards:         d.cards,
 		Registry:      obs.Default,
 		Plans:         func() any { return d.PlanCacheEntries() },
 		Tenants:       s.Tenants,
@@ -182,47 +173,41 @@ func (d *Database) ConsoleHandler(s ConsoleSections) http.Handler {
 	})
 }
 
-// archiveRun folds one finished execution into the retention layer: a
-// RunRecord into the archive (when enabled) and — for executions that ran to
-// completion — an est-vs-actual observation into the cardinality tracker.
-// complete distinguishes a run whose actual row count is trustworthy (Run
-// succeeded, cursor reached EOF) from a partial one (error, early Close):
-// partial actuals say nothing about the estimate and are not counted.
-// keepTrace marks the record sampled and attaches the rendered trace; the
-// caller still owns tr and releases it afterwards if it was self-created.
-func (d *Database) archiveRun(a *obs.Archive, kind, view string, start time.Time, spec *sqlxml.RunSpec, es *ExecStats, err error, tr *obs.Trace, keepTrace bool, complete bool) {
-	if a != nil {
-		rec := obs.RunRecord{
-			Kind: kind, Start: start, View: view,
-			Strategy:    es.StrategyUsed.String(),
-			AccessPath:  es.AccessPath,
-			Rows:        es.RowsProduced,
-			Wall:        es.CompileWall + es.ExecWall,
-			CompileWall: es.CompileWall,
-			ExecWall:    es.ExecWall,
-			Stats:       es.String(),
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		// A trace carrying a request identity (serve's WithTrace + SetID) is
-		// archived under that ID and always retains its tree — the whole point
-		// of request-scoped tracing is that /runs/<trace-id> resolves to the
-		// full operator tree. Self-created traces never carry an ID.
-		if tid := tr.ID(); tid != "" {
-			rec.TraceID = tid
-			keepTrace = true
-		}
-		if keepTrace && tr != nil {
-			rec.Sampled = true
-			rec.Trace = tr.Tree()
-			if b, jerr := tr.JSON(); jerr == nil {
-				rec.TraceJSON = b
-			}
-		}
-		a.Record(rec)
+// archiveRun folds one finished execution into the run-history archive (a
+// no-op while it is disabled). keepTrace marks the record sampled and
+// attaches the rendered trace; the caller still owns tr and releases it
+// afterwards if it was self-created.
+func archiveRun(a *obs.Archive, kind, view string, start time.Time, es *ExecStats, err error, tr *obs.Trace, keepTrace bool) {
+	if a == nil {
+		return
 	}
-	if complete {
-		d.cards.Observe(view, spec.Driving.Shape(), es.EstRows, es.RowsProduced)
+	rec := obs.RunRecord{
+		Kind: kind, Start: start, View: view,
+		Strategy:    es.StrategyUsed.String(),
+		AccessPath:  es.AccessPath,
+		Rows:        es.RowsProduced,
+		Wall:        es.CompileWall + es.ExecWall,
+		CompileWall: es.CompileWall,
+		ExecWall:    es.ExecWall,
+		Stats:       es.String(),
 	}
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	// A trace carrying a request identity (serve's WithTrace + SetID) is
+	// archived under that ID and always retains its tree — the whole point
+	// of request-scoped tracing is that /runs/<trace-id> resolves to the
+	// full operator tree. Self-created traces never carry an ID.
+	if tid := tr.ID(); tid != "" {
+		rec.TraceID = tid
+		keepTrace = true
+	}
+	if keepTrace && tr != nil {
+		rec.Sampled = true
+		rec.Trace = tr.Tree()
+		if b, jerr := tr.JSON(); jerr == nil {
+			rec.TraceJSON = b
+		}
+	}
+	a.Record(rec)
 }

@@ -163,7 +163,7 @@ func cmdDemo(args []string) {
 	stats := fs.Bool("stats", false, "print per-run execution statistics and plan-cache counters")
 	analyze := fs.Bool("analyze", false, "run EXPLAIN ANALYZE and print the operator tree with actuals")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics at http://host:port/metrics and stay alive after the demo")
-	consoleAddr := fs.String("console-addr", "", "serve the live debug console (/runs, /plans, /misestimates, /metrics, pprof) at http://host:port and stay alive after the demo")
+	consoleAddr := fs.String("console-addr", "", "serve the live debug console (/runs, /plans, /metrics, pprof) at http://host:port and stay alive after the demo")
 	timeout := fs.Duration("timeout", 0, "abort each execution after this long (0 = no timeout)")
 	maxRows := fs.Int64("max-rows", 0, "abort an execution that produces more than n result rows (0 = unlimited)")
 	var wheres, params multiFlag
@@ -200,7 +200,7 @@ func cmdDemo(args []string) {
 				fatal(err)
 			}
 		}()
-		fmt.Printf("serving debug console at http://%s/ (runs, plans, misestimates, metrics, pprof)\n\n", *consoleAddr)
+		fmt.Printf("serving debug console at http://%s/ (runs, plans, metrics, pprof)\n\n", *consoleAddr)
 	}
 	if err := sqlxml.SetupDeptEmp(db.Rel()); err != nil {
 		fatal(err)
@@ -268,7 +268,7 @@ func cmdDemo(args []string) {
 }
 
 // demoAnalyze runs the transform once more under EXPLAIN ANALYZE and prints
-// the operator tree with actual rows and timings next to the estimates.
+// the operator tree with the chosen access paths, actual rows and timings.
 func demoAnalyze(ct *xsltdb.CompiledTransform, analyze bool, runOpts []xsltdb.RunOption) {
 	if !analyze {
 		return

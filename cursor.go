@@ -96,7 +96,6 @@ func (ct *CompiledTransform) openCursor(ctx context.Context, stages []chainStage
 	})
 	if err == nil {
 		c.x.es.AccessPath = x.spec.Driving.Explain()
-		c.x.es.EstRows = x.spec.Driving.EstRows()
 		mActiveCursors.Inc()
 		c.pinID = snapPins.pin()
 		if ct.db.registerCursor(c) {
@@ -192,13 +191,10 @@ func (c *Cursor) release() {
 		c.mu.Unlock()
 
 		c.chain.end()
-		// err distinguishes a drained stream (io.EOF: the actual row count is
-		// the true cardinality) from an early Close or a failure.
-		outcome := err
-		if outcome == io.EOF {
-			outcome = nil
+		if err == io.EOF {
+			err = nil
 		}
-		c.x.finish(&es, outcome, err == io.EOF)
+		c.x.finish(&es, err)
 	})
 }
 

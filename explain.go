@@ -3,8 +3,7 @@ package xsltdb
 // EXPLAIN and EXPLAIN ANALYZE share one renderer: writeExplainHeader prints
 // the compiled strategy and plan-cache status, then the static form appends
 // the physical access paths while the analyzing form runs the plan under a
-// trace and appends the operator tree with actual rows and timings next to
-// the planner's estimates.
+// trace and appends the operator tree with actual rows and timings.
 
 import (
 	"context"
@@ -57,10 +56,10 @@ func (ct *CompiledTransform) ExplainPlan(opts ...RunOption) string {
 }
 
 // ExplainAnalyze runs the transformation and renders the operator tree with
-// the actual per-operator wall times, invocation counts and row counts next
-// to the planner's estimates (the est_rows attribute on scan operators) —
-// the EXPLAIN ANALYZE of the XSLT pipeline. The same header as ExplainPlan
-// precedes the tree, followed by the run's ExecStats line.
+// the chosen access path and the actual per-operator wall times, invocation
+// counts and row counts — the EXPLAIN ANALYZE of the XSLT pipeline. The same
+// header as ExplainPlan precedes the tree, followed by the run's ExecStats
+// line.
 //
 // The run is a real execution with real side effects on statistics and
 // metrics. On failure the rendered tree is still returned — error-tagged
@@ -79,24 +78,7 @@ func (ct *CompiledTransform) ExplainAnalyze(ctx context.Context, opts ...RunOpti
 		sb.WriteString("actual: " + res.Stats.String() + "\n")
 	}
 	sb.WriteString(tr.Tree())
-	writeMisestimates(&sb, ct.db, ct.viewName)
 	return sb.String(), err
-}
-
-// writeMisestimates appends the cardinality tracker's worst offenders for
-// the view — access paths whose estimates have historically crossed the
-// q-error threshold — so EXPLAIN ANALYZE surfaces not just this run's
-// est-vs-actual but the plan shapes that keep misestimating.
-func writeMisestimates(sb *strings.Builder, db *Database, view string) {
-	worst := db.cards.Worst(view, 3)
-	if len(worst) == 0 {
-		return
-	}
-	fmt.Fprintf(sb, "cardinality misestimates (q-error > %g):\n", db.cards.Threshold())
-	for _, w := range worst {
-		fmt.Fprintf(sb, "  %s: runs=%d est=%d actual=%d max-q-error=%.1f\n",
-			w.Shape, w.Runs, w.EstRows, w.ActualRows, w.MaxQError)
-	}
 }
 
 // ExplainAnalyze runs the whole pipeline — the view-backed first stage plus
@@ -125,6 +107,5 @@ func (c *ChainedTransform) ExplainAnalyze(ctx context.Context, opts ...RunOption
 		sb.WriteString("actual: " + res.Stats.String() + "\n")
 	}
 	sb.WriteString(tr.Tree())
-	writeMisestimates(&sb, c.first.db, c.first.viewName)
 	return sb.String(), err
 }

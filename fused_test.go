@@ -131,10 +131,11 @@ func deptWindow(t *testing.T) (*CompiledTransform, []RunOption) {
 // buy: a Run over 25 departments of 20 employees (≈ 8 000 allocations when
 // every row was a tree, then a builder, then a string; ≈ 320 while every
 // department planned, opened and copied its own index probe) stays under
-// 90. What remains does not grow with the departments: the run's fixed
+// 85. What remains does not grow with the departments: the run's fixed
 // costs — option and spec handling, the driving plan and scan, the one
 // pipeline the chain walk opens, the result strings (the subquery plan and
-// its group scratch come from a pool).
+// its group scratch come from a pool). The ceiling sits close to the ≈ 79
+// measured so that per-run stats formatting cannot creep back unnoticed.
 func TestRunAllocationCeiling(t *testing.T) {
 	ct, opts := deptWindow(t)
 	ctx := context.Background()
@@ -147,7 +148,7 @@ func TestRunAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("Run over 25 departments: %.0f allocs", allocs)
-	ceiling := 90.0
+	ceiling := 85.0
 	if poolsDropItems() {
 		ceiling = 150 // the run's pooled buffers, batches and subquery plans are reallocated at random
 	}

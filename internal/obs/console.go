@@ -2,10 +2,10 @@ package obs
 
 // The live debug console: one http.Handler serving the retention layer —
 // archived runs with their traces, per-plan aggregates and plan-cache
-// entries, the per-shape cardinality accuracy, the metrics registry, and the
-// runtime pprof endpoints (strategy execution runs under pprof labels, so
-// CPU profiles segment by strategy and view). Everything is stdlib-only and
-// read-only; mount it on an internal port (cmd/xsltdb -console-addr).
+// entries, the metrics registry, and the runtime pprof endpoints (strategy
+// execution runs under pprof labels, so CPU profiles segment by strategy and
+// view). Everything is stdlib-only and read-only; mount it on an internal
+// port (cmd/xsltdb -console-addr).
 
 import (
 	"encoding/json"
@@ -22,8 +22,6 @@ import (
 type ConsoleConfig struct {
 	// Archive is the run-history ring (EnableRunHistory).
 	Archive *Archive
-	// Cards is the cardinality-accuracy tracker.
-	Cards *CardTracker
 	// Registry is served at /metrics.
 	Registry *Registry
 	// Plans returns the engine's plan-cache entries; the result is marshaled
@@ -102,12 +100,6 @@ func ConsoleHandler(cfg ConsoleConfig) http.Handler {
 		writeJSON(w, map[string]any{
 			"cache":      cache,
 			"aggregates": cfg.Archive.Plans(),
-		})
-	})
-	page("/misestimates", "cardinality accuracy: q-error per (view, access-path shape)", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, map[string]any{
-			"q_error_threshold": cfg.Cards.Threshold(),
-			"paths":             cfg.Cards.Stats(),
 		})
 	})
 	page("/tenants", "per-tenant admission state (when serving)", func(w http.ResponseWriter, _ *http.Request) {

@@ -4,8 +4,8 @@ package diag
 // needs to explain "what was the system doing just now" into one timestamped
 // bundle directory — goroutine and heap profiles, the full metrics
 // exposition, the recent wide-event ring, run-history aggregates and slowest
-// runs, plan-cache entries, the misestimate log, WAL/recovery state, and the
-// anomaly ring that triggered the capture.
+// runs, plan-cache entries, WAL/recovery state, and the anomaly ring that
+// triggered the capture.
 //
 // The recorder is deliberately self-limiting, because a diagnosis subsystem
 // that can take the server down is worse than none:
@@ -70,8 +70,6 @@ type Sources struct {
 	Runs func() any
 	// Plans returns plan-cache entries.
 	Plans func() any
-	// Misestimates returns the cardinality misestimate log.
-	Misestimates func() any
 	// WAL returns WAL/recovery stats.
 	WAL func() any
 	// Anomalies returns the monitor's recent anomaly records.
@@ -217,7 +215,6 @@ func (r *Recorder) capture(trigger string, now time.Time) (string, error) {
 	}
 	jsonSection("runs.json", r.src.Runs)
 	jsonSection("plans.json", r.src.Plans)
-	jsonSection("misestimates.json", r.src.Misestimates)
 	jsonSection("wal.json", r.src.WAL)
 	jsonSection("anomalies.json", r.src.Anomalies)
 

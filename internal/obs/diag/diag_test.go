@@ -95,11 +95,10 @@ func TestBundleSections(t *testing.T) {
 			}
 			return []string{"e1", "e2", "e3"}
 		},
-		Runs:         func() any { return map[string]int{"recent": 1} },
-		Plans:        func() any { return []string{"plan"} },
-		Misestimates: func() any { return nil },
-		WAL:          func() any { return map[string]int64{"appends": 7} },
-		Anomalies:    func() any { return []Anomaly{{Detector: "x"}} },
+		Runs:      func() any { return map[string]int{"recent": 1} },
+		Plans:     func() any { return []string{"plan"} },
+		WAL:       func() any { return map[string]int64{"appends": 7} },
+		Anomalies: func() any { return []Anomaly{{Detector: "x"}} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +113,8 @@ func TestBundleSections(t *testing.T) {
 	}
 	want := []string{
 		"meta.json", "goroutines.txt", "heap.pprof", "metrics.prom",
-		"events.json", "runs.json", "plans.json", "misestimates.json",
-		"wal.json", "anomalies.json",
+		"events.json", "runs.json", "plans.json", "wal.json",
+		"anomalies.json",
 	}
 	for _, f := range want {
 		if _, err := os.Stat(filepath.Join(bdir, f)); err != nil {

@@ -131,77 +131,15 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestQError(t *testing.T) {
-	cases := []struct {
-		est, actual int64
-		want        float64
-	}{
-		{10, 10, 1},
-		{100, 10, 10},
-		{10, 100, 10},
-		{0, 5, 5},  // est clamps to 1
-		{5, 0, 5},  // actual clamps to 1
-		{0, 0, 1},  // both clamp
-		{-3, 2, 2}, // negative clamps too
-	}
-	for _, c := range cases {
-		if got := QError(c.est, c.actual); got != c.want {
-			t.Fatalf("QError(%d, %d) = %v, want %v", c.est, c.actual, got, c.want)
-		}
-	}
-}
-
-func TestCardTrackerObserveAndWorst(t *testing.T) {
-	ctr := NewRegistry().NewCounter("miss_total", "test")
-	ct := NewCardTracker(2.0, ctr)
-
-	// An honest path (q=1) and a skewed one (q=50).
-	for i := 0; i < 4; i++ {
-		ct.Observe("v", "INDEX PROBE t(id)", 1, 1)
-	}
-	ct.Observe("v", "INDEX RANGE SCAN t(id)", 100, 2)
-	ct.Observe("w", "TABLE SCAN t", 10, 10)
-	ct.Observe("v", "", 1, 99) // no shape: ignored
-
-	if ctr.Value() != 1 {
-		t.Fatalf("misestimate counter = %d, want 1", ctr.Value())
-	}
-	stats := ct.Stats()
-	if len(stats) != 3 {
-		t.Fatalf("Stats returned %d paths, want 3", len(stats))
-	}
-	if stats[0].Shape != "INDEX RANGE SCAN t(id)" || stats[0].MaxQError != 50 || stats[0].Misestimates != 1 {
-		t.Fatalf("worst path = %+v", stats[0])
-	}
-
-	worst := ct.Worst("v", 3)
-	if len(worst) != 1 || worst[0].Shape != "INDEX RANGE SCAN t(id)" {
-		t.Fatalf("Worst(v) = %+v", worst)
-	}
-	if w := ct.Worst("w", 3); len(w) != 0 {
-		t.Fatalf("Worst(w) = %+v, want none (q=1)", w)
-	}
-}
-
-func TestCardTrackerNilSafe(t *testing.T) {
-	var ct *CardTracker
-	ct.Observe("v", "shape", 1, 100)
-	if ct.Stats() != nil || ct.Worst("", 5) != nil || ct.Threshold() != 0 {
-		t.Fatal("nil tracker not inert")
-	}
-}
-
 func TestConsoleEndpoints(t *testing.T) {
 	a := NewArchive(8)
 	reg := NewRegistry()
 	reg.NewCounter("console_test_total", "test counter").Add(3)
-	cards := NewCardTracker(2.0, nil)
-	cards.Observe("v", "INDEX RANGE SCAN t(id)", 100, 2)
 	id := a.Record(RunRecord{Kind: "run", View: "v", Strategy: "sql-rewrite",
 		Rows: 2, Wall: 5 * time.Millisecond, Sampled: true, Trace: "run 5ms"})
 
 	h := ConsoleHandler(ConsoleConfig{
-		Archive: a, Cards: cards, Registry: reg,
+		Archive: a, Registry: reg,
 		Plans: func() any { return []string{"entry"} },
 	})
 	srv := httptest.NewServer(h)
@@ -258,17 +196,6 @@ func TestConsoleEndpoints(t *testing.T) {
 		t.Fatalf("/plans = %+v", plans)
 	}
 
-	var mis struct {
-		Threshold float64    `json:"q_error_threshold"`
-		Paths     []CardStat `json:"paths"`
-	}
-	if err := json.Unmarshal([]byte(get("/misestimates", 200)), &mis); err != nil {
-		t.Fatal(err)
-	}
-	if mis.Threshold != 2.0 || len(mis.Paths) != 1 || mis.Paths[0].Misestimates != 1 {
-		t.Fatalf("/misestimates = %+v", mis)
-	}
-
 	if body := get("/metrics", 200); !strings.Contains(body, "console_test_total 3") {
 		t.Fatalf("/metrics missing counter: %q", body)
 	}
@@ -277,13 +204,13 @@ func TestConsoleEndpoints(t *testing.T) {
 	}
 }
 
-// TestConsoleDisabledSources: every endpoint keeps working when the archive,
-// tracker and registry are absent — the console must not panic on a database
+// TestConsoleDisabledSources: every endpoint keeps working when the archive
+// and registry are absent — the console must not panic on a database
 // that never called EnableRunHistory.
 func TestConsoleDisabledSources(t *testing.T) {
 	srv := httptest.NewServer(ConsoleHandler(ConsoleConfig{}))
 	defer srv.Close()
-	for _, path := range []string{"/", "/runs", "/plans", "/misestimates"} {
+	for _, path := range []string{"/", "/runs", "/plans"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

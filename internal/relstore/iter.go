@@ -405,28 +405,6 @@ func (p AccessPlan) emptyInterval() bool {
 	return c > 0 || (c == 0 && !(p.Lo.Inclusive && p.Hi.Inclusive))
 }
 
-// EstimateRows is the planner's cardinality estimate for the access path:
-// 1 for an equality probe, a textbook one-third selectivity for a range
-// scan, and the whole table for a full scan whose predicates all apply as
-// residual filters. EXPLAIN ANALYZE prints it next to the actual row count
-// so mis-estimates are visible.
-func (p AccessPlan) EstimateRows() int {
-	switch p.Kind {
-	case PathIndexProbe:
-		if p.TableRows == 0 {
-			return 0
-		}
-		return 1
-	case PathIndexRange:
-		if p.emptyInterval() {
-			return 0
-		}
-		return p.TableRows/3 + 1
-	default:
-		return p.TableRows
-	}
-}
-
 // FullScanPlanAt plans an unconditional full scan of a pinned snapshot with
 // preds as residual filters — the pushdown-disabled access path: same rows,
 // no index use.
@@ -449,25 +427,4 @@ func (p AccessPlan) Explain(t *Table) string {
 		s += " FILTER " + predsString(p.Residual)
 	}
 	return s
-}
-
-// Shape is the normalized identity of the access path: kind, table, driving
-// column and residual-filter count — no bound values. Explain distinguishes
-// `id = 7` from `id = 8`; Shape deliberately does not, so a parameterized
-// plan run with a thousand bindings aggregates under ONE key. This is the
-// grouping key of the cardinality-accuracy tracker.
-func (p AccessPlan) Shape(t *Table) string {
-	var sb strings.Builder
-	switch p.Kind {
-	case PathIndexProbe:
-		fmt.Fprintf(&sb, "INDEX PROBE %s(%s)", t.Name, p.Col)
-	case PathIndexRange:
-		fmt.Fprintf(&sb, "INDEX RANGE SCAN %s(%s)", t.Name, p.Col)
-	default:
-		fmt.Fprintf(&sb, "TABLE SCAN %s", t.Name)
-	}
-	if n := len(p.Residual); n > 0 {
-		fmt.Fprintf(&sb, " +%d residual", n)
-	}
-	return sb.String()
 }

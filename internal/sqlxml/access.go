@@ -37,8 +37,7 @@ type RunSpec struct {
 	// option; output must be byte-identical).
 	NoPushdown bool
 	// Driving is written by the executor whenever it plans this run's driving
-	// access path: the facade formats ExecStats.AccessPath and EstRows from
-	// it and keys the cardinality-accuracy tracker by its shape.
+	// access path: the facade formats ExecStats.AccessPath from it.
 	Driving DrivingPlan
 	// Span, when non-nil, is the trace span of the strategy attempt this run
 	// executes under; the executor opens scan/construct operator spans
@@ -56,7 +55,7 @@ type RunSpec struct {
 
 // DrivingPlan is the driving access path the executor chose for a run, with
 // the table it was planned over. The zero value — nothing planned yet —
-// explains as "" and estimates 0 rows.
+// explains as "".
 type DrivingPlan struct {
 	Plan  relstore.AccessPlan
 	Table *relstore.Table
@@ -69,18 +68,6 @@ func (d DrivingPlan) Explain() string {
 	}
 	return d.Plan.Explain(d.Table)
 }
-
-// Shape is the access path's normalized identity (relstore AccessPlan.Shape):
-// kind, table and column, no bound values.
-func (d DrivingPlan) Shape() string {
-	if d.Table == nil {
-		return ""
-	}
-	return d.Plan.Shape(d.Table)
-}
-
-// EstRows is the planner's cardinality estimate for the access path.
-func (d DrivingPlan) EstRows() int64 { return int64(d.Plan.EstimateRows()) }
 
 // snapshot returns the spec's pinned snapshot, or pins a fresh one from db
 // for specs (and nil specs) that did not carry one.
@@ -141,7 +128,6 @@ func (s *RunSpec) startOperators(ts *relstore.TableSnap, plan relstore.AccessPla
 	}
 	c.scanSp = sp.Start("scan")
 	c.scanSp.SetAttr("path", plan.Explain(ts.Table()))
-	c.scanSp.SetAttr("est_rows", plan.EstimateRows())
 	c.scanSp.SetAttr("batch_size", s.batchOpts().Size())
 	if plan.Kind == relstore.PathFullScan {
 		// Report the workers the scan actually engaged: 1 for a serial
@@ -594,7 +580,6 @@ func (e *Executor) drainDriving(q *Query, workers int, sink *relstore.Stats, g *
 	if sp := spec.span(); sp != nil {
 		scanSp = sp.Start("scan")
 		scanSp.SetAttr("path", plan.Explain(ts.Table()))
-		scanSp.SetAttr("est_rows", plan.EstimateRows())
 		scanSp.SetAttr("parallel_workers", workers)
 		scanSp.SetAttr("batch_size", spec.batchOpts().Size())
 		d.buildSp = sp.Start("construct")

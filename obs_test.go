@@ -84,8 +84,8 @@ func TestTraceThroughRun(t *testing.T) {
 				}
 			}
 			if s == StrategySQL {
-				if est := findSpan(attempt.Children, "scan").Attrs["est_rows"]; est == "" {
-					t.Error("scan span missing est_rows estimate")
+				if path := findSpan(attempt.Children, "scan").Attrs["path"]; path == "" {
+					t.Error("scan span missing its access path")
 				}
 				// The fused operator reports the bytes it emitted; there is
 				// no separate serialize step to account for them.
@@ -179,8 +179,8 @@ func TestExplainAnalyzeStrategies(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzePushdown asserts the analyzed probe shows the planner's
-// estimate next to the actuals on the scan operator.
+// TestExplainAnalyzePushdown asserts the analyzed probe shows the chosen
+// access path next to the actuals on the scan operator.
 func TestExplainAnalyzePushdown(t *testing.T) {
 	d := newKeyedDB(t, 500)
 	ct, err := d.CompileTransform("rows", keyedSheet)
@@ -191,7 +191,7 @@ func TestExplainAnalyzePushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"INDEX PROBE row(id)", "est_rows=1", "rows_out=1"} {
+	for _, want := range []string{"INDEX PROBE row(id) id = 123", "rows_out=1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("analyzed probe missing %q:\n%s", want, out)
 		}
@@ -381,7 +381,7 @@ func TestExecStatsStringComplete(t *testing.T) {
 		RowsProduced: 1, RowsScanned: 2, IndexProbes: 3, RangeScans: 4,
 		FullScans: 5, RowsEmitted: 6, RowsFiltered: 7, Batches: 1,
 		MorselsExecuted: 1, Recompiles: 1,
-		AccessPath: "INDEX PROBE t(c)", EstRows: 8, DataVersion: 9, CompileWall: time.Millisecond,
+		AccessPath: "INDEX PROBE t(c)", DataVersion: 9, CompileWall: time.Millisecond,
 		ExecWall: time.Millisecond, StrategyUsed: StrategySQL,
 		Degradations: 1, PanicsRecovered: 1,
 		GovTicks: 1,

@@ -27,18 +27,12 @@ var (
 		"Heap rows visited by full scans across all runs.")
 	mRowsReturned = obs.Default.NewCounter("xsltdb_rows_returned_total",
 		"Serialized result rows handed to callers across all runs.")
-	mCacheHits = obs.Default.NewCounter("xsltdb_plan_cache_hits_total",
-		"Compilations served from the plan cache.")
-	mCacheMisses = obs.Default.NewCounter("xsltdb_plan_cache_misses_total",
-		"Compilations that actually ran the pipeline.")
 	mDegradations = obs.Default.NewCounter("xsltdb_degradations_total",
 		"Strategy degradations (a failing strategy fell through to a weaker one).")
 	mPanics = obs.Default.NewCounter("xsltdb_panics_recovered_total",
 		"Engine panics contained at the facade boundary.")
 	mActiveCursors = obs.Default.NewGauge("xsltdb_active_cursors",
 		"Cursors currently open (streaming executions in flight).")
-	mMisestimates = obs.Default.NewCounter("xsltdb_misestimates_total",
-		"Completed runs whose cardinality q-error (est vs actual rows) crossed the tracker threshold.")
 	mSnapshotPins = obs.Default.NewGauge("xsltdb_snapshot_pins",
 		"MVCC snapshots currently pinned by in-flight runs and open cursors.")
 	mWalAppendSeconds = obs.Default.NewHistogram("xsltdb_wal_append_seconds",

@@ -58,7 +58,6 @@ func (c *planCache) get(key planKey, compile func() (*planState, error)) (*planS
 		}
 		c.hits.Add(1)
 		e.hits.Add(1)
-		mCacheHits.Inc()
 		return e.st, true, nil
 	}
 	e := &planEntry{done: make(chan struct{})}
@@ -70,7 +69,6 @@ func (c *planCache) get(key planKey, compile func() (*planState, error)) (*planS
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	mCacheMisses.Inc()
 	compileStart := time.Now()
 	e.st, e.err = compile()
 	e.compileWall = time.Since(compileStart)

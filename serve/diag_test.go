@@ -28,12 +28,11 @@ import (
 )
 
 // bundleSections is what every complete bundle must contain: profiles,
-// metrics exposition, recent events, run/plan/misestimate state, WAL state,
-// and the anomaly ring.
+// metrics exposition, recent events, run/plan state, WAL state, and the
+// anomaly ring.
 var bundleSections = []string{
 	"meta.json", "goroutines.txt", "heap.pprof", "metrics.prom",
-	"events.json", "runs.json", "plans.json", "misestimates.json",
-	"wal.json", "anomalies.json",
+	"events.json", "runs.json", "plans.json", "wal.json", "anomalies.json",
 }
 
 func assertBundle(t *testing.T, diagDir string, wantTrigger string) {
@@ -61,7 +60,7 @@ func assertBundle(t *testing.T, diagDir string, wantTrigger string) {
 			t.Errorf("bundle missing section %s: %v", f, err)
 			continue
 		}
-		if fi.Size() == 0 && f != "misestimates.json" {
+		if fi.Size() == 0 {
 			t.Errorf("bundle section %s is empty", f)
 		}
 	}

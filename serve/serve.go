@@ -248,8 +248,7 @@ func (s *Server) Close() {
 
 // diagSources wires the flight recorder's bundle sections to the layers
 // below: the shared metrics registry, the console event ring, run history,
-// the plan cache, the per-shape cardinality accuracy, WAL/recovery state, and
-// the anomaly ring itself.
+// the plan cache, WAL/recovery state, and the anomaly ring itself.
 func (s *Server) diagSources() diag.Sources {
 	return diag.Sources{
 		Registry: obs.Default,
@@ -259,9 +258,6 @@ func (s *Server) diagSources() diag.Sources {
 			return map[string]any{"recent": a.Runs(50), "aggregates": a.Plans()}
 		},
 		Plans: func() any { return s.db.PlanCacheEntries() },
-		Misestimates: func() any {
-			return map[string]any{"paths": s.db.Cardinality().Stats()}
-		},
 		WAL: func() any {
 			appends, fsyncs := xsltdb.WALCounters()
 			return map[string]any{
@@ -805,6 +801,10 @@ func statusFor(err error) int {
 // parseRunArgs turns query parameters into run options plus the canonical
 // param string folded into the coalesce/cache key: p.<name>=v binds a
 // stylesheet parameter, where=<xpath> (repeatable) adds driving predicates.
+// Every name, value and predicate enters the string length-prefixed
+// (sigField), so no text a client sends can forge a field boundary: two
+// requests share a key only when they bind the same parameters and
+// predicates.
 func parseRunArgs(r *http.Request) ([]xsltdb.RunOption, string, error) {
 	q := r.URL.Query()
 	keys := make([]string, 0, len(q))
@@ -827,17 +827,28 @@ func parseRunArgs(r *http.Request) ([]xsltdb.RunOption, string, error) {
 			} else {
 				opts = append(opts, xsltdb.WithParam(name, v))
 			}
-			fmt.Fprintf(&sig, "p:%s=%s;", name, v)
+			sigField(&sig, 'p', name)
+			sigField(&sig, '=', v)
 		case k == "where":
 			for _, expr := range q[k] {
 				opts = append(opts, xsltdb.WithWhere(expr))
-				fmt.Fprintf(&sig, "w:%s;", expr)
+				sigField(&sig, 'w', expr)
 			}
 		default:
 			return nil, "", fmt.Errorf("serve: unknown query parameter %q", k)
 		}
 	}
 	return opts, sig.String(), nil
+}
+
+// sigField appends one field of the request signature as tag, decimal
+// length, ':' and the text itself.
+func sigField(sig *strings.Builder, tag byte, text string) {
+	var n [20]byte
+	sig.WriteByte(tag)
+	sig.Write(strconv.AppendInt(n[:0], int64(len(text)), 10))
+	sig.WriteByte(':')
+	sig.WriteString(text)
 }
 
 // execKey is the request identity everything hangs off: view at its MVCC

@@ -24,7 +24,7 @@ import (
 
 // newDeptServer builds a Server over the paper's dept/emp database with the
 // paper stylesheet registered as "paper".
-func newDeptServer(t *testing.T, cfg Config) (*xsltdb.Database, *Server) {
+func newDeptServer(t testing.TB, cfg Config) (*xsltdb.Database, *Server) {
 	t.Helper()
 	d := xsltdb.NewDatabase()
 	if err := sqlxml.SetupDeptEmp(d.Rel()); err != nil {
@@ -174,6 +174,35 @@ func TestParamsAndWhere(t *testing.T) {
 		resp, body = get(t, ts, bad, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status = %d body %q, want 400", bad, resp.StatusCode, body)
+		}
+	}
+}
+
+// collidingRequests are pairs of different requests whose parameters once
+// folded into the same cache key: a value or a predicate that spells out the
+// old signature's separators. The second of each pair is a client error.
+var collidingRequests = [][2]string{
+	{"where=deptno+%3E%3D+10&where=deptno+%3C+30", "where=deptno+%3E%3D+10%3Bw%3Adeptno+%3C+30"},
+	{"p.hi=30&p.lo=10&where=deptno+%3E%3D+%24lo&where=deptno+%3C+%24hi",
+		"p.hi=30%3Bp%3Alo%3D10&where=deptno+%3E%3D+%24lo&where=deptno+%3C+%24hi"},
+}
+
+// TestCacheKeySeparatesRequests: a request whose value forges another
+// request's parameter list must not be answered from that request's cache
+// entry — it gets the 400 it gets on a cold cache.
+func TestCacheKeySeparatesRequests(t *testing.T) {
+	_, s := newDeptServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, pair := range collidingRequests {
+		good, forged := "/v1/transform/paper?"+pair[0], "/v1/transform/paper?"+pair[1]
+		if resp, body := get(t, ts, good, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d body %q", good, resp.StatusCode, body)
+		}
+		resp, body := get(t, ts, forged, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d (cache %q) body %q, want 400: it shared the cache entry of %s",
+				forged, resp.StatusCode, resp.Header.Get("X-Xsltd-Cache"), body, good)
 		}
 	}
 }

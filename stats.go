@@ -41,11 +41,6 @@ type ExecStats struct {
 	// "TABLE SCAN ..." — "" when the run never planned a driving access
 	// (e.g. it failed before execution).
 	AccessPath string
-	// EstRows is the planner's cardinality estimate for that access path
-	// (relstore AccessPlan.EstimateRows) — compare against RowsProduced to
-	// judge the estimate; the cardinality-accuracy tracker does exactly
-	// that per access-path shape. Meaningless when AccessPath is "".
-	EstRows int64
 	// DataVersion is the commit sequence number of the MVCC snapshot this
 	// execution read (relstore Snapshot.CommitSeq): the version a cache may
 	// file the result under. Every write numbered <= DataVersion is in the
@@ -101,7 +96,6 @@ var statsFieldTokens = map[string]string{
 	"MorselsExecuted": "morsels=",
 	"Recompiles":      "recompiles=",
 	"AccessPath":      "access=",
-	"EstRows":         "est=",
 	"DataVersion":     "data-version=",
 	"CompileWall":     "compile=",
 	"ExecWall":        "exec=",
@@ -122,7 +116,7 @@ func (s ExecStats) String() string {
 		line += fmt.Sprintf(" batches=%d morsels=%d", s.Batches, s.MorselsExecuted)
 	}
 	if s.AccessPath != "" {
-		line += fmt.Sprintf(" access=%q est=%d", s.AccessPath, s.EstRows)
+		line += fmt.Sprintf(" access=%q", s.AccessPath)
 	}
 	if s.DataVersion != 0 {
 		line += fmt.Sprintf(" data-version=%d", s.DataVersion)

@@ -102,7 +102,7 @@ func assertEntriesAgree(t *testing.T, c executionCase, ct *CompiledTransform,
 	// who pulls.
 	decided := func(es ExecStats) ExecStats {
 		return ExecStats{
-			RowsProduced: es.RowsProduced, AccessPath: es.AccessPath, EstRows: es.EstRows,
+			RowsProduced: es.RowsProduced, AccessPath: es.AccessPath,
 			StrategyUsed: es.StrategyUsed, Degradations: es.Degradations, PanicsRecovered: es.PanicsRecovered,
 		}
 	}

@@ -132,9 +132,6 @@ type Database struct {
 	// history is the run-history archive, nil until EnableRunHistory; the
 	// atomic pointer keeps the disabled fast path at one load per run.
 	history atomic.Pointer[obs.Archive]
-	// cards is the always-on cardinality-accuracy tracker (est vs actual
-	// rows per access-path shape, misestimate log above q-error 2).
-	cards *obs.CardTracker
 
 	// Durability (nil/zero for a purely in-memory database — see Open):
 	// wal is the write-ahead log every mutation is recorded to before it is
@@ -162,7 +159,6 @@ func newDatabase() *Database {
 	return &Database{
 		rel: rel, exec: sqlxml.NewExecutor(rel),
 		views: map[string]*ViewDef{}, viewVersions: map[string]int{},
-		cards:   obs.NewCardTracker(2.0, mMisestimates),
 		cursors: map[*Cursor]struct{}{},
 		tenants: map[string]TenantLimits{},
 	}
@@ -820,11 +816,8 @@ func (x *execution) abort(err error) {
 
 // finish is the engine's one fold over a finished execution: the root span,
 // the run metrics and the run-history archive all read the same ExecStats
-// here, so they cannot disagree. err is the terminal error (nil for success);
-// complete says the actual row count is the true cardinality — the run
-// succeeded, the cursor reached its end — and not that of a failed or
-// abandoned stream, which says nothing about the planner's estimate.
-func (x *execution) finish(es *ExecStats, err error, complete bool) {
+// here, so they cannot disagree. err is the terminal error (nil for success).
+func (x *execution) finish(es *ExecStats, err error) {
 	if x.root != nil {
 		x.root.AddRowsOut(es.RowsProduced)
 		x.root.SetAttr("strategy", es.StrategyUsed.String())
@@ -839,7 +832,7 @@ func (x *execution) finish(es *ExecStats, err error, complete bool) {
 	ct := x.ct
 	recordRunMetrics(es, err)
 	keep := x.sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
-	ct.db.archiveRun(ct.db.history.Load(), x.kind, ct.viewName, x.start, x.spec, es, err, x.trace, keep, complete)
+	archiveRun(ct.db.history.Load(), x.kind, ct.viewName, x.start, es, err, x.trace, keep)
 	if x.ownTrace {
 		x.trace.Release()
 	}
@@ -916,9 +909,8 @@ func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts 
 	es.ExecWall = time.Since(x.start) - es.CompileWall
 	es.mergeSink(sink.Snapshot())
 	es.AccessPath = x.spec.Driving.Explain()
-	es.EstRows = x.spec.Driving.EstRows()
 	ct.db.exec.AddStats(&sink)
-	x.finish(es, err, err == nil)
+	x.finish(es, err)
 	return res, err
 }
 
