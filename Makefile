@@ -66,17 +66,20 @@ faults:
 	$(GO) test -race ./internal/faultpoint ./internal/governor
 
 # Crash recovery: the WAL's torn-tail and every-byte-offset truncation
-# property tests, the facade kill-and-replay/fault-matrix durability suite,
+# property tests (the facade's over a multi-segment log mixing DDL and
+# inserts included), the facade kill-and-replay/fault-matrix durability suite,
 # and the MVCC snapshot-isolation races (posting-list views under inserts
 # included) — all under the race detector.
 crash:
 	$(GO) test -race ./internal/wal
 	$(GO) test -race -run 'TestGroupJoinViewsArePinned' ./internal/relstore
-	$(GO) test -race -run 'TestOpenReopen|TestKillAndReplay|TestViewDDLSurvives|TestTornWrite|TestFsyncFault|TestRotateFault|TestCloseIdempotent|TestCloseDurable|TestConcurrentClose|TestGroupCommit|TestCursorIsolated|TestRunsRace|TestSnapshotPinsGauge|TestPostingViewsPinned' .
+	$(GO) test -race -run 'TestOpenReopen|TestKillAndReplay|TestViewDDLSurvives|TestTornWrite|TestTruncateAcrossSegments|TestFsyncFault|TestRotateFault|TestCloseIdempotent|TestCloseDurable|TestConcurrentClose|TestGroupCommit|TestCursorIsolated|TestRunsRace|TestSnapshotPinsGauge|TestPostingViewsPinned' .
 
 # Flight-recorder smoke: boot with the recorder armed, induce a WAL fsync
-# stall (wal.fsync faultpoint) and a latency-spike overload, assert each
-# captures exactly one bundle with every section; lint metric names
+# stall (wal.fsync faultpoint) and a latency-spike overload in the admission
+# window (with the event bus blocked, too), poll the monitor, and assert each
+# captures exactly one bundle with every section and meters exactly the
+# anomalies its ring recorded; lint metric names
 # (snake_case, xsltdb_/xsltd_ prefix, HELP text, counters end _total) and
 # compare the whole signal surface — metric families, event fields, console
 # pages, bundle sections — with serve/testdata/signal_surface.golden. Two

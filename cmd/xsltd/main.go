@@ -26,12 +26,12 @@
 // returns its trace ID as X-Request-Id. -events-file writes one wide event
 // per request as NDJSON ("-" = stdout). The wide-event pipeline also feeds
 // the console's /events page whenever the console is on, and the flight
-// recorder's latency-spike rule whenever -diag-dir is set. -slo-target and
+// recorder's events.json whenever -diag-dir is set. -slo-target and
 // -slo-objective parameterize the per-tenant SLO burn-rate gauge.
 //
 // Diagnostics: -diag-dir turns on the anomaly-triggered flight recorder —
-// detectors watch the process's own signals (p95 latency vs trailing
-// baseline, SLO burn rate, strategy degradations, WAL fsync stalls,
+// detectors check the process's own signals every 5s (the p95 that
+// -target-p95 sheds on vs its trailing baseline, SLO burn rate, strategy degradations, WAL fsync stalls,
 // snapshot-pin age, event drops, goroutine count) and capture a diagnostic
 // bundle (profiles, metrics, recent events, plan and run state) under
 // -diag-dir when one fires, debounced by -diag-debounce and retained up to

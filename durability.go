@@ -124,21 +124,18 @@ func Open(opts ...OpenOption) (*Database, error) {
 	}
 	oo.walOpts.OnAppend = func(d time.Duration) { mWalAppendSeconds.Observe(d.Seconds()) }
 	oo.walOpts.OnFsync = func(d time.Duration) { mWalFsyncSeconds.Observe(d.Seconds()) }
-	oo.walOpts.OnRotate = func(d time.Duration) { mWalRotateSeconds.Observe(d.Seconds()) }
-	start := time.Now()
 	lg, rs, err := wal.Open(oo.dir, oo.walOpts, d.replayRecord)
 	if err != nil {
 		return nil, fmt.Errorf("xsltdb: open %s: %w", oo.dir, err)
 	}
-	mWalReplaySeconds.Observe(time.Since(start).Seconds())
 	d.wal = lg
 	d.recovery = rs
 	return d, nil
 }
 
 // RecoveryStats reports what WAL replay found when this database was
-// opened: records replayed, torn bytes truncated, segments dropped. Zero
-// for an in-memory database.
+// opened: records replayed, torn bytes truncated, segments dropped, and the
+// replay's wall time. Zero for an in-memory database.
 func (d *Database) RecoveryStats() wal.RecoverStats { return d.recovery }
 
 // replayRecord applies one recovered WAL record through the same in-memory

@@ -6,14 +6,18 @@ package xsltdb
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultpoint"
+	"repro/internal/wal"
 )
 
 // newDurableKeyedDB is newKeyedDB over a WAL directory: row(id, name) with n
@@ -57,10 +61,17 @@ func runKeyed(tb testing.TB, d *Database, opts ...RunOption) []string {
 	return res.Rows
 }
 
+// TestOpenReopenRoundtrip also holds xsltdb_wal_append_seconds to the log:
+// its count advances once per logged statement, and replay appends nothing.
 func TestOpenReopenRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	const n = 25
+	appends0 := mWalAppendSeconds.Count()
 	d := newDurableKeyedDB(t, dir, n)
+	// 1 create-table + n inserts + 1 create-index + 1 create-view.
+	if got := mWalAppendSeconds.Count() - appends0; got != n+3 {
+		t.Fatalf("wal_append_seconds count moved by %d over %d logged statements", got, n+3)
+	}
 	want := runKeyed(t, d)
 	if len(want) != n {
 		t.Fatalf("rows = %d, want %d", len(want), n)
@@ -74,10 +85,12 @@ func TestOpenReopenRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	// 1 create-table + n inserts + 1 create-index + 1 create-view.
 	rs := d2.RecoveryStats()
 	if rs.Records != n+3 {
 		t.Fatalf("replayed %d records, want %d", rs.Records, n+3)
+	}
+	if rs.Wall <= 0 {
+		t.Fatalf("recovery wall time = %v, want the replay's duration", rs.Wall)
 	}
 	if rs.TornBytes != 0 || rs.SegmentsDropped != 0 {
 		t.Fatalf("clean close reported torn bytes %d, dropped segments %d", rs.TornBytes, rs.SegmentsDropped)
@@ -99,6 +112,9 @@ func TestOpenReopenRoundtrip(t *testing.T) {
 	// And the recovered database must accept further durable writes.
 	if err := d2.Insert("row", int64(n), fmt.Sprintf("name-%d", n)); err != nil {
 		t.Fatalf("insert after recovery: %v", err)
+	}
+	if got := mWalAppendSeconds.Count() - appends0; got != n+4 {
+		t.Fatalf("wal_append_seconds count moved by %d over %d logged statements", got, n+4)
 	}
 }
 
@@ -320,6 +336,143 @@ func TestRotateFaultFailsStatement(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d differs after rotate-fault recovery", i)
+		}
+	}
+}
+
+// TestTruncateAcrossSegments is the every-byte-offset truncation property at
+// the facade, over a log of 256-byte segments whose history mixes DDL and
+// inserts. The last segment is cut at every offset of its tail record — a
+// ReplaceXMLView — and reopened: recovery must report exactly the committed
+// prefix, serve its view version and its bytes, accept an append, and
+// recover that append on the next reopen.
+func TestTruncateAcrossSegments(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	d, err := Open(WithDir(dir), WithSegmentBytes(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := func(prefix string) *ViewDef {
+		v := keyedViewDef()
+		v.Body.(*XMLElement).Children = []XMLExpr{&XMLElement{Name: "name", Children: []XMLExpr{
+			&XMLLiteral{Text: prefix}, &XMLColumn{Name: "name"},
+		}}}
+		return v
+	}
+	inserts := func(from int) []func() error {
+		var out []func() error
+		for i := from; i < from+8; i++ {
+			out = append(out, func() error { return d.Insert("row", int64(i), fmt.Sprintf("name-%d", i)) })
+		}
+		return out
+	}
+	var history []func() error
+	history = append(history, func() error {
+		return d.CreateTable("row", TableColumn{Name: "id", Type: IntCol}, TableColumn{Name: "name", Type: StringCol})
+	})
+	history = append(history, inserts(0)...)
+	history = append(history,
+		func() error { return d.CreateIndex("row", "id") },
+		func() error { return d.CreateXMLView(keyedViewDef()) })
+	history = append(history, inserts(8)...)
+	history = append(history, func() error { return d.ReplaceXMLView(renamed("v2 ")) })
+	history = append(history, inserts(16)...)
+	history = append(history, func() error { return d.ReplaceXMLView(renamed("v3 ")) })
+
+	// served is what the keyed transform answers, "" before the view exists.
+	served := func(d *Database) string {
+		if d.ViewVersion("rows") == 0 {
+			return ""
+		}
+		return strings.Join(runKeyed(t, d), "\n")
+	}
+	type state struct {
+		viewVersion int
+		served      string
+	}
+	states := []state{{}} // states[k]: after the first k statements
+	for i, stmt := range history {
+		if err := stmt(); err != nil {
+			t.Fatalf("statement %d: %v", i, err)
+		}
+		states = append(states, state{d.ViewVersion("rows"), served(d)})
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := wal.SegmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 {
+		t.Fatalf("history spans %d segments, want at least 3", len(segs))
+	}
+	files := make([][]byte, len(segs))
+	for i, p := range segs {
+		if files[i], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The tail record is the last frame of the last segment: [tail, len).
+	last := files[len(files)-1]
+	tail := 0
+	for off := 0; off < len(last); off += 8 + int(binary.LittleEndian.Uint32(last[off:])) {
+		tail = off
+	}
+	want := states[len(history)-1] // everything but the tail record
+
+	work := filepath.Join(t.TempDir(), "cut")
+	for cut := tail; cut < len(last); cut++ {
+		if err := os.RemoveAll(work); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(work, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range segs {
+			b := files[i]
+			if i == len(segs)-1 {
+				b = b[:cut]
+			}
+			if err := os.WriteFile(filepath.Join(work, filepath.Base(p)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d2, err := Open(WithDir(work), WithSegmentBytes(256))
+		if err != nil {
+			t.Fatalf("cut at %d: reopen: %v", cut, err)
+		}
+		rs := d2.RecoveryStats()
+		if rs.Records != len(history)-1 || rs.TornBytes != int64(cut-tail) || rs.SegmentsDropped != 0 || rs.Segments != len(segs) {
+			t.Fatalf("cut at %d: recovery %+v, want %d records, %d torn bytes, %d segments",
+				cut, rs, len(history)-1, cut-tail, len(segs))
+		}
+		if v, got := d2.ViewVersion("rows"), served(d2); v != want.viewVersion || got != want.served {
+			t.Fatalf("cut at %d: view version %d serving\n%s\nwant version %d serving\n%s", cut, v, got, want.viewVersion, want.served)
+		}
+		if err := d2.Insert("row", int64(100), "after"); err != nil {
+			t.Fatalf("cut at %d: insert after recovery: %v", cut, err)
+		}
+		after := served(d2)
+		if wantAfter := want.served + "\n<hit>v2 after</hit>"; after != wantAfter {
+			t.Fatalf("cut at %d: after an insert the database serves\n%s\nwant\n%s", cut, after, wantAfter)
+		}
+		if err := d2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d3, err := Open(WithDir(work), WithSegmentBytes(256))
+		if err != nil {
+			t.Fatalf("cut at %d: second reopen: %v", cut, err)
+		}
+		if rs := d3.RecoveryStats(); rs.Records != len(history) || rs.TornBytes != 0 {
+			t.Fatalf("cut at %d: second recovery %+v, want %d records and no torn bytes", cut, rs, len(history))
+		}
+		if got := served(d3); got != after {
+			t.Fatalf("cut at %d: second reopen serves\n%s\nwant\n%s", cut, got, after)
+		}
+		if err := d3.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

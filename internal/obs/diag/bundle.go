@@ -16,8 +16,8 @@ package diag
 //   - Profile collection is time-boxed: a wedged profile write abandons the
 //     section after ProfileTimeout instead of hanging the trigger path.
 //   - The event excerpt is capped at MaxEvents; every section failure is
-//     counted in xsltdb_diag_bundle_errors_total and recorded in meta.json,
-//     and the bundle is still written with the sections that succeeded.
+//     recorded in meta.json, and the bundle is still written with the
+//     sections that succeeded.
 //   - Retention is bounded: after each capture, bundles beyond MaxBundles
 //     are removed oldest-first.
 //
@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -149,16 +150,53 @@ func (r *Recorder) Capture(trigger string) (string, error) {
 	return r.capture(trigger, now)
 }
 
-// bundleMeta is the bundle's meta.json: identity plus a per-section outcome
-// map, so a bundle read cold still says which sections are trustworthy.
+// bundleMeta is the bundle's meta.json: which build was running, how loaded
+// its runtime was at capture, and a per-section outcome map, so a bundle read
+// cold still says which sections are trustworthy.
 type bundleMeta struct {
-	Time       time.Time         `json:"time"`
-	Trigger    string            `json:"trigger"`
-	GoVersion  string            `json:"go_version"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Goroutines int               `json:"goroutines"`
-	PID        int               `json:"pid"`
-	Sections   map[string]string `json:"sections"` // file -> "ok" | error text
+	Time           time.Time         `json:"time"`
+	Trigger        string            `json:"trigger"`
+	GoVersion      string            `json:"go_version"`
+	Module         string            `json:"module"`
+	ModuleVersion  string            `json:"module_version"`
+	VCSRevision    string            `json:"vcs_revision"`
+	PID            int               `json:"pid"`
+	GOMAXPROCS     int               `json:"gomaxprocs"`
+	Goroutines     int               `json:"goroutines"`
+	HeapAllocBytes uint64            `json:"heap_alloc_bytes"`
+	HeapObjects    uint64            `json:"heap_objects"`
+	GCCycles       uint32            `json:"gc_cycles"`
+	GCPauseNS      uint64            `json:"gc_pause_ns"` // cumulative stop-the-world pause
+	Sections       map[string]string `json:"sections"`    // file -> "ok" | error text
+}
+
+// newBundleMeta stamps a bundle's identity and the runtime's state now.
+func newBundleMeta(trigger string, now time.Time) bundleMeta {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m := bundleMeta{
+		Time: now, Trigger: trigger,
+		GoVersion:      runtime.Version(),
+		PID:            os.Getpid(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
+		Goroutines:     runtime.NumGoroutine(),
+		HeapAllocBytes: ms.HeapAlloc,
+		HeapObjects:    ms.HeapObjects,
+		GCCycles:       ms.NumGC,
+		GCPauseNS:      ms.PauseTotalNs,
+		Sections:       map[string]string{},
+	}
+	// The build identity is empty when the binary carries no module
+	// metadata (some test binaries).
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		m.Module, m.ModuleVersion = bi.Main.Path, bi.Main.Version
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				m.VCSRevision = s.Value
+			}
+		}
+	}
+	return m
 }
 
 func (r *Recorder) capture(trigger string, now time.Time) (string, error) {
@@ -166,17 +204,9 @@ func (r *Recorder) capture(trigger string, now time.Time) (string, error) {
 	final := filepath.Join(r.cfg.Dir, name)
 	tmp := filepath.Join(r.cfg.Dir, ".tmp-"+name)
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		mBundleErrors.Inc()
 		return "", fmt.Errorf("diag: %w", err)
 	}
-	meta := bundleMeta{
-		Time: now, Trigger: trigger,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Goroutines: runtime.NumGoroutine(),
-		PID:        os.Getpid(),
-		Sections:   map[string]string{},
-	}
+	meta := newBundleMeta(trigger, now)
 
 	section := func(file string, write func() ([]byte, error)) {
 		b, err := write()
@@ -184,7 +214,6 @@ func (r *Recorder) capture(trigger string, now time.Time) (string, error) {
 			err = os.WriteFile(filepath.Join(tmp, file), b, 0o644)
 		}
 		if err != nil {
-			mBundleErrors.Inc()
 			meta.Sections[file] = err.Error()
 			return
 		}
@@ -221,11 +250,9 @@ func (r *Recorder) capture(trigger string, now time.Time) (string, error) {
 	section("meta.json", func() ([]byte, error) { return json.MarshalIndent(meta, "", "  ") })
 
 	if err := os.Rename(tmp, final); err != nil {
-		mBundleErrors.Inc()
 		_ = os.RemoveAll(tmp)
 		return "", fmt.Errorf("diag: %w", err)
 	}
-	mBundles.With(sanitizeTrigger(trigger)).Inc()
 	r.enforceRetention()
 	return final, nil
 }
@@ -306,8 +333,7 @@ func (r *Recorder) enforceRetention() {
 	}
 }
 
-// sanitizeTrigger folds a trigger label into a filesystem- and
-// metric-label-safe token.
+// sanitizeTrigger folds a trigger label into a filesystem-safe token.
 func sanitizeTrigger(s string) string {
 	if s == "" {
 		return "manual"

@@ -10,8 +10,6 @@ package diag
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -146,71 +144,29 @@ func (d *HistogramTailDetector) Check(now time.Time) []Anomaly {
 	}}
 }
 
-// LatencySpikeDetector watches a sliding window of recent request latencies
-// (fed from wide events via ObserveEvent, or directly via Offer) and fires
-// when the window's p95 exceeds Factor times the trailing baseline — an EMA
-// of previous healthy p95 readings — and the absolute Floor. The baseline
-// only absorbs non-anomalous readings, so a spike cannot normalize itself
-// into the baseline while it is being reported.
+// LatencySpikeDetector reads the p95 of recent request latencies through
+// DetectorOptions.LatencyP95 — in package serve the admission window's, so
+// the p95 that sheds load is the one that captures a bundle — and fires when
+// it exceeds Factor times the trailing baseline (an EMA of previous healthy
+// readings) and the absolute Floor. The baseline only absorbs non-anomalous readings, so a spike cannot
+// normalize itself into the baseline while it is being reported.
 type LatencySpikeDetector struct {
 	DetectorName string
 	Factor       float64       // default 3
 	Floor        time.Duration // default 10ms
-	MinSamples   int           // default 16
-	WindowSize   int           // default 256
 
-	mu     sync.Mutex
-	ring   []float64 // seconds
-	next   int
-	filled int
+	// p95 reports the current window p95; 0 means too few samples yet. A
+	// nil p95 never fires.
+	p95 func() time.Duration
 
 	baseline float64 // EMA of healthy window p95s, seconds
 }
 
 func (d *LatencySpikeDetector) Name() string { return d.DetectorName }
 
-// Offer records one request latency into the window.
-func (d *LatencySpikeDetector) Offer(wall time.Duration) {
-	d.mu.Lock()
-	if d.ring == nil {
-		n := d.WindowSize
-		if n <= 0 {
-			n = 256
-		}
-		d.ring = make([]float64, n)
-	}
-	d.ring[d.next] = wall.Seconds()
-	d.next = (d.next + 1) % len(d.ring)
-	if d.filled < len(d.ring) {
-		d.filled++
-	}
-	d.mu.Unlock()
-}
-
-// ObserveEvent implements EventObserver: every published wide event feeds
-// its total latency into the window.
-func (d *LatencySpikeDetector) ObserveEvent(ev obs.Event) {
-	if ev.TotalNS > 0 {
-		d.Offer(time.Duration(ev.TotalNS))
-	}
-}
-
-func (d *LatencySpikeDetector) p95() (float64, int) {
-	d.mu.Lock()
-	buf := make([]float64, d.filled)
-	copy(buf, d.ring[:d.filled])
-	d.mu.Unlock()
-	if len(buf) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(buf)
-	return buf[(len(buf)*95)/100], len(buf)
-}
-
 func (d *LatencySpikeDetector) Check(now time.Time) []Anomaly {
-	minSamples := d.MinSamples
-	if minSamples <= 0 {
-		minSamples = 16
+	if d.p95 == nil {
+		return nil
 	}
 	factor := d.Factor
 	if factor <= 1 {
@@ -220,8 +176,8 @@ func (d *LatencySpikeDetector) Check(now time.Time) []Anomaly {
 	if floor <= 0 {
 		floor = 10 * time.Millisecond
 	}
-	p95, n := d.p95()
-	if n < minSamples {
+	p95 := d.p95().Seconds()
+	if p95 == 0 {
 		return nil
 	}
 	if d.baseline == 0 {
@@ -286,8 +242,10 @@ func (d *GoroutineSpikeDetector) Check(now time.Time) []Anomaly {
 
 // DetectorOptions tunes StandardDetectors. Zero values default sanely.
 type DetectorOptions struct {
-	// LatencyFactor/LatencyFloor parameterize the p95 spike rule
-	// (default 3x over a 10ms floor).
+	// LatencyP95 feeds the p95 spike rule (nil: the rule never fires);
+	// LatencyFactor/LatencyFloor parameterize it (default 3x over a 10ms
+	// floor).
+	LatencyP95    func() time.Duration
 	LatencyFactor float64
 	LatencyFloor  time.Duration
 	// BurnBound is the SLO burn-rate bound in milli-units (default 2000 —
@@ -305,7 +263,7 @@ type DetectorOptions struct {
 // StandardDetectors builds the engine's stock detector set over reg
 // (normally obs.Default, where every layer registers its instruments):
 //
-//	latency-spike        window p95 vs trailing baseline (event-fed)
+//	latency-spike        window p95 vs trailing baseline
 //	slo-burn             per-tenant burn rate over bound, with hysteresis
 //	degradation          any strategy degradation since last check
 //	wal-fsync-stall      fsync observations above the stall threshold
@@ -323,7 +281,7 @@ func StandardDetectors(reg *obs.Registry, o DetectorOptions) []Detector {
 		o.PinAgeBound = time.Minute
 	}
 	return []Detector{
-		&LatencySpikeDetector{DetectorName: "latency-spike", Factor: o.LatencyFactor, Floor: o.LatencyFloor},
+		&LatencySpikeDetector{DetectorName: "latency-spike", p95: o.LatencyP95, Factor: o.LatencyFactor, Floor: o.LatencyFloor},
 		&GaugeBoundDetector{DetectorName: "slo-burn", Registry: reg,
 			Metric: "xsltd_slo_burn_rate_milli", Bound: o.BurnBound, Severity: SeverityCritical},
 		&CounterDeltaDetector{DetectorName: "degradation", Registry: reg,

@@ -1,8 +1,8 @@
 // Package diag is the engine's autonomous diagnosis subsystem: a detector
 // framework that watches the observability layer's own signals (metrics,
-// wide events, the Go runtime) for anomalies, and a flight recorder that —
-// when a detector fires — captures a complete diagnostic bundle of what the
-// process was doing at that moment. The point is operational: a transient
+// the serving layer's latency window, the Go runtime) for anomalies, and a
+// flight recorder that — when a detector fires — captures a complete
+// diagnostic bundle of what the process was doing at that moment. The point is operational: a transient
 // p95 spike or a WAL fsync stall at 3am leaves behind a bundle an operator
 // can read in the morning, instead of a request to reproduce the incident.
 //
@@ -11,22 +11,21 @@
 //   - Detector: one rule evaluated against its own trailing state — a
 //     counter delta, a histogram-tail delta, a windowed quantile against a
 //     trailing baseline. Firing yields typed Anomaly records.
-//   - Monitor: runs the detectors on a ticker AND opportunistically on wide-
-//     event publish (it is an obs.EventSink), retains a bounded anomaly
-//     ring for the console's /debug/anomalies page, and hands each anomaly
-//     to a callback — in production, the Recorder's debounced trigger.
+//   - Monitor: runs the detectors on a 5 s ticker (tests call Poll), retains
+//     a bounded anomaly ring for the console's /debug/anomalies page, and
+//     hands each anomaly to a callback — in production, the Recorder's
+//     debounced trigger.
 //   - Recorder (bundle.go): captures bundles under a diagnostics directory
 //     with bounded retention, debounced so an anomaly storm produces one
 //     bundle, not hundreds.
 //
 // Everything is pull-cheap: detectors read instruments that already exist;
-// the steady-state cost is a handful of atomic loads per tick plus one
-// latency offer per published event.
+// the steady-state cost is a handful of atomic loads and one window sort per
+// tick, and nothing on the request path.
 package diag
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -52,9 +51,8 @@ type Anomaly struct {
 }
 
 // Detector is one rule evaluator. Check is called from a single goroutine
-// at a time (the monitor serializes ticker and event-publish evaluations),
-// so implementations keep trailing state without locking unless they are
-// also fed from other goroutines (e.g. LatencySpikeDetector.Offer).
+// at a time (the monitor serializes ticker and Poll evaluations), so
+// implementations keep trailing state without locking.
 type Detector interface {
 	Name() string
 	Check(now time.Time) []Anomaly
@@ -64,44 +62,32 @@ type Detector interface {
 var (
 	mAnomalies = obs.Default.NewCounterVec("xsltdb_diag_anomalies_total",
 		"Anomalies fired, by detector.", "detector")
-	mBundles = obs.Default.NewCounterVec("xsltdb_diag_bundles_total",
-		"Diagnostic bundles captured, by trigger (detector name or manual).", "trigger")
 	mBundlesSuppressed = obs.Default.NewCounter("xsltdb_diag_bundles_suppressed_total",
 		"Bundle triggers suppressed by the debounce window.")
-	mBundleErrors = obs.Default.NewCounter("xsltdb_diag_bundle_errors_total",
-		"Bundle sections that failed to capture (the bundle is still written without them).")
 )
+
+// monitorInterval is the ticker period of Start's background evaluation.
+const monitorInterval = 5 * time.Second
 
 // MonitorConfig wires a Monitor. Zero values default sanely.
 type MonitorConfig struct {
-	// Interval is the ticker period for background evaluation (default 5s).
-	// <= 0 with Start never ticking means detectors only run on event
-	// publish or explicit Poll — what deterministic tests want.
-	Interval time.Duration
 	// Ring bounds the retained anomaly records (default 128).
 	Ring int
 	// Now substitutes the clock (tests); nil uses time.Now.
 	Now func() time.Time
 	// OnAnomaly receives every fired anomaly — production wires it to
-	// Recorder.TryCapture. Called from the evaluating goroutine; must not
-	// block for long (the event-bus dispatcher may be the evaluator).
+	// Recorder.TryCapture. Called from the evaluating goroutine.
 	OnAnomaly func(Anomaly)
 }
 
-// Monitor runs detectors and retains their anomalies. It is an
-// obs.EventSink: attached to the serving layer's event bus it feeds
-// latency observers and re-evaluates detectors on publish, so a burst of
-// bad requests is noticed at event speed rather than at the next tick.
+// Monitor runs detectors and retains their anomalies.
 type Monitor struct {
 	cfg       MonitorConfig
 	detectors []Detector
-	observers []EventObserver
 
 	// evalMu serializes detector evaluation between the ticker goroutine
-	// and event-publish calls; lastEval rate-limits publish-driven
-	// evaluations to one per interval.
-	evalMu   sync.Mutex
-	lastEval atomic.Int64 // unix nanos of the last evaluation
+	// and explicit Poll calls.
+	evalMu sync.Mutex
 
 	mu   sync.Mutex
 	ring []Anomaly
@@ -113,56 +99,33 @@ type Monitor struct {
 	done      chan struct{}
 }
 
-// EventObserver is implemented by detectors that consume wide events (the
-// latency-spike detector): the monitor feeds every event it sees to every
-// observer before evaluating.
-type EventObserver interface {
-	ObserveEvent(ev obs.Event)
-}
-
-// NewMonitor builds a monitor over the given detectors. Detectors that also
-// implement EventObserver are fed each published event.
+// NewMonitor builds a monitor over the given detectors.
 func NewMonitor(cfg MonitorConfig, detectors ...Detector) *Monitor {
-	if cfg.Interval == 0 {
-		cfg.Interval = 5 * time.Second
-	}
 	if cfg.Ring <= 0 {
 		cfg.Ring = 128
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	m := &Monitor{
+	return &Monitor{
 		cfg:       cfg,
 		detectors: detectors,
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	for _, d := range detectors {
-		if o, ok := d.(EventObserver); ok {
-			m.observers = append(m.observers, o)
-		}
-	}
-	return m
 }
 
-// Start launches the background ticker (no-op when Interval < 0). Idempotent.
+// Start launches the background ticker. Idempotent.
 func (m *Monitor) Start() {
 	if m == nil {
 		return
 	}
-	m.startOnce.Do(func() {
-		if m.cfg.Interval < 0 {
-			close(m.done)
-			return
-		}
-		go m.loop()
-	})
+	m.startOnce.Do(func() { go m.loop() })
 }
 
 func (m *Monitor) loop() {
 	defer close(m.done)
-	t := time.NewTicker(m.cfg.Interval)
+	t := time.NewTicker(monitorInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -196,7 +159,6 @@ func (m *Monitor) Poll() {
 	m.evalMu.Lock()
 	defer m.evalMu.Unlock()
 	now := m.cfg.Now()
-	m.lastEval.Store(now.UnixNano())
 	for _, d := range m.detectors {
 		for _, a := range d.Check(now) {
 			if a.Time.IsZero() {
@@ -214,23 +176,6 @@ func (m *Monitor) Poll() {
 				m.cfg.OnAnomaly(a)
 			}
 		}
-	}
-}
-
-// Emit implements obs.EventSink: feed event observers, then re-evaluate the
-// detectors if at least one interval has passed since the last evaluation —
-// so detectors run "on event publish" without an anomaly storm evaluating
-// them on every single request.
-func (m *Monitor) Emit(ev obs.Event) {
-	if m == nil {
-		return
-	}
-	for _, o := range m.observers {
-		o.ObserveEvent(ev)
-	}
-	last := m.lastEval.Load()
-	if m.cfg.Now().Sub(time.Unix(0, last)) >= m.cfg.Interval {
-		m.Poll()
 	}
 }
 

@@ -43,7 +43,7 @@ func TestDebounceOneBundle(t *testing.T) {
 	suppressed0 := readCounter(t, obs.Default, "xsltdb_diag_bundles_suppressed_total")
 
 	m := NewMonitor(MonitorConfig{
-		Interval: -1, Now: clock.Now,
+		Now:       clock.Now,
 		OnAnomaly: func(a Anomaly) { rec.TryCapture(a.Detector) },
 	}, &firingDetector{})
 	defer m.Close()
@@ -122,8 +122,13 @@ func TestBundleSections(t *testing.T) {
 		}
 	}
 	var meta struct {
-		Trigger  string            `json:"trigger"`
-		Sections map[string]string `json:"sections"`
+		Trigger        string            `json:"trigger"`
+		GoVersion      string            `json:"go_version"`
+		GOMAXPROCS     int               `json:"gomaxprocs"`
+		Goroutines     int               `json:"goroutines"`
+		HeapAllocBytes uint64            `json:"heap_alloc_bytes"`
+		HeapObjects    uint64            `json:"heap_objects"`
+		Sections       map[string]string `json:"sections"`
 	}
 	b, err := os.ReadFile(filepath.Join(bdir, "meta.json"))
 	if err != nil {
@@ -134,6 +139,11 @@ func TestBundleSections(t *testing.T) {
 	}
 	if meta.Trigger != "unit test/Trigger" {
 		t.Errorf("meta trigger = %q", meta.Trigger)
+	}
+	// meta.json says which build ran and how loaded its runtime was.
+	if meta.GoVersion == "" || meta.GOMAXPROCS < 1 || meta.Goroutines < 1 ||
+		meta.HeapAllocBytes == 0 || meta.HeapObjects == 0 {
+		t.Errorf("meta.json runtime state incomplete: %s", b)
 	}
 	for _, f := range want {
 		if f == "meta.json" {
@@ -262,26 +272,27 @@ func TestHistogramTailDetector(t *testing.T) {
 	}
 }
 
-// TestLatencySpikeDetector: baseline primes from healthy traffic, a spike
+// TestLatencySpikeDetector: a window too short for a p95 (it reads 0) and a
+// missing p95 func never fire; the baseline primes from healthy readings, a spike
 // over Factor x baseline fires, healthy readings keep absorbing.
 func TestLatencySpikeDetector(t *testing.T) {
-	d := &LatencySpikeDetector{DetectorName: "p95", WindowSize: 32, MinSamples: 16}
 	now := time.Now()
+	if got := (&LatencySpikeDetector{DetectorName: "p95"}).Check(now); got != nil {
+		t.Fatalf("detector without a P95 fired: %v", got)
+	}
+	var p95 time.Duration
+	d := &LatencySpikeDetector{DetectorName: "p95", p95: func() time.Duration { return p95 }}
 	if got := d.Check(now); got != nil {
 		t.Fatalf("empty window fired: %v", got)
 	}
-	for i := 0; i < 32; i++ {
-		d.ObserveEvent(obs.Event{TotalNS: int64(2 * time.Millisecond)})
-	}
-	if got := d.Check(now); got != nil { // primes baseline at ~2ms
+	p95 = 2 * time.Millisecond
+	if got := d.Check(now); got != nil { // primes baseline at 2ms
 		t.Fatalf("baseline priming fired: %v", got)
 	}
 	if got := d.Check(now); got != nil {
 		t.Fatalf("healthy window fired: %v", got)
 	}
-	for i := 0; i < 32; i++ {
-		d.Offer(80 * time.Millisecond) // p95 40x baseline, over the 10ms floor
-	}
+	p95 = 80 * time.Millisecond // 40x baseline, over the 10ms floor
 	got := d.Check(now)
 	if len(got) != 1 || got[0].Severity != SeverityCritical {
 		t.Fatalf("spike check = %+v, want one critical anomaly", got)
@@ -307,26 +318,6 @@ func TestGoroutineSpikeDetector(t *testing.T) {
 	count = 5000
 	if got := d.Check(now); len(got) != 1 {
 		t.Fatalf("spike = %v, want one anomaly", got)
-	}
-}
-
-// TestMonitorEmitPolls: with a negative interval, every published event
-// re-evaluates the detectors — the deterministic-test mode — and the
-// latency observer is fed.
-func TestMonitorEmitPolls(t *testing.T) {
-	clock := newFakeClock()
-	fd := &firingDetector{}
-	ld := &LatencySpikeDetector{DetectorName: "lat"}
-	m := NewMonitor(MonitorConfig{Interval: -1, Now: clock.Now}, fd, ld)
-	defer m.Close()
-	for i := 0; i < 3; i++ {
-		m.Emit(obs.Event{TotalNS: int64(time.Millisecond)})
-	}
-	if fd.fired != 3 {
-		t.Errorf("detector evaluated %d times over 3 events, want 3", fd.fired)
-	}
-	if _, n := ld.p95(); n != 3 {
-		t.Errorf("latency observer saw %d samples, want 3", n)
 	}
 }
 

@@ -55,11 +55,6 @@ type Event struct {
 	AccessPath string `json:"access_path,omitempty"`
 	Rows       int64  `json:"rows"`
 	GovTicks   int64  `json:"gov_ticks,omitempty"`
-	// WalAppends/WalFsyncs are the process-wide WAL counter deltas across
-	// the request — an attribution, exact only when this request is the
-	// sole writer.
-	WalAppends int64 `json:"wal_appends,omitempty"`
-	WalFsyncs  int64 `json:"wal_fsyncs,omitempty"`
 	// RunID joins the event to the run-history archive (/runs/<id>).
 	RunID uint64 `json:"run_id,omitempty"`
 
@@ -99,8 +94,6 @@ func (e *Event) AppendJSON(buf []byte) []byte {
 	buf = appendStrOmit(buf, `"access_path":`, e.AccessPath)
 	buf = appendInt(buf, `"rows":`, e.Rows)
 	buf = appendIntOmit(buf, `"gov_ticks":`, e.GovTicks)
-	buf = appendIntOmit(buf, `"wal_appends":`, e.WalAppends)
-	buf = appendIntOmit(buf, `"wal_fsyncs":`, e.WalFsyncs)
 	if e.RunID != 0 {
 		buf = append(buf, `,"run_id":`...)
 		buf = strconv.AppendUint(buf, e.RunID, 10)

@@ -29,8 +29,6 @@ func testEvent() Event {
 		AccessPath:  "index-probe",
 		Rows:        51,
 		GovTicks:    2,
-		WalAppends:  1,
-		WalFsyncs:   1,
 		RunID:       9,
 		TotalNS:     1234567,
 		CompileNS:   111,

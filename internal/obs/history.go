@@ -164,8 +164,10 @@ func (a *Archive) Record(rec RunRecord) uint64 {
 	} else {
 		slot := (rec.ID - 1) % uint64(a.capacity)
 		// The ring evicts the record it overwrites; its trace-ID entry must
-		// go with it or the index would grow without bound.
-		if old := a.ring[slot]; old.TraceID != "" {
+		// go with it or the index would grow without bound — unless a newer
+		// run under the same trace (one upstream trace, two requests) has
+		// taken the entry over.
+		if old := a.ring[slot]; old.TraceID != "" && a.byTrace[old.TraceID] == old.ID {
 			delete(a.byTrace, old.TraceID)
 		}
 		a.ring[slot] = rec

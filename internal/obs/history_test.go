@@ -61,6 +61,27 @@ func TestArchiveRingRetention(t *testing.T) {
 	}
 }
 
+// TestArchiveEvictionKeepsNewerTraceRun: two requests under one upstream
+// trace share a trace ID. Evicting the older must leave the newer, still
+// retained, reachable by that ID.
+func TestArchiveEvictionKeepsNewerTraceRun(t *testing.T) {
+	a := NewArchive(2)
+	a.Record(RunRecord{View: "v", TraceID: "x"})
+	a.Record(RunRecord{View: "v", TraceID: "x"})
+	a.Record(RunRecord{View: "v"}) // evicts run 1
+	if _, ok := a.Run(2); !ok {
+		t.Fatal("run 2 is not retained")
+	}
+	rec, ok := a.RunByTrace("x")
+	if !ok || rec.ID != 2 {
+		t.Fatalf("RunByTrace(x) = %+v, %v; want the retained run 2", rec, ok)
+	}
+	a.Record(RunRecord{View: "v"}) // evicts run 2, the trace's last run
+	if _, ok := a.RunByTrace("x"); ok {
+		t.Fatal("trace x still resolves after its last run was evicted")
+	}
+}
+
 func TestArchivePlanAggregates(t *testing.T) {
 	a := NewArchive(8)
 	// Two plans: "a" gets 7 successful runs with growing wall times (so the

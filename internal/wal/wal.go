@@ -110,16 +110,13 @@ type Options struct {
 	// OnAppend, when non-nil, fires after each durably-accepted append with
 	// the wall time the append spent inside the log (frame write plus any
 	// policy-driven fsync or rotation) — the hook the facade wires to its
-	// append counter and latency histogram. The package stays free of any
+	// append latency histogram. The package stays free of any
 	// observability dependency; hooks carry durations, the facade decides
 	// what to do with them.
 	OnAppend func(time.Duration)
 	// OnFsync, when non-nil, fires after each successful fsync with the
 	// fsync's own wall time.
 	OnFsync func(time.Duration)
-	// OnRotate, when non-nil, fires after each segment rotation with the
-	// rotation's wall time (sealing sync + close + next-segment open).
-	OnRotate func(time.Duration)
 }
 
 func (o Options) segmentBytes() int64 {
@@ -156,6 +153,9 @@ type RecoverStats struct {
 	SegmentsDropped int
 	// Segments is the number of live segments after recovery.
 	Segments int
+	// Wall is how long recovery took: the replay of every segment plus any
+	// truncation and segment removal.
+	Wall time.Duration
 }
 
 // Log is an append-only segmented write-ahead log. All methods are safe for
@@ -179,6 +179,7 @@ type Log struct {
 // callback error aborts Open (the callback decides whether a record that
 // cannot apply is fatal).
 func Open(dir string, opts Options, replay func(typ byte, payload []byte) error) (*Log, RecoverStats, error) {
+	start := time.Now()
 	var rs RecoverStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rs, fmt.Errorf("wal: %w", err)
@@ -224,6 +225,7 @@ func Open(dir string, opts Options, replay func(typ byte, payload []byte) error)
 	} else {
 		rs.Segments = 1
 	}
+	rs.Wall = time.Since(start)
 	f, err := os.OpenFile(segPath(dir, lastSeg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, rs, fmt.Errorf("wal: %w", err)
@@ -422,9 +424,6 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: opening segment %d: %w", l.seg+1, err)
 	}
 	l.f, l.seg, l.size, l.sinceSync = f, l.seg+1, 0, 0
-	if l.opts.OnRotate != nil {
-		l.opts.OnRotate(time.Since(start))
-	}
 	return nil
 }
 

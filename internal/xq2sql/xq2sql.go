@@ -45,7 +45,9 @@ type viewNode struct {
 	// attrs maps attribute names to their backing columns (XMLAttributes
 	// entries whose value is a column reference).
 	attrs map[string]string
-	// col is the backing column of a text leaf ("" otherwise).
+	// col is the backing column of a text leaf ("" otherwise). An element
+	// whose content mixes the column with literals, aggregates or child
+	// elements has none: its string value is not the column's.
 	col string
 	// agg links to the repeated child produced by an XMLAgg subquery.
 	agg *aggInfo
@@ -80,6 +82,7 @@ func buildViewTree(expr sqlxml.XMLExpr, table string) (*viewNode, error) {
 			node.attrs[a.Name] = c.Name
 		}
 	}
+	text := 0 // items contributing to the element's string value
 	var walk func(children []sqlxml.XMLExpr) error
 	walk = func(children []sqlxml.XMLExpr) error {
 		for _, c := range children {
@@ -90,10 +93,12 @@ func buildViewTree(expr sqlxml.XMLExpr, table string) (*viewNode, error) {
 					return err
 				}
 				node.children = append(node.children, kid)
+				text++
 			case *sqlxml.Column:
 				node.col = x.Name
+				text++
 			case *sqlxml.Literal:
-				// constant text content; nothing to bind
+				text++
 			case *sqlxml.Concat:
 				if err := walk(x.Items); err != nil {
 					return err
@@ -105,8 +110,9 @@ func buildViewTree(expr sqlxml.XMLExpr, table string) (*viewNode, error) {
 				}
 				body.agg = &aggInfo{sub: x.Sub, body: body}
 				node.children = append(node.children, body)
+				text++
 			case *sqlxml.ScalarAgg:
-				// aggregate text content; not navigable below
+				text++ // aggregate text content; not navigable below
 			default:
 				return notRelational("unsupported view construct %T", c)
 			}
@@ -115,6 +121,9 @@ func buildViewTree(expr sqlxml.XMLExpr, table string) (*viewNode, error) {
 	}
 	if err := walk(el.Children); err != nil {
 		return nil, err
+	}
+	if text > 1 {
+		node.col = ""
 	}
 	return node, nil
 }

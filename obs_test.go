@@ -225,7 +225,8 @@ func TestExplainPlanHeader(t *testing.T) {
 // per-run ExecStats — the facade's metrics and the per-run stats are two
 // views of one accounting. Counter DELTAS are compared because obs.Default
 // is process-wide and other tests feed it too (run under -race by `make
-// faults`' sibling `make race`).
+// faults`' sibling `make race`). A second round panics inside every run's
+// SQL scan, so the contained-panic counter is held to the stats as well.
 func TestMetricsMatchExecStatsUnderConcurrency(t *testing.T) {
 	d := newKeyedDB(t, 200)
 	ct, err := d.CompileTransform("rows", keyedSheet)
@@ -233,47 +234,64 @@ func TestMetricsMatchExecStatsUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const workers, perWorker = 8, 5
+	// run executes workers×perWorker concurrent Runs and sums their stats.
+	run := func() (sum ExecStats) {
+		var (
+			mu sync.Mutex
+			wg sync.WaitGroup
+		)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					res, err := ct.Run(context.Background())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					sum.RowsProduced += res.Stats.RowsProduced
+					sum.RowsScanned += res.Stats.RowsScanned
+					sum.PanicsRecovered += res.Stats.PanicsRecovered
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		return sum
+	}
+
 	runsBefore := mRuns.With(StrategySQL.String(), "ok").Value()
 	rowsBefore := mRowsReturned.Value()
 	scannedBefore := mRowsScanned.Value()
 	secondsBefore := mRunSeconds.With(StrategySQL.String()).Count()
-
-	const workers, perWorker = 8, 5
-	var (
-		mu            sync.Mutex
-		rows, scanned int64
-		wg            sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				res, err := ct.Run(context.Background())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				rows += res.Stats.RowsProduced
-				scanned += res.Stats.RowsScanned
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	sum := run()
 
 	if got := mRuns.With(StrategySQL.String(), "ok").Value() - runsBefore; got != workers*perWorker {
 		t.Errorf("runs_total delta = %d, want %d", got, workers*perWorker)
 	}
-	if got := mRowsReturned.Value() - rowsBefore; got != rows {
-		t.Errorf("rows_returned_total delta = %d, want summed ExecStats %d", got, rows)
+	if got := mRowsReturned.Value() - rowsBefore; got != sum.RowsProduced {
+		t.Errorf("rows_returned_total delta = %d, want summed ExecStats %d", got, sum.RowsProduced)
 	}
-	if got := mRowsScanned.Value() - scannedBefore; got != scanned {
-		t.Errorf("rows_scanned_total delta = %d, want summed ExecStats %d", got, scanned)
+	if got := mRowsScanned.Value() - scannedBefore; got != sum.RowsScanned {
+		t.Errorf("rows_scanned_total delta = %d, want summed ExecStats %d", got, sum.RowsScanned)
 	}
 	if got := mRunSeconds.With(StrategySQL.String()).Count() - secondsBefore; got != workers*perWorker {
 		t.Errorf("run_seconds histogram count delta = %d, want %d", got, workers*perWorker)
+	}
+
+	panicsBefore := mPanics.Value()
+	faultpoint.EnablePanic("sqlxml.query.next")
+	defer faultpoint.Reset()
+	panicked := run()
+	faultpoint.Reset()
+	if panicked.PanicsRecovered != workers*perWorker {
+		t.Errorf("summed ExecStats.PanicsRecovered = %d, want one per run (%d)", panicked.PanicsRecovered, workers*perWorker)
+	}
+	if got := mPanics.Value() - panicsBefore; got != panicked.PanicsRecovered {
+		t.Errorf("panics_recovered_total delta = %d, want summed ExecStats %d", got, panicked.PanicsRecovered)
 	}
 
 	// The Prometheus rendering carries the same series.

@@ -40,10 +40,6 @@ var (
 		walLatencyBuckets)
 	mWalFsyncSeconds = obs.Default.NewHistogram("xsltdb_wal_fsync_seconds",
 		"Wall time of one WAL fsync call.", walLatencyBuckets)
-	mWalRotateSeconds = obs.Default.NewHistogram("xsltdb_wal_rotate_seconds",
-		"Wall time of one WAL segment rotation.", walLatencyBuckets)
-	mWalReplaySeconds = obs.Default.NewHistogram("xsltdb_wal_replay_seconds",
-		"Wall time of WAL replay during Database.Open crash recovery.", nil)
 )
 
 func init() {
@@ -101,14 +97,6 @@ func (p *pinTracker) oldestAgeSeconds() float64 {
 		return 0
 	}
 	return time.Since(oldest).Seconds()
-}
-
-// WALCounters reports the process-wide WAL append and fsync totals — the
-// observation counts of their latency histograms. The serving layer reads
-// them before and after a request to attribute WAL activity to the wide
-// event it emits for that request.
-func WALCounters() (appends, fsyncs int64) {
-	return mWalAppendSeconds.Count(), mWalFsyncSeconds.Count()
 }
 
 // recordRunMetrics folds one finished execution into the process-wide

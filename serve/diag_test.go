@@ -3,9 +3,10 @@ package serve
 // The diagnostics smoke tests (`make diag-smoke`, part of `make verify`):
 // boot a server with the flight recorder armed, induce the two incident
 // shapes the detector set exists for — a WAL fsync stall (via a faultpoint
-// sleep at the fsync site) and a latency-spike overload (slow requests
-// flooding the event stream) — and assert each produces exactly one bundle
+// sleep at the fsync site) and a latency-spike overload (slow requests in
+// the admission window) — and assert each produces exactly one bundle
 // inside the debounce window, containing every section an operator needs.
+// The monitor's ticker is 5s; these tests evaluate with Poll.
 
 import (
 	"encoding/json"
@@ -76,6 +77,36 @@ func assertBundle(t *testing.T, diagDir string, wantTrigger string) {
 	}
 }
 
+// anomaliesTotal sums xsltdb_diag_anomalies_total over its detectors.
+func anomaliesTotal() float64 {
+	var total float64
+	for _, sv := range obs.Default.SeriesValues("xsltdb_diag_anomalies_total") {
+		total += sv.Value
+	}
+	return total
+}
+
+// assertAnomaliesMetered: xsltdb_diag_anomalies_total moved since before by
+// exactly the anomalies the server's monitor recorded.
+func assertAnomaliesMetered(t *testing.T, s *Server, before float64) {
+	t.Helper()
+	ring := len(s.Monitor().Anomalies(0))
+	if got := anomaliesTotal() - before; got != float64(ring) {
+		t.Errorf("xsltdb_diag_anomalies_total moved by %v, the monitor recorded %d anomalies", got, ring)
+	}
+}
+
+// latencySpikes counts the latency-spike anomalies the monitor recorded.
+func latencySpikes(s *Server) int {
+	n := 0
+	for _, a := range s.Monitor().Anomalies(0) {
+		if a.Detector == "latency-spike" {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDiagSmokeWALStall boots a durable database with the recorder armed,
 // induces a WAL fsync stall through the wal.fsync faultpoint, and asserts
 // the wal-fsync-stall detector captures exactly one complete bundle.
@@ -91,9 +122,10 @@ func TestDiagSmokeWALStall(t *testing.T) {
 	}
 
 	diagDir := t.TempDir()
+	anomalies0 := anomaliesTotal()
 	s, err := New(Config{
 		DB: db, EnableEvents: true,
-		DiagDir: diagDir, DiagInterval: -1, DiagDebounce: time.Minute,
+		DiagDir: diagDir, DiagDebounce: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,45 +168,60 @@ func TestDiagSmokeWALStall(t *testing.T) {
 	if !found {
 		t.Errorf("wal-fsync-stall anomaly not in monitor page: %+v", page.Recent)
 	}
+	assertAnomaliesMetered(t, s, anomalies0)
 }
 
-// TestDiagSmokeLatencySpike floods the event stream with healthy latencies,
-// then an overload 40x slower, and asserts the latency-spike detector
-// captures exactly one bundle inside the debounce window.
+// TestDiagSmokeLatencySpike: one window holds the p95 that sheds and the one
+// the latency-spike detector reads. Healthy 2ms latencies prime the
+// detector's baseline; an overload 40x slower makes /readyz report shedding
+// and captures exactly one bundle inside the debounce window.
 func TestDiagSmokeLatencySpike(t *testing.T) {
 	diagDir := t.TempDir()
+	anomalies0 := anomaliesTotal()
 	_, s := newDeptServer(t, Config{
-		EnableEvents: true,
-		DiagDir:      diagDir, DiagInterval: -1, DiagDebounce: time.Minute,
+		TargetP95: 10 * time.Millisecond,
+		DiagDir:   diagDir, DiagDebounce: time.Minute,
 	})
 	defer s.Close()
+	s.MarkReady()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	m := s.Monitor()
-	// Healthy traffic: 2ms requests prime the trailing baseline. With a
-	// negative interval every Emit re-evaluates the detectors, so this is
-	// fully deterministic — no ticker involved.
 	for i := 0; i < 64; i++ {
-		m.Emit(obs.Event{TotalNS: int64(2 * time.Millisecond)})
+		s.window.record(2 * time.Millisecond)
 	}
+	m.Poll()
 	if got := len(m.Anomalies(0)); got != 0 {
 		t.Fatalf("healthy traffic fired %d anomalies: %+v", got, m.Anomalies(0))
 	}
+	if resp, _ := get(t, ts, "/readyz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz under healthy traffic = %d, want 200", resp.StatusCode)
+	}
 	// Overload: 80ms requests push the window p95 far over 3x baseline and
-	// the 10ms floor.
+	// over the 10ms target, which is also the detector's floor.
 	for i := 0; i < 256; i++ {
-		m.Emit(obs.Event{TotalNS: int64(80 * time.Millisecond)})
+		s.window.record(80 * time.Millisecond)
+	}
+	m.Poll()
+	if resp, body := get(t, ts, "/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "shedding") {
+		t.Fatalf("readyz under overload = %d %q, want 503 shedding", resp.StatusCode, body)
+	}
+	if n := latencySpikes(s); n != 1 {
+		t.Fatalf("latency-spike anomalies = %d, want 1: %+v", n, m.Anomalies(0))
 	}
 	assertBundle(t, diagDir, "latency-spike")
+	assertAnomaliesMetered(t, s, anomalies0)
 }
 
 // TestDiagSmokeRecorderAloneHasAFeed: DiagDir is the only thing a caller has
-// to set for the latency-spike rule to see real requests — the recorder turns
-// the event pipeline on itself. Healthy cache hits set the baseline, then
-// requests held 15ms at the exec gate make one anomaly and one bundle.
+// to set for the latency-spike rule to see real requests. Healthy cache hits
+// set the baseline, then requests held 15ms at the exec gate make one anomaly
+// and one bundle.
 func TestDiagSmokeRecorderAloneHasAFeed(t *testing.T) {
 	diagDir := t.TempDir()
-	// An hour's interval: detectors run when this test polls, never between.
-	_, s := newDeptServer(t, Config{DiagDir: diagDir, DiagInterval: time.Hour, DiagDebounce: time.Minute})
+	anomalies0 := anomaliesTotal()
+	_, s := newDeptServer(t, Config{DiagDir: diagDir, DiagDebounce: time.Minute})
 	defer s.Close()
 	var slow atomic.Bool
 	s.execGate = func() {
@@ -188,25 +235,63 @@ func TestDiagSmokeRecorderAloneHasAFeed(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		get(t, ts, "/v1/transform/paper", nil)
 	}
-	s.EventBus().Flush()
 	s.Monitor().Poll() // the first reading becomes the baseline
 	slow.Store(true)
 	for i := 0; i < 16; i++ {
 		get(t, ts, "/v1/transform/paper?p.i="+strconv.Itoa(i), nil) // distinct keys: every one runs
 	}
-	s.EventBus().Flush()
 	s.Monitor().Poll()
 
-	spikes := 0
-	for _, a := range s.Monitor().Anomalies(0) {
-		if a.Detector == "latency-spike" {
-			spikes++
-		}
-	}
-	if spikes != 1 {
-		t.Fatalf("latency-spike anomalies = %d, want 1: %+v", spikes, s.Monitor().Anomalies(0))
+	if n := latencySpikes(s); n != 1 {
+		t.Fatalf("latency-spike anomalies = %d, want 1: %+v", n, s.Monitor().Anomalies(0))
 	}
 	assertBundle(t, diagDir, "latency-spike")
+	assertAnomaliesMetered(t, s, anomalies0)
+}
+
+// blockingSink holds the event bus's dispatcher in Emit until release is
+// closed.
+type blockingSink struct{ release chan struct{} }
+
+func (b blockingSink) Emit(obs.Event) { <-b.release }
+
+// TestDiagSmokeLatencySpikeWithBlockedBus: the latency-spike rule reads the
+// admission window, not the event bus, so a sink that wedges the bus's
+// dispatcher does not blind it — one anomaly, one bundle.
+func TestDiagSmokeLatencySpikeWithBlockedBus(t *testing.T) {
+	diagDir := t.TempDir()
+	anomalies0 := anomaliesTotal()
+	sink := blockingSink{release: make(chan struct{})}
+	_, s := newDeptServer(t, Config{
+		EventSinks: []obs.EventSink{sink},
+		DiagDir:    diagDir, DiagDebounce: time.Minute,
+	})
+	defer s.Close()
+	defer close(sink.release) // runs before Close, which drains the bus
+	var slow atomic.Bool
+	s.execGate = func() {
+		if slow.Load() {
+			time.Sleep(15 * time.Millisecond)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 32; i++ {
+		get(t, ts, "/v1/transform/paper", nil)
+	}
+	s.Monitor().Poll()
+	slow.Store(true)
+	for i := 0; i < 16; i++ {
+		get(t, ts, "/v1/transform/paper?p.i="+strconv.Itoa(i), nil)
+	}
+	s.Monitor().Poll()
+
+	if n := latencySpikes(s); n != 1 {
+		t.Fatalf("latency-spike anomalies = %d with the bus blocked, want 1: %+v", n, s.Monitor().Anomalies(0))
+	}
+	assertBundle(t, diagDir, "latency-spike")
+	assertAnomaliesMetered(t, s, anomalies0)
 }
 
 // TestDiagConsoleEndpoints drives /debug/anomalies and /debug/bundle over
@@ -214,10 +299,7 @@ func TestDiagSmokeRecorderAloneHasAFeed(t *testing.T) {
 // next GET.
 func TestDiagConsoleEndpoints(t *testing.T) {
 	diagDir := t.TempDir()
-	_, s := newDeptServer(t, Config{
-		EnableEvents: true,
-		DiagDir:      diagDir, DiagInterval: -1,
-	})
+	_, s := newDeptServer(t, Config{EnableEvents: true, DiagDir: diagDir})
 	defer s.Close()
 	ts := httptest.NewServer(s.Console())
 	defer ts.Close()
@@ -352,14 +434,13 @@ func TestReadyz(t *testing.T) {
 }
 
 // TestMetricNamingLint is the exposition-hygiene gate, run from the serve
-// package so every layer's instruments (engine, WAL, serving, diagnostics,
-// runtime) are registered on obs.Default when it looks: snake_case names
-// under the xsltdb_/xsltd_ prefix, non-empty HELP text, counters ending in
-// _total.
+// package so every layer's instruments (engine, WAL, serving, diagnostics)
+// are registered on obs.Default when it looks: snake_case names under the
+// xsltdb_/xsltd_ prefix, non-empty HELP text, counters ending in _total.
 func TestMetricNamingLint(t *testing.T) {
 	nameRE := regexp.MustCompile(`^(xsltdb|xsltd)_[a-z0-9]+(_[a-z0-9]+)*$`)
 	fams := obs.Default.Families()
-	if len(fams) < 30 {
+	if len(fams) < 20 {
 		t.Fatalf("only %d families registered — are all layers linked?", len(fams))
 	}
 	for _, f := range fams {

@@ -49,12 +49,9 @@ type Config struct {
 	// MaxInFlight caps concurrent executions across all tenants (0 =
 	// unlimited). Requests beyond the cap are shed with 429.
 	MaxInFlight int
-	// TargetP95 sheds new executions with 429 while the sliding p95 of
-	// recent request latencies exceeds it (0 = never shed on latency).
+	// TargetP95 sheds new executions with 429 while the sliding p95 of the
+	// last 256 request latencies exceeds it (0 = never shed on latency).
 	TargetP95 time.Duration
-	// Window is the number of recent latencies the shedding p95 is
-	// computed over (default 256).
-	Window int
 
 	// EnableEvents turns on the wide-event pipeline: one structured event
 	// per request through a bounded async bus that never blocks the request
@@ -75,22 +72,18 @@ type Config struct {
 	SLOObjective float64
 
 	// DiagDir enables the diagnostics flight recorder: a detector monitor
-	// watches the process's own signals (latency p95 vs trailing baseline,
-	// SLO burn rate, strategy degradations, WAL fsync stalls, snapshot-pin
-	// age, event-bus drops, goroutine count) and captures a diagnostic
-	// bundle under this directory when one fires. The monitor rides the
-	// event bus (the latency-spike rule reads request events), so setting
-	// DiagDir turns the wide-event pipeline on. Empty = diagnostics off.
+	// checks the process's own signals every 5s (the admission window's p95
+	// vs its trailing baseline, SLO burn rate, strategy degradations, WAL
+	// fsync stalls, snapshot-pin age, event-bus drops, goroutine count) and
+	// captures a diagnostic bundle under this directory when one fires.
+	// Setting DiagDir turns the wide-event pipeline on, because a bundle's
+	// events.json is read from its ring. Empty = diagnostics off.
 	DiagDir string
 	// DiagMaxBundles bounds bundle retention (default 8).
 	DiagMaxBundles int
 	// DiagDebounce is the minimum gap between anomaly-triggered bundles
 	// (default 1m) — an anomaly storm costs one bundle.
 	DiagDebounce time.Duration
-	// DiagInterval is the detector evaluation period (default 5s). Negative
-	// disables the background ticker; detectors then run only on event
-	// publish or explicit polling — deterministic tests use this.
-	DiagInterval time.Duration
 }
 
 // Server serves registered transforms over HTTP. Create with New, register
@@ -176,13 +169,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 256
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 256
-	}
 	s := &Server{
 		cfg:        cfg,
 		db:         cfg.DB,
-		window:     newLatencyWindow(cfg.Window),
+		window:     newLatencyWindow(),
 		cache:      newResultCache(cfg.CacheCapacity),
 		transforms: map[string]*transformDef{},
 		compiled:   map[compiledKey]*xsltdb.CompiledTransform{},
@@ -203,31 +193,25 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.recorder = rec
 		s.monitor = diag.NewMonitor(diag.MonitorConfig{
-			Interval: cfg.DiagInterval,
 			OnAnomaly: func(a diag.Anomaly) {
 				rec.TryCapture(a.Detector)
 			},
 		}, diag.StandardDetectors(obs.Default, diag.DetectorOptions{
+			LatencyP95:   s.window.p95, // the p95 admission sheds on
 			LatencyFloor: cfg.TargetP95,
 		})...)
 		s.monitor.Start()
 	}
-	if cfg.EnableEvents || len(cfg.EventSinks) > 0 || s.monitor != nil {
+	if cfg.EnableEvents || len(cfg.EventSinks) > 0 || s.recorder != nil {
 		s.eventsRing = obs.NewRingSink(0)
 		sinks := append(append([]obs.EventSink{}, cfg.EventSinks...), s.eventsRing)
-		if s.monitor != nil {
-			// The monitor rides the bus: every published event feeds the
-			// latency-spike window, and detectors re-evaluate at event
-			// speed (rate-limited to one pass per interval).
-			sinks = append(sinks, s.monitor)
-		}
 		s.events = obs.NewEventBus(cfg.EventBuffer, sinks...)
 	}
 	sloTarget := cfg.SLOTarget
 	if sloTarget == 0 {
 		sloTarget = cfg.TargetP95
 	}
-	s.slo = newSLOTracker(sloTarget, cfg.SLOObjective, cfg.Window)
+	s.slo = newSLOTracker(sloTarget, cfg.SLOObjective)
 	return s, nil
 }
 
@@ -248,7 +232,7 @@ func (s *Server) Close() {
 
 // diagSources wires the flight recorder's bundle sections to the layers
 // below: the shared metrics registry, the console event ring, run history,
-// the plan cache, WAL/recovery state, and the anomaly ring itself.
+// the plan cache, WAL recovery, and the anomaly ring itself.
 func (s *Server) diagSources() diag.Sources {
 	return diag.Sources{
 		Registry: obs.Default,
@@ -257,14 +241,8 @@ func (s *Server) diagSources() diag.Sources {
 			a := s.db.RunHistory()
 			return map[string]any{"recent": a.Runs(50), "aggregates": a.Plans()}
 		},
-		Plans: func() any { return s.db.PlanCacheEntries() },
-		WAL: func() any {
-			appends, fsyncs := xsltdb.WALCounters()
-			return map[string]any{
-				"appends": appends, "fsyncs": fsyncs,
-				"recovery": s.db.RecoveryStats(),
-			}
-		},
+		Plans:     func() any { return s.db.PlanCacheEntries() },
+		WAL:       func() any { return s.db.RecoveryStats() },
 		Anomalies: func() any { return s.monitor.Anomalies(100) },
 	}
 }

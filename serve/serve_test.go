@@ -410,18 +410,18 @@ func TestAuth(t *testing.T) {
 // are shed with 429 while cache hits keep being served — degradation, not
 // an outage.
 func TestLatencyShed(t *testing.T) {
-	_, s := newDeptServer(t, Config{TargetP95: time.Nanosecond, Window: 8})
+	_, s := newDeptServer(t, Config{TargetP95: time.Nanosecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Fill the window below the 8-sample floor: these all execute.
+	// Fill the window up to its 8-sample floor: these all execute.
 	for i := 0; i < 8; i++ {
 		resp, body := get(t, ts, fmt.Sprintf("/v1/transform/paper?p.i=%d", i), nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warm-up %d: status = %d body %q", i, resp.StatusCode, body)
 		}
 	}
-	// The window is full and every real request took > 1ns: shed new work.
+	// The window has its 8 samples and every one took > 1ns: shed new work.
 	resp, body := get(t, ts, "/v1/transform/paper?p.i=99", nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload status = %d body %q", resp.StatusCode, body)

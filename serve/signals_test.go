@@ -163,7 +163,7 @@ func TestVersionsUnderRacingInserts(t *testing.T) {
 // golden row has a consumer in DESIGN.md §9's table; add the row there too.
 func TestSignalSurface(t *testing.T) {
 	diagDir := t.TempDir()
-	_, s := newDeptServer(t, Config{DiagDir: diagDir, DiagInterval: -1})
+	_, s := newDeptServer(t, Config{DiagDir: diagDir})
 	defer s.Close()
 
 	var got []string
@@ -210,14 +210,20 @@ func TestSignalSurface(t *testing.T) {
 	if text := strings.Join(got, "\n") + "\n"; text != string(want) {
 		t.Errorf("signal surface drifted from %s — review the change, give each new signal a consumer in DESIGN.md §9, then update the golden.\n got:\n%s", golden, text)
 	}
-	xsltd := 0
+	xsltd, xsltdb := 0, 0
 	for _, line := range got {
-		if strings.HasPrefix(line, "metric xsltd_") {
+		switch {
+		case strings.HasPrefix(line, "metric xsltd_"):
 			xsltd++
+		case strings.HasPrefix(line, "metric xsltdb_"):
+			xsltdb++
 		}
 	}
 	if xsltd > 9 {
 		t.Errorf("%d xsltd_* families, want at most 9: one fact, one family", xsltd)
+	}
+	if xsltdb > 13 {
+		t.Errorf("%d xsltdb_* families, want at most 13: one fact, one family", xsltdb)
 	}
 }
 
@@ -232,7 +238,7 @@ func (w *discardWriter) WriteString(s string) (int, error) { return len(s), nil 
 func (w *discardWriter) WriteHeader(int)                   {}
 
 // TestEventsCostNoAllocations: turning the wide-event pipeline on — an NDJSON
-// sink, the console ring and the diagnostics monitor on the bus — adds no
+// sink and the console ring on the bus, the flight recorder armed — adds no
 // allocation to a cached hit, the cheapest request the server answers and so
 // the one where the pipeline's share is largest. The event is filled in on
 // the request path either way (the request fold reads it); publishing copies

@@ -16,7 +16,6 @@ import (
 type sloTracker struct {
 	target    time.Duration // latency above this is "bad" (0 = latency never bad)
 	objective float64       // fraction of requests that must be good, e.g. 0.99
-	window    int
 
 	mu      sync.Mutex
 	tenants map[string]*sloWindow
@@ -29,17 +28,11 @@ type sloWindow struct {
 	sum  int // bad entries currently in the ring
 }
 
-func newSLOTracker(target time.Duration, objective float64, window int) *sloTracker {
+func newSLOTracker(target time.Duration, objective float64) *sloTracker {
 	if objective <= 0 || objective >= 1 {
 		objective = 0.99
 	}
-	if window <= 0 {
-		window = 256
-	}
-	return &sloTracker{
-		target: target, objective: objective, window: window,
-		tenants: map[string]*sloWindow{},
-	}
+	return &sloTracker{target: target, objective: objective, tenants: map[string]*sloWindow{}}
 }
 
 // record folds one finished request into the tenant's window and returns the
@@ -50,7 +43,7 @@ func (t *sloTracker) record(tenant string, wall time.Duration, failed bool) int6
 	defer t.mu.Unlock()
 	w := t.tenants[tenant]
 	if w == nil {
-		w = &sloWindow{bad: make([]bool, t.window)}
+		w = &sloWindow{bad: make([]bool, windowSize)}
 		t.tenants[tenant] = w
 	}
 	if w.n == len(w.bad) {

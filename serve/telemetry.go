@@ -33,9 +33,6 @@ type reqTel struct {
 	// ev accumulates the wide event; handler code fills fields as decisions
 	// are made, account completes, folds and publishes it.
 	ev obs.Event
-	// walAppends0/walFsyncs0 snapshot the process WAL counters at request
-	// start; the deltas at the fold are the event's WAL attribution.
-	walAppends0, walFsyncs0 int64
 }
 
 // beginTelemetry establishes the request's trace identity and telemetry
@@ -71,7 +68,6 @@ func (s *Server) beginTelemetry(r *http.Request, def *transformDef, tenant strin
 		DataVersion: s.db.Rel().CommitSeq(),
 		SheetHash:   def.hash,
 	}
-	tel.walAppends0, tel.walFsyncs0 = xsltdb.WALCounters()
 	return tel
 }
 
@@ -110,16 +106,14 @@ func (tel *reqTel) fail(w http.ResponseWriter, status int, err error) {
 	http.Error(w, body, status)
 }
 
-// account is the request fold: it completes the wide event (latency, WAL
-// attribution, the archived run's ID), closes the serve-layer span tree, and
+// account is the request fold: it completes the wide event (latency, the
+// archived run's ID), closes the serve-layer span tree, and
 // updates — once each, from the event alone — the tenant's counters, the
 // process metrics, the admission window, the SLO gauge and the event bus.
 func (s *Server) account(tel *reqTel, ts *tenantState) {
 	ev := &tel.ev
 	total := time.Since(tel.start)
 	ev.TotalNS = int64(total)
-	appends, fsyncs := xsltdb.WALCounters()
-	ev.WalAppends, ev.WalFsyncs = appends-tel.walAppends0, fsyncs-tel.walFsyncs0
 	if tel.tr != nil {
 		tel.root.SetAttr("status", ev.Status)
 		tel.root.End()

@@ -6,11 +6,15 @@ import (
 	"time"
 )
 
-// latencyWindow is the sliding window admission control reads its p95 from.
-// A fixed ring of the most recent request latencies, it recovers on its own
-// after an overload passes — unlike a cumulative histogram, whose quantiles
-// never come back down — so shedding stops as soon as recent traffic is
-// fast again.
+// windowSize is how many recent requests the shedding p95 and the SLO burn
+// rate are computed over.
+const windowSize = 256
+
+// latencyWindow is the sliding window admission control, /readyz and the
+// latency-spike detector read their p95 from. A fixed ring of the most recent
+// request latencies, it recovers on its own after an overload passes — unlike
+// a cumulative histogram, whose quantiles never come back down — so shedding
+// stops as soon as recent traffic is fast again.
 type latencyWindow struct {
 	mu     sync.Mutex
 	ring   []time.Duration
@@ -18,8 +22,8 @@ type latencyWindow struct {
 	filled int
 }
 
-func newLatencyWindow(n int) *latencyWindow {
-	return &latencyWindow{ring: make([]time.Duration, n)}
+func newLatencyWindow() *latencyWindow {
+	return &latencyWindow{ring: make([]time.Duration, windowSize)}
 }
 
 func (w *latencyWindow) record(d time.Duration) {

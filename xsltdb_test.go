@@ -395,6 +395,32 @@ func TestMixedContentViewFallsBack(t *testing.T) {
 	}
 }
 
+// TestMixedContentLeafIsNotAColumn: the string value of <name>v2 {name}</name>
+// is the literal and the column together, so the SQL plan may not read it as
+// the bare column; the transform must answer what the no-rewrite baseline
+// answers.
+func TestMixedContentLeafIsNotAColumn(t *testing.T) {
+	d := newKeyedDB(t, 3)
+	v := keyedViewDef()
+	v.Body.(*XMLElement).Children = []XMLExpr{&XMLElement{Name: "name", Children: []XMLExpr{
+		&XMLLiteral{Text: "v2 "}, &XMLColumn{Name: "name"},
+	}}}
+	if err := d.ReplaceXMLView(v); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := d.CompileTransform("rows", keyedSheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ct.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Rows, ""); got != "<hit>v2 name-0</hit><hit>v2 name-1</hit><hit>v2 name-2</hit>" {
+		t.Fatalf("%v run answered %s", ct.Strategy(), got)
+	}
+}
+
 // TestChainedTransform runs a two-stage pipeline through the public API:
 // stage 1 over the view (SQL strategy), stage 2 rewritten against the
 // statically-typed output of stage 1.
