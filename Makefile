@@ -82,11 +82,10 @@ crash:
 # anomalies its ring recorded; lint metric names
 # (snake_case, xsltdb_/xsltd_ prefix, HELP text, counters end _total) and
 # compare the whole signal surface — metric families, event fields, console
-# pages, bundle sections — with serve/testdata/signal_surface.golden. Two
-# passes in one process: a server must leave nothing in the process-wide
-# registry that trips the next one's detectors.
+# pages, bundle sections — with serve/testdata/signal_surface.golden. Every
+# server owns its registry, so one pass says all a second one would.
 diag-smoke:
-	$(GO) test -race -count=2 -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint|TestSignalSurface' ./serve
+	$(GO) test -race -run 'TestDiagSmoke|TestDiagConsole|TestMetricNamingLint|TestSignalSurface' ./serve
 
 # End-to-end correctness over the repo benchmark: each workload runs for one
 # timed second through bench/run.sh (the command BENCHMARK.json declares),

@@ -132,44 +132,19 @@ func (d *Database) EnableRunHistory(capacity int) *obs.Archive {
 // unconditionally.
 func (d *Database) RunHistory() *obs.Archive { return d.history.Load() }
 
-// ConsoleSections are the serving- and diagnostics-layer feeds a console can
-// attach on top of the engine's own sections. Every field may be nil,
-// leaving its endpoint empty. The funcs stay `any`-typed so the facade does
-// not depend on the serve package.
-type ConsoleSections struct {
-	// Tenants feeds /tenants: per-tenant admission state.
-	Tenants func() any
-	// Events feeds /events: up to n recent wide events, newest first,
-	// optionally restricted to one tenant and/or one 32-hex trace ID.
-	Events func(n int, tenant, trace string) any
-	// Anomalies feeds /debug/anomalies: the diagnostics monitor's detectors
-	// and recent anomalies.
-	Anomalies func(n int) any
-	// Bundles feeds GET /debug/bundle: retained diagnostic bundles.
-	Bundles func() any
-	// CaptureBundle serves POST /debug/bundle: capture a bundle now.
-	CaptureBundle func() (string, error)
-}
-
 // ConsoleHandler builds the live debug console over this database: recent
 // runs (with sampled traces), plan-cache entries and per-plan aggregates,
-// the process metrics registry and the pprof endpoints, plus whatever
-// serving and diagnostics sections s attaches (the zero ConsoleSections is
-// the engine alone). Serve it on an internal port:
+// the database's metrics and the pprof endpoints. Serve it on an internal
+// port (a serve.Server's Console adds its own pages and metrics):
 //
-//	go http.ListenAndServe("localhost:6060", db.ConsoleHandler(xsltdb.ConsoleSections{}))
+//	go http.ListenAndServe("localhost:6060", db.ConsoleHandler())
 //
 // The /runs endpoints stay empty until EnableRunHistory is called.
-func (d *Database) ConsoleHandler(s ConsoleSections) http.Handler {
+func (d *Database) ConsoleHandler() http.Handler {
 	return obs.ConsoleHandler(obs.ConsoleConfig{
-		Archive:       d.history.Load(),
-		Registry:      obs.Default,
-		Plans:         func() any { return d.PlanCacheEntries() },
-		Tenants:       s.Tenants,
-		Events:        s.Events,
-		Anomalies:     s.Anomalies,
-		Bundles:       s.Bundles,
-		CaptureBundle: s.CaptureBundle,
+		Archive: d.history.Load(),
+		Metrics: obs.Scrape{d.metrics.reg},
+		Plans:   func() any { return d.PlanCacheEntries() },
 	})
 }
 

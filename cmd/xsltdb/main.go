@@ -19,7 +19,7 @@
 //	    -where adds a driving predicate ("deptno = 10", "@id = $id";
 //	    repeatable), -param binds a $variable for this run (repeatable),
 //	    -no-pushdown forces the full-scan baseline access path;
-//	    -metrics-addr serves the process metrics in Prometheus text format
+//	    -metrics-addr serves the demo database's metrics in Prometheus text format
 //	    at http://host:port/metrics and keeps the process alive after the
 //	    demo so the endpoint can be scraped
 package main
@@ -38,6 +38,7 @@ import (
 
 	xsltdb "repro"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sqlxml"
 	"repro/internal/xmltree"
 	"repro/internal/xschema"
@@ -177,9 +178,10 @@ func cmdDemo(args []string) {
 		fatal(err)
 	}
 
+	db := xsltdb.NewDatabase()
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", xsltdb.MetricsRegistry().Handler())
+		mux.Handle("/metrics", obs.Scrape{db.Metrics()}.Handler())
 		go func() {
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
 				fatal(err)
@@ -187,8 +189,6 @@ func cmdDemo(args []string) {
 		}()
 		fmt.Printf("serving metrics at http://%s/metrics\n\n", *metricsAddr)
 	}
-
-	db := xsltdb.NewDatabase()
 	if *consoleAddr != "" {
 		// The console wants history: archive every run, trace all of them
 		// (a demo is low-volume; production would use SampleRatio or
@@ -196,7 +196,7 @@ func cmdDemo(args []string) {
 		db.EnableRunHistory(0)
 		govern = append(govern, xsltdb.WithTraceSampling(xsltdb.SampleAlways()))
 		go func() {
-			if err := http.ListenAndServe(*consoleAddr, db.ConsoleHandler(xsltdb.ConsoleSections{})); err != nil {
+			if err := http.ListenAndServe(*consoleAddr, db.ConsoleHandler()); err != nil {
 				fatal(err)
 			}
 		}()

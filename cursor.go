@@ -96,15 +96,13 @@ func (ct *CompiledTransform) openCursor(ctx context.Context, stages []chainStage
 	})
 	if err == nil {
 		c.x.es.AccessPath = x.spec.Driving.Explain()
-		mActiveCursors.Inc()
-		c.pinID = snapPins.pin()
+		c.pinID = ct.db.pin()
 		if ct.db.registerCursor(c) {
 			return c, nil
 		}
 		// Close raced the open: refuse the cursor instead of leaving an
 		// untracked stream over a closed database.
-		mActiveCursors.Dec()
-		snapPins.unpin(c.pinID)
+		ct.db.unpin(c.pinID)
 		c.p.end(0, nil)
 		err = ErrDatabaseClosed
 	}
@@ -175,8 +173,7 @@ func (c *Cursor) release() {
 		db := c.x.ct.db
 		db.unregisterCursor(c)
 		db.exec.AddStats(&c.sink)
-		mActiveCursors.Dec()
-		snapPins.unpin(c.pinID)
+		db.unpin(c.pinID)
 
 		c.mu.Lock()
 		err := c.err

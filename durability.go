@@ -122,8 +122,8 @@ func Open(opts ...OpenOption) (*Database, error) {
 	if oo.dir == "" {
 		return d, nil
 	}
-	oo.walOpts.OnAppend = func(d time.Duration) { mWalAppendSeconds.Observe(d.Seconds()) }
-	oo.walOpts.OnFsync = func(d time.Duration) { mWalFsyncSeconds.Observe(d.Seconds()) }
+	oo.walOpts.OnAppend = func(t time.Duration) { d.metrics.walAppendSeconds.Observe(t.Seconds()) }
+	oo.walOpts.OnFsync = func(t time.Duration) { d.metrics.walFsyncSeconds.Observe(t.Seconds()) }
 	lg, rs, err := wal.Open(oo.dir, oo.walOpts, d.replayRecord)
 	if err != nil {
 		return nil, fmt.Errorf("xsltdb: open %s: %w", oo.dir, err)

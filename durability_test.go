@@ -66,11 +66,10 @@ func runKeyed(tb testing.TB, d *Database, opts ...RunOption) []string {
 func TestOpenReopenRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	const n = 25
-	appends0 := mWalAppendSeconds.Count()
 	d := newDurableKeyedDB(t, dir, n)
 	// 1 create-table + n inserts + 1 create-index + 1 create-view.
-	if got := mWalAppendSeconds.Count() - appends0; got != n+3 {
-		t.Fatalf("wal_append_seconds count moved by %d over %d logged statements", got, n+3)
+	if got := d.metrics.walAppendSeconds.Count(); got != n+3 {
+		t.Fatalf("wal_append_seconds count is %d over %d logged statements", got, n+3)
 	}
 	want := runKeyed(t, d)
 	if len(want) != n {
@@ -95,6 +94,9 @@ func TestOpenReopenRoundtrip(t *testing.T) {
 	if rs.TornBytes != 0 || rs.SegmentsDropped != 0 {
 		t.Fatalf("clean close reported torn bytes %d, dropped segments %d", rs.TornBytes, rs.SegmentsDropped)
 	}
+	if got := d2.metrics.walAppendSeconds.Count(); got != 0 {
+		t.Fatalf("replay moved wal_append_seconds count to %d, want 0", got)
+	}
 	got := runKeyed(t, d2)
 	if len(got) != len(want) {
 		t.Fatalf("recovered rows = %d, want %d", len(got), len(want))
@@ -113,8 +115,8 @@ func TestOpenReopenRoundtrip(t *testing.T) {
 	if err := d2.Insert("row", int64(n), fmt.Sprintf("name-%d", n)); err != nil {
 		t.Fatalf("insert after recovery: %v", err)
 	}
-	if got := mWalAppendSeconds.Count() - appends0; got != n+4 {
-		t.Fatalf("wal_append_seconds count moved by %d over %d logged statements", got, n+4)
+	if got := d2.metrics.walAppendSeconds.Count(); got != 1 {
+		t.Fatalf("wal_append_seconds count is %d after one logged statement", got)
 	}
 }
 
@@ -542,7 +544,6 @@ func TestCloseRacingOpenReportsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cursors, pins := mActiveCursors.Value(), mSnapshotPins.Value()
 	faultpoint.EnableSleep("sqlxml.query.open", 50*time.Millisecond)
 	defer faultpoint.Reset()
 	opened := make(chan error)
@@ -562,8 +563,8 @@ func TestCloseRacingOpenReportsNothing(t *testing.T) {
 	if n := d.RunHistory().Len(); n != 0 {
 		t.Fatalf("a cursor that was never returned left %d archived runs", n)
 	}
-	if c, p := mActiveCursors.Value(), mSnapshotPins.Value(); c != cursors || p != pins {
-		t.Fatalf("gauges not restored: cursors %d → %d, pins %d → %d", cursors, c, pins, p)
+	if c, p := gauge(t, d, "xsltdb_active_cursors"), gauge(t, d, "xsltdb_snapshot_pins"); c != 0 || p != 0 {
+		t.Fatalf("gauges not restored: %v cursors, %v pins", c, p)
 	}
 }
 

@@ -327,7 +327,7 @@ func TestConsoleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(d.ConsoleHandler(ConsoleSections{}))
+	srv := httptest.NewServer(d.ConsoleHandler())
 	defer srv.Close()
 	get := func(path string) string {
 		t.Helper()
@@ -385,11 +385,10 @@ func TestActiveCursorsGaugeReturnsToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mActiveCursors.Value()
 	check := func(label string) {
 		t.Helper()
-		if got := mActiveCursors.Value(); got != base {
-			t.Fatalf("%s: active_cursors = %d, want %d", label, got, base)
+		if got := gauge(t, d, "xsltdb_active_cursors"); got != 0 {
+			t.Fatalf("%s: active_cursors = %v, want 0", label, got)
 		}
 	}
 
@@ -398,8 +397,8 @@ func TestActiveCursorsGaugeReturnsToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mActiveCursors.Value() != base+1 {
-		t.Fatalf("gauge not incremented on open: %d", mActiveCursors.Value())
+	if got := gauge(t, d, "xsltdb_active_cursors"); got != 1 {
+		t.Fatalf("gauge not incremented on open: %v", got)
 	}
 	if _, err := cur.Collect(); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package obs
 
 // The live debug console: one http.Handler serving the retention layer —
 // archived runs with their traces, per-plan aggregates and plan-cache
-// entries, the metrics registry, and the runtime pprof endpoints (strategy
+// entries, the metrics scrape, and the runtime pprof endpoints (strategy
 // execution runs under pprof labels, so CPU profiles segment by strategy and
 // view). Everything is stdlib-only and read-only; mount it on an internal
 // port (cmd/xsltdb -console-addr).
@@ -22,8 +22,8 @@ import (
 type ConsoleConfig struct {
 	// Archive is the run-history ring (EnableRunHistory).
 	Archive *Archive
-	// Registry is served at /metrics.
-	Registry *Registry
+	// Metrics is served at /metrics.
+	Metrics Scrape
 	// Plans returns the engine's plan-cache entries; the result is marshaled
 	// as-is under the "cache" key of /plans. Kept as `any` so the engine
 	// package can pass its own entry type without obs depending on it.
@@ -137,8 +137,8 @@ func ConsoleHandler(cfg ConsoleConfig) http.Handler {
 			writeJSON(w, bundles)
 		}
 	})
-	if cfg.Registry != nil {
-		page("/metrics", "Prometheus text exposition", cfg.Registry.Handler().ServeHTTP)
+	if cfg.Metrics != nil {
+		page("/metrics", "Prometheus text exposition", cfg.Metrics.Handler().ServeHTTP)
 	}
 	page("/debug/pprof/", "runtime profiles (CPU samples labeled strategy/view)", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -62,8 +62,8 @@ type RecorderConfig struct {
 // section. The funcs return `any` so diag stays decoupled from the engine
 // and serving packages that feed it.
 type Sources struct {
-	// Registry is rendered in full as metrics.prom.
-	Registry *obs.Registry
+	// Metrics is rendered in full as metrics.prom.
+	Metrics obs.Scrape
 	// Events returns up to n recent wide events (the console ring).
 	Events func(n int) any
 	// Runs returns run-history state: recent runs, per-plan aggregates
@@ -79,16 +79,17 @@ type Sources struct {
 
 // Recorder captures diagnostic bundles. Construct with NewRecorder.
 type Recorder struct {
-	cfg RecorderConfig
-	src Sources
+	cfg        RecorderConfig
+	src        Sources
+	suppressed *obs.Counter // xsltdb_diag_bundles_suppressed_total
 
 	mu   sync.Mutex
 	last time.Time
 }
 
 // NewRecorder validates cfg, creates the diagnostics directory, and returns
-// a recorder.
-func NewRecorder(cfg RecorderConfig, src Sources) (*Recorder, error) {
+// a recorder that counts its debounced triggers on reg.
+func NewRecorder(reg *obs.Registry, cfg RecorderConfig, src Sources) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("diag: RecorderConfig.Dir is required")
 	}
@@ -110,7 +111,9 @@ func NewRecorder(cfg RecorderConfig, src Sources) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diag: %w", err)
 	}
-	return &Recorder{cfg: cfg, src: src}, nil
+	suppressed := reg.NewCounter("xsltdb_diag_bundles_suppressed_total",
+		"Bundle triggers suppressed by the debounce window.")
+	return &Recorder{cfg: cfg, src: src, suppressed: suppressed}, nil
 }
 
 // TryCapture is the debounced trigger detectors use: it captures a bundle
@@ -124,7 +127,7 @@ func (r *Recorder) TryCapture(trigger string) (dir string, ok bool) {
 	now := r.cfg.Now()
 	if !r.last.IsZero() && now.Sub(r.last) < r.cfg.Debounce {
 		r.mu.Unlock()
-		mBundlesSuppressed.Inc()
+		r.suppressed.Inc()
 		return "", false
 	}
 	r.last = now
@@ -232,10 +235,10 @@ func (r *Recorder) capture(trigger string, now time.Time) (string, error) {
 	section("heap.pprof", func() ([]byte, error) {
 		return collectProfile("heap", 0, r.cfg.ProfileTimeout)
 	})
-	if r.src.Registry != nil {
+	if r.src.Metrics != nil {
 		section("metrics.prom", func() ([]byte, error) {
 			var buf bytes.Buffer
-			_, err := r.src.Registry.WriteTo(&buf)
+			_, err := r.src.Metrics.WriteTo(&buf)
 			return buf.Bytes(), err
 		})
 	}

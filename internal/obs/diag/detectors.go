@@ -260,8 +260,9 @@ type DetectorOptions struct {
 	GoroutineFactor float64
 }
 
-// StandardDetectors builds the engine's stock detector set over reg
-// (normally obs.Default, where every layer registers its instruments):
+// StandardDetectors builds the engine's stock detector set. Each rule reads
+// the one registry its metric lives on: engine, a Database's (xsltdb_*), or
+// server, the serve.Server's in front of it (xsltd_*).
 //
 //	latency-spike        window p95 vs trailing baseline
 //	slo-burn             per-tenant burn rate over bound, with hysteresis
@@ -270,7 +271,7 @@ type DetectorOptions struct {
 //	snapshot-pin-age     oldest MVCC pin older than bound
 //	event-drops          wide events dropped at the full bus buffer
 //	goroutine-spike      goroutine count vs trailing baseline
-func StandardDetectors(reg *obs.Registry, o DetectorOptions) []Detector {
+func StandardDetectors(engine, server *obs.Registry, o DetectorOptions) []Detector {
 	if o.BurnBound <= 0 {
 		o.BurnBound = 2000
 	}
@@ -282,15 +283,15 @@ func StandardDetectors(reg *obs.Registry, o DetectorOptions) []Detector {
 	}
 	return []Detector{
 		&LatencySpikeDetector{DetectorName: "latency-spike", p95: o.LatencyP95, Factor: o.LatencyFactor, Floor: o.LatencyFloor},
-		&GaugeBoundDetector{DetectorName: "slo-burn", Registry: reg,
+		&GaugeBoundDetector{DetectorName: "slo-burn", Registry: server,
 			Metric: "xsltd_slo_burn_rate_milli", Bound: o.BurnBound, Severity: SeverityCritical},
-		&CounterDeltaDetector{DetectorName: "degradation", Registry: reg,
+		&CounterDeltaDetector{DetectorName: "degradation", Registry: engine,
 			Metric: "xsltdb_degradations_total", Severity: SeverityWarn},
-		&HistogramTailDetector{DetectorName: "wal-fsync-stall", Registry: reg,
+		&HistogramTailDetector{DetectorName: "wal-fsync-stall", Registry: engine,
 			Metric: "xsltdb_wal_fsync_seconds", Threshold: o.WALStallThreshold, Severity: SeverityCritical},
-		&GaugeBoundDetector{DetectorName: "snapshot-pin-age", Registry: reg,
+		&GaugeBoundDetector{DetectorName: "snapshot-pin-age", Registry: engine,
 			Metric: "xsltdb_snapshot_pin_oldest_age_seconds", Bound: o.PinAgeBound.Seconds(), Severity: SeverityWarn},
-		&CounterDeltaDetector{DetectorName: "event-drops", Registry: reg,
+		&CounterDeltaDetector{DetectorName: "event-drops", Registry: server,
 			Metric: "xsltd_events_dropped_total", Severity: SeverityWarn},
 		&GoroutineSpikeDetector{DetectorName: "goroutine-spike", Factor: o.GoroutineFactor},
 	}

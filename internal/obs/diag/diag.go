@@ -58,14 +58,6 @@ type Detector interface {
 	Check(now time.Time) []Anomaly
 }
 
-// Diag instruments, on the shared default registry like every other layer.
-var (
-	mAnomalies = obs.Default.NewCounterVec("xsltdb_diag_anomalies_total",
-		"Anomalies fired, by detector.", "detector")
-	mBundlesSuppressed = obs.Default.NewCounter("xsltdb_diag_bundles_suppressed_total",
-		"Bundle triggers suppressed by the debounce window.")
-)
-
 // monitorInterval is the ticker period of Start's background evaluation.
 const monitorInterval = 5 * time.Second
 
@@ -84,6 +76,7 @@ type MonitorConfig struct {
 type Monitor struct {
 	cfg       MonitorConfig
 	detectors []Detector
+	anomalies *obs.CounterVec // xsltdb_diag_anomalies_total
 
 	// evalMu serializes detector evaluation between the ticker goroutine
 	// and explicit Poll calls.
@@ -99,8 +92,9 @@ type Monitor struct {
 	done      chan struct{}
 }
 
-// NewMonitor builds a monitor over the given detectors.
-func NewMonitor(cfg MonitorConfig, detectors ...Detector) *Monitor {
+// NewMonitor builds a monitor over the given detectors, counting the
+// anomalies they fire on reg.
+func NewMonitor(reg *obs.Registry, cfg MonitorConfig, detectors ...Detector) *Monitor {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 128
 	}
@@ -112,6 +106,8 @@ func NewMonitor(cfg MonitorConfig, detectors ...Detector) *Monitor {
 		detectors: detectors,
 		quit:      make(chan struct{}),
 		done:      make(chan struct{}),
+		anomalies: reg.NewCounterVec("xsltdb_diag_anomalies_total",
+			"Anomalies fired, by detector.", "detector"),
 	}
 }
 
@@ -171,7 +167,7 @@ func (m *Monitor) Poll() {
 				a.Severity = SeverityWarn
 			}
 			m.record(a)
-			mAnomalies.With(a.Detector).Inc()
+			m.anomalies.With(a.Detector).Inc()
 			if m.cfg.OnAnomaly != nil {
 				m.cfg.OnAnomaly(a)
 			}

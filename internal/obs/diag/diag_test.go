@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,15 +35,15 @@ func (d *firingDetector) Check(now time.Time) []Anomaly {
 func TestDebounceOneBundle(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
-	rec, err := NewRecorder(RecorderConfig{
+	reg := obs.NewRegistry()
+	rec, err := NewRecorder(reg, RecorderConfig{
 		Dir: dir, Debounce: time.Minute, Now: clock.Now,
 	}, Sources{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	suppressed0 := readCounter(t, obs.Default, "xsltdb_diag_bundles_suppressed_total")
 
-	m := NewMonitor(MonitorConfig{
+	m := NewMonitor(reg, MonitorConfig{
 		Now:       clock.Now,
 		OnAnomaly: func(a Anomaly) { rec.TryCapture(a.Detector) },
 	}, &firingDetector{})
@@ -56,7 +57,7 @@ func TestDebounceOneBundle(t *testing.T) {
 	if got := len(rec.Bundles()); got != 1 {
 		t.Fatalf("bundles after 5 anomalies in debounce window = %d, want exactly 1", got)
 	}
-	if got := readCounter(t, obs.Default, "xsltdb_diag_bundles_suppressed_total") - suppressed0; got != 4 {
+	if got := readCounter(t, reg, "xsltdb_diag_bundles_suppressed_total"); got != 4 {
 		t.Errorf("suppressed = %v, want 4", got)
 	}
 
@@ -70,6 +71,9 @@ func TestDebounceOneBundle(t *testing.T) {
 	// The monitor retained every anomaly regardless of bundle suppression.
 	if got := len(m.Anomalies(0)); got != 6 {
 		t.Errorf("retained anomalies = %d, want 6", got)
+	}
+	if got := readCounter(t, reg, "xsltdb_diag_anomalies_total"); got != 6 {
+		t.Errorf("xsltdb_diag_anomalies_total = %v, want 6", got)
 	}
 	page := m.Page(3)
 	if len(page.Detectors) != 1 || page.Detectors[0] != "always-fires" {
@@ -87,8 +91,8 @@ func TestBundleSections(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.NewCounter("xsltdb_test_total", "test counter").Inc()
 	dir := t.TempDir()
-	rec, err := NewRecorder(RecorderConfig{Dir: dir, MaxEvents: 3}, Sources{
-		Registry: reg,
+	rec, err := NewRecorder(obs.NewRegistry(), RecorderConfig{Dir: dir, MaxEvents: 3}, Sources{
+		Metrics: obs.Scrape{reg},
 		Events: func(n int) any {
 			if n != 3 {
 				t.Errorf("events source asked for %d events, want MaxEvents=3", n)
@@ -171,7 +175,7 @@ func TestBundleSections(t *testing.T) {
 func TestRetention(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
-	rec, err := NewRecorder(RecorderConfig{Dir: dir, MaxBundles: 3, Now: clock.Now}, Sources{})
+	rec, err := NewRecorder(obs.NewRegistry(), RecorderConfig{Dir: dir, MaxBundles: 3, Now: clock.Now}, Sources{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +325,12 @@ func TestGoroutineSpikeDetector(t *testing.T) {
 	}
 }
 
-// TestStandardDetectors checks the stock set wires the expected rules.
+// TestStandardDetectors checks the stock set wires the expected rules, each
+// reading the registry its metric lives on: xsltd_* the server's, xsltdb_*
+// the engine's.
 func TestStandardDetectors(t *testing.T) {
-	ds := StandardDetectors(obs.NewRegistry(), DetectorOptions{})
+	engine, server := obs.NewRegistry(), obs.NewRegistry()
+	ds := StandardDetectors(engine, server, DetectorOptions{})
 	want := map[string]bool{
 		"latency-spike": true, "slo-burn": true, "degradation": true,
 		"wal-fsync-stall": true, "snapshot-pin-age": true,
@@ -335,6 +342,25 @@ func TestStandardDetectors(t *testing.T) {
 	for _, d := range ds {
 		if !want[d.Name()] {
 			t.Errorf("unexpected detector %q", d.Name())
+		}
+		var reg *obs.Registry
+		var metric string
+		switch d := d.(type) {
+		case *CounterDeltaDetector:
+			reg, metric = d.Registry, d.Metric
+		case *GaugeBoundDetector:
+			reg, metric = d.Registry, d.Metric
+		case *HistogramTailDetector:
+			reg, metric = d.Registry, d.Metric
+		default:
+			continue
+		}
+		home := engine
+		if strings.HasPrefix(metric, "xsltd_") {
+			home = server
+		}
+		if reg != home {
+			t.Errorf("%s reads %s from the wrong registry", d.Name(), metric)
 		}
 	}
 }

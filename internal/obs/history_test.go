@@ -160,7 +160,7 @@ func TestConsoleEndpoints(t *testing.T) {
 		Rows: 2, Wall: 5 * time.Millisecond, Sampled: true, Trace: "run 5ms"})
 
 	h := ConsoleHandler(ConsoleConfig{
-		Archive: a, Registry: reg,
+		Archive: a, Metrics: Scrape{reg},
 		Plans: func() any { return []string{"entry"} },
 	})
 	srv := httptest.NewServer(h)

@@ -1,12 +1,13 @@
 package obs
 
-// The metrics half of the observability layer: a process-wide registry of
-// counters, gauges and histograms with label support, rendered in the
-// Prometheus text exposition format (WriteTo / Handler). Everything is
-// stdlib-only and allocation-free on the increment path: instruments are
-// resolved once (With caches per label-value tuple) and then bumped with
-// plain atomics, so concurrent runs sharing one registry never contend on
-// a lock to count.
+// The metrics half of the observability layer: registries of counters,
+// gauges and histograms with label support, rendered in the Prometheus text
+// exposition format (Scrape). There is no process-wide registry: each
+// Database and each serve.Server owns one, and a scrape renders the ones it
+// is given as one exposition. Everything is stdlib-only and allocation-free
+// on the increment path: instruments are resolved once (With caches per
+// label-value tuple) and then bumped with plain atomics, so concurrent runs
+// sharing one registry never contend on a lock to count.
 
 import (
 	"fmt"
@@ -19,17 +20,11 @@ import (
 	"sync/atomic"
 )
 
-// Registry holds metric families. Use NewRegistry, or the package-wide
-// Default shared by the engine's built-in instruments.
+// Registry holds metric families. Render it with Scrape.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 }
-
-// Default is the process-wide registry the engine's built-in instruments
-// register on. Serve it with Handler (cmd/xsltdb -metrics-addr) or scrape
-// it programmatically with WriteTo.
-var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -110,7 +105,7 @@ func (f *family) getSeries(labelValues []string) *series {
 
 // register creates or fetches a family, enforcing schema consistency: the
 // same name re-registered with a different kind or label set panics (a
-// programming error, caught at init time in practice).
+// programming error, caught when the owning Database or Server is built).
 func (r *Registry) register(name, help string, kind metricKind, labels []string, buckets []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -313,26 +308,6 @@ func (r *Registry) SeriesValues(name string) []SeriesValue {
 	return out
 }
 
-// FamilyInfo describes one registered metric family — the metric-naming lint
-// test walks these to enforce the repo's naming and HELP conventions.
-type FamilyInfo struct {
-	Name string
-	Help string
-	Kind string
-}
-
-// Families lists every registered family, sorted by name.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.RLock()
-	out := make([]FamilyInfo, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, FamilyInfo{Name: f.name, Help: f.help, Kind: f.kind.String()})
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // newStandaloneHistogram builds a histogram that belongs to no registry —
 // the run-history archive uses these for per-plan latency aggregates, which
 // are served as JSON through the console rather than scraped as metrics. A
@@ -395,7 +370,7 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 // NewGaugeFunc registers an unlabeled gauge whose value is computed by fn at
 // every render — the instrument for values that are derived rather than
 // maintained (the age of the oldest pinned snapshot, say). Re-registration
-// replaces the callback, keeping package-level instruments idempotent.
+// replaces the callback.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, kindGauge, nil, nil)
 	s := f.getSeries(nil)
@@ -469,21 +444,31 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// WriteTo renders every family in the Prometheus text exposition format,
-// families and series sorted for deterministic output. Registry implements
-// io.WriterTo.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
+// Scrape is one /metrics exposition over several registries — a server's and
+// the database's it fronts. Their families render as one exposition sorted by
+// name, as if they were one registry; a family name registered in two of them
+// is an error, because one exposition cannot carry two families of one name.
+type Scrape []*Registry
+
+// WriteTo renders every family of every registry in the Prometheus text
+// exposition format, families and series sorted for deterministic output.
+// Scrape implements io.WriterTo.
+func (sc Scrape) WriteTo(w io.Writer) (int64, error) {
+	var fams []*family
+	seen := map[string]bool{}
+	for _, r := range sc {
+		r.mu.RLock()
+		for name, f := range r.families {
+			if seen[name] {
+				r.mu.RUnlock()
+				return 0, fmt.Errorf("obs: metric %s is registered in two scraped registries", name)
+			}
+			seen[name] = true
+			fams = append(fams, f)
+		}
+		r.mu.RUnlock()
 	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	var total int64
 	pr := func(format string, args ...any) error {
@@ -551,11 +536,17 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// Handler serves the registry in the Prometheus text format — mount it at
-// /metrics.
-func (r *Registry) Handler() http.Handler {
+// WriteTo renders the registry alone, as Scrape{r} does: how a caller outside
+// this module, which cannot name Scrape, renders a database's Metrics().
+func (r *Registry) WriteTo(w io.Writer) (int64, error) { return Scrape{r}.WriteTo(w) }
+
+// Handler serves the scrape in the Prometheus text format — mount it at
+// /metrics. A scrape that cannot render fails before its first byte: a 500.
+func (sc Scrape) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = r.WriteTo(w)
+		if n, err := sc.WriteTo(w); err != nil && n == 0 {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 }

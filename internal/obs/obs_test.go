@@ -242,7 +242,7 @@ func TestConcurrentRegistryWrites(t *testing.T) {
 func TestHandlerServesText(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("hits_total", "hits").Inc()
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(Scrape{r}.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -260,6 +260,37 @@ func TestHandlerServesText(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	if !strings.Contains(string(buf[:n]), "hits_total 1") {
 		t.Fatalf("handler output missing counter: %q", string(buf[:n]))
+	}
+}
+
+// TestScrapeMergesRegistries: a scrape renders several registries as one
+// exposition sorted by family name, and refuses a family name two of them
+// register before it writes a byte, so its handler answers 500.
+func TestScrapeMergesRegistries(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.NewCounter("b_total", "b").Inc()
+	b.NewCounter("a_total", "a").Add(2)
+	b.NewGauge("c", "c").Set(3)
+	var sb strings.Builder
+	if _, err := (Scrape{a, b}).WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP a_total a\n# TYPE a_total counter\na_total 2\n" +
+		"# HELP b_total b\n# TYPE b_total counter\nb_total 1\n" +
+		"# HELP c c\n# TYPE c gauge\nc 3\n"
+	if sb.String() != want {
+		t.Fatalf("merged scrape:\n%s\nwant:\n%s", sb.String(), want)
+	}
+
+	a.NewGauge("c", "c again")
+	sb.Reset()
+	if n, err := (Scrape{a, b}).WriteTo(&sb); err == nil || n != 0 || !strings.Contains(err.Error(), "metric c ") {
+		t.Fatalf("family in two registries: wrote %d bytes, err %v; want an error before any byte", n, err)
+	}
+	rec := httptest.NewRecorder()
+	Scrape{a, b}.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 500 {
+		t.Fatalf("handler over a conflicting scrape = %d, want 500", rec.Code)
 	}
 }
 

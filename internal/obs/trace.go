@@ -1,7 +1,7 @@
 // Package obs is the engine's zero-dependency observability layer: spans
 // and traces for attributing latency to compile phases and plan operators,
-// and a metrics registry (metrics.go) for process-wide counters, gauges and
-// histograms in Prometheus text format.
+// and metrics registries (metrics.go), one per database and per server, for
+// counters, gauges and histograms in Prometheus text format.
 //
 // The design goal is that instrumentation can be threaded through every hot
 // path unconditionally: all Trace and Span methods are safe on a nil

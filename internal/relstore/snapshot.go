@@ -153,17 +153,22 @@ type Snapshot struct {
 // are invisible to it (Table returns nil), exactly like rows inserted after
 // the pin.
 func (db *DB) Snapshot() *Snapshot {
-	// Read before the tables are pinned: a write bumps the counter only once
-	// new snapshots can see it, so every write numbered <= seq is in this
-	// snapshot (later ones may be too — never fewer).
-	seq := db.commits.Load()
-	db.mu.RLock()
-	taps := make(map[string]*TableSnap, len(db.tables))
-	for name, t := range db.tables {
-		taps[name] = t.Snap()
+	// Every write bumps the counter inside the critical section that makes it
+	// visible, and the pin takes those locks: a counter that reads the same
+	// after the pin as before means the snapshot holds exactly the writes
+	// numbered <= seq. A write that raced the pin moves it; pin again.
+	for {
+		seq := db.commits.Load()
+		db.mu.RLock()
+		taps := make(map[string]*TableSnap, len(db.tables))
+		for name, t := range db.tables {
+			taps[name] = t.Snap()
+		}
+		db.mu.RUnlock()
+		if db.commits.Load() == seq {
+			return &Snapshot{db: db, seq: seq, taps: taps}
+		}
 	}
-	db.mu.RUnlock()
-	return &Snapshot{db: db, seq: seq, taps: taps}
 }
 
 // CommitSeq is the data version the snapshot was pinned at (DB.CommitSeq read

@@ -52,7 +52,8 @@ type Table struct {
 }
 
 // committed bumps the owning database's commit counter. Callers invoke it
-// after the write is visible to new snapshots and before reporting success.
+// inside the critical section that makes the write visible (under t.mu, or
+// db.mu for CreateTable) — DB.Snapshot's exact stamp depends on it.
 func (t *Table) committed() {
 	if t.commits != nil {
 		t.commits.Add(1)
@@ -252,8 +253,8 @@ type DB struct {
 
 // CommitSeq is the database's data version: a counter that moves forward on
 // every applied write — each inserted row, each created table or index,
-// live or replayed from the log. A write bumps it once the change is visible
-// to new snapshots and before the write returns, so a reader that starts
+// live or replayed from the log. A write bumps it inside the critical section
+// that makes the change visible, before the write returns, so a reader that starts
 // after a write has returned can never observe a pre-write version. Reading
 // it is one atomic load.
 func (db *DB) CommitSeq() int64 { return db.commits.Load() }

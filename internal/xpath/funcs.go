@@ -182,7 +182,7 @@ func init() {
 			if err := argc(call, 3, 3); err != nil {
 				return nil, err
 			}
-			return translate(ToString(args[0]), ToString(args[1]), ToString(args[2])), nil
+			return Translate(ToString(args[0]), ToString(args[1]), ToString(args[2])), nil
 		},
 
 		// Boolean functions.
@@ -300,9 +300,10 @@ func substring(s string, start float64, rest []Value) string {
 	return string(runes[begin-1 : end-1])
 }
 
-// translate implements XPath translate(): map characters of from to the
+// Translate implements XPath translate(): map characters of from to the
 // corresponding characters of to, deleting those with no correspondent.
-func translate(s, from, to string) string {
+// XQuery's fn:translate has the same semantics and calls it directly.
+func Translate(s, from, to string) string {
 	fromR := []rune(from)
 	toR := []rune(to)
 	m := make(map[rune]rune, len(fromR))

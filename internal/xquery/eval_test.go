@@ -317,6 +317,7 @@ func TestCoreFunctions(t *testing.T) {
 		{`fn:upper-case("abc")`, "ABC"},
 		{`fn:lower-case("ABC")`, "abc"},
 		{`fn:translate("bar", "abc", "ABC")`, "BAr"},
+		{`fn:translate("--äbc--", "abc-", "AB")`, "äB"}, // c and - have no correspondent: deleted
 		{`fn:normalize-space("  a  b ")`, "a b"},
 		{`fn:name((//emp)[1])`, "emp"},
 		{`fn:local-name((//emp)[1])`, "emp"},

@@ -195,19 +195,7 @@ func init() {
 		"upper-case": {1, 1, str1(strings.ToUpper)},
 		"lower-case": {1, 1, str1(strings.ToLower)},
 		"translate": {3, 3, func(_ *Env, args []Seq) (Seq, error) {
-			// Reuse the XPath implementation via a tiny expression.
-			e, err := xpath.Parse("translate($s, $f, $t)")
-			if err != nil {
-				return nil, err
-			}
-			v, err := xpath.Eval(e, &xpath.Context{
-				Node: xmltree.NewDocument(), Position: 1, Size: 1,
-				Vars: xpath.VarMap{"s": seqString(args[0]), "f": seqString(args[1]), "t": seqString(args[2])},
-			})
-			if err != nil {
-				return nil, err
-			}
-			return Seq{xpath.ToString(v)}, nil
+			return Seq{xpath.Translate(seqString(args[0]), seqString(args[1]), seqString(args[2]))}, nil
 		}},
 
 		"distinct-values": {1, 1, func(_ *Env, args []Seq) (Seq, error) {

@@ -221,18 +221,19 @@ func TestExplainPlanHeader(t *testing.T) {
 }
 
 // TestMetricsMatchExecStatsUnderConcurrency runs parallel executions and
-// asserts the process-wide counters advanced by exactly the sum of the
-// per-run ExecStats — the facade's metrics and the per-run stats are two
-// views of one accounting. Counter DELTAS are compared because obs.Default
-// is process-wide and other tests feed it too (run under -race by `make
-// faults`' sibling `make race`). A second round panics inside every run's
-// SQL scan, so the contained-panic counter is held to the stats as well.
+// asserts the database's counters equal the sum of the per-run ExecStats —
+// the facade's metrics and the per-run stats are two views of one
+// accounting. The counters are the database's own, so no other test moves
+// them. A second round panics inside every run's SQL scan, so the
+// contained-panic counter is held to the stats as well. It stays serial: the
+// faultpoint it arms is process-global and would fire in a parallel test.
 func TestMetricsMatchExecStatsUnderConcurrency(t *testing.T) {
 	d := newKeyedDB(t, 200)
 	ct, err := d.CompileTransform("rows", keyedSheet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := &d.metrics
 
 	const workers, perWorker = 8, 5
 	// run executes workers×perWorker concurrent Runs and sums their stats.
@@ -263,26 +264,20 @@ func TestMetricsMatchExecStatsUnderConcurrency(t *testing.T) {
 		return sum
 	}
 
-	runsBefore := mRuns.With(StrategySQL.String(), "ok").Value()
-	rowsBefore := mRowsReturned.Value()
-	scannedBefore := mRowsScanned.Value()
-	secondsBefore := mRunSeconds.With(StrategySQL.String()).Count()
 	sum := run()
+	if got := m.runs.With(StrategySQL.String(), "ok").Value(); got != workers*perWorker {
+		t.Errorf("runs_total = %d, want %d", got, workers*perWorker)
+	}
+	if got := m.rowsReturned.Value(); got != sum.RowsProduced {
+		t.Errorf("rows_returned_total = %d, want summed ExecStats %d", got, sum.RowsProduced)
+	}
+	if got := m.rowsScanned.Value(); got != sum.RowsScanned {
+		t.Errorf("rows_scanned_total = %d, want summed ExecStats %d", got, sum.RowsScanned)
+	}
+	if got := m.runSeconds.With(StrategySQL.String()).Count(); got != workers*perWorker {
+		t.Errorf("run_seconds histogram count = %d, want %d", got, workers*perWorker)
+	}
 
-	if got := mRuns.With(StrategySQL.String(), "ok").Value() - runsBefore; got != workers*perWorker {
-		t.Errorf("runs_total delta = %d, want %d", got, workers*perWorker)
-	}
-	if got := mRowsReturned.Value() - rowsBefore; got != sum.RowsProduced {
-		t.Errorf("rows_returned_total delta = %d, want summed ExecStats %d", got, sum.RowsProduced)
-	}
-	if got := mRowsScanned.Value() - scannedBefore; got != sum.RowsScanned {
-		t.Errorf("rows_scanned_total delta = %d, want summed ExecStats %d", got, sum.RowsScanned)
-	}
-	if got := mRunSeconds.With(StrategySQL.String()).Count() - secondsBefore; got != workers*perWorker {
-		t.Errorf("run_seconds histogram count delta = %d, want %d", got, workers*perWorker)
-	}
-
-	panicsBefore := mPanics.Value()
 	faultpoint.EnablePanic("sqlxml.query.next")
 	defer faultpoint.Reset()
 	panicked := run()
@@ -290,13 +285,13 @@ func TestMetricsMatchExecStatsUnderConcurrency(t *testing.T) {
 	if panicked.PanicsRecovered != workers*perWorker {
 		t.Errorf("summed ExecStats.PanicsRecovered = %d, want one per run (%d)", panicked.PanicsRecovered, workers*perWorker)
 	}
-	if got := mPanics.Value() - panicsBefore; got != panicked.PanicsRecovered {
-		t.Errorf("panics_recovered_total delta = %d, want summed ExecStats %d", got, panicked.PanicsRecovered)
+	if got := m.panics.Value(); got != panicked.PanicsRecovered {
+		t.Errorf("panics_recovered_total = %d, want summed ExecStats %d", got, panicked.PanicsRecovered)
 	}
 
 	// The Prometheus rendering carries the same series.
 	var sb strings.Builder
-	if _, err := MetricsRegistry().WriteTo(&sb); err != nil {
+	if _, err := d.Metrics().WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -307,6 +302,56 @@ func TestMetricsMatchExecStatsUnderConcurrency(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// gauge reads an unlabeled gauge family of d's registry.
+func gauge(t *testing.T, d *Database, name string) float64 {
+	t.Helper()
+	sv := d.Metrics().SeriesValues(name)
+	if len(sv) != 1 {
+		t.Fatalf("%s: %d series, want 1", name, len(sv))
+	}
+	return sv[0].Value
+}
+
+// TestMetricsArePerDatabase: two databases in one process own two registries.
+// Runs on one, and a cursor held open on it, move only its xsltdb_runs_total
+// and xsltdb_snapshot_pins; the other's stay at zero.
+func TestMetricsArePerDatabase(t *testing.T) {
+	t.Parallel()
+	a, b := newKeyedDB(t, 20), newKeyedDB(t, 20)
+	if a.Metrics() == b.Metrics() {
+		t.Fatal("two databases share one registry")
+	}
+	ct, err := a.CompileTransform("rows", keyedSheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runN(t, ct, 3)
+	cur, err := ct.OpenCursor(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+
+	runs := func(d *Database) (n float64) {
+		for _, sv := range d.Metrics().SeriesValues("xsltdb_runs_total") {
+			n += sv.Value
+		}
+		return n
+	}
+	if got := runs(a); got != 3 {
+		t.Errorf("a: xsltdb_runs_total = %v, want 3", got)
+	}
+	if got := gauge(t, a, "xsltdb_snapshot_pins"); got != 1 {
+		t.Errorf("a: xsltdb_snapshot_pins = %v, want 1 (the open cursor)", got)
+	}
+	if got := runs(b); got != 0 {
+		t.Errorf("b: xsltdb_runs_total = %v, want 0: a's runs leaked into it", got)
+	}
+	if got := gauge(t, b, "xsltdb_snapshot_pins"); got != 0 {
+		t.Errorf("b: xsltdb_snapshot_pins = %v, want 0: a's cursor leaked into it", got)
 	}
 }
 

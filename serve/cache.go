@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // resultCache is a bounded LRU over serialized transform results. Keys are
@@ -17,7 +19,8 @@ type resultCache struct {
 	ll  *list.List // front = most recent
 	idx map[string]*list.Element
 
-	hits, misses, evictions uint64
+	hits, misses uint64
+	evictions    *obs.Counter // xsltd_result_cache_evictions_total
 }
 
 type cacheEntry struct {
@@ -34,11 +37,11 @@ type ResultCacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-func newResultCache(capacity int) *resultCache {
+func newResultCache(capacity int, evictions *obs.Counter) *resultCache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &resultCache{cap: capacity, ll: list.New(), idx: map[string]*list.Element{}}
+	return &resultCache{cap: capacity, ll: list.New(), idx: map[string]*list.Element{}, evictions: evictions}
 }
 
 func (c *resultCache) get(key string) (response, bool) {
@@ -73,8 +76,7 @@ func (c *resultCache) put(key string, body response) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.idx, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-		mResultCacheEvictions.Inc()
+		c.evictions.Inc()
 	}
 }
 
@@ -83,7 +85,7 @@ func (c *resultCache) stats() ResultCacheStats {
 	defer c.mu.Unlock()
 	return ResultCacheStats{
 		Size: c.ll.Len(), Capacity: c.cap,
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+		Hits: c.hits, Misses: c.misses, Evictions: uint64(c.evictions.Value()),
 	}
 }
 

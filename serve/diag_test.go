@@ -77,22 +77,16 @@ func assertBundle(t *testing.T, diagDir string, wantTrigger string) {
 	}
 }
 
-// anomaliesTotal sums xsltdb_diag_anomalies_total over its detectors.
-func anomaliesTotal() float64 {
+// assertAnomaliesMetered: the server's xsltdb_diag_anomalies_total, summed
+// over its detectors, is exactly the anomalies its monitor recorded.
+func assertAnomaliesMetered(t *testing.T, s *Server) {
+	t.Helper()
 	var total float64
-	for _, sv := range obs.Default.SeriesValues("xsltdb_diag_anomalies_total") {
+	for _, sv := range s.metrics.reg.SeriesValues("xsltdb_diag_anomalies_total") {
 		total += sv.Value
 	}
-	return total
-}
-
-// assertAnomaliesMetered: xsltdb_diag_anomalies_total moved since before by
-// exactly the anomalies the server's monitor recorded.
-func assertAnomaliesMetered(t *testing.T, s *Server, before float64) {
-	t.Helper()
-	ring := len(s.Monitor().Anomalies(0))
-	if got := anomaliesTotal() - before; got != float64(ring) {
-		t.Errorf("xsltdb_diag_anomalies_total moved by %v, the monitor recorded %d anomalies", got, ring)
+	if ring := len(s.Monitor().Anomalies(0)); total != float64(ring) {
+		t.Errorf("xsltdb_diag_anomalies_total = %v, the monitor recorded %d anomalies", total, ring)
 	}
 }
 
@@ -109,7 +103,9 @@ func latencySpikes(s *Server) int {
 
 // TestDiagSmokeWALStall boots a durable database with the recorder armed,
 // induces a WAL fsync stall through the wal.fsync faultpoint, and asserts
-// the wal-fsync-stall detector captures exactly one complete bundle.
+// the wal-fsync-stall detector captures exactly one complete bundle. It stays
+// serial: the faultpoint it arms is process-global and would stall a
+// parallel test's WAL too.
 func TestDiagSmokeWALStall(t *testing.T) {
 	defer faultpoint.Reset()
 	db, err := xsltdb.Open(xsltdb.WithDir(filepath.Join(t.TempDir(), "wal")))
@@ -122,7 +118,6 @@ func TestDiagSmokeWALStall(t *testing.T) {
 	}
 
 	diagDir := t.TempDir()
-	anomalies0 := anomaliesTotal()
 	s, err := New(Config{
 		DB: db, EnableEvents: true,
 		DiagDir: diagDir, DiagDebounce: time.Minute,
@@ -168,7 +163,7 @@ func TestDiagSmokeWALStall(t *testing.T) {
 	if !found {
 		t.Errorf("wal-fsync-stall anomaly not in monitor page: %+v", page.Recent)
 	}
-	assertAnomaliesMetered(t, s, anomalies0)
+	assertAnomaliesMetered(t, s)
 }
 
 // TestDiagSmokeLatencySpike: one window holds the p95 that sheds and the one
@@ -176,8 +171,8 @@ func TestDiagSmokeWALStall(t *testing.T) {
 // detector's baseline; an overload 40x slower makes /readyz report shedding
 // and captures exactly one bundle inside the debounce window.
 func TestDiagSmokeLatencySpike(t *testing.T) {
+	t.Parallel()
 	diagDir := t.TempDir()
-	anomalies0 := anomaliesTotal()
 	_, s := newDeptServer(t, Config{
 		TargetP95: 10 * time.Millisecond,
 		DiagDir:   diagDir, DiagDebounce: time.Minute,
@@ -211,7 +206,7 @@ func TestDiagSmokeLatencySpike(t *testing.T) {
 		t.Fatalf("latency-spike anomalies = %d, want 1: %+v", n, m.Anomalies(0))
 	}
 	assertBundle(t, diagDir, "latency-spike")
-	assertAnomaliesMetered(t, s, anomalies0)
+	assertAnomaliesMetered(t, s)
 }
 
 // TestDiagSmokeRecorderAloneHasAFeed: DiagDir is the only thing a caller has
@@ -219,8 +214,8 @@ func TestDiagSmokeLatencySpike(t *testing.T) {
 // set the baseline, then requests held 15ms at the exec gate make one anomaly
 // and one bundle.
 func TestDiagSmokeRecorderAloneHasAFeed(t *testing.T) {
+	t.Parallel()
 	diagDir := t.TempDir()
-	anomalies0 := anomaliesTotal()
 	_, s := newDeptServer(t, Config{DiagDir: diagDir, DiagDebounce: time.Minute})
 	defer s.Close()
 	var slow atomic.Bool
@@ -246,7 +241,7 @@ func TestDiagSmokeRecorderAloneHasAFeed(t *testing.T) {
 		t.Fatalf("latency-spike anomalies = %d, want 1: %+v", n, s.Monitor().Anomalies(0))
 	}
 	assertBundle(t, diagDir, "latency-spike")
-	assertAnomaliesMetered(t, s, anomalies0)
+	assertAnomaliesMetered(t, s)
 }
 
 // blockingSink holds the event bus's dispatcher in Emit until release is
@@ -259,8 +254,8 @@ func (b blockingSink) Emit(obs.Event) { <-b.release }
 // admission window, not the event bus, so a sink that wedges the bus's
 // dispatcher does not blind it — one anomaly, one bundle.
 func TestDiagSmokeLatencySpikeWithBlockedBus(t *testing.T) {
+	t.Parallel()
 	diagDir := t.TempDir()
-	anomalies0 := anomaliesTotal()
 	sink := blockingSink{release: make(chan struct{})}
 	_, s := newDeptServer(t, Config{
 		EventSinks: []obs.EventSink{sink},
@@ -291,13 +286,14 @@ func TestDiagSmokeLatencySpikeWithBlockedBus(t *testing.T) {
 		t.Fatalf("latency-spike anomalies = %d with the bus blocked, want 1: %+v", n, s.Monitor().Anomalies(0))
 	}
 	assertBundle(t, diagDir, "latency-spike")
-	assertAnomaliesMetered(t, s, anomalies0)
+	assertAnomaliesMetered(t, s)
 }
 
 // TestDiagConsoleEndpoints drives /debug/anomalies and /debug/bundle over
 // HTTP: GET lists, POST captures on demand, and the bundle appears in the
 // next GET.
 func TestDiagConsoleEndpoints(t *testing.T) {
+	t.Parallel()
 	diagDir := t.TempDir()
 	_, s := newDeptServer(t, Config{EnableEvents: true, DiagDir: diagDir})
 	defer s.Close()
@@ -335,6 +331,7 @@ func TestDiagConsoleEndpoints(t *testing.T) {
 // TestEventsConsoleFilters drives the console /events page's ?tenant= and
 // ?trace= filters end to end: requests from two tenants, then filtered pulls.
 func TestEventsConsoleFilters(t *testing.T) {
+	t.Parallel()
 	d, s := newDeptServer(t, Config{
 		EnableEvents: true,
 		APIKeys:      map[string]string{"ka": "acme", "kb": "beta"},
@@ -433,25 +430,43 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestMetricNamingLint is the exposition-hygiene gate, run from the serve
-// package so every layer's instruments (engine, WAL, serving, diagnostics)
-// are registered on obs.Default when it looks: snake_case names under the
-// xsltdb_/xsltd_ prefix, non-empty HELP text, counters ending in _total.
+// TestMetricNamingLint is the exposition-hygiene gate, run over a server's
+// scrape with the recorder armed so every layer's instruments (engine, WAL,
+// serving, diagnostics) are in it: snake_case names under the xsltdb_/xsltd_
+// prefix, non-empty HELP text, counters ending in _total.
 func TestMetricNamingLint(t *testing.T) {
-	nameRE := regexp.MustCompile(`^(xsltdb|xsltd)_[a-z0-9]+(_[a-z0-9]+)*$`)
-	fams := obs.Default.Families()
-	if len(fams) < 20 {
-		t.Fatalf("only %d families registered — are all layers linked?", len(fams))
+	t.Parallel()
+	_, s := newDeptServer(t, Config{DiagDir: t.TempDir()})
+	defer s.Close()
+	var scrape strings.Builder
+	if _, err := s.scrape().WriteTo(&scrape); err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range fams {
-		if !nameRE.MatchString(f.Name) {
-			t.Errorf("metric %q is not snake_case under the xsltdb_/xsltd_ prefix", f.Name)
+	nameRE := regexp.MustCompile(`^(xsltdb|xsltd)_[a-z0-9]+(_[a-z0-9]+)*$`)
+	help := map[string]string{}
+	families := 0
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(rest, " ")
+			help[name] = text
 		}
-		if strings.TrimSpace(f.Help) == "" {
-			t.Errorf("metric %q has no HELP text", f.Name)
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
 		}
-		if f.Kind == "counter" && !strings.HasSuffix(f.Name, "_total") {
-			t.Errorf("counter %q does not end in _total", f.Name)
+		families++
+		name, kind, _ := strings.Cut(rest, " ")
+		if !nameRE.MatchString(name) {
+			t.Errorf("metric %q is not snake_case under the xsltdb_/xsltd_ prefix", name)
 		}
+		if strings.TrimSpace(help[name]) == "" {
+			t.Errorf("metric %q has no HELP text", name)
+		}
+		if kind == "counter" && !strings.HasSuffix(name, "_total") {
+			t.Errorf("counter %q does not end in _total", name)
+		}
+	}
+	if families < 20 {
+		t.Fatalf("only %d families in the scrape — are all layers registered?", families)
 	}
 }

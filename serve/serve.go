@@ -89,11 +89,12 @@ type Config struct {
 // Server serves registered transforms over HTTP. Create with New, register
 // transforms, then mount Handler.
 type Server struct {
-	cfg    Config
-	db     *xsltdb.Database
-	window *latencyWindow
-	cache  *resultCache
-	global chan struct{} // global in-flight slots, nil = unlimited
+	cfg     Config
+	db      *xsltdb.Database
+	metrics serverMetrics
+	window  *latencyWindow
+	cache   *resultCache
+	global  chan struct{} // global in-flight slots, nil = unlimited
 
 	// events is the wide-event bus (nil = pipeline off); eventsRing backs
 	// the console's /events page; slo tracks per-tenant burn rates.
@@ -169,11 +170,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 256
 	}
+	m := newServerMetrics()
 	s := &Server{
 		cfg:        cfg,
 		db:         cfg.DB,
+		metrics:    m,
 		window:     newLatencyWindow(),
-		cache:      newResultCache(cfg.CacheCapacity),
+		cache:      newResultCache(cfg.CacheCapacity, m.cacheEvictions),
 		transforms: map[string]*transformDef{},
 		compiled:   map[compiledKey]*xsltdb.CompiledTransform{},
 		flight:     map[string]*flightCall{},
@@ -183,7 +186,7 @@ func New(cfg Config) (*Server, error) {
 		s.global = make(chan struct{}, cfg.MaxInFlight)
 	}
 	if cfg.DiagDir != "" {
-		rec, err := diag.NewRecorder(diag.RecorderConfig{
+		rec, err := diag.NewRecorder(m.reg, diag.RecorderConfig{
 			Dir:        cfg.DiagDir,
 			MaxBundles: cfg.DiagMaxBundles,
 			Debounce:   cfg.DiagDebounce,
@@ -192,11 +195,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.recorder = rec
-		s.monitor = diag.NewMonitor(diag.MonitorConfig{
+		s.monitor = diag.NewMonitor(m.reg, diag.MonitorConfig{
 			OnAnomaly: func(a diag.Anomaly) {
 				rec.TryCapture(a.Detector)
 			},
-		}, diag.StandardDetectors(obs.Default, diag.DetectorOptions{
+		}, diag.StandardDetectors(cfg.DB.Metrics(), m.reg, diag.DetectorOptions{
 			LatencyP95:   s.window.p95, // the p95 admission sheds on
 			LatencyFloor: cfg.TargetP95,
 		})...)
@@ -216,27 +219,25 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close flushes and stops the wide-event pipeline and the diagnostics
-// monitor, and zeroes its tenants' SLO burn gauges: the registry is
-// process-wide and outlives the server, and a closed server burns no budget.
-// Requests may still be served afterwards; their events are dropped and
-// counted.
+// monitor. Requests may still be served afterwards; their events are dropped
+// and counted.
 func (s *Server) Close() {
 	s.events.Close()
 	s.monitor.Close()
-	s.tenantMu.Lock()
-	for name := range s.tenants {
-		mSLOBurnRate.With(name).Set(0)
-	}
-	s.tenantMu.Unlock()
 }
 
+// scrape is what the console's /metrics and a bundle's metrics.prom render:
+// the database's registry and this server's, as one exposition. It is the
+// one place that says a scrape is the engine plus the server.
+func (s *Server) scrape() obs.Scrape { return obs.Scrape{s.db.Metrics(), s.metrics.reg} }
+
 // diagSources wires the flight recorder's bundle sections to the layers
-// below: the shared metrics registry, the console event ring, run history,
-// the plan cache, WAL recovery, and the anomaly ring itself.
+// below: the metrics scrape, the console event ring, run history, the plan
+// cache, WAL recovery, and the anomaly ring itself.
 func (s *Server) diagSources() diag.Sources {
 	return diag.Sources{
-		Registry: obs.Default,
-		Events:   func(n int) any { return s.EventsState(n) },
+		Metrics: s.scrape(),
+		Events:  func(n int) any { return s.EventsState(n) },
 		Runs: func() any {
 			a := s.db.RunHistory()
 			return map[string]any{"recent": a.Runs(50), "aggregates": a.Plans()}
@@ -335,26 +336,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Console returns the engine debug console with the serving layer's
-// /tenants and /events sections and — when diagnostics are on — the
-// /debug/anomalies and /debug/bundle endpoints attached.
+// Console returns the debug console: the engine's pages (as
+// Database.ConsoleHandler serves them, but with /metrics scraping this server
+// too) plus /tenants, /events and — when diagnostics are on —
+// /debug/anomalies and /debug/bundle.
 func (s *Server) Console() http.Handler {
-	sections := xsltdb.ConsoleSections{
+	cfg := obs.ConsoleConfig{
+		Archive: s.db.RunHistory(),
+		Metrics: s.scrape(),
+		Plans:   func() any { return s.db.PlanCacheEntries() },
 		Tenants: func() any { return s.TenantsState() },
 	}
 	if s.events != nil {
-		sections.Events = func(n int, tenant, trace string) any {
+		cfg.Events = func(n int, tenant, trace string) any {
 			return s.EventsStateFiltered(n, tenant, trace)
 		}
 	}
 	if s.monitor != nil {
-		sections.Anomalies = func(n int) any { return s.monitor.Page(n) }
+		cfg.Anomalies = func(n int) any { return s.monitor.Page(n) }
 	}
 	if s.recorder != nil {
-		sections.Bundles = func() any { return s.recorder.Bundles() }
-		sections.CaptureBundle = func() (string, error) { return s.recorder.Capture("manual") }
+		cfg.Bundles = func() any { return s.recorder.Bundles() }
+		cfg.CaptureBundle = func() (string, error) { return s.recorder.Capture("manual") }
 	}
-	return s.db.ConsoleHandler(sections)
+	return obs.ConsoleHandler(cfg)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -587,9 +592,9 @@ func (s *Server) execute(r *http.Request, def *transformDef, ts *tenantState, li
 	if tel.tr != nil {
 		runOpts = append(runOpts, xsltdb.WithTrace(tel.tr))
 	}
-	mInFlight.Inc()
+	s.metrics.inFlight.Inc()
 	res, err := ct.Run(r.Context(), runOpts...)
-	mInFlight.Dec()
+	s.metrics.inFlight.Dec()
 	if res != nil {
 		c.stats = &res.Stats
 	}

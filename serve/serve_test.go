@@ -489,10 +489,11 @@ func TestCloseRace(t *testing.T) {
 		t.Fatalf("post-close health = %d", resp.StatusCode)
 	}
 
-	// No snapshot pins may survive: scrape the shared registry.
-	rec := httptest.NewRecorder()
-	xsltdb.MetricsRegistry().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	for _, line := range strings.Split(rec.Body.String(), "\n") {
+	// No snapshot pins may survive: scrape the server's console.
+	console := httptest.NewServer(s.Console())
+	defer console.Close()
+	_, scrape := get(t, console, "/metrics", nil)
+	for _, line := range strings.Split(scrape, "\n") {
 		if strings.HasPrefix(line, "xsltdb_snapshot_pins ") {
 			if !strings.HasSuffix(line, " 0") {
 				t.Fatalf("leaked snapshot pins: %q", line)
@@ -634,7 +635,7 @@ type accounting struct {
 func takeAccounting(t *testing.T, s *Server) accounting {
 	t.Helper()
 	var buf strings.Builder
-	if _, err := obs.Default.WriteTo(&buf); err != nil {
+	if _, err := s.scrape().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	a := accounting{series: map[string]int64{}, tenants: map[string]TenantInfo{}}

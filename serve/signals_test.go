@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/xslt"
 )
 
 // captureSink keeps every event the bus delivers, by request ID.
@@ -77,9 +78,9 @@ func TestResultFiledUnderSnapshotVersion(t *testing.T) {
 // TestVersionsUnderRacingInserts (run under -race): one writer inserts
 // departments while readers hammer a cached transform. Every insert adds one
 // output row and one commit, so a body with R extra rows was computed from a
-// snapshot pinned at version base+R (or base+R-1: the row is visible a moment
-// before the counter moves). That must be the version on the request's event
-// — leader, follower or hit — and the version of every key left in the cache.
+// snapshot stamped exactly base+R. That must be the version on the request's
+// event — leader, follower or hit — and the version of every key left in the
+// cache.
 func TestVersionsUnderRacingInserts(t *testing.T) {
 	capture := &captureSink{evs: map[string]obs.Event{}}
 	d, s := newDeptServer(t, Config{EventSinks: []obs.EventSink{capture}, EventBuffer: 1 << 14})
@@ -90,8 +91,7 @@ func TestVersionsUnderRacingInserts(t *testing.T) {
 	_, body := get(t, ts, "/v1/transform/paper", nil)
 	baseRows, baseSeq := int64(strings.Count(body, "\n")), d.Rel().CommitSeq()
 	consistent := func(rows int, version int64) bool {
-		extra := int64(rows) - baseRows
-		return version-baseSeq == extra || version-baseSeq == extra-1
+		return version-baseSeq == int64(rows)-baseRows
 	}
 
 	const inserts, readers, reads = 200, 4, 150
@@ -162,21 +162,28 @@ func TestVersionsUnderRacingInserts(t *testing.T) {
 // testdata/signal_surface.golden, so a new signal is a reviewed diff. Each
 // golden row has a consumer in DESIGN.md §9's table; add the row there too.
 func TestSignalSurface(t *testing.T) {
+	t.Parallel()
 	diagDir := t.TempDir()
 	_, s := newDeptServer(t, Config{DiagDir: diagDir})
 	defer s.Close()
+	console := httptest.NewServer(s.Console())
+	defer console.Close()
 
+	// The metric families are what the console's scrape shows: the
+	// database's registry and the server's.
 	var got []string
-	for _, f := range obs.Default.Families() {
-		got = append(got, "metric "+f.Name)
+	_, scrape := get(t, console, "/metrics", nil)
+	validateExposition(t, scrape)
+	for _, line := range strings.Split(scrape, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, "metric "+strings.Fields(rest)[0])
+		}
 	}
 	evType := reflect.TypeOf(obs.Event{})
 	for i := 0; i < evType.NumField(); i++ {
 		name, _, _ := strings.Cut(evType.Field(i).Tag.Get("json"), ",")
 		got = append(got, "event "+name)
 	}
-	console := httptest.NewServer(s.Console())
-	defer console.Close()
 	_, index := get(t, console, "/", nil)
 	for _, line := range strings.Split(index, "\n") {
 		if strings.HasPrefix(line, "  /") {
@@ -227,6 +234,55 @@ func TestSignalSurface(t *testing.T) {
 	}
 }
 
+// TestTwoServersOneDatabase: two servers over one database each own a
+// registry, so each one's xsltd_requests_total counts only its own requests.
+// Both consoles' /metrics are valid expositions and carry the shared engine
+// series, which count the runs of both.
+func TestTwoServersOneDatabase(t *testing.T) {
+	t.Parallel()
+	d, a := newDeptServer(t, Config{})
+	defer a.Close()
+	b, err := New(Config{DB: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.RegisterTransform("paper", "dept_emp", xslt.PaperStylesheet); err != nil {
+		t.Fatal(err)
+	}
+	for s, n := range map[*Server]int{a: 3, b: 1} {
+		api := httptest.NewServer(s.Handler())
+		for i := 0; i < n; i++ { // distinct keys: every request runs
+			if resp, body := get(t, api, "/v1/transform/paper?p.i="+strconv.Itoa(i), nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+		}
+		api.Close()
+	}
+
+	for s, n := range map[*Server]int{a: 3, b: 1} {
+		var requests float64
+		for _, sv := range s.metrics.reg.SeriesValues("xsltd_requests_total") {
+			requests += sv.Value
+		}
+		if requests != float64(n) {
+			t.Errorf("xsltd_requests_total = %v, want this server's own %d", requests, n)
+		}
+		console := httptest.NewServer(s.Console())
+		_, scrape := get(t, console, "/metrics", nil)
+		console.Close()
+		validateExposition(t, scrape)
+		for _, want := range []string{
+			fmt.Sprintf(`xsltd_requests_total{tenant="",outcome="ok"} %d`, n),
+			`xsltdb_runs_total{strategy="sql-rewrite",outcome="ok"} 4`,
+		} {
+			if !strings.Contains(scrape, want+"\n") {
+				t.Errorf("console /metrics missing %q:\n%s", want, scrape)
+			}
+		}
+	}
+}
+
 // discardWriter is a ResponseWriter that keeps nothing but the headers, so
 // what a request costs is the handler's own allocations. Like net/http's
 // writer it takes strings without a copy.
@@ -237,7 +293,9 @@ func (w *discardWriter) Write(p []byte) (int, error)       { return len(p), nil 
 func (w *discardWriter) WriteString(s string) (int, error) { return len(s), nil }
 func (w *discardWriter) WriteHeader(int)                   {}
 
-// TestEventsCostNoAllocations: turning the wide-event pipeline on — an NDJSON
+// TestEventsCostNoAllocations (serial: AllocsPerRun counts every goroutine's
+// allocations, so a parallel test's would be charged to the hit): turning the
+// wide-event pipeline on — an NDJSON
 // sink and the console ring on the bus, the flight recorder armed — adds no
 // allocation to a cached hit, the cheapest request the server answers and so
 // the one where the pipeline's share is largest. The event is filled in on

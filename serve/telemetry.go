@@ -132,19 +132,19 @@ func (s *Server) account(tel *reqTel, ts *tenantState) {
 		}
 		if ev.Coalesce == "follower" {
 			ts.coalesced.Add(1)
-			mCoalesceHits.Inc()
+			s.metrics.coalesceHits.Inc()
 		}
 	case "shed":
 		ts.shed.Add(1)
-		mSheds.With(ts.name, ev.ShedReason).Inc()
+		s.metrics.sheds.With(ts.name, ev.ShedReason).Inc()
 	}
-	mRequests.With(ts.name, ev.Outcome).Inc()
-	mRequestSeconds.With(ts.name).Observe(total.Seconds())
+	s.metrics.requests.With(ts.name, ev.Outcome).Inc()
+	s.metrics.requestSeconds.With(ts.name).Observe(total.Seconds())
 	s.window.record(total)
 	failed := ev.Status >= 500 || ev.Status == http.StatusTooManyRequests
-	mSLOBurnRate.With(ts.name).Set(s.slo.record(ts.name, total, failed))
+	s.metrics.sloBurnRate.With(ts.name).Set(s.slo.record(ts.name, total, failed))
 	if s.events != nil && !s.events.Publish(*ev) {
-		mEventsDropped.Inc()
+		s.metrics.eventsDropped.Inc()
 	}
 	tel.tr.Release()
 }

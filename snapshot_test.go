@@ -209,8 +209,8 @@ func TestRunsRaceReplacesAndInserts(t *testing.T) {
 }
 
 // TestSnapshotPinsGaugeBalances: the xsltdb_snapshot_pins gauge rises while
-// runs and cursors are in flight and returns to its baseline when they
-// finish — a leak here means a snapshot (and its pinned row memory) is held
+// runs and cursors are in flight and returns to zero when they finish — a
+// leak here means a snapshot (and its pinned row memory) is held
 // forever.
 func TestSnapshotPinsGaugeBalances(t *testing.T) {
 	d := newKeyedDB(t, 30)
@@ -218,21 +218,21 @@ func TestSnapshotPinsGaugeBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mSnapshotPins.Value()
+	pins := func() float64 { return gauge(t, d, "xsltdb_snapshot_pins") }
 
 	if _, err := ct.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := mSnapshotPins.Value(); got != base {
-		t.Fatalf("gauge after Run = %d, want baseline %d", got, base)
+	if got := pins(); got != 0 {
+		t.Fatalf("gauge after Run = %v, want 0", got)
 	}
 
 	cur, err := ct.OpenCursor(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mSnapshotPins.Value(); got != base+1 {
-		t.Fatalf("gauge with open cursor = %d, want %d", got, base+1)
+	if got := pins(); got != 1 {
+		t.Fatalf("gauge with open cursor = %v, want 1", got)
 	}
 	if _, err := cur.Next(); err != nil {
 		t.Fatal(err)
@@ -240,16 +240,16 @@ func TestSnapshotPinsGaugeBalances(t *testing.T) {
 	if err := cur.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mSnapshotPins.Value(); got != base {
-		t.Fatalf("gauge after cursor Close = %d, want baseline %d", got, base)
+	if got := pins(); got != 0 {
+		t.Fatalf("gauge after cursor Close = %v, want 0", got)
 	}
 
 	// A failing run must not leak its pin either.
 	if _, err := ct.Run(context.Background(), WithWhere("@id = $missing")); err == nil {
 		t.Fatal("unbound parameter should fail the run")
 	}
-	if got := mSnapshotPins.Value(); got != base {
-		t.Fatalf("gauge after failed run = %d, want baseline %d", got, base)
+	if got := pins(); got != 0 {
+		t.Fatalf("gauge after failed run = %v, want 0", got)
 	}
 
 	// Close with a cursor open: the pin releases when the cursor observes
@@ -265,7 +265,7 @@ func TestSnapshotPinsGaugeBalances(t *testing.T) {
 	if _, err := cur2.Next(); !errors.Is(err, ErrDatabaseClosed) {
 		t.Fatalf("cursor after Close: %v", err)
 	}
-	if got := mSnapshotPins.Value(); got != base {
-		t.Fatalf("gauge after database Close = %d, want baseline %d", got, base)
+	if got := pins(); got != 0 {
+		t.Fatalf("gauge after database Close = %v, want 0", got)
 	}
 }

@@ -133,6 +133,13 @@ type Database struct {
 	// atomic pointer keeps the disabled fast path at one load per run.
 	history atomic.Pointer[obs.Archive]
 
+	// metrics are this database's instruments on its own registry (Metrics);
+	// pins maps each snapshot its runs and cursors hold to its pin time.
+	metrics engineMetrics
+	pinMu   sync.Mutex
+	pinSeq  uint64
+	pins    map[uint64]time.Time
+
 	// Durability (nil/zero for a purely in-memory database — see Open):
 	// wal is the write-ahead log every mutation is recorded to before it is
 	// applied, and writeMu serializes durable mutations so WAL order equals
@@ -156,12 +163,15 @@ type Database struct {
 // newDatabase builds the in-memory core every Open starts from.
 func newDatabase() *Database {
 	rel := relstore.NewDB()
-	return &Database{
+	d := &Database{
 		rel: rel, exec: sqlxml.NewExecutor(rel),
 		views: map[string]*ViewDef{}, viewVersions: map[string]int{},
+		pins:    map[uint64]time.Time{},
 		cursors: map[*Cursor]struct{}{},
 		tenants: map[string]TenantLimits{},
 	}
+	d.metrics = newEngineMetrics(d)
+	return d
 }
 
 // NewDatabase returns an empty in-memory database. It is a thin alias for
@@ -830,7 +840,7 @@ func (x *execution) finish(es *ExecStats, err error) {
 		x.root.End()
 	}
 	ct := x.ct
-	recordRunMetrics(es, err)
+	ct.db.recordRunMetrics(es, err)
 	keep := x.sampled && ct.opts.Sampling.keep(es.CompileWall+es.ExecWall, err)
 	archiveRun(ct.db.history.Load(), x.kind, ct.viewName, x.start, es, err, x.trace, keep)
 	if x.ownTrace {
@@ -868,8 +878,8 @@ func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts 
 	if err != nil {
 		return nil, err
 	}
-	pin := snapPins.pin()
-	defer snapPins.unpin(pin)
+	pin := ct.db.pin()
+	defer ct.db.unpin(pin)
 	if ct.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, ct.opts.Timeout)
