@@ -59,10 +59,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTransformParams$$' -fuzztime $(FUZZTIME) ./serve
 
 # The robustness suite arms faultpoints (degradation, persistent faults,
-# panic containment, cancellation promptness) — run it under the race
+# panic containment — on the caller's goroutine and on a morsel worker's —
+# cancellation promptness, bounded morsel look-ahead) — run it under the race
 # detector.
 faults:
 	$(GO) test -race -run 'TestRunContextCancel|TestParallelRunCancel|TestOneRowAggCancel|TestJoinFault|TestTimeout|TestMax|TestLimits|TestRecursionLimit|TestDegradation|TestPersistentFault|TestPanicContainment|TestCompileErrors|TestCursor|TestFault|TestGovernance|TestChainedStageFailure' .
+	$(GO) test -race -run 'TestMorselJobPanicIsContained|TestParallelLookaheadIsBounded|TestBatchFault|TestBatchGovernorCancel' ./internal/relstore
 	$(GO) test -race ./internal/faultpoint ./internal/governor
 
 # Crash recovery: the WAL's torn-tail and every-byte-offset truncation

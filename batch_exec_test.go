@@ -19,6 +19,61 @@ import (
 // above 1 actually engage the morsel-parallel scan path.
 const batchABRows = relstore.MorselMinRows + 1000
 
+// newWideDeptDB adds n departments (deptno 100..) with two employees each,
+// one above the paper stylesheet's sal > 2000 and one below, indexed on
+// dept.deptno and emp.deptno: enough driving rows for the morsel pool, every
+// one running the correlated employee subquery. With the paper's two the
+// view has n+2 rows.
+func newWideDeptDB(tb testing.TB, n int) *Database {
+	tb.Helper()
+	d := newBigDeptDB(tb, n)
+	emp := d.Rel().Table("emp")
+	for i := 0; i < n; i++ {
+		for e, sal := range []int64{1500, 3000 + int64(i%7)} {
+			if _, err := emp.Insert(int64(100_000+2*i+e), fmt.Sprintf("E%d", i), "STAFF", sal, int64(100+i)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	for table, col := range map[string]string{"dept": "deptno", "emp": "deptno"} {
+		if err := d.CreateIndex(table, col); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d
+}
+
+// drivingPath is one way to reach a set of driving rows; a test of the
+// parallel route runs over both of drivingPaths.
+type drivingPath struct {
+	name   string
+	access string // the prefix of ExecStats.AccessPath
+	opts   []RunOption
+}
+
+// drivingPaths selects the rows matching where through a full scan and
+// through an index range on the column where names, which must be indexed.
+func drivingPaths(where string) []drivingPath {
+	return []drivingPath{
+		{"full-scan", "TABLE SCAN", []RunOption{WithWhere(where), WithoutPushdown()}},
+		{"index-range", "INDEX RANGE SCAN", []RunOption{WithWhere(where)}},
+	}
+}
+
+// with is the path's options followed by extra.
+func (p drivingPath) with(extra ...RunOption) []RunOption {
+	return append(append([]RunOption{}, p.opts...), extra...)
+}
+
+// assertParallel fails unless es describes an execution over p that took
+// the parallel route.
+func assertParallel(t *testing.T, label string, p drivingPath, es ExecStats) {
+	t.Helper()
+	if es.MorselsExecuted == 0 || !strings.HasPrefix(es.AccessPath, p.access) {
+		t.Fatalf("%s: access %q with %d morsels, want the parallel route over a %s", label, es.AccessPath, es.MorselsExecuted, p.name)
+	}
+}
+
 // runRows runs ct and fails the test on error.
 func runRows(t *testing.T, ct *CompiledTransform, opts ...RunOption) *Result {
 	t.Helper()
@@ -200,44 +255,46 @@ func TestBatchFaultNoTruncationMorsels(t *testing.T) {
 	}
 }
 
-// TestParallelConstructByteIdentity: the SQL strategy's construction fan-out
-// — one goroutine and one buffer per worker over a contiguous chunk of the
-// drained driving rows — emits the serial run's bytes at every worker count,
-// more workers than rows included, over a view whose every row runs a
-// correlated subquery. The per-row fault point, the fault-fails-the-run
-// contract and the worker panic conversion all survive the chunking.
+// TestParallelConstructByteIdentity: the morsel pool's workers construct
+// the serial run's bytes at every worker count, more workers than morsels
+// included, over a view whose every row runs a correlated subquery, through a
+// full scan and an index range alike, with the same index probes. The per-row
+// fault point is hit on the consumer side once per row pulled (and once more
+// at end of stream) however many workers constructed, and a fault there
+// fails the run without a partial result.
 func TestParallelConstructByteIdentity(t *testing.T) {
-	d := newBenchDeptDB(t, 57)
+	const n = relstore.MorselMinRows + 57
+	d := newWideDeptDB(t, n)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithForcedStrategy(StrategySQL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runRows(t, ct, WithWorkers(1))
-	if len(baseline.Rows) != 59 {
-		t.Fatalf("baseline produced %d rows", len(baseline.Rows))
-	}
-	for _, workers := range []int{2, 3, 4, 64} {
-		res := runRows(t, ct, WithWorkers(workers))
-		assertSameRows(t, fmt.Sprintf("workers=%d", workers), baseline.Rows, res.Rows)
-		if res.Stats.IndexProbes != baseline.Stats.IndexProbes {
-			t.Fatalf("workers=%d ran %d probes, serial ran %d", workers, res.Stats.IndexProbes, baseline.Stats.IndexProbes)
+	paths := drivingPaths("deptno >= 0")
+	for _, path := range paths {
+		baseline := runRows(t, ct, path.with(WithWorkers(1))...)
+		if len(baseline.Rows) != n+2 || baseline.Stats.MorselsExecuted != 0 {
+			t.Fatalf("%s baseline: %d rows, %d morsels", path.name, len(baseline.Rows), baseline.Stats.MorselsExecuted)
+		}
+		for _, workers := range []int{2, 3, 4, 64} {
+			label := fmt.Sprintf("%s workers=%d", path.name, workers)
+			res := runRows(t, ct, path.with(WithWorkers(workers))...)
+			assertSameRows(t, label, baseline.Rows, res.Rows)
+			assertParallel(t, label, path, res.Stats)
+			if res.Stats.IndexProbes != baseline.Stats.IndexProbes {
+				t.Fatalf("%s ran %d probes, serial ran %d", label, res.Stats.IndexProbes, baseline.Stats.IndexProbes)
+			}
 		}
 	}
 
 	defer faultpoint.Reset()
 	faultpoint.EnableAfter("sqlxml.query.next", math.MaxInt32, nil)
-	runRows(t, ct, WithWorkers(4))
-	if hits := faultpoint.Hits("sqlxml.query.next"); hits != 59 {
-		t.Fatalf("per-row fault point hit %d times under 4 workers, want once per row (59)", hits)
+	runRows(t, ct, paths[0].with(WithWorkers(4))...)
+	if hits := faultpoint.Hits("sqlxml.query.next"); hits != n+3 {
+		t.Fatalf("per-row fault point hit %d times under 4 workers, want once per row and at end of stream (%d)", hits, n+3)
 	}
 
 	faultpoint.EnableAfter("sqlxml.query.next", 40, errBoom)
-	if res, err := ct.Run(context.Background(), WithWorkers(4)); !errors.Is(err, errBoom) || res.Rows != nil {
+	if res, err := ct.Run(context.Background(), paths[0].with(WithWorkers(4))...); !errors.Is(err, errBoom) || res.Rows != nil {
 		t.Fatalf("err = %v with %d rows, want the injected fault and no rows", err, len(res.Rows))
-	}
-
-	faultpoint.EnablePanic("sqlxml.query.next")
-	if _, err := ct.Run(context.Background(), WithWorkers(4)); err == nil || !strings.Contains(err.Error(), "worker panic") {
-		t.Fatalf("err = %v, want the worker's panic converted to an error", err)
 	}
 }

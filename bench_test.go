@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -231,6 +232,108 @@ func BenchmarkRunDeptWindow(b *testing.B) {
 		if len(res.Rows) != 25 {
 			b.Fatalf("window selected %d departments", len(res.Rows))
 		}
+	}
+}
+
+// newScanDeptDB loads n departments with one employee each, both deptno
+// columns indexed; loc takes 1 000 values scattered over the heap, so a
+// filter on it keeps a fixed share of every morsel.
+func newScanDeptDB(b *testing.B, n int) *Database {
+	b.Helper()
+	d := NewDatabase()
+	if err := sqlxml.SetupDeptEmp(d.Rel()); err != nil {
+		b.Fatal(err)
+	}
+	dept, emp := d.Rel().Table("dept"), d.Rel().Table("emp")
+	for i := 0; i < n; i++ {
+		dn := int64(1000 + i)
+		if _, err := dept.Insert(dn, fmt.Sprintf("D%d", i), fmt.Sprintf("L%03d", i*7919%1000)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := emp.Insert(100_000+dn, fmt.Sprintf("E%d", i), "STAFF", int64(1500+i%2*1000), dn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.CreateXMLView(sqlxml.DeptEmpView()); err != nil {
+		b.Fatal(err)
+	}
+	for _, table := range []string{"dept", "emp"} {
+		if err := d.CreateIndex(table, "deptno"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return d
+}
+
+// BenchmarkParallelRun is ROADMAP item 6's judge outside the repo benchmark:
+// Run over 200 000 departments at 1, 2 and GOMAXPROCS workers — full scans
+// whose unindexed filter keeps 0.1 % of the rows (lib_scan's shape) and 10 %
+// (construction-heavy), and an index range of 10 000 — plus the peak live
+// heap of a cursor over every department pulled one row at a time.
+func BenchmarkParallelRun(b *testing.B) {
+	d := newScanDeptDB(b, 200_000)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workers := []int{1, 2}
+	if n := runtime.GOMAXPROCS(0); n > 2 {
+		workers = append(workers, n)
+	}
+	for _, c := range []struct {
+		name string
+		rows int
+		opts []RunOption
+	}{
+		{"scan-0.1pct", 200, []RunOption{WithWhere("loc = 'L007'")}},
+		{"scan-10pct", 20_000, []RunOption{WithWhere("loc >= 'L000' and loc < 'L100'")}},
+		{"range-10k", 10_000, []RunOption{WithWhere("deptno >= 1000 and deptno < 11000")}},
+	} {
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
+				opts := append([]RunOption{WithWorkers(w)}, c.opts...)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := ct.Run(context.Background(), opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Rows) != c.rows {
+						b.Fatalf("%d rows, want %d", len(res.Rows), c.rows)
+					}
+				}
+			})
+		}
+	}
+	for _, w := range workers {
+		b.Run(fmt.Sprintf("cursor-all/workers=%d", w), func(b *testing.B) {
+			var peak uint64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				base := ms.HeapAlloc
+				cur, err := ct.OpenCursor(context.Background(), WithWorkers(w))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for n := 1; ; n++ {
+					if _, err := cur.Next(); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+					if n%16_384 == 0 { // live heap only: collect first
+						runtime.GC()
+						runtime.ReadMemStats(&ms)
+						peak = max(peak, ms.HeapAlloc-min(base, ms.HeapAlloc))
+					}
+				}
+				_ = cur.Close()
+			}
+			b.ReportMetric(float64(peak)/(1<<20), "peak-live-MiB")
+		})
 	}
 }
 

@@ -134,7 +134,7 @@ func deptWindow(t *testing.T) (*CompiledTransform, []RunOption) {
 // 85. What remains does not grow with the departments: the run's fixed
 // costs — option and spec handling, the driving plan and scan, the one
 // pipeline the chain walk opens, the result strings (the subquery plan and
-// its group scratch come from a pool). The ceiling sits close to the ≈ 79
+// its group scratch come from a pool). The ceiling sits close to the ≈ 80
 // measured so that per-run stats formatting cannot creep back unnoticed.
 func TestRunAllocationCeiling(t *testing.T) {
 	ct, opts := deptWindow(t)

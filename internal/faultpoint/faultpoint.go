@@ -9,13 +9,15 @@
 //
 // Registered sites (grep for faultpoint.Hit to confirm):
 //
-//	relstore.scan.batch   — full-scan batch fetch (one hit per NextBatch)
-//	relstore.index.batch  — index-scan batch fetch (one hit per NextBatch)
+//	relstore.scan.batch   — full-scan batch fetch (one hit per batch the
+//	                        consumer pulls, morsel workers or not)
+//	relstore.index.batch  — index-scan batch fetch (likewise)
 //	relstore.join.batch   — group-join of one batch of outer keys (one hit
 //	                        per Join)
 //	sqlxml.query.open     — SQL/XML query open: planning the driving access
 //	                        path, before any row is touched
-//	sqlxml.query.next     — SQL/XML cursor row construction
+//	sqlxml.query.next     — SQL/XML cursor row (one hit each time a query
+//	                        cursor advances)
 //	sqlxml.view.row       — view row materialization (one hit each time a
 //	                        view cursor advances)
 //	xq2sql.translate      — XQuery→SQL/XML lowering

@@ -103,21 +103,16 @@ type BatchIterator interface {
 	// Err returns the terminal error that stopped the iterator early, or
 	// nil after clean exhaustion.
 	Err() error
-	// Reset rewinds to the start (clearing any terminal error).
-	Reset()
-	// Explain describes the physical operator.
-	Explain() string
 }
 
 // BatchOpts configures how an access plan opens its batch pipeline.
 // The zero value means defaults: DefaultBatchSize rows per batch and
-// GOMAXPROCS morsel workers for large full scans.
+// GOMAXPROCS morsel workers for scans of at least MorselMinRows candidates.
 type BatchOpts struct {
 	// BatchSize is the chunk size; <= 0 means DefaultBatchSize.
 	BatchSize int
-	// Workers bounds the morsel worker pool for full scans: <= 0 means
-	// GOMAXPROCS, 1 forces a serial scan. Index paths are always serial —
-	// a B-tree descent already touches only the qualifying rows.
+	// Workers bounds the morsel worker pool: <= 0 means GOMAXPROCS, 1
+	// forces a serial scan.
 	Workers int
 }
 
@@ -256,10 +251,6 @@ func (s *batchScanIter) NextBatch(batch *Batch) (int, bool) {
 
 func (s *batchScanIter) Err() error { return s.err }
 
-func (s *batchScanIter) Reset() { s.pos = 0; s.err = nil }
-
-func (s *batchScanIter) Explain() string { return scanExplain(s.snap.tab, s.pc.preds) }
-
 func scanExplain(t *Table, preds []Pred) string {
 	if len(preds) == 0 {
 		return "TABLE SCAN " + t.Name
@@ -354,32 +345,51 @@ func (it *batchIndexIter) NextBatch(batch *Batch) (int, bool) {
 
 func (it *batchIndexIter) Err() error { return it.err }
 
-func (it *batchIndexIter) Reset() { it.pos = 0; it.err = nil }
-
-func (it *batchIndexIter) Explain() string { return it.plan.Explain(it.snap.tab) }
-
 // OpenBatchAt turns the plan into a live batch iterator over a pinned table
 // snapshot, with counters routed to stats (may be nil) under governor g (may
 // be nil): every row the iterator emits was committed before the snapshot
-// was taken, no matter how many inserts race the scan. Full scans over
-// snapshots at or above MorselMinRows split into morsels dispatched to a
-// worker pool when opts allows more than one worker; the merge preserves
-// heap order, so output is identical to the serial scan.
+// was taken, no matter how many inserts race the scan. Where OpenMorsels
+// would choose the morsel pool, the iterator is that pool with no job; its
+// merge preserves heap order, so output is identical to the serial scan,
+// and its workers exit once a NextBatch reports ok=false.
 func (p AccessPlan) OpenBatchAt(ts *TableSnap, stats *Stats, g *governor.G, opts BatchOpts) BatchIterator {
+	m, it := OpenMorsels[struct{}](p, ts, stats, g, opts, nil)
+	if m != nil {
+		return m
+	}
+	return it
+}
+
+// OpenMorsels opens the plan over a pinned snapshot. When opts allows more
+// than one worker and the plan has at least MorselMinRows candidates, it
+// returns a morsel pool that runs job (nil: none) on every morsel; otherwise
+// it returns the serial batch iterator. Exactly one result is non-nil. An
+// index range's posting list is computed once, here or on the serial
+// iterator's first batch, whichever way the choice goes.
+func OpenMorsels[T any](p AccessPlan, ts *TableSnap, stats *Stats, g *governor.G, opts BatchOpts, job MorselJob[T]) (*Morsels[T], BatchIterator) {
+	workers := opts.WorkerCount()
 	if p.Kind == PathFullScan {
 		if stats != nil {
 			atomic.AddInt64(&stats.FullScans, 1)
 		}
-		if w := opts.WorkerCount(); w > 1 && ts.NumRows() >= MorselMinRows {
-			return newMorselScan(ts, p.Residual, stats, g, w, opts.Size())
+		pc := closePreds(ts.tab, p.Residual)
+		if workers > 1 && ts.NumRows() >= MorselMinRows {
+			return newMorsels(ts, nil, ts.NumRows(), pc, "relstore.scan.batch", stats, g, workers, opts.Size(), job), nil
 		}
-		return &batchScanIter{snap: ts, pc: closePreds(ts.tab, p.Residual), size: opts.Size(), stats: stats, gov: g}
+		return nil, &batchScanIter{snap: ts, pc: pc, size: opts.Size(), stats: stats, gov: g}
 	}
 	if stats != nil {
 		atomic.AddInt64(&stats.RangeScans, 1)
 	}
-	return &batchIndexIter{
+	it := &batchIndexIter{
 		snap: ts, plan: p, residual: closePreds(ts.tab, p.Residual),
 		size: opts.Size(), stats: stats, gov: g,
 	}
+	if workers > 1 {
+		it.materialize()
+		if len(it.ids) >= MorselMinRows {
+			return newMorsels(ts, it.ids, len(it.ids), it.residual, "relstore.index.batch", stats, g, workers, opts.Size(), job), nil
+		}
+	}
+	return nil, it
 }

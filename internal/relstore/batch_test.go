@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/governor"
@@ -102,46 +107,101 @@ func TestBatchDrainDeterministic(t *testing.T) {
 	}
 }
 
-// TestMorselScanMatchesSerial: the morsel-parallel scan must emit exactly
-// the serial scan's id sequence (the ordering guarantee the byte-identity
-// of the whole pipeline rests on), across batch sizes and worker counts.
+// TestMorselScanMatchesSerial: the morsel pool must emit exactly the serial
+// scan's id sequence (the ordering guarantee the byte-identity of the whole
+// pipeline rests on), across batch sizes and worker counts, over a full scan
+// and over an index range alike.
 func TestMorselScanMatchesSerial(t *testing.T) {
 	tab := mkBigTable(t, MorselMinRows*2+777) // big enough to go parallel
-	preds := []Pred{{Col: "v", Op: CmpGe, Val: int64(700)}}
-	serial, _ := drainBatches(t, openPlan(tab, preds, nil, nil, BatchOpts{Workers: 1}), 0)
-	for _, workers := range []int{2, 4, 8} {
-		for _, size := range []int{0, 64, 4096} {
-			stats := &Stats{}
-			it := openPlan(tab, preds, stats, nil, BatchOpts{Workers: workers, BatchSize: size})
-			got, _ := drainBatches(t, it, size)
-			if len(got) != len(serial) {
-				t.Fatalf("workers=%d size=%d: %d rows vs serial %d", workers, size, len(got), len(serial))
-			}
-			for i := range got {
-				if got[i] != serial[i] {
-					t.Fatalf("workers=%d size=%d: row %d is %d, want %d", workers, size, i, got[i], serial[i])
+	if err := tab.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	for _, preds := range [][]Pred{
+		{{Col: "v", Op: CmpGe, Val: int64(700)}},                                        // full scan
+		{{Col: "id", Op: CmpGe, Val: int64(5)}, {Col: "v", Op: CmpLt, Val: int64(900)}}, // index range
+	} {
+		serial, _ := drainBatches(t, openPlan(tab, preds, nil, nil, BatchOpts{Workers: 1}), 0)
+		for _, workers := range []int{2, 4, 8} {
+			for _, size := range []int{0, 64, 4096} {
+				stats := &Stats{}
+				got, _ := drainBatches(t, openPlan(tab, preds, stats, nil, BatchOpts{Workers: workers, BatchSize: size}), size)
+				if !slices.Equal(got, serial) {
+					t.Fatalf("%v workers=%d size=%d: %d rows differ from the serial %d", preds, workers, size, len(got), len(serial))
 				}
-			}
-			if stats.Morsels == 0 {
-				t.Fatalf("workers=%d: expected morsel execution, stats=%+v", workers, stats)
-			}
-			if it.Explain() != PlanAccessAt(tab.Snap(), preds).Explain(tab) {
-				t.Fatalf("morsel Explain drifted: %s", it.Explain())
+				if stats.Morsels == 0 {
+					t.Fatalf("%v workers=%d: expected morsel execution, stats=%+v", preds, workers, stats)
+				}
 			}
 		}
 	}
 }
 
-// TestMorselScanReset: Reset rewinds to a fresh scan that produces the same
-// output again.
-func TestMorselScanReset(t *testing.T) {
-	tab := mkBigTable(t, MorselMinRows*2)
-	it := openScan(tab, nil, nil, nil, BatchOpts{Workers: 4})
-	first, _ := drainBatches(t, it, 0)
-	it.Reset()
-	second, _ := drainBatches(t, it, 0)
-	if len(first) != len(tab.rows) || len(second) != len(first) {
-		t.Fatalf("reset scan: %d then %d rows, want %d", len(first), len(second), len(tab.rows))
+// TestParallelLookaheadIsBounded: a consumer that pulls one batch and stops
+// leaves at most the window of morsels scanned — the workers wait for it
+// instead of buffering the whole table — and closing the scan leaves no
+// worker behind.
+func TestParallelLookaheadIsBounded(t *testing.T) {
+	const workers = 4
+	tab := mkBigTable(t, 32*morselRows)
+	before := runtime.NumGoroutine()
+	stats := &Stats{}
+	m := openScan(tab, nil, stats, nil, BatchOpts{Workers: workers}).(*Morsels[struct{}])
+	b := GetBatch(0)
+	defer PutBatch(b)
+	if _, ok := m.NextBatch(b); !ok {
+		t.Fatal(m.Err())
+	}
+	window := morselWindow * workers
+	// Idle: every morsel the window allows is claimed and done.
+	for idle := false; !idle; {
+		runtime.Gosched()
+		m.mu.Lock()
+		idle = m.next == m.head+len(m.slots)
+		for i := m.head; idle && i < m.next; i++ {
+			idle = m.slots[i%len(m.slots)].done
+		}
+		m.mu.Unlock()
+	}
+	if n := atomic.LoadInt64(&stats.Morsels); n > int64(window) {
+		t.Fatalf("one pulled batch let the workers scan %d morsels, window %d", n, window)
+	}
+	m.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the scan", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestMorselJobPanicIsContained: a panic in a job — on a worker goroutine,
+// where nothing above the pool could recover it — ends the scan with a
+// *PanicError from the pull that reaches its morsel, after every earlier
+// morsel was delivered, and no worker keeps running.
+func TestMorselJobPanicIsContained(t *testing.T) {
+	tab := mkBigTable(t, 8*morselRows)
+	ts := tab.Snap()
+	job := func(_ int, ids []int, _ [][]Value, out *int) error {
+		if ids[0] >= 5*morselRows {
+			panic("boom")
+		}
+		*out = len(ids)
+		return nil
+	}
+	m, _ := OpenMorsels(FullScanPlanAt(ts, nil), ts, nil, nil, BatchOpts{Workers: 4}, job)
+	rows := 0
+	for {
+		r, ok := m.Next()
+		if !ok {
+			break
+		}
+		rows += len(r.IDs)
+	}
+	var pe *PanicError
+	if !errors.As(m.Err(), &pe) || pe.Value != "boom" || !strings.Contains(m.Err().Error(), "worker panic") {
+		t.Fatalf("Err() = %v, want the job's panic", m.Err())
+	}
+	if rows != 5*morselRows {
+		t.Fatalf("%d rows delivered before the panic, want the %d of the morsels before it", rows, 5*morselRows)
 	}
 }
 
@@ -152,6 +212,7 @@ func TestBatchFaultSurfacesViaErr(t *testing.T) {
 	errBoom := errors.New("boom")
 	tab := mkBigTable(t, MorselMinRows*2)
 	_ = tab.CreateIndex("v")
+	_ = tab.CreateIndex("id")
 
 	cases := []struct {
 		name string

@@ -31,8 +31,8 @@ type Stats struct {
 	// Batches counts the chunks emitted by batch producers — RowsEmitted
 	// divided by Batches is the realized average batch size.
 	Batches int64
-	// Morsels counts the scan morsels executed by the parallel-scan worker
-	// pool (zero for serial scans and index paths).
+	// Morsels counts the morsels the morsel pool's workers executed (zero
+	// for serial scans).
 	Morsels int64
 }
 

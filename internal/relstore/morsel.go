@@ -1,6 +1,9 @@
 package relstore
 
 import (
+	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -8,220 +11,287 @@ import (
 	"repro/internal/governor"
 )
 
-// Morsel-driven parallel full scan. A large heap scan is split into
-// fixed-size contiguous morsels; a bounded worker pool claims morsels with
-// an atomic counter and filters each one against a single immutable snapshot
-// of the rows header. The consumer-side merger emits morsel results strictly
-// in morsel order (and ids are ascending within a morsel), so the output row
-// order — and therefore every serialized byte downstream — is identical to
-// the serial scan. Batch boundaries may land on morsel boundaries, which is
-// invisible to consumers: a Batch is a transport unit, not a semantic one.
+// Morsel-driven parallelism (Leis et al., SIGMOD 2014): the engine's one
+// worker pool. The driving candidates of an access plan — the heap rows of a
+// full scan, or the posting list of an index range — are cut into
+// morselRows-sized morsels. A fixed set of workers claims them in order; on
+// its worker a morsel is filtered against the residual predicates over the
+// pinned snapshot, and its qualifying rows go to a caller-supplied job on the
+// same worker (the SQL/XML construction of those rows, or nothing when the
+// caller wants only the ids). The consumer pulls the morsels back strictly in
+// morsel order and ids ascend within one, so the output order — and every
+// serialized byte downstream — is the serial scan's.
 //
-// Workers never block: every claimed morsel's done channel is closed on
-// every path (scanned, governor-stopped, or abandoned), so the merger can
-// wait on channels without leaking goroutines, and workers drain the claim
-// counter even after a stop so nothing is left running.
+// The look-ahead is bounded. A morsel's filtered rows and job output live in
+// one of morselWindow slots per worker, reused round-robin, and a worker does
+// not claim a morsel until the consumer has released the slot it maps to. A
+// consumer that stops pulling stops the scan within the window, and a scan
+// pays for its slots once, not per morsel.
 
-// MorselMinRows is the table size below which a full scan stays serial even
-// when the caller allows workers: splitting a few thousand rows across
-// goroutines costs more in scheduling than the scan itself.
+// MorselMinRows is the candidate count below which a driving scan stays
+// serial even when the caller allows workers: splitting a few thousand rows
+// across goroutines costs more in scheduling than the scan itself.
 const MorselMinRows = 8192
 
-// morselRows is the number of heap rows per morsel — big enough that the
-// per-morsel bookkeeping (one claim, one governor charge, one channel close)
-// is noise, small enough that the pool load-balances across skewed filters.
+// morselRows is the number of candidates per morsel — big enough that the
+// per-morsel bookkeeping (a claim, a governor charge, two lock round trips)
+// is noise, small enough that the pool load-balances across skewed filters
+// and jobs.
 const morselRows = 4096
 
-// morsel is one contiguous slice of the scan, filled by exactly one worker.
-type morsel struct {
-	lo, hi int // row-id range [lo, hi)
+// morselWindow is how many morsels per worker may be in flight, the one the
+// consumer is reading included: two keep a worker busy while the consumer
+// drains the morsel in front of it.
+const morselWindow = 2
 
+// MorselJob processes one morsel's qualifying rows on worker w (0 <= w <
+// Morsels.Workers()): ids ascend and rows[i] is the row of ids[i]. out is
+// the morsel's slot output, still holding an earlier morsel's: the job
+// overwrites it. It is called only for morsels with at least one row.
+type MorselJob[T any] func(w int, ids []int, rows [][]Value, out *T) error
+
+// MorselRun is what one pull hands the consumer: a run of at most the batch
+// size of one morsel's qualifying rows, in scan order, and that morsel's job
+// output, whose entries for these rows start at Off.
+type MorselRun[T any] struct {
+	IDs  []int
+	Rows [][]Value
+	Out  *T
+	Off  int
+}
+
+// PanicError is a panic recovered on a morsel worker. A panic can only be
+// recovered on its own goroutine, so the pool contains it there and hands it
+// to the consumer as the error of the morsel it hit.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("relstore: worker panic: %v", e.Value) }
+
+// errMorselsClosed is what a pull reports when Close stopped the pool under it.
+var errMorselsClosed = errors.New("relstore: morsel scan closed")
+
+// Morsels is a morsel-parallel scan of one access plan over a pinned
+// snapshot, running a job on every morsel. Next (or NextBatch, its
+// BatchIterator form) and Err belong to one consumer goroutine; Close may be
+// called from any goroutine, any number of times. Workers start on the first
+// pull, so opening spawns nothing.
+type Morsels[T any] struct {
+	snap    *TableSnap
+	cands   []int // an index range's candidates; nil for a full scan (the heap rows)
+	n       int   // candidates
+	count   int   // morsels
+	pc      predClosure
+	site    string // fault point hit once per pull
+	stats   *Stats
+	gov     *governor.G
+	job     MorselJob[T]
+	workers int
+	size    int // rows per pull
+
+	mu      sync.Mutex
+	space   sync.Cond // a slot was released, or the pool stopped
+	ready   sync.Cond // the head morsel is done, or the pool stopped
+	slots   []morselSlot[T]
+	next    int // the next morsel to claim
+	head    int // the morsel the consumer reads
+	started bool
+	stopped bool
+	wg      sync.WaitGroup
+
+	// Consumer state.
+	pos int // rows of the head morsel already pulled
+	err error
+}
+
+// morselSlot holds one in-flight morsel: written by the worker that claimed
+// it until done, then read by the consumer until it releases the slot.
+type morselSlot[T any] struct {
 	ids  []int
 	rows [][]Value
-	err  error // governor verdict that stopped this morsel, if any
-
-	done chan struct{} // closed when ids/rows/err are final
+	out  T
+	err  error
+	done bool
 }
 
-// morselScan is the BatchIterator over a morsel-parallel full scan.
-type morselScan struct {
-	snap      *TableSnap
-	preds     []Pred
-	stats     *Stats
-	gov       *governor.G
-	workers   int
-	batchSize int
-
-	// Scan-lifetime state, built lazily on the first NextBatch so that
-	// opening (and Explain-ing) a plan spawns nothing.
-	started bool
-	pc      predClosure
-	morsels  []morsel
-	next     atomic.Int64 // claim counter
-	stop     atomic.Bool  // short-circuits workers after a terminal error
-	executed atomic.Int64 // morsels actually scanned
-	wg       sync.WaitGroup
-
-	// Merger cursor.
-	cur, pos int
-	err      error
+func newMorsels[T any](ts *TableSnap, cands []int, n int, pc predClosure, site string, stats *Stats, g *governor.G, workers, size int, job MorselJob[T]) *Morsels[T] {
+	count := (n + morselRows - 1) / morselRows
+	workers = min(workers, count)
+	m := &Morsels[T]{
+		snap: ts, cands: cands, n: n, count: count, pc: pc, site: site,
+		stats: stats, gov: g, job: job, workers: workers, size: size,
+		slots: make([]morselSlot[T], min(morselWindow*workers, count)),
+	}
+	m.space.L, m.ready.L = &m.mu, &m.mu
+	return m
 }
 
-func newMorselScan(ts *TableSnap, preds []Pred, stats *Stats, g *governor.G, workers, batchSize int) *morselScan {
-	return &morselScan{snap: ts, preds: preds, stats: stats, gov: g, workers: workers, batchSize: batchSize}
-}
+// Workers reports how many workers the scan runs.
+func (m *Morsels[T]) Workers() int { return m.workers }
 
-// start carves the pinned snapshot into morsels and launches the worker
-// pool. The snapshot's rows header is immutable (see TableSnap), so workers
-// read snap.rows[0..n) lock-free without racing concurrent inserts — an
-// insert may write indexes >= n in the same backing array, but those are
-// different addresses and outside the scan. Rows appended after the pin are
-// never visited, matching the serial scan's snapshot semantics exactly.
-func (m *morselScan) start() {
-	m.pc = closePreds(m.snap.tab, m.preds)
-
-	n := m.snap.NumRows()
-	m.morsels = make([]morsel, 0, (n+morselRows-1)/morselRows)
-	for lo := 0; lo < n; lo += morselRows {
-		hi := lo + morselRows
-		if hi > n {
-			hi = n
+// Next pulls the next run of qualifying rows with its morsel's job output.
+// ok=false means end of stream or a terminal error (Err); either way no
+// worker is left running. The run is valid until the next call.
+func (m *Morsels[T]) Next() (MorselRun[T], bool) {
+	if m.err != nil {
+		return MorselRun[T]{}, false
+	}
+	// The fault point and an unamortized governor check live on the consumer
+	// side: one deterministic Hit per pull however the workers raced, and a
+	// cancellation is seen even when the morsels the consumer still needs
+	// are already built.
+	if err := faultpoint.Hit(m.site); err != nil {
+		return m.fail(err)
+	}
+	if err := m.gov.Check(); err != nil {
+		return m.fail(err)
+	}
+	m.mu.Lock()
+	if !m.started && !m.stopped {
+		m.started = true
+		m.wg.Add(m.workers)
+		for w := range m.workers {
+			go m.work(w)
 		}
-		m.morsels = append(m.morsels, morsel{lo: lo, hi: hi, done: make(chan struct{})})
 	}
-	w := m.workers
-	if w > len(m.morsels) {
-		w = len(m.morsels)
+	for m.head < m.count {
+		s := &m.slots[m.head%len(m.slots)]
+		// Claims go in morsel order, so a head nobody claimed before the
+		// pool stopped never will be.
+		for !s.done && !(m.stopped && m.head >= m.next) {
+			m.ready.Wait()
+		}
+		switch {
+		case !s.done:
+			m.mu.Unlock()
+			return m.fail(errMorselsClosed)
+		case s.err != nil:
+			m.mu.Unlock()
+			return m.fail(s.err)
+		case m.pos < len(s.ids):
+			m.mu.Unlock()
+			lo := m.pos
+			m.pos = min(lo+m.size, len(s.ids))
+			if m.stats != nil {
+				atomic.AddInt64(&m.stats.RowsEmitted, int64(m.pos-lo))
+				atomic.AddInt64(&m.stats.Batches, 1)
+			}
+			return MorselRun[T]{IDs: s.ids[lo:m.pos], Rows: s.rows[lo:m.pos], Out: &s.out, Off: lo}, true
+		}
+		// The consumer is done with the head morsel: its slot goes back to
+		// the workers.
+		s.done = false
+		m.head++
+		m.pos = 0
+		m.space.Signal()
 	}
-	m.wg.Add(w)
-	for i := 0; i < w; i++ {
-		go m.worker()
-	}
-	m.started = true
+	m.mu.Unlock()
+	m.Close()
+	return MorselRun[T]{}, false
 }
 
-// worker claims morsels until the counter is exhausted. Every claimed
-// morsel's done channel is closed before the next claim — including after a
-// stop — so the merger never waits on a channel nobody owns.
-func (m *morselScan) worker() {
+// NextBatch is Next as a BatchIterator, for callers that want only the
+// qualifying rows. The batch gets copies: the slot is reused.
+func (m *Morsels[T]) NextBatch(b *Batch) (int, bool) {
+	b.reset()
+	r, ok := m.Next()
+	if !ok {
+		return 0, false
+	}
+	b.IDs = append(b.IDs, r.IDs...)
+	b.Rows = append(b.Rows, r.Rows...)
+	return b.Len(), true
+}
+
+// Err returns the terminal error that stopped the scan early, or nil.
+func (m *Morsels[T]) Err() error { return m.err }
+
+// Close stops the scan and returns once every worker has exited. A job
+// already running finishes its morsel: cancel its governor for a prompt
+// stop.
+func (m *Morsels[T]) Close() {
+	m.mu.Lock()
+	m.stopped = true
+	m.space.Broadcast()
+	m.ready.Broadcast()
+	m.mu.Unlock()
+	m.wg.Wait()
+}
+
+func (m *Morsels[T]) fail(err error) (MorselRun[T], bool) {
+	m.err = err
+	m.Close()
+	return MorselRun[T]{}, false
+}
+
+// work claims morsels in order while the window has room, until none is
+// left or the pool stops; a failed morsel stops it.
+func (m *Morsels[T]) work(w int) {
 	defer m.wg.Done()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		i := int(m.next.Add(1)) - 1
-		if i >= len(m.morsels) {
+		for !m.stopped && m.next < m.count && m.next >= m.head+len(m.slots) {
+			m.space.Wait()
+		}
+		if m.stopped || m.next >= m.count {
 			return
 		}
-		ms := &m.morsels[i]
-		if m.stop.Load() {
-			close(ms.done)
-			continue
+		i := m.next
+		m.next++
+		s := &m.slots[i%len(m.slots)]
+		m.mu.Unlock()
+		err := m.run(w, i, s)
+		m.mu.Lock()
+		s.err, s.done = err, true
+		if err != nil {
+			m.stopped = true
+			m.space.Broadcast()
 		}
-		for id := ms.lo; id < ms.hi; id++ {
-			row := m.snap.rows[id]
-			if m.pc.matches(row) {
-				ms.ids = append(ms.ids, id)
-				ms.rows = append(ms.rows, row)
-			}
+		if i == m.head {
+			m.ready.Signal()
 		}
-		scanned := ms.hi - ms.lo
-		m.executed.Add(1)
-		if m.stats != nil {
-			atomic.AddInt64(&m.stats.RowsScanned, int64(scanned))
-			atomic.AddInt64(&m.stats.Morsels, 1)
-			if f := scanned - len(ms.ids); f > 0 && len(m.preds) > 0 {
-				atomic.AddInt64(&m.stats.RowsFiltered, int64(f))
-			}
-		}
-		// One governor charge per morsel: cancellation latency is bounded
-		// by one morsel of work per worker, well inside the <100ms budget.
-		if err := m.gov.TickN(scanned); err != nil {
-			ms.err = err
-			m.stop.Store(true)
-		}
-		close(ms.done)
 	}
 }
 
-func (m *morselScan) NextBatch(batch *Batch) (int, bool) {
-	if m.err != nil {
-		return 0, false
-	}
-	batch.reset()
-	// Fault point and injection semantics live on the merger (consumer)
-	// side: one deterministic Hit per NextBatch regardless of how many
-	// workers raced in the background.
-	if err := faultpoint.Hit("relstore.scan.batch"); err != nil {
-		m.err = err
-		m.stop.Store(true)
-		return 0, false
-	}
-	// One unamortized governor check per batch: workers run eagerly, so by
-	// the time the merger is consuming, every morsel may already be buffered
-	// and no worker will observe a late cancellation. The merger must.
-	if err := m.gov.Check(); err != nil {
-		m.err = err
-		m.stop.Store(true)
-		return 0, false
-	}
-	if !m.started {
-		m.start()
-	}
-	// The configured batch size is authoritative (see batchScanIter).
-	want := m.batchSize
-	batch.grow(want)
-	for batch.Len() == 0 {
-		if m.cur >= len(m.morsels) {
-			return 0, false
+// run filters morsel i into s and runs the job on its rows, converting a
+// panic into the morsel's error.
+func (m *Morsels[T]) run(w, i int, s *morselSlot[T]) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
-		ms := &m.morsels[m.cur]
-		<-ms.done
-		if ms.err != nil {
-			m.err = ms.err
-			return 0, false
+	}()
+	lo, hi := i*morselRows, min((i+1)*morselRows, m.n)
+	s.ids, s.rows = s.ids[:0], s.rows[:0]
+	for k := lo; k < hi; k++ {
+		id := k
+		if m.cands != nil {
+			id = m.cands[k]
 		}
-		for m.pos < len(ms.ids) && batch.Len() < want {
-			batch.push(ms.ids[m.pos], ms.rows[m.pos])
-			m.pos++
-		}
-		if m.pos >= len(ms.ids) {
-			m.cur++
-			m.pos = 0
+		if row := m.snap.rows[id]; m.pc.matches(row) {
+			s.ids = append(s.ids, id)
+			s.rows = append(s.rows, row)
 		}
 	}
-	n := batch.Len()
 	if m.stats != nil {
-		atomic.AddInt64(&m.stats.RowsEmitted, int64(n))
-		atomic.AddInt64(&m.stats.Batches, 1)
+		if m.cands == nil {
+			atomic.AddInt64(&m.stats.RowsScanned, int64(hi-lo))
+		}
+		atomic.AddInt64(&m.stats.Morsels, 1)
+		if f := hi - lo - len(s.ids); f > 0 {
+			atomic.AddInt64(&m.stats.RowsFiltered, int64(f))
+		}
 	}
-	return n, true
-}
-
-func (m *morselScan) Err() error { return m.err }
-
-// Reset abandons any in-flight workers (waiting for them to drain the claim
-// counter) and rewinds to an unstarted scan over the same pinned snapshot.
-func (m *morselScan) Reset() {
-	if m.started {
-		m.stop.Store(true)
-		m.wg.Wait()
+	// One governor charge per morsel: a cancelled scan does at most one more
+	// morsel of work per worker.
+	if err := m.gov.TickN(hi - lo); err != nil {
+		return err
 	}
-	m.started = false
-	m.morsels = nil
-	m.next.Store(0)
-	m.stop.Store(false)
-	m.executed.Store(0)
-	m.cur, m.pos = 0, 0
-	m.err = nil
+	if m.job == nil || len(s.ids) == 0 {
+		return nil
+	}
+	return m.job(w, s.ids, s.rows, &s.out)
 }
-
-// Explain renders exactly the serial full scan's operator line: morsel
-// parallelism is a physical execution detail, not a different plan.
-func (m *morselScan) Explain() string { return scanExplain(m.snap.tab, m.preds) }
-
-// MorselsExecuted reports how many morsels workers have scanned so far —
-// the observability layer records it as a span attribute.
-func (m *morselScan) MorselsExecuted() int { return int(m.executed.Load()) }
-
-// ScanWorkers reports the worker-pool bound this scan runs with — the
-// observability layer records it as the scan span's workers attribute.
-// Serial iterators don't implement this; consumers treat absence as 1.
-func (m *morselScan) ScanWorkers() int { return m.workers }

@@ -70,6 +70,9 @@ func accessPath(t *Table, preds []Pred, stats *Stats) BatchIterator {
 	return openPlan(t, preds, stats, nil, BatchOpts{Workers: 1})
 }
 
+// explainPlan is the EXPLAIN line of the access path accessPath opens.
+func explainPlan(t *Table, preds []Pred) string { return PlanAccessAt(t.Snap(), preds).Explain(t) }
+
 func TestTableBasics(t *testing.T) {
 	_, dept, emp := mkDeptEmp(t)
 	if dept.NumRows() != 2 || emp.NumRows() != 3 {
@@ -281,8 +284,8 @@ func TestAccessPathSelectsIndex(t *testing.T) {
 	// Without an index: full scan.
 	stats := &Stats{}
 	it := accessPath(emp, preds, stats)
-	if !strings.HasPrefix(it.Explain(), "TABLE SCAN") {
-		t.Fatalf("expected scan, got %s", it.Explain())
+	if expl := explainPlan(emp, preds); !strings.HasPrefix(expl, "TABLE SCAN") {
+		t.Fatalf("expected scan, got %s", expl)
 	}
 	ids := collect(it)
 	if len(ids) != 2 { // CLARK 2450, SMITH 4900
@@ -298,8 +301,8 @@ func TestAccessPathSelectsIndex(t *testing.T) {
 	}
 	stats2 := &Stats{}
 	it2 := accessPath(emp, preds, stats2)
-	if !strings.HasPrefix(it2.Explain(), "INDEX RANGE SCAN") {
-		t.Fatalf("expected index scan, got %s", it2.Explain())
+	if expl2 := explainPlan(emp, preds); !strings.HasPrefix(expl2, "INDEX RANGE SCAN") {
+		t.Fatalf("expected index scan, got %s", expl2)
 	}
 	ids2 := collect(it2)
 	if len(ids2) != 2 {
@@ -328,8 +331,7 @@ func TestAccessPathEqualityAndResidual(t *testing.T) {
 		{Col: "sal", Op: CmpGt, Val: int64(2000)},
 	}
 	it := accessPath(emp, preds, nil)
-	expl := it.Explain()
-	if !strings.Contains(expl, "deptno = 10") || !strings.Contains(expl, "FILTER sal > 2000") {
+	if expl := explainPlan(emp, preds); !strings.Contains(expl, "deptno = 10") || !strings.Contains(expl, "FILTER sal > 2000") {
 		t.Fatalf("explain = %s", expl)
 	}
 	ids := collect(it)
@@ -346,20 +348,8 @@ func TestAccessPathPrefersEquality(t *testing.T) {
 		{Col: "sal", Op: CmpGt, Val: int64(0)},
 		{Col: "deptno", Op: CmpEq, Val: int64(40)},
 	}
-	it := accessPath(emp, preds, nil)
-	if !strings.Contains(it.Explain(), "deptno = 40") {
-		t.Fatalf("should prefer equality probe: %s", it.Explain())
-	}
-}
-
-func TestIteratorReset(t *testing.T) {
-	_, _, emp := mkDeptEmp(t)
-	it := openScan(emp, nil, nil, nil, BatchOpts{Workers: 1})
-	first := collect(it)
-	it.Reset()
-	second := collect(it)
-	if len(first) != 3 || len(second) != 3 {
-		t.Fatal("reset failed")
+	if expl := explainPlan(emp, preds); !strings.Contains(expl, "deptno = 40") {
+		t.Fatalf("should prefer equality probe: %s", expl)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/governor"
@@ -44,7 +42,7 @@ type RunSpec struct {
 	// beneath it. Nil (the usual case) disables operator tracing entirely.
 	Span *obs.Span
 	// Batch configures the driving access path's batch pipeline (chunk size
-	// and morsel workers for full scans). The zero value means defaults.
+	// and morsel workers). The zero value means defaults.
 	Batch relstore.BatchOpts
 	// Snap, when non-nil, is the MVCC snapshot this run is pinned to: every
 	// table read — driving scan, subqueries, aggregates — resolves against
@@ -128,15 +126,13 @@ func (s *RunSpec) startOperators(ts *relstore.TableSnap, plan relstore.AccessPla
 	}
 	c.scanSp = sp.Start("scan")
 	c.scanSp.SetAttr("path", plan.Explain(ts.Table()))
-	c.scanSp.SetAttr("batch_size", s.batchOpts().Size())
-	if plan.Kind == relstore.PathFullScan {
-		// Report the workers the scan actually engaged: 1 for a serial
-		// scan (small table or forced), the pool bound on the morsel path.
-		w := 1
-		if mw, ok := c.it.(interface{ ScanWorkers() int }); ok {
-			w = mw.ScanWorkers()
-		}
-		c.scanSp.SetAttr("workers", w)
+	c.scanSp.SetAttr("batch_size", c.size)
+	// The workers the scan engaged: the pool's on the parallel route, 1 for
+	// a serial full scan; a serial index path reports none.
+	if c.par != nil {
+		c.scanSp.SetAttr("workers", c.par.Workers())
+	} else if plan.Kind == relstore.PathFullScan {
+		c.scanSp.SetAttr("workers", 1)
 	}
 	c.buildSp = sp.Start("construct")
 }
@@ -338,15 +334,7 @@ func (e *Executor) OpenQueryCursorSpec(q *Query, sink *relstore.Stats, g *govern
 	if err != nil {
 		return nil, err
 	}
-	c := &QueryCursor{
-		body: body,
-		ts:   ts,
-		it:   plan.OpenBatchAt(ts, sink, g, spec.batchOpts()),
-		ec:   &evalContext{snap: snap, stats: sink, gov: g},
-		fp:   "sqlxml.query.next",
-	}
-	spec.startOperators(ts, plan, c)
-	return c, nil
+	return spec.openCursor(snap, ts, plan, body, "sqlxml.query.next", sink, g), nil
 }
 
 // OpenViewCursorSpec opens a streaming materialization of v — one XMLType
@@ -364,15 +352,7 @@ func (e *Executor) OpenViewCursorSpec(v *ViewDef, where []relstore.Pred, sink *r
 	if err != nil {
 		return nil, err
 	}
-	c := &QueryCursor{
-		body: v.Body,
-		ts:   ts,
-		it:   plan.OpenBatchAt(ts, sink, g, spec.batchOpts()),
-		ec:   &evalContext{snap: snap, stats: sink, gov: g},
-		fp:   "sqlxml.view.row",
-	}
-	spec.startOperators(ts, plan, c)
-	return c, nil
+	return spec.openCursor(snap, ts, plan, v.Body, "sqlxml.view.row", sink, g), nil
 }
 
 // MaterializeViewSpec builds the XMLType instance — a document node — of
@@ -422,75 +402,22 @@ func (e *Executor) ExplainViewSpec(v *ViewDef, where []relstore.Pred, spec *RunS
 }
 
 // ExecQueryParallelSpec runs the query to trees: one result fragment per
-// qualifying driving row, in driving-row order. With workers >= 2 the drained
-// driving rows are constructed with row-level parallelism (the paper notes the
-// rewritten SQL/XML "can be efficiently executed by the underlying RDBMS
-// aggregation process in parallel manner"); below that the query streams
-// through a QueryCursor.
+// qualifying driving row, in driving-row order, drained from a QueryCursor
+// whose worker count is workers (0: GOMAXPROCS). Like every cursor it
+// constructs in parallel when its driving scan has the candidates for it
+// (the paper notes the rewritten SQL/XML "can be efficiently executed by the
+// underlying RDBMS aggregation process in parallel manner").
 func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) ([]*xmltree.Node, error) {
-	if workers < 2 {
-		c, err := e.OpenQueryCursorSpec(q, sink, g, spec)
-		if err != nil {
-			return nil, err
-		}
-		return c.drain()
+	var s RunSpec
+	if spec != nil {
+		s = *spec
 	}
-	d, err := e.drainDriving(q, workers, sink, g, spec)
+	s.Batch.Workers = workers
+	c, err := e.OpenQueryCursorSpec(q, sink, g, &s)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*xmltree.Node, len(d.ids))
-	err = d.constructParallel(workers, func(_ int, ec *evalContext, i int) (err error) {
-		out[i], err = ec.evalDoc(d.body)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EmitQuerySpec is the chunked parallel form of the SQL strategy's
-// execution: the driving scan is drained, its rows are split into one
-// contiguous chunk per worker, every worker serializes its chunk into a
-// buffer of its own — no tree, no per-row string — and the chunks are
-// appended to out in order, so the output is identical at every worker
-// count (and to a QueryCursor's AppendNext stream). Each row is charged to g
-// as it is emitted, so a row or output budget stops every worker at the
-// verdict. On error out may hold part of the result.
-func (e *Executor) EmitQuerySpec(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec, out *RowBuf) error {
-	workers = max(workers, 1)
-	d, err := e.drainDriving(q, workers, sink, g, spec)
-	if err != nil {
-		return err
-	}
-	parts := make([]*RowBuf, workers)
-	for w := range parts {
-		parts[w] = GetRowBuf()
-		defer PutRowBuf(parts[w])
-	}
-	err = d.constructParallel(workers, func(w int, ec *evalContext, i int) error {
-		p := parts[w]
-		start := len(p.buf)
-		if err := ec.evalRow(&p.byteSink, d.body); err != nil {
-			return err
-		}
-		n := len(p.buf) - start
-		p.EndRow(p.buf)
-		return g.ChargeRow(n)
-	})
-	if err != nil {
-		return err
-	}
-	bytesOut := 0
-	for _, p := range parts {
-		out.appendRows(p)
-		bytesOut += len(p.buf) - len(p.ends)
-	}
-	if d.buildSp != nil && bytesOut > 0 {
-		d.buildSp.SetAttr("bytes_out", bytesOut)
-	}
-	return nil
+	return c.drain()
 }
 
 // RowBuf accumulates a run's serialized rows in one buffer: each row followed
@@ -529,13 +456,13 @@ func (b *RowBuf) EndRow(buf []byte) {
 	b.buf = append(buf, '\n')
 }
 
-// appendRows appends p's rows after b's.
-func (b *RowBuf) appendRows(p *RowBuf) {
-	base := len(b.buf)
-	b.buf = append(b.buf, p.buf...)
-	for _, end := range p.ends {
-		b.ends = append(b.ends, base+end)
+// row is row i, without its newline.
+func (b *RowBuf) row(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1] + 1
 	}
+	return b.buf[start:b.ends[i]]
 }
 
 // Strings copies the accumulated rows out: one string for the whole body
@@ -549,150 +476,4 @@ func (b *RowBuf) Strings() (body string, rows []string) {
 		start = end + 1
 	}
 	return body, rows
-}
-
-// drivingRows is a fully drained driving scan: the qualifying row ids and row
-// references in scan order, ready to be constructed by several workers.
-type drivingRows struct {
-	snap *relstore.Snapshot
-	ts   *relstore.TableSnap
-	body XMLExpr
-	ids  []int
-	rows [][]relstore.Value
-	// batch is the run's batch size: how many rows of a worker's chunk are
-	// group-joined at once, as a streaming cursor joins per driving batch.
-	batch   int
-	sink    *relstore.Stats
-	gov     *governor.G
-	buildSp *obs.Span
-}
-
-// drainDriving plans the driving access path under spec, binds the body, and
-// pulls the whole scan (the parallel executions construct from a complete id
-// list; the serial ones stream through a QueryCursor instead).
-func (e *Executor) drainDriving(q *Query, workers int, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*drivingRows, error) {
-	snap, ts, plan, body, err := e.planQuery(q, spec)
-	if err != nil {
-		return nil, err
-	}
-	d := &drivingRows{snap: snap, ts: ts, body: body, batch: spec.batchOpts().Size(), sink: sink, gov: g}
-	var scanSp *obs.Span
-	if sp := spec.span(); sp != nil {
-		scanSp = sp.Start("scan")
-		scanSp.SetAttr("path", plan.Explain(ts.Table()))
-		scanSp.SetAttr("parallel_workers", workers)
-		scanSp.SetAttr("batch_size", spec.batchOpts().Size())
-		d.buildSp = sp.Start("construct")
-	}
-	scanStart := time.Now()
-	it := plan.OpenBatchAt(ts, sink, g, spec.batchOpts())
-	if scanSp != nil && plan.Kind == relstore.PathFullScan {
-		w := 1
-		if mw, ok := it.(interface{ ScanWorkers() int }); ok {
-			w = mw.ScanWorkers()
-		}
-		scanSp.SetAttr("workers", w)
-	}
-	batch := relstore.GetBatch(spec.batchOpts().Size())
-	for {
-		if _, ok := it.NextBatch(batch); !ok {
-			break
-		}
-		d.ids = append(d.ids, batch.IDs...)
-		d.rows = append(d.rows, batch.Rows...)
-	}
-	relstore.PutBatch(batch)
-	if scanSp != nil {
-		scanSp.ObserveSince(scanStart)
-		scanSp.AddRowsOut(int64(len(d.ids)))
-		if ms, ok := it.(interface{ MorselsExecuted() int }); ok {
-			if n := ms.MorselsExecuted(); n > 0 {
-				scanSp.SetAttr("morsels", n)
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
-		scanSp.Fail(err)
-		return nil, err
-	}
-	return d, nil
-}
-
-// constructParallel constructs every drained row, splitting them into one
-// contiguous chunk per worker: worker w calls row(w, ec, i) for each index i
-// of its chunk in order, with ec its own eval context positioned on row i
-// (the chunk is installed a batch at a time, so subqueries join per batch).
-// Every worker stops at its first error, at the governor's verdict, or as
-// soon as another worker has failed; of several failures the one in the
-// earliest chunk is returned.
-func (d *drivingRows) constructParallel(workers int, row func(w int, ec *evalContext, i int) error) error {
-	n := len(d.ids)
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, workers)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// A panic on a worker goroutine would kill the process before
-			// the facade's recovery could see it; convert it to this
-			// worker's error so the run fails like any other row failure.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("sqlxml: worker panic: %v", r)
-					failed.Store(true)
-				}
-			}()
-			ec := &evalContext{snap: d.snap, stats: d.sink, gov: d.gov}
-			defer ec.release()
-			for i := lo; i < hi && !failed.Load(); i++ {
-				at := (i - lo) % d.batch
-				if at == 0 {
-					end := min(i+d.batch, hi)
-					ec.setRows(d.ts, d.ids[i:end], d.rows[i:end])
-				}
-				ec.setPos(at)
-				if errs[w] = d.constructRow(ec, i, w, row); errs[w] != nil {
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			d.buildSp.Fail(err)
-			return err
-		}
-	}
-	return nil
-}
-
-// constructRow is one row of a worker's chunk: governor check, the per-row
-// fault point, then the construction under the construct span.
-func (d *drivingRows) constructRow(ec *evalContext, i, w int, row func(w int, ec *evalContext, i int) error) error {
-	if err := d.gov.Check(); err != nil {
-		return err
-	}
-	if err := faultpoint.Hit("sqlxml.query.next"); err != nil {
-		return err
-	}
-	var start time.Time
-	if d.buildSp != nil {
-		start = time.Now()
-		d.buildSp.AddRowsIn(1)
-	}
-	if err := row(w, ec, i); err != nil {
-		return err
-	}
-	if d.buildSp != nil {
-		d.buildSp.ObserveSince(start)
-		d.buildSp.AddRowsOut(1)
-	}
-	return nil
 }

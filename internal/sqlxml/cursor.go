@@ -2,9 +2,12 @@ package sqlxml
 
 import (
 	"io"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultpoint"
+	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/xmltree"
@@ -12,33 +15,51 @@ import (
 
 // This file is the streaming half of the executor (the paper's §6
 // iterator-based pull evaluation): instead of collecting every driving row
-// up front, a cursor holds the relstore access-path iterator open and
-// constructs one XMLType instance per call — as a tree (Next, what the
-// functional strategies evaluate over) or directly as serialized bytes
-// (AppendNext, the SQL strategy's output). The materializing entry points
-// drain these cursors, so every execution style shares one construction path.
+// up front, a cursor holds the relstore access path open and constructs one
+// XMLType instance per call — as a tree (Next, what the functional
+// strategies evaluate over) or directly as serialized bytes (AppendNext, the
+// SQL strategy's output). The materializing entry points drain these
+// cursors, so every execution style shares one construction path.
 //
 // Cursors write physical-operator counters to the sink passed at open time;
 // passing a per-run sink keeps concurrent executions from sharing counters.
-// A governor passed at open time bounds the execution: the driving iterator
-// and the per-row construction both stop promptly when it reports
-// cancellation or an exhausted budget.
+// A governor passed at open time bounds the execution: the driving scan and
+// the construction both stop promptly when it reports cancellation or an
+// exhausted budget.
 
 // QueryCursor streams a SQL/XML query one qualifying driving row at a time.
-// Internally it consumes the driving access path batch-at-a-time: the scan
-// refills a pooled relstore.Batch of row ids + row references, and each call
-// constructs one buffered row — the per-call surface stays row-oriented
-// while the storage layer pays its locks, fault checks and governor ticks
-// once per ~1024 rows.
+// Internally it consumes the driving access path a batch at a time, by one
+// of two routes chosen at open (relstore.OpenMorsels):
+//
+//   - serial: the scan refills a pooled relstore.Batch of row ids + row
+//     references, and each call constructs one buffered row;
+//   - parallel: the morsel pool's workers group-join and construct every
+//     morsel they filter, each with an evalContext of its own, and each call
+//     hands out one constructed row in scan order.
+//
+// Either way the per-call surface stays row-oriented while the storage layer
+// pays its locks, fault checks and governor ticks once per batch. A cursor
+// is pulled by Next or by AppendNext, not both: on the parallel route the
+// workers construct for the kind of the first pull.
 type QueryCursor struct {
 	body XMLExpr
 	ts   *relstore.TableSnap
-	it   relstore.BatchIterator
-	ec   *evalContext
-	fp   string // faultpoint name hit once per constructed row
+	ec   *evalContext // the serial route's; the parallel route copies its run state
+	fp   string       // faultpoint name hit once per handed-out row
+	size int          // rows per batch
 
-	batch *relstore.Batch // current chunk (nil before first refill / after EOF)
-	bpos  int             // consumption offset into batch
+	it    relstore.BatchIterator // serial route
+	batch *relstore.Batch        // current chunk (nil before first refill / after EOF)
+
+	par   *relstore.Morsels[built] // parallel route
+	ecs   []*evalContext           // per worker, created by the worker
+	trees bool                     // par's workers build trees (Next), not bytes (AppendNext): the first pull's kind
+	run   relstore.MorselRun[built]
+	outs  []*built // the slot outputs handed out, whose buffers go back to the pool at the end
+
+	pulled bool
+	chunk  int // rows in the current batch or run
+	bpos   int // rows of it handed out
 
 	out      byteSink // AppendNext's sink, reused across rows
 	bytesOut int64    // serialized bytes produced so far
@@ -49,54 +70,145 @@ type QueryCursor struct {
 	buildSp *obs.Span
 }
 
-// refill pulls the next batch from the driving iterator and installs it as
-// the eval context's driving row list — the unit the body's subqueries are
-// group-joined against, so WithBatchSize bounds both a cursor's time to its
-// first row and the memory its groups hold. It returns io.EOF on clean
-// exhaustion, the iterator's terminal error otherwise, and returns the batch
-// and the context's subquery scratch to their pools once the stream ends
-// either way.
-func (c *QueryCursor) refill() error {
-	if c.batch == nil {
-		c.batch = relstore.GetBatch(0)
+// built is one morsel as the parallel route's workers construct it: its
+// rows serialized (for AppendNext) or as trees (for Next). rows comes from
+// the RowBuf pool, so a run's slots do not grow a buffer from empty each.
+type built struct {
+	rows *RowBuf
+	docs []*xmltree.Node
+}
+
+// openCursor opens a cursor constructing body over plan's driving rows.
+func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, body XMLExpr, fp string, sink *relstore.Stats, g *governor.G) *QueryCursor {
+	opts := s.batchOpts()
+	c := &QueryCursor{body: body, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g}, fp: fp, size: opts.Size()}
+	c.par, c.it = relstore.OpenMorsels(plan, ts, sink, g, opts, c.construct)
+	if c.par != nil {
+		c.ecs = make([]*evalContext, c.par.Workers())
 	}
-	c.bpos = 0
-	if _, ok := c.it.NextBatch(c.batch); !ok {
-		relstore.PutBatch(c.batch)
-		c.batch = nil
-		c.ec.release()
-		if err := c.it.Err(); err != nil {
-			return err
-		}
-		// Surface how many morsels the parallel scan executed, if any, now
-		// that the scan is complete.
-		if c.scanSp != nil {
-			if ms, ok := c.it.(interface{ MorselsExecuted() int }); ok {
-				if n := ms.MorselsExecuted(); n > 0 {
-					c.scanSp.SetAttr("morsels", n)
+	s.startOperators(ts, plan, c)
+	return c
+}
+
+// construct is the parallel route's morsel job. Worker w installs the
+// morsel's rows a batch at a time — the unit the body's subqueries are
+// group-joined against, as on the serial route — and constructs each into
+// out.
+func (c *QueryCursor) construct(w int, ids []int, rows [][]relstore.Value, out *built) error {
+	ec := c.ecs[w]
+	if ec == nil {
+		ec = &evalContext{snap: c.ec.snap, stats: c.ec.stats, gov: c.ec.gov}
+		c.ecs[w] = ec
+	}
+	if out.rows == nil {
+		out.rows = GetRowBuf()
+	}
+	out.rows.Reset()
+	clear(out.docs)
+	out.docs = out.docs[:0]
+	for lo := 0; lo < len(ids); lo += c.size {
+		hi := min(lo+c.size, len(ids))
+		ec.setRows(c.ts, ids[lo:hi], rows[lo:hi])
+		for i := range hi - lo {
+			ec.setPos(i)
+			start := c.buildStart()
+			var err error
+			if c.trees {
+				var doc *xmltree.Node
+				if doc, err = ec.evalDoc(c.body); err == nil {
+					out.docs = append(out.docs, doc)
 				}
+			} else if err = ec.evalRow(&out.rows.byteSink, c.body); err == nil {
+				out.rows.EndRow(out.rows.buf)
 			}
-			if c.bytesOut > 0 {
-				c.buildSp.SetAttr("bytes_out", c.bytesOut)
+			c.buildEnd(start, err)
+			if err != nil {
+				return err
 			}
 		}
-		return io.EOF
 	}
-	c.ec.setRows(c.ts, c.batch.IDs, c.batch.Rows)
 	return nil
 }
 
-// advance moves the eval context to the next qualifying driving row. It
-// returns io.EOF when the driving iterator is exhausted, and the iterator's
-// terminal error (cancellation, injected fault) when it stopped early. Under
-// a trace the batch refills accrue on the scan span, with rows-out credited
-// per refilled batch.
-func (c *QueryCursor) advance() error {
+// refill pulls the next batch (serial) or run (parallel) of driving rows.
+// On the serial route it installs the batch as the eval context's driving
+// row list — the unit the body's subqueries are group-joined against, so
+// WithBatchSize bounds both a cursor's time to its first row and the memory
+// its groups hold. It returns io.EOF on clean exhaustion, the scan's
+// terminal error otherwise, and hands the batch and the contexts' subquery
+// scratch back to their pools once the stream ends either way.
+func (c *QueryCursor) refill() error {
+	c.bpos = 0
+	if c.par != nil {
+		var ok bool
+		if c.run, ok = c.par.Next(); ok {
+			c.chunk = len(c.run.IDs)
+			if c.run.Off == 0 && !slices.Contains(c.outs, c.run.Out) {
+				c.outs = append(c.outs, c.run.Out)
+			}
+			return nil
+		}
+		c.chunk = 0
+		for _, ec := range c.ecs { // the workers have exited
+			if ec != nil {
+				ec.release()
+			}
+		}
+		for _, out := range c.outs {
+			if out.rows != nil {
+				PutRowBuf(out.rows)
+				out.rows = nil
+			}
+		}
+		c.outs = c.outs[:0]
+		return c.end(c.par.Err())
+	}
+	if c.batch == nil {
+		c.batch = relstore.GetBatch(0)
+	}
+	if _, ok := c.it.NextBatch(c.batch); ok {
+		c.chunk = c.batch.Len()
+		c.ec.setRows(c.ts, c.batch.IDs, c.batch.Rows)
+		return nil
+	}
+	relstore.PutBatch(c.batch)
+	c.batch = nil
+	c.chunk = 0
+	c.ec.release()
+	return c.end(c.it.Err())
+}
+
+// end reports the end of the driving stream: its error, or io.EOF after
+// the stream's totals went on the spans.
+func (c *QueryCursor) end(err error) error {
+	if err != nil {
+		return err
+	}
+	if c.scanSp != nil {
+		if c.par != nil && c.ec.stats != nil {
+			c.scanSp.SetAttr("morsels", atomic.LoadInt64(&c.ec.stats.Morsels))
+		}
+		if c.bytesOut > 0 {
+			c.buildSp.SetAttr("bytes_out", c.bytesOut)
+		}
+	}
+	return io.EOF
+}
+
+// advance moves to the next qualifying driving row, for a tree pull or a
+// byte pull. It returns io.EOF when the driving scan is exhausted, and the
+// scan's terminal error (cancellation, injected fault) when it stopped
+// early. Under a trace the refills accrue on the scan span, with rows-out
+// credited per refill.
+func (c *QueryCursor) advance(trees bool) error {
+	if !c.pulled {
+		c.pulled, c.trees = true, trees
+	}
 	if err := faultpoint.Hit(c.fp); err != nil {
 		c.scanSp.Fail(err)
 		return err
 	}
-	if c.batch == nil || c.bpos >= c.batch.Len() {
+	if c.bpos >= c.chunk {
 		var scanStart time.Time
 		if c.scanSp != nil {
 			scanStart = time.Now()
@@ -105,7 +217,7 @@ func (c *QueryCursor) advance() error {
 		if c.scanSp != nil {
 			c.scanSp.ObserveSince(scanStart)
 			if err == nil {
-				c.scanSp.AddRowsOut(int64(c.batch.Len()))
+				c.scanSp.AddRowsOut(int64(c.chunk))
 			} else if err != io.EOF {
 				c.scanSp.Fail(err)
 			}
@@ -114,7 +226,9 @@ func (c *QueryCursor) advance() error {
 			return err
 		}
 	}
-	c.ec.setPos(c.bpos)
+	if c.par == nil {
+		c.ec.setPos(c.bpos)
+	}
 	c.bpos++
 	return nil
 }
@@ -131,9 +245,6 @@ func (c *QueryCursor) buildStart() (start time.Time) {
 }
 
 func (c *QueryCursor) buildEnd(start time.Time, err error) {
-	if err != nil {
-		c.ec.release() // a failed row ends the stream
-	}
 	if c.buildSp == nil {
 		return
 	}
@@ -148,12 +259,18 @@ func (c *QueryCursor) buildEnd(start time.Time, err error) {
 // Next constructs the XML tree for the next qualifying driving row (see
 // advance for the end-of-stream and error contract).
 func (c *QueryCursor) Next() (*xmltree.Node, error) {
-	if err := c.advance(); err != nil {
+	if err := c.advance(true); err != nil {
 		return nil, err
+	}
+	if c.par != nil {
+		return c.run.Out.docs[c.run.Off+c.bpos-1], nil
 	}
 	start := c.buildStart()
 	doc, err := c.ec.evalDoc(c.body)
 	c.buildEnd(start, err)
+	if err != nil {
+		c.ec.release() // a failed row ends the stream
+	}
 	return doc, err
 }
 
@@ -161,23 +278,39 @@ func (c *QueryCursor) Next() (*xmltree.Node, error) {
 // to dst — the bytes Next's tree would serialize to, produced without the
 // tree. On error (io.EOF included) the returned slice is dst, unextended.
 func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
-	if err := c.advance(); err != nil {
+	if err := c.advance(false); err != nil {
 		return dst, err
+	}
+	if c.par != nil {
+		row := c.run.Out.rows.row(c.run.Off + c.bpos - 1)
+		c.bytesOut += int64(len(row))
+		return append(dst, row...), nil
 	}
 	start := c.buildStart()
 	c.out = byteSink{buf: dst}
 	err := c.ec.evalRow(&c.out, c.body)
 	c.buildEnd(start, err)
 	if err != nil {
+		c.ec.release() // a failed row ends the stream
 		return dst, err
 	}
 	c.bytesOut += int64(len(c.out.buf) - len(dst))
 	return c.out.buf, nil
 }
 
+// Close stops the parallel route's workers and returns once they have
+// exited; a serial cursor holds nothing to stop. It may race a pull on
+// another goroutine, which then ends with an error.
+func (c *QueryCursor) Close() {
+	if c.par != nil {
+		c.par.Close()
+	}
+}
+
 // drain collects the cursor's remaining documents (the materializing
 // execution style, layered on the streaming one).
 func (c *QueryCursor) drain() ([]*xmltree.Node, error) {
+	defer c.Close()
 	var out []*xmltree.Node
 	for {
 		doc, err := c.Next()

@@ -12,8 +12,8 @@ import (
 )
 
 // The SQL strategy's contract is byte identity with the tree plan: for any
-// query, EmitQuerySpec's rows equal ExecQueryParallelSpec's trees through
-// Node.Serialize. The tests below hold the fused emitter to that over a view
+// query, a cursor's AppendNext rows equal ExecQueryParallelSpec's trees
+// through Node.Serialize. The tests below hold the fused emitter to that over a view
 // built to hit every XMLExpr kind and every serializer corner.
 
 // nasty is the cell-value corpus: everything the two escapers treat
@@ -23,11 +23,11 @@ var nasty = []string{
 	"naïve — ünïcödé 日本語 🙂", `]]>`, `&amp;`, "\r\n mixed <&>\"\t",
 }
 
-// kindsDB builds three tables: o (driving), i (inner, correlated on o.id) and
-// j (innermost, correlated on i.w). texts fills the string cells round-robin;
-// floats the float cells. Row o.id=4 has no inner rows (empty aggregates) and
-// row 3 a NULL note and NULL score.
-func kindsDB(tb testing.TB, texts []string, floats []float64) *relstore.DB {
+// kindsDB builds three tables: o (driving, rows rows), i (inner, correlated on
+// o.id) and j (innermost, correlated on i.w). texts fills the string cells
+// round-robin; floats the float cells. Every o.id%5 = 4 has no inner rows
+// (empty aggregates) and every o.id%5 = 3 a NULL note and NULL score.
+func kindsDB(tb testing.TB, texts []string, floats []float64, rows int) *relstore.DB {
 	tb.Helper()
 	db := relstore.NewDB()
 	must := func(err error) {
@@ -54,17 +54,17 @@ func kindsDB(tb testing.TB, texts []string, floats []float64) *relstore.DB {
 	must(err)
 	text := func(n int) relstore.Value { return texts[n%len(texts)] }
 	float := func(n int) relstore.Value { return floats[n%len(floats)] }
-	for id := 0; id < 5; id++ {
+	for id := 0; id < rows; id++ {
 		var note, score relstore.Value = text(id + 3), float(id)
-		if id == 3 {
+		if id%5 == 3 {
 			note, score = nil, nil
 		}
 		_, err := o.Insert(int64(id), text(id), note, score)
 		must(err)
-		if id == 4 {
+		if id%5 == 4 {
 			continue
 		}
-		for n := 0; n <= id+1; n++ {
+		for n := 0; n <= id%5+1; n++ {
 			var amt relstore.Value = float(id + n + 1)
 			if n == 2 {
 				amt = nil
@@ -155,11 +155,12 @@ func serializeDocs(docs []*xmltree.Node) []string {
 	return out
 }
 
-// assertEmitMatchesTrees runs q as trees and as bytes, serially, in parallel
-// and through the streaming cursor, and demands one set of bytes.
-func assertEmitMatchesTrees(tb testing.TB, ex *Executor, q *Query) []string {
+// assertEmitMatchesTrees runs q as trees and as bytes through the streaming
+// cursor at each worker count, and demands the bytes of the one-worker trees.
+// It returns those and the sink of every run.
+func assertEmitMatchesTrees(tb testing.TB, ex *Executor, q *Query, workers ...int) ([]string, *relstore.Stats) {
 	tb.Helper()
-	docs, err := ex.ExecQueryParallelSpec(q, 0, nil, nil, nil)
+	docs, err := ex.ExecQueryParallelSpec(q, 1, nil, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -175,50 +176,40 @@ func assertEmitMatchesTrees(tb testing.TB, ex *Executor, q *Query) []string {
 			}
 		}
 	}
-	for _, workers := range []int{2, 3} {
-		docs, err := ex.ExecQueryParallelSpec(q, workers, nil, nil, nil)
+	var sink relstore.Stats
+	for _, w := range workers {
+		docs, err := ex.ExecQueryParallelSpec(q, w, &sink, nil, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		same(fmt.Sprintf("trees/workers=%d", workers), serializeDocs(docs))
-	}
-	for _, workers := range []int{0, 2, 3, 16} {
-		var out RowBuf
-		if err := ex.EmitQuerySpec(q, workers, nil, nil, nil, &out); err != nil {
-			tb.Fatal(err)
-		}
-		body, rows := out.Strings()
-		same(fmt.Sprintf("emit/workers=%d", workers), rows)
-		if wantBody := strings.Join(want, "\n") + "\n"; len(want) > 0 && body != wantBody {
-			tb.Fatalf("emit/workers=%d: body %q, want %q", workers, body, wantBody)
-		}
-	}
-	c, err := ex.OpenQueryCursorSpec(q, nil, nil, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var streamed []string
-	buf := []byte("kept")
-	for {
-		buf, err = c.AppendNext(buf[:4])
-		if err == io.EOF {
-			break
-		}
+		same(fmt.Sprintf("trees/workers=%d", w), serializeDocs(docs))
+		c, err := ex.OpenQueryCursorSpec(q, &sink, nil, &RunSpec{Batch: relstore.BatchOpts{Workers: w}})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		streamed = append(streamed, string(buf[4:]))
+		var streamed []string
+		buf := []byte("kept")
+		for {
+			buf, err = c.AppendNext(buf[:4])
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+			streamed = append(streamed, string(buf[4:]))
+		}
+		if string(buf) != "kept" {
+			tb.Fatalf("AppendNext at EOF returned %q, want dst unextended", buf)
+		}
+		same(fmt.Sprintf("bytes/workers=%d", w), streamed)
 	}
-	if string(buf) != "kept" {
-		tb.Fatalf("AppendNext at EOF returned %q, want dst unextended", buf)
-	}
-	same("cursor", streamed)
-	return want
+	return want, &sink
 }
 
 func TestEmitMatchesTreesEveryKind(t *testing.T) {
-	db := kindsDB(t, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7})
-	want := assertEmitMatchesTrees(t, NewExecutor(db), kindsQuery())
+	db := kindsDB(t, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, 5)
+	want, _ := assertEmitMatchesTrees(t, NewExecutor(db), kindsQuery(), 1, 2, 3)
 	if len(want) != 5 {
 		t.Fatalf("rows = %d, want 5", len(want))
 	}
@@ -244,7 +235,32 @@ func TestEmitMatchesTreesEveryKind(t *testing.T) {
 func TestEmitMatchesTreesDeptEmp(t *testing.T) {
 	_, ex := setup(t)
 	v := DeptEmpView()
-	assertEmitMatchesTrees(t, ex, &Query{Table: v.Table, Body: v.Body})
+	assertEmitMatchesTrees(t, ex, &Query{Table: v.Table, Body: v.Body}, 1, 2, 3)
+}
+
+// TestEmitMatchesTreesParallel: over more driving rows than
+// relstore.MorselMinRows the workers construct every XMLExpr kind — as
+// trees and as bytes — to the one-worker trees' bytes, through a full scan
+// and through an index range.
+func TestEmitMatchesTreesParallel(t *testing.T) {
+	db := kindsDB(t, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, relstore.MorselMinRows+5)
+	ex := NewExecutor(db)
+	q := kindsQuery()
+	q.Where = []relstore.Pred{{Col: "id", Op: relstore.CmpGe, Val: int64(0)}}
+	for _, path := range []string{"TABLE SCAN", "INDEX RANGE SCAN"} {
+		if path == "INDEX RANGE SCAN" {
+			if err := db.Table("o").CreateIndex("id"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if plan := ex.ExplainQuerySpec(q, nil); !strings.HasPrefix(plan, path) {
+			t.Fatalf("plan %q, want a %s", plan, path)
+		}
+		want, sink := assertEmitMatchesTrees(t, ex, q, 3)
+		if len(want) != relstore.MorselMinRows+5 || sink.Morsels == 0 {
+			t.Fatalf("%s: %d rows, %d morsels: the parallel route did not run", path, len(want), sink.Morsels)
+		}
+	}
 }
 
 // FuzzEmitVsTree drives the every-kind query over random cell contents:
@@ -256,8 +272,8 @@ func FuzzEmitVsTree(f *testing.F) {
 	f.Add("]]>", "&#10;", math.Inf(1), math.NaN())
 	f.Add("\xff\xfe", " lead", math.Copysign(0, -1), float64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, s1, s2 string, f1, f2 float64) {
-		db := kindsDB(t, []string{s1, s2, s1 + s2, ""}, []float64{f1, f2, f1 * f2})
-		assertEmitMatchesTrees(t, NewExecutor(db), kindsQuery())
+		db := kindsDB(t, []string{s1, s2, s1 + s2, ""}, []float64{f1, f2, f1 * f2}, 5)
+		assertEmitMatchesTrees(t, NewExecutor(db), kindsQuery(), 1, 2)
 	})
 }
 

@@ -360,46 +360,61 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestExecQueryParallelMatchesSerial: with more driving rows than
+// relstore.MorselMinRows the workers group-join and construct the trees the
+// serial route builds, through a full scan and through an index range.
 func TestExecQueryParallelMatchesSerial(t *testing.T) {
 	db, ex := setup(t)
-	// Widen the data so parallelism has rows to chew on.
-	for d := 100; d < 140; d++ {
+	for d := 100; d < 100+relstore.MorselMinRows; d++ {
 		if _, err := db.Table("dept").Insert(int64(d), "D", "L"); err != nil {
 			t.Fatal(err)
 		}
-		for e := 0; e < 5; e++ {
+		for e := 0; e < d%3; e++ {
 			if _, err := db.Table("emp").Insert(int64(d*10+e), "N", "J", int64(1000+e), int64(d)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	if err := db.Table("emp").CreateIndex("deptno"); err != nil {
+		t.Fatal(err)
+	}
 	q := &Query{
 		Table: "dept",
+		Where: []relstore.Pred{{Col: "deptno", Op: relstore.CmpGe, Val: int64(0)}},
 		Body: &Element{Name: "d", Children: []XMLExpr{
 			&Agg{Sub: &SubQuery{Table: "emp", CorrInner: "deptno", CorrOuter: "deptno",
 				Body: &Element{Name: "e", Children: []XMLExpr{&Column{Name: "empno"}}}}},
 		}},
 	}
-	serial, err := ex.ExecQueryParallelSpec(q, 0, &ex.Stats, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ex.ExecQueryParallelSpec(q, 8, &ex.Stats, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].String() != parallel[i].String() {
-			t.Fatalf("row %d differs", i)
+	for _, path := range []string{"TABLE SCAN", "INDEX RANGE SCAN"} {
+		if path == "INDEX RANGE SCAN" {
+			if err := db.Table("dept").CreateIndex("deptno"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// workers<2 degrades to serial.
-	one, err := ex.ExecQueryParallelSpec(q, 1, &ex.Stats, nil, nil)
-	if err != nil || len(one) != len(serial) {
-		t.Fatal("workers=1 fallback wrong")
+		if plan := ex.ExplainQuerySpec(q, nil); !strings.HasPrefix(plan, path) {
+			t.Fatalf("plan %q, want a %s", plan, path)
+		}
+		var serialStats, parallelStats relstore.Stats
+		serial, err := ex.ExecQueryParallelSpec(q, 1, &serialStats, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := ex.ExecQueryParallelSpec(q, 8, &parallelStats, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial) != len(parallel) || len(serial) < relstore.MorselMinRows {
+			t.Fatalf("%s: row counts %d vs %d", path, len(serial), len(parallel))
+		}
+		for i := range serial {
+			if serial[i].String() != parallel[i].String() {
+				t.Fatalf("%s: row %d differs", path, i)
+			}
+		}
+		if serialStats.Morsels != 0 || parallelStats.Morsels == 0 {
+			t.Fatalf("%s: morsels serial=%d parallel=%d", path, serialStats.Morsels, parallelStats.Morsels)
+		}
 	}
 }
 
@@ -430,7 +445,7 @@ func TestDeriveSchemaRejectsMixedContent(t *testing.T) {
 // nil-forwarding ...With/...Governed ladder cannot grow back unnoticed.
 func TestExecutorSurface(t *testing.T) {
 	want := []string{
-		"AddStats", "DeriveSchema", "EmitQuerySpec", "ExecQueryParallelSpec", "ExplainQuerySpec",
+		"AddStats", "DeriveSchema", "ExecQueryParallelSpec", "ExplainQuerySpec",
 		"ExplainViewSpec", "MaterializeRow", "MaterializeViewSpec", "OpenQueryCursorSpec", "OpenViewCursorSpec",
 	}
 	typ := reflect.TypeOf(&Executor{})

@@ -62,11 +62,12 @@ const nestedSheet = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/
 </xsl:template>
 </xsl:stylesheet>`
 
-// newNestedDB loads 60 departments (every fifth sharing its predecessor's
-// deptno, every seventh with a NULL one), employees in heap order unrelated
-// to department order (some with a NULL deptno, some departments with none)
-// and projects likewise. No index is created.
-func newNestedDB(t *testing.T) *Database {
+// newNestedDB loads depts departments over 60 deptno values (every fifth
+// sharing its predecessor's deptno, every seventh with a NULL one),
+// employees in heap order unrelated to department order (some with a NULL
+// deptno, some deptno values with none) and projects likewise. No index is
+// created.
+func newNestedDB(t *testing.T, depts int) *Database {
 	t.Helper()
 	d := NewDatabase()
 	tables := []struct {
@@ -88,7 +89,7 @@ func newNestedDB(t *testing.T) *Database {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 60; i++ {
+	for i := 0; i < depts; i++ {
 		var deptno relstore.Value = int64(100 + (i*37)%60) // department order ≠ key order
 		switch {
 		case i%7 == 6:
@@ -119,47 +120,66 @@ func newNestedDB(t *testing.T) *Database {
 }
 
 // TestNestedJoinByteIdentity: the three-level plan emits the functional
-// baseline's bytes under every worker count, batch size and access path —
-// first with no index (scan joins), then with both correlation columns
-// indexed (index joins).
+// baseline's bytes under every batch size and access path — first with no
+// index (scan joins), then with both correlation columns indexed (index
+// joins). Over more departments than relstore.MorselMinRows, two and four
+// workers take the parallel route and emit the serial run's bytes, over the
+// full scan and over an index range.
 func TestNestedJoinByteIdentity(t *testing.T) {
-	d := newNestedDB(t)
-	ct, err := d.CompileTransform("org", nestedSheet)
-	if err != nil {
-		t.Fatal(err)
+	d := newNestedDB(t, 60)
+	wide := newNestedDB(t, 10_000) // the 6 in 7 with a deptno still outnumber MorselMinRows
+	compile := func(d *Database, opts ...Option) *CompiledTransform {
+		t.Helper()
+		ct, err := d.CompileTransform("org", nestedSheet, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
 	}
+	ct, wideCT := compile(d), compile(wide)
 	if ct.Strategy() != StrategySQL {
 		t.Fatalf("strategy = %v (%s)", ct.Strategy(), ct.FallbackReason())
 	}
-	baseline, err := d.CompileTransform("org", nestedSheet, WithForcedStrategy(StrategyNoRewrite))
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := compile(d, WithForcedStrategy(StrategyNoRewrite))
 	want := runRows(t, baseline).Rows
 	if len(want) != 60 || !strings.Contains(strings.Join(want, ""), "<p>") {
 		t.Fatalf("baseline: %d rows, projects reached: %t", len(want), strings.Contains(strings.Join(want, ""), "<p>"))
 	}
 	matrix := func(label string) {
 		t.Helper()
-		for _, workers := range []int{1, 2, 4} {
-			for _, batch := range []int{1, 7, 1024} {
-				opts := []RunOption{WithWorkers(workers), WithBatchSize(batch)}
-				assertSameRows(t, fmt.Sprintf("%s workers=%d batch=%d", label, workers, batch), want, runRows(t, ct, opts...).Rows)
-				assertSameRows(t, fmt.Sprintf("%s workers=%d batch=%d no-pushdown", label, workers, batch), want,
-					runRows(t, ct, append(opts, WithoutPushdown())...).Rows)
-			}
+		for _, batch := range []int{1, 7, 1024} {
+			opts := []RunOption{WithWorkers(1), WithBatchSize(batch)}
+			assertSameRows(t, fmt.Sprintf("%s batch=%d", label, batch), want, runRows(t, ct, opts...).Rows)
+			assertSameRows(t, fmt.Sprintf("%s batch=%d no-pushdown", label, batch), want,
+				runRows(t, ct, append(opts, WithoutPushdown())...).Rows)
 		}
 		assertSameRows(t, label+" no-rewrite batch=7", want, runRows(t, baseline, WithBatchSize(7)).Rows)
+	}
+	// parallel holds the wide database's runs at each {workers, batch size}
+	// to its serial run's bytes.
+	parallel := func(label string, runs ...[2]int) {
+		t.Helper()
+		serial := runRows(t, wideCT, WithWorkers(1)).Rows
+		for _, run := range runs {
+			res := runRows(t, wideCT, WithWorkers(run[0]), WithBatchSize(run[1]))
+			assertSameRows(t, fmt.Sprintf("%s workers=%d batch=%d", label, run[0], run[1]), serial, res.Rows)
+			if res.Stats.MorselsExecuted == 0 {
+				t.Fatalf("%s workers=%d batch=%d did not take the parallel route", label, run[0], run[1])
+			}
+		}
 	}
 	if plan := ct.ExplainPlan(); !strings.Contains(plan, "-> SCAN JOIN emp(deptno) = outer.deptno") ||
 		!strings.Contains(plan, "    -> SCAN JOIN project(empno) = outer.empno") {
 		t.Fatalf("unindexed plan:\n%s", plan)
 	}
 	matrix("scan-join")
+	parallel("scan-join", [2]int{4, 1024}) // a scan join per department's employees: the costly shape
 
-	for table, col := range map[string]string{"emp": "deptno", "project": "empno", "dept": "deptno"} {
-		if err := d.CreateIndex(table, col); err != nil {
-			t.Fatal(err)
+	for _, db := range []*Database{d, wide} {
+		for table, col := range map[string]string{"emp": "deptno", "project": "empno", "dept": "deptno"} {
+			if err := db.CreateIndex(table, col); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if plan := ct.ExplainPlan(); !strings.Contains(plan, "-> INDEX JOIN emp(deptno) = outer.deptno FILTER sal > 1000") ||
@@ -167,6 +187,12 @@ func TestNestedJoinByteIdentity(t *testing.T) {
 		t.Fatalf("indexed plan:\n%s", plan)
 	}
 	matrix("index-join")
+	parallel("index-join", [2]int{2, 64}, [2]int{4, 1024})
+	for _, path := range drivingPaths("deptno >= 100") {
+		res := runRows(t, wideCT, path.with(WithWorkers(4), WithBatchSize(7))...)
+		assertSameRows(t, path.name, runRows(t, wideCT, path.with(WithWorkers(1))...).Rows, res.Rows)
+		assertParallel(t, path.name, path, res.Stats)
+	}
 	opts := []RunOption{WithWhere("deptno >= $lo and deptno < $hi"), WithParam("lo", 110), WithParam("hi", 140)}
 	assertSameRows(t, "window", runRows(t, baseline, opts...).Rows, runRows(t, ct, append(opts, WithBatchSize(3))...).Rows)
 }

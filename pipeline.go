@@ -129,7 +129,16 @@ func (p *pipeline) appendNext(dst []byte) (out []byte, err error) {
 	} else {
 		out, err = p.evalNext(dst)
 	}
+	if err == io.EOF {
+		return dst, err
+	}
 	if err != nil {
+		// A worker's panic, contained on its goroutine, is the same failure
+		// as one raised here.
+		var pe *relstore.PanicError
+		if errors.As(err, &pe) {
+			err = fmt.Errorf("xsltdb: %s: %w", p.strategy, &InternalError{Panic: pe.Value, Stack: pe.Stack})
+		}
 		return dst, err
 	}
 	if err := p.gov.ChargeRow(len(out) - len(dst)); err != nil {
@@ -196,10 +205,14 @@ func blameless(err error) bool {
 	return governor.IsGovernance(err) || errors.Is(err, ErrDatabaseClosed) || errors.As(err, &stage)
 }
 
-// end finishes the attempt's spans with its outcome — io.EOF for a stream
-// that ran to its end, nil for one abandoned healthy (a cursor closed early),
-// else the error that stopped it — after rows rows were handed on.
+// end stops the attempt's driving cursor and finishes its spans with its
+// outcome — io.EOF for a stream that ran to its end, nil for one abandoned
+// healthy (a cursor closed early), else the error that stopped it — after
+// rows rows were handed on.
 func (p *pipeline) end(rows int64, err error) {
+	if p.rows != nil {
+		p.rows.Close()
+	}
 	if p.span == nil {
 		return
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/governor"
 	"repro/internal/obs"
+	"repro/internal/relstore"
 	"repro/internal/sqlxml"
 	"repro/internal/xslt"
 )
@@ -107,41 +108,49 @@ func TestRunContextCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestParallelRunCancel: the same promptness contract with the SQL strategy
-// fanned out over workers — the dispatch loop and every worker must stop.
+// TestParallelRunCancel: the same contract on the parallel route, over a
+// full scan and an index range — the consumer and every worker must stop.
 func TestParallelRunCancel(t *testing.T) {
-	d := newBigDeptDB(t, 10_000)
+	d := newWideDeptDB(t, 4*relstore.MorselMinRows)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gate on the driving scan: it is the long deterministic phase of the
-	// parallel path (worker construction finishes in a burst), and both the
-	// scan iterator and the worker dispatch loop share the same governor.
-	faultpoint.EnableAfter("relstore.scan.batch", math.MaxInt32, nil)
 	defer faultpoint.Reset()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := ct.Run(ctx, WithWorkers(4))
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for faultpoint.Hits("relstore.scan.batch") < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("run never started scanning")
+	for _, path := range drivingPaths("deptno >= 0") {
+		// Gate on the consumer's batch pulls: small batches keep it pulling
+		// long after the first morsels were built, so the cancel below
+		// lands mid-run.
+		site := map[string]string{"full-scan": "relstore.scan.batch", "index-range": "relstore.index.batch"}[path.name]
+		faultpoint.EnableAfter(site, math.MaxInt32, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		type outcome struct {
+			res *Result
+			err error
 		}
-		runtime.Gosched()
-	}
-	cancel()
-	select {
-	case err = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("parallel run did not return after cancel")
-	}
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := ct.Run(ctx, path.with(WithWorkers(4), WithBatchSize(64))...)
+			done <- outcome{res, err}
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for faultpoint.Hits(site) < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: run never started scanning", path.name)
+			}
+			runtime.Gosched()
+		}
+		cancel()
+		var got outcome
+		select {
+		case got = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: parallel run did not return after cancel", path.name)
+		}
+		if !errors.Is(got.err, ErrCanceled) {
+			t.Fatalf("%s: err = %v, want ErrCanceled", path.name, got.err)
+		}
+		assertParallel(t, path.name, path, got.res.Stats)
 	}
 }
 
@@ -363,6 +372,43 @@ func TestPanicContainment(t *testing.T) {
 	var ie *InternalError
 	if !errors.As(err, &ie) || len(ie.Stack) == 0 {
 		t.Fatalf("err must carry an *InternalError with a stack, got %v", err)
+	}
+}
+
+// TestPanicContainmentOnWorkers: a panic in a morsel worker's job — here the
+// group-join every constructed department runs — cannot be recovered by the
+// facade's boundary on the consumer's goroutine, so the pool contains it on
+// the worker; it then fails its attempt like a panic raised on the
+// consumer: typed, with the worker's stack, counted, and degraded from.
+func TestPanicContainmentOnWorkers(t *testing.T) {
+	d := newWideDeptDB(t, relstore.MorselMinRows)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.EnablePanic("relstore.join.batch")
+	defer faultpoint.Reset()
+
+	// Every strategy constructs on the workers, so each attempt panics there.
+	res, err := ct.Run(context.Background(), WithWorkers(4))
+	var ie *InternalError
+	if !errors.As(err, &ie) || len(ie.Stack) == 0 || !strings.Contains(err.Error(), "faultpoint: injected panic") {
+		t.Fatalf("err = %v, want an *InternalError carrying the worker's panic and stack", err)
+	}
+	if es := res.Stats; es.PanicsRecovered != 3 || es.Degradations != 2 || es.MorselsExecuted == 0 {
+		t.Fatalf("panics=%d degradations=%d morsels=%d, want 3/2 on the parallel route", es.PanicsRecovered, es.Degradations, es.MorselsExecuted)
+	}
+
+	cur, err := ct.OpenCursor(context.Background(), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Next(); !errors.Is(err, ErrInternal) {
+		t.Fatalf("cursor Next = %v, want ErrInternal", err)
+	}
+	cur.Close()
+	if es := cur.Stats(); es.PanicsRecovered != 1 || es.StrategyUsed != StrategySQL {
+		t.Fatalf("cursor: panics=%d strategy=%v, want 1 on the SQL strategy", es.PanicsRecovered, es.StrategyUsed)
 	}
 }
 
@@ -605,34 +651,33 @@ func TestLimitsBoundTheWork(t *testing.T) {
 		}
 	}
 
-	// The chunked parallel construction drains its driving scan first, but
-	// every construct worker stops at the verdict. A worker group-joins a
-	// whole batch of its chunk before its first row check, so the batch is
-	// 64 rows: at the default 1 024 each worker's ~500-row chunk is one
-	// batch, and how many workers had joined theirs before the verdict —
-	// 5–10 % of the unlimited run's ticks, under -race past 10 % about one
-	// run in five — was scheduling, not whether the workers stop. At 64 the
-	// limited run charges 1.5–3 %.
+	// The parallel route stops the same way: the consumer stops at the
+	// offending row and the workers never run more than the window of
+	// morsels (two per worker) ahead of it, so over 32 morsels neither entry
+	// point scans more than window + workers of them.
 	t.Run("workers", func(t *testing.T) {
-		opts := []RunOption{WithWorkers(4), WithBatchSize(64)}
-		unlimited, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+		const workers, morsel = 4, 4096
+		kd := newKeyedDB(t, 32*morsel)
+		ct, err := kd.CompileTransform("rows", keyedSheet, WithMaxRows(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := unlimited.Run(ctx, opts...)
+		check := func(entry string, es ExecStats, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrLimitExceeded) {
+				t.Fatalf("%s: err = %v, want ErrLimitExceeded", entry, err)
+			}
+			if bound := int64((2*workers + workers) * morsel); es.MorselsExecuted == 0 || es.RowsScanned > bound {
+				t.Fatalf("%s scanned %d rows in %d morsels, want the parallel route and at most %d", entry, es.RowsScanned, es.MorselsExecuted, bound)
+			}
+		}
+		res, err := ct.Run(ctx, WithWorkers(workers))
+		check("Run", res.Stats, err)
+		cur, err := ct.OpenCursor(ctx, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet, WithMaxRows(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ct.Run(ctx, opts...)
-		if !errors.Is(err, ErrLimitExceeded) {
-			t.Fatalf("err = %v, want ErrLimitExceeded", err)
-		}
-		if res.Stats.GovTicks*10 > all.Stats.GovTicks {
-			t.Fatalf("limited parallel run charged %d ticks of the unlimited run's %d: the workers did not stop", res.Stats.GovTicks, all.Stats.GovTicks)
-		}
+		_, err = cur.Collect()
+		check("cursor", cur.Stats(), err)
 	})
 }

@@ -93,12 +93,12 @@ func WithTrace(t *obs.Trace) RunOption {
 	return runOptionFunc(func(o *runOptions) { o.trace = t })
 }
 
-// WithWorkers bounds this run's worker pools: the morsel workers a large
-// full scan fans out to AND the parallel construction workers of the SQL
-// strategy. 1 forces fully serial execution (the debugging baseline — output
-// is byte-identical at any worker count); 0 or unset means the defaults
-// (GOMAXPROCS morsel workers, serial construction). Negative counts are
-// rejected as ErrBadRunOption.
+// WithWorkers bounds this run's morsel workers: a driving scan of at least
+// 8 192 candidates (heap rows of a full scan, or ids of an index range) is
+// filtered, group-joined and constructed a morsel at a time by that many
+// workers; a smaller one runs serially. 1 forces fully serial execution (the
+// debugging baseline — output is byte-identical at any worker count); 0 or
+// unset means GOMAXPROCS. Negative counts are rejected as ErrBadRunOption.
 func WithWorkers(n int) RunOption {
 	return runOptionFunc(func(o *runOptions) {
 		if n < 0 {

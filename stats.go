@@ -30,8 +30,8 @@ type ExecStats struct {
 	// Batches counts the chunks the batch-at-a-time access paths emitted;
 	// RowsEmitted / Batches is the realized average batch size.
 	Batches int64
-	// MorselsExecuted counts scan morsels processed by the parallel
-	// full-scan worker pool (0 when every scan ran serially).
+	// MorselsExecuted counts the morsels the morsel pool's workers scanned
+	// and constructed (0 when every scan ran serially).
 	MorselsExecuted int64
 	// Recompiles counts automatic recompilations this run performed (0 or
 	// 1: a view redefinition since the last compilation).

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/governor"
 	"repro/internal/obs"
+	"repro/internal/relstore"
 	"repro/internal/sqlxml"
 	"repro/internal/xslt"
 )
@@ -194,7 +197,7 @@ func TestChainedCursorMatchesRun(t *testing.T) {
 // no degradation re-runs the first stage on a weaker strategy — through the
 // serial route, the parallel one and the cursor alike.
 func TestChainedStageFailureIsBlameless(t *testing.T) {
-	d := newDeptDB(t)
+	d := newWideDeptDB(t, relstore.MorselMinRows)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +225,9 @@ func TestChainedStageFailureIsBlameless(t *testing.T) {
 		entry func(...RunOption) (ExecStats, error)
 		opts  []RunOption
 	}{
-		{"run", run, nil}, {"run-parallel", run, []RunOption{WithWorkers(2)}}, {"cursor", stream, nil},
+		{"run", run, []RunOption{WithWorkers(1)}},
+		{"run-parallel", run, []RunOption{WithWorkers(2)}},
+		{"cursor", stream, []RunOption{WithWorkers(1)}},
 	} {
 		clean, err := ct.Run(context.Background(), e.opts...)
 		if err != nil {
@@ -235,6 +240,9 @@ func TestChainedStageFailureIsBlameless(t *testing.T) {
 		if es.StrategyUsed != StrategySQL || es.Degradations != 0 {
 			t.Fatalf("%s: a stage failure was charged to the strategy: %+v", e.name, es)
 		}
+		if parallel := e.name == "run-parallel"; (es.MorselsExecuted > 0) != parallel {
+			t.Fatalf("%s: %d morsels, parallel route %t", e.name, es.MorselsExecuted, parallel)
+		}
 		if es.RowsScanned > clean.Stats.RowsScanned {
 			t.Fatalf("%s: scanned %d rows, a clean run scans %d — the first stage ran more than once",
 				e.name, es.RowsScanned, clean.Stats.RowsScanned)
@@ -242,12 +250,14 @@ func TestChainedStageFailureIsBlameless(t *testing.T) {
 	}
 }
 
-// TestChainedRunParallelMatchesSerial: a chained Run under WithWorkers takes
-// the parallel construction route like a plain one, with the same bytes and
-// the same final-row limit.
+// TestChainedRunParallelMatchesSerial: a chained Run under WithWorkers
+// constructs its first stage on the parallel route like a plain one, and
+// passes each row through the stages as it is pulled, with the same bytes and
+// the same final-row limit — over a full scan and an index range.
 func TestChainedRunParallelMatchesSerial(t *testing.T) {
-	d := newKeyedDB(t, 50)
-	ct, err := d.CompileTransform("rows", keyedSheet, WithMaxRows(50))
+	const n = relstore.MorselMinRows + 50
+	d := newKeyedDB(t, n)
+	ct, err := d.CompileTransform("rows", keyedSheet, WithMaxRows(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,22 +267,77 @@ func TestChainedRunParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := chain.Run(context.Background())
+	for _, path := range drivingPaths("@id >= 0") {
+		serial, err := chain.Run(context.Background(), path.with(WithWorkers(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.New()
+		parallel, err := chain.Run(context.Background(), path.with(WithWorkers(2), WithTrace(tr))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRows(t, path.name+": parallel vs serial chained run", serial.Rows, parallel.Rows)
+		if len(parallel.Rows) != n || !strings.Contains(parallel.Rows[0], "<HIT>") {
+			t.Fatalf("%s: rows = %d, first %q", path.name, len(parallel.Rows), parallel.Rows[0])
+		}
+		assertParallel(t, path.name, path, parallel.Stats)
+		if !strings.Contains(tr.Tree(), "workers=2") {
+			t.Fatalf("%s: the scan span does not report the workers:\n%s", path.name, tr.Tree())
+		}
+		tr.Release()
+	}
+}
+
+// TestCursorMatchesRunParallel: on the parallel route, too, Run and the
+// cursor deliver the same bytes, the same account and the same span tree.
+func TestCursorMatchesRunParallel(t *testing.T) {
+	d := newWideDeptDB(t, relstore.MorselMinRows+10)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New()
-	defer tr.Release()
-	parallel, err := chain.Run(context.Background(), WithWorkers(2), WithTrace(tr))
+	for _, path := range drivingPaths("deptno >= 0") {
+		t.Run(path.name, func(t *testing.T) {
+			c := executionCase{name: "parallel", want: func(es ExecStats) bool {
+				return es.StrategyUsed == StrategySQL && es.MorselsExecuted > 0 && strings.HasPrefix(es.AccessPath, path.access)
+			}}
+			opts := path.with(WithWorkers(4))
+			assertEntriesAgree(t, c, ct,
+				func(ctx context.Context, o ...RunOption) (*Result, error) { return ct.Run(ctx, append(o, opts...)...) },
+				func(ctx context.Context, o ...RunOption) (*Cursor, error) {
+					return ct.OpenCursor(ctx, append(o, opts...)...)
+				})
+		})
+	}
+}
+
+// TestCursorCloseStopsWorkers: a cursor closed mid-stream on the parallel
+// route leaves no worker goroutine behind.
+func TestCursorCloseStopsWorkers(t *testing.T) {
+	d := newWideDeptDB(t, 4*relstore.MorselMinRows)
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRows(t, "parallel vs serial chained run", serial.Rows, parallel.Rows)
-	if len(parallel.Rows) != 50 || !strings.Contains(parallel.Rows[0], "<HIT>") {
-		t.Fatalf("rows = %d, first %q", len(parallel.Rows), parallel.Rows[0])
+	before := runtime.NumGoroutine()
+	cur, err := ct.OpenCursor(context.Background(), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(tr.Tree(), "parallel_workers=2") {
-		t.Fatalf("the chained run did not construct in parallel:\n%s", tr.Tree())
+	if _, err := cur.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if es := cur.Stats(); es.MorselsExecuted == 0 {
+		t.Fatalf("the cursor did not take the parallel route: %+v", es)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the cursor opened", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -639,11 +704,11 @@ func TestConcurrentRunAndReplace(t *testing.T) {
 }
 
 // TestConcurrentParallelExecAndStats is the -race regression for the shared
-// Executor.Stats counter: parallel SQL execution from several goroutines
-// while another goroutine reads the aggregate.
+// Executor.Stats counter: runs on the parallel route from several goroutines,
+// over a full scan and an index range, while another goroutine reads the
+// aggregate.
 func TestConcurrentParallelExecAndStats(t *testing.T) {
-	d := newDeptDB(t)
-	_ = d.CreateIndex("emp", "deptno")
+	d := newWideDeptDB(t, relstore.MorselMinRows)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
@@ -655,22 +720,23 @@ func TestConcurrentParallelExecAndStats(t *testing.T) {
 			_ = d.Stats().IndexProbes // concurrent aggregate reads
 		}
 	}()
+	paths := drivingPaths("deptno >= 0")
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() {
+		go func(path drivingPath) {
 			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				if res, err := ct.Run(context.Background(), WithWorkers(4)); err != nil {
+			for j := 0; j < 3; j++ {
+				if res, err := ct.Run(context.Background(), path.with(WithWorkers(4))...); err != nil {
 					errs <- err
 					return
-				} else if res.Stats.RowsProduced == 0 {
-					errs <- errors.New("no rows")
+				} else if res.Stats.RowsProduced != relstore.MorselMinRows+2 || res.Stats.MorselsExecuted == 0 {
+					errs <- fmt.Errorf("%s: %d rows, %d morsels", path.name, res.Stats.RowsProduced, res.Stats.MorselsExecuted)
 					return
 				}
 			}
-		}()
+		}(paths[i%2])
 	}
 	wg.Wait()
 	<-done

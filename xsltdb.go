@@ -868,8 +868,7 @@ func (ct *CompiledTransform) Run(ctx context.Context, opts ...RunOption) (*Resul
 // flows through. It walks the degradation chain with open + drain as the
 // attempt: each strategy streams into the run's pooled buffer, which is
 // emptied before every attempt, so a run that degrades mid-stream carries
-// none of the failed attempt's bytes. The one other route is the SQL
-// strategy's chunked parallel construction, taken at two or more workers.
+// none of the failed attempt's bytes.
 func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts []RunOption) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -891,19 +890,9 @@ func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts 
 	out := sqlxml.GetRowBuf()
 	defer sqlxml.PutRowBuf(out)
 	chain := startChain(x.trace, stages)
-	// WithWorkers sizes both the scan's morsel pool (via spec.Batch) and the
-	// construction fan-out.
-	workers := x.spec.Batch.Workers
 	p, err := ct.db.walkChain(ctx, x.st, ct.opts, x.spec, x.root, es, func(p *pipeline) error {
 		out.Reset()
 		chain.govern(ctx, &ct.opts)
-		if p.strategy == StrategySQL && workers >= 2 {
-			err := ct.db.exec.EmitQuerySpec(x.st.plan, workers, &sink, p.gov, x.spec, out)
-			if err != nil || chain == nil {
-				return err
-			}
-			return chain.restage(out)
-		}
 		if err := ct.db.open(p, x.st, x.spec, &sink); err != nil {
 			return err
 		}
@@ -1087,13 +1076,9 @@ func (cr *chainRun) appendNext(p *pipeline, dst []byte) ([]byte, error) {
 	if err != nil || cr == nil {
 		return out, err
 	}
-	return cr.stage(dst, string(out[len(dst):]))
-}
-
-// stage appends to dst what the chained stages make of row, charged to
-// cr.gov. Every error it returns is a stageError.
-func (cr *chainRun) stage(dst []byte, row string) ([]byte, error) {
-	s, err := cr.apply(row)
+	// What the stages make of the row is charged to cr.gov; every error from
+	// here on is a stageError.
+	s, err := cr.apply(string(out[len(dst):]))
 	if err == nil {
 		err = cr.gov.ChargeRow(len(s))
 	}
@@ -1101,21 +1086,6 @@ func (cr *chainRun) stage(dst []byte, row string) ([]byte, error) {
 		return dst, stageError{err}
 	}
 	return append(dst, s...), nil
-}
-
-// restage replaces the rows of out — a first stage constructed in parallel,
-// whole — with what the chained stages make of them.
-func (cr *chainRun) restage(out *sqlxml.RowBuf) error {
-	_, rows := out.Strings()
-	out.Reset()
-	for _, row := range rows {
-		buf, err := cr.stage(out.Bytes(), row)
-		if err != nil {
-			return err
-		}
-		out.EndRow(buf)
-	}
-	return nil
 }
 
 // apply runs one row of the first stage's output through every chained stage.

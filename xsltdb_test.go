@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/relstore"
 	"repro/internal/sqlxml"
 	"repro/internal/xslt"
 )
@@ -335,28 +336,19 @@ func TestKeyFunctionFallsBack(t *testing.T) {
 	}
 }
 
+// TestParallelStrategyAgrees: the default plan constructs the serial bytes
+// on the parallel route, through a full scan and an index range.
 func TestParallelStrategyAgrees(t *testing.T) {
-	d := newDeptDB(t)
+	d := newWideDeptDB(t, relstore.MorselMinRows+3)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := ct.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := ct.Run(context.Background(), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := ra.Rows, rb.Rows
-	if len(a) != len(b) {
-		t.Fatal("row counts differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs", i)
-		}
+	for _, path := range drivingPaths("deptno >= 0") {
+		serial := runRows(t, ct, path.with(WithWorkers(1))...)
+		parallel := runRows(t, ct, path.with(WithWorkers(4))...)
+		assertSameRows(t, path.name, serial.Rows, parallel.Rows)
+		assertParallel(t, path.name, path, parallel.Stats)
 	}
 }
 
