@@ -22,6 +22,8 @@
 #                 answer correctly (no-rewrite oracle) with no failed request
 #   make bench    the Go benchmarks (go test -bench); the paper's evaluation
 #                 is the repo benchmark, bash bench/run.sh
+#   make allocs   the allocation sites of one Run (serve_miss's engine shape),
+#                 from a memory profile kept in a temporary directory
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
 #   make demo     paper Examples 1 and 2 end to end, streamed with stats
 #   make console  the demo serving the live debug console on :6060
@@ -29,7 +31,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench demo console serve
+.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench allocs demo console serve
 
 verify: test vet bench-vet race fuzz faults crash diag-smoke bench-smoke
 
@@ -110,6 +112,19 @@ bench-smoke:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/obs
+
+# Where a Run's allocations come from: BenchmarkRunDeptWindow (serve_miss's
+# engine shape) with every allocation sampled, printed as pprof's top
+# allocation sites of the run path, set-up excluded. Counts are totals over
+# the benchmark's 1 001 runs (one warm-up, then 1 000): divide by 1 001 for
+# allocations per run. The test binary and profile go to a temporary
+# directory that is removed afterwards.
+allocs:
+	@dir=$$(mktemp -d); \
+	$(GO) test -run '^$$' -bench '^BenchmarkRunDeptWindow$$' -benchtime 1000x -benchmem \
+		-memprofilerate 1 -memprofile $$dir/mem.out -o $$dir/xsltdb.test . && \
+	$(GO) tool pprof -sample_index=alloc_objects -nodefraction 0 -focus 'CompiledTransform..run$$' -top $$dir/xsltdb.test $$dir/mem.out; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # The serving daemon over the in-memory demo database: the paper stylesheet
 # at http://localhost:8080/v1/transform/paper, console at :6060.

@@ -127,15 +127,19 @@ func deptWindow(t *testing.T) (*CompiledTransform, []RunOption) {
 	return ct, []RunOption{WithWhere("deptno >= $lo and deptno < $hi"), WithParam("lo", 1030), WithParam("hi", 1055)}
 }
 
-// TestRunAllocationCeiling pins what the fused pipeline and the group-join
-// buy: a Run over 25 departments of 20 employees (≈ 8 000 allocations when
-// every row was a tree, then a builder, then a string; ≈ 320 while every
-// department planned, opened and copied its own index probe) stays under
-// 85. What remains does not grow with the departments: the run's fixed
-// costs — option and spec handling, the driving plan and scan, the one
-// pipeline the chain walk opens, the result strings (the subquery plan and
-// its group scratch come from a pool). The ceiling sits close to the ≈ 80
-// measured so that per-run stats formatting cannot creep back unnoticed.
+// TestRunAllocationCeiling pins what the fused pipeline, the group-join and
+// binding instead of re-deriving buy: a Run over 25 departments of 20
+// employees (≈ 8 000 allocations when every row was a tree, then a builder,
+// then a string; ≈ 320 while every department planned, opened and copied its
+// own index probe; ≈ 80 while every run re-lowered its WithWhere text,
+// pinned a fresh snapshot and formatted its access path through fmt) stays
+// under 25. What remains does not grow with the departments: the run's
+// fixed costs — the options, the spec and its one predicate buffer, the
+// cursor and the one pipeline the chain walk opens, the merged index range,
+// the access-path string, the result strings (the where lowering and the
+// snapshot are shared while nothing changes; the subquery plan and its group
+// scratch come from a pool). The ceiling sits close to the 22 measured so
+// that none of those can creep back unnoticed.
 func TestRunAllocationCeiling(t *testing.T) {
 	ct, opts := deptWindow(t)
 	ctx := context.Background()
@@ -148,7 +152,7 @@ func TestRunAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("Run over 25 departments: %.0f allocs", allocs)
-	ceiling := 85.0
+	ceiling := 25.0
 	if poolsDropItems() {
 		ceiling = 150 // the run's pooled buffers, batches and subquery plans are reallocated at random
 	}

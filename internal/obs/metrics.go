@@ -83,13 +83,23 @@ func (f *family) getSeries(labelValues []string) *series {
 	if len(labelValues) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x00")
+	// The key is built in a stack buffer: a lookup that finds its series
+	// converts it without allocating, and only a new series keeps a string.
+	var buf [64]byte
+	b := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			b = append(b, 0)
+		}
+		b = append(b, v...)
+	}
 	f.mu.RLock()
-	s := f.series[key]
+	s := f.series[string(b)]
 	f.mu.RUnlock()
 	if s != nil {
 		return s
 	}
+	key := string(b)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s = f.series[key]; s != nil {

@@ -251,11 +251,14 @@ func (s *batchScanIter) NextBatch(batch *Batch) (int, bool) {
 
 func (s *batchScanIter) Err() error { return s.err }
 
-func scanExplain(t *Table, preds []Pred) string {
+func appendScanExplain(dst []byte, t *Table, preds []Pred) []byte {
+	dst = append(dst, "TABLE SCAN "...)
+	dst = append(dst, t.Name...)
 	if len(preds) == 0 {
-		return "TABLE SCAN " + t.Name
+		return dst
 	}
-	return "TABLE SCAN " + t.Name + " FILTER " + predsString(preds)
+	dst = append(dst, " FILTER "...)
+	return appendPreds(dst, preds)
 }
 
 // batchIndexIter drives a B-tree descent over a pinned snapshot and emits

@@ -3,7 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -92,15 +92,40 @@ type Pred struct {
 
 // String renders the predicate in SQL style; parameter placeholders render
 // as :name bind variables.
-func (p Pred) String() string {
-	v := p.Val
+func (p Pred) String() string { return string(appendPred(nil, p)) }
+
+// appendPred appends p as String renders it.
+func appendPred(dst []byte, p Pred) []byte {
+	dst = append(dst, p.Col...)
+	dst = append(dst, ' ')
+	dst = append(dst, p.Op.String()...)
+	dst = append(dst, ' ')
+	return appendValue(dst, p.Val, true)
+}
+
+// appendValue appends v as EXPLAIN and SQL text spell it: a parameter
+// placeholder as its :name bind variable, a string in single quotes when
+// quote is set, anything else as fmt's %v would.
+func appendValue(dst []byte, v Value, quote bool) []byte {
 	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
 	case string:
-		v = "'" + x + "'"
+		if !quote {
+			return append(dst, x...)
+		}
+		dst = append(dst, '\'')
+		dst = append(dst, x...)
+		return append(dst, '\'')
 	case ParamValue:
-		v = ":" + string(x)
+		dst = append(dst, ':')
+		return append(dst, x...)
+	case nil:
+		return append(dst, "<nil>"...)
 	}
-	return fmt.Sprintf("%s %s %v", p.Col, p.Op, v)
+	return append(dst, fmt.Sprint(v)...)
 }
 
 // ParamValue is a bind-variable placeholder inside Pred.Val: the predicate
@@ -121,8 +146,13 @@ func BindPreds(preds []Pred, params map[string]Value) ([]Pred, error) {
 	if !HasParams(preds) {
 		return preds, nil
 	}
-	out := make([]Pred, len(preds))
-	for i, p := range preds {
+	return AppendBound(make([]Pred, 0, len(preds)), preds, params)
+}
+
+// AppendBound appends preds to dst with every placeholder bound from params,
+// as BindPreds does, so a caller can bind into a buffer of its own.
+func AppendBound(dst, preds []Pred, params map[string]Value) ([]Pred, error) {
+	for _, p := range preds {
 		if name, ok := p.Val.(ParamValue); ok {
 			v, bound := params[string(name)]
 			if !bound {
@@ -130,9 +160,9 @@ func BindPreds(preds []Pred, params map[string]Value) ([]Pred, error) {
 			}
 			p.Val = v
 		}
-		out[i] = p
+		dst = append(dst, p)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // BindPredsPartial substitutes the parameters present in params and leaves
@@ -190,49 +220,55 @@ func (p Pred) Matches(cell Value) bool {
 	return false
 }
 
-// boundText renders a bound's value; parameter placeholders render as :name
-// bind variables (a plan over an unbound parameter is still explainable —
-// its shape does not depend on the value).
-func boundText(v Value) any {
-	if name, ok := v.(ParamValue); ok {
-		return ":" + string(name)
-	}
-	return v
-}
-
-func describeRange(col string, lo, hi Bound) string {
+// appendRange appends the interval [lo, hi] on col. A bound's value is
+// unquoted, and a parameter placeholder renders as its :name bind variable
+// (a plan over an unbound parameter is still explainable — its shape does
+// not depend on the value).
+func appendRange(dst []byte, col string, lo, hi Bound) []byte {
 	switch {
 	case isPoint(lo, hi):
-		return fmt.Sprintf("%s = %v", col, boundText(lo.Value))
+		dst = append(dst, col...)
+		dst = append(dst, " = "...)
+		return appendValue(dst, lo.Value, false)
 	case lo.Unbounded && hi.Unbounded:
-		return "(full)"
-	default:
-		var parts []string
-		if !lo.Unbounded {
-			op := ">"
-			if lo.Inclusive {
-				op = ">="
-			}
-			parts = append(parts, fmt.Sprintf("%s %s %v", col, op, boundText(lo.Value)))
-		}
-		if !hi.Unbounded {
-			op := "<"
-			if hi.Inclusive {
-				op = "<="
-			}
-			parts = append(parts, fmt.Sprintf("%s %s %v", col, op, boundText(hi.Value)))
-		}
-		return strings.Join(parts, " AND ")
+		return append(dst, "(full)"...)
 	}
+	if !lo.Unbounded {
+		op := " > "
+		if lo.Inclusive {
+			op = " >= "
+		}
+		dst = append(dst, col...)
+		dst = append(dst, op...)
+		dst = appendValue(dst, lo.Value, false)
+	}
+	if !hi.Unbounded {
+		op := " < "
+		if hi.Inclusive {
+			op = " <= "
+		}
+		if !lo.Unbounded {
+			dst = append(dst, " AND "...)
+		}
+		dst = append(dst, col...)
+		dst = append(dst, op...)
+		dst = appendValue(dst, hi.Value, false)
+	}
+	return dst
 }
 
-func predsString(preds []Pred) string {
-	parts := make([]string, len(preds))
+// appendPreds appends the conjunction of preds.
+func appendPreds(dst []byte, preds []Pred) []byte {
 	for i, p := range preds {
-		parts[i] = p.String()
+		if i > 0 {
+			dst = append(dst, " AND "...)
+		}
+		dst = appendPred(dst, p)
 	}
-	return strings.Join(parts, " AND ")
+	return dst
 }
+
+func predsString(preds []Pred) string { return string(appendPreds(nil, preds)) }
 
 // PathKind classifies a physical access path.
 type PathKind uint8
@@ -413,18 +449,31 @@ func FullScanPlanAt(ts *TableSnap, preds []Pred) AccessPlan {
 }
 
 // Explain describes the planned operator from the plan's own fields — no
-// snapshot is pinned and nothing is opened.
+// snapshot is pinned and nothing is opened. Every run reports it
+// (ExecStats.AccessPath), so it is built in a stack buffer and allocates
+// only the string it returns.
 func (p AccessPlan) Explain(t *Table) string {
-	if p.Kind == PathFullScan {
-		return scanExplain(t, p.Residual)
+	var buf [160]byte
+	return string(p.appendExplain(buf[:0], t))
+}
+
+func (p AccessPlan) appendExplain(dst []byte, t *Table) []byte {
+	switch p.Kind {
+	case PathFullScan:
+		return appendScanExplain(dst, t, p.Residual)
+	case PathIndexProbe:
+		dst = append(dst, "INDEX PROBE "...)
+	default:
+		dst = append(dst, "INDEX RANGE SCAN "...)
 	}
-	op := "INDEX RANGE SCAN"
-	if p.Kind == PathIndexProbe {
-		op = "INDEX PROBE"
-	}
-	s := op + " " + t.Name + "(" + p.Col + ") " + describeRange(p.Col, p.Lo, p.Hi)
+	dst = append(dst, t.Name...)
+	dst = append(dst, '(')
+	dst = append(dst, p.Col...)
+	dst = append(dst, ") "...)
+	dst = appendRange(dst, p.Col, p.Lo, p.Hi)
 	if len(p.Residual) > 0 {
-		s += " FILTER " + predsString(p.Residual)
+		dst = append(dst, " FILTER "...)
+		dst = appendPreds(dst, p.Residual)
 	}
-	return s
+	return dst
 }

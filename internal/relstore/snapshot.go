@@ -104,31 +104,32 @@ func committedPrefix(rows []int, n int) []int {
 // under the table's read lock because Insert rewrites tree nodes in place.
 // The result is READ-ONLY: an interval holding one key returns a view of
 // that key's posting list; only an interval spanning several keys is copied
-// (their lists have to be merged into one order). A missing index yields
-// nil.
+// (their lists have to be merged into one order), into one slice sized by a
+// counting pass over the interval. A missing index yields nil.
 func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
 	var ids []int
-	merged := false // ids is a private copy holding more than one list
+	lists, total := 0, 0
 	s.tab.mu.RLock()
 	if idx := s.tab.indexes[col]; idx != nil {
 		n := len(s.rows)
 		idx.Range(lo, hi, func(_ Value, rows []int) bool {
-			rows = committedPrefix(rows, n)
-			switch {
-			case len(rows) == 0:
-			case ids == nil:
-				ids = rows
-			case !merged:
-				ids = append(append(make([]int, 0, 2*(len(ids)+len(rows))), ids...), rows...)
-				merged = true
-			default:
-				ids = append(ids, rows...)
+			if rows = committedPrefix(rows, n); len(rows) > 0 {
+				ids = rows // the answer, if it stays the only list
+				lists++
+				total += len(rows)
 			}
 			return true
 		})
+		if lists > 1 {
+			ids = make([]int, 0, total)
+			idx.Range(lo, hi, func(_ Value, rows []int) bool {
+				ids = append(ids, committedPrefix(rows, n)...)
+				return true
+			})
+		}
 	}
 	s.tab.mu.RUnlock()
-	if merged {
+	if lists > 1 {
 		sort.Ints(ids)
 	}
 	return ids
@@ -141,8 +142,9 @@ func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
 // state no matter how many inserts land mid-run.
 //
 // A Snapshot holds no locks and needs no explicit release — dropping the
-// last reference frees it. (The facade keeps a pins gauge for
-// observability; that bookkeeping lives there, not here.)
+// last reference frees it. It is immutable, so runs that start between the
+// same two commits share one (DB.Snapshot). (The facade keeps a pins gauge
+// for observability; that bookkeeping lives there, not here.)
 type Snapshot struct {
 	db   *DB
 	seq  int64
@@ -152,7 +154,17 @@ type Snapshot struct {
 // Snapshot pins every table in the database. Tables created after the pin
 // are invisible to it (Table returns nil), exactly like rows inserted after
 // the pin.
+//
+// Until the next write the answer does not change, so the last pin is
+// returned again for as long as the commit counter still reads its seq: a
+// run that starts on an idle database allocates nothing to pin. The write
+// that moves the counter drops the shared pin (Table.committed), and so does
+// the next fresh pin, which replaces it: a superseded snapshot is never
+// served and never kept alive by the database.
 func (db *DB) Snapshot() *Snapshot {
+	if s := db.last.Load(); s != nil && s.seq == db.commits.Load() {
+		return s
+	}
 	// Every write bumps the counter inside the critical section that makes it
 	// visible, and the pin takes those locks: a counter that reads the same
 	// after the pin as before means the snapshot holds exactly the writes
@@ -165,9 +177,17 @@ func (db *DB) Snapshot() *Snapshot {
 			taps[name] = t.Snap()
 		}
 		db.mu.RUnlock()
-		if db.commits.Load() == seq {
-			return &Snapshot{db: db, seq: seq, taps: taps}
+		if db.commits.Load() != seq {
+			continue
 		}
+		s := &Snapshot{db: db, seq: seq, taps: taps}
+		db.last.Store(s)
+		// A write that bumped the counter since the check above may have
+		// dropped the shared pin before this store landed: take it back out.
+		if db.commits.Load() != seq {
+			db.last.CompareAndSwap(s, nil)
+		}
+		return s
 	}
 }
 

@@ -46,17 +46,19 @@ type Table struct {
 	colIdx  map[string]int
 	indexes map[string]*BTree
 
-	// commits is the owning database's commit counter (nil for a table that
-	// was never registered with one); see DB.CommitSeq.
-	commits *atomic.Int64
+	// db is the owning database (nil for a table that was never registered
+	// with one): its commit counter and shared pin; see DB.CommitSeq.
+	db *DB
 }
 
-// committed bumps the owning database's commit counter. Callers invoke it
+// committed bumps the owning database's commit counter and drops the pin
+// DB.Snapshot shares, which no longer holds every write. Callers invoke it
 // inside the critical section that makes the write visible (under t.mu, or
 // db.mu for CreateTable) — DB.Snapshot's exact stamp depends on it.
 func (t *Table) committed() {
-	if t.commits != nil {
-		t.commits.Add(1)
+	if t.db != nil {
+		t.db.commits.Add(1)
+		t.db.last.Store(nil)
 	}
 }
 
@@ -249,6 +251,9 @@ type DB struct {
 	tables map[string]*Table
 
 	commits atomic.Int64
+	// last is the most recent pin, which Snapshot returns again while commits
+	// still reads its seq; the next write drops it.
+	last atomic.Pointer[Snapshot]
 }
 
 // CommitSeq is the database's data version: a counter that moves forward on
@@ -275,7 +280,7 @@ func (db *DB) CreateTable(name string, cols ...Column) (*Table, error) {
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("relstore: table %q already exists", name)
 	}
-	t.commits = &db.commits
+	t.db = db
 	db.tables[name] = t
 	t.committed()
 	return t, nil

@@ -49,6 +49,10 @@ type RunSpec struct {
 	// it, so concurrent DML never perturbs an in-flight run. Nil pins a fresh
 	// snapshot at open time.
 	Snap *relstore.Snapshot
+
+	// driving is the run's own buffer for its merged, bound driving
+	// predicates (BindDriving): every attempt of the run rebinds into it.
+	driving []relstore.Pred
 }
 
 // DrivingPlan is the driving access path the executor chose for a run, with
@@ -159,12 +163,35 @@ func chooseAccess(ts *relstore.TableSnap, preds []relstore.Pred, noPushdown bool
 	return plan
 }
 
-// planDriving merges the compiled WHERE clause with the spec's extras, binds
-// every parameter strictly (an unbound one is an error — running it would
-// silently match nothing), chooses the access path against the pinned
-// snapshot, and reports it back through the spec.
+// BindDriving merges where — the compiled WHERE clause — with the spec's
+// extra predicates and binds every parameter strictly (an unbound one is an
+// error wrapping relstore.ErrUnboundParam: running it would silently match
+// nothing). The result lives in the spec's own buffer, which the next
+// BindDriving overwrites: the run's attempts follow one another, and each
+// binds the same predicates again without allocating.
+func (s *RunSpec) BindDriving(where []relstore.Pred) ([]relstore.Pred, error) {
+	if s == nil || len(s.Extra) == 0 && !relstore.HasParams(where) {
+		return relstore.BindPreds(where, s.params())
+	}
+	if n := len(where) + len(s.Extra); cap(s.driving) < n {
+		s.driving = make([]relstore.Pred, 0, n)
+	}
+	buf, err := relstore.AppendBound(s.driving[:0], where, s.Params)
+	if err == nil {
+		buf, err = relstore.AppendBound(buf, s.Extra, s.Params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.driving = buf
+	return buf, nil
+}
+
+// planDriving binds the run's driving predicates (BindDriving), chooses the
+// access path against the pinned snapshot, and reports it back through the
+// spec.
 func (s *RunSpec) planDriving(ts *relstore.TableSnap, where []relstore.Pred) (relstore.AccessPlan, error) {
-	bound, err := relstore.BindPreds(s.merged(where), s.params())
+	bound, err := s.BindDriving(where)
 	if err != nil {
 		return relstore.AccessPlan{}, err
 	}

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/relstore"
+	"repro/internal/xq2sql"
 )
 
 // planCache is the database's compiled-plan cache: compile once, run many.
@@ -106,6 +109,71 @@ func (c *planCache) evictView(view string) {
 	for k := range c.entries {
 		if k.view == view {
 			delete(c.entries, k)
+		}
+	}
+}
+
+// whereMemoCap bounds the where memo. A serving workload reuses a handful of
+// where texts with different parameters, so the bound only matters against
+// callers that build the text per request; past it, an arbitrary entry makes
+// room.
+const whereMemoCap = 1024
+
+// whereKey is one lowering: a view definition (each CreateXMLView or
+// ReplaceXMLView installs a new one) and a WithWhere text over it.
+type whereKey struct {
+	view *ViewDef
+	text string
+}
+
+// whereMemo holds each WithWhere text lowered against the view it names:
+// the driving-table predicates with their ParamValue slots still unbound,
+// which every run binds into its own spec. A run that repeats a text takes a
+// read lock and a map lookup instead of parsing XPath and rebuilding the
+// view tree. Lowering errors are not kept, so an invalid text fails the
+// same way every time; ReplaceXMLView evicts the view's entries.
+type whereMemo struct {
+	mu      sync.RWMutex
+	entries map[whereKey][]relstore.Pred
+}
+
+// lower returns text lowered against view. The slice is shared by every run
+// of the text and READ-ONLY.
+func (m *whereMemo) lower(view *ViewDef, text string) ([]relstore.Pred, error) {
+	key := whereKey{view, text}
+	m.mu.RLock()
+	preds, ok := m.entries[key]
+	m.mu.RUnlock()
+	if ok {
+		return preds, nil
+	}
+	preds, err := xq2sql.ExtractWhere(view, text)
+	if err != nil {
+		return nil, err
+	}
+	preds = preds[:len(preds):len(preds)] // an append by a caller copies
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries == nil {
+		m.entries = map[whereKey][]relstore.Pred{}
+	}
+	if _, ok := m.entries[key]; !ok && len(m.entries) >= whereMemoCap {
+		for k := range m.entries {
+			delete(m.entries, k)
+			break
+		}
+	}
+	m.entries[key] = preds
+	return preds, nil
+}
+
+// evictView drops every lowering against the named view.
+func (m *whereMemo) evictView(view string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := range m.entries {
+		if k.view.Name == view {
+			delete(m.entries, k)
 		}
 	}
 }

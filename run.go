@@ -3,11 +3,11 @@ package xsltdb
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/sqlxml"
-	"repro/internal/xq2sql"
 )
 
 // RunOption configures one execution of a compiled transform (Run,
@@ -166,9 +166,11 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 }
 
 // runSpec resolves the run options against a compiled state: WithWhere
-// expressions are parsed and lowered to driving-table predicates, parameter
-// bindings are validated against the driving predicates, and the sqlxml
-// RunSpec is assembled. lenient skips the parameter-coverage check —
+// expressions are lowered to driving-table predicates (through the where
+// memo: the structure is derived once per view and text, the parameters are
+// bound per run), their columns are validated against the pinned table,
+// parameter bindings are validated against the driving predicates, and the
+// sqlxml RunSpec is assembled. lenient skips the parameter-coverage check —
 // ExplainPlan renders unbound parameters as :name placeholders instead of
 // failing, since the plan's shape does not depend on the bound value.
 func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.RunSpec, error) {
@@ -177,11 +179,15 @@ func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.
 	}
 	var extras []relstore.Pred
 	for _, expr := range ro.whereExprs {
-		preds, err := xq2sql.ExtractWhere(st.view, expr)
+		preds, err := d.wheres.lower(st.view, expr)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadRunOption, err)
 		}
-		extras = append(extras, preds...)
+		if extras == nil {
+			extras = preds // the memo's slice, read-only
+		} else {
+			extras = slices.Concat(extras, preds)
+		}
 	}
 	// Pin this run's MVCC snapshot: every table read below the executor —
 	// driving scan, subqueries, scalar aggregates — resolves against it, so
@@ -199,26 +205,23 @@ func (d *Database) runSpec(st *planState, ro runOptions, lenient bool) (*sqlxml.
 			return nil, fmt.Errorf("xsltdb: WithWhere: view %q exposes no column %q: %w", st.view.Name, p.Col, ErrBadRunOption)
 		}
 	}
-	// Validate parameter coverage of the DRIVING predicates up front: an
-	// unbound parameter would otherwise fail every strategy in the chain,
-	// degrading twice only to report the same error.
-	if !lenient {
-		var merged []relstore.Pred
-		if st.plan != nil {
-			merged = append(merged, st.plan.Where...)
-		}
-		merged = append(merged, extras...)
-		if _, err := relstore.BindPreds(merged, ro.params); err != nil {
-			return nil, fmt.Errorf("xsltdb: %w", err)
-		}
-	}
-	return &sqlxml.RunSpec{
+	spec := &sqlxml.RunSpec{
 		Extra:      extras,
 		Params:     ro.params,
 		NoPushdown: ro.noPushdown,
 		Batch:      relstore.BatchOpts{BatchSize: ro.batchSize, Workers: ro.workers},
 		Snap:       snap,
-	}, nil
+	}
+	// Validate parameter coverage of the DRIVING predicates up front: an
+	// unbound parameter would otherwise fail every strategy in the chain,
+	// degrading twice only to report the same error. The binding lands in
+	// the spec's buffer, which each attempt binds into again.
+	if !lenient {
+		if _, err := spec.BindDriving(st.drivingWhere()); err != nil {
+			return nil, fmt.Errorf("xsltdb: %w", err)
+		}
+	}
+	return spec, nil
 }
 
 // drivingWhere returns the compiled plan's driving predicates, which the

@@ -127,7 +127,8 @@ type Database struct {
 	// whose change is tracked by the database system").
 	viewVersions map[string]int
 
-	plans planCache
+	plans  planCache
+	wheres whereMemo
 
 	// history is the run-history archive, nil until EnableRunHistory; the
 	// atomic pointer keeps the disabled fast path at one load per run.
@@ -444,6 +445,7 @@ func (d *Database) applyReplaceXMLView(v *ViewDef) error {
 	d.views[v.Name] = v
 	d.viewVersions[v.Name]++
 	d.plans.evictView(v.Name)
+	d.wheres.evictView(v.Name)
 	return nil
 }
 
