@@ -5,9 +5,10 @@
 #                 smoke + faults + crash + diag-smoke + bench-smoke
 #   make test     tier-1 only (what CI gates on)
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
-#                 fused SQL/XML emitter against the tree serializer, the
-#                 group-join against a nested loop, and xsltd's p.*/where=
-#                 parameters (no 500, no panic, cached equals uncached)
+#                 SQL/XML byte program against the tree serializer (random
+#                 cells, and random bodies), the group-join against a nested
+#                 loop, and xsltd's p.*/where= parameters (no 500, no panic,
+#                 cached equals uncached)
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
@@ -22,6 +23,8 @@
 #                 answer correctly (no-rewrite oracle) with no failed request
 #   make bench    the Go benchmarks (go test -bench); the paper's evaluation
 #                 is the repo benchmark, bash bench/run.sh
+#   make paper    BenchmarkPaperFigures: Run per paper figure case (and
+#                 attrmap, choose) over 16 000 sales rows, paper_figs' data
 #   make allocs   the allocation sites of one Run (serve_miss's engine shape),
 #                 from a memory profile kept in a temporary directory
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
@@ -31,7 +34,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench allocs demo console serve
+.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench paper allocs demo console serve
 
 verify: test vet bench-vet race fuzz faults crash diag-smoke bench-smoke
 
@@ -57,6 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
+	$(GO) test -run '^$$' -fuzz '^FuzzProgramVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzTransformParams$$' -fuzztime $(FUZZTIME) ./serve
 
@@ -113,15 +117,18 @@ bench-smoke:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/obs
 
-# Where a Run's allocations come from: BenchmarkRunDeptWindow (serve_miss's
-# engine shape) with every allocation sampled, printed as pprof's top
+paper:
+	$(GO) test -bench '^BenchmarkPaperFigures$$' -benchmem -run '^$$' .
+
+# Where a Run's allocations come from: BenchmarkRunDeptWindow/same-text
+# (serve_miss's engine shape) with every allocation sampled, printed as pprof's top
 # allocation sites of the run path, set-up excluded. Counts are totals over
 # the benchmark's 1 001 runs (one warm-up, then 1 000): divide by 1 001 for
 # allocations per run. The test binary and profile go to a temporary
 # directory that is removed afterwards.
 allocs:
 	@dir=$$(mktemp -d); \
-	$(GO) test -run '^$$' -bench '^BenchmarkRunDeptWindow$$' -benchtime 1000x -benchmem \
+	$(GO) test -run '^$$' -bench '^BenchmarkRunDeptWindow$$/^same-text$$' -benchtime 1000x -benchmem \
 		-memprofilerate 1 -memprofile $$dir/mem.out -o $$dir/xsltdb.test . && \
 	$(GO) tool pprof -sample_index=alloc_objects -nodefraction 0 -focus 'CompiledTransform..run$$' -top $$dir/xsltdb.test $$dir/mem.out; \
 	status=$$?; rm -rf $$dir; exit $$status

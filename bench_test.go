@@ -211,7 +211,10 @@ func BenchmarkCursorVsRun(b *testing.B) {
 // BenchmarkRunDeptWindow is serve_miss's engine shape: a 25-department
 // window of 2 000 departments × 20 employees, both deptno columns indexed —
 // a two-sided driving range feeding one index join (EXPERIMENTS.md
-// "Group-join" profiles this).
+// "Group-join" profiles this). same-text sends one where text with the
+// window bound through parameters, as serve_miss does, so the per-Database
+// where memo lowers it once; fresh-text spells each window's bounds into
+// its where text, so every Run misses the memo — the memo's losing side.
 func BenchmarkRunDeptWindow(b *testing.B) {
 	d := newBenchDeptDB(b, 2000)
 	if err := d.CreateIndex("dept", "deptno"); err != nil {
@@ -221,10 +224,7 @@ func BenchmarkRunDeptWindow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := []RunOption{WithWhere("deptno >= $lo and deptno < $hi"), WithParam("lo", 2030), WithParam("hi", 2055)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	run := func(b *testing.B, opts ...RunOption) {
 		res, err := ct.Run(context.Background(), opts...)
 		if err != nil {
 			b.Fatal(err)
@@ -233,6 +233,24 @@ func BenchmarkRunDeptWindow(b *testing.B) {
 			b.Fatalf("window selected %d departments", len(res.Rows))
 		}
 	}
+	b.Run("same-text", func(b *testing.B) {
+		opts := []RunOption{WithWhere("deptno >= $lo and deptno < $hi"), WithParam("lo", 2030), WithParam("hi", 2055)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, opts...)
+		}
+	})
+	b.Run("fresh-text", func(b *testing.B) {
+		wheres := make([]string, 1900)
+		for i := range wheres {
+			wheres[i] = fmt.Sprintf("deptno >= %d and deptno < %d", 1000+i, 1025+i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, WithWhere(wheres[i%len(wheres)]))
+		}
+	})
 }
 
 // newScanDeptDB loads n departments with one employee each, both deptno
@@ -333,6 +351,43 @@ func BenchmarkParallelRun(b *testing.B) {
 				_ = cur.Close()
 			}
 			b.ReportMetric(float64(peak)/(1<<20), "peak-live-MiB")
+		})
+	}
+}
+
+// BenchmarkPaperFigures times Run for the paper's figure cases — Fig. 2's
+// dbonerow and Fig. 3's avts, chart, metric and total — plus attrmap and
+// choose, over 16 000 sales rows indexed on id only, as the repo benchmark's
+// paper_figs workload loads them. Each case is one driving row whose XMLAgg
+// (or scalar aggregate) covers the whole sales table, so a case's time is
+// its constructor's per-row cost times 16 000 (make paper).
+func BenchmarkPaperFigures(b *testing.B) {
+	d := NewDatabase()
+	if err := xsltmark.SetupSalesDB(d.Rel(), 16_000); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.CreateIndex("sales", "id"); err != nil {
+		b.Fatal(err)
+	}
+	view := xsltmark.SalesView()
+	if err := d.CreateXMLView(view); err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"dbonerow", "avts", "chart", "metric", "total", "attrmap", "choose"} {
+		ct, err := d.CompileTransform(view.Name, xsltmark.ByName(name).Stylesheet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ct.Strategy() != StrategySQL {
+			b.Fatalf("%s compiled to %v, not to SQL/XML", name, ct.Strategy())
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ct.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

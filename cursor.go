@@ -150,6 +150,13 @@ func (c *Cursor) Next() (string, error) {
 		c.mu.Unlock()
 		return "", ErrCursorClosed
 	}
+	if c.err != nil {
+		// The database closed while the pull was in flight: its verdict, not
+		// the cancellation it caused, is the cursor's sticky error.
+		err := c.err
+		c.mu.Unlock()
+		return "", err
+	}
 	if err != nil {
 		c.err = err
 		c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/governor"
 	"repro/internal/relstore"
+	"repro/internal/sqlxml"
 	"repro/internal/xmltree"
 	"repro/internal/xslt"
 	"repro/internal/xsltmark"
@@ -174,6 +176,87 @@ func poolsDropItems() bool {
 		}
 	}
 	return false
+}
+
+// TestProgramCompiledOncePerPlan: the SQL strategy's byte program is built
+// with the plan, not per run — 100 sequential runs and 8 concurrent ones
+// share it — and a view replacement's recompile builds the next plan's own.
+func TestProgramCompiledOncePerPlan(t *testing.T) {
+	d := newBenchDeptDB(t, 5)
+	before := sqlxml.ProgramsCompiled()
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := ct.snapshot().prog
+	if prog == nil {
+		t.Fatal("the SQL plan has no program")
+	}
+	want := runRows(t, ct)
+	for i := 0; i < 100; i++ {
+		runRows(t, ct)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ct.Run(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := sqlxml.ProgramsCompiled() - before; n != 1 {
+		t.Fatalf("compile and 109 runs built %d programs, want 1", n)
+	}
+	if err := d.ReplaceXMLView(sqlxml.DeptEmpView()); err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, "after replace", want.Rows, runRows(t, ct).Rows)
+	if n := sqlxml.ProgramsCompiled() - before; n != 2 || ct.snapshot().prog == prog {
+		t.Fatalf("the recompiled plan built %d programs in all (want 2), same program: %t", n, ct.snapshot().prog == prog)
+	}
+}
+
+// TestConstructAllocationsFlatInRows: constructing allocates nothing per
+// row — an avts run over 16 000 sales rows allocates what one over 1 000
+// does (its output buffer and group scratch are pooled, its result is one
+// string).
+func TestConstructAllocationsFlatInRows(t *testing.T) {
+	if poolsDropItems() {
+		t.Skip("sync.Pool drops items under the race detector: pooled buffers are reallocated at random")
+	}
+	allocs := func(rows int) float64 {
+		d := NewDatabase()
+		if err := xsltmark.SetupSalesDB(d.Rel(), rows); err != nil {
+			t.Fatal(err)
+		}
+		view := xsltmark.SalesView()
+		if err := d.CreateXMLView(view); err != nil {
+			t.Fatal(err)
+		}
+		ct, err := d.CompileTransform(view.Name, xsltmark.ByName("avts").Stylesheet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct.Strategy() != StrategySQL {
+			t.Fatalf("avts compiled to %v", ct.Strategy())
+		}
+		// A collection empties sync.Pool, and pools refill by allocating: with
+		// the collector off, the count is the construction's alone.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ct.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(16_000)
+	t.Logf("avts Run: %.0f allocs at 1 000 rows, %.0f at 16 000", small, large)
+	if large > small+2 || small > large+2 {
+		t.Fatalf("avts Run allocated %.0f times at 1 000 rows and %.0f at 16 000: construction allocates per row", small, large)
+	}
 }
 
 // TestCursorNextAllocationCeiling: a streamed department row costs one

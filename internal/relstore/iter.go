@@ -154,9 +154,9 @@ func BindPreds(preds []Pred, params map[string]Value) ([]Pred, error) {
 func AppendBound(dst, preds []Pred, params map[string]Value) ([]Pred, error) {
 	for _, p := range preds {
 		if name, ok := p.Val.(ParamValue); ok {
-			v, bound := params[string(name)]
-			if !bound {
-				return nil, fmt.Errorf("%w: $%s (bind it with WithParam)", ErrUnboundParam, string(name))
+			v, err := Param(params, string(name))
+			if err != nil {
+				return nil, err
 			}
 			p.Val = v
 		}
@@ -165,23 +165,28 @@ func AppendBound(dst, preds []Pred, params map[string]Value) ([]Pred, error) {
 	return dst, nil
 }
 
-// BindPredsPartial substitutes the parameters present in params and leaves
-// missing ones as placeholders — the EXPLAIN-time variant of BindPreds,
-// where an unbound parameter should render as :name rather than fail.
-func BindPredsPartial(preds []Pred, params map[string]Value) []Pred {
-	if !HasParams(preds) {
-		return preds
-	}
-	out := make([]Pred, len(preds))
-	for i, p := range preds {
+// AppendBoundPartial is AppendBound's lenient form for EXPLAIN: a
+// placeholder params does not bind stays a placeholder, rendering as :name.
+func AppendBoundPartial(dst, preds []Pred, params map[string]Value) []Pred {
+	for _, p := range preds {
 		if name, ok := p.Val.(ParamValue); ok {
 			if v, bound := params[string(name)]; bound {
 				p.Val = v
 			}
 		}
-		out[i] = p
+		dst = append(dst, p)
 	}
-	return out
+	return dst
+}
+
+// Param returns the value params binds to name, or an error wrapping
+// ErrUnboundParam.
+func Param(params map[string]Value, name string) (Value, error) {
+	v, bound := params[name]
+	if !bound {
+		return nil, fmt.Errorf("%w: $%s (bind it with WithParam)", ErrUnboundParam, name)
+	}
+	return v, nil
 }
 
 // HasParams reports whether any predicate carries an unbound placeholder.

@@ -2,6 +2,7 @@ package sqlxml
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -51,7 +52,8 @@ type RunSpec struct {
 	Snap *relstore.Snapshot
 
 	// driving is the run's own buffer for its merged, bound driving
-	// predicates (BindDriving): every attempt of the run rebinds into it.
+	// predicates (BindDriving, explainDriving): every attempt of the run
+	// rebinds into it.
 	driving []relstore.Pred
 }
 
@@ -85,17 +87,6 @@ func (s *RunSpec) snapshot(db *relstore.DB) *relstore.Snapshot {
 // range path is demoted. Equality probes are never demoted — a probe's cost
 // does not grow with the table.
 const smallTableRows = 2
-
-// merged returns the compiled WHERE clause joined with the spec's extra
-// run-time predicates (copy-on-write: the compiled slice is never mutated).
-func (s *RunSpec) merged(where []relstore.Pred) []relstore.Pred {
-	if s == nil || len(s.Extra) == 0 {
-		return where
-	}
-	out := make([]relstore.Pred, 0, len(where)+len(s.Extra))
-	out = append(out, where...)
-	return append(out, s.Extra...)
-}
 
 func (s *RunSpec) params() map[string]relstore.Value {
 	if s == nil {
@@ -170,11 +161,31 @@ func chooseAccess(ts *relstore.TableSnap, preds []relstore.Pred, noPushdown bool
 // BindDriving overwrites: the run's attempts follow one another, and each
 // binds the same predicates again without allocating.
 func (s *RunSpec) BindDriving(where []relstore.Pred) ([]relstore.Pred, error) {
+	return s.bindDriving(where, true)
+}
+
+// explainDriving is BindDriving's lenient sibling for EXPLAIN: a parameter
+// the spec does not bind stays a placeholder and renders as :name — the
+// plan's shape does not depend on the value. It writes the same buffer.
+func (s *RunSpec) explainDriving(where []relstore.Pred) []relstore.Pred {
+	preds, _ := s.bindDriving(where, false)
+	return preds
+}
+
+func (s *RunSpec) bindDriving(where []relstore.Pred, strict bool) ([]relstore.Pred, error) {
 	if s == nil || len(s.Extra) == 0 && !relstore.HasParams(where) {
+		if !strict {
+			return where, nil
+		}
 		return relstore.BindPreds(where, s.params())
 	}
 	if n := len(where) + len(s.Extra); cap(s.driving) < n {
 		s.driving = make([]relstore.Pred, 0, n)
+	}
+	if !strict {
+		buf := relstore.AppendBoundPartial(s.driving[:0], where, s.Params)
+		s.driving = relstore.AppendBoundPartial(buf, s.Extra, s.Params)
+		return s.driving, nil
 	}
 	buf, err := relstore.AppendBound(s.driving[:0], where, s.Params)
 	if err == nil {
@@ -332,36 +343,37 @@ func bindSub(s *SubQuery, params map[string]relstore.Value) (*SubQuery, error) {
 	return &cp, nil
 }
 
-// planQuery resolves what every execution of q under spec starts from: the
-// pinned snapshot, the driving table in it, the driving access path and the
-// body with this run's parameters bound.
-func (e *Executor) planQuery(q *Query, spec *RunSpec) (snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, body XMLExpr, err error) {
-	if err = faultpoint.Hit("sqlxml.query.open"); err != nil {
-		return
-	}
-	snap = spec.snapshot(e.DB)
-	if ts = snap.Table(q.Table); ts == nil {
-		err = fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
-		return
-	}
-	if plan, err = spec.planDriving(ts, q.Where); err != nil {
-		return
-	}
-	body, err = bindXML(q.Body, spec.params())
-	return
-}
-
 // OpenQueryCursorSpec opens a streaming execution of q: the driving access
 // path is planned from the compiled WHERE clause plus the spec's run-time
 // predicates, with parameters bound for this run only. Operator counters go
 // to sink (nil discards them); g (may be nil) governs the scan and the
-// construction.
+// construction. Pulled as bytes, the cursor compiles q's program first;
+// OpenProgramCursorSpec runs one compiled beforehand.
 func (e *Executor) OpenQueryCursorSpec(q *Query, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
-	snap, ts, plan, body, err := e.planQuery(q, spec)
+	return e.openQuery(q, nil, sink, g, spec)
+}
+
+// OpenProgramCursorSpec is OpenQueryCursorSpec over p's query, with p as the
+// cursor's byte program: a plan compiles its program once and every run
+// shares it.
+func (e *Executor) OpenProgramCursorSpec(p *Program, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
+	return e.openQuery(p.q, p, sink, g, spec)
+}
+
+func (e *Executor) openQuery(q *Query, p *Program, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
+	if err := faultpoint.Hit("sqlxml.query.open"); err != nil {
+		return nil, err
+	}
+	snap := spec.snapshot(e.DB)
+	ts := snap.Table(q.Table)
+	if ts == nil {
+		return nil, fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
+	}
+	plan, err := spec.planDriving(ts, q.Where)
 	if err != nil {
 		return nil, err
 	}
-	return spec.openCursor(snap, ts, plan, body, "sqlxml.query.next", sink, g), nil
+	return spec.openCursor(snap, ts, plan, q.Body, p, "sqlxml.query.next", sink, g)
 }
 
 // OpenViewCursorSpec opens a streaming materialization of v — one XMLType
@@ -379,7 +391,7 @@ func (e *Executor) OpenViewCursorSpec(v *ViewDef, where []relstore.Pred, sink *r
 	if err != nil {
 		return nil, err
 	}
-	return spec.openCursor(snap, ts, plan, v.Body, "sqlxml.view.row", sink, g), nil
+	return spec.openCursor(snap, ts, plan, v.Body, nil, "sqlxml.view.row", sink, g)
 }
 
 // MaterializeViewSpec builds the XMLType instance — a document node — of
@@ -404,8 +416,7 @@ func (e *Executor) ExplainQuerySpec(q *Query, spec *RunSpec) string {
 	if ts == nil {
 		return "unknown table " + q.Table
 	}
-	preds := relstore.BindPredsPartial(spec.merged(q.Where), spec.params())
-	plan := chooseAccess(ts, preds, spec.noPushdown())
+	plan := chooseAccess(ts, spec.explainDriving(q.Where), spec.noPushdown())
 	spec.recordPath(ts, plan)
 	var sb strings.Builder
 	sb.WriteString(plan.Explain(ts.Table()))
@@ -422,8 +433,7 @@ func (e *Executor) ExplainViewSpec(v *ViewDef, where []relstore.Pred, spec *RunS
 	if ts == nil {
 		return "unknown table " + v.Table
 	}
-	preds := relstore.BindPredsPartial(spec.merged(where), spec.params())
-	plan := chooseAccess(ts, preds, spec.noPushdown())
+	plan := chooseAccess(ts, spec.explainDriving(where), spec.noPushdown())
 	spec.recordPath(ts, plan)
 	return plan.Explain(ts.Table())
 }
@@ -452,7 +462,7 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 // EndRow; Strings copies the finished result out, so a RowBuf can go back to
 // its pool (GetRowBuf / PutRowBuf) while the strings live on.
 type RowBuf struct {
-	byteSink
+	buf  []byte
 	ends []int // ends[i] is the offset of row i's newline
 }
 
@@ -470,9 +480,13 @@ func PutRowBuf(b *RowBuf) {
 
 // Reset drops every row, keeping the capacity.
 func (b *RowBuf) Reset() {
-	b.byteSink = byteSink{buf: b.buf[:0]}
+	b.buf = b.buf[:0]
 	b.ends = b.ends[:0]
 }
+
+// Grow makes room for n more bytes, so that many can be appended without
+// reallocating.
+func (b *RowBuf) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
 
 // Bytes is the buffer so far: the slice the next row is appended to.
 func (b *RowBuf) Bytes() []byte { return b.buf }

@@ -41,8 +41,16 @@ import (
 // pays its locks, fault checks and governor ticks once per batch. A cursor
 // is pulled by Next or by AppendNext, not both: on the parallel route the
 // workers construct for the kind of the first pull.
+//
+// Next walks the body into a tree (evalContext.eval); AppendNext runs the
+// body's compiled Program. A cursor opened over a plan's program binds the
+// program's slots at open and binds the tree body only if it is pulled as
+// trees; a cursor opened over a bare query or view binds the tree body at
+// open and compiles a program only if it is pulled as bytes.
 type QueryCursor struct {
-	body XMLExpr
+	src  XMLExpr  // the body as compiled: parameters unbound
+	body XMLExpr  // src with the run's parameters bound; nil until a tree pull needs it
+	prog *Program // nil until a byte pull needs it
 	ts   *relstore.TableSnap
 	ec   *evalContext // the serial route's; the parallel route copies its run state
 	fp   string       // faultpoint name hit once per handed-out row
@@ -61,8 +69,8 @@ type QueryCursor struct {
 	chunk  int // rows in the current batch or run
 	bpos   int // rows of it handed out
 
-	out      byteSink // AppendNext's sink, reused across rows
-	bytesOut int64    // serialized bytes produced so far
+	bytesOut int64             // serialized bytes produced so far
+	slotBuf  [4]relstore.Value // backs the program's slots for a run binding a few
 
 	// Operator spans, set only when the RunSpec carried a trace span
 	// (startOperators); an untraced cursor pays one nil check per span site.
@@ -78,16 +86,41 @@ type built struct {
 	docs []*xmltree.Node
 }
 
-// openCursor opens a cursor constructing body over plan's driving rows.
-func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, body XMLExpr, fp string, sink *relstore.Stats, g *governor.G) *QueryCursor {
+// openCursor opens a cursor constructing src over plan's driving rows: with
+// prog as its byte program when non-nil, whose slots it binds here; else
+// with src bound as its tree body.
+func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, src XMLExpr, prog *Program, fp string, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
 	opts := s.batchOpts()
-	c := &QueryCursor{body: body, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g}, fp: fp, size: opts.Size()}
+	c := &QueryCursor{src: src, prog: prog, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g, params: s.params()}, fp: fp, size: opts.Size()}
+	if err := c.bind(prog == nil); err != nil {
+		return nil, err
+	}
 	c.par, c.it = relstore.OpenMorsels(plan, ts, sink, g, opts, c.construct)
 	if c.par != nil {
 		c.ecs = make([]*evalContext, c.par.Workers())
 	}
 	s.startOperators(ts, plan, c)
-	return c
+	return c, nil
+}
+
+// bind readies the cursor for a tree pull (trees) or a byte pull: it binds
+// the run's parameters into the tree body, or compiles the program if the
+// cursor has none and binds the program's slots. Either fails on an unbound
+// parameter.
+func (c *QueryCursor) bind(trees bool) (err error) {
+	if trees {
+		if c.body == nil {
+			c.body, err = bindXML(c.src, c.ec.params)
+		}
+		return err
+	}
+	if c.prog == nil {
+		if c.prog, err = Compile(c.ec.snap.DB(), &Query{Table: c.ts.Name(), Body: c.src}); err != nil {
+			return err
+		}
+	}
+	c.ec.slots, err = c.prog.bindSlots(c.slotBuf[:0], c.ec.params)
+	return err
 }
 
 // construct is the parallel route's morsel job. Worker w installs the
@@ -97,7 +130,7 @@ func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, pl
 func (c *QueryCursor) construct(w int, ids []int, rows [][]relstore.Value, out *built) error {
 	ec := c.ecs[w]
 	if ec == nil {
-		ec = &evalContext{snap: c.ec.snap, stats: c.ec.stats, gov: c.ec.gov}
+		ec = &evalContext{snap: c.ec.snap, stats: c.ec.stats, gov: c.ec.gov, params: c.ec.params, slots: c.ec.slots}
 		c.ecs[w] = ec
 	}
 	if out.rows == nil {
@@ -118,8 +151,11 @@ func (c *QueryCursor) construct(w int, ids []int, rows [][]relstore.Value, out *
 				if doc, err = ec.evalDoc(c.body); err == nil {
 					out.docs = append(out.docs, doc)
 				}
-			} else if err = ec.evalRow(&out.rows.byteSink, c.body); err == nil {
-				out.rows.EndRow(out.rows.buf)
+			} else {
+				var buf []byte
+				if buf, err = ec.runRow(c.prog, out.rows.buf); err == nil {
+					out.rows.EndRow(buf)
+				}
 			}
 			c.buildEnd(start, err)
 			if err != nil {
@@ -204,6 +240,11 @@ func (c *QueryCursor) advance(trees bool) error {
 	if !c.pulled {
 		c.pulled, c.trees = true, trees
 	}
+	if trees && c.body == nil || !trees && c.prog == nil {
+		if err := c.bind(trees); err != nil {
+			return err
+		}
+	}
 	if err := faultpoint.Hit(c.fp); err != nil {
 		c.scanSp.Fail(err)
 		return err
@@ -287,15 +328,14 @@ func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
 		return append(dst, row...), nil
 	}
 	start := c.buildStart()
-	c.out = byteSink{buf: dst}
-	err := c.ec.evalRow(&c.out, c.body)
+	out, err := c.ec.runRow(c.prog, dst)
 	c.buildEnd(start, err)
 	if err != nil {
 		c.ec.release() // a failed row ends the stream
 		return dst, err
 	}
-	c.bytesOut += int64(len(c.out.buf) - len(dst))
-	return c.out.buf, nil
+	c.bytesOut += int64(len(out) - len(dst))
+	return out, nil
 }
 
 // Close stops the parallel route's workers and returns once they have

@@ -301,7 +301,6 @@ func oldValueText(v relstore.Value) string {
 }
 
 func TestNumberFormattingMatchesFmt(t *testing.T) {
-	ec := &evalContext{}
 	values := []relstore.Value{
 		int64(0), int64(-1), int64(42), int64(math.MaxInt64), int64(math.MinInt64),
 		0.0, math.Copysign(0, -1), 1.0, -3.0, 1e6, 1e+06 + 0.5, 123456789.0, 1.5, -2.25, 0.1, 1e-7,
@@ -310,10 +309,8 @@ func TestNumberFormattingMatchesFmt(t *testing.T) {
 		"text", nil,
 	}
 	for _, v := range values {
-		var out byteSink
-		ec.emitValue(&out, v)
-		if got, want := string(out.buf), oldValueText(v); got != want {
-			t.Errorf("emitValue(%#v) = %q, fmt printed %q", v, got, want)
+		if got, want := string(appendCell(nil, v, false)), oldValueText(v); got != want {
+			t.Errorf("appendCell(%#v) = %q, fmt printed %q", v, got, want)
 		}
 	}
 }
@@ -330,7 +327,6 @@ func TestScalarAggFormatting(t *testing.T) {
 		}
 	}
 	ts := db.Snapshot().Table("t")
-	ec := &evalContext{}
 	for _, tc := range []struct {
 		fn   string
 		ids  []int
@@ -343,9 +339,13 @@ func TestScalarAggFormatting(t *testing.T) {
 		{"min", []int{0, 1, 2, 3}, "-4"}, {"max", []int{0, 1, 2, 3}, "1000000"},
 		{"min", []int{1}, ""}, {"sum", []int{1}, "0"},
 	} {
-		var out byteSink
-		ec.emitScalarAgg(&out, &ScalarAgg{Fn: tc.fn, Col: "x"}, ts, tc.ids)
-		if got := string(out.buf); got != tc.want {
+		var got string
+		if num, cell, isNum := aggregate(aggOf(tc.fn), ts, ts.ColIndex("x"), tc.ids); isNum {
+			got = string(appendFloat(nil, num))
+		} else {
+			got = string(appendCell(nil, cell, false))
+		}
+		if got != tc.want {
 			t.Errorf("%s over %v = %q, want %q", tc.fn, tc.ids, got, tc.want)
 		}
 	}

@@ -171,18 +171,27 @@ func (q *SubQuery) fromWhereSQL() string {
 // An evalContext belongs to one goroutine and is reused for every driving
 // row it constructs, so nothing below is set up per row or per subquery
 // evaluation: the row frames live as long as the context, and the subquery
-// plans with their group scratch are drawn from a pool once per run.
+// plans with their group scratch are drawn from a pool once per run. It
+// serves both halves of construction: the byte program (program.go) and the
+// tree walk below.
 type evalContext struct {
 	snap  *relstore.Snapshot
 	stats *relstore.Stats
 	// gov, when non-nil, bounds the construction: deep Agg nests and wide
 	// scans abort promptly on cancellation or budget exhaustion.
 	gov *governor.G
-	// ticks counts the expression nodes walked since the governor was last
-	// charged (flushTicks): the run's shared tick counter is one contended
-	// cache line, so construction charges it every tickFlush nodes and at the
-	// end of each driving row instead of once per node.
+	// ticks counts the ops run (or expression nodes walked) since the
+	// governor was last charged (flushTicks): the run's shared tick counter
+	// is one contended cache line, so construction charges it every tickFlush
+	// ops and at the end of each driving row instead of once per op.
 	ticks int
+	// params binds the placeholders of subquery WHERE clauses as their plans
+	// are made; slots holds the program's bind variables, bound once per run
+	// (Program.bindSlots).
+	params map[string]relstore.Value
+	slots  []relstore.Value
+	// open is the program's run-time "start tag open" bit.
+	open bool
 
 	// driving is the row list being constructed at nesting depth 0 — the
 	// driving batch; the group an Agg iterates is the list of its inner
@@ -198,41 +207,37 @@ type evalContext struct {
 	num [32]byte
 }
 
-// tickFlush is how many expression nodes construction walks between
-// governor charges — the governor's own amortization interval, so every
-// flush performs a full cancellation check.
+// tickFlush is how many ops construction runs between governor charges —
+// the governor's own amortization interval, so every flush performs a full
+// cancellation check.
 const tickFlush = 64
 
-// flushTicks charges the nodes walked since the last flush.
+// flushTicks charges the ops run since the last flush.
 func (ec *evalContext) flushTicks() error {
 	n := ec.ticks
 	ec.ticks = 0
 	return ec.gov.TickN(n)
 }
 
-// evalRow constructs expr for the current row of the driving frame and
-// settles the row's governor charge.
-func (ec *evalContext) evalRow(out xmlSink, expr XMLExpr) error {
-	if err := ec.eval(out, expr, &ec.driving); err != nil {
-		return err
-	}
-	return ec.flushTicks()
-}
-
 // evalDoc constructs the XML of expr for the current driving row as a
-// document tree.
+// document tree and settles the row's governor charge.
 func (ec *evalContext) evalDoc(expr XMLExpr) (*xmltree.Node, error) {
 	doc := xmltree.NewDocument()
-	if err := ec.evalRow(&treeSink{cur: doc}, expr); err != nil {
+	if err := ec.eval(&treeSink{cur: doc}, expr, &ec.driving); err != nil {
+		return nil, err
+	}
+	if err := ec.flushTicks(); err != nil {
 		return nil, err
 	}
 	doc.Renumber()
 	return doc, nil
 }
 
-// eval walks expr for the current row of f and reports what it constructs
-// to out.
-func (ec *evalContext) eval(out xmlSink, expr XMLExpr, f *frame) error {
+// eval walks expr for the current row of f and builds what it constructs
+// into out. This is the tree half of construction — the functional
+// strategies' input and the byte program's identity oracle — so it stays a
+// plain walk of the expression.
+func (ec *evalContext) eval(out *treeSink, expr XMLExpr, f *frame) error {
 	if ec.ticks++; ec.ticks >= tickFlush {
 		if err := ec.flushTicks(); err != nil {
 			return err
@@ -247,16 +252,14 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, f *frame) error {
 		return nil
 	case *Element:
 		out.startElement(e.Name)
-		for i, a := range e.Attrs {
-			// An element carries one attribute per name: a repeated name
-			// keeps the first one's position and the last one's value.
-			if last := lastAttrNamed(e.Attrs, i); last >= 0 {
-				out.startAttr(a.Name)
-				err := ec.evalScalar(out, e.Attrs[last].Value, f)
-				out.endAttr()
-				if err != nil {
-					return err
-				}
+		// A repeated attribute name keeps the first one's position and the
+		// last one's value: Node.SetAttr replaces in place.
+		for _, a := range e.Attrs {
+			out.startAttr(a.Name)
+			err := ec.evalScalar(out, a.Value, f)
+			out.endAttr()
+			if err != nil {
+				return err
 			}
 		}
 		for _, c := range e.Children {
@@ -264,7 +267,7 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, f *frame) error {
 				return err
 			}
 		}
-		out.endElement(e.Name)
+		out.endElement()
 		return nil
 	case *Concat:
 		for _, it := range e.Items {
@@ -314,50 +317,9 @@ func (ec *evalContext) eval(out xmlSink, expr XMLExpr, f *frame) error {
 	return fmt.Errorf("sqlxml: unhandled expression %T", expr)
 }
 
-// lastAttrNamed resolves attribute i of an element against repeated names:
-// -1 when an earlier attribute already claimed the name (this one only
-// overrides that one's value), otherwise the index of the last attribute
-// with the same name — i itself in the usual, duplicate-free case.
-func lastAttrNamed(attrs []Attr, i int) int {
-	if len(attrs) == 1 {
-		return i
-	}
-	for j := 0; j < i; j++ {
-		if sameName(attrs[j].Name, attrs[i].Name) {
-			return -1
-		}
-	}
-	last := i
-	for j := i + 1; j < len(attrs); j++ {
-		if sameName(attrs[j].Name, attrs[i].Name) {
-			last = j
-		}
-	}
-	return last
-}
-
-// sameName reports whether two qualified names denote the same (prefix,
-// local) pair, which is how an xmltree element keys its attributes.
-func sameName(a, b string) bool {
-	if a == b {
-		return true
-	}
-	pa, la := splitName(a)
-	pb, lb := splitName(b)
-	return pa == pb && la == lb
-}
-
-// splitName splits a qualified name at its first ':' as xmltree nodes do.
-func splitName(name string) (prefix, local string) {
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		return name[:i], name[i+1:]
-	}
-	return "", name
-}
-
 // evalScalar evaluates a scalar-producing expression (Column, Literal,
 // ScalarAgg, or a Concat of those) into the attribute out has open.
-func (ec *evalContext) evalScalar(out xmlSink, expr XMLExpr, f *frame) error {
+func (ec *evalContext) evalScalar(out *treeSink, expr XMLExpr, f *frame) error {
 	switch e := expr.(type) {
 	case *Literal:
 		out.text(e.Text)
@@ -383,69 +345,27 @@ func (ec *evalContext) evalScalar(out xmlSink, expr XMLExpr, f *frame) error {
 	return fmt.Errorf("sqlxml: attribute value must be scalar, got %T", expr)
 }
 
-// emitValue reports one cell value as text: NULL is no text, integers and
-// floats print as %d / trimmed %g would.
-func (ec *evalContext) emitValue(out xmlSink, v relstore.Value) {
+// emitValue adds one cell value as text, formatted by the program's
+// appender (appendCell): NULL is no text.
+func (ec *evalContext) emitValue(out *treeSink, v relstore.Value) {
 	switch x := v.(type) {
 	case nil:
 	case string:
 		out.text(x)
-	case int64:
-		out.number(strconv.AppendInt(ec.num[:0], x, 10))
-	case float64:
-		out.number(appendFloat(ec.num[:0], x))
 	default:
-		out.text(fmt.Sprint(v))
+		out.text(string(appendCell(ec.num[:0], v, false)))
 	}
 }
 
-// appendFloat formats f the way the SQL layer prints numbers: an integral
-// value as an integer, anything else in the shortest %g form.
-func appendFloat(dst []byte, f float64) []byte {
-	if f == float64(int64(f)) {
-		return strconv.AppendInt(dst, int64(f), 10)
-	}
-	return strconv.AppendFloat(dst, f, 'g', -1, 64)
-}
-
-// emitScalarAgg reports a SQL aggregate over the selected inner rows. An
-// aggregate over no (non-NULL) values is NULL — no text — except count and
-// sum, which are 0.
-func (ec *evalContext) emitScalarAgg(out xmlSink, e *ScalarAgg, inner *relstore.TableSnap, ids []int) {
-	if e.Fn == "count" {
-		out.number(strconv.AppendInt(ec.num[:0], int64(len(ids)), 10))
+// emitScalarAgg adds a SQL aggregate over the selected inner rows as text
+// (aggregate).
+func (ec *evalContext) emitScalarAgg(out *treeSink, e *ScalarAgg, inner *relstore.TableSnap, ids []int) {
+	num, cell, isNum := aggregate(aggOf(e.Fn), inner, inner.ColIndex(e.Col), ids)
+	if isNum {
+		out.text(string(appendFloat(ec.num[:0], num)))
 		return
 	}
-	var total float64
-	var count int
-	var best relstore.Value
-	ord := inner.ColIndex(e.Col)
-	for _, id := range ids {
-		var v relstore.Value
-		if ord >= 0 {
-			v = inner.Row(id)[ord]
-		}
-		if v == nil {
-			continue
-		}
-		count++
-		total += toF(v)
-		if best == nil ||
-			(e.Fn == "min" && relstore.CompareValues(v, best) < 0) ||
-			(e.Fn == "max" && relstore.CompareValues(v, best) > 0) {
-			best = v
-		}
-	}
-	switch e.Fn {
-	case "sum":
-		out.number(appendFloat(ec.num[:0], total))
-	case "avg":
-		if count > 0 {
-			out.number(appendFloat(ec.num[:0], total/float64(count)))
-		}
-	case "min", "max":
-		ec.emitValue(out, best)
-	}
+	ec.emitValue(out, cell)
 }
 
 func toF(v relstore.Value) float64 {

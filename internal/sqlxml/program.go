@@ -1,0 +1,699 @@
+package sqlxml
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"sync/atomic"
+
+	"repro/internal/relstore"
+	"repro/internal/xmltree"
+)
+
+// This file is the byte half of construction (the paper's §4 idea applied
+// to the constructor itself: specialize over the structure once, at compile
+// time). A Query's body is compiled, beside the plan, into a flat program of
+// ops that append serialized XML — byte for byte what Node.Serialize prints
+// for the tree the walk in expr.go would build, without the tree. What the
+// walk re-decides on every row is decided here once:
+//
+//   - static runs: tag names, attribute names and literal text are escaped
+//     at compile time, and adjacent static bytes merge into one append, across
+//     element boundaries;
+//   - the deferred '>': a start tag stays open until its element receives
+//     content, so an element with none closes as "/>". Where the content is
+//     statically known — a child element, a non-empty literal — the compiler
+//     writes '>' (or "/>", or the end tag) into the static run; only content
+//     that may turn out empty (a NULL or empty column, an aggregate over no
+//     rows, an untaken branch) leaves a run-time "start tag open" bit;
+//   - columns as ordinals, typed: each column resolves against its table's
+//     schema, which never changes (tables are created, never altered or
+//     dropped), so an ordinal compiled once holds for every snapshot;
+//   - attributes de-duplicated: a repeated name keeps the first position and
+//     the last value, as Node.SetAttr does;
+//   - conditions bound to ordinals, with bind variables read from the run's
+//     slot array instead of a copy of the tree.
+
+// Program is a query body compiled for byte construction. It is immutable
+// once compiled: every run of a plan, and every morsel worker of a run,
+// shares it.
+type Program struct {
+	q    *Query
+	code []op
+	// params names the bind variables the body reads, in slot order: a run
+	// binds params[i] into slot i.
+	params []string
+}
+
+// compiles counts programs compiled by this process (ProgramsCompiled).
+var compiles atomic.Int64
+
+// ProgramsCompiled reports how many programs this process has compiled: a
+// plan compiles one, and a cursor opened without one compiles one at its
+// first byte pull.
+func ProgramsCompiled() int64 { return compiles.Load() }
+
+type opKind uint8
+
+const (
+	opStatic opKind = iota // append lit
+	opClose                // content follows: close the open start tag
+	opOpen                 // the start tag just written is open
+	opEnd                  // end an element whose start tag may be open: "/>", else lit
+	opInt                  // an INT column
+	opFloat                // a FLOAT column
+	opText                 // a VARCHAR column
+	opAgg                  // XMLAgg: run sub.body once per row of the group
+	opScalar               // a scalar aggregate over the group
+	opCond                 // unless every predicate holds, skip jump ops
+	opJump                 // skip jump ops
+)
+
+// op is one instruction. Value ops (opInt, opFloat, opText, opScalar) write
+// character content, closing an open start tag first unless their value is
+// empty, or — attr set — part of an attribute value, escaped for it.
+type op struct {
+	kind  opKind
+	attr  bool
+	lit   string
+	ord   int
+	jump  int
+	preds []condPred
+	sub   *subOp
+}
+
+// condPred is one CASE WHEN predicate resolved against the frame's table:
+// the column as an ordinal (-1 reads NULL) and, when the compared value is a
+// bind variable, its slot.
+type condPred struct {
+	pred relstore.Pred
+	ord  int
+	slot int // -1: pred.Val is the value
+}
+
+// subOp is the compiled part of an Agg or ScalarAgg: the subquery (which
+// identifies its per-run plan), and the body run per inner row (Agg) or the
+// aggregate and the ordinal it reads (ScalarAgg).
+type subOp struct {
+	q    *SubQuery
+	body []op
+	fn   aggFn
+	ord  int
+}
+
+type aggFn uint8
+
+const (
+	aggNone aggFn = iota // an unknown function: NULL
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+func aggOf(name string) aggFn {
+	switch name {
+	case "count":
+		return aggCount
+	case "sum":
+		return aggSum
+	case "avg":
+		return aggAvg
+	case "min":
+		return aggMin
+	case "max":
+		return aggMax
+	}
+	return aggNone
+}
+
+// tagState is what the compiler knows about the innermost start tag at the
+// current point of the program.
+type tagState uint8
+
+const (
+	tagClosed tagState = iota // no start tag awaits its '>'
+	tagOpen                   // the start tag written last still lacks its '>'
+	tagDyn                    // unknown until run time: the run's open bit says
+)
+
+// The run-time open bit is exact wherever the compiler's state is tagDyn,
+// and false wherever it is tagClosed or tagOpen — the ops that leave tagDyn
+// clear it, and opOpen sets it on the way in.
+
+// compiler builds a program.
+type compiler struct {
+	db     *relstore.DB
+	params []string
+	code   []op
+	run    []byte // static bytes not yet emitted as an opStatic
+	tag    tagState
+}
+
+// Compile compiles q's body against db's schemas. A table the body reads
+// that db does not have is an error.
+func Compile(db *relstore.DB, q *Query) (*Program, error) {
+	t := db.Table(q.Table)
+	if t == nil {
+		return nil, fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
+	}
+	c := &compiler{db: db}
+	code, _, err := c.block(q.Body, t, tagClosed)
+	if err != nil {
+		return nil, err
+	}
+	compiles.Add(1)
+	return &Program{q: q, code: code, params: c.params}, nil
+}
+
+// block compiles x (nil: nothing) over rows of t, starting in state in, into
+// an op list of its own; it returns the list and the state it ends in.
+func (c *compiler) block(x XMLExpr, t *relstore.Table, in tagState) ([]op, tagState, error) {
+	code, run, tag := c.code, c.run, c.tag
+	c.code, c.run, c.tag = nil, nil, in
+	var err error
+	if x != nil {
+		err = c.expr(x, t)
+	}
+	c.flush()
+	out, end := c.code, c.tag
+	c.code, c.run, c.tag = code, run, tag
+	return out, end, err
+}
+
+func (c *compiler) flush() {
+	if len(c.run) > 0 {
+		c.code = append(c.code, op{kind: opStatic, lit: string(c.run)})
+		c.run = c.run[:0]
+	}
+}
+
+func (c *compiler) emit(o op) {
+	c.flush()
+	c.code = append(c.code, o)
+}
+
+// content is called before static content: the open start tag gets its '>'.
+func (c *compiler) content() {
+	switch c.tag {
+	case tagOpen:
+		c.run = append(c.run, '>')
+	case tagDyn:
+		c.emit(op{kind: opClose})
+	}
+	c.tag = tagClosed
+}
+
+// value emits a content op whose value may be empty.
+func (c *compiler) value(o op) {
+	if c.tag == tagOpen {
+		c.emit(op{kind: opOpen})
+		c.tag = tagDyn
+	}
+	c.emit(o)
+}
+
+func (c *compiler) expr(x XMLExpr, t *relstore.Table) error {
+	switch e := x.(type) {
+	case *Literal:
+		if e.Text != "" {
+			c.content()
+			c.run = xmltree.AppendEscapeText(c.run, e.Text)
+		}
+	case *Column:
+		if o, ok := column(t, e.Name); ok {
+			c.value(o)
+		}
+	case *Element:
+		return c.element(e, t)
+	case *Concat:
+		for _, it := range e.Items {
+			if err := c.expr(it, t); err != nil {
+				return err
+			}
+		}
+	case *Agg:
+		return c.agg(e, t)
+	case *ScalarAgg:
+		sub, err := c.scalar(e)
+		if err != nil {
+			return err
+		}
+		if sub.fn == aggCount || sub.fn == aggSum {
+			c.content() // never NULL: always content
+			c.emit(op{kind: opScalar, sub: sub})
+		} else {
+			c.value(op{kind: opScalar, sub: sub})
+		}
+	case *Cond:
+		return c.cond(e, t)
+	default:
+		return fmt.Errorf("sqlxml: unhandled expression %T", x)
+	}
+	return nil
+}
+
+// column compiles a column reference; a column t does not have always reads
+// NULL, which constructs nothing, so it compiles to no op at all.
+func column(t *relstore.Table, name string) (op, bool) {
+	ord := t.ColIndex(name)
+	if ord < 0 {
+		return op{}, false
+	}
+	kind := opText
+	switch t.Cols[ord].Type {
+	case relstore.IntCol:
+		kind = opInt
+	case relstore.FloatCol:
+		kind = opFloat
+	}
+	return op{kind: kind, ord: ord}, true
+}
+
+func (c *compiler) element(e *Element, t *relstore.Table) error {
+	c.content()
+	name := serialName(e.Name)
+	c.run = append(c.run, '<')
+	c.run = append(c.run, name...)
+	for i, a := range e.Attrs {
+		last := lastAttrNamed(e.Attrs, i)
+		if last < 0 {
+			continue
+		}
+		c.run = append(c.run, ' ')
+		c.run = append(c.run, serialName(a.Name)...)
+		c.run = append(c.run, '=', '"')
+		if err := c.attrValue(e.Attrs[last].Value, t); err != nil {
+			return err
+		}
+		c.run = append(c.run, '"')
+	}
+	c.tag = tagOpen
+	for _, ch := range e.Children {
+		if err := c.expr(ch, t); err != nil {
+			return err
+		}
+	}
+	switch c.tag {
+	case tagOpen:
+		c.run = append(c.run, '/', '>')
+	case tagClosed:
+		c.run = append(c.run, "</"+name+">"...)
+	case tagDyn:
+		c.emit(op{kind: opEnd, lit: "</" + name + ">"})
+	}
+	c.tag = tagClosed
+	return nil
+}
+
+// attrValue compiles a scalar-producing expression (Column, Literal,
+// ScalarAgg, or a Concat of those) into the attribute value being written.
+func (c *compiler) attrValue(x XMLExpr, t *relstore.Table) error {
+	switch e := x.(type) {
+	case *Literal:
+		c.run = xmltree.AppendEscapeAttr(c.run, e.Text)
+	case *Column:
+		if o, ok := column(t, e.Name); ok {
+			o.attr = true
+			c.emit(o)
+		}
+	case *ScalarAgg:
+		sub, err := c.scalar(e)
+		if err != nil {
+			return err
+		}
+		c.emit(op{kind: opScalar, attr: true, sub: sub})
+	case *Concat:
+		for _, it := range e.Items {
+			if err := c.attrValue(it, t); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("sqlxml: attribute value must be scalar, got %T", x)
+	}
+	return nil
+}
+
+// inner resolves a subquery's table and registers the bind variables of its
+// WHERE clause, which the run binds when it plans the subquery.
+func (c *compiler) inner(sub *SubQuery) (*relstore.Table, error) {
+	t := c.db.Table(sub.Table)
+	if t == nil {
+		return nil, fmt.Errorf("sqlxml: unknown table %q", sub.Table)
+	}
+	for _, p := range sub.Where {
+		if name, ok := p.Val.(relstore.ParamValue); ok {
+			c.slot(string(name))
+		}
+	}
+	return t, nil
+}
+
+func (c *compiler) scalar(e *ScalarAgg) (*subOp, error) {
+	t, err := c.inner(e.Sub)
+	if err != nil {
+		return nil, err
+	}
+	return &subOp{q: e.Sub, fn: aggOf(e.Fn), ord: t.ColIndex(e.Col)}, nil
+}
+
+// agg compiles an XMLAgg. Its body runs zero or more times, so the body must
+// start in a state every iteration agrees on: the state before the loop when
+// one iteration ends where it began, else tagDyn — set up before the loop,
+// kept exact by the body.
+func (c *compiler) agg(e *Agg, t *relstore.Table) error {
+	if e.Sub.Body == nil {
+		return fmt.Errorf("sqlxml: unhandled expression %T", e.Sub.Body)
+	}
+	inner, err := c.inner(e.Sub)
+	if err != nil {
+		return err
+	}
+	in := c.tag
+	body, out, err := c.block(e.Sub.Body, inner, in)
+	if err != nil {
+		return err
+	}
+	if out != in {
+		if in == tagOpen {
+			c.emit(op{kind: opOpen})
+		}
+		in = tagDyn
+		if body, out, err = c.block(e.Sub.Body, inner, in); err != nil {
+			return err
+		}
+		if out == tagOpen {
+			body = append(body, op{kind: opOpen})
+		}
+	}
+	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body}})
+	c.tag = in
+	return nil
+}
+
+// cond compiles a CASE WHEN: the predicates, the THEN branch, and the ELSE
+// branch jumped to when a predicate fails. Branches that end in different
+// states join in tagDyn, each making the open bit exact on its way out.
+func (c *compiler) cond(e *Cond, t *relstore.Table) error {
+	preds := make([]condPred, len(e.Preds))
+	for i, p := range e.Preds {
+		preds[i] = condPred{pred: p, ord: t.ColIndex(p.Col), slot: -1}
+		if name, ok := p.Val.(relstore.ParamValue); ok {
+			preds[i].slot = c.slot(string(name))
+		}
+	}
+	in := c.tag
+	then, s1, err := c.block(e.Then, t, in)
+	if err != nil {
+		return err
+	}
+	els, s2, err := c.block(e.Else, t, in)
+	if err != nil {
+		return err
+	}
+	if s1 != s2 {
+		if s1 == tagOpen {
+			then = append(then, op{kind: opOpen})
+		}
+		if s2 == tagOpen {
+			els = append(els, op{kind: opOpen})
+		}
+		s1 = tagDyn
+	}
+	if len(els) > 0 {
+		then = append(then, op{kind: opJump, jump: len(els)})
+	}
+	c.emit(op{kind: opCond, preds: preds, jump: len(then)})
+	c.code = append(c.code, then...)
+	c.code = append(c.code, els...)
+	c.tag = s1
+	return nil
+}
+
+// slot returns the slot of bind variable name, assigning the next one on
+// first use.
+func (c *compiler) slot(name string) int {
+	for i, p := range c.params {
+		if p == name {
+			return i
+		}
+	}
+	c.params = append(c.params, name)
+	return len(c.params) - 1
+}
+
+// lastAttrNamed resolves attribute i of an element against repeated names:
+// -1 when an earlier attribute already claimed the name (this one only
+// overrides that one's value), otherwise the index of the last attribute
+// with the same name — i itself in the usual, duplicate-free case.
+func lastAttrNamed(attrs []Attr, i int) int {
+	for j := 0; j < i; j++ {
+		if sameName(attrs[j].Name, attrs[i].Name) {
+			return -1
+		}
+	}
+	last := i
+	for j := i + 1; j < len(attrs); j++ {
+		if sameName(attrs[j].Name, attrs[i].Name) {
+			last = j
+		}
+	}
+	return last
+}
+
+// sameName reports whether two qualified names denote the same (prefix,
+// local) pair, which is how an xmltree element keys its attributes.
+func sameName(a, b string) bool {
+	if a == b {
+		return true
+	}
+	pa, la := splitName(a)
+	pb, lb := splitName(b)
+	return pa == pb && la == lb
+}
+
+// splitName splits a qualified name at its first ':' as xmltree nodes do.
+func splitName(name string) (prefix, local string) {
+	if i := strings.IndexByte(name, ':'); i >= 0 {
+		return name[:i], name[i+1:]
+	}
+	return "", name
+}
+
+// serialName is the name as the tree serializer prints it: a node stores
+// (prefix, local) split at the first ':' and prints the prefix only when it
+// is non-empty, so a leading ':' disappears.
+func serialName(name string) string {
+	if len(name) > 0 && name[0] == ':' {
+		return name[1:]
+	}
+	return name
+}
+
+// bindSlots binds the program's bind variables for one run into dst's
+// storage: an unbound one is an error wrapping relstore.ErrUnboundParam.
+func (p *Program) bindSlots(dst []relstore.Value, params map[string]relstore.Value) ([]relstore.Value, error) {
+	dst = dst[:0]
+	for _, name := range p.params {
+		v, err := relstore.Param(params, name)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// runRow appends the program's bytes for the current row of the driving
+// frame to dst and settles the row's governor charge.
+func (ec *evalContext) runRow(p *Program, dst []byte) ([]byte, error) {
+	ec.open = false
+	buf, err := ec.run(p.code, &ec.driving, dst)
+	if err == nil {
+		err = ec.flushTicks()
+	}
+	return buf, err
+}
+
+// run executes code for the current row of f, appending to buf. Every op
+// executed is one governor tick.
+func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
+	for pc := 0; pc < len(code); pc++ {
+		if ec.ticks++; ec.ticks >= tickFlush {
+			if err := ec.flushTicks(); err != nil {
+				return buf, err
+			}
+		}
+		o := &code[pc]
+		switch o.kind {
+		case opStatic:
+			buf = append(buf, o.lit...)
+		case opClose:
+			buf = ec.closeTag(buf)
+		case opOpen:
+			ec.open = true
+		case opEnd:
+			if ec.open {
+				buf = append(buf, '/', '>')
+				ec.open = false
+			} else {
+				buf = append(buf, o.lit...)
+			}
+		case opInt:
+			if x, ok := f.at(o.ord).(int64); ok {
+				buf = strconv.AppendInt(ec.contentOf(buf, o), x, 10)
+			} else {
+				buf = ec.value(buf, o, f.at(o.ord))
+			}
+		case opFloat:
+			if x, ok := f.at(o.ord).(float64); ok {
+				buf = appendFloat(ec.contentOf(buf, o), x)
+			} else {
+				buf = ec.value(buf, o, f.at(o.ord))
+			}
+		case opText:
+			buf = ec.value(buf, o, f.at(o.ord))
+		case opAgg:
+			inner, ids, err := ec.group(o.sub.q, f)
+			if err != nil {
+				return buf, err
+			}
+			// The group becomes the row list one level down, so the
+			// subqueries of the body join against all of it at once.
+			body := ec.nest(f, inner, ids)
+			for i := range ids {
+				body.setPos(i)
+				if buf, err = ec.run(o.sub.body, body, buf); err != nil {
+					return buf, err
+				}
+			}
+		case opScalar:
+			inner, ids, err := ec.group(o.sub.q, f)
+			if err != nil {
+				return buf, err
+			}
+			if num, cell, isNum := aggregate(o.sub.fn, inner, o.sub.ord, ids); isNum {
+				buf = appendFloat(ec.contentOf(buf, o), num)
+			} else {
+				buf = ec.value(buf, o, cell)
+			}
+		case opCond:
+			if !ec.holds(o.preds, f) {
+				pc += o.jump
+			}
+		case opJump:
+			pc += o.jump
+		}
+	}
+	return buf, nil
+}
+
+func (ec *evalContext) closeTag(buf []byte) []byte {
+	if ec.open {
+		ec.open = false
+		return append(buf, '>')
+	}
+	return buf
+}
+
+// contentOf prepares buf for a non-empty value of o.
+func (ec *evalContext) contentOf(buf []byte, o *op) []byte {
+	if o.attr {
+		return buf
+	}
+	return ec.closeTag(buf)
+}
+
+// value appends a cell of any type for o: NULL and the empty string are no
+// content, so they leave an open start tag open.
+func (ec *evalContext) value(buf []byte, o *op, v relstore.Value) []byte {
+	if s, ok := v.(string); v == nil || ok && s == "" {
+		return buf
+	}
+	return appendCell(ec.contentOf(buf, o), v, o.attr)
+}
+
+// holds reports whether every predicate matches the current row of f.
+func (ec *evalContext) holds(preds []condPred, f *frame) bool {
+	for i := range preds {
+		p := preds[i].pred
+		if s := preds[i].slot; s >= 0 {
+			p.Val = ec.slots[s]
+		}
+		if !p.Matches(f.at(preds[i].ord)) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendCell appends a cell value as the SQL layer prints it: NULL as
+// nothing, an integer through strconv.AppendInt, a float through
+// appendFloat, text escaped for its context (attr: an attribute value).
+func appendCell(dst []byte, v relstore.Value, attr bool) []byte {
+	switch x := v.(type) {
+	case nil:
+		return dst
+	case string:
+		if attr {
+			return xmltree.AppendEscapeAttr(dst, x)
+		}
+		return xmltree.AppendEscapeText(dst, x)
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return appendFloat(dst, x)
+	}
+	return appendCell(dst, fmt.Sprint(v), attr)
+}
+
+// appendFloat formats f the way the SQL layer prints numbers: an integral
+// value as an integer, anything else in the shortest %g form.
+func appendFloat(dst []byte, f float64) []byte {
+	if f == float64(int64(f)) {
+		return strconv.AppendInt(dst, int64(f), 10)
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// aggregate computes a SQL aggregate over the rows ids of inner, reading
+// column ord (-1: none): a number (count, sum, avg), a cell (min, max) or
+// NULL — neither. An aggregate over no (non-NULL) values is NULL, except
+// count and sum, which are 0.
+func aggregate(fn aggFn, inner *relstore.TableSnap, ord int, ids []int) (num float64, cell relstore.Value, isNum bool) {
+	if fn == aggCount {
+		return float64(len(ids)), nil, true
+	}
+	var total float64
+	var count int
+	var best relstore.Value
+	for _, id := range ids {
+		var v relstore.Value
+		if ord >= 0 {
+			v = inner.Row(id)[ord]
+		}
+		if v == nil {
+			continue
+		}
+		count++
+		total += toF(v)
+		if best == nil ||
+			(fn == aggMin && relstore.CompareValues(v, best) < 0) ||
+			(fn == aggMax && relstore.CompareValues(v, best) > 0) {
+			best = v
+		}
+	}
+	switch fn {
+	case aggSum:
+		return total, nil, true
+	case aggAvg:
+		if count > 0 {
+			return total / float64(count), nil, true
+		}
+	case aggMin, aggMax:
+		return 0, best, false
+	}
+	return 0, nil, false
+}

@@ -1,0 +1,288 @@
+package sqlxml
+
+import (
+	"fmt"
+	"io"
+	"sync"
+	"testing"
+
+	"repro/internal/relstore"
+)
+
+// The byte program is held to the tree walk over generated bodies: any
+// XMLExpr the generator below decodes from fuzz bytes must append, through
+// AppendNext, exactly the bytes Node.Serialize prints for the trees of
+// ExecQueryParallelSpec — at every batch size and worker count, over enough
+// driving rows that the morsel pool constructs.
+
+// shapeGen decodes bytes into an XMLExpr over kindsDB's tables: o drives,
+// i is correlated on o.id, j on i.w. Exhausted input reads as zeros, which
+// end every choice in its smallest option.
+type shapeGen struct {
+	b []byte
+	i int
+}
+
+func (g *shapeGen) n(k int) int {
+	if g.i >= len(g.b) {
+		return 0
+	}
+	v := int(g.b[g.i]) % k
+	g.i++
+	return v
+}
+
+// kindsCols lists each table's columns plus one it does not have.
+var kindsCols = map[string][]string{
+	"o": {"id", "name", "note", "score", "nope"},
+	"i": {"oid", "label", "amt", "w", "nope"},
+	"j": {"k", "tag", "nope"},
+}
+
+var (
+	shapeLits  = []string{"", "t", `a<b&"c"`, "\n\t", "日本"}
+	shapeNames = []string{"e", "f", "p:e", ":e"}
+	shapeAttrs = []string{"a", "b", "a", ":a", "p:a", ":p:a", "p:b"}
+	shapeFns   = []string{"count", "sum", "avg", "min", "max"}
+)
+
+func (g *shapeGen) col(table string) string {
+	cols := kindsCols[table]
+	return cols[g.n(len(cols))]
+}
+
+// pred is a predicate on an existing column of table: a constant of the
+// column's type, another type, NULL, or a bind variable ($p int, $s text).
+func (g *shapeGen) pred(table string) relstore.Pred {
+	cols := kindsCols[table]
+	p := relstore.Pred{Col: cols[g.n(len(cols)-1)], Op: relstore.CmpOp(g.n(6))}
+	switch g.n(6) {
+	case 0:
+		p.Val = int64(g.n(4))
+	case 1:
+		p.Val = float64(g.n(5)) - 1.5
+	case 2:
+		p.Val = nasty[g.n(len(nasty))]
+	case 3:
+		p.Val = relstore.ParamValue("p")
+	case 4:
+		p.Val = relstore.ParamValue("s")
+	default:
+		p.Val = nil
+	}
+	return p
+}
+
+// sub is a subquery under rows of table: correlated one level down, or
+// uncorrelated over the four-row j, with 0–2 WHERE predicates and maybe an
+// ORDER BY in either direction.
+func (g *shapeGen) sub(table string) *SubQuery {
+	var q SubQuery
+	switch {
+	case table == "o" && g.n(3) > 0:
+		q = SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id"}
+	case table == "i" && g.n(3) > 0:
+		q = SubQuery{Table: "j", CorrInner: "k", CorrOuter: "w"}
+	default:
+		q.Table = "j"
+	}
+	for n := g.n(3); n > 0; n-- {
+		q.Where = append(q.Where, g.pred(q.Table))
+	}
+	if g.n(2) == 1 {
+		cols := kindsCols[q.Table]
+		q.OrderBy, q.Descending = cols[g.n(len(cols)-1)], g.n(2) == 1
+	}
+	return &q
+}
+
+func (g *shapeGen) scalarAgg(table string) *ScalarAgg {
+	sub := g.sub(table)
+	e := &ScalarAgg{Fn: shapeFns[g.n(len(shapeFns))], Sub: sub}
+	if e.Fn != "count" || g.n(2) == 1 {
+		e.Col = g.col(sub.Table)
+	}
+	return e
+}
+
+// scalar is an attribute value.
+func (g *shapeGen) scalar(table string, depth int) XMLExpr {
+	switch g.n(4) {
+	case 1:
+		return &Column{Name: g.col(table)}
+	case 2:
+		if depth < 3 {
+			items := make([]XMLExpr, 1+g.n(3))
+			for i := range items {
+				items[i] = g.scalar(table, depth+1)
+			}
+			return &Concat{Items: items}
+		}
+	case 3:
+		return g.scalarAgg(table)
+	}
+	return &Literal{Text: shapeLits[g.n(len(shapeLits))]}
+}
+
+// element has 0–5 attributes, names repeating, and 0–3 children.
+func (g *shapeGen) element(table string, depth, aggs int) *Element {
+	e := &Element{Name: shapeNames[g.n(len(shapeNames))]}
+	for n := g.n(6); n > 0; n-- {
+		e.Attrs = append(e.Attrs, Attr{Name: shapeAttrs[g.n(len(shapeAttrs))], Value: g.scalar(table, 0)})
+	}
+	if depth < 4 {
+		for n := g.n(4); n > 0; n-- {
+			e.Children = append(e.Children, g.content(table, depth+1, aggs))
+		}
+	}
+	return e
+}
+
+// content is anything an element may contain. aggs counts the XMLAggs
+// enclosing it, at most two.
+func (g *shapeGen) content(table string, depth, aggs int) XMLExpr {
+	switch g.n(8) {
+	case 1:
+		return &Literal{Text: shapeLits[g.n(len(shapeLits))]}
+	case 2:
+		return &Column{Name: g.col(table)}
+	case 3:
+		if depth < 4 {
+			items := make([]XMLExpr, g.n(4))
+			for i := range items {
+				items[i] = g.content(table, depth+1, aggs)
+			}
+			return &Concat{Items: items}
+		}
+	case 4:
+		if depth < 4 {
+			c := &Cond{Then: g.content(table, depth+1, aggs)}
+			for n := 1 + g.n(2); n > 0; n-- {
+				cols := kindsCols[table]
+				p := g.pred(table)
+				p.Col = cols[g.n(len(cols))] // a missing column too: NULL never matches
+				c.Preds = append(c.Preds, p)
+			}
+			if g.n(2) == 1 {
+				c.Else = g.content(table, depth+1, aggs)
+			}
+			return c
+		}
+	case 5:
+		if aggs < 2 && depth < 4 {
+			sub := g.sub(table)
+			sub.Body = g.content(sub.Table, depth+1, aggs+1)
+			return &Agg{Sub: sub}
+		}
+	case 6:
+		return g.scalarAgg(table)
+	}
+	return g.element(table, depth, aggs)
+}
+
+// shapeParams binds the generator's bind variables.
+var shapeParams = map[string]relstore.Value{"p": int64(2), "s": nasty[1]}
+
+// assertProgramMatchesTrees demands the one-worker trees' bytes from every
+// byte route: batch sizes 1, 7 and 1024 at 1 and 4 workers. It returns the
+// morsels the 4-worker runs executed.
+func assertProgramMatchesTrees(tb testing.TB, ex *Executor, q *Query) int64 {
+	tb.Helper()
+	docs, err := ex.ExecQueryParallelSpec(q, 1, nil, nil, &RunSpec{Params: shapeParams})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	want := serializeDocs(docs)
+	var sink relstore.Stats
+	for _, workers := range []int{1, 4} {
+		for _, size := range []int{1, 7, 1024} {
+			c, err := ex.OpenQueryCursorSpec(q, &sink, nil, &RunSpec{Params: shapeParams, Batch: relstore.BatchOpts{BatchSize: size, Workers: workers}})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var buf []byte
+			for i := 0; ; i++ {
+				buf, err = c.AppendNext(buf[:0])
+				if err == io.EOF {
+					if i != len(want) {
+						tb.Fatalf("workers=%d batch=%d: %d rows, want %d", workers, size, i, len(want))
+					}
+					break
+				}
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if i >= len(want) || string(buf) != want[i] {
+					tb.Fatalf("workers=%d batch=%d: row %d differs:\n got  %q\n want %q\nbody: %s", workers, size, i, buf, want[min(i, len(want)-1)], q.Body.SQL())
+				}
+			}
+			c.Close()
+		}
+	}
+	return sink.Morsels
+}
+
+var (
+	shapeDBOnce sync.Once
+	shapeDB     *relstore.DB
+)
+
+// FuzzProgramVsTree: for any generated body, the program and the walk agree
+// on every row of a driving table large enough for the morsel pool.
+func FuzzProgramVsTree(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 5, 3, 0, 1, 2, 4, 6, 1, 7, 2})
+	f.Add([]byte{4, 0, 2, 1, 3, 0, 1, 1, 2, 0, 1, 5, 1, 1, 0, 3})
+	f.Add([]byte{5, 1, 2, 1, 1, 0, 5, 1, 0, 0, 0, 5, 2, 2, 3, 3, 1, 0, 6, 2, 1})
+	f.Add([]byte{0, 5, 0, 2, 1, 3, 2, 5, 3, 4, 2, 6, 1, 3, 0, 2})
+	f.Add([]byte{3, 3, 6, 4, 1, 1, 4, 0, 2, 0, 5, 0, 1, 1, 1, 1, 2, 6, 3, 1, 4, 1})
+	f.Fuzz(func(t *testing.T, shape []byte) {
+		shapeDBOnce.Do(func() {
+			shapeDB = kindsDB(t, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, relstore.MorselMinRows+5)
+		})
+		g := &shapeGen{b: shape}
+		q := &Query{Table: "o", Body: g.content("o", 0, 0)}
+		if morsels := assertProgramMatchesTrees(t, NewExecutor(shapeDB), q); morsels == 0 {
+			t.Fatalf("the parallel route did not run for %s", q.Body.SQL())
+		}
+	})
+}
+
+// TestProgramShapes pins what the compiler decides statically for the
+// corners of the deferred '>' — and the bytes each one constructs.
+func TestProgramShapes(t *testing.T) {
+	db := kindsDB(t, nasty, []float64{0, 1}, 5)
+	for _, tc := range []struct {
+		name string
+		body XMLExpr
+		ops  int // ops compiled for the driving body
+	}{
+		{"static tree is one run", &Element{Name: "a", Attrs: []Attr{{Name: "x", Value: &Literal{Text: `"`}}}, Children: []XMLExpr{
+			&Element{Name: "b"}, &Literal{Text: "<"}, &Element{Name: "c", Children: []XMLExpr{&Literal{Text: "d"}}}}}, 1},
+		{"column under an open tag", &Element{Name: "a", Children: []XMLExpr{&Column{Name: "note"}}}, 4},
+		{"missing column compiles away", &Element{Name: "a", Children: []XMLExpr{&Column{Name: "nope"}}}, 1},
+		{"count is content", &Element{Name: "a", Children: []XMLExpr{&ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "j"}}}}, 3},
+		{"agg body entered open", &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id",
+			Body: &Element{Name: "b"}}}}}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := &Query{Table: "o", Body: tc.body}
+			p, err := Compile(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.code) != tc.ops {
+				t.Errorf("%d ops, want %d: %s", len(p.code), tc.ops, dumpOps(p.code))
+			}
+			assertProgramMatchesTrees(t, NewExecutor(db), q)
+		})
+	}
+}
+
+func dumpOps(code []op) string {
+	s := ""
+	for _, o := range code {
+		s += fmt.Sprintf("[%d %q jump=%d] ", o.kind, o.lit, o.jump)
+	}
+	return s
+}

@@ -42,7 +42,7 @@ func (ec *evalContext) setList(f *frame, ts *relstore.TableSnap, ids []int, rows
 	f.ts, f.ids, f.rows, f.list = ts, ids, rows, ec.lists
 }
 
-// setRows installs the driving rows the next evalRow calls construct from;
+// setRows installs the driving rows the next rows are constructed from;
 // position with setPos.
 func (ec *evalContext) setRows(ts *relstore.TableSnap, ids []int, rows [][]relstore.Value) {
 	ec.setList(&ec.driving, ts, ids, rows)
@@ -71,9 +71,12 @@ func (f *frame) setPos(i int) { f.pos, f.row = i, f.rowAt(i) }
 
 // cell reads one column of the current row; a column the table does not
 // have (or a row id outside the snapshot) reads as NULL.
-func (f *frame) cell(col string) relstore.Value {
-	if ci := f.ts.ColIndex(col); ci >= 0 && ci < len(f.row) {
-		return f.row[ci]
+func (f *frame) cell(col string) relstore.Value { return f.at(f.ts.ColIndex(col)) }
+
+// at reads the current row's column at ordinal ord (-1: none, NULL).
+func (f *frame) at(ord int) relstore.Value {
+	if ord >= 0 && ord < len(f.row) {
+		return f.row[ord]
 	}
 	return nil
 }
@@ -98,20 +101,32 @@ type subPlan struct {
 	list   uint64
 	keys   []relstore.Value // the outer keys of the last join
 	sorted []int            // the current group in ORDER BY order
+	where  []relstore.Pred  // the run's binding of sub.Where, when it has placeholders
 }
 
 var subPlanPool = sync.Pool{New: func() any { return new(subPlan) }}
 
-// planSub plans sub as it appears under rows of outer, against snap. The
-// plan comes from a pool: release it when the run (or the EXPLAIN) is over.
-func planSub(snap *relstore.Snapshot, sub *SubQuery, outer *relstore.TableSnap) (*subPlan, error) {
+// planSub plans sub as it appears under rows of outer, against snap, with
+// the placeholders of its WHERE clause bound from params (nil: left as
+// placeholders, which EXPLAIN renders as :name). The plan comes from a pool:
+// release it when the run (or the EXPLAIN) is over.
+func planSub(snap *relstore.Snapshot, sub *SubQuery, outer *relstore.TableSnap, params map[string]relstore.Value) (*subPlan, error) {
 	inner := snap.Table(sub.Table)
 	if inner == nil {
 		return nil, fmt.Errorf("sqlxml: unknown table %q", sub.Table)
 	}
 	p := subPlanPool.Get().(*subPlan)
+	where := sub.Where
+	if params != nil && relstore.HasParams(where) {
+		var err error
+		if p.where, err = relstore.AppendBound(p.where[:0], where, params); err != nil {
+			subPlanPool.Put(p)
+			return nil, err
+		}
+		where = p.where
+	}
 	p.sub, p.outer, p.outerOrd, p.orderOrd, p.list = sub, outer, -1, -1, 0
-	p.join = relstore.PlanGroupJoin(inner, sub.CorrInner, sub.Where)
+	p.join = relstore.PlanGroupJoin(inner, sub.CorrInner, where)
 	if sub.CorrInner != "" {
 		p.outerOrd = outer.ColIndex(sub.CorrOuter)
 	}
@@ -128,6 +143,8 @@ func (p *subPlan) release() {
 	p.groups.Release()
 	clear(p.keys)
 	p.keys = p.keys[:0]
+	clear(p.where)
+	p.where = p.where[:0]
 	subPlanPool.Put(p)
 }
 
@@ -151,7 +168,7 @@ func (ec *evalContext) plan(sub *SubQuery, outer *relstore.TableSnap) (*subPlan,
 			return p, nil
 		}
 	}
-	p, err := planSub(ec.snap, sub, outer)
+	p, err := planSub(ec.snap, sub, outer, ec.params)
 	if err != nil {
 		return nil, err
 	}

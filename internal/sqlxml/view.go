@@ -113,7 +113,7 @@ func explainSubqueries(snap *relstore.Snapshot, outer *relstore.TableSnap, expr 
 }
 
 func explainSub(snap *relstore.Snapshot, outer *relstore.TableSnap, sub *SubQuery, sb *strings.Builder, pad string) {
-	p, err := planSub(snap, sub, outer)
+	p, err := planSub(snap, sub, outer, nil)
 	if err != nil {
 		return
 	}

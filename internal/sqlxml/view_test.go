@@ -446,7 +446,8 @@ func TestDeriveSchemaRejectsMixedContent(t *testing.T) {
 func TestExecutorSurface(t *testing.T) {
 	want := []string{
 		"AddStats", "DeriveSchema", "ExecQueryParallelSpec", "ExplainQuerySpec",
-		"ExplainViewSpec", "MaterializeRow", "MaterializeViewSpec", "OpenQueryCursorSpec", "OpenViewCursorSpec",
+		"ExplainViewSpec", "MaterializeRow", "MaterializeViewSpec", "OpenProgramCursorSpec", "OpenQueryCursorSpec",
+		"OpenViewCursorSpec",
 	}
 	typ := reflect.TypeOf(&Executor{})
 	var got []string

@@ -65,7 +65,7 @@ func (d *Database) open(p *pipeline, st *planState, spec *sqlxml.RunSpec, sink *
 	var operator string
 	switch p.strategy {
 	case StrategySQL:
-		p.rows, err = d.exec.OpenQueryCursorSpec(st.plan, sink, p.gov, spec)
+		p.rows, err = d.exec.OpenProgramCursorSpec(st.prog, sink, p.gov, spec)
 		return err
 	case StrategyXQuery:
 		operator, p.eval = "xquery-eval", (*pipeline).evalXQuery

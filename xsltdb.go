@@ -491,9 +491,10 @@ type planState struct {
 	viewVersion int
 	sheet       *xslt.Stylesheet
 	strategy    Strategy
-	rewrite     *core.Result  // nil for no-rewrite
-	plan        *sqlxml.Query // nil unless StrategySQL
-	fallback    string        // why a stronger strategy was not used
+	rewrite     *core.Result    // nil for no-rewrite
+	plan        *sqlxml.Query   // nil unless StrategySQL
+	prog        *sqlxml.Program // plan's byte constructor, compiled with it
+	fallback    string          // why a stronger strategy was not used
 }
 
 // chain lists the runtime degradation chain for this plan, strongest
@@ -531,6 +532,12 @@ type CompiledTransform struct {
 	// recompiles counts automatic recompilations triggered by view
 	// redefinition. Read it through Recompiles().
 	recompiles int
+
+	// lastOut is the size of the last result Run produced: a run's pooled
+	// buffer can come back empty (a collection drops the pool) and is grown
+	// to it at once instead of from zero by repeated appends, which for a
+	// megabyte result allocate several times its size.
+	lastOut atomic.Int64
 }
 
 // FallbackReason explains why a stronger strategy was not used ("" when the
@@ -671,6 +678,12 @@ func (d *Database) compilePlanUncached(view *ViewDef, version int, stylesheet st
 
 	sqlSp := sp.Start("sql-rewrite")
 	plan, err := xq2sql.Translate(module, view)
+	var prog *sqlxml.Program
+	if err == nil {
+		// Table schemas never change and tables are never dropped, so the
+		// program's column ordinals hold for as long as the plan does.
+		prog, err = sqlxml.Compile(d.rel, plan)
+	}
 	if err != nil {
 		sqlSp.Fail(err)
 		sqlSp.End()
@@ -692,7 +705,7 @@ func (d *Database) compilePlanUncached(view *ViewDef, version int, stylesheet st
 		}
 	}
 	sqlSp.End()
-	st.plan = plan
+	st.plan, st.prog = plan, prog
 	st.strategy = StrategySQL
 	return st, nil
 }
@@ -891,6 +904,7 @@ func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts 
 	var sink relstore.Stats
 	out := sqlxml.GetRowBuf()
 	defer sqlxml.PutRowBuf(out)
+	out.Grow(int(ct.lastOut.Load()))
 	chain := startChain(x.trace, stages)
 	p, err := ct.db.walkChain(ctx, x.st, ct.opts, x.spec, x.root, es, func(p *pipeline) error {
 		out.Reset()
@@ -902,6 +916,7 @@ func (ct *CompiledTransform) run(ctx context.Context, stages []chainStage, opts 
 	})
 	if err == nil {
 		res.body, res.Rows = out.Strings()
+		ct.lastOut.Store(int64(len(res.body)))
 		es.RowsProduced = int64(len(res.Rows))
 		es.GovTicks += int64(p.gov.Ticks())
 		p.end(es.RowsProduced, io.EOF)
