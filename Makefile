@@ -7,8 +7,9 @@
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
 #                 SQL/XML byte program against the tree serializer (random
 #                 cells, and random bodies), the group-join against a nested
-#                 loop, and xsltd's p.*/where= parameters (no 500, no panic,
-#                 cached equals uncached)
+#                 loop, the filter kernels against Pred.Matches on every
+#                 access path, and xsltd's p.*/where= parameters (no 500, no
+#                 panic, cached equals uncached)
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelVsMatches$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzTransformParams$$' -fuzztime $(FUZZTIME) ./serve
 
 # The robustness suite arms faultpoints (degradation, persistent faults,

@@ -13,8 +13,9 @@ import (
 // interface pulled one row id per call, paying interface dispatch, a
 // faultpoint check, a governor tick and a table lock acquisition PER ROW.
 // BatchIterator amortizes all four to once per ~1024-row chunk: producers
-// fill a caller-supplied Batch under a single lock acquisition, charge the
-// governor once with TickN(n), and check their fault point once per
+// fill a caller-supplied Batch from a pinned snapshot with no lock at all
+// (their filter kernels write the qualifying ids straight into it), charge
+// the governor once with TickN(n), and check their fault point once per
 // NextBatch call. The per-row Iterator/RowAdapter shim that bridged the
 // migration is gone — every consumer drains batches directly. Correlated
 // subqueries inside XML construction do not open an iterator per outer row
@@ -27,43 +28,29 @@ import (
 // enough that a cancelled run aborts within one batch.
 const DefaultBatchSize = 1024
 
-// Batch is one chunk of scan output: row ids plus, for each id, a reference
-// to the row's value slice (captured under the same lock acquisition that
-// validated the id, so consumers can read cells without re-locking the
-// table). Rows are append-only — a published []Value is never mutated — so
-// holding the references after the lock is released is safe.
+// Batch is one chunk of scan output: the qualifying row ids of a pinned
+// table snapshot, which consumers read cells of through the snapshot's
+// typed readers. A producer's filter kernels write the ids straight into
+// IDs: the batch is the scan's selection vector.
 //
 // Batches are pooled: obtain one with GetBatch, return it with PutBatch
 // when the consumer is done. The zero Batch is usable but unpooled.
 type Batch struct {
 	// IDs holds the qualifying row ids, in ascending heap order.
 	IDs []int
-	// Rows holds the matching row value slices: Rows[i] is the row of
-	// IDs[i]. Shared references — callers must not mutate.
-	Rows [][]Value
 }
 
 // Len reports how many rows the batch currently holds.
 func (b *Batch) Len() int { return len(b.IDs) }
 
 // reset empties the batch, keeping capacity.
-func (b *Batch) reset() {
-	b.IDs = b.IDs[:0]
-	b.Rows = b.Rows[:0]
-}
+func (b *Batch) reset() { b.IDs = b.IDs[:0] }
 
 // grow makes room for up to n rows without reallocating per append.
 func (b *Batch) grow(n int) {
 	if cap(b.IDs) < n {
 		b.IDs = make([]int, 0, n)
-		b.Rows = make([][]Value, 0, n)
 	}
-}
-
-// push appends one qualifying row.
-func (b *Batch) push(id int, row []Value) {
-	b.IDs = append(b.IDs, id)
-	b.Rows = append(b.Rows, row)
 }
 
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
@@ -133,42 +120,8 @@ func (o BatchOpts) WorkerCount() int {
 	return o.Workers
 }
 
-// predClosure pre-resolves predicate columns to ordinals so per-row
-// evaluation is a slice index instead of a map lookup through the table
-// lock. A predicate naming a missing column gets ordinal -1 and — per SQL
-// NULL semantics, matching the row interface's behavior — never matches.
-type predClosure struct {
-	preds []Pred
-	cols  []int
-}
-
-func closePreds(t *Table, preds []Pred) predClosure {
-	pc := predClosure{preds: preds}
-	if len(preds) > 0 {
-		pc.cols = make([]int, len(preds))
-		for i, p := range preds {
-			pc.cols[i] = t.ColIndex(p.Col)
-		}
-	}
-	return pc
-}
-
-// matches evaluates the conjunction against one row's values.
-func (pc *predClosure) matches(row []Value) bool {
-	for i, p := range pc.preds {
-		var cell Value
-		if ci := pc.cols[i]; ci >= 0 && ci < len(row) {
-			cell = row[ci]
-		}
-		if !p.Matches(cell) {
-			return false
-		}
-	}
-	return true
-}
-
 // batchScanIter is the serial full-table scan over a pinned snapshot: zero
-// lock acquisitions (the snapshot's rows header is immutable), one
+// lock acquisitions (the snapshot's vector headers are immutable), one
 // fault-point check and one governor charge per batch instead of per row.
 // Rows appended after the snapshot was pinned are never visited — every
 // consumer of one snapshot sees the same committed state (MVCC read
@@ -176,7 +129,7 @@ func (pc *predClosure) matches(row []Value) bool {
 // their output.
 type batchScanIter struct {
 	snap  *TableSnap
-	pc    predClosure
+	where conj
 	size  int // rows per emitted batch
 	pos   int
 	stats *Stats
@@ -205,31 +158,21 @@ func (s *batchScanIter) NextBatch(batch *Batch) (int, bool) {
 	// a larger capacity from a previous consumer.
 	want := s.size
 	batch.grow(want)
-	rows := s.snap.rows
-	for batch.Len() == 0 {
-		if s.pos >= len(rows) {
-			break
-		}
-		end := s.pos + scanChunkRows
-		if end > len(rows) {
-			end = len(rows)
-		}
+	rows := s.snap.n
+	for batch.Len() == 0 && s.pos < rows {
+		end := min(s.pos+scanChunkRows, rows)
 		start := s.pos
-		var filtered int
+		// No more candidates than the batch has room for can qualify, so a
+		// step of that many never overfills it.
 		for s.pos < end && batch.Len() < want {
-			id := s.pos
-			s.pos++
-			row := rows[id]
-			if s.pc.matches(row) {
-				batch.push(id, row)
-			} else {
-				filtered++
-			}
+			hi := min(end, s.pos+want-batch.Len())
+			batch.IDs = s.where.sel(batch.IDs, s.snap, s.pos, hi, nil)
+			s.pos = hi
 		}
 		scanned := s.pos - start
 		if s.stats != nil {
 			atomic.AddInt64(&s.stats.RowsScanned, int64(scanned))
-			if filtered > 0 && len(s.pc.preds) > 0 {
+			if filtered := scanned - batch.Len(); filtered > 0 && len(s.where.preds) > 0 {
 				atomic.AddInt64(&s.stats.RowsFiltered, int64(filtered))
 			}
 		}
@@ -264,12 +207,12 @@ func appendScanExplain(dst []byte, t *Table, preds []Pred) []byte {
 // batchIndexIter drives a B-tree descent over a pinned snapshot and emits
 // the (ascending) posting list in batches: the descent runs once under the
 // table lock (the tree mutates in place on Insert), bounded to rows
-// committed before the snapshot; residual predicates then apply lock-free
-// against the snapshot's row references.
+// committed before the snapshot; the residual predicates' kernels then
+// filter the ids lock-free against the snapshot's vectors.
 type batchIndexIter struct {
 	snap     *TableSnap
 	plan     AccessPlan
-	residual predClosure
+	residual conj
 	size     int // rows per emitted batch
 
 	ids   []int // read-only: may be a view of a posting list (TableSnap.IndexIDs)
@@ -305,29 +248,15 @@ func (it *batchIndexIter) NextBatch(batch *Batch) (int, bool) {
 	}
 	want := it.size
 	batch.grow(want)
-	rows := it.snap.rows
 	for batch.Len() == 0 && it.pos < len(it.ids) {
-		end := it.pos + scanChunkRows
-		if end > len(it.ids) {
-			end = len(it.ids)
-		}
+		end := min(it.pos+scanChunkRows, len(it.ids))
 		start := it.pos
-		var filtered int
 		for it.pos < end && batch.Len() < want {
-			id := it.ids[it.pos]
-			it.pos++
-			if id < 0 || id >= len(rows) {
-				filtered++
-				continue
-			}
-			row := rows[id]
-			if it.residual.matches(row) {
-				batch.push(id, row)
-			} else {
-				filtered++
-			}
+			hi := min(end, it.pos+want-batch.Len())
+			batch.IDs = it.residual.sel(batch.IDs, it.snap, 0, 0, it.ids[it.pos:hi])
+			it.pos = hi
 		}
-		if it.stats != nil && filtered > 0 {
+		if filtered := it.pos - start - batch.Len(); it.stats != nil && filtered > 0 {
 			atomic.AddInt64(&it.stats.RowsFiltered, int64(filtered))
 		}
 		if err := it.gov.TickN(it.pos - start); err != nil {
@@ -375,23 +304,22 @@ func OpenMorsels[T any](p AccessPlan, ts *TableSnap, stats *Stats, g *governor.G
 		if stats != nil {
 			atomic.AddInt64(&stats.FullScans, 1)
 		}
-		pc := closePreds(ts.tab, p.Residual)
 		if workers > 1 && ts.NumRows() >= MorselMinRows {
-			return newMorsels(ts, nil, ts.NumRows(), pc, "relstore.scan.batch", stats, g, workers, opts.Size(), job), nil
+			return newMorsels(ts, nil, ts.NumRows(), p.Residual, "relstore.scan.batch", stats, g, workers, opts.Size(), job), nil
 		}
-		return nil, &batchScanIter{snap: ts, pc: pc, size: opts.Size(), stats: stats, gov: g}
+		return nil, &batchScanIter{snap: ts, where: compileConj(ts, p.Residual), size: opts.Size(), stats: stats, gov: g}
 	}
 	if stats != nil {
 		atomic.AddInt64(&stats.RangeScans, 1)
 	}
 	it := &batchIndexIter{
-		snap: ts, plan: p, residual: closePreds(ts.tab, p.Residual),
+		snap: ts, plan: p, residual: compileConj(ts, p.Residual),
 		size: opts.Size(), stats: stats, gov: g,
 	}
 	if workers > 1 {
 		it.materialize()
 		if len(it.ids) >= MorselMinRows {
-			return newMorsels(ts, it.ids, len(it.ids), it.residual, "relstore.index.batch", stats, g, workers, opts.Size(), job), nil
+			return newMorsels(ts, it.ids, len(it.ids), p.Residual, "relstore.index.batch", stats, g, workers, opts.Size(), job), nil
 		}
 	}
 	return nil, it

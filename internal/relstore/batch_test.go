@@ -55,7 +55,7 @@ func drainBatches(t *testing.T, it BatchIterator, size int) ([]int, []int) {
 }
 
 // TestBatchScanChunking: a scan over n rows emits ceil(n/size) full batches
-// and the ids in heap order, with row references matching the table.
+// and the ids in heap order, each naming the row the table holds there.
 func TestBatchScanChunking(t *testing.T) {
 	tab := mkBigTable(t, 2500)
 	it := openScan(tab, nil, nil, nil, BatchOpts{BatchSize: 1000, Workers: 1})
@@ -75,8 +75,8 @@ func TestBatchScanChunking(t *testing.T) {
 			if b.IDs[j] != total+j {
 				t.Fatalf("batch %d id[%d] = %d, want %d", i, j, b.IDs[j], total+j)
 			}
-			if b.Rows[j][0] != int64(total+j) {
-				t.Fatalf("row ref mismatch at id %d", total+j)
+			if got := tab.Value(b.IDs[j], "id"); got != int64(total+j) {
+				t.Fatalf("cell of id %d = %v", total+j, got)
 			}
 		}
 		total += n
@@ -180,7 +180,7 @@ func TestParallelLookaheadIsBounded(t *testing.T) {
 func TestMorselJobPanicIsContained(t *testing.T) {
 	tab := mkBigTable(t, 8*morselRows)
 	ts := tab.Snap()
-	job := func(_ int, ids []int, _ [][]Value, out *int) error {
+	job := func(_ int, ids []int, out *int) error {
 		if ids[0] >= 5*morselRows {
 			panic("boom")
 		}

@@ -199,7 +199,10 @@ func HasParams(preds []Pred) bool {
 	return false
 }
 
-// Matches evaluates the predicate against a cell value.
+// Matches evaluates the predicate against a boxed cell value. It is the
+// reference semantics: no access path evaluates a residual through it —
+// the filter kernels (kernel.go) answer the same from the typed vectors,
+// and the tests hold them to it.
 func (p Pred) Matches(cell Value) bool {
 	if cell == nil || p.Val == nil {
 		return false // SQL three-valued logic: NULL never matches
@@ -319,8 +322,12 @@ type AccessPlan struct {
 	TableRows int
 }
 
-// sargable reports whether p can bound a B-tree interval.
-func sargable(p Pred) bool { return p.Op != CmpNe && p.Val != nil }
+// sargable reports whether p can bound a B-tree interval. A NaN constant
+// cannot: it compares equal to every number, so it orders nothing.
+func sargable(p Pred) bool {
+	f, isFloat := p.Val.(float64)
+	return p.Op != CmpNe && p.Val != nil && !(isFloat && f != f)
+}
 
 // PlanAccessAt plans the physical access for a conjunction of predicates over
 // a pinned snapshot: a B-tree probe when an indexed column has an equality

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"slices"
 	"sync/atomic"
 
@@ -17,7 +18,10 @@ import (
 // governor charge are paid once per batch, and — when no constant predicate
 // has to be applied — a run is a view of the B-tree's own posting list
 // (snapshot.go explains why that is snapshot-safe), so a group costs a
-// descent and a slice header.
+// descent and a slice header. Keys are never boxed: a batch names them as
+// one column of the outer snapshot at a list of row ids (Keys), the index
+// join reads each typed and descends the typed B-tree with it, and the
+// constant predicates are filter kernels over the posting lists.
 //
 // Which variant runs is decided by what the table has, never by a caller:
 // an index on the correlation column gives the index join (one descent per
@@ -42,7 +46,16 @@ type GroupJoin struct {
 	access AccessPlan
 	// filter holds the constant predicates the index variant applies to
 	// each posting list.
-	filter predClosure
+	filter conj
+}
+
+// Keys is a batch of outer keys, named rather than read: the cells of column
+// Ord of the rows IDs of the pinned outer table Table. Ord < 0 makes every
+// key NULL.
+type Keys struct {
+	Table *TableSnap
+	Ord   int
+	IDs   []int
 }
 
 // PlanGroupJoin plans the join of inner.col = <outer key> AND preds against
@@ -55,7 +68,7 @@ func PlanGroupJoin(inner *TableSnap, col string, preds []Pred) GroupJoin {
 		j.indexed = inner.HasIndex(col)
 	}
 	if j.indexed {
-		j.filter = closePreds(inner.tab, preds)
+		j.filter = compileConj(inner, preds)
 	} else {
 		j.access = PlanAccessAt(inner, preds)
 	}
@@ -101,7 +114,7 @@ type Groups struct {
 	// CompareValues order, the outer positions sorted the same way, the slot
 	// (index into distinct) of each outer key, and the matched (slot, inner
 	// id) pairs before they are bucketed.
-	distinct []Value
+	distinct []joinKey
 	order    []int32
 	slotOf   []int32
 	pairs    []slotID
@@ -139,11 +152,11 @@ func (gr *Groups) Release() {
 // fault point "relstore.join.batch", a fault in the inner scan, the
 // governor's verdict — means out holds no usable group: a run is never
 // silently truncated. stats and g may be nil.
-func (j *GroupJoin) Join(keys []Value, out *Groups, stats *Stats, g *governor.G) error {
+func (j *GroupJoin) Join(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	if err := faultpoint.Hit("relstore.join.batch"); err != nil {
 		return err
 	}
-	out.reset(len(keys))
+	out.reset(len(keys.IDs))
 	if j.indexed {
 		return j.indexJoin(keys, out, stats, g)
 	}
@@ -152,22 +165,24 @@ func (j *GroupJoin) Join(keys []Value, out *Groups, stats *Stats, g *governor.G)
 
 // indexJoin descends once per non-NULL key under one lock acquisition and
 // captures each posting list's committed prefix as a view; the constant
-// predicates then filter the views lock-free (rows below the pinned length
-// are immutable) into the arena.
-func (j *GroupJoin) indexJoin(keys []Value, out *Groups, stats *Stats, g *governor.G) error {
-	rows := j.inner.rows
+// predicates' kernels then filter the views lock-free (rows below the pinned
+// length are immutable) into the arena.
+func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	var descents, visited int
 	t := j.inner.tab
 	t.mu.RLock()
 	idx := t.indexes[j.col]
-	for i, k := range keys {
-		if k == nil {
-			continue
+	if keys.Ord >= 0 {
+		outer := &keys.Table.cols[keys.Ord]
+		for i, id := range keys.IDs {
+			if outer.valid[id] == 0 {
+				continue
+			}
+			descents++
+			run := committedPrefix(idx.probe(outer, id), j.inner.n)
+			out.Runs[i] = run
+			visited += len(run)
 		}
-		descents++
-		run := committedPrefix(idx.Lookup(k), len(rows))
-		out.Runs[i] = run
-		visited += len(run)
 	}
 	t.mu.RUnlock()
 
@@ -177,11 +192,7 @@ func (j *GroupJoin) indexJoin(keys []Value, out *Groups, stats *Stats, g *govern
 		uncharged := 0
 		for i, run := range out.Runs {
 			start := len(out.arena)
-			for _, id := range run {
-				if j.filter.matches(rows[id]) {
-					out.arena = append(out.arena, id)
-				}
-			}
+			out.arena = j.filter.sel(out.arena, j.inner, 0, 0, run)
 			out.Runs[i] = out.arena[start:len(out.arena):len(out.arena)]
 			emitted += len(out.arena) - start
 			// Filtering is the only part of the join whose cost grows with
@@ -209,10 +220,17 @@ func (j *GroupJoin) indexJoin(keys []Value, out *Groups, stats *Stats, g *govern
 // qualifying row to the outer keys its correlation cell equals. The pass is
 // an ordinary batch scan: its fault points, stats and governor charges are
 // the scan's own.
-func (j *GroupJoin) scanJoin(keys []Value, out *Groups, stats *Stats, g *governor.G) error {
+func (j *GroupJoin) scanJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	correlated := j.col != ""
-	if correlated && !out.assignSlots(keys, j.ord) {
-		return nil // no key can match: every group is empty, no scan needed
+	var dom keyDomain
+	if correlated {
+		if j.ord < 0 || keys.Ord < 0 {
+			return nil // every key or cell is NULL: every group is empty
+		}
+		dom = domainOf(keys.Table.cols[keys.Ord].typ, j.inner.cols[j.ord].typ)
+		if !out.assignSlots(keys, dom) {
+			return nil // no key can match: every group is empty, no scan needed
+		}
 	}
 	it := j.access.OpenBatchAt(j.inner, stats, g, BatchOpts{Workers: 1})
 	batch := GetBatch(0)
@@ -226,17 +244,16 @@ func (j *GroupJoin) scanJoin(keys []Value, out *Groups, stats *Stats, g *governo
 			out.arena = append(out.arena, batch.IDs...)
 			continue
 		}
-		for r, row := range batch.Rows {
-			cell := row[j.ord]
-			if cell == nil {
+		inner := &j.inner.cols[j.ord]
+		for _, id := range batch.IDs {
+			if inner.valid[id] == 0 {
 				continue
 			}
-			// Distinct keys equal to one cell are adjacent in CompareValues
-			// order (more than one only when an INT and a FLOAT column meet
-			// beyond 2^53).
-			s, _ := slices.BinarySearchFunc(out.distinct, cell, CompareValues)
-			for ; s < len(out.distinct) && CompareValues(out.distinct[s], cell) == 0; s++ {
-				out.pairs = append(out.pairs, slotID{int32(s), batch.IDs[r]})
+			cell := dom.key(inner, id)
+			// Distinct keys equal to one cell are adjacent in key order.
+			s, _ := slices.BinarySearchFunc(out.distinct, cell, dom.cmp)
+			for ; s < len(out.distinct) && dom.cmp(out.distinct[s], cell) == 0; s++ {
+				out.pairs = append(out.pairs, slotID{int32(s), id})
 			}
 		}
 	}
@@ -254,14 +271,68 @@ func (j *GroupJoin) scanJoin(keys []Value, out *Groups, stats *Stats, g *governo
 	return nil
 }
 
+// joinKey is one outer key or inner cell of the scan join, read into the
+// domain both sides compare in.
+type joinKey struct {
+	i int64
+	f float64
+	b []byte // a view of an arena
+}
+
+// keyDomain is what an outer and an inner column compare as, by
+// CompareValues: INT with INT as int64, any other pair of numbers as
+// float64, VARCHAR with VARCHAR as bytes. A number never equals a VARCHAR.
+type keyDomain uint8
+
+const (
+	domInt keyDomain = iota
+	domFloat
+	domText
+	domNone
+)
+
+func domainOf(outer, inner ColType) keyDomain {
+	switch {
+	case outer == StringCol && inner == StringCol:
+		return domText
+	case outer == StringCol || inner == StringCol:
+		return domNone
+	case outer == IntCol && inner == IntCol:
+		return domInt
+	}
+	return domFloat
+}
+
+// key reads the non-NULL cell of row id of v into the domain.
+func (d keyDomain) key(v *vec, id int) joinKey {
+	switch d {
+	case domInt:
+		return joinKey{i: v.ints[id]}
+	case domFloat:
+		return joinKey{f: v.num(id)}
+	}
+	return joinKey{b: v.bytes(id)}
+}
+
+func (d keyDomain) cmp(a, b joinKey) int {
+	switch d {
+	case domInt:
+		return cmpOrdered(a.i, b.i)
+	case domFloat:
+		return compareFloats(a.f, b.f)
+	}
+	return bytes.Compare(a.b, b.b)
+}
+
 // assignSlots sorts the batch's non-NULL keys, numbers the distinct ones
 // (slots) and records each outer position's slot (-1 for NULL). It reports
 // whether any key can match at all.
-func (gr *Groups) assignSlots(keys []Value, ord int) bool {
+func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 	gr.order = gr.order[:0]
-	if ord >= 0 {
-		for i, k := range keys {
-			if k != nil {
+	outer := &keys.Table.cols[keys.Ord]
+	if dom != domNone {
+		for i, id := range keys.IDs {
+			if outer.valid[id] != 0 {
 				gr.order = append(gr.order, int32(i))
 			}
 		}
@@ -269,19 +340,20 @@ func (gr *Groups) assignSlots(keys []Value, ord int) bool {
 	if len(gr.order) == 0 {
 		return false
 	}
-	slices.SortFunc(gr.order, func(a, b int32) int { return CompareValues(keys[a], keys[b]) })
-	if cap(gr.slotOf) < len(keys) {
-		gr.slotOf = make([]int32, len(keys))
+	key := func(pos int32) joinKey { return dom.key(outer, keys.IDs[pos]) }
+	slices.SortFunc(gr.order, func(a, b int32) int { return dom.cmp(key(a), key(b)) })
+	if cap(gr.slotOf) < len(keys.IDs) {
+		gr.slotOf = make([]int32, len(keys.IDs))
 	}
-	gr.slotOf = gr.slotOf[:len(keys)]
+	gr.slotOf = gr.slotOf[:len(keys.IDs)]
 	for i := range gr.slotOf {
 		gr.slotOf[i] = -1
 	}
-	clear(gr.distinct) // drop the previous batch's value references
+	clear(gr.distinct) // drop the previous batch's arena views
 	gr.distinct = gr.distinct[:0]
 	for _, pos := range gr.order {
-		k := keys[pos]
-		if n := len(gr.distinct); n == 0 || CompareValues(gr.distinct[n-1], k) != 0 {
+		k := key(pos)
+		if n := len(gr.distinct); n == 0 || dom.cmp(gr.distinct[n-1], k) != 0 {
 			gr.distinct = append(gr.distinct, k)
 		}
 		gr.slotOf[pos] = int32(len(gr.distinct) - 1)

@@ -63,7 +63,7 @@ func outerKeys(r *rand.Rand, n, span int) []Value {
 
 // nestedLoop is the oracle: for each outer key, every committed inner row in
 // heap order whose k equals the key and that passes every predicate, all by
-// Pred.Matches.
+// Pred.Matches over the boxed cells.
 func nestedLoop(ts *TableSnap, col string, keys []Value, preds []Pred) [][]int {
 	out := make([][]int, len(keys))
 	for i, k := range keys {
@@ -71,14 +71,90 @@ func nestedLoop(ts *TableSnap, col string, keys []Value, preds []Pred) [][]int {
 		if col != "" {
 			all = append(append([]Pred{}, preds...), Pred{Col: col, Op: CmpEq, Val: k})
 		}
-		pc := closePreds(ts.tab, all)
 		for id := 0; id < ts.NumRows(); id++ {
-			if pc.matches(ts.Row(id)) {
+			if matchesAll(ts, id, all) {
 				out[i] = append(out[i], id)
 			}
 		}
 	}
 	return out
+}
+
+// matchesAll is the reference conjunction: Pred.Matches over Cell.
+func matchesAll(ts *TableSnap, id int, preds []Pred) bool {
+	for _, p := range preds {
+		if !p.Matches(ts.Value(id, p.Col)) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyOrd is the column of keyTable holding a key of k's type.
+func keyOrd(k Value) int {
+	switch k.(type) {
+	case float64:
+		return 1
+	case string:
+		return 2
+	}
+	return 0
+}
+
+// keyTable pins a table whose row i holds keys[i] in the column of its type
+// (INT, FLOAT, VARCHAR; a NULL key is NULL in all three).
+func keyTable(tb testing.TB, keys []Value) *TableSnap {
+	tb.Helper()
+	t, err := NewTable("outer", Column{Name: "i", Type: IntCol}, Column{Name: "f", Type: FloatCol}, Column{Name: "s", Type: StringCol})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, k := range keys {
+		row := make([]Value, 3)
+		row[keyOrd(k)] = k
+		if _, err := t.Insert(row...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return t.Snap()
+}
+
+// intKeys is a batch of INT outer keys (nil: NULL).
+func intKeys(tb testing.TB, keys ...Value) Keys {
+	ids := make([]int, len(keys))
+	for i := range ids {
+		ids[i] = i
+	}
+	return Keys{Table: keyTable(tb, keys), Ord: 0, IDs: ids}
+}
+
+// joinValues joins keys of any mix of types through j — one Join per type,
+// since an outer column has one — into groups, which the caller reuses across
+// calls as the executor reuses it, and returns each key's run, copied.
+func joinValues(tb testing.TB, j *GroupJoin, keys []Value, groups *Groups, stats *Stats, g *governor.G) ([][]int, error) {
+	ts := keyTable(tb, keys)
+	out := make([][]int, len(keys))
+	for ord := range 3 {
+		var ids []int
+		for i, k := range keys {
+			if keyOrd(k) == ord {
+				ids = append(ids, i)
+			}
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		if err := j.Join(Keys{Table: ts, Ord: ord, IDs: ids}, groups, stats, g); err != nil {
+			return nil, err
+		}
+		if len(groups.Runs) != len(ids) {
+			tb.Fatalf("%d runs for %d keys", len(groups.Runs), len(ids))
+		}
+		for n, id := range ids {
+			out[id] = slices.Clone(groups.Runs[n])
+		}
+	}
+	return out, nil
 }
 
 func checkJoin(t *testing.T, label string, ts *TableSnap, col string, keys []Value, preds []Pred, batch int) {
@@ -88,13 +164,11 @@ func checkJoin(t *testing.T, label string, ts *TableSnap, col string, keys []Val
 	var groups Groups // reused across batches, as the executor reuses it
 	for lo := 0; lo < len(keys); lo += batch {
 		hi := min(lo+batch, len(keys))
-		if err := j.Join(keys[lo:hi], &groups, &Stats{}, governor.New(context.Background())); err != nil {
+		runs, err := joinValues(t, &j, keys[lo:hi], &groups, &Stats{}, governor.New(context.Background()))
+		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if len(groups.Runs) != hi-lo {
-			t.Fatalf("%s: %d runs for %d keys", label, len(groups.Runs), hi-lo)
-		}
-		for i, run := range groups.Runs {
+		for i, run := range runs {
 			if !slices.Equal(run, want[lo+i]) {
 				t.Fatalf("%s (%s): key %d = %v: run %v, nested loop %v", label, j.Explain("o"), lo+i, keys[lo+i], run, want[lo+i])
 			}
@@ -158,7 +232,7 @@ func TestGroupJoinExplainAndStats(t *testing.T) {
 	if got, want := j.Explain("id"), "INDEX JOIN inner(k) = outer.id FILTER v >= 50"; got != want {
 		t.Fatalf("explain = %q, want %q", got, want)
 	}
-	keys := []Value{int64(3), nil, int64(3), int64(99), int64(4)}
+	keys := intKeys(t, int64(3), nil, int64(3), int64(99), int64(4))
 	var groups Groups
 	var stats Stats
 	g := governor.New(context.Background())
@@ -168,9 +242,9 @@ func TestGroupJoinExplainAndStats(t *testing.T) {
 	var visited, emitted int64
 	for _, k := range []int64{3, 3, 4} {
 		for id := 0; id < ts.NumRows(); id++ {
-			if row := ts.Row(id); row[0] == Value(k) {
+			if ts.Value(id, "k") == Value(k) {
 				visited++
-				if preds[0].Matches(row[1]) {
+				if preds[0].Matches(ts.Value(id, "v")) {
 					emitted++
 				}
 			}
@@ -204,7 +278,7 @@ func TestGroupJoinViewsArePinned(t *testing.T) {
 	ts := tab.Snap()
 	j := PlanGroupJoin(ts, "k", nil)
 	var groups Groups
-	if err := j.Join([]Value{int64(0), int64(1)}, &groups, nil, nil); err != nil {
+	if err := j.Join(intKeys(t, int64(0), int64(1)), &groups, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -226,7 +300,7 @@ func TestGroupJoinViewsArePinned(t *testing.T) {
 	}
 	<-done
 	// A join planned on the old snapshot still sees only its ten rows.
-	if err := j.Join([]Value{int64(1)}, &groups, nil, nil); err != nil {
+	if err := j.Join(intKeys(t, int64(1)), &groups, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, 3, 5, 7, 9}; !slices.Equal(groups.Runs[0], want) {
@@ -240,7 +314,7 @@ func TestGroupJoinFaults(t *testing.T) {
 	defer faultpoint.Reset()
 	boom := errors.New("boom")
 	tab := joinInner(t, rand.New(rand.NewSource(3)), 100, IntCol, 5)
-	keys := []Value{int64(1), int64(2)}
+	keys := intKeys(t, int64(1), int64(2))
 	var groups Groups
 
 	scan := PlanGroupJoin(tab.Snap(), "k", nil)
@@ -266,7 +340,7 @@ func TestGroupJoinFaults(t *testing.T) {
 	for i := range many {
 		many[i] = int64(i % 5)
 	}
-	if err := index.Join(many, &groups, nil, governor.New(ctx)); !errors.Is(err, governor.ErrCanceled) {
+	if err := index.Join(intKeys(t, many...), &groups, nil, governor.New(ctx)); !errors.Is(err, governor.ErrCanceled) {
 		t.Fatalf("cancelled join: err = %v", err)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // worker pool. The driving candidates of an access plan — the heap rows of a
 // full scan, or the posting list of an index range — are cut into
 // morselRows-sized morsels. A fixed set of workers claims them in order; on
-// its worker a morsel is filtered against the residual predicates over the
-// pinned snapshot, and its qualifying rows go to a caller-supplied job on the
+// its worker a morsel is filtered by the residual predicates' kernels
+// (kernel.go) into the selection vector of its slot, over the pinned
+// snapshot, and its qualifying rows go to a caller-supplied job on the
 // same worker (the SQL/XML construction of those rows, or nothing when the
 // caller wants only the ids). The consumer pulls the morsels back strictly in
 // morsel order and ids ascend within one, so the output order — and every
@@ -45,19 +46,19 @@ const morselRows = 4096
 const morselWindow = 2
 
 // MorselJob processes one morsel's qualifying rows on worker w (0 <= w <
-// Morsels.Workers()): ids ascend and rows[i] is the row of ids[i]. out is
-// the morsel's slot output, still holding an earlier morsel's: the job
-// overwrites it. It is called only for morsels with at least one row.
-type MorselJob[T any] func(w int, ids []int, rows [][]Value, out *T) error
+// Morsels.Workers()): ids ascend, rows of the pinned snapshot the pool
+// scans. out is the morsel's slot output, still holding an earlier morsel's:
+// the job overwrites it. It is called only for morsels with at least one
+// row.
+type MorselJob[T any] func(w int, ids []int, out *T) error
 
 // MorselRun is what one pull hands the consumer: a run of at most the batch
 // size of one morsel's qualifying rows, in scan order, and that morsel's job
 // output, whose entries for these rows start at Off.
 type MorselRun[T any] struct {
-	IDs  []int
-	Rows [][]Value
-	Out  *T
-	Off  int
+	IDs []int
+	Out *T
+	Off int
 }
 
 // PanicError is a panic recovered on a morsel worker. A panic can only be
@@ -80,10 +81,10 @@ var errMorselsClosed = errors.New("relstore: morsel scan closed")
 // pull, so opening spawns nothing.
 type Morsels[T any] struct {
 	snap    *TableSnap
-	cands   []int // an index range's candidates; nil for a full scan (the heap rows)
-	n       int   // candidates
-	count   int   // morsels
-	pc      predClosure
+	cands   []int  // an index range's candidates; nil for a full scan (the heap rows)
+	n       int    // candidates
+	count   int    // morsels
+	where   conj   // compiled once, read by every worker
 	site    string // fault point hit once per pull
 	stats   *Stats
 	gov     *governor.G
@@ -109,18 +110,17 @@ type Morsels[T any] struct {
 // morselSlot holds one in-flight morsel: written by the worker that claimed
 // it until done, then read by the consumer until it releases the slot.
 type morselSlot[T any] struct {
-	ids  []int
-	rows [][]Value
+	ids  []int // the morsel's selection vector
 	out  T
 	err  error
 	done bool
 }
 
-func newMorsels[T any](ts *TableSnap, cands []int, n int, pc predClosure, site string, stats *Stats, g *governor.G, workers, size int, job MorselJob[T]) *Morsels[T] {
+func newMorsels[T any](ts *TableSnap, cands []int, n int, preds []Pred, site string, stats *Stats, g *governor.G, workers, size int, job MorselJob[T]) *Morsels[T] {
 	count := (n + morselRows - 1) / morselRows
 	workers = min(workers, count)
 	m := &Morsels[T]{
-		snap: ts, cands: cands, n: n, count: count, pc: pc, site: site,
+		snap: ts, cands: cands, n: n, count: count, where: compileConj(ts, preds), site: site,
 		stats: stats, gov: g, job: job, workers: workers, size: size,
 		slots: make([]morselSlot[T], min(morselWindow*workers, count)),
 	}
@@ -178,7 +178,7 @@ func (m *Morsels[T]) Next() (MorselRun[T], bool) {
 				atomic.AddInt64(&m.stats.RowsEmitted, int64(m.pos-lo))
 				atomic.AddInt64(&m.stats.Batches, 1)
 			}
-			return MorselRun[T]{IDs: s.ids[lo:m.pos], Rows: s.rows[lo:m.pos], Out: &s.out, Off: lo}, true
+			return MorselRun[T]{IDs: s.ids[lo:m.pos], Out: &s.out, Off: lo}, true
 		}
 		// The consumer is done with the head morsel: its slot goes back to
 		// the workers.
@@ -201,7 +201,6 @@ func (m *Morsels[T]) NextBatch(b *Batch) (int, bool) {
 		return 0, false
 	}
 	b.IDs = append(b.IDs, r.IDs...)
-	b.Rows = append(b.Rows, r.Rows...)
 	return b.Len(), true
 }
 
@@ -265,16 +264,10 @@ func (m *Morsels[T]) run(w, i int, s *morselSlot[T]) (err error) {
 		}
 	}()
 	lo, hi := i*morselRows, min((i+1)*morselRows, m.n)
-	s.ids, s.rows = s.ids[:0], s.rows[:0]
-	for k := lo; k < hi; k++ {
-		id := k
-		if m.cands != nil {
-			id = m.cands[k]
-		}
-		if row := m.snap.rows[id]; m.pc.matches(row) {
-			s.ids = append(s.ids, id)
-			s.rows = append(s.rows, row)
-		}
+	if m.cands != nil {
+		s.ids = m.where.sel(s.ids[:0], m.snap, 0, 0, m.cands[lo:hi])
+	} else {
+		s.ids = m.where.sel(s.ids[:0], m.snap, lo, hi, nil)
 	}
 	if m.stats != nil {
 		if m.cands == nil {
@@ -293,5 +286,5 @@ func (m *Morsels[T]) run(w, i int, s *morselSlot[T]) (err error) {
 	if m.job == nil || len(s.ids) == 0 {
 		return nil
 	}
-	return m.job(w, s.ids, s.rows, &s.out)
+	return m.job(w, s.ids, &s.out)
 }

@@ -142,7 +142,7 @@ func TestCreateTableErrors(t *testing.T) {
 }
 
 func TestBTreeInsertLookup(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree[int64]()
 	for i := 0; i < 1000; i++ {
 		bt.Insert(int64(i%100), i)
 	}
@@ -159,13 +159,13 @@ func TestBTreeInsertLookup(t *testing.T) {
 }
 
 func TestBTreeRange(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree[int64]()
 	for i := 0; i < 500; i++ {
 		bt.Insert(int64(i), i)
 	}
 	var keys []int64
-	bt.Range(Bound{Value: int64(100), Inclusive: true}, Bound{Value: int64(110)}, func(k Value, _ []int) bool {
-		keys = append(keys, k.(int64))
+	bt.Range(Bound{Value: int64(100), Inclusive: true}, Bound{Value: int64(110)}, func(k int64, _ []int) bool {
+		keys = append(keys, k)
 		return true
 	})
 	if len(keys) != 10 || keys[0] != 100 || keys[9] != 109 {
@@ -173,8 +173,8 @@ func TestBTreeRange(t *testing.T) {
 	}
 	// Exclusive low bound.
 	keys = keys[:0]
-	bt.Range(Bound{Value: int64(100)}, Bound{Value: int64(103), Inclusive: true}, func(k Value, _ []int) bool {
-		keys = append(keys, k.(int64))
+	bt.Range(Bound{Value: int64(100)}, Bound{Value: int64(103), Inclusive: true}, func(k int64, _ []int) bool {
+		keys = append(keys, k)
 		return true
 	})
 	if len(keys) != 3 || keys[0] != 101 {
@@ -182,7 +182,7 @@ func TestBTreeRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	bt.AscendAll(func(Value, []int) bool {
+	bt.AscendAll(func(int64, []int) bool {
 		count++
 		return count < 5
 	})
@@ -197,7 +197,7 @@ func TestQuickBTreeOrdered(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%200 + 1
 		rng := rand.New(rand.NewSource(seed))
-		bt := NewBTree()
+		bt := NewBTree[int64]()
 		ref := map[int64][]int{}
 		for i := 0; i < n*3; i++ {
 			k := int64(rng.Intn(n))
@@ -206,8 +206,7 @@ func TestQuickBTreeOrdered(t *testing.T) {
 		}
 		var got []int64
 		ok := true
-		bt.AscendAll(func(k Value, rows []int) bool {
-			key := k.(int64)
+		bt.AscendAll(func(key int64, rows []int) bool {
 			got = append(got, key)
 			if len(rows) != len(ref[key]) {
 				ok = false
@@ -227,7 +226,7 @@ func TestQuickBTreeOrdered(t *testing.T) {
 func TestQuickBTreeRangeMatchesLinear(t *testing.T) {
 	f := func(seed int64, loRaw, hiRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		bt := NewBTree()
+		bt := NewBTree[int64]()
 		vals := map[int64]bool{}
 		for i := 0; i < 300; i++ {
 			k := int64(rng.Intn(256))
@@ -245,7 +244,7 @@ func TestQuickBTreeRangeMatchesLinear(t *testing.T) {
 			}
 		}
 		got := 0
-		bt.Range(Bound{Value: lo, Inclusive: true}, Bound{Value: hi, Inclusive: true}, func(Value, []int) bool {
+		bt.Range(Bound{Value: lo, Inclusive: true}, Bound{Value: hi, Inclusive: true}, func(int64, []int) bool {
 			got++
 			return true
 		})
@@ -370,12 +369,12 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mustInsert(t, tab, int64(i%10))
 	}
-	if got := len(tab.Index("k").Lookup(int64(3))); got != 10 {
+	if got := len(tab.indexes["k"].(*BTree[int64]).Lookup(int64(3))); got != 10 {
 		t.Fatalf("index postings = %d", got)
 	}
 	// NULLs are not indexed.
 	mustInsert(t, tab, nil)
-	if tab.Index("k").Len() != 10 {
+	if tab.indexes["k"].(*BTree[int64]).Len() != 10 {
 		t.Fatal("NULL should not be indexed")
 	}
 }

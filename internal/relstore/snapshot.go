@@ -2,16 +2,19 @@ package relstore
 
 import "sort"
 
-// MVCC snapshots. Tables are append-only — a published []Value row is never
-// mutated, and Insert only ever appends — so a consistent point-in-time view
-// of a table is nothing more than its rows slice header captured under the
-// table lock: the header's length IS the committed row count at pin time,
-// and every element below it is immutable. A TableSnap therefore costs one
-// RLock to pin and nothing to hold; readers scan it entirely lock-free while
-// writers keep appending (copy-on-write at the slice-header level: an append
-// that grows the backing array publishes a new header, and one that reuses
-// it writes only indexes at or above the pinned length — different
-// addresses, invisible to the snapshot).
+// MVCC snapshots. Tables are append-only — a published cell is never
+// mutated, and Insert only ever appends to every column vector (column.go) —
+// so a consistent point-in-time view of a table is nothing more than its
+// vector headers captured under the table lock: their common length IS the
+// committed row count at pin time, and every element below it is immutable.
+// A TableSnap therefore costs one RLock to pin and nothing to hold; readers
+// scan it entirely lock-free while writers keep appending (copy-on-write at
+// the slice-header level: an append that grows a backing array publishes a
+// new header, and one that reuses it writes only at or above the pinned
+// length — different addresses, invisible to the snapshot). That holds for
+// the VARCHAR arena and for the validity bytes too, which is why validity is
+// a byte per row: a bitmap would share a word between the last pinned row
+// and the next one appended.
 //
 // Secondary indexes need one extra step: the B-tree's nodes mutate in place
 // on Insert, so a pinned reader descends under the table lock. What it
@@ -24,22 +27,35 @@ import "sort"
 // therefore captures rows[:k] under the lock (committedPrefix) and keeps
 // reading it lock-free for as long as it likes — a view, never a copy.
 
-// TableSnap is an immutable point-in-time view of one table. Row reads are
+// TableSnap is an immutable point-in-time view of one table. Cell reads are
 // lock-free; the index reads (IndexIDs here, GroupJoin.Join in join.go) hold
 // the table's read lock for the B-tree descent only. The zero value is not
 // usable; pin one with Table.Snap or DB.Snapshot.
 type TableSnap struct {
 	tab  *Table
-	rows [][]Value // header captured under the table lock at pin time
+	n    int   // committed rows at pin time
+	cols []vec // headers captured under the table lock at pin time
 }
 
 // Snap pins the table's current committed state. The snapshot observes every
 // Insert that completed before Snap returned and none that start after.
 func (t *Table) Snap() *TableSnap {
+	s := new(TableSnap)
+	t.pin(s, nil)
+	return s
+}
+
+// pin captures the table's vector headers into s, appending them to cols
+// (which must have room for them, so that s's view of it stays put) and
+// returning the extended slice.
+func (t *Table) pin(s *TableSnap, cols []vec) []vec {
+	start := len(cols)
 	t.mu.RLock()
-	rows := t.rows
+	cols = append(cols, t.cols...)
+	s.tab, s.n = t, t.n
 	t.mu.RUnlock()
-	return &TableSnap{tab: t, rows: rows}
+	s.cols = cols[start:len(cols):len(cols)]
+	return cols
 }
 
 // Table returns the live table this snapshot pins — for metadata (name,
@@ -51,7 +67,7 @@ func (s *TableSnap) Table() *Table { return s.tab }
 func (s *TableSnap) Name() string { return s.tab.Name }
 
 // NumRows reports the committed row count at pin time.
-func (s *TableSnap) NumRows() int { return len(s.rows) }
+func (s *TableSnap) NumRows() int { return s.n }
 
 // ColIndex returns the ordinal of the named column, or -1. Column metadata
 // is immutable after CreateTable, so this delegates to the live table.
@@ -60,25 +76,9 @@ func (s *TableSnap) ColIndex(name string) int { return s.tab.ColIndex(name) }
 // ColType returns the type of the named column.
 func (s *TableSnap) ColType(name string) (ColType, bool) { return s.tab.ColType(name) }
 
-// Row returns the values of row id as of the snapshot (shared slice; callers
-// must not mutate), or nil for ids outside the pinned range.
-func (s *TableSnap) Row(id int) []Value {
-	if id < 0 || id >= len(s.rows) {
-		return nil
-	}
-	return s.rows[id]
-}
-
-// Value returns one cell as of the snapshot — lock-free, unlike the live
-// Table.Value.
-func (s *TableSnap) Value(id int, col string) Value {
-	r := s.Row(id)
-	i := s.tab.ColIndex(col)
-	if r == nil || i < 0 || i >= len(r) {
-		return nil
-	}
-	return r[i]
-}
+// Value returns one cell as of the snapshot, by column name — lock-free,
+// unlike the live Table.Value.
+func (s *TableSnap) Value(id int, col string) Value { return s.Cell(s.ColIndex(col), id) }
 
 // HasIndex reports whether col is indexed. Index creation is additive (an
 // index built after the pin still covers every pinned row), so consulting
@@ -108,31 +108,36 @@ func committedPrefix(rows []int, n int) []int {
 // counting pass over the interval. A missing index yields nil.
 func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
 	var ids []int
-	lists, total := 0, 0
+	var lists int
 	s.tab.mu.RLock()
 	if idx := s.tab.indexes[col]; idx != nil {
-		n := len(s.rows)
-		idx.Range(lo, hi, func(_ Value, rows []int) bool {
-			if rows = committedPrefix(rows, n); len(rows) > 0 {
-				ids = rows // the answer, if it stays the only list
-				lists++
-				total += len(rows)
-			}
-			return true
-		})
-		if lists > 1 {
-			ids = make([]int, 0, total)
-			idx.Range(lo, hi, func(_ Value, rows []int) bool {
-				ids = append(ids, committedPrefix(rows, n)...)
-				return true
-			})
-		}
+		ids, lists = idx.committedIDs(lo, hi, s.n)
 	}
 	s.tab.mu.RUnlock()
 	if lists > 1 {
 		sort.Ints(ids)
 	}
 	return ids
+}
+
+func (t *BTree[K]) committedIDs(lo, hi Bound, n int) (ids []int, lists int) {
+	total := 0
+	t.Range(lo, hi, func(_ K, rows []int) bool {
+		if rows = committedPrefix(rows, n); len(rows) > 0 {
+			ids = rows // the answer, if it stays the only list
+			lists++
+			total += len(rows)
+		}
+		return true
+	})
+	if lists > 1 {
+		ids = make([]int, 0, total)
+		t.Range(lo, hi, func(_ K, rows []int) bool {
+			ids = append(ids, committedPrefix(rows, n)...)
+			return true
+		})
+	}
+	return ids, lists
 }
 
 // Snapshot is a point-in-time view of the whole database: every table pinned
@@ -172,9 +177,20 @@ func (db *DB) Snapshot() *Snapshot {
 	for {
 		seq := db.commits.Load()
 		db.mu.RLock()
+		// One allocation holds every table's view and one every vector
+		// header, however many tables there are.
+		snaps := make([]TableSnap, len(db.tables))
+		ncols := 0
+		for _, t := range db.tables {
+			ncols += len(t.Cols)
+		}
+		cols := make([]vec, 0, ncols)
 		taps := make(map[string]*TableSnap, len(db.tables))
+		i := 0
 		for name, t := range db.tables {
-			taps[name] = t.Snap()
+			cols = t.pin(&snaps[i], cols)
+			taps[name] = &snaps[i]
+			i++
 		}
 		db.mu.RUnlock()
 		if db.commits.Load() != seq {

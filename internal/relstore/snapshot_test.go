@@ -1,6 +1,11 @@
 package relstore
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+)
 
 // TestSnapshotSharedUntilCommit: pins with no write between them return one
 // snapshot; every kind of write — an insert, a created table, a created
@@ -53,4 +58,93 @@ func TestSnapshotSharedUntilCommit(t *testing.T) {
 		}
 		prev = snap
 	}
+}
+
+// TestColumnSnapshotUnderAppends (run under -race): a pinned snapshot is its
+// vector headers, and inserts racing the reader append until every vector —
+// validity bytes, INT, FLOAT, the VARCHAR ends and arena — has moved to a
+// new array. The pin reads exactly its rows, cell for cell, by Cell, by the
+// typed readers and through a kernel scan, the whole time.
+func TestColumnSnapshotUnderAppends(t *testing.T) {
+	tab, err := NewTable("t", Column{"i", IntCol}, Column{"f", FloatCol}, Column{"s", StringCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(r int) []Value {
+		if r%5 == 4 {
+			return []Value{nil, nil, nil}
+		}
+		return []Value{int64(r), float64(r) / 2, strings.Repeat("x", r%7)}
+	}
+	const pinned = 100
+	for r := range pinned {
+		mustInsert(t, tab, row(r)...)
+	}
+	ts := tab.Snap()
+	want := make([][]Value, pinned)
+	for id := range want {
+		want[id] = []Value{ts.Cell(0, id), ts.Cell(1, id), ts.Cell(2, id)}
+	}
+	scan := FullScanPlanAt(ts, []Pred{{Col: "i", Op: CmpGe, Val: int64(0)}})
+
+	const writers, perWriter = 2, 2000
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range perWriter {
+				if _, err := tab.Insert(int64(w*perWriter+r), 1.5, strings.Repeat("y", 64)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	read := func() {
+		if ts.NumRows() != pinned {
+			t.Fatalf("the pin grew to %d rows", ts.NumRows())
+		}
+		for id, cells := range want {
+			for ord, c := range cells {
+				if got := ts.Cell(ord, id); !reflect.DeepEqual(got, c) {
+					t.Fatalf("row %d column %d: %v, pinned %v", id, ord, got, c)
+				}
+			}
+			if x, ok := ts.Int(0, id); ok != (cells[0] != nil) || ok && x != cells[0] {
+				t.Fatalf("row %d: Int = %d, %t; pinned %v", id, x, ok, cells[0])
+			}
+			if b, ok := ts.Text(2, id); ok != (cells[2] != nil) || ok && string(b) != cells[2] {
+				t.Fatalf("row %d: Text = %q, %t; pinned %v", id, b, ok, cells[2])
+			}
+		}
+		if n := len(collect(scan.OpenBatchAt(ts, nil, nil, BatchOpts{Workers: 1}))); n != pinned-pinned/5 {
+			t.Fatalf("a kernel scan of the pin selected %d rows", n)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		read()
+	}
+	live := tab.Snap()
+	if live.NumRows() != pinned+writers*perWriter {
+		t.Fatalf("the table holds %d rows", live.NumRows())
+	}
+	moved := func(a, b []byte) bool { return &a[0] != &b[0] }
+	for c := range live.cols {
+		p, l := &ts.cols[c], &live.cols[c]
+		if !moved(p.valid, l.valid) ||
+			c == 0 && &p.ints[0] == &l.ints[0] ||
+			c == 1 && &p.flts[0] == &l.flts[0] ||
+			c == 2 && (&p.ends[0] == &l.ends[0] || !moved(p.text, l.text)) {
+			t.Fatalf("column %d: the inserts did not move every vector", c)
+		}
+	}
+	read()
 }

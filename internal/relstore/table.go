@@ -36,15 +36,17 @@ type Column struct {
 	Type ColType
 }
 
-// Table is an in-memory heap table with optional B-tree secondary indexes.
+// Table is an in-memory columnar heap table (column.go) with optional B-tree
+// secondary indexes.
 type Table struct {
 	Name string
 	Cols []Column
 
 	mu      sync.RWMutex
-	rows    [][]Value
+	cols    []vec // one per column, in declared order
+	n       int   // rows
 	colIdx  map[string]int
-	indexes map[string]*BTree
+	indexes map[string]index
 
 	// db is the owning database (nil for a table that was never registered
 	// with one): its commit counter and shared pin; see DB.CommitSeq.
@@ -67,8 +69,9 @@ func NewTable(name string, cols ...Column) (*Table, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relstore: table %q needs at least one column", name)
 	}
-	t := &Table{Name: name, Cols: cols, colIdx: map[string]int{}, indexes: map[string]*BTree{}}
+	t := &Table{Name: name, Cols: cols, cols: make([]vec, len(cols)), colIdx: map[string]int{}, indexes: map[string]index{}}
 	for i, c := range cols {
+		t.cols[i].typ = c.Type
 		if _, dup := t.colIdx[c.Name]; dup {
 			return nil, fmt.Errorf("relstore: duplicate column %q in table %q", c.Name, name)
 		}
@@ -98,10 +101,11 @@ func (t *Table) ColType(name string) (ColType, bool) {
 func (t *Table) NumRows() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.n
 }
 
-// coerce validates/converts v to the column type.
+// coerce validates/converts v to the column type. A value already of the
+// column's type is returned as it came, without boxing it again.
 func coerce(v Value, ct ColType) (Value, error) {
 	if v == nil {
 		return nil, nil
@@ -110,7 +114,7 @@ func coerce(v Value, ct ColType) (Value, error) {
 	case IntCol:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case float64:
@@ -125,7 +129,7 @@ func coerce(v Value, ct ColType) (Value, error) {
 	case FloatCol:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		case int:
@@ -140,7 +144,7 @@ func coerce(v Value, ct ColType) (Value, error) {
 	case StringCol:
 		switch x := v.(type) {
 		case string:
-			return x, nil
+			return v, nil
 		case int64:
 			return strconv.FormatInt(x, 10), nil
 		case int:
@@ -158,59 +162,53 @@ func coerce(v Value, ct ColType) (Value, error) {
 // that would fail Insert must never reach the log, or replay would diverge
 // from the original execution.
 func (t *Table) CoerceRow(values []Value) ([]Value, error) {
+	return t.coerceRow(make([]Value, 0, len(values)), values)
+}
+
+// coerceRow is CoerceRow into dst's storage.
+func (t *Table) coerceRow(dst, values []Value) ([]Value, error) {
 	if len(values) != len(t.Cols) {
 		return nil, fmt.Errorf("relstore: table %q expects %d values, got %d", t.Name, len(t.Cols), len(values))
 	}
-	row := make([]Value, len(values))
 	for i, v := range values {
 		cv, err := coerce(v, t.Cols[i].Type)
 		if err != nil {
 			return nil, fmt.Errorf("column %q: %w", t.Cols[i].Name, err)
 		}
-		row[i] = cv
+		dst = append(dst, cv)
 	}
-	return row, nil
+	return dst, nil
 }
 
-// Insert appends a row (values in declared column order) and maintains all
-// indexes. Returns the new row id.
+// Insert appends a row (values in declared column order) to every column
+// vector and maintains all indexes. Returns the new row id. The row is
+// coerced in full before anything is appended, so a value that does not
+// fit its column leaves the table as it was.
 func (t *Table) Insert(values ...Value) (int, error) {
-	row, err := t.CoerceRow(values)
+	var buf [8]Value // the coerced row, for tables of up to 8 columns
+	row, err := t.coerceRow(buf[:0], values)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := len(t.rows)
-	t.rows = append(t.rows, row)
+	id := t.n
+	for i, v := range row {
+		t.cols[i].push(v)
+	}
+	t.n++
 	for col, idx := range t.indexes {
-		ci := t.colIdx[col]
-		if row[ci] != nil {
-			idx.Insert(row[ci], id)
+		if ci := t.colIdx[col]; row[ci] != nil {
+			idx.add(&t.cols[ci], id)
 		}
 	}
 	t.committed()
 	return id, nil
 }
 
-// Row returns the values of row id (shared slice; callers must not mutate).
-func (t *Table) Row(id int) []Value {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if id < 0 || id >= len(t.rows) {
-		return nil
-	}
-	return t.rows[id]
-}
-
-// Value returns one cell.
+// Value returns one cell (nil: NULL, no such column or row).
 func (t *Table) Value(id int, col string) Value {
-	r := t.Row(id)
-	i := t.ColIndex(col)
-	if r == nil || i < 0 {
-		return nil
-	}
-	return r[i]
+	return t.Snap().Cell(t.ColIndex(col), id)
 }
 
 // CreateIndex builds a B-tree index on the column (idempotent).
@@ -224,10 +222,11 @@ func (t *Table) CreateIndex(col string) error {
 	if _, ok := t.indexes[col]; ok {
 		return nil
 	}
-	idx := NewBTree()
-	for id, row := range t.rows {
-		if row[ci] != nil {
-			idx.Insert(row[ci], id)
+	v := &t.cols[ci]
+	idx := newIndex(v.typ)
+	for id := range t.n {
+		if v.valid[id] != 0 {
+			idx.add(v, id)
 		}
 	}
 	t.indexes[col] = idx
@@ -235,15 +234,12 @@ func (t *Table) CreateIndex(col string) error {
 	return nil
 }
 
-// Index returns the index on col, or nil.
-func (t *Table) Index(col string) *BTree {
+// HasIndex reports whether col is indexed.
+func (t *Table) HasIndex(col string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.indexes[col]
+	return t.indexes[col] != nil
 }
-
-// HasIndex reports whether col is indexed.
-func (t *Table) HasIndex(col string) bool { return t.Index(col) != nil }
 
 // DB is a named collection of tables.
 type DB struct {

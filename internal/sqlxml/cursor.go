@@ -31,8 +31,8 @@ import (
 // Internally it consumes the driving access path a batch at a time, by one
 // of two routes chosen at open (relstore.OpenMorsels):
 //
-//   - serial: the scan refills a pooled relstore.Batch of row ids + row
-//     references, and each call constructs one buffered row;
+//   - serial: the scan refills a pooled relstore.Batch of row ids, and each
+//     call constructs one buffered row;
 //   - parallel: the morsel pool's workers group-join and construct every
 //     morsel they filter, each with an evalContext of its own, and each call
 //     hands out one constructed row in scan order.
@@ -44,7 +44,7 @@ import (
 //
 // Next walks the body into a tree (evalContext.eval); AppendNext runs the
 // body's compiled Program. A cursor opened over a plan's program binds the
-// program's slots at open and binds the tree body only if it is pulled as
+// program's filters at open and binds the tree body only if it is pulled as
 // trees; a cursor opened over a bare query or view binds the tree body at
 // open and compiles a program only if it is pulled as bytes.
 type QueryCursor struct {
@@ -69,8 +69,7 @@ type QueryCursor struct {
 	chunk  int // rows in the current batch or run
 	bpos   int // rows of it handed out
 
-	bytesOut int64             // serialized bytes produced so far
-	slotBuf  [4]relstore.Value // backs the program's slots for a run binding a few
+	bytesOut int64 // serialized bytes produced so far
 
 	// Operator spans, set only when the RunSpec carried a trace span
 	// (startOperators); an untraced cursor pays one nil check per span site.
@@ -87,7 +86,7 @@ type built struct {
 }
 
 // openCursor opens a cursor constructing src over plan's driving rows: with
-// prog as its byte program when non-nil, whose slots it binds here; else
+// prog as its byte program when non-nil, whose filters it binds here; else
 // with src bound as its tree body.
 func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, src XMLExpr, prog *Program, fp string, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
 	opts := s.batchOpts()
@@ -105,7 +104,7 @@ func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, pl
 
 // bind readies the cursor for a tree pull (trees) or a byte pull: it binds
 // the run's parameters into the tree body, or compiles the program if the
-// cursor has none and binds the program's slots. Either fails on an unbound
+// cursor has none and binds the program's filters. Either fails on an unbound
 // parameter.
 func (c *QueryCursor) bind(trees bool) (err error) {
 	if trees {
@@ -119,7 +118,7 @@ func (c *QueryCursor) bind(trees bool) (err error) {
 			return err
 		}
 	}
-	c.ec.slots, err = c.prog.bindSlots(c.slotBuf[:0], c.ec.params)
+	c.ec.filters, err = c.prog.bind(c.ec.params)
 	return err
 }
 
@@ -127,10 +126,10 @@ func (c *QueryCursor) bind(trees bool) (err error) {
 // morsel's rows a batch at a time — the unit the body's subqueries are
 // group-joined against, as on the serial route — and constructs each into
 // out.
-func (c *QueryCursor) construct(w int, ids []int, rows [][]relstore.Value, out *built) error {
+func (c *QueryCursor) construct(w int, ids []int, out *built) error {
 	ec := c.ecs[w]
 	if ec == nil {
-		ec = &evalContext{snap: c.ec.snap, stats: c.ec.stats, gov: c.ec.gov, params: c.ec.params, slots: c.ec.slots}
+		ec = &evalContext{snap: c.ec.snap, stats: c.ec.stats, gov: c.ec.gov, params: c.ec.params, filters: c.ec.filters}
 		c.ecs[w] = ec
 	}
 	if out.rows == nil {
@@ -141,7 +140,7 @@ func (c *QueryCursor) construct(w int, ids []int, rows [][]relstore.Value, out *
 	out.docs = out.docs[:0]
 	for lo := 0; lo < len(ids); lo += c.size {
 		hi := min(lo+c.size, len(ids))
-		ec.setRows(c.ts, ids[lo:hi], rows[lo:hi])
+		ec.setRows(c.ts, ids[lo:hi])
 		for i := range hi - lo {
 			ec.setPos(i)
 			start := c.buildStart()
@@ -204,7 +203,7 @@ func (c *QueryCursor) refill() error {
 	}
 	if _, ok := c.it.NextBatch(c.batch); ok {
 		c.chunk = c.batch.Len()
-		c.ec.setRows(c.ts, c.batch.IDs, c.batch.Rows)
+		c.ec.setRows(c.ts, c.batch.IDs)
 		return nil
 	}
 	relstore.PutBatch(c.batch)

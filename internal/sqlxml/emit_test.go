@@ -52,6 +52,12 @@ func kindsDB(tb testing.TB, texts []string, floats []float64, rows int) *relstor
 		relstore.Column{Name: "k", Type: relstore.IntCol},
 		relstore.Column{Name: "tag", Type: relstore.StringCol})
 	must(err)
+	// v leads with a VARCHAR column, so a kernel that wrongly read column 0
+	// as INT would fault on it.
+	v, err := db.CreateTable("v",
+		relstore.Column{Name: "word", Type: relstore.StringCol},
+		relstore.Column{Name: "n", Type: relstore.IntCol})
+	must(err)
 	text := func(n int) relstore.Value { return texts[n%len(texts)] }
 	float := func(n int) relstore.Value { return floats[n%len(floats)] }
 	for id := 0; id < rows; id++ {
@@ -78,6 +84,10 @@ func kindsDB(tb testing.TB, texts []string, floats []float64, rows int) *relstor
 			_, err := j.Insert(int64(k), text(k*5+n+1))
 			must(err)
 		}
+	}
+	for n := 0; n < 3; n++ {
+		_, err := v.Insert(text(n), int64(n))
+		must(err)
 	}
 	must(i.CreateIndex("oid"))
 	return db
@@ -308,9 +318,35 @@ func TestNumberFormattingMatchesFmt(t *testing.T) {
 		math.NaN(), math.Inf(1), math.Inf(-1),
 		"text", nil,
 	}
-	for _, v := range values {
-		if got, want := string(appendCell(nil, v, false)), oldValueText(v); got != want {
-			t.Errorf("appendCell(%#v) = %q, fmt printed %q", v, got, want)
+	// Each value goes into the column of its type, and is read back the
+	// way construction reads it: typed, from the vector.
+	db := relstore.NewDB()
+	tab, err := db.CreateTable("t", relstore.Column{Name: "i", Type: relstore.IntCol},
+		relstore.Column{Name: "f", Type: relstore.FloatCol}, relstore.Column{Name: "s", Type: relstore.StringCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ords := make([]int, len(values))
+	for id, v := range values {
+		row := make([]relstore.Value, 3)
+		switch v.(type) {
+		case int64:
+			ords[id] = 0
+		case float64:
+			ords[id] = 1
+		default:
+			ords[id] = 2
+		}
+		row[ords[id]] = v
+		if _, err := tab.Insert(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := db.Snapshot().Table("t")
+	var ec evalContext
+	for id, v := range values {
+		if got, want := string(ec.cellAt(nil, &op{}, ts, ords[id], id)), oldValueText(v); got != want {
+			t.Errorf("cellAt(%#v) = %q, fmt printed %q", v, got, want)
 		}
 	}
 }
@@ -340,10 +376,11 @@ func TestScalarAggFormatting(t *testing.T) {
 		{"min", []int{1}, ""}, {"sum", []int{1}, "0"},
 	} {
 		var got string
-		if num, cell, isNum := aggregate(aggOf(tc.fn), ts, ts.ColIndex("x"), tc.ids); isNum {
+		var ec evalContext
+		if num, best, isNum := aggregate(aggOf(tc.fn), ts, ts.ColIndex("x"), tc.ids); isNum {
 			got = string(appendFloat(nil, num))
-		} else {
-			got = string(appendCell(nil, cell, false))
+		} else if best >= 0 {
+			got = string(ec.cellAt(nil, &op{}, ts, ts.ColIndex("x"), best))
 		}
 		if got != tc.want {
 			t.Errorf("%s over %v = %q, want %q", tc.fn, tc.ids, got, tc.want)

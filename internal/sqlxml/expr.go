@@ -7,7 +7,6 @@ package sqlxml
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/governor"
@@ -186,10 +185,12 @@ type evalContext struct {
 	// ops and at the end of each driving row instead of once per op.
 	ticks int
 	// params binds the placeholders of subquery WHERE clauses as their plans
-	// are made; slots holds the program's bind variables, bound once per run
-	// (Program.bindSlots).
-	params map[string]relstore.Value
-	slots  []relstore.Value
+	// are made; filters holds the program's CASE WHEN predicates, bound once
+	// per run (Program.bind), and conds the walk's, compiled at the first row
+	// each Cond tests.
+	params  map[string]relstore.Value
+	filters []relstore.Filter
+	conds   map[*Cond][]relstore.Filter
 	// open is the program's run-time "start tag open" bit.
 	open bool
 
@@ -248,15 +249,20 @@ func (ec *evalContext) eval(out *treeSink, expr XMLExpr, f *frame) error {
 		out.text(e.Text)
 		return nil
 	case *Column:
-		ec.emitValue(out, f.cell(e.Name))
+		ec.emitCell(out, f, e.Name)
 		return nil
 	case *Element:
 		out.startElement(e.Name)
 		// A repeated attribute name keeps the first one's position and the
-		// last one's value: Node.SetAttr replaces in place.
-		for _, a := range e.Attrs {
+		// last one's value (Node.SetAttr replaces in place), so only that
+		// value is evaluated, there — as the program compiles it.
+		for i, a := range e.Attrs {
+			last := lastAttrNamed(e.Attrs, i)
+			if last < 0 {
+				continue
+			}
 			out.startAttr(a.Name)
-			err := ec.evalScalar(out, a.Value, f)
+			err := ec.evalScalar(out, e.Attrs[last].Value, f)
 			out.endAttr()
 			if err != nil {
 				return err
@@ -300,8 +306,9 @@ func (ec *evalContext) eval(out *treeSink, expr XMLExpr, f *frame) error {
 		return nil
 	case *Cond:
 		holds := true
-		for _, p := range e.Preds {
-			if !p.Matches(f.cell(p.Col)) {
+		fs := ec.condFilters(e, f.ts)
+		for i := range fs {
+			if !fs[i].Matches(f.ts, f.id) {
 				holds = false
 				break
 			}
@@ -317,6 +324,30 @@ func (ec *evalContext) eval(out *treeSink, expr XMLExpr, f *frame) error {
 	return fmt.Errorf("sqlxml: unhandled expression %T", expr)
 }
 
+// condFilters returns e's predicates compiled against ts, the table of the
+// rows e tests: compiled at the first test in this run, as the program
+// compiles them with the plan. (The walk runs a bound body, so every
+// predicate compares with a constant.)
+func (ec *evalContext) condFilters(e *Cond, ts *relstore.TableSnap) []relstore.Filter {
+	if fs, ok := ec.conds[e]; ok {
+		return fs
+	}
+	fs := make([]relstore.Filter, len(e.Preds))
+	for i, p := range e.Preds {
+		ord := ts.ColIndex(p.Col)
+		var typ relstore.ColType
+		if ord >= 0 {
+			typ = ts.Type(ord)
+		}
+		fs[i] = relstore.CompileFilter(typ, ord, p.Op, p.Val)
+	}
+	if ec.conds == nil {
+		ec.conds = make(map[*Cond][]relstore.Filter)
+	}
+	ec.conds[e] = fs
+	return fs
+}
+
 // evalScalar evaluates a scalar-producing expression (Column, Literal,
 // ScalarAgg, or a Concat of those) into the attribute out has open.
 func (ec *evalContext) evalScalar(out *treeSink, expr XMLExpr, f *frame) error {
@@ -325,7 +356,7 @@ func (ec *evalContext) evalScalar(out *treeSink, expr XMLExpr, f *frame) error {
 		out.text(e.Text)
 		return nil
 	case *Column:
-		ec.emitValue(out, f.cell(e.Name))
+		ec.emitCell(out, f, e.Name)
 		return nil
 	case *ScalarAgg:
 		inner, ids, err := ec.group(e.Sub, f)
@@ -345,38 +376,43 @@ func (ec *evalContext) evalScalar(out *treeSink, expr XMLExpr, f *frame) error {
 	return fmt.Errorf("sqlxml: attribute value must be scalar, got %T", expr)
 }
 
-// emitValue adds one cell value as text, formatted by the program's
-// appender (appendCell): NULL is no text.
-func (ec *evalContext) emitValue(out *treeSink, v relstore.Value) {
-	switch x := v.(type) {
-	case nil:
-	case string:
-		out.text(x)
-	default:
-		out.text(string(appendCell(ec.num[:0], v, false)))
+// emitCell adds the current row's cell of column col as text, formatted as
+// the program formats it: NULL (or a column the table does not have) is no
+// text. A VARCHAR cell becomes a string here, at the tree's edge.
+func (ec *evalContext) emitCell(out *treeSink, f *frame, col string) {
+	ord := f.ts.ColIndex(col)
+	if ord < 0 {
+		return
+	}
+	ec.emitAt(out, f.ts, ord, f.id)
+}
+
+// textOp formats a number for emitAt: as attribute text, so formatting it
+// touches no start tag of a program's run.
+var textOp = op{attr: true}
+
+// emitAt adds the cell of row id in column ord of ts as text.
+func (ec *evalContext) emitAt(out *treeSink, ts *relstore.TableSnap, ord, id int) {
+	if ts.Type(ord) == relstore.StringCol {
+		if b, ok := ts.Text(ord, id); ok {
+			out.text(string(b))
+		}
+		return
+	}
+	if buf := ec.cellAt(ec.num[:0], &textOp, ts, ord, id); len(buf) > 0 {
+		out.text(string(buf))
 	}
 }
 
 // emitScalarAgg adds a SQL aggregate over the selected inner rows as text
 // (aggregate).
 func (ec *evalContext) emitScalarAgg(out *treeSink, e *ScalarAgg, inner *relstore.TableSnap, ids []int) {
-	num, cell, isNum := aggregate(aggOf(e.Fn), inner, inner.ColIndex(e.Col), ids)
-	if isNum {
+	ord := inner.ColIndex(e.Col)
+	num, best, isNum := aggregate(aggOf(e.Fn), inner, ord, ids)
+	switch {
+	case isNum:
 		out.text(string(appendFloat(ec.num[:0], num)))
-		return
+	case best >= 0:
+		ec.emitAt(out, inner, ord, best)
 	}
-	ec.emitValue(out, cell)
-}
-
-func toF(v relstore.Value) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	case string:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(x), 64)
-		return f
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package sqlxml
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -31,8 +32,9 @@ import (
 //     dropped), so an ordinal compiled once holds for every snapshot;
 //   - attributes de-duplicated: a repeated name keeps the first position and
 //     the last value, as Node.SetAttr does;
-//   - conditions bound to ordinals, with bind variables read from the run's
-//     slot array instead of a copy of the tree.
+//   - conditions compiled to relstore filters on ordinals: once, with the
+//     program, when a predicate compares with a constant; once per run, when
+//     the run binds the bind variable it compares with — never per row.
 
 // Program is a query body compiled for byte construction. It is immutable
 // once compiled: every run of a plan, and every morsel worker of a run,
@@ -40,9 +42,24 @@ import (
 type Program struct {
 	q    *Query
 	code []op
-	// params names the bind variables the body reads, in slot order: a run
-	// binds params[i] into slot i.
+	// params names the bind variables the body reads; a run fails unless it
+	// binds every one.
 	params []string
+	// filters holds every CASE WHEN predicate, compiled against its table,
+	// in the order opCond indexes them; bound lists those that compare with
+	// a bind variable, which each run compiles again with its value.
+	filters []relstore.Filter
+	bound   []boundPred
+}
+
+// boundPred is a CASE WHEN predicate that compares column ord (of type typ)
+// with bind variable param: filters[i] once the run binds it.
+type boundPred struct {
+	i     int
+	typ   relstore.ColType
+	ord   int
+	op    relstore.CmpOp
+	param string
 }
 
 // compiles counts programs compiled by this process (ProgramsCompiled).
@@ -78,17 +95,8 @@ type op struct {
 	lit   string
 	ord   int
 	jump  int
-	preds []condPred
+	preds []int // opCond: its predicates, as indexes into the run's filters
 	sub   *subOp
-}
-
-// condPred is one CASE WHEN predicate resolved against the frame's table:
-// the column as an ordinal (-1 reads NULL) and, when the compared value is a
-// bind variable, its slot.
-type condPred struct {
-	pred relstore.Pred
-	ord  int
-	slot int // -1: pred.Val is the value
 }
 
 // subOp is the compiled part of an Agg or ScalarAgg: the subquery (which
@@ -144,11 +152,13 @@ const (
 
 // compiler builds a program.
 type compiler struct {
-	db     *relstore.DB
-	params []string
-	code   []op
-	run    []byte // static bytes not yet emitted as an opStatic
-	tag    tagState
+	db      *relstore.DB
+	params  []string
+	filters []relstore.Filter
+	bound   []boundPred
+	code    []op
+	run     []byte // static bytes not yet emitted as an opStatic
+	tag     tagState
 }
 
 // Compile compiles q's body against db's schemas. A table the body reads
@@ -164,7 +174,7 @@ func Compile(db *relstore.DB, q *Query) (*Program, error) {
 		return nil, err
 	}
 	compiles.Add(1)
-	return &Program{q: q, code: code, params: c.params}, nil
+	return &Program{q: q, code: code, params: c.params, filters: c.filters, bound: c.bound}, nil
 }
 
 // block compiles x (nil: nothing) over rows of t, starting in state in, into
@@ -345,7 +355,7 @@ func (c *compiler) inner(sub *SubQuery) (*relstore.Table, error) {
 	}
 	for _, p := range sub.Where {
 		if name, ok := p.Val.(relstore.ParamValue); ok {
-			c.slot(string(name))
+			c.param(string(name))
 		}
 	}
 	return t, nil
@@ -397,12 +407,21 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 // branch jumped to when a predicate fails. Branches that end in different
 // states join in tagDyn, each making the open bit exact on its way out.
 func (c *compiler) cond(e *Cond, t *relstore.Table) error {
-	preds := make([]condPred, len(e.Preds))
+	preds := make([]int, len(e.Preds))
 	for i, p := range e.Preds {
-		preds[i] = condPred{pred: p, ord: t.ColIndex(p.Col), slot: -1}
-		if name, ok := p.Val.(relstore.ParamValue); ok {
-			preds[i].slot = c.slot(string(name))
+		ord := t.ColIndex(p.Col)
+		var typ relstore.ColType
+		if ord >= 0 {
+			typ = t.Cols[ord].Type
 		}
+		preds[i] = len(c.filters)
+		if name, ok := p.Val.(relstore.ParamValue); ok {
+			c.param(string(name))
+			c.bound = append(c.bound, boundPred{i: preds[i], typ: typ, ord: ord, op: p.Op, param: string(name)})
+		}
+		// A bind variable compiles here as a predicate that never holds,
+		// until the run binds it.
+		c.filters = append(c.filters, relstore.CompileFilter(typ, ord, p.Op, p.Val))
 	}
 	in := c.tag
 	then, s1, err := c.block(e.Then, t, in)
@@ -432,16 +451,11 @@ func (c *compiler) cond(e *Cond, t *relstore.Table) error {
 	return nil
 }
 
-// slot returns the slot of bind variable name, assigning the next one on
-// first use.
-func (c *compiler) slot(name string) int {
-	for i, p := range c.params {
-		if p == name {
-			return i
-		}
+// param registers bind variable name, once.
+func (c *compiler) param(name string) {
+	if !slices.Contains(c.params, name) {
+		c.params = append(c.params, name)
 	}
-	c.params = append(c.params, name)
-	return len(c.params) - 1
 }
 
 // lastAttrNamed resolves attribute i of an element against repeated names:
@@ -492,18 +506,23 @@ func serialName(name string) string {
 	return name
 }
 
-// bindSlots binds the program's bind variables for one run into dst's
-// storage: an unbound one is an error wrapping relstore.ErrUnboundParam.
-func (p *Program) bindSlots(dst []relstore.Value, params map[string]relstore.Value) ([]relstore.Value, error) {
-	dst = dst[:0]
+// bind returns the program's filters for one run, those on bind variables
+// compiled with params' values: the program's own when it has none. An
+// unbound bind variable is an error wrapping relstore.ErrUnboundParam.
+func (p *Program) bind(params map[string]relstore.Value) ([]relstore.Filter, error) {
 	for _, name := range p.params {
-		v, err := relstore.Param(params, name)
-		if err != nil {
+		if _, err := relstore.Param(params, name); err != nil {
 			return nil, err
 		}
-		dst = append(dst, v)
 	}
-	return dst, nil
+	if len(p.bound) == 0 {
+		return p.filters, nil
+	}
+	fs := slices.Clone(p.filters)
+	for _, b := range p.bound {
+		fs[b.i] = relstore.CompileFilter(b.typ, b.ord, b.op, params[b.param])
+	}
+	return fs, nil
 }
 
 // runRow appends the program's bytes for the current row of the driving
@@ -542,19 +561,18 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 				buf = append(buf, o.lit...)
 			}
 		case opInt:
-			if x, ok := f.at(o.ord).(int64); ok {
+			if x, ok := f.ts.Int(o.ord, f.id); ok {
 				buf = strconv.AppendInt(ec.contentOf(buf, o), x, 10)
-			} else {
-				buf = ec.value(buf, o, f.at(o.ord))
 			}
 		case opFloat:
-			if x, ok := f.at(o.ord).(float64); ok {
+			if x, ok := f.ts.Float(o.ord, f.id); ok {
 				buf = appendFloat(ec.contentOf(buf, o), x)
-			} else {
-				buf = ec.value(buf, o, f.at(o.ord))
 			}
 		case opText:
-			buf = ec.value(buf, o, f.at(o.ord))
+			// The empty string is no content: it leaves an open tag open.
+			if b, ok := f.ts.Text(o.ord, f.id); ok && len(b) > 0 {
+				buf = appendText(ec.contentOf(buf, o), b, o.attr)
+			}
 		case opAgg:
 			inner, ids, err := ec.group(o.sub.q, f)
 			if err != nil {
@@ -574,10 +592,10 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 			if err != nil {
 				return buf, err
 			}
-			if num, cell, isNum := aggregate(o.sub.fn, inner, o.sub.ord, ids); isNum {
+			if num, best, isNum := aggregate(o.sub.fn, inner, o.sub.ord, ids); isNum {
 				buf = appendFloat(ec.contentOf(buf, o), num)
-			} else {
-				buf = ec.value(buf, o, cell)
+			} else if best >= 0 {
+				buf = ec.cellAt(buf, o, inner, o.sub.ord, best)
 			}
 		case opCond:
 			if !ec.holds(o.preds, f) {
@@ -606,47 +624,44 @@ func (ec *evalContext) contentOf(buf []byte, o *op) []byte {
 	return ec.closeTag(buf)
 }
 
-// value appends a cell of any type for o: NULL and the empty string are no
-// content, so they leave an open start tag open.
-func (ec *evalContext) value(buf []byte, o *op, v relstore.Value) []byte {
-	if s, ok := v.(string); v == nil || ok && s == "" {
-		return buf
+// cellAt appends the cell of row id in column ord of ts for o, as the op of
+// its type would: NULL and the empty string are no content.
+func (ec *evalContext) cellAt(buf []byte, o *op, ts *relstore.TableSnap, ord, id int) []byte {
+	switch ts.Type(ord) {
+	case relstore.IntCol:
+		if x, ok := ts.Int(ord, id); ok {
+			return strconv.AppendInt(ec.contentOf(buf, o), x, 10)
+		}
+	case relstore.FloatCol:
+		if x, ok := ts.Float(ord, id); ok {
+			return appendFloat(ec.contentOf(buf, o), x)
+		}
+	default:
+		if b, ok := ts.Text(ord, id); ok && len(b) > 0 {
+			return appendText(ec.contentOf(buf, o), b, o.attr)
+		}
 	}
-	return appendCell(ec.contentOf(buf, o), v, o.attr)
+	return buf
 }
 
-// holds reports whether every predicate matches the current row of f.
-func (ec *evalContext) holds(preds []condPred, f *frame) bool {
-	for i := range preds {
-		p := preds[i].pred
-		if s := preds[i].slot; s >= 0 {
-			p.Val = ec.slots[s]
-		}
-		if !p.Matches(f.at(preds[i].ord)) {
+// holds reports whether every predicate matches the current row of f, read
+// from its typed vector.
+func (ec *evalContext) holds(preds []int, f *frame) bool {
+	for _, i := range preds {
+		if !ec.filters[i].Matches(f.ts, f.id) {
 			return false
 		}
 	}
 	return true
 }
 
-// appendCell appends a cell value as the SQL layer prints it: NULL as
-// nothing, an integer through strconv.AppendInt, a float through
-// appendFloat, text escaped for its context (attr: an attribute value).
-func appendCell(dst []byte, v relstore.Value, attr bool) []byte {
-	switch x := v.(type) {
-	case nil:
-		return dst
-	case string:
-		if attr {
-			return xmltree.AppendEscapeAttr(dst, x)
-		}
-		return xmltree.AppendEscapeText(dst, x)
-	case int64:
-		return strconv.AppendInt(dst, x, 10)
-	case float64:
-		return appendFloat(dst, x)
+// appendText appends VARCHAR bytes escaped for their context (attr: an
+// attribute value), from where they sit.
+func appendText(dst, b []byte, attr bool) []byte {
+	if attr {
+		return xmltree.AppendEscapeAttr(dst, b)
 	}
-	return appendCell(dst, fmt.Sprint(v), attr)
+	return xmltree.AppendEscapeText(dst, b)
 }
 
 // appendFloat formats f the way the SQL layer prints numbers: an integral
@@ -659,41 +674,52 @@ func appendFloat(dst []byte, f float64) []byte {
 }
 
 // aggregate computes a SQL aggregate over the rows ids of inner, reading
-// column ord (-1: none): a number (count, sum, avg), a cell (min, max) or
-// NULL — neither. An aggregate over no (non-NULL) values is NULL, except
-// count and sum, which are 0.
-func aggregate(fn aggFn, inner *relstore.TableSnap, ord int, ids []int) (num float64, cell relstore.Value, isNum bool) {
+// column ord (-1: none) from its vector: a number (count, sum, avg), the row
+// whose cell is the answer (min, max; best) or NULL — neither, best < 0. An
+// aggregate over no (non-NULL) values is NULL, except count and sum, which
+// are 0. A VARCHAR cell sums as the number it spells (0 when none).
+func aggregate(fn aggFn, inner *relstore.TableSnap, ord int, ids []int) (num float64, best int, isNum bool) {
 	if fn == aggCount {
-		return float64(len(ids)), nil, true
+		return float64(len(ids)), -1, true
+	}
+	if ord < 0 {
+		ids = nil // a column the table does not have: every value is NULL
 	}
 	var total float64
 	var count int
-	var best relstore.Value
+	best = -1
+	text := ord >= 0 && inner.Type(ord) == relstore.StringCol
 	for _, id := range ids {
-		var v relstore.Value
-		if ord >= 0 {
-			v = inner.Row(id)[ord]
-		}
-		if v == nil {
-			continue
+		var x float64
+		if text {
+			b, ok := inner.Text(ord, id)
+			if !ok {
+				continue
+			}
+			x, _ = strconv.ParseFloat(strings.TrimSpace(string(b)), 64)
+		} else {
+			var ok bool
+			if x, ok = inner.Num(ord, id); !ok {
+				continue
+			}
 		}
 		count++
-		total += toF(v)
-		if best == nil ||
-			(fn == aggMin && relstore.CompareValues(v, best) < 0) ||
-			(fn == aggMax && relstore.CompareValues(v, best) > 0) {
-			best = v
+		total += x
+		if best < 0 ||
+			(fn == aggMin && inner.Compare(ord, id, best) < 0) ||
+			(fn == aggMax && inner.Compare(ord, id, best) > 0) {
+			best = id
 		}
 	}
 	switch fn {
 	case aggSum:
-		return total, nil, true
+		return total, -1, true
 	case aggAvg:
 		if count > 0 {
-			return total / float64(count), nil, true
+			return total / float64(count), -1, true
 		}
 	case aggMin, aggMax:
 		return 0, best, false
 	}
-	return 0, nil, false
+	return 0, -1, false
 }

@@ -264,6 +264,19 @@ func TestProgramShapes(t *testing.T) {
 		{"count is content", &Element{Name: "a", Children: []XMLExpr{&ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "j"}}}}, 3},
 		{"agg body entered open", &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id",
 			Body: &Element{Name: "b"}}}}}, 4},
+		// A repeated attribute name keeps the first position and the last
+		// value; the value it overrides is never evaluated — on either path,
+		// so a non-scalar one is no error and a subquery in it joins nothing.
+		{"overridden attribute values are not evaluated", &Element{Name: "a", Attrs: []Attr{
+			{Name: "x", Value: &Element{Name: "not-scalar"}},
+			{Name: "y", Value: &ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id"}}},
+			{Name: "x", Value: &Column{Name: "name"}},
+			{Name: "y", Value: &Literal{Text: "v"}}}}, 3},
+		// A CASE WHEN on a column the table does not have never holds, also
+		// over a table whose first column is not INT.
+		{"cond on a missing column", &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "v",
+			Body: &Cond{Preds: []relstore.Pred{{Col: "nope", Op: relstore.CmpEq, Val: int64(1)}},
+				Then: &Literal{Text: "then"}, Else: &Column{Name: "word"}}}}}}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := &Query{Table: "o", Body: tc.body}
@@ -275,7 +288,33 @@ func TestProgramShapes(t *testing.T) {
 				t.Errorf("%d ops, want %d: %s", len(p.code), tc.ops, dumpOps(p.code))
 			}
 			assertProgramMatchesTrees(t, NewExecutor(db), q)
+			assertSameStats(t, NewExecutor(db), q)
 		})
+	}
+}
+
+// assertSameStats demands that the walk and the program do the same
+// relational work for q: equal counters from one serial run each.
+func assertSameStats(tb testing.TB, ex *Executor, q *Query) {
+	tb.Helper()
+	var trees, bytes relstore.Stats
+	if _, err := ex.ExecQueryParallelSpec(q, 1, &trees, nil, &RunSpec{Params: shapeParams}); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := ex.OpenQueryCursorSpec(q, &bytes, nil, &RunSpec{Params: shapeParams, Batch: relstore.BatchOpts{Workers: 1}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer c.Close()
+	for {
+		if _, err := c.AppendNext(nil); err == io.EOF {
+			break
+		} else if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if trees.Snapshot() != bytes.Snapshot() {
+		tb.Fatalf("trees did %+v, the program %+v: %s", trees.Snapshot(), bytes.Snapshot(), q.Body.SQL())
 	}
 }
 

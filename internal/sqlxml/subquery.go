@@ -19,33 +19,31 @@ import (
 // subquery no row reaches (a Cond branch never taken) is never joined.
 
 // frame is one level of the row nest being constructed: a list of rows of
-// one table and the position construction has reached in it.
+// one table and the position construction has reached in it. It holds row
+// ids, never cells: readers go to the snapshot's typed vectors.
 type frame struct {
 	ts  *relstore.TableSnap
 	ids []int
-	// rows[i] is the row of ids[i] when the producer had the references at
-	// hand (the driving batch); nil means read them from the snapshot.
-	rows [][]relstore.Value
 	// list identifies this (ts, ids) list among all the lists the context
 	// has installed, so a subquery plan knows which one its groups are for.
 	list uint64
 	pos  int
-	row  []relstore.Value // the row at pos
+	id   int // ids[pos], the current row
 	// inner is the frame one level down, created when an Agg first needs it.
 	inner *frame
 }
 
 // setList installs ids (rows of ts) as f's row list; position it with
-// setPos. rows may be nil.
-func (ec *evalContext) setList(f *frame, ts *relstore.TableSnap, ids []int, rows [][]relstore.Value) {
+// setPos.
+func (ec *evalContext) setList(f *frame, ts *relstore.TableSnap, ids []int) {
 	ec.lists++
-	f.ts, f.ids, f.rows, f.list = ts, ids, rows, ec.lists
+	f.ts, f.ids, f.list = ts, ids, ec.lists
 }
 
 // setRows installs the driving rows the next rows are constructed from;
 // position with setPos.
-func (ec *evalContext) setRows(ts *relstore.TableSnap, ids []int, rows [][]relstore.Value) {
-	ec.setList(&ec.driving, ts, ids, rows)
+func (ec *evalContext) setRows(ts *relstore.TableSnap, ids []int) {
+	ec.setList(&ec.driving, ts, ids)
 }
 
 // setPos moves the driving frame to row i of its list.
@@ -56,30 +54,11 @@ func (ec *evalContext) nest(f *frame, ts *relstore.TableSnap, ids []int) *frame 
 	if f.inner == nil {
 		f.inner = new(frame)
 	}
-	ec.setList(f.inner, ts, ids, nil)
+	ec.setList(f.inner, ts, ids)
 	return f.inner
 }
 
-func (f *frame) rowAt(i int) []relstore.Value {
-	if f.rows != nil {
-		return f.rows[i]
-	}
-	return f.ts.Row(f.ids[i])
-}
-
-func (f *frame) setPos(i int) { f.pos, f.row = i, f.rowAt(i) }
-
-// cell reads one column of the current row; a column the table does not
-// have (or a row id outside the snapshot) reads as NULL.
-func (f *frame) cell(col string) relstore.Value { return f.at(f.ts.ColIndex(col)) }
-
-// at reads the current row's column at ordinal ord (-1: none, NULL).
-func (f *frame) at(ord int) relstore.Value {
-	if ord >= 0 && ord < len(f.row) {
-		return f.row[ord]
-	}
-	return nil
-}
+func (f *frame) setPos(i int) { f.pos, f.id = i, f.ids[i] }
 
 // subPlan is the per-run plan of one SubQuery: everything that does not
 // depend on the outer row is resolved once — the pinned inner table, the
@@ -99,9 +78,8 @@ type subPlan struct {
 	// for every outer row of the run: it is joined once, as a single group.
 	groups relstore.Groups
 	list   uint64
-	keys   []relstore.Value // the outer keys of the last join
-	sorted []int            // the current group in ORDER BY order
-	where  []relstore.Pred  // the run's binding of sub.Where, when it has placeholders
+	sorted []int           // the current group in ORDER BY order
+	where  []relstore.Pred // the run's binding of sub.Where, when it has placeholders
 }
 
 var subPlanPool = sync.Pool{New: func() any { return new(subPlan) }}
@@ -141,8 +119,6 @@ func planSub(snap *relstore.Snapshot, sub *SubQuery, outer *relstore.TableSnap, 
 func (p *subPlan) release() {
 	p.sub, p.outer, p.join = nil, nil, relstore.GroupJoin{}
 	p.groups.Release()
-	clear(p.keys)
-	p.keys = p.keys[:0]
 	clear(p.where)
 	p.where = p.where[:0]
 	subPlanPool.Put(p)
@@ -191,8 +167,7 @@ func (ec *evalContext) group(sub *SubQuery, f *frame) (*relstore.TableSnap, []in
 	switch {
 	case sub.CorrInner == "":
 		if p.list == 0 {
-			p.keys = append(p.keys[:0], nil)
-			if err := p.join.Join(p.keys, &p.groups, ec.stats, ec.gov); err != nil {
+			if err := p.join.Join(oneKey, &p.groups, ec.stats, ec.gov); err != nil {
 				return nil, nil, err
 			}
 			p.list = f.list
@@ -215,24 +190,20 @@ func (ec *evalContext) group(sub *SubQuery, f *frame) (*relstore.TableSnap, []in
 	return p.join.Inner(), ids, nil
 }
 
-// joinList runs p's group-join for every row of f's list.
+// oneKey is the single NULL key an uncorrelated subquery is joined with.
+var oneKey = relstore.Keys{Ord: -1, IDs: []int{0}}
+
+// joinList runs p's group-join for every row of f's list: the keys are the
+// list's cells of the outer column, which the join reads typed.
 func (ec *evalContext) joinList(p *subPlan, f *frame) error {
-	p.keys = p.keys[:0]
-	for i := range f.ids {
-		var k relstore.Value
-		if row := f.rowAt(i); p.outerOrd >= 0 && p.outerOrd < len(row) {
-			k = row[p.outerOrd]
-		}
-		p.keys = append(p.keys, k)
-	}
-	return p.join.Join(p.keys, &p.groups, ec.stats, ec.gov)
+	return p.join.Join(relstore.Keys{Table: f.ts, Ord: p.outerOrd, IDs: f.ids}, &p.groups, ec.stats, ec.gov)
 }
 
 // sortByOrdinal orders ids by one column of t, stably: rows with equal keys
 // keep their heap order in both directions.
 func sortByOrdinal(t *relstore.TableSnap, ids []int, ord int, desc bool) {
 	slices.SortStableFunc(ids, func(a, b int) int {
-		c := relstore.CompareValues(t.Row(a)[ord], t.Row(b)[ord])
+		c := t.Compare(ord, a, b)
 		if desc {
 			return -c
 		}

@@ -77,9 +77,12 @@ func (e *Executor) MaterializeRow(v *ViewDef, rowID int) (*xmltree.Node, error) 
 	if ts == nil {
 		return nil, fmt.Errorf("sqlxml: view %q references unknown table %q", v.Name, v.Table)
 	}
+	if rowID < 0 || rowID >= ts.NumRows() {
+		return nil, fmt.Errorf("sqlxml: view %q has no row %d", v.Name, rowID)
+	}
 	ec := &evalContext{snap: snap, stats: &e.Stats}
 	defer ec.release()
-	ec.setRows(ts, []int{rowID}, nil)
+	ec.setRows(ts, []int{rowID})
 	ec.setPos(0)
 	return ec.evalDoc(v.Body)
 }

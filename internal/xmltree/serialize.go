@@ -148,13 +148,17 @@ func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // AppendEscapeText appends s to dst escaped exactly as EscapeText would,
 // without building the intermediate string: a value with nothing to escape
-// costs one append.
-func AppendEscapeText(dst []byte, s string) []byte { return appendEscaped(dst, s, false) }
+// costs one append. s may be bytes, which are escaped where they sit.
+func AppendEscapeText[S ~string | ~[]byte](dst []byte, s S) []byte {
+	return appendEscaped(dst, s, false)
+}
 
 // AppendEscapeAttr is the append form of EscapeAttr.
-func AppendEscapeAttr(dst []byte, s string) []byte { return appendEscaped(dst, s, true) }
+func AppendEscapeAttr[S ~string | ~[]byte](dst []byte, s S) []byte {
+	return appendEscaped(dst, s, true)
+}
 
-func appendEscaped(dst []byte, s string, attr bool) []byte {
+func appendEscaped[S ~string | ~[]byte](dst []byte, s S, attr bool) []byte {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		var esc string

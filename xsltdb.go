@@ -536,7 +536,12 @@ type CompiledTransform struct {
 	// lastOut is the size of the last result Run produced: a run's pooled
 	// buffer can come back empty (a collection drops the pool) and is grown
 	// to it at once instead of from zero by repeated appends, which for a
-	// megabyte result allocate several times its size.
+	// megabyte result allocate several times its size. A warm buffer with
+	// room for it is left as it is. One without is grown too, although the
+	// last result may be some other run's, of another size: pooled buffers
+	// are shared by every transform, and one warmed by a small result regrows
+	// by appends otherwise (EXPERIMENTS.md "Columnar heap" measures both
+	// sides).
 	lastOut atomic.Int64
 }
 
