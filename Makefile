@@ -25,7 +25,8 @@
 #   make bench    the Go benchmarks (go test -bench); the paper's evaluation
 #                 is the repo benchmark, bash bench/run.sh
 #   make paper    BenchmarkPaperFigures: Run per paper figure case (and
-#                 attrmap, choose) over 16 000 sales rows, paper_figs' data
+#                 attrmap, choose) over 2 000-16 000 sales rows (16 000 is
+#                 paper_figs' data), at workers=1 and workers=default
 #   make allocs   the allocation sites of one Run (serve_miss's engine shape),
 #                 from a memory profile kept in a temporary directory
 #   make serve    xsltd over the demo database on :8080 (console on :6060)

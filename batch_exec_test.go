@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/relstore"
+	"repro/internal/sqlxml"
 	"repro/internal/xslt"
+	"repro/internal/xsltmark"
 )
 
 // batchABRows is sized above relstore.MorselMinRows so that worker counts
@@ -296,5 +299,236 @@ func TestParallelConstructByteIdentity(t *testing.T) {
 	faultpoint.EnableAfter("sqlxml.query.next", 40, errBoom)
 	if res, err := ct.Run(context.Background(), paths[0].with(WithWorkers(4))...); !errors.Is(err, errBoom) || res.Rows != nil {
 		t.Fatalf("err = %v with %d rows, want the injected fault and no rows", err, len(res.Rows))
+	}
+}
+
+// newSplitDB is one document whose XMLAgg groups n items (docs → item on
+// item.doc, n past relstore.MorselMinRows so the morsel pool splits it),
+// each item with two tags of its own: every morsel the split constructs
+// group-joins its items' tags.
+func newSplitDB(tb testing.TB, n int) *Database {
+	tb.Helper()
+	d := NewDatabase()
+	for _, err := range []error{
+		d.CreateTable("docs", TableColumn{Name: "id", Type: IntCol}),
+		d.CreateTable("item", TableColumn{Name: "id", Type: IntCol}, TableColumn{Name: "doc", Type: IntCol}),
+		d.CreateTable("tag", TableColumn{Name: "item", Type: IntCol}, TableColumn{Name: "t", Type: StringCol}),
+		d.Insert("docs", int64(1)),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := d.Insert("item", int64(i), int64(1)); err != nil {
+			tb.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			if err := d.Insert("tag", int64(i), fmt.Sprintf("t%d.%d", i, k)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := d.CreateIndex("tag", "item"); err != nil {
+		tb.Fatal(err)
+	}
+	tag := &sqlxml.Element{Name: "tag", Children: []sqlxml.XMLExpr{&sqlxml.Element{Name: "t", Children: []sqlxml.XMLExpr{&sqlxml.Column{Name: "t"}}}}}
+	item := &sqlxml.Element{Name: "item", Children: []sqlxml.XMLExpr{
+		&sqlxml.Element{Name: "id", Children: []sqlxml.XMLExpr{&sqlxml.Column{Name: "id"}}},
+		&sqlxml.Agg{Sub: &sqlxml.SubQuery{Table: "tag", CorrInner: "item", CorrOuter: "id", Body: tag}},
+	}}
+	if err := d.CreateXMLView(&sqlxml.ViewDef{Name: "big", Table: "docs", Body: &sqlxml.Element{Name: "doc", Children: []sqlxml.XMLExpr{
+		&sqlxml.Agg{Sub: &sqlxml.SubQuery{Table: "item", CorrInner: "doc", CorrOuter: "id", Body: item}},
+	}}}); err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// splitSheet runs as SQL over newSplitDB's view: an XMLAgg of items, each
+// with a nested XMLAgg of its tags.
+const splitSheet = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	<xsl:template match="doc"><out><xsl:for-each select="item"><i><xsl:value-of select="id"/><xsl:for-each select="tag"><g><xsl:value-of select="t"/></g></xsl:for-each></i></xsl:for-each></out></xsl:template>
+</xsl:stylesheet>`
+
+// TestAggSplitCancelAndPanic: a split XMLAgg group is governed like the
+// driving scan. A cancel, and a Cursor.Close, stop it mid-split within
+// 100 ms; a panic in a morsel job is contained as an internal error; and
+// none of them leaves a worker goroutine behind.
+func TestAggSplitCancelAndPanic(t *testing.T) {
+	const site = "sqlxml.agg.split"
+	d := newSplitDB(t, relstore.MorselMinRows*4)
+	ct, err := d.CompileTransform("big", splitSheet, WithForcedStrategy(StrategySQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ct.Run(context.Background(), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.MorselsExecuted == 0 {
+		t.Fatalf("the group was not split: %+v", res.Stats)
+	}
+	before := runtime.NumGoroutine()
+	// midSplit starts pull in the background with every split pull slowed
+	// down, and returns once the split is under way.
+	midSplit := func(t *testing.T, pull func() error) chan error {
+		t.Helper()
+		faultpoint.EnableSleep(site, 5*time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- pull() }()
+		for deadline := time.Now().Add(5 * time.Second); faultpoint.Hits(site) < 2; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("the split never started")
+			}
+		}
+		return done
+	}
+	// stopped waits for the background pull, within 100 ms of start.
+	stopped := func(t *testing.T, done chan error, start time.Time) error {
+		t.Helper()
+		select {
+		case err := <-done:
+			if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+				t.Fatalf("the split stopped %v after it was told to, want < 100ms", elapsed)
+			}
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("the split did not stop")
+		}
+		return nil
+	}
+	t.Run("cancel", func(t *testing.T) {
+		defer faultpoint.Reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := midSplit(t, func() error {
+			_, err := ct.Run(ctx, WithWorkers(4))
+			return err
+		})
+		start := time.Now()
+		cancel()
+		if err := stopped(t, done, start); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+	})
+	t.Run("cursor-close", func(t *testing.T) {
+		defer faultpoint.Reset()
+		cur, err := ct.OpenCursor(context.Background(), WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := midSplit(t, func() error {
+			_, err := cur.Next()
+			return err
+		})
+		start := time.Now()
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := stopped(t, done, start); err == nil {
+			t.Fatal("a pull that Close interrupted returned a row")
+		}
+	})
+	t.Run("job-panic", func(t *testing.T) {
+		defer faultpoint.Reset()
+		// The first join is the driving row's, on the consumer; the next is
+		// a morsel's, on a worker.
+		faultpoint.EnablePanicAfter("relstore.join.batch", 1)
+		res, err := ct.Run(context.Background(), WithWorkers(4))
+		if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "injected panic") {
+			t.Fatalf("err = %v, want the job's panic as ErrInternal", err)
+		}
+		if res == nil || res.Stats.MorselsExecuted == 0 {
+			t.Fatal("the panic was not raised in a split")
+		}
+	})
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the splits stopped, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestAggSplitSeesEachRunsSnapshot: the pool, worker contexts and buffers a
+// plan keeps from one split to the next carry nothing of the run that used
+// them — a split after an insert constructs the new group, as the serial
+// route does.
+func TestAggSplitSeesEachRunsSnapshot(t *testing.T) {
+	d := newSplitDB(t, relstore.MorselMinRows+10)
+	ct, err := d.CompileTransform("big", splitSheet, WithForcedStrategy(StrategySQL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		split, err := ct.Run(context.Background(), WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := ct.Run(context.Background(), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split.Stats.MorselsExecuted == 0 || split.body != serial.body {
+			t.Fatalf("run %d: %d morsels, split bytes equal serial: %t", i, split.Stats.MorselsExecuted, split.body == serial.body)
+		}
+		id := int64(relstore.MorselMinRows + 10 + i)
+		if err := d.Insert("item", id, int64(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert("tag", id, fmt.Sprintf("new%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAggSplitAllocations: a split costs a warmed-up run at most the
+// goroutine it spawns — the pool, its slots and buffers, and the worker
+// contexts are the plan's, reused run to run — and changes no counter but
+// MorselsExecuted: the group's members are neither scanned nor emitted by
+// an access path, and their construction charges the governor the ticks a
+// serial run charges.
+func TestAggSplitAllocations(t *testing.T) {
+	if poolsDropItems() {
+		t.Skip("sync.Pool drops items under the race detector: pooled buffers are reallocated at random")
+	}
+	d := NewDatabase()
+	if err := xsltmark.SetupSalesDB(d.Rel(), 16_000); err != nil {
+		t.Fatal(err)
+	}
+	view := xsltmark.SalesView()
+	if err := d.CreateXMLView(view); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := d.CompileTransform(view.Name, xsltmark.ByName("avts").Stylesheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(workers int) (float64, ExecStats) {
+		var st ExecStats
+		n := testing.AllocsPerRun(10, func() {
+			res, err := ct.Run(context.Background(), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = res.Stats
+		})
+		return n, st
+	}
+	serial, st1 := allocs(1)
+	split, st2 := allocs(2)
+	t.Logf("avts Run: %.0f allocs serial, %.0f split into %d morsels", serial, split, st2.MorselsExecuted)
+	if st1.MorselsExecuted != 0 || st2.MorselsExecuted == 0 {
+		t.Fatalf("%d morsels at 1 worker, %d at 2: want none, then a split", st1.MorselsExecuted, st2.MorselsExecuted)
+	}
+	if split > serial+1 {
+		t.Fatalf("the split run allocated %.0f times, the serial one %.0f: a split may cost one goroutine", split, serial)
+	}
+	counters := func(s ExecStats) [9]int64 {
+		return [...]int64{s.RowsProduced, s.RowsScanned, s.IndexProbes, s.RangeScans, s.FullScans, s.RowsEmitted, s.RowsFiltered, s.Batches, s.GovTicks}
+	}
+	if c1, c2 := counters(st1), counters(st2); c1 != c2 {
+		t.Fatalf("serial counters %v, split %v (rows, scanned, probes, ranges, full scans, emitted, filtered, batches, ticks)", c1, c2)
 	}
 }

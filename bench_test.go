@@ -428,38 +428,63 @@ func benchParallelRun(b *testing.B, ct *CompiledTransform, n int, workers []int,
 
 // BenchmarkPaperFigures times Run for the paper's figure cases — Fig. 2's
 // dbonerow and Fig. 3's avts, chart, metric and total — plus attrmap and
-// choose, over 16 000 sales rows indexed on id only, as the repo benchmark's
-// paper_figs workload loads them. Each case is one driving row whose XMLAgg
-// (or scalar aggregate) covers the whole sales table, so a case's time is
-// its constructor's per-row cost times 16 000 (make paper).
+// choose, over 2 000 to 16 000 sales rows indexed on id only; 16 000 is how
+// the repo benchmark's paper_figs workload loads them. Each case is one
+// driving row whose XMLAgg (or scalar aggregate) covers the whole sales
+// table, so a case's time is its constructor's per-row cost times the rows
+// (make paper). Each case runs at workers=1 (fully serial) and
+// workers=default (GOMAXPROCS: an XMLAgg group of relstore.MorselMinRows
+// members or more is split across the morsel pool) and reports the morsels
+// a run executed.
 func BenchmarkPaperFigures(b *testing.B) {
-	d := NewDatabase()
-	if err := xsltmark.SetupSalesDB(d.Rel(), 16_000); err != nil {
-		b.Fatal(err)
-	}
-	if err := d.CreateIndex("sales", "id"); err != nil {
-		b.Fatal(err)
-	}
+	sizes := []int{2_000, 4_000, 8_000, 16_000}
 	view := xsltmark.SalesView()
-	if err := d.CreateXMLView(view); err != nil {
-		b.Fatal(err)
-	}
-	for _, name := range []string{"dbonerow", "avts", "chart", "metric", "total", "attrmap", "choose"} {
-		ct, err := d.CompileTransform(view.Name, xsltmark.ByName(name).Stylesheet)
-		if err != nil {
+	cases := []string{"dbonerow", "avts", "chart", "metric", "total", "attrmap", "choose"}
+	cts := make(map[string][]*CompiledTransform)
+	for _, rows := range sizes {
+		d := NewDatabase()
+		if err := xsltmark.SetupSalesDB(d.Rel(), rows); err != nil {
 			b.Fatal(err)
 		}
-		if ct.Strategy() != StrategySQL {
-			b.Fatalf("%s compiled to %v, not to SQL/XML", name, ct.Strategy())
+		if err := d.CreateIndex("sales", "id"); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ct.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
+		if err := d.CreateXMLView(view); err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range cases {
+			ct, err := d.CompileTransform(view.Name, xsltmark.ByName(name).Stylesheet)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			if ct.Strategy() != StrategySQL {
+				b.Fatalf("%s compiled to %v, not to SQL/XML", name, ct.Strategy())
+			}
+			cts[name] = append(cts[name], ct)
+		}
+	}
+	for _, name := range cases {
+		for i, rows := range sizes {
+			ct := cts[name][i]
+			for _, workers := range []int{1, 0} {
+				level := "workers=default"
+				if workers > 0 {
+					level = fmt.Sprintf("workers=%d", workers)
+				}
+				b.Run(fmt.Sprintf("%s/rows=%d/%s", name, rows, level), func(b *testing.B) {
+					b.ReportAllocs()
+					var st ExecStats
+					for i := 0; i < b.N; i++ {
+						res, err := ct.Run(context.Background(), WithWorkers(workers))
+						if err != nil {
+							b.Fatal(err)
+						}
+						st = res.Stats
+					}
+					b.ReportMetric(float64(st.MorselsExecuted), "morsels/op")
+				})
+			}
+		}
 	}
 }
 

@@ -14,6 +14,8 @@
 //	relstore.index.batch  — index-scan batch fetch (likewise)
 //	relstore.join.batch   — group-join of one batch of outer keys (one hit
 //	                        per Join)
+//	sqlxml.agg.split      — one large XMLAgg group split across the morsel
+//	                        pool (one hit per morsel the consumer pulls)
 //	sqlxml.query.open     — SQL/XML query open: planning the driving access
 //	                        path, before any row is touched
 //	sqlxml.query.next     — SQL/XML cursor row (one hit each time a query
@@ -57,13 +59,18 @@ func Enable(name string, err error) { EnableAfter(name, 0, err) }
 
 // EnablePanic arms name to panic on every Hit — exercising the facade's
 // panic-containment boundary the way a real engine bug would.
-func EnablePanic(name string) {
+func EnablePanic(name string) { EnablePanicAfter(name, 0) }
+
+// EnablePanicAfter arms name to let n Hits pass, then panic on every later
+// Hit: a panic at a deterministic point deep inside a run, past the hits
+// that set it up.
+func EnablePanicAfter(name string, n int) {
 	mu.Lock()
 	defer mu.Unlock()
 	if _, exists := points[name]; !exists {
 		armed.Add(1)
 	}
-	points[name] = &point{panics: true}
+	points[name] = &point{remaining: int64(n), panics: true}
 }
 
 // EnableSleep arms name to stall every Hit for d and then succeed — the

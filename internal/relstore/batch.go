@@ -225,13 +225,13 @@ type batchIndexIter struct {
 
 func (it *batchIndexIter) materialize() {
 	it.run = true
-	if it.plan.emptyInterval() {
+	if it.plan.emptyInterval() && !it.plan.NaN {
 		return // contradictory bounds: no key to descend to
 	}
 	if it.stats != nil {
 		atomic.AddInt64(&it.stats.IndexProbes, 1)
 	}
-	it.ids = it.snap.IndexIDs(it.plan.Col, it.plan.Lo, it.plan.Hi)
+	it.ids = it.snap.IndexIDs(it.plan.Col, it.plan.Lo, it.plan.Hi, it.plan.NaN)
 }
 
 func (it *batchIndexIter) NextBatch(batch *Batch) (int, bool) {
@@ -285,7 +285,7 @@ func (it *batchIndexIter) Err() error { return it.err }
 // merge preserves heap order, so output is identical to the serial scan,
 // and its workers exit once a NextBatch reports ok=false.
 func (p AccessPlan) OpenBatchAt(ts *TableSnap, stats *Stats, g *governor.G, opts BatchOpts) BatchIterator {
-	m, it := OpenMorsels[struct{}](p, ts, stats, g, opts, nil)
+	m, it := OpenMorsels[struct{}](nil, p, ts, stats, g, opts, nil)
 	if m != nil {
 		return m
 	}
@@ -294,18 +294,19 @@ func (p AccessPlan) OpenBatchAt(ts *TableSnap, stats *Stats, g *governor.G, opts
 
 // OpenMorsels opens the plan over a pinned snapshot. When opts allows more
 // than one worker and the plan has at least MorselMinRows candidates, it
-// returns a morsel pool that runs job (nil: none) on every morsel; otherwise
-// it returns the serial batch iterator. Exactly one result is non-nil. An
-// index range's posting list is computed once, here or on the serial
-// iterator's first batch, whichever way the choice goes.
-func OpenMorsels[T any](p AccessPlan, ts *TableSnap, stats *Stats, g *governor.G, opts BatchOpts, job MorselJob[T]) (*Morsels[T], BatchIterator) {
+// returns a morsel pool that runs job (nil: none) on every morsel — m itself
+// when m is non-nil, reopened on its slots; otherwise it returns the serial
+// batch iterator. Exactly one result is non-nil. An index range's posting
+// list is computed once, here or on the serial iterator's first batch,
+// whichever way the choice goes.
+func OpenMorsels[T any](m *Morsels[T], p AccessPlan, ts *TableSnap, stats *Stats, g *governor.G, opts BatchOpts, job MorselJob[T]) (*Morsels[T], BatchIterator) {
 	workers := opts.WorkerCount()
 	if p.Kind == PathFullScan {
 		if stats != nil {
 			atomic.AddInt64(&stats.FullScans, 1)
 		}
 		if workers > 1 && ts.NumRows() >= MorselMinRows {
-			return newMorsels(ts, nil, ts.NumRows(), p.Residual, "relstore.scan.batch", stats, g, workers, opts.Size(), job), nil
+			return newMorsels(m, ts, nil, ts.NumRows(), p.Residual, "relstore.scan.batch", stats, g, workers, opts.Size(), job), nil
 		}
 		return nil, &batchScanIter{snap: ts, where: compileConj(ts, p.Residual), size: opts.Size(), stats: stats, gov: g}
 	}
@@ -319,7 +320,7 @@ func OpenMorsels[T any](p AccessPlan, ts *TableSnap, stats *Stats, g *governor.G
 	if workers > 1 {
 		it.materialize()
 		if len(it.ids) >= MorselMinRows {
-			return newMorsels(ts, it.ids, len(it.ids), p.Residual, "relstore.index.batch", stats, g, workers, opts.Size(), job), nil
+			return newMorsels(m, ts, it.ids, len(it.ids), p.Residual, "relstore.index.batch", stats, g, workers, opts.Size(), job), nil
 		}
 	}
 	return nil, it

@@ -173,6 +173,11 @@ func TestParallelLookaheadIsBounded(t *testing.T) {
 	}
 }
 
+// jobFunc is a function as a MorselJob.
+type jobFunc[T any] func(w int, ids []int, out *T) error
+
+func (f jobFunc[T]) RunMorsel(w int, ids []int, out *T) error { return f(w, ids, out) }
+
 // TestMorselJobPanicIsContained: a panic in a job — on a worker goroutine,
 // where nothing above the pool could recover it — ends the scan with a
 // *PanicError from the pull that reaches its morsel, after every earlier
@@ -187,7 +192,7 @@ func TestMorselJobPanicIsContained(t *testing.T) {
 		*out = len(ids)
 		return nil
 	}
-	m, _ := OpenMorsels(FullScanPlanAt(ts, nil), ts, nil, nil, BatchOpts{Workers: 4}, job)
+	m, _ := OpenMorsels[int](nil, FullScanPlanAt(ts, nil), ts, nil, nil, BatchOpts{Workers: 4}, jobFunc[int](job))
 	rows := 0
 	for {
 		r, ok := m.Next()

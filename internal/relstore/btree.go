@@ -145,9 +145,9 @@ type index interface {
 	// add indexes row id, whose cell in v (the indexed column) is not NULL.
 	add(v *vec, id int)
 	// committedIDs collects IndexIDs' answer, unsorted: the ids of the
-	// posting lists in [lo, hi], each bounded to the first n rows, and how
-	// many lists contributed.
-	committedIDs(lo, hi Bound, n int) (ids []int, lists int)
+	// posting lists in [lo, hi] (and of the NaN key, with nan), each bounded
+	// to the first n rows, and how many lists contributed.
+	committedIDs(lo, hi Bound, nan bool, n int) (ids []int, lists int)
 	// probe returns the posting list of the key equal to row id's non-NULL
 	// cell in v, a column of any type: nil when there is none, or when the
 	// cell's type can never equal a key.
@@ -331,15 +331,30 @@ func newInterval(typ ColType, lo, hi Bound) interval {
 // Range calls fn for each (key, rows) pair with lo <= key <= hi (subject to
 // inclusivity, and comparing as CompareValues does, so a bound of another
 // type is allowed) in ascending key order; fn returning false stops the
-// scan.
+// scan. A NaN key, equal to every number and ordered against none, is in no
+// interval: Lookup finds it.
 func (t *BTree[K]) Range(lo, hi Bound, fn func(key K, rows []int) bool) {
 	iv := newInterval(colTypeOf[K](), lo, hi)
 	t.root.rangeScan(&iv, fn)
 }
 
-// AscendAll visits every key in order.
+// AscendAll visits every key in order, a NaN key first.
 func (t *BTree[K]) AscendAll(fn func(key K, rows []int) bool) {
+	if k, ok := nanKey[K](); ok {
+		if rows := t.Lookup(k); rows != nil && !fn(k, rows) {
+			return
+		}
+	}
 	t.Range(UnboundedBound, UnboundedBound, fn)
+}
+
+// nanKey is the NaN key of a FLOAT tree; ok is false for other key types.
+func nanKey[K key]() (k K, ok bool) {
+	if p, isFloat := any(&k).(*float64); isFloat {
+		*p = math.NaN()
+		return k, true
+	}
+	return k, false
 }
 
 func (n *btNode[K]) rangeScan(iv *interval, fn func(K, []int) bool) bool {
@@ -363,6 +378,9 @@ func (n *btNode[K]) rangeScan(iv *interval, fn func(K, []int) bool) bool {
 			break
 		}
 		e := &n.entries[i]
+		if e.key != e.key {
+			continue // NaN: in no interval
+		}
 		if !iv.hi.Unbounded {
 			c := cmpKey(&iv.h, e.key)
 			if c > 0 || (c == 0 && !iv.hi.Inclusive) {

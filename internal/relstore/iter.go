@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
 )
@@ -317,6 +318,12 @@ type AccessPlan struct {
 	// Residual holds the predicates applied per row after the driving
 	// access (every predicate, for a full scan).
 	Residual []Pred
+	// NaN reports whether the interval is on a FLOAT column and its NaN key
+	// belongs to it: a NaN cell compares equal to every number, so it
+	// matches each predicate folded into [Lo, Hi] that accepts equality (=,
+	// <=, >=) and no other. The tree sorts the NaN key first, outside every
+	// ordered interval, so it is looked up on its own.
+	NaN bool
 	// TableRows is the table's row count observed at planning time — the
 	// statistic the chooser's cost reasoning is based on.
 	TableRows int
@@ -361,7 +368,8 @@ func PlanAccessAt(ts *TableSnap, preds []Pred) AccessPlan {
 	if best == -1 {
 		return AccessPlan{Kind: PathFullScan, Residual: preds, TableRows: rows}
 	}
-	plan := AccessPlan{Kind: PathIndexRange, Col: preds[best].Col, TableRows: rows, Lo: UnboundedBound, Hi: UnboundedBound}
+	plan := AccessPlan{Kind: PathIndexRange, Col: preds[best].Col, TableRows: rows, Lo: UnboundedBound, Hi: UnboundedBound,
+		NaN: ts.Type(ts.ColIndex(preds[best].Col)) == FloatCol}
 	plan.tighten(preds[best]) // first, so an equality is never displaced by a placeholder bound
 	for i, p := range preds {
 		if i == best {
@@ -401,8 +409,12 @@ func (p *AccessPlan) tighten(q Pred) bool {
 		return false
 	}
 	p.Lo, p.Hi = newLo, newHi
+	p.NaN = p.NaN && q.Matches(nanCell)
 	return true
 }
+
+// nanCell is a NaN FLOAT cell, boxed once.
+var nanCell Value = math.NaN()
 
 // tighterBound picks the tighter of two bounds on one side of an interval:
 // dir is 1 for lower bounds (the larger value is tighter) and -1 for upper

@@ -91,8 +91,9 @@ func (o *operand) cmpAt(v *vec, id int) int {
 // cmpKey compares an index key of a tree over the operand's column type. A
 // NaN key, which the tree sorts first, is below every bound: that keeps the
 // comparison monotone in key order, where compareFloats would make a NaN
-// equal to every bound. (So an index range and a scan disagree on NaN cells
-// of a FLOAT column; the planner never bounds an index by a NaN constant.)
+// equal to every bound. (A range scan therefore never visits the NaN key;
+// an index path looks it up on its own when its predicates accept it,
+// AccessPlan.NaN. The planner never bounds an index by a NaN constant.)
 func cmpKey[K key](o *operand, k K) int {
 	switch x := any(k).(type) {
 	case int64:

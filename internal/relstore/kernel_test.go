@@ -51,7 +51,8 @@ func kernelPreds(spec []byte) []Pred {
 	return preds
 }
 
-// kernelTable is a table of rows rows decoded from data, indexed on i.
+// kernelTable is a table of rows rows decoded from data, indexed on every
+// column.
 func kernelTable(tb testing.TB, data []byte, rows int) *Table {
 	tb.Helper()
 	t, err := NewTable("k", Column{"i", IntCol}, Column{"f", FloatCol}, Column{"s", StringCol})
@@ -63,8 +64,10 @@ func kernelTable(tb testing.TB, data []byte, rows int) *Table {
 			tb.Fatal(err)
 		}
 	}
-	if err := t.CreateIndex("i"); err != nil {
-		tb.Fatal(err)
+	for _, col := range []string{"i", "f", "s"} {
+		if err := t.CreateIndex(col); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return t
 }
@@ -82,8 +85,10 @@ func drainMorsels(tb testing.TB, m *Morsels[struct{}]) []int {
 // FuzzKernelVsMatches: whatever the cells and the conjunction, the ids a
 // kernel path selects are exactly the rows whose boxed cells satisfy every
 // predicate by Pred.Matches — through the serial scan at batch sizes 1, 7
-// and 1024, the morsel pool at 1 and 4 workers, an index range with the
-// predicates as residuals, and the index join's constant filter.
+// and 1024, the morsel pool at 1 and 4 workers, the planner's own access
+// path (an index probe or range on any column, NaN FLOAT keys included)
+// serially and on the morsel pool, an index range with the predicates as
+// residuals, and the index join's constant filter.
 func FuzzKernelVsMatches(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 0, 4})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 20, 2, 0, 30, 0, 5, 12})
@@ -112,8 +117,13 @@ func FuzzKernelVsMatches(f *testing.F) {
 			check(fmt.Sprintf("serial scan, batch %d", size), collect(scan.OpenBatchAt(ts, nil, nil, BatchOpts{BatchSize: size, Workers: 1})))
 		}
 		for _, workers := range []int{1, 4} {
-			m := newMorsels[struct{}](ts, nil, ts.NumRows(), preds, "relstore.scan.batch", nil, nil, workers, DefaultBatchSize, nil)
+			m := newMorsels[struct{}](nil, ts, nil, ts.NumRows(), preds, "relstore.scan.batch", nil, nil, workers, DefaultBatchSize, nil)
 			check(fmt.Sprintf("morsel pool, %d workers", workers), drainMorsels(t, m))
+		}
+
+		plan := PlanAccessAt(ts, preds)
+		for _, workers := range []int{1, 4} {
+			check(fmt.Sprintf("%s, %d workers", plan.Explain(tab), workers), collect(plan.OpenBatchAt(ts, nil, nil, BatchOpts{Workers: workers})))
 		}
 
 		// An index range on i with every predicate a residual: the oracle
@@ -201,6 +211,63 @@ func TestZeroFilterMatchesNothing(t *testing.T) {
 	for id := range ts.NumRows() {
 		if f.Matches(ts, id) {
 			t.Fatalf("zero Filter matches row %d", id)
+		}
+	}
+}
+
+// TestNaNAccessPathsAgree: a NaN cell compares equal to every number, so it
+// matches =, <= and >= and no other operator — through the serial scan, an
+// index probe or range, and the morsel pool over either, for every operator
+// and for conjunctions whose bounds fold into one interval.
+func TestNaNAccessPathsAgree(t *testing.T) {
+	cells := []Value{1.0, math.NaN(), 2.0, 3.0}
+	tab, err := NewTable("n", Column{"f", FloatCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 4 * MorselMinRows
+	for r := range rows {
+		if _, err := tab.Insert(cells[r%len(cells)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.CreateIndex("f"); err != nil {
+		t.Fatal(err)
+	}
+	ts := tab.Snap()
+	two := func(op CmpOp) Pred { return Pred{Col: "f", Op: op, Val: 2.0} }
+	conjs := [][]Pred{
+		{{Col: "f", Op: CmpGe, Val: 1.0}, {Col: "f", Op: CmpLt, Val: 3.0}},
+		{{Col: "f", Op: CmpLe, Val: 2.0}, {Col: "f", Op: CmpLt, Val: 3.0}}, // the looser < folds away, yet rejects NaN
+		{{Col: "f", Op: CmpGe, Val: 3.0}, {Col: "f", Op: CmpLe, Val: 1.0}}, // no number is in it; NaN is
+		{{Col: "f", Op: CmpGe, Val: int64(2)}, {Col: "f", Op: CmpLe, Val: int64(2)}},
+	}
+	for op := CmpEq; op <= CmpGe; op++ {
+		conjs = append(conjs, []Pred{two(op)})
+	}
+	for _, preds := range conjs {
+		var want []int
+		for id := range rows {
+			if matchesAll(ts, id, preds) {
+				want = append(want, id)
+			}
+		}
+		plan := PlanAccessAt(ts, preds)
+		for _, path := range []struct {
+			name string
+			plan AccessPlan
+		}{{"scan", FullScanPlanAt(ts, preds)}, {plan.Explain(tab), plan}} {
+			for _, workers := range []int{1, 4} {
+				stats := &Stats{}
+				got := collect(path.plan.OpenBatchAt(ts, stats, nil, BatchOpts{Workers: workers}))
+				if !slices.Equal(got, want) {
+					t.Errorf("%s, %d workers, over %s: %d ids (first %v), Pred.Matches selects %d (first %v)",
+						path.name, workers, predsString(preds), len(got), got[:min(len(got), 4)], len(want), want[:min(len(want), 4)])
+				}
+				if workers > 1 && len(want) >= MorselMinRows && stats.Morsels == 0 {
+					t.Errorf("%s over %s: %d ids, but the morsel pool did not run", path.name, predsString(preds), len(want))
+				}
+			}
 		}
 	}
 }

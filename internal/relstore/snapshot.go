@@ -99,19 +99,20 @@ func committedPrefix(rows []int, n int) []int {
 }
 
 // IndexIDs returns the row ids in the bounded interval on col that were
-// committed before the snapshot, ascending (row-id order is heap order,
-// which keeps index-path output deterministic). The B-tree descent runs
+// committed before the snapshot, and with nan those of a FLOAT column's NaN
+// key (AccessPlan.NaN), ascending (row-id order is heap order, which keeps
+// index-path output deterministic). The B-tree descent runs
 // under the table's read lock because Insert rewrites tree nodes in place.
 // The result is READ-ONLY: an interval holding one key returns a view of
 // that key's posting list; only an interval spanning several keys is copied
 // (their lists have to be merged into one order), into one slice sized by a
 // counting pass over the interval. A missing index yields nil.
-func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
+func (s *TableSnap) IndexIDs(col string, lo, hi Bound, nan bool) []int {
 	var ids []int
 	var lists int
 	s.tab.mu.RLock()
 	if idx := s.tab.indexes[col]; idx != nil {
-		ids, lists = idx.committedIDs(lo, hi, s.n)
+		ids, lists = idx.committedIDs(lo, hi, nan, s.n)
 	}
 	s.tab.mu.RUnlock()
 	if lists > 1 {
@@ -120,8 +121,15 @@ func (s *TableSnap) IndexIDs(col string, lo, hi Bound) []int {
 	return ids
 }
 
-func (t *BTree[K]) committedIDs(lo, hi Bound, n int) (ids []int, lists int) {
-	total := 0
+func (t *BTree[K]) committedIDs(lo, hi Bound, nan bool, n int) (ids []int, lists int) {
+	var nanRows []int
+	if k, ok := nanKey[K](); ok && nan {
+		nanRows = committedPrefix(t.Lookup(k), n)
+	}
+	total := len(nanRows)
+	if total > 0 {
+		ids, lists = nanRows, 1
+	}
 	t.Range(lo, hi, func(_ K, rows []int) bool {
 		if rows = committedPrefix(rows, n); len(rows) > 0 {
 			ids = rows // the answer, if it stays the only list
@@ -131,7 +139,7 @@ func (t *BTree[K]) committedIDs(lo, hi Bound, n int) (ids []int, lists int) {
 		return true
 	})
 	if lists > 1 {
-		ids = make([]int, 0, total)
+		ids = append(make([]int, 0, total), nanRows...)
 		t.Range(lo, hi, func(_ K, rows []int) bool {
 			ids = append(ids, committedPrefix(rows, n)...)
 			return true

@@ -33,7 +33,9 @@ func TestSnapshotSharedUntilCommit(t *testing.T) {
 		{"create table", func() error { _, err := db.CreateTable("u", Column{"x", IntCol}); return err },
 			func(s *Snapshot) bool { return s.Table("u") != nil }},
 		{"create index", func() error { return tab.CreateIndex("id") },
-			func(s *Snapshot) bool { return s.Table("t").IndexIDs("id", UnboundedBound, UnboundedBound) != nil }},
+			func(s *Snapshot) bool {
+				return s.Table("t").IndexIDs("id", UnboundedBound, UnboundedBound, false) != nil
+			}},
 	}
 	for _, w := range writes {
 		rows := prev.Table("t").NumRows()

@@ -2,7 +2,7 @@ package sqlxml
 
 import (
 	"io"
-	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,15 +59,20 @@ type QueryCursor struct {
 	it    relstore.BatchIterator // serial route
 	batch *relstore.Batch        // current chunk (nil before first refill / after EOF)
 
-	par   *relstore.Morsels[built] // parallel route
-	ecs   []*evalContext           // per worker, created by the worker
-	trees bool                     // par's workers build trees (Next), not bytes (AppendNext): the first pull's kind
-	run   relstore.MorselRun[built]
-	outs  []*built // the slot outputs handed out, whose buffers go back to the pool at the end
+	par *relstore.Morsels[built] // parallel route
+	run relstore.MorselRun[built]
+	// pool is par's scratch, its worker contexts included, until the stream
+	// ends, when it goes back to the program (nil after). mu orders that
+	// hand-back against Close, which may run on another goroutine and must
+	// not stop a pool another run has taken since.
+	pool *drivePool
+	mu   sync.Mutex
 
 	pulled bool
-	chunk  int // rows in the current batch or run
-	bpos   int // rows of it handed out
+	trees  bool  // par's workers build trees (Next), not bytes (AppendNext): the first pull's kind
+	chunk  int   // rows in the current batch or run
+	bpos   int   // rows of it handed out
+	stop   error // the driving stream's end, io.EOF or its terminal error; nil while it runs
 
 	bytesOut int64 // serialized bytes produced so far
 
@@ -78,11 +83,45 @@ type QueryCursor struct {
 }
 
 // built is one morsel as the parallel route's workers construct it: its
-// rows serialized (for AppendNext) or as trees (for Next). rows comes from
-// the RowBuf pool, so a run's slots do not grow a buffer from empty each.
+// rows serialized (for AppendNext) or as trees (for Next). A slot keeps its
+// rows buffer from morsel to morsel and, in a kept pool, from run to run.
 type built struct {
 	rows *RowBuf
 	docs []*xmltree.Node
+}
+
+// drivePool is the parallel route's scratch: the morsel pool, whose slots
+// keep their selection vectors and row buffers, and a context per worker.
+// A program keeps the last one a byte cursor finished with (Program.drive),
+// so a warmed-up plan opens its parallel scan without allocating.
+type drivePool struct {
+	m   *relstore.Morsels[built]
+	ecs []*evalContext
+}
+
+// takeDrive takes p's kept driving pool, if p (nil: a cursor that has no
+// program yet) keeps one.
+func (p *Program) takeDrive() *drivePool {
+	if p == nil {
+		return nil
+	}
+	return p.drive.Swap(nil)
+}
+
+// keepDrive keeps d (nil: none), which no cursor uses any more, for p's
+// next parallel scan — unless p is nil or already keeps one.
+func (p *Program) keepDrive(d *drivePool) {
+	if p != nil && d != nil {
+		p.drive.CompareAndSwap(nil, d)
+	}
+}
+
+// morselJob is a cursor as its morsel pool's job: a pointer conversion, so
+// handing the cursor to the pool allocates nothing.
+type morselJob QueryCursor
+
+func (j *morselJob) RunMorsel(w int, ids []int, out *built) error {
+	return (*QueryCursor)(j).construct(w, ids, out)
 }
 
 // openCursor opens a cursor constructing src over plan's driving rows: with
@@ -90,13 +129,25 @@ type built struct {
 // with src bound as its tree body.
 func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, src XMLExpr, prog *Program, fp string, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
 	opts := s.batchOpts()
-	c := &QueryCursor{src: src, prog: prog, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g, params: s.params()}, fp: fp, size: opts.Size()}
+	c := &QueryCursor{src: src, prog: prog, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g, params: s.params(), workers: int32(opts.WorkerCount())}, fp: fp, size: opts.Size()}
 	if err := c.bind(prog == nil); err != nil {
 		return nil, err
 	}
-	c.par, c.it = relstore.OpenMorsels(plan, ts, sink, g, opts, c.construct)
-	if c.par != nil {
-		c.ecs = make([]*evalContext, c.par.Workers())
+	d := prog.takeDrive()
+	var m *relstore.Morsels[built]
+	if d != nil {
+		m = d.m
+	}
+	if c.par, c.it = relstore.OpenMorsels(m, plan, ts, sink, g, opts, (*morselJob)(c)); c.par == nil {
+		prog.keepDrive(d)
+	} else {
+		if d == nil {
+			d = &drivePool{m: c.par}
+		}
+		for len(d.ecs) < c.par.Workers() {
+			d.ecs = append(d.ecs, new(evalContext))
+		}
+		c.pool = d
 	}
 	s.startOperators(ts, plan, c)
 	return c, nil
@@ -125,19 +176,22 @@ func (c *QueryCursor) bind(trees bool) (err error) {
 // construct is the parallel route's morsel job. Worker w installs the
 // morsel's rows a batch at a time — the unit the body's subqueries are
 // group-joined against, as on the serial route — and constructs each into
-// out.
+// out. A worker's context takes the run's state at its first morsel: the
+// first pull has bound what it needs by then.
 func (c *QueryCursor) construct(w int, ids []int, out *built) error {
-	ec := c.ecs[w]
-	if ec == nil {
-		ec = &evalContext{snap: c.ec.snap, stats: c.ec.stats, gov: c.ec.gov, params: c.ec.params, filters: c.ec.filters}
-		c.ecs[w] = ec
+	ec := c.pool.ecs[w]
+	if ec.snap == nil {
+		ec.bindRun(c.ec)
 	}
-	if out.rows == nil {
-		out.rows = GetRowBuf()
+	if c.trees {
+		clear(out.docs)
+		out.docs = out.docs[:0]
+	} else {
+		if out.rows == nil {
+			out.rows = new(RowBuf)
+		}
+		out.rows.Reset()
 	}
-	out.rows.Reset()
-	clear(out.docs)
-	out.docs = out.docs[:0]
 	for lo := 0; lo < len(ids); lo += c.size {
 		hi := min(lo+c.size, len(ids))
 		ec.setRows(c.ts, ids[lo:hi])
@@ -174,29 +228,31 @@ func (c *QueryCursor) construct(w int, ids []int, out *built) error {
 // scratch back to their pools once the stream ends either way.
 func (c *QueryCursor) refill() error {
 	c.bpos = 0
+	if c.stop != nil {
+		c.chunk = 0
+		return c.stop
+	}
 	if c.par != nil {
 		var ok bool
 		if c.run, ok = c.par.Next(); ok {
 			c.chunk = len(c.run.IDs)
-			if c.run.Off == 0 && !slices.Contains(c.outs, c.run.Out) {
-				c.outs = append(c.outs, c.run.Out)
-			}
 			return nil
 		}
 		c.chunk = 0
-		for _, ec := range c.ecs { // the workers have exited
-			if ec != nil {
-				ec.release()
-			}
+		c.stop = c.end(c.par.Err())
+		// The workers have exited: the pool goes back to the program, unless
+		// its slots hold trees, which a kept pool would pin.
+		c.mu.Lock()
+		d := c.pool
+		c.pool = nil
+		c.mu.Unlock()
+		for _, ec := range d.ecs {
+			ec.unbindRun()
 		}
-		for _, out := range c.outs {
-			if out.rows != nil {
-				PutRowBuf(out.rows)
-				out.rows = nil
-			}
+		if !c.trees {
+			c.prog.keepDrive(d)
 		}
-		c.outs = c.outs[:0]
-		return c.end(c.par.Err())
+		return c.stop
 	}
 	if c.batch == nil {
 		c.batch = relstore.GetBatch(0)
@@ -210,7 +266,8 @@ func (c *QueryCursor) refill() error {
 	c.batch = nil
 	c.chunk = 0
 	c.ec.release()
-	return c.end(c.it.Err())
+	c.stop = c.end(c.it.Err())
+	return c.stop
 }
 
 // end reports the end of the driving stream: its error, or io.EOF after
@@ -337,13 +394,16 @@ func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Close stops the parallel route's workers and returns once they have
-// exited; a serial cursor holds nothing to stop. It may race a pull on
-// another goroutine, which then ends with an error.
+// Close stops the parallel route's workers and returns once their
+// goroutines have exited; a serial cursor, or one whose stream has ended,
+// holds nothing to stop. It may race a pull on another goroutine, which then
+// ends with an error.
 func (c *QueryCursor) Close() {
-	if c.par != nil {
+	c.mu.Lock()
+	if c.pool != nil {
 		c.par.Close()
 	}
+	c.mu.Unlock()
 }
 
 // drain collects the cursor's remaining documents (the materializing

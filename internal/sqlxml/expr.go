@@ -193,6 +193,10 @@ type evalContext struct {
 	conds   map[*Cond][]relstore.Filter
 	// open is the program's run-time "start tag open" bit.
 	open bool
+	// workers is how many morsel workers may construct one large Agg group
+	// (split.go); at most 1 — as on every morsel worker's own context —
+	// keeps every group serial. (int32 packs it beside open.)
+	workers int32
 
 	// driving is the row list being constructed at nesting depth 0 — the
 	// driving batch; the group an Agg iterates is the list of its inner
@@ -208,10 +212,13 @@ type evalContext struct {
 	num [32]byte
 }
 
-// tickFlush is how many ops construction runs between governor charges —
-// the governor's own amortization interval, so every flush performs a full
-// cancellation check.
-const tickFlush = 64
+// tickFlush is how many ops construction runs between governor charges.
+// Every flush is at least the governor's amortization interval, so it
+// performs a full cancellation check; at some ten to fifty nanoseconds an
+// op, a cancel is seen within tens of microseconds. It is this large
+// because the workers splitting one group (split.go) share the counter: a
+// flush every 64 ops cost a split some 6 % of its time in contention.
+const tickFlush = 1024
 
 // flushTicks charges the ops run since the last flush.
 func (ec *evalContext) flushTicks() error {

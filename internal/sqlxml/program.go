@@ -37,8 +37,10 @@ import (
 //     the run binds the bind variable it compares with — never per row.
 
 // Program is a query body compiled for byte construction. It is immutable
-// once compiled: every run of a plan, and every morsel worker of a run,
-// shares it.
+// once compiled — every run of a plan, and every morsel worker of a run,
+// shares it — but for two scratch caches, each taken and put back
+// atomically by one run at a time: the driving pool (drive) and each Agg's
+// split pool (subOp.scratch).
 type Program struct {
 	q    *Query
 	code []op
@@ -50,6 +52,9 @@ type Program struct {
 	// a bind variable, which each run compiles again with its value.
 	filters []relstore.Filter
 	bound   []boundPred
+	// drive is the morsel pool scratch a byte cursor last finished with,
+	// kept for the next parallel scan of this program (takeDrive).
+	drive atomic.Pointer[drivePool]
 }
 
 // boundPred is a CASE WHEN predicate that compares column ord (of type typ)
@@ -107,6 +112,12 @@ type subOp struct {
 	body []op
 	fn   aggFn
 	ord  int
+	// split marks an Agg body whose members the morsel pool may construct
+	// in parallel (split.go): one that ends with every start tag closed.
+	split bool
+	// scratch is a finished split's pool, worker contexts and buffers, kept
+	// for the next run's split of this Agg.
+	scratch atomic.Pointer[aggSplit]
 }
 
 type aggFn uint8
@@ -373,6 +384,15 @@ func (c *compiler) scalar(e *ScalarAgg) (*subOp, error) {
 // start in a state every iteration agrees on: the state before the loop when
 // one iteration ends where it began, else tagDyn — set up before the loop,
 // kept exact by the body.
+//
+// A body that ends tagClosed may be split across the morsel pool. It starts
+// tagClosed (no tag pending) or tagDyn (the open bit says), and every path
+// through it closes — opClose, or a non-empty value's closeTag — before it
+// writes a byte, and leaves the bit false. So every member after the first
+// starts with the bit false, and the first writes the pending '>', if any,
+// before anything else: that '>' written once, then every member's bytes
+// built with the bit false, is the serial loop's output. A body that may end
+// open stays serial.
 func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 	if e.Sub.Body == nil {
 		return fmt.Errorf("sqlxml: unhandled expression %T", e.Sub.Body)
@@ -398,7 +418,7 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 			body = append(body, op{kind: opOpen})
 		}
 	}
-	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body}})
+	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, split: out == tagClosed}})
 	c.tag = in
 	return nil
 }
@@ -577,6 +597,12 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 			inner, ids, err := ec.group(o.sub.q, f)
 			if err != nil {
 				return buf, err
+			}
+			if o.sub.split && ec.workers > 1 && len(ids) >= relstore.MorselMinRows {
+				if buf, err = ec.split(o.sub, inner, ids, buf); err != nil {
+					return buf, err
+				}
+				continue
 			}
 			// The group becomes the row list one level down, so the
 			// subqueries of the body join against all of it at once.

@@ -3,6 +3,7 @@ package sqlxml
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -227,25 +228,133 @@ var (
 	shapeDB     *relstore.DB
 )
 
+// bigShapeDB is kindsDB with o just past MorselMinRows, built once.
+func bigShapeDB(tb testing.TB) *relstore.DB {
+	shapeDBOnce.Do(func() {
+		shapeDB = kindsDB(tb, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, relstore.MorselMinRows+5)
+	})
+	return shapeDB
+}
+
+// oneRow is a query with one driving row, of the three-row v (its driving
+// scan stays serial), whose document is an XMLAgg over all of o with the
+// generated body per member: entered open (under an element) or not, and
+// in heap or ORDER BY order.
+func (g *shapeGen) oneRow() *Query {
+	sub := &SubQuery{Table: "o"}
+	if g.n(2) == 1 {
+		sub.OrderBy, sub.Descending = kindsCols["o"][g.n(4)], g.n(2) == 1
+	}
+	sub.Body = g.content("o", 1, 1)
+	var body XMLExpr = &Agg{Sub: sub}
+	if g.n(2) == 1 {
+		body = &Element{Name: "root", Children: []XMLExpr{body}}
+	}
+	return &Query{Table: "v", Where: oneV, Body: body}
+}
+
+// oneV selects one row of v.
+var oneV = []relstore.Pred{{Col: "n", Op: relstore.CmpEq, Val: int64(0)}}
+
+// splits reports whether q's outermost XMLAgg compiled as splittable.
+func splits(tb testing.TB, db *relstore.DB, q *Query) bool {
+	tb.Helper()
+	p, err := Compile(db, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, o := range p.code {
+		if o.kind == opAgg {
+			return o.sub.split
+		}
+	}
+	tb.Fatalf("no XMLAgg in %s", q.Body.SQL())
+	return false
+}
+
 // FuzzProgramVsTree: for any generated body, the program and the walk agree
-// on every row of a driving table large enough for the morsel pool.
+// on every row of a driving table large enough for the morsel pool — and, in
+// one-row mode, on the one document whose XMLAgg groups that whole table,
+// which the pool splits exactly when the body ends with its tags closed.
 func FuzzProgramVsTree(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 5, 3, 0, 1, 2, 4, 6, 1, 7, 2})
-	f.Add([]byte{4, 0, 2, 1, 3, 0, 1, 1, 2, 0, 1, 5, 1, 1, 0, 3})
-	f.Add([]byte{5, 1, 2, 1, 1, 0, 5, 1, 0, 0, 0, 5, 2, 2, 3, 3, 1, 0, 6, 2, 1})
-	f.Add([]byte{0, 5, 0, 2, 1, 3, 2, 5, 3, 4, 2, 6, 1, 3, 0, 2})
-	f.Add([]byte{3, 3, 6, 4, 1, 1, 4, 0, 2, 0, 5, 0, 1, 1, 1, 1, 2, 6, 3, 1, 4, 1})
-	f.Fuzz(func(t *testing.T, shape []byte) {
-		shapeDBOnce.Do(func() {
-			shapeDB = kindsDB(t, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, relstore.MorselMinRows+5)
-		})
+	for _, shape := range [][]byte{
+		{},
+		{0, 5, 3, 0, 1, 2, 4, 6, 1, 7, 2},
+		{4, 0, 2, 1, 3, 0, 1, 1, 2, 0, 1, 5, 1, 1, 0, 3},
+		{5, 1, 2, 1, 1, 0, 5, 1, 0, 0, 0, 5, 2, 2, 3, 3, 1, 0, 6, 2, 1},
+		{0, 5, 0, 2, 1, 3, 2, 5, 3, 4, 2, 6, 1, 3, 0, 2},
+		{3, 3, 6, 4, 1, 1, 4, 0, 2, 0, 5, 0, 1, 1, 1, 1, 2, 6, 3, 1, 4, 1},
+	} {
+		f.Add(shape, false)
+		f.Add(shape, true)
+	}
+	f.Add([]byte{1, 1, 2, 4, 0, 0, 0, 0, 1, 2, 1}, true)
+	f.Fuzz(func(t *testing.T, shape []byte, oneRow bool) {
+		db := bigShapeDB(t)
 		g := &shapeGen{b: shape}
-		q := &Query{Table: "o", Body: g.content("o", 0, 0)}
-		if morsels := assertProgramMatchesTrees(t, NewExecutor(shapeDB), q); morsels == 0 {
-			t.Fatalf("the parallel route did not run for %s", q.Body.SQL())
+		if !oneRow {
+			q := &Query{Table: "o", Body: g.content("o", 0, 0)}
+			if morsels := assertProgramMatchesTrees(t, NewExecutor(db), q); morsels == 0 {
+				t.Fatalf("the parallel route did not run for %s", q.Body.SQL())
+			}
+			return
+		}
+		q := g.oneRow()
+		morsels := assertProgramMatchesTrees(t, NewExecutor(db), q)
+		if split := splits(t, db, q); split != (morsels > 0) {
+			t.Fatalf("splittable %t, but the 4-worker runs executed %d morsels: %s", split, morsels, q.Body.SQL())
 		}
 	})
+}
+
+// TestAggSplitShapes pins which XMLAgg bodies the compiler lets the morsel
+// pool split, over a group past MorselMinRows (all of o) under one driving
+// row, and the bytes each constructs at every worker count.
+func TestAggSplitShapes(t *testing.T) {
+	db := bigShapeDB(t)
+	qty := []relstore.Pred{{Col: "score", Op: relstore.CmpGt, Val: 0.5}}
+	under := func(body XMLExpr) XMLExpr {
+		return &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "o", Body: body}}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		body  XMLExpr
+		split bool
+	}{
+		{"a body ending closed splits", under(&Element{Name: "b", Attrs: []Attr{{Name: "id", Value: &Column{Name: "id"}}}}), true},
+		{"entered closed, at top level", &Agg{Sub: &SubQuery{Table: "o", Body: &Element{Name: "b"}}}, true},
+		{"entered closed, a cond with an empty else", &Agg{Sub: &SubQuery{Table: "o", Body: &Cond{Preds: qty, Then: &Element{Name: "b"}}}}, true},
+		{"a cond closing on both branches splits", under(&Cond{Preds: qty, Then: &Element{Name: "b"}, Else: &Literal{Text: "-"}}), true},
+		{"a cond with an empty else stays serial", under(&Cond{Preds: qty, Then: &Element{Name: "b"}}), false},
+		{"a possibly-empty column stays serial", under(&Column{Name: "note"}), false},
+		{"content after a possibly-empty column splits", under(&Concat{Items: []XMLExpr{&Column{Name: "note"}, &Literal{Text: ";"}}}), true},
+		{"a body with its own subquery splits", under(&Element{Name: "b", Children: []XMLExpr{
+			&ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id"}}}}), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := &Query{Table: "v", Where: oneV, Body: tc.body}
+			if got := splits(t, db, q); got != tc.split {
+				t.Fatalf("splittable %t, want %t", got, tc.split)
+			}
+			if morsels := assertProgramMatchesTrees(t, NewExecutor(db), q); (morsels > 0) != tc.split {
+				t.Fatalf("the 4-worker runs executed %d morsels, splittable %t", morsels, tc.split)
+			}
+		})
+	}
+	// Entered open: the element's '>' is written once, before member 0.
+	q := &Query{Table: "v", Where: oneV, Body: under(&Element{Name: "b"})}
+	c, err := NewExecutor(db).OpenQueryCursorSpec(q, nil, nil, &RunSpec{Batch: relstore.BatchOpts{Workers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	row, err := c.AppendNext(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "<a>" + strings.Repeat("<b/>", relstore.MorselMinRows+5) + "</a>"; string(row) != want {
+		t.Fatalf("got %d bytes starting %q, want %d", len(row), row[:min(len(row), 16)], len(want))
+	}
 }
 
 // TestProgramShapes pins what the compiler decides statically for the

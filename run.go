@@ -96,9 +96,11 @@ func WithTrace(t *obs.Trace) RunOption {
 // WithWorkers bounds this run's morsel workers: a driving scan of at least
 // 8 192 candidates (heap rows of a full scan, or ids of an index range) is
 // filtered, group-joined and constructed a morsel at a time by that many
-// workers; a smaller one runs serially. 1 forces fully serial execution (the
-// debugging baseline — output is byte-identical at any worker count); 0 or
-// unset means GOMAXPROCS. Negative counts are rejected as ErrBadRunOption.
+// workers, the caller's goroutine one of them; so is an XMLAgg group of at
+// least 8 192 members whose body ends with its tags closed. Anything smaller
+// runs serially. 1 forces fully serial execution (the debugging baseline —
+// output is byte-identical at any worker count); 0 or unset means
+// GOMAXPROCS. Negative counts are rejected as ErrBadRunOption.
 func WithWorkers(n int) RunOption {
 	return runOptionFunc(func(o *runOptions) {
 		if n < 0 {

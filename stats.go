@@ -31,7 +31,8 @@ type ExecStats struct {
 	// RowsEmitted / Batches is the realized average batch size.
 	Batches int64
 	// MorselsExecuted counts the morsels the morsel pool's workers scanned
-	// and constructed (0 when every scan ran serially).
+	// and constructed, those of a split XMLAgg group included (0 when every
+	// scan and every group ran serially).
 	MorselsExecuted int64
 	// Recompiles counts automatic recompilations this run performed (0 or
 	// 1: a view redefinition since the last compilation).
