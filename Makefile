@@ -22,8 +22,11 @@
 #                 signal-surface golden
 #   make bench-smoke  every repo-benchmark workload for one second; each must
 #                 answer correctly (no-rewrite oracle) with no failed request
-#   make bench    the Go benchmarks (go test -bench); the paper's evaluation
-#                 is the repo benchmark, bash bench/run.sh
+#   make bench    the Go benchmarks (go test -bench), among them
+#                 BenchmarkKernel (each filter kernel at a low and a middle
+#                 constant) and BenchmarkParallelRun's scan-int-0.1pct (v = 7)
+#                 beside scan-int-mid-0.1pct (v = 500); the paper's
+#                 evaluation is the repo benchmark, bash bench/run.sh
 #   make paper    BenchmarkPaperFigures: Run per paper figure case (and
 #                 attrmap, choose) over 2 000-16 000 sales rows (16 000 is
 #                 paper_figs' data), at workers=1 and workers=default
@@ -118,7 +121,7 @@ bench-smoke:
 	done
 
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' . ./internal/obs
+	$(GO) test -bench . -benchmem -run '^$$' . ./internal/obs ./internal/relstore
 
 paper:
 	$(GO) test -bench '^BenchmarkPaperFigures$$' -benchmem -run '^$$' .

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
@@ -281,10 +282,12 @@ func BenchmarkRunDeptWindow(b *testing.B) {
 }
 
 // newScanDeptDB loads n departments with one employee each, both deptno
-// columns indexed. loc takes 1 000 values scattered over the heap, so a
-// filter on it keeps a fixed share of every morsel; val (unindexed, as
-// lib_scan's) holds the same number as an INT, so val = 7 and loc = 'L007'
-// select the same departments.
+// columns indexed. loc takes 1 000 values, each on n/1000 departments
+// scattered at random over the heap (a seeded permutation, as lib_scan's
+// generator scatters them), so a filter on it keeps about a fixed share of
+// every morsel and whether the next row passes is not predictable; val
+// (unindexed, as lib_scan's) holds the same number as an INT, so val = 7
+// and loc = 'L007' select the same departments.
 func newScanDeptDB(b *testing.B, n int) *Database {
 	b.Helper()
 	d := NewDatabase()
@@ -306,8 +309,9 @@ func newScanDeptDB(b *testing.B, n int) *Database {
 	if err != nil {
 		b.Fatal(err)
 	}
+	perm := rand.New(rand.NewPCG(1, 2)).Perm(n)
 	for i := 0; i < n; i++ {
-		dn, v := int64(1000+i), i*7919%1000
+		dn, v := int64(1000+i), perm[i]%1000
 		if _, err := dept.Insert(dn, fmt.Sprintf("D%d", i), fmt.Sprintf("L%03d", v), int64(v)); err != nil {
 			b.Fatal(err)
 		}
@@ -329,8 +333,11 @@ func newScanDeptDB(b *testing.B, n int) *Database {
 // BenchmarkParallelRun times Run over n departments (n = 25k … 200k, each
 // with one employee) at 1, 2 and GOMAXPROCS workers: full scans whose
 // unindexed filter keeps 0.1 % of the rows — on the INT column val through a
-// bind parameter, exactly lib_scan's predicate, and on the VARCHAR column
-// loc — or 10 % (construction-heavy), and an index range of 10 000; plus the
+// bind parameter, lib_scan's predicate, at a constant at the bottom of val's
+// 0..999 (v = 7) and one in their middle (v = 500, as most of lib_scan's
+// constants are: a filter kernel whose branches depend on the data
+// mispredicts there and not at v = 7), and on the VARCHAR column loc — or
+// 10 % (construction-heavy), and an index range of 10 000; plus the
 // peak live heap of a cursor over every department pulled one row at a
 // time. Every case reports the physical work of its last run — rows scanned,
 // morsels, index probes — so a sweep over n says from counts what grows
@@ -368,6 +375,7 @@ func benchParallelRun(b *testing.B, ct *CompiledTransform, n int, workers []int,
 		opts []RunOption
 	}{
 		{"scan-int-0.1pct", n / 1000, []RunOption{WithWhere("val = $v"), WithParam("v", 7)}},
+		{"scan-int-mid-0.1pct", n / 1000, []RunOption{WithWhere("val = $v"), WithParam("v", 500)}},
 		{"scan-0.1pct", n / 1000, []RunOption{WithWhere("loc = 'L007'")}},
 		{"scan-10pct", n / 10, []RunOption{WithWhere("loc >= 'L000' and loc < 'L100'")}},
 		{"range-10k", 10_000, []RunOption{WithWhere("deptno >= 1000 and deptno < 11000")}},

@@ -159,12 +159,20 @@ func (t *BTree[K]) Len() int { return t.size }
 
 func (n *btNode[K]) isLeaf() bool { return n.children == nil }
 
-// search locates, among the node's entries, the first key c reports at or
-// above the key sought (c compares a key with it, monotone in key order):
-// the index and whether c reports it equal.
-func (n *btNode[K]) search(c func(K) int) (int, bool) {
-	i := sort.Search(len(n.entries), func(i int) bool { return c(n.entries[i].key) >= 0 })
-	return i, i < len(n.entries) && c(n.entries[i].key) == 0
+// search locates key among the node's entries: the index of the first
+// entry whose key is not below it, in cmp.Compare order (a NaN key first),
+// and whether that key equals it.
+func (n *btNode[K]) search(key K) (int, bool) {
+	lo, hi := 0, len(n.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cmp.Less(n.entries[m].key, key) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(n.entries) && !cmp.Less(key, n.entries[lo].key)
 }
 
 // Insert adds rowID under key.
@@ -182,7 +190,7 @@ func (t *BTree[K]) Insert(key K, rowID int) {
 // insertNonFull inserts into a node known to have room, returning whether a
 // new distinct key was created.
 func (n *btNode[K]) insertNonFull(key K, rowID int) bool {
-	i, found := n.search(func(k K) int { return cmp.Compare(k, key) })
+	i, found := n.search(key)
 	if found {
 		n.entries[i].rows = append(n.entries[i].rows, rowID)
 		return false
@@ -230,15 +238,9 @@ func (n *btNode[K]) splitChild(i int) {
 
 // Lookup returns the row ids stored under key (nil when absent).
 func (t *BTree[K]) Lookup(key K) []int {
-	return t.find(func(k K) int { return cmp.Compare(k, key) })
-}
-
-// find descends to the entry c reports equal and returns its rows (nil when
-// there is none).
-func (t *BTree[K]) find(c func(K) int) []int {
 	n := t.root
 	for {
-		i, found := n.search(c)
+		i, found := n.search(key)
 		if found {
 			return n.entries[i].rows
 		}
@@ -246,6 +248,30 @@ func (t *BTree[K]) find(c func(K) int) []int {
 			return nil
 		}
 		n = n.children[i]
+	}
+}
+
+// lookupText is Lookup on a VARCHAR tree for the key b, compared where it
+// sits: no string is made of it.
+func lookupText(t *BTree[string], b []byte) []int {
+	n := t.root
+	for {
+		lo, hi := 0, len(n.entries)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if n.entries[m].key < string(b) {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo < len(n.entries) && n.entries[lo].key == string(b) {
+			return n.entries[lo].rows
+		}
+		if n.isLeaf() {
+			return nil
+		}
+		n = n.children[lo]
 	}
 }
 
@@ -293,8 +319,7 @@ func (t *BTree[K]) probe(v *vec, id int) []int {
 		if v.typ != StringCol {
 			return nil
 		}
-		b := v.bytes(id)
-		return t.find(func(k K) int { return -cmpText(b, any(k).(string)) })
+		return lookupText(any(t).(*BTree[string]), v.bytes(id))
 	}
 	return t.Lookup(k)
 }

@@ -6,7 +6,9 @@ import "testing"
 // for byte, and that building one allocates only the string it returns
 // (every run reports its driving path). A bound's value prints bare, a
 // residual string predicate quoted, a placeholder as its :name bind
-// variable, a float as fmt's %v spells it.
+// variable, a float as fmt's %v spells it. A constant of a type the keys
+// do not order against (an int, where the kernels compare int64 and
+// float64) never bounds the interval.
 func TestExplainShapes(t *testing.T) {
 	db := NewDB()
 	tab, err := db.CreateTable("t", Column{"a", IntCol}, Column{"f", FloatCol}, Column{"s", StringCol}, Column{"c", IntCol})
@@ -66,6 +68,11 @@ func TestExplainShapes(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { _ = plan.Explain(tab) }); n > 1 {
 			t.Errorf("%s: Explain allocated %.0f times, want the string alone", c.name, n)
 		}
+	}
+	// Outside the table: fmt spells the int, and its pooled printer may
+	// allocate (always under -race).
+	if got, want := PlanAccessAt(tab.Snap(), []Pred{p("f", CmpEq, int64(1)), p("f", CmpLt, int(4))}).Explain(tab), "INDEX PROBE t(f) f = 1 FILTER f < 4"; got != want {
+		t.Errorf("bound of another type: %q, want %q", got, want)
 	}
 	if got, want := FullScanPlanAt(tab.Snap(), []Pred{p("a", CmpEq, int64(4))}).Explain(tab), "TABLE SCAN t FILTER a = 4"; got != want {
 		t.Errorf("forced full scan: %q, want %q", got, want)

@@ -329,11 +329,24 @@ type AccessPlan struct {
 	TableRows int
 }
 
-// sargable reports whether p can bound a B-tree interval. A NaN constant
-// cannot: it compares equal to every number, so it orders nothing.
+// sargable reports whether p can bound a B-tree interval: its constant
+// must order against the keys and the other bounds as the kernels order it.
+// An int64, a string and a non-NaN float64 do (numbers by value, every
+// number below every string); a placeholder is planned as one of those,
+// which is what WithParam binds. A NaN orders nothing, as it compares equal
+// to every number, and a constant of any other type orders by type name,
+// so that int(4) would sort below int64(1): either stays a residual filter.
 func sargable(p Pred) bool {
-	f, isFloat := p.Val.(float64)
-	return p.Op != CmpNe && p.Val != nil && !(isFloat && f != f)
+	if p.Op == CmpNe {
+		return false
+	}
+	switch v := p.Val.(type) {
+	case int64, string, ParamValue:
+		return true
+	case float64:
+		return v == v
+	}
+	return false
 }
 
 // PlanAccessAt plans the physical access for a conjunction of predicates over

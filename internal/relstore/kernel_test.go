@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -88,7 +89,9 @@ func drainMorsels(tb testing.TB, m *Morsels[struct{}]) []int {
 // and 1024, the morsel pool at 1 and 4 workers, the planner's own access
 // path (an index probe or range on any column, NaN FLOAT keys included)
 // serially and on the morsel pool, an index range with the predicates as
-// residuals, and the index join's constant filter.
+// residuals, and the index join's constant filter. Batches of 7 rows start
+// inside the kernels' blocks of selBlock rows, and the table's
+// MorselMinRows+37 rows leave the last batch and morsel a partial block.
 func FuzzKernelVsMatches(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 0, 4})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 20, 2, 0, 30, 0, 5, 12})
@@ -194,6 +197,86 @@ func TestKernelCompileRules(t *testing.T) {
 	}
 }
 
+// TestKernelBlockEdges holds the numeric kernels to Pred.Matches where
+// their blocks and buffers begin and end: every operator, over runs of 0 to
+// 2*selBlock+1 rows at aligned and unaligned starts, whose blocks hold a
+// match on their first and last row, a NULL beside a match and (FLOAT) a
+// NaN; with INT-vs-FLOAT constants; into a selection vector with room for
+// every candidate, one with none, and one already holding ids; and over id
+// lists filtered in place. One run crosses selNum's stack buffer twice.
+func TestKernelBlockEdges(t *testing.T) {
+	tab, err := NewTable("e", Column{"i", IntCol}, Column{"f", FloatCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Of each two blocks of selBlock rows (aligned at row 0), the first has
+	// 3 on its first row only and the second on its last row only; the
+	// second's NULL, which the vector stores as a zero, sits beside a 0.
+	ints := []Value{
+		int64(3), int64(1), int64(5), nil, int64(2), int64(4), int64(9), int64(6),
+		int64(6), int64(0), int64(5), nil, int64(2), int64(4), int64(9), int64(3),
+	}
+	flts := []Value{
+		3.0, 1.5, math.NaN(), nil, 2.0, 4.0, 9.5, 6.0,
+		6.0, 0.0, 2.5, nil, 2.0, 4.0, 9.5, 3.0,
+	}
+	const rows = 2*selChunk + selBlock + 1
+	for r := range rows {
+		if _, err := tab.Insert(ints[r%len(ints)], flts[r%len(flts)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := tab.Snap()
+	consts := map[string][]Value{
+		"i": {int64(3), int64(0), int64(10), 3.0, 2.5},
+		"f": {3.0, 2.5, 0.0, int64(3), int64(9)},
+	}
+	type run struct{ lo, hi int }
+	var runs []run
+	for _, lo := range []int{0, 1, selBlock - 1} {
+		for n := range 2*selBlock + 2 {
+			runs = append(runs, run{lo, lo + n})
+		}
+	}
+	runs = append(runs, run{0, rows})
+	for col, vals := range consts {
+		ord := ts.ColIndex(col)
+		for _, val := range vals {
+			for op := CmpEq; op <= CmpGe; op++ {
+				p := Pred{Col: col, Op: op, Val: val}
+				k := compileKernel(ts.Type(ord), ord, op, val)
+				for _, r := range runs {
+					var cands, want []int
+					for id := r.lo; id < r.hi; id++ {
+						cands = append(cands, id)
+						if p.Matches(ts.Value(id, col)) {
+							want = append(want, id)
+						}
+					}
+					check := func(path string, got []int) {
+						t.Helper()
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s over rows %d..%d, %s: %v, want %v", p, r.lo, r.hi, path, got, want)
+						}
+					}
+					for _, room := range []int{0, len(cands)} {
+						path := fmt.Sprintf("room for %d", room)
+						check(path, k.sel(make([]int, 0, room), ts, r.lo, r.hi, nil))
+						got := k.sel(append(make([]int, 0, 1+room), -1), ts, r.lo, r.hi, nil)
+						check(path+", appended", got[1:])
+						if len(cands) == 0 {
+							continue // an empty id list is not the ids path
+						}
+						got = k.sel(append(make([]int, 0, 1+room), -1), ts, 0, 0, cands)
+						check(path+", ids appended", got[1:])
+					}
+					check("ids in place", k.sel(cands[:0], ts, 0, 0, cands))
+				}
+			}
+		}
+	}
+}
+
 // TestZeroFilterMatchesNothing: a Filter never compiled matches no row, even
 // where column 0 is not INT (the zero kernel would read it as one).
 func TestZeroFilterMatchesNothing(t *testing.T) {
@@ -268,6 +351,47 @@ func TestNaNAccessPathsAgree(t *testing.T) {
 					t.Errorf("%s over %s: %d ids, but the morsel pool did not run", path.name, predsString(preds), len(want))
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkKernel times one kernel over 200 000 INT cells uniform in 0..999,
+// called in morsel-sized runs as the pool calls it, at a constant near the
+// bottom of the values (7) and one in their middle (500). The two must cost
+// about the same for = (both select 0.1 %): a kernel that branches on each
+// comparison mispredicts on the middle constant, where = first tests <.
+func BenchmarkKernel(b *testing.B) {
+	const rows = 200_000
+	tab, err := NewTable("k", Column{"v", IntCol})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for range rows {
+		if _, err := tab.Insert(int64(r.IntN(1000))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ts := tab.Snap()
+	for op := CmpEq; op <= CmpGe; op++ {
+		for _, c := range []struct {
+			name string
+			v    int64
+		}{{"low", 7}, {"mid", 500}} {
+			b.Run(fmt.Sprintf("%s/const=%s", [...]string{"eq", "ne", "lt", "le", "gt", "ge"}[op], c.name), func(b *testing.B) {
+				k := compileConj(ts, []Pred{{Col: "v", Op: op, Val: c.v}})
+				var sel []int
+				var n int
+				b.ResetTimer()
+				for range b.N {
+					n = 0
+					for lo := 0; lo < rows; lo += morselRows {
+						sel = k.sel(sel[:0], ts, lo, min(lo+morselRows, rows), nil)
+						n += len(sel)
+					}
+				}
+				b.ReportMetric(float64(n)/rows, "selected")
+			})
 		}
 	}
 }
