@@ -24,9 +24,13 @@
 #                 answer correctly (no-rewrite oracle) with no failed request
 #   make bench    the Go benchmarks (go test -bench), among them
 #                 BenchmarkKernel (each filter kernel at a low and a middle
-#                 constant) and BenchmarkParallelRun's scan-int-0.1pct (v = 7)
-#                 beside scan-int-mid-0.1pct (v = 500); the paper's
-#                 evaluation is the repo benchmark, bash bench/run.sh
+#                 constant), BenchmarkParallelRun's scan-int-0.1pct (v = 7)
+#                 beside scan-int-mid-0.1pct (v = 500), and
+#                 BenchmarkRunDeptWindow's scattered (same-text over
+#                 employees inserted in random order, as serve_miss's are,
+#                 the window moving every run) beside its same-text
+#                 (employees inserted department by department); the
+#                 paper's evaluation is the repo benchmark, bash bench/run.sh
 #   make paper    BenchmarkPaperFigures: Run per paper figure case (and
 #                 attrmap, choose) over 2 000-16 000 sales rows (16 000 is
 #                 paper_figs' data), at workers=1 and workers=default

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -530,5 +531,116 @@ func TestAggSplitAllocations(t *testing.T) {
 	}
 	if c1, c2 := counters(st1), counters(st2); c1 != c2 {
 		t.Fatalf("serial counters %v, split %v (rows, scanned, probes, ranges, full scans, emitted, filtered, batches, ticks)", c1, c2)
+	}
+}
+
+// memberGroups are the XMLAgg group sizes TestAggMemberChunks builds: one
+// member, and 63, 64, 65 and 129 around the member loop's 64-member chunk.
+var memberGroups = []int{1, 63, 64, 65, 129}
+
+// newMemberDB is one grp row per size of memberGroups and its members in
+// mem (mem.grp = grp.id, indexed), inserted in a seeded random order so
+// that each group's rows are scattered over the heap. A member has an INT n
+// (now and then NULL), a FLOAT x (now and then NaN or NULL) and a VARCHAR s
+// (now and then empty, NULL, or text that needs escaping).
+func newMemberDB(tb testing.TB) *Database {
+	tb.Helper()
+	d := NewDatabase()
+	for _, err := range []error{
+		d.CreateTable("grp", TableColumn{Name: "id", Type: IntCol}),
+		d.CreateTable("mem", TableColumn{Name: "grp", Type: IntCol}, TableColumn{Name: "n", Type: IntCol},
+			TableColumn{Name: "x", Type: FloatCol}, TableColumn{Name: "s", Type: StringCol}),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var rows [][]relstore.Value
+	for id, size := range memberGroups {
+		if err := d.Insert("grp", int64(id)); err != nil {
+			tb.Fatal(err)
+		}
+		for k := 0; k < size; k++ {
+			var n, x, s relstore.Value = int64(k), float64(k) / 4, fmt.Sprintf("s%d", k)
+			if k%17 == 5 {
+				n = nil
+			}
+			switch k % 7 {
+			case 0:
+				x = math.NaN()
+			case 1:
+				x = nil
+			}
+			switch k % 5 {
+			case 0:
+				s = ""
+			case 1:
+				s = nil
+			case 2:
+				s = fmt.Sprintf(`a<b&"c"%d`, k)
+			}
+			rows = append(rows, []relstore.Value{int64(id), n, x, s})
+		}
+	}
+	for _, i := range rand.New(rand.NewSource(7)).Perm(len(rows)) {
+		if err := d.Insert("mem", rows[i]...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := d.CreateIndex("mem", "grp"); err != nil {
+		tb.Fatal(err)
+	}
+	col := func(name string) sqlxml.XMLExpr {
+		return &sqlxml.Element{Name: name, Children: []sqlxml.XMLExpr{&sqlxml.Column{Name: name}}}
+	}
+	if err := d.CreateXMLView(&sqlxml.ViewDef{Name: "groups", Table: "grp", Body: &sqlxml.Element{Name: "grp", Children: []sqlxml.XMLExpr{
+		col("id"),
+		&sqlxml.Agg{Sub: &sqlxml.SubQuery{Table: "mem", CorrInner: "grp", CorrOuter: "id",
+			Body: &sqlxml.Element{Name: "mem", Children: []sqlxml.XMLExpr{col("n"), col("x"), col("s")}}}},
+	}}}); err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// memberSheet reads every cell of a member — INT, FLOAT and VARCHAR, in
+// content and in an attribute — and chooses on n.
+const memberSheet = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	<xsl:template match="grp"><g id="{id}"><xsl:for-each select="mem"><m s="{s}"><xsl:value-of select="n"/><x><xsl:value-of select="x"/></x><xsl:choose><xsl:when test="n &gt; 50"><big><xsl:value-of select="s"/></big></xsl:when><xsl:otherwise><small/></xsl:otherwise></xsl:choose></m></xsl:for-each></g></xsl:template>
+</xsl:stylesheet>`
+
+// TestAggMemberChunks: XMLAgg groups on either side of the member loop's
+// chunk boundary, with their members scattered over the heap, construct the
+// bytes of the tree plan and of the forced no-rewrite strategy at one worker
+// and at the default, and charge the same counters and governor ticks at
+// both. (internal/sqlxml's TestMemberLoopVsUnchunked holds the loop itself
+// to an unchunked one.)
+func TestAggMemberChunks(t *testing.T) {
+	d := newMemberDB(t)
+	ct, err := d.CompileTransform("groups", memberSheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct.Strategy() != StrategySQL {
+		t.Fatalf("compiled to %v (%s), want the SQL strategy", ct.Strategy(), ct.FallbackReason())
+	}
+	oracle, err := d.CompileTransform("groups", memberSheet, WithForcedStrategy(StrategyNoRewrite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := treeRows(t, d, ct)
+	if len(want) != len(memberGroups) {
+		t.Fatalf("%d documents, want %d", len(want), len(memberGroups))
+	}
+	assertSameRows(t, "no-rewrite", want, runRows(t, oracle).Rows)
+	counters := func(s ExecStats) [9]int64 {
+		return [...]int64{s.RowsProduced, s.RowsScanned, s.IndexProbes, s.RangeScans, s.FullScans, s.RowsEmitted, s.RowsFiltered, s.Batches, s.GovTicks}
+	}
+	serial := runRows(t, ct, WithWorkers(1))
+	assertSameRows(t, "workers=1", want, serial.Rows)
+	def := runRows(t, ct)
+	assertSameRows(t, "workers=default", want, def.Rows)
+	if c1, c2 := counters(serial.Stats), counters(def.Stats); c1 != c2 {
+		t.Fatalf("counters at 1 worker %v, at the default %v (rows, scanned, probes, ranges, full scans, emitted, filtered, batches, ticks)", c1, c2)
 	}
 }

@@ -123,8 +123,21 @@ func BenchmarkRewriteCompilation(b *testing.B) {
 }
 
 // newBenchDeptDB builds a dept/emp database with nDepts departments of 20
-// employees each through the public API, with both indexes.
+// employees each through the public API, with both indexes. A department's
+// employees are inserted together, so they sit side by side in the heap.
 func newBenchDeptDB(b testing.TB, nDepts int) *Database {
+	return loadBenchDeptDB(b, nDepts, false)
+}
+
+// newScatteredDeptDB is newBenchDeptDB with the employees inserted in a
+// seeded random order, as the repo benchmark inserts them (bench/gen.go):
+// a department's employees are scattered over the heap, and constructing
+// them misses the cache once per cell.
+func newScatteredDeptDB(b testing.TB, nDepts int) *Database {
+	return loadBenchDeptDB(b, nDepts, true)
+}
+
+func loadBenchDeptDB(b testing.TB, nDepts int, scatter bool) *Database {
 	b.Helper()
 	d := NewDatabase()
 	if err := sqlxml.SetupDeptEmp(d.Rel()); err != nil {
@@ -132,15 +145,23 @@ func newBenchDeptDB(b testing.TB, nDepts int) *Database {
 	}
 	dept := d.Rel().Table("dept")
 	emp := d.Rel().Table("emp")
+	var emps [][]relstore.Value
 	for dn := 1000; dn < 1000+nDepts; dn++ {
 		if _, err := dept.Insert(int64(dn), fmt.Sprintf("D%d", dn), "CITY"); err != nil {
 			b.Fatal(err)
 		}
 		for e := 0; e < 20; e++ {
-			if _, err := emp.Insert(int64(dn*100+e), fmt.Sprintf("E%d", e), "STAFF",
-				int64(500+(e*397)%4500), int64(dn)); err != nil {
-				b.Fatal(err)
-			}
+			emps = append(emps, []relstore.Value{int64(dn*100 + e), fmt.Sprintf("E%d", e), "STAFF",
+				int64(500 + (e*397)%4500), int64(dn)})
+		}
+	}
+	if scatter {
+		r := rand.New(rand.NewPCG(1, 2))
+		r.Shuffle(len(emps), func(i, j int) { emps[i], emps[j] = emps[j], emps[i] })
+	}
+	for _, row := range emps {
+		if _, err := emp.Insert(row...); err != nil {
+			b.Fatal(err)
 		}
 	}
 	if err := d.CreateXMLView(sqlxml.DeptEmpView()); err != nil {
@@ -221,16 +242,22 @@ func BenchmarkCursorVsRun(b *testing.B) {
 // alternating is the result-size hint's losing side: two goroutines share
 // the transform, each alternating a wide window (500 departments) and the
 // narrow one, so the last result's size is as often the other's as its own.
+// These three run over employees inserted department by department;
+// scattered is same-text over the same rows inserted in a random order, as
+// serve_miss's are, with the window moving on every run, so that each
+// employee's cells miss the core's caches.
 func BenchmarkRunDeptWindow(b *testing.B) {
-	d := newBenchDeptDB(b, 2000)
-	if err := d.CreateIndex("dept", "deptno"); err != nil {
-		b.Fatal(err)
+	open := func(b *testing.B, d *Database) *CompiledTransform {
+		if err := d.CreateIndex("dept", "deptno"); err != nil {
+			b.Fatal(err)
+		}
+		ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ct
 	}
-	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, opts ...RunOption) {
+	run := func(b *testing.B, ct *CompiledTransform, opts ...RunOption) {
 		res, err := ct.Run(context.Background(), opts...)
 		if err != nil {
 			b.Fatal(err)
@@ -239,13 +266,36 @@ func BenchmarkRunDeptWindow(b *testing.B) {
 			b.Fatalf("window selected %d departments", len(res.Rows))
 		}
 	}
-	b.Run("same-text", func(b *testing.B) {
-		opts := []RunOption{WithWhere("deptno >= $lo and deptno < $hi"), WithParam("lo", 2030), WithParam("hi", 2055)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			run(b, opts...)
+	// sameText runs windows of one where text, bound through parameters:
+	// windows[i%len(windows)] is run i's.
+	sameText := func(b *testing.B, ct *CompiledTransform, windows ...int) {
+		where := WithWhere("deptno >= $lo and deptno < $hi")
+		opts := make([][]RunOption, len(windows))
+		for i, lo := range windows {
+			opts[i] = []RunOption{where, WithParam("lo", lo), WithParam("hi", lo+25)}
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, ct, opts[i%len(opts)]...)
+		}
+	}
+	var scattered *CompiledTransform // built at the first round that asks for it
+	b.Run("scattered", func(b *testing.B) {
+		if scattered == nil {
+			scattered = open(b, newScatteredDeptDB(b, 2000))
+		}
+		// Every run a window the last 79 did not read, as serve_miss's
+		// uniform keys are: its employees come from beyond the core's
+		// own caches.
+		var windows []int
+		for lo := 1000; lo+25 <= 3000; lo += 25 {
+			windows = append(windows, lo)
+		}
+		sameText(b, scattered, windows...)
 	})
+	ct := open(b, newBenchDeptDB(b, 2000))
+	b.Run("same-text", func(b *testing.B) { sameText(b, ct, 2030) })
 	b.Run("fresh-text", func(b *testing.B) {
 		wheres := make([]string, 1900)
 		for i := range wheres {
@@ -254,7 +304,7 @@ func BenchmarkRunDeptWindow(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run(b, WithWhere(wheres[i%len(wheres)]))
+			run(b, ct, WithWhere(wheres[i%len(wheres)]))
 		}
 	})
 	b.Run("alternating", func(b *testing.B) {

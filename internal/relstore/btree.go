@@ -152,6 +152,9 @@ type index interface {
 	// cell in v, a column of any type: nil when there is none, or when the
 	// cell's type can never equal a key.
 	probe(v *vec, id int) []int
+	// nanRows returns the posting list of a FLOAT tree's NaN key: nil when
+	// there is none, and on a tree of another type.
+	nanRows() []int
 }
 
 // Len returns the number of distinct keys.
@@ -371,6 +374,13 @@ func (t *BTree[K]) AscendAll(fn func(key K, rows []int) bool) {
 		}
 	}
 	t.Range(UnboundedBound, UnboundedBound, fn)
+}
+
+func (t *BTree[K]) nanRows() []int {
+	if k, ok := nanKey[K](); ok {
+		return t.Lookup(k)
+	}
+	return nil
 }
 
 // nanKey is the NaN key of a FLOAT tree; ok is false for other key types.

@@ -1,6 +1,9 @@
 package relstore
 
-import "bytes"
+import (
+	"bytes"
+	"math"
+)
 
 // The heap is columnar. Each column of a table is one vector typed by the
 // column's declared type, and no vector holds a pointer:
@@ -126,6 +129,46 @@ func (s *TableSnap) Text(ord, id int) (b []byte, ok bool) {
 		return nil, false
 	}
 	return c.bytes(id), true
+}
+
+// Fetch loads the cells of rows ids in columns ords, a column at a time:
+// every row's validity byte and typed slot, and for a VARCHAR column its end
+// offset and the last byte of its text. It changes nothing. It exists for
+// rows scattered over the heap: code that reads such rows one after another
+// waits for each cache miss before it issues the next, while here each
+// column is one loop whose loads do not depend on one another, so the
+// processor keeps many misses in flight and the reads that follow hit the
+// cache. The result is folded from every load. The caller must keep it
+// (store it where the compiler cannot prove it dead): Go's compiler removes
+// loads whose value nothing uses, and the fetch with them.
+func (s *TableSnap) Fetch(ords, ids []int) uint64 {
+	var acc uint64
+	for _, ord := range ords {
+		c := &s.cols[ord]
+		valid := c.valid
+		switch c.typ {
+		case IntCol:
+			ints := c.ints
+			for _, id := range ids {
+				acc += uint64(valid[id]) ^ uint64(ints[id])
+			}
+		case FloatCol:
+			flts := c.flts
+			for _, id := range ids {
+				acc += uint64(valid[id]) ^ math.Float64bits(flts[id])
+			}
+		default:
+			ends, text := c.ends, c.text
+			for _, id := range ids {
+				end := ends[id]
+				acc += uint64(valid[id]) ^ uint64(end)
+				if end > 0 {
+					acc += uint64(text[end-1])
+				}
+			}
+		}
+	}
+	return acc
 }
 
 // Num reads an INT or FLOAT cell as float64: ok is false for NULL.

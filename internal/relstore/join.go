@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -110,13 +111,15 @@ type Groups struct {
 	// before the arena grew keeps pointing at the old array, which still
 	// holds exactly its ids.
 	arena []int
-	// Scan-variant scratch: the batch's distinct non-NULL keys in
+	// Scan-variant scratch: the batch's distinct non-NULL keys but NaN in
 	// CompareValues order, the outer positions sorted the same way, the slot
-	// (index into distinct) of each outer key, and the matched (slot, inner
+	// (index into distinct) of each outer key, the slot the NaN keys share
+	// (len(distinct); -1 when there is none), and the matched (slot, inner
 	// id) pairs before they are bucketed.
 	distinct []joinKey
 	order    []int32
 	slotOf   []int32
+	nan      int32
 	pairs    []slotID
 	ends     []int
 }
@@ -148,10 +151,10 @@ func (gr *Groups) Release() {
 // Join computes, for every outer key in keys (in the caller's outer order),
 // the run of inner row ids with the correlation column equal to it and every constant
 // predicate satisfied. Equality is CompareValues equality (an INT 7 equals a
-// FLOAT 7), and a NULL key or cell equals nothing. A non-nil error — the
-// fault point "relstore.join.batch", a fault in the inner scan, the
-// governor's verdict — means out holds no usable group: a run is never
-// silently truncated. stats and g may be nil.
+// FLOAT 7, and a NaN equals every number), and a NULL key or cell equals
+// nothing. A non-nil error — the fault point "relstore.join.batch", a fault
+// in the inner scan, the governor's verdict — means out holds no usable
+// group: a run is never silently truncated. stats and g may be nil.
 func (j *GroupJoin) Join(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	if err := faultpoint.Hit("relstore.join.batch"); err != nil {
 		return err
@@ -167,6 +170,12 @@ func (j *GroupJoin) Join(keys Keys, out *Groups, stats *Stats, g *governor.G) er
 // captures each posting list's committed prefix as a view; the constant
 // predicates' kernels then filter the views lock-free (rows below the pinned
 // length are immutable) into the arena.
+//
+// A NaN equals every number but sits in the tree at one place, so the tree's
+// order cannot find its equals: a numeric key's run also takes the rows of a
+// FLOAT tree's NaN key (merged into the arena), and a NaN key's run is every
+// row whose cell is a number (every non-NULL row of a numeric column, once
+// per batch however many NaN keys it holds).
 func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	var descents, visited int
 	t := j.inner.tab
@@ -174,12 +183,27 @@ func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.
 	idx := t.indexes[j.col]
 	if keys.Ord >= 0 {
 		outer := &keys.Table.cols[keys.Ord]
+		var nanRows, numbers []int
+		if outer.typ != StringCol {
+			nanRows = committedPrefix(idx.nanRows(), j.inner.n)
+		}
 		for i, id := range keys.IDs {
 			if outer.valid[id] == 0 {
 				continue
 			}
 			descents++
-			run := committedPrefix(idx.probe(outer, id), j.inner.n)
+			var run []int
+			switch {
+			case outer.typ == FloatCol && math.IsNaN(outer.flts[id]):
+				if numbers == nil {
+					numbers = j.numbers(out)
+				}
+				run = numbers
+			case len(nanRows) > 0:
+				run = out.merge(committedPrefix(idx.probe(outer, id), j.inner.n), nanRows)
+			default:
+				run = committedPrefix(idx.probe(outer, id), j.inner.n)
+			}
 			out.Runs[i] = run
 			visited += len(run)
 		}
@@ -216,10 +240,41 @@ func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.
 	return g.TickN(visited - charged)
 }
 
+// numbers appends to the arena every row whose correlation cell is a number
+// — what a NaN key equals — and returns them: none on a VARCHAR column.
+func (j *GroupJoin) numbers(out *Groups) []int {
+	c := &j.inner.cols[j.ord]
+	start := len(out.arena)
+	if c.typ != StringCol {
+		for id, ok := range c.valid[:j.inner.n] {
+			if ok != 0 {
+				out.arena = append(out.arena, id)
+			}
+		}
+	}
+	return out.arena[start:len(out.arena):len(out.arena)]
+}
+
+// merge appends the union of two ascending, disjoint runs to the arena and
+// returns it.
+func (gr *Groups) merge(a, b []int) []int {
+	start := len(gr.arena)
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			gr.arena, a = append(gr.arena, a[0]), a[1:]
+		} else {
+			gr.arena, b = append(gr.arena, b[0]), b[1:]
+		}
+	}
+	gr.arena = append(append(gr.arena, a...), b...)
+	return gr.arena[start:len(gr.arena):len(gr.arena)]
+}
+
 // scanJoin makes one pass over the inner access path and routes every
 // qualifying row to the outer keys its correlation cell equals. The pass is
 // an ordinary batch scan: its fault points, stats and governor charges are
-// the scan's own.
+// the scan's own. A NaN cell equals every key (a number); a row joins a NaN
+// key when its cell is a number at all.
 func (j *GroupJoin) scanJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	correlated := j.col != ""
 	var dom keyDomain
@@ -250,10 +305,20 @@ func (j *GroupJoin) scanJoin(keys Keys, out *Groups, stats *Stats, g *governor.G
 				continue
 			}
 			cell := dom.key(inner, id)
-			// Distinct keys equal to one cell are adjacent in key order.
-			s, _ := slices.BinarySearchFunc(out.distinct, cell, dom.cmp)
-			for ; s < len(out.distinct) && dom.cmp(out.distinct[s], cell) == 0; s++ {
+			s, end := 0, len(out.distinct)
+			if !dom.isNaN(cell) {
+				// Distinct keys equal to one cell are adjacent in key order.
+				s, _ = slices.BinarySearchFunc(out.distinct, cell, dom.cmp)
+				end = s
+				for end < len(out.distinct) && dom.cmp(out.distinct[end], cell) == 0 {
+					end++
+				}
+			}
+			for ; s < end; s++ {
 				out.pairs = append(out.pairs, slotID{int32(s), id})
+			}
+			if out.nan >= 0 {
+				out.pairs = append(out.pairs, slotID{out.nan, id})
 			}
 		}
 	}
@@ -314,6 +379,10 @@ func (d keyDomain) key(v *vec, id int) joinKey {
 	return joinKey{b: v.bytes(id)}
 }
 
+// isNaN reports whether k is a NaN, which equals every number and so has no
+// place in the key order.
+func (d keyDomain) isNaN(k joinKey) bool { return d == domFloat && k.f != k.f }
+
 func (d keyDomain) cmp(a, b joinKey) int {
 	switch d {
 	case domInt:
@@ -325,23 +394,12 @@ func (d keyDomain) cmp(a, b joinKey) int {
 }
 
 // assignSlots sorts the batch's non-NULL keys, numbers the distinct ones
-// (slots) and records each outer position's slot (-1 for NULL). It reports
-// whether any key can match at all.
+// (slots) and records each outer position's slot (-1 for NULL). NaN keys,
+// which have no place in that order, share one slot after the others
+// (Groups.nan). It reports whether any key can match at all.
 func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 	gr.order = gr.order[:0]
-	outer := &keys.Table.cols[keys.Ord]
-	if dom != domNone {
-		for i, id := range keys.IDs {
-			if outer.valid[id] != 0 {
-				gr.order = append(gr.order, int32(i))
-			}
-		}
-	}
-	if len(gr.order) == 0 {
-		return false
-	}
-	key := func(pos int32) joinKey { return dom.key(outer, keys.IDs[pos]) }
-	slices.SortFunc(gr.order, func(a, b int32) int { return dom.cmp(key(a), key(b)) })
+	gr.nan = -1
 	if cap(gr.slotOf) < len(keys.IDs) {
 		gr.slotOf = make([]int32, len(keys.IDs))
 	}
@@ -351,6 +409,22 @@ func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 	}
 	clear(gr.distinct) // drop the previous batch's arena views
 	gr.distinct = gr.distinct[:0]
+	outer := &keys.Table.cols[keys.Ord]
+	key := func(pos int32) joinKey { return dom.key(outer, keys.IDs[pos]) }
+	nans := false
+	if dom != domNone {
+		for i, id := range keys.IDs {
+			switch {
+			case outer.valid[id] == 0:
+			case dom.isNaN(key(int32(i))):
+				gr.slotOf[i] = nanPending
+				nans = true
+			default:
+				gr.order = append(gr.order, int32(i))
+			}
+		}
+	}
+	slices.SortFunc(gr.order, func(a, b int32) int { return dom.cmp(key(a), key(b)) })
 	for _, pos := range gr.order {
 		k := key(pos)
 		if n := len(gr.distinct); n == 0 || dom.cmp(gr.distinct[n-1], k) != 0 {
@@ -358,14 +432,28 @@ func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 		}
 		gr.slotOf[pos] = int32(len(gr.distinct) - 1)
 	}
-	return true
+	if nans {
+		gr.nan = int32(len(gr.distinct))
+		for i, s := range gr.slotOf {
+			if s == nanPending {
+				gr.slotOf[i] = gr.nan
+			}
+		}
+	}
+	return len(gr.distinct) > 0 || nans
 }
+
+// nanPending marks a NaN key's position until its slot is known.
+const nanPending = -2
 
 // bucketPairs turns the matched (slot, id) pairs into one run per slot — a
 // counting sort, stable, so ids stay in the ascending order the scan
 // produced them — and points every outer position at its slot's run.
 func (gr *Groups) bucketPairs() {
 	slots := len(gr.distinct)
+	if gr.nan >= 0 {
+		slots++
+	}
 	if cap(gr.ends) < slots {
 		gr.ends = make([]int, slots)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -346,7 +347,9 @@ func TestGroupJoinFaults(t *testing.T) {
 }
 
 // FuzzJoinVsNestedLoop drives both join variants from fuzzed table contents,
-// outer keys and a residual bound. Numeric values stay below 2^53, where
+// outer keys and a residual bound, with NaN among the FLOAT cells and keys
+// (CompareValues makes it equal to every number, which no key order can
+// place). Numeric values stay below 2^53, where
 // INT/FLOAT equality is exact (beyond it CompareValues itself is not
 // transitive and a B-tree holds one entry per key).
 func FuzzJoinVsNestedLoop(f *testing.F) {
@@ -362,12 +365,15 @@ func FuzzJoinVsNestedLoop(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A byte b is NULL when b%11 == 10, else the key b%16 — halved into
-		// x.5 values on a FLOAT column for odd b above 127.
+		// A byte b is NULL when b%11 == 10, NaN (equal to every number) when
+		// b%11 == 9 on a FLOAT column, else the key b%16 — halved into x.5
+		// values on a FLOAT column for odd b above 127.
 		val := func(b byte, float bool) Value {
 			switch {
 			case b%11 == 10:
 				return nil
+			case float && b%11 == 9:
+				return math.NaN()
 			case float && b > 127 && b%2 == 1:
 				return float64(b%16) + 0.5
 			case float:

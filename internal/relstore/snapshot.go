@@ -123,8 +123,8 @@ func (s *TableSnap) IndexIDs(col string, lo, hi Bound, nan bool) []int {
 
 func (t *BTree[K]) committedIDs(lo, hi Bound, nan bool, n int) (ids []int, lists int) {
 	var nanRows []int
-	if k, ok := nanKey[K](); ok && nan {
-		nanRows = committedPrefix(t.Lookup(k), n)
+	if nan {
+		nanRows = committedPrefix(t.nanRows(), n)
 	}
 	total := len(nanRows)
 	if total > 0 {

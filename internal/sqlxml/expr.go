@@ -210,6 +210,9 @@ type evalContext struct {
 	subBuf [4]*subPlan
 	// num is the formatting buffer for numeric values.
 	num [32]byte
+	// fetched keeps what the member loop's fetches return, so that the
+	// compiler cannot drop their loads (members).
+	fetched uint64
 }
 
 // tickFlush is how many ops construction runs between governor charges.

@@ -110,6 +110,10 @@ type op struct {
 type subOp struct {
 	q    *SubQuery
 	body []op
+	// cols are the inner columns the body reads directly — its cells and
+	// its CASE WHEN predicates' columns — which the member loop fetches a
+	// chunk of members ahead (members).
+	cols []int
 	fn   aggFn
 	ord  int
 	// split marks an Agg body whose members the morsel pool may construct
@@ -170,6 +174,9 @@ type compiler struct {
 	code    []op
 	run     []byte // static bytes not yet emitted as an opStatic
 	tag     tagState
+	// cols collects the columns the Agg body being compiled reads directly
+	// (read); a nested Agg collects its own.
+	cols []int
 }
 
 // Compile compiles q's body against db's schemas. A table the body reads
@@ -244,6 +251,7 @@ func (c *compiler) expr(x XMLExpr, t *relstore.Table) error {
 		}
 	case *Column:
 		if o, ok := column(t, e.Name); ok {
+			c.read(o.ord)
 			c.value(o)
 		}
 	case *Element:
@@ -337,6 +345,7 @@ func (c *compiler) attrValue(x XMLExpr, t *relstore.Table) error {
 	case *Column:
 		if o, ok := column(t, e.Name); ok {
 			o.attr = true
+			c.read(o.ord)
 			c.emit(o)
 		}
 	case *ScalarAgg:
@@ -401,6 +410,9 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 	if err != nil {
 		return err
 	}
+	outer := c.cols
+	defer func() { c.cols = outer }()
+	c.cols = nil
 	in := c.tag
 	body, out, err := c.block(e.Sub.Body, inner, in)
 	if err != nil {
@@ -411,6 +423,7 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 			c.emit(op{kind: opOpen})
 		}
 		in = tagDyn
+		c.cols = nil
 		if body, out, err = c.block(e.Sub.Body, inner, in); err != nil {
 			return err
 		}
@@ -418,9 +431,17 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 			body = append(body, op{kind: opOpen})
 		}
 	}
-	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, split: out == tagClosed}})
+	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, cols: c.cols, split: out == tagClosed}})
 	c.tag = in
 	return nil
+}
+
+// read records that the Agg body being compiled reads column ord of its
+// inner table.
+func (c *compiler) read(ord int) {
+	if !slices.Contains(c.cols, ord) {
+		c.cols = append(c.cols, ord)
+	}
 }
 
 // cond compiles a CASE WHEN: the predicates, the THEN branch, and the ELSE
@@ -433,6 +454,7 @@ func (c *compiler) cond(e *Cond, t *relstore.Table) error {
 		var typ relstore.ColType
 		if ord >= 0 {
 			typ = t.Cols[ord].Type
+			c.read(ord)
 		}
 		preds[i] = len(c.filters)
 		if name, ok := p.Val.(relstore.ParamValue); ok {
@@ -606,12 +628,8 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 			}
 			// The group becomes the row list one level down, so the
 			// subqueries of the body join against all of it at once.
-			body := ec.nest(f, inner, ids)
-			for i := range ids {
-				body.setPos(i)
-				if buf, err = ec.run(o.sub.body, body, buf); err != nil {
-					return buf, err
-				}
+			if buf, err = ec.members(o.sub, ec.nest(f, inner, ids), buf); err != nil {
+				return buf, err
 			}
 		case opScalar:
 			inner, ids, err := ec.group(o.sub.q, f)
@@ -629,6 +647,35 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 			}
 		case opJump:
 			pc += o.jump
+		}
+	}
+	return buf, nil
+}
+
+// memberChunk is how many members the member loop fetches ahead of the body.
+// It bounds the lines a fetch brings in to what the cache keeps until the
+// body reads them — 64 members of a few columns is a few hundred lines — so
+// that a group of thousands of members does not evict its first members'
+// lines while it fetches its last.
+const memberChunk = 64
+
+// members is the member loop of an Agg: it runs sub's body over every row of
+// f's list (the group, or a split's morsel of it), in order, a chunk of
+// memberChunk members at a time. Before the body runs over a chunk, the
+// chunk's cells of the columns the body reads are fetched
+// (TableSnap.Fetch), so that the cache misses of members scattered over the
+// heap overlap instead of stalling the body one at a time. The fetch only
+// reads rows below the snapshot's pin, which never change: it charges no
+// tick, counts nothing and cannot race a writer.
+func (ec *evalContext) members(sub *subOp, f *frame, buf []byte) (_ []byte, err error) {
+	for lo := 0; lo < len(f.ids); lo += memberChunk {
+		hi := min(lo+memberChunk, len(f.ids))
+		ec.fetched += f.ts.Fetch(sub.cols, f.ids[lo:hi])
+		for i := lo; i < hi; i++ {
+			f.setPos(i)
+			if buf, err = ec.run(sub.body, f, buf); err != nil {
+				return buf, err
+			}
 		}
 	}
 	return buf, nil

@@ -26,7 +26,7 @@ const splitSite = "sqlxml.agg.split"
 type aggSplit struct {
 	m     relstore.Morsels[[]byte]
 	ecs   []*evalContext
-	body  []op
+	sub   *subOp
 	inner *relstore.TableSnap
 	// perMember is the bytes per member the last split built: a slot's
 	// buffer is sized for its morsel up front.
@@ -38,7 +38,7 @@ type aggSplit struct {
 func (ec *evalContext) split(sub *subOp, inner *relstore.TableSnap, ids []int, buf []byte) ([]byte, error) {
 	s := sub.scratch.Swap(nil)
 	if s == nil {
-		s = &aggSplit{body: sub.body}
+		s = &aggSplit{sub: sub}
 	}
 	s.inner = inner
 	for len(s.ecs) < int(ec.workers) {
@@ -76,13 +76,7 @@ func (s *aggSplit) RunMorsel(w int, ids []int, out *[]byte) error {
 	// The morsel is the row list the body's own subqueries group-join.
 	ec.setRows(s.inner, ids)
 	ec.open = false // a morsel that failed may have left it set
-	var err error
-	for i := range ids {
-		ec.setPos(i)
-		if buf, err = ec.run(s.body, &ec.driving, buf); err != nil {
-			break
-		}
-	}
+	buf, err := ec.members(s.sub, &ec.driving, buf)
 	*out = buf
 	if ferr := ec.flushTicks(); err == nil {
 		err = ferr

@@ -478,18 +478,47 @@ func (s *Server) serveTransform(w http.ResponseWriter, r *http.Request, def *tra
 		w.Header().Set("X-Xsltd-Strategy", ev.Strategy)
 	}
 	ev.Status = http.StatusOK
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Header().Set("X-Xsltd-Cache", ev.Cache)
+	h := w.Header()
+	h.Set("Content-Type", "application/xml; charset=utf-8")
+	h.Set("X-Xsltd-Cache", ev.Cache)
+	h["Content-Length"] = body.length
 	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, body.text) // a dropped client is the transport's problem, not the run's
+	writeBody(w, body.text)
 }
 
 // response is one transform result as it goes on the wire: every row
 // followed by a newline, in a single immutable string that the leader, its
-// followers and every later cache hit all write without copying.
+// followers and every later cache hit share, with the value of its
+// Content-Length header, computed once when the body is filed. Each request
+// copies the string out through a pooled buffer (writeBody).
 type response struct {
-	text string
-	rows int
+	text   string
+	length []string // the Content-Length header's value; read-only
+	rows   int
+}
+
+// wirePiece is the size of the pieces writeBody copies a body out in: one
+// piece holds a typical result, and net/http hands a Write larger than its
+// own 2 KiB and 4 KiB buffers straight to the socket.
+const wirePiece = 64 << 10
+
+var wireBufs = sync.Pool{New: func() any { return new([wirePiece]byte) }}
+
+// writeBody writes text to w a piece at a time, each copied into a pooled
+// buffer: a string cannot become the []byte that reaches the socket without
+// a copy, and writing it as a string would pass it through net/http's
+// buffers a few KiB per system call. With the Content-Length known, a body
+// of up to one piece goes out in at most two writes, and unchunked.
+func writeBody(w io.Writer, text string) {
+	buf := wireBufs.Get().(*[wirePiece]byte)
+	for len(text) > 0 {
+		n := copy(buf[:], text)
+		if _, err := w.Write(buf[:n]); err != nil {
+			break // a dropped client is the transport's problem, not the run's
+		}
+		text = text[n:]
+	}
+	wireBufs.Put(buf)
 }
 
 // WriteString makes *response the io.StringWriter that Result.WriteTo hands
@@ -606,6 +635,7 @@ func (s *Server) execute(r *http.Request, def *transformDef, ts *tenantState, li
 	}
 	c.body.rows = len(res.Rows)
 	_, _ = res.WriteTo(&c.body) // cannot fail: response's writes never do
+	c.body.length = []string{strconv.Itoa(len(c.body.text))}
 	// The result is filed under the version the run's snapshot read — the
 	// event's, by now — not the one the request saw on arrival: a write that
 	// landed in between is in the body, and the key it retired would never be

@@ -1032,3 +1032,53 @@ func TestCachedBodySurvivesLaterRuns(t *testing.T) {
 		t.Fatalf("served body differs from a library Run:\n served %q\n run    %q", first, fresh)
 	}
 }
+
+// TestBodyIsSentWithLength: a transform's body goes out with its
+// Content-Length and unchunked, on a miss and on a hit alike, and its bytes
+// are what Result.WriteTo writes. The body is larger than the 64 KiB piece
+// it is copied out in, so it takes more than one.
+func TestBodyIsSentWithLength(t *testing.T) {
+	d, s := newDeptServer(t, Config{})
+	for dn := 100; dn < 400; dn++ {
+		if err := d.Insert("dept", int64(dn), fmt.Sprintf("D<%d>&", dn), "CITY"); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 3; e++ {
+			if err := d.Insert("emp", int64(dn*10+e), fmt.Sprintf("E%d", dn), "STAFF", int64(3000+e), int64(dn)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ct.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if _, err := res.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() <= wirePiece {
+		t.Fatalf("the body is %d bytes, want more than one %d-byte piece", want.Len(), wirePiece)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, cache := range []string{"miss", "hit"} {
+		resp, body := get(t, ts, "/v1/transform/paper", nil)
+		if got := resp.Header.Get("X-Xsltd-Cache"); got != cache {
+			t.Fatalf("X-Xsltd-Cache = %q, want %q", got, cache)
+		}
+		if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: Content-Length %d (header %q) for a body of %d bytes", cache, resp.ContentLength, resp.Header.Get("Content-Length"), len(body))
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Transfer-Encoding %v, want none", cache, resp.TransferEncoding)
+		}
+		if body != want.String() {
+			t.Fatalf("%s: served %d bytes that differ from Result.WriteTo's %d", cache, len(body), want.Len())
+		}
+	}
+}
