@@ -7,9 +7,10 @@
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
 #                 SQL/XML byte program against the tree serializer (random
 #                 cells, and random bodies), the group-join against a nested
-#                 loop, the filter kernels against Pred.Matches on every
-#                 access path, and xsltd's p.*/where= parameters (no 500, no
-#                 panic, cached equals uncached)
+#                 loop, the B+-tree index against a sorted (key, id) slice,
+#                 the filter kernels against Pred.Matches on every access
+#                 path, and xsltd's p.*/where= parameters (no 500, no panic,
+#                 cached equals uncached)
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
@@ -24,7 +25,9 @@
 #                 answer correctly (no-rewrite oracle) with no failed request
 #   make bench    the Go benchmarks (go test -bench), among them
 #                 BenchmarkKernel (each filter kernel at a low and a middle
-#                 constant), BenchmarkParallelRun's scan-int-0.1pct (v = 7)
+#                 constant), BenchmarkIndexJoin (200 probes into a cold
+#                 200 000-key index, 1, 4 or 16 keys per join call: ns/probe),
+#                 BenchmarkParallelRun's scan-int-0.1pct (v = 7)
 #                 beside scan-int-mid-0.1pct (v = 500), and
 #                 BenchmarkRunDeptWindow's scattered (same-text over
 #                 employees inserted in random order, as serve_miss's are,
@@ -71,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
+	$(GO) test -run '^$$' -fuzz '^FuzzBTreeVsModel$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelVsMatches$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzTransformParams$$' -fuzztime $(FUZZTIME) ./serve
 
@@ -86,8 +90,9 @@ faults:
 # Crash recovery: the WAL's torn-tail and every-byte-offset truncation
 # property tests (the facade's over a multi-segment log mixing DDL and
 # inserts included), the facade kill-and-replay/fault-matrix durability suite,
-# and the MVCC snapshot-isolation races (posting-list views under inserts
-# included) — all under the race detector.
+# and the MVCC snapshot-isolation races (joins of a pinned snapshot under
+# inserts into the very leaves they read included) — all under the race
+# detector.
 crash:
 	$(GO) test -race ./internal/wal
 	$(GO) test -race -run 'TestGroupJoinViewsArePinned' ./internal/relstore

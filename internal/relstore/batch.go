@@ -205,17 +205,18 @@ func appendScanExplain(dst []byte, t *Table, preds []Pred) []byte {
 }
 
 // batchIndexIter drives a B-tree descent over a pinned snapshot and emits
-// the (ascending) posting list in batches: the descent runs once under the
-// table lock (the tree mutates in place on Insert), bounded to rows
-// committed before the snapshot; the residual predicates' kernels then
-// filter the ids lock-free against the snapshot's vectors.
+// the ids it finds, ascending, in batches: the descent and the copy of the
+// ids run once under the table lock (the tree mutates in place on Insert),
+// bounded to rows committed before the snapshot; the residual predicates'
+// kernels then filter the ids lock-free against the snapshot's vectors.
 type batchIndexIter struct {
 	snap     *TableSnap
 	plan     AccessPlan
 	residual conj
 	size     int // rows per emitted batch
 
-	ids   []int // read-only: may be a view of a posting list (TableSnap.IndexIDs)
+	ids   []int // TableSnap.IndexIDs' answer, into buf when it fits
+	buf   [8]int
 	pos   int
 	run   bool
 	stats *Stats
@@ -231,7 +232,7 @@ func (it *batchIndexIter) materialize() {
 	if it.stats != nil {
 		atomic.AddInt64(&it.stats.IndexProbes, 1)
 	}
-	it.ids = it.snap.IndexIDs(it.plan.Col, it.plan.Lo, it.plan.Hi, it.plan.NaN)
+	it.ids = it.snap.IndexIDs(it.buf[:0], it.plan.Col, it.plan.Lo, it.plan.Hi, it.plan.NaN)
 }
 
 func (it *batchIndexIter) NextBatch(batch *Batch) (int, bool) {
@@ -296,7 +297,7 @@ func (p AccessPlan) OpenBatchAt(ts *TableSnap, stats *Stats, g *governor.G, opts
 // than one worker and the plan has at least MorselMinRows candidates, it
 // returns a morsel pool that runs job (nil: none) on every morsel — m itself
 // when m is non-nil, reopened on its slots; otherwise it returns the serial
-// batch iterator. Exactly one result is non-nil. An index range's posting
+// batch iterator. Exactly one result is non-nil. An index range's id
 // list is computed once, here or on the serial iterator's first batch,
 // whichever way the choice goes.
 func OpenMorsels[T any](m *Morsels[T], p AccessPlan, ts *TableSnap, stats *Stats, g *governor.G, opts BatchOpts, job MorselJob[T]) (*Morsels[T], BatchIterator) {

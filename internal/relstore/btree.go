@@ -6,13 +6,21 @@
 // B-tree index to compute the predicate" while the functional XSLT path
 // materializes documents and walks them; this package provides exactly that
 // machinery.
+//
+// A B-tree (this file) is a B+-tree over unique (key, row id) pairs whose
+// nodes hold no pointers. Its nodes change in place on Insert, so a reader
+// never keeps a reference into one: it descends under the table's read lock
+// and copies the ids below its snapshot's pinned length into memory of its
+// own before releasing the lock (snapshot.go).
 package relstore
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"unsafe"
 )
 
 // Value is a column value: int64, float64 or string. The zero Value (nil)
@@ -101,184 +109,353 @@ func colTypeOf[K key]() ColType {
 	return StringCol
 }
 
-// btree degree: max keys per node. 64 keeps nodes cache-friendly while
-// exercising real splits in tests.
-const btreeMaxKeys = 64
+// nodeCap is how many keys a node holds: 64 keys of a numeric tree span
+// eight cache lines of lineKeys keys, and a tree of 200 000 keys loaded by
+// CreateIndex is three nodes deep.
+const (
+	nodeCap  = 64
+	lineKeys = 8
+)
 
-// BTree is a B-tree mapping one column's cells to posting lists of row ids,
-// typed by the column: its keys are stored unboxed and a descent compares
-// them natively. Duplicate keys accumulate row ids on one entry. Keys order
-// as cmp.Compare orders them (a NaN FLOAT key sorts first).
+// probeBatch is how many keys seek descends together.
+const probeBatch = 16
+
+// BTree is a B+-tree over the (key, row id) pairs of one column, typed by
+// the column: its keys are stored unboxed and a descent compares them
+// natively. Pairs are ordered by key, as cmp.Compare orders keys (a NaN
+// FLOAT key first), then by id; a key that several rows hold is a run of
+// adjacent pairs, which may straddle nodes. A table assigns ids in
+// ascending order, so a new pair is always the last of its key's run.
+//
+// The nodes live in one slice and name each other by index, so a numeric
+// tree holds no pointer for the collector to trace. Node 0 is the leftmost
+// leaf: a split keeps the left half where it was, and a new root is
+// appended.
 type BTree[K key] struct {
-	root *btNode[K]
-	size int // distinct keys
+	nodes  []btNode[K]
+	root   int32
+	height int // internal levels above the leaves
 }
 
-type btEntry[K key] struct {
-	key  K
-	rows []int
-}
-
+// btNode is a leaf or an internal node. A leaf holds its keys in one array
+// and their row ids in another. An internal node holds separators and
+// children only: child i holds the keys from keys[i-1] to keys[i], both
+// included, since a run may end in one child and go on in the next.
 type btNode[K key] struct {
-	entries  []btEntry[K]
-	children []*btNode[K] // nil for leaves; else len(entries)+1
+	n    int32 // keys in use
+	next int32 // a leaf's right sibling; -1 for the last leaf
+	keys [nodeCap]K
+	// vals holds a leaf's row ids (n of them) or an internal node's
+	// children (n+1).
+	vals [nodeCap + 1]int
 }
 
 // NewBTree returns an empty tree.
 func NewBTree[K key]() *BTree[K] {
-	return &BTree[K]{root: &btNode[K]{}}
+	t := &BTree[K]{}
+	t.root = t.newNode()
+	return t
 }
 
-// newIndex returns an empty tree over a column of type typ.
-func newIndex(typ ColType) index {
-	switch typ {
-	case IntCol:
-		return NewBTree[int64]()
-	case FloatCol:
-		return NewBTree[float64]()
-	}
-	return NewBTree[string]()
+// newNode appends an empty node. It may move every node: a caller takes no
+// pointer into the tree across it.
+func (t *BTree[K]) newNode() int32 {
+	t.nodes = append(t.nodes, btNode[K]{next: -1})
+	return int32(len(t.nodes) - 1)
 }
 
-// index is a B-tree as a table holds it, whatever its key type.
+// index is a B-tree as a table holds it, whatever its key type. The table
+// lock guards every call: Insert rewrites nodes in place.
 type index interface {
 	// add indexes row id, whose cell in v (the indexed column) is not NULL.
 	add(v *vec, id int)
-	// committedIDs collects IndexIDs' answer, unsorted: the ids of the
-	// posting lists in [lo, hi] (and of the NaN key, with nan), each bounded
-	// to the first n rows, and how many lists contributed.
-	committedIDs(lo, hi Bound, nan bool, n int) (ids []int, lists int)
-	// probe returns the posting list of the key equal to row id's non-NULL
-	// cell in v, a column of any type: nil when there is none, or when the
-	// cell's type can never equal a key.
-	probe(v *vec, id int) []int
-	// nanRows returns the posting list of a FLOAT tree's NaN key: nil when
-	// there is none, and on a tree of another type.
-	nanRows() []int
+	// appendIDs appends the ids below n of the pairs in [lo, hi] and, with
+	// nan, of a FLOAT tree's NaN key: in key order, not yet in id order.
+	appendIDs(dst []int, lo, hi Bound, nan bool, n int) []int
+	// appendRuns is the index join's probe. For each outer row ids[i] whose
+	// key in outer (a column of any type) is neither NULL nor NaN, it
+	// appends to gr.arena the ids below n of the pairs whose key equals it,
+	// ascending, and points gr.Runs[i] at them. A FLOAT tree's NaN rows
+	// equal every number: they join every numeric key.
+	appendRuns(outer *vec, ids []int, n int, gr *Groups)
 }
 
-// Len returns the number of distinct keys.
-func (t *BTree[K]) Len() int { return t.size }
+// buildIndex returns a tree over the non-NULL cells among the first n rows
+// of v, loaded in one pass from its (key, id) pairs sorted once.
+func buildIndex(v *vec, n int) index {
+	switch v.typ {
+	case IntCol:
+		return loadBTree[int64](v, n)
+	case FloatCol:
+		return loadBTree[float64](v, n)
+	}
+	return loadBTree[string](v, n)
+}
 
-func (n *btNode[K]) isLeaf() bool { return n.children == nil }
+func loadBTree[K key](v *vec, n int) *BTree[K] {
+	pairs := make([]btPair[K], 0, n)
+	for id, ok := range v.valid[:n] {
+		if ok != 0 {
+			pairs = append(pairs, btPair[K]{cellKey[K](v, id), id})
+		}
+	}
+	sortPairs(pairs)
+	t := &BTree[K]{}
+	t.load(pairs)
+	return t
+}
 
-// search locates key among the node's entries: the index of the first
-// entry whose key is not below it, in cmp.Compare order (a NaN key first),
-// and whether that key equals it.
-func (n *btNode[K]) search(key K) (int, bool) {
-	lo, hi := 0, len(n.entries)
+// sortPairs orders pairs, which come in id order, by key as cmp.Compare
+// orders keys, and keeps equal keys in id order. Numeric keys go through an
+// LSD radix sort on their order bits, a byte at a time, skipping the bytes
+// every key shares: a few passes over the pairs where a comparison sort
+// makes log n of them, each comparison a call. VARCHAR keys are compared.
+func sortPairs[K key](pairs []btPair[K]) {
+	if _, text := any(pairs).([]btPair[string]); text || len(pairs) < 2 {
+		slices.SortStableFunc(pairs, func(a, b btPair[K]) int { return cmp.Compare(a.key, b.key) })
+		return
+	}
+	in, out := pairs, make([]btPair[K], len(pairs))
+	for shift := 0; shift < 64; shift += 8 {
+		var at [257]int // at[b+1] counts byte b; then at[b] is where b's pairs go
+		for _, p := range in {
+			at[orderBits(p.key)>>shift&0xff+1]++
+		}
+		if at[orderBits(in[0].key)>>shift&0xff+1] == len(in) {
+			continue // every key has this byte
+		}
+		for b := 1; b < len(at); b++ {
+			at[b] += at[b-1]
+		}
+		for _, p := range in {
+			b := orderBits(p.key) >> shift & 0xff
+			out[at[b]] = p
+			at[b]++
+		}
+		in, out = out, in
+	}
+	copy(pairs, in)
+}
+
+// orderBits maps a numeric key to a uint64 whose order is the key's
+// cmp.Compare order: a NaN lowest, -0 equal to 0.
+func orderBits[K key](k K) uint64 {
+	switch x := any(k).(type) {
+	case int64:
+		return uint64(x) ^ 1<<63
+	case float64:
+		switch b := math.Float64bits(x); {
+		case x != x:
+			return 0
+		case x == 0:
+			return 1 << 63
+		case b>>63 != 0:
+			return ^b
+		default:
+			return b | 1<<63
+		}
+	}
+	return 0
+}
+
+// load builds the tree bottom-up from sorted pairs: full leaves, in order
+// from node 0, then each level of internal nodes over the one below it,
+// until one node is left, the root.
+func (t *BTree[K]) load(pairs []btPair[K]) {
+	leaves := max(1, (len(pairs)+nodeCap-1)/nodeCap)
+	t.nodes = make([]btNode[K], leaves, leaves+leaves/nodeCap+2)
+	mins := make([]K, leaves) // the least key under each node of a level
+	for l := range leaves {
+		nd := &t.nodes[l]
+		lo, hi := l*len(pairs)/leaves, (l+1)*len(pairs)/leaves
+		for j, p := range pairs[lo:hi] {
+			nd.keys[j], nd.vals[j] = p.key, p.id
+		}
+		nd.n, nd.next, mins[l] = int32(hi-lo), int32(l+1), nd.keys[0]
+	}
+	t.nodes[leaves-1].next = -1
+	first, count := 0, leaves // the level below: nodes first..first+count-1
+	for count > 1 {
+		parents := (count + nodeCap) / (nodeCap + 1)
+		start := len(t.nodes)
+		for p := range parents {
+			lo, hi := p*count/parents, (p+1)*count/parents
+			nd := btNode[K]{n: int32(hi - lo - 1), next: -1}
+			for c := lo; c < hi; c++ {
+				nd.vals[c-lo] = first + c
+				if c > lo {
+					nd.keys[c-lo-1] = mins[c]
+				}
+			}
+			t.nodes = append(t.nodes, nd)
+			mins[p] = mins[lo]
+		}
+		first, count = start, parents
+		t.height++
+	}
+	t.root = int32(first)
+}
+
+// btPair is one (key, row id) pair, as CreateIndex sorts them.
+type btPair[K key] struct {
+	key K
+	id  int
+}
+
+// upper is the number of the node's keys at or below key.
+func (nd *btNode[K]) upper(key K) int32 {
+	lo, hi := int32(0), nd.n
 	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if cmp.Less(n.entries[m].key, key) {
-			lo = m + 1
-		} else {
+		m := int32(uint32(lo+hi) >> 1)
+		if cmp.Less(key, nd.keys[m]) {
 			hi = m
+		} else {
+			lo = m + 1
 		}
 	}
-	return lo, lo < len(n.entries) && !cmp.Less(key, n.entries[lo].key)
+	return lo
 }
 
-// Insert adds rowID under key.
-func (t *BTree[K]) Insert(key K, rowID int) {
-	if len(t.root.entries) == btreeMaxKeys {
+// Insert adds the pair (key, id). id must be above every id the tree holds
+// under key, as a table's next row id is: the pair is appended to its key's
+// run. Full nodes are split on the way down, so the leaf has room.
+func (t *BTree[K]) Insert(key K, id int) {
+	if t.nodes[t.root].n == nodeCap {
 		old := t.root
-		t.root = &btNode[K]{children: []*btNode[K]{old}}
-		t.root.splitChild(0)
+		t.root = t.newNode()
+		t.nodes[t.root].vals[0] = int(old)
+		t.split(t.root, 0, t.height == 0)
+		t.height++
 	}
-	if t.root.insertNonFull(key, rowID) {
-		t.size++
-	}
-}
-
-// insertNonFull inserts into a node known to have room, returning whether a
-// new distinct key was created.
-func (n *btNode[K]) insertNonFull(key K, rowID int) bool {
-	i, found := n.search(key)
-	if found {
-		n.entries[i].rows = append(n.entries[i].rows, rowID)
-		return false
-	}
-	if n.isLeaf() {
-		n.entries = append(n.entries, btEntry[K]{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = btEntry[K]{key: key, rows: []int{rowID}}
-		return true
-	}
-	if len(n.children[i].entries) == btreeMaxKeys {
-		n.splitChild(i)
-		c := cmp.Compare(key, n.entries[i].key)
-		if c == 0 {
-			n.entries[i].rows = append(n.entries[i].rows, rowID)
-			return false
-		}
-		if c > 0 {
-			i++
-		}
-	}
-	return n.children[i].insertNonFull(key, rowID)
-}
-
-// splitChild splits the full child at index i, hoisting its median entry.
-func (n *btNode[K]) splitChild(i int) {
-	child := n.children[i]
-	mid := btreeMaxKeys / 2
-	median := child.entries[mid]
-
-	right := &btNode[K]{entries: append([]btEntry[K]{}, child.entries[mid+1:]...)}
-	if !child.isLeaf() {
-		right.children = append([]*btNode[K]{}, child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
-	}
-	child.entries = child.entries[:mid]
-
-	n.entries = append(n.entries, btEntry[K]{})
-	copy(n.entries[i+1:], n.entries[i:])
-	n.entries[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
-}
-
-// Lookup returns the row ids stored under key (nil when absent).
-func (t *BTree[K]) Lookup(key K) []int {
-	n := t.root
-	for {
-		i, found := n.search(key)
-		if found {
-			return n.entries[i].rows
-		}
-		if n.isLeaf() {
-			return nil
-		}
-		n = n.children[i]
-	}
-}
-
-// lookupText is Lookup on a VARCHAR tree for the key b, compared where it
-// sits: no string is made of it.
-func lookupText(t *BTree[string], b []byte) []int {
-	n := t.root
-	for {
-		lo, hi := 0, len(n.entries)
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			if n.entries[m].key < string(b) {
-				lo = m + 1
-			} else {
-				hi = m
+	at := t.root
+	for level := t.height; level > 0; level-- {
+		i := t.nodes[at].upper(key)
+		if t.nodes[t.nodes[at].vals[i]].n == nodeCap {
+			t.split(at, i, level == 1)
+			if !cmp.Less(key, t.nodes[at].keys[i]) {
+				i++
 			}
 		}
-		if lo < len(n.entries) && n.entries[lo].key == string(b) {
-			return n.entries[lo].rows
+		at = int32(t.nodes[at].vals[i])
+	}
+	nd := &t.nodes[at]
+	i := nd.upper(key)
+	copy(nd.keys[i+1:nd.n+1], nd.keys[i:nd.n])
+	copy(nd.vals[i+1:nd.n+1], nd.vals[i:nd.n])
+	nd.keys[i], nd.vals[i] = key, id
+	nd.n++
+}
+
+// split splits the full child i of the internal node parent (a leaf, when
+// leaf is set) and enters its right half as child i+1. A leaf's right half
+// keeps its first key, which becomes the separator; an internal node's
+// middle key moves up.
+func (t *BTree[K]) split(parent, i int32, leaf bool) {
+	r := t.newNode()
+	p := &t.nodes[parent]
+	c, right := &t.nodes[p.vals[i]], &t.nodes[r]
+	h := int32(nodeCap / 2)
+	var sep K
+	if leaf {
+		copy(right.keys[:], c.keys[h:c.n])
+		copy(right.vals[:], c.vals[h:c.n])
+		right.n, right.next, c.next = c.n-h, c.next, r
+		sep = right.keys[0]
+	} else {
+		copy(right.keys[:], c.keys[h+1:c.n])
+		copy(right.vals[:], c.vals[h+1:c.n+1])
+		right.n = c.n - h - 1
+		sep = c.keys[h]
+	}
+	c.n = h
+	clear(c.keys[h:]) // the strings of a VARCHAR tree's moved keys
+	copy(p.keys[i+1:p.n+1], p.keys[i:p.n])
+	copy(p.vals[i+2:p.n+2], p.vals[i+1:p.n+1])
+	p.keys[i], p.vals[i+1] = sep, int(r)
+	p.n++
+}
+
+// seek finds, for each of keys, the first pair whose key is not below it in
+// cmp.Less order: in leaf leaf[i] at pos[i], which may be the leaf's length
+// (the pair is then the next leaf's first, if there is one). The keys
+// descend together, level by level, and a node is searched in two steps,
+// each taken for every key in turn. The first compares the key with every
+// lineKeys-th key of the node, the heads of its cache lines: those loads do
+// not depend on one another, so the node's lines are fetched at once rather
+// than one per halving of a binary search, and the misses of the batch's
+// other keys overlap with them. How many heads are below the key says which
+// line holds the answer; the second step counts the keys below it there.
+func (t *BTree[K]) seek(keys []K, leaf, pos []int32) {
+	m := len(keys)
+	for i := range m {
+		leaf[i] = t.root
+	}
+	for level := t.height; ; level-- {
+		for i := range m {
+			nd, c := &t.nodes[leaf[i]], int32(0)
+			for j := int32(0); j < nodeCap; j += lineKeys {
+				if j < nd.n && cmp.Less(nd.keys[j], keys[i]) {
+					c++
+				}
+			}
+			pos[i] = c
 		}
-		if n.isLeaf() {
-			return nil
+		for i := range m {
+			if pos[i] == 0 {
+				continue
+			}
+			nd := &t.nodes[leaf[i]]
+			p := (pos[i]-1)*lineKeys + 1
+			for j, end := p, min(pos[i]*lineKeys, nd.n); j < end; j++ {
+				if cmp.Less(nd.keys[j], keys[i]) {
+					p++
+				}
+			}
+			pos[i] = p
 		}
-		n = n.children[lo]
+		if level == 0 {
+			return
+		}
+		for i := range m {
+			leaf[i] = int32(t.nodes[leaf[i]].vals[pos[i]])
+		}
 	}
 }
 
-func (t *BTree[K]) add(v *vec, id int) {
+// appendRun appends the ids below n of key's run, which starts where seek
+// left it, at (leaf, pos). The run is ascending, so they are a prefix of it.
+func (t *BTree[K]) appendRun(dst []int, leaf, pos int32, key K, n int) []int {
+	for leaf >= 0 {
+		nd := &t.nodes[leaf]
+		for ; pos < nd.n; pos++ {
+			if cmp.Less(key, nd.keys[pos]) || nd.vals[pos] >= n {
+				return dst
+			}
+			dst = append(dst, nd.vals[pos])
+		}
+		leaf, pos = nd.next, 0
+	}
+	return dst
+}
+
+// walk calls fn for every pair from (leaf, pos) on, in order, until fn
+// returns false.
+func (t *BTree[K]) walk(leaf, pos int32, fn func(key K, id int) bool) {
+	for leaf >= 0 {
+		nd := &t.nodes[leaf]
+		for ; pos < nd.n; pos++ {
+			if !fn(nd.keys[pos], nd.vals[pos]) {
+				return
+			}
+		}
+		leaf, pos = nd.next, 0
+	}
+}
+
+func (t *BTree[K]) add(v *vec, id int) { t.Insert(cellKey[K](v, id), id) }
+
+// cellKey reads row id's non-NULL cell of v, a column of the tree's type.
+func cellKey[K key](v *vec, id int) K {
 	var k K
 	switch p := any(&k).(type) {
 	case *int64:
@@ -288,43 +465,84 @@ func (t *BTree[K]) add(v *vec, id int) {
 	case *string:
 		*p = string(v.bytes(id))
 	}
-	t.Insert(k, id)
+	return k
 }
 
-func (t *BTree[K]) probe(v *vec, id int) []int {
-	var k K
+// probeKey reads row id's cell of outer, a column of any type, as a key of
+// the tree's type: ok is false when the cell is NULL or NaN (equal to every
+// number, the caller's to answer), or when no key can equal it. A VARCHAR
+// key is a string over the outer arena's bytes, not a copy: a probe only
+// compares it.
+func probeKey[K key](outer *vec, id int) (k K, ok bool) {
+	if outer.valid[id] == 0 {
+		return k, false
+	}
 	switch p := any(&k).(type) {
 	case *int64:
-		switch v.typ {
+		switch outer.typ {
 		case IntCol:
-			*p = v.ints[id]
+			*p = outer.ints[id]
 		case FloatCol:
 			// An INT key equals a FLOAT cell when the cell is integral (and
 			// not NaN, which Trunc leaves unequal to itself).
-			f := v.flts[id]
+			f := outer.flts[id]
 			if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
-				return nil
+				return k, false
 			}
 			*p = int64(f)
 		default:
-			return nil
+			return k, false
 		}
 	case *float64:
-		switch v.typ {
+		switch outer.typ {
 		case IntCol:
-			*p = float64(v.ints[id])
+			*p = float64(outer.ints[id])
 		case FloatCol:
-			*p = v.flts[id]
+			if *p = outer.flts[id]; *p != *p {
+				return k, false
+			}
 		default:
-			return nil
+			return k, false
 		}
 	case *string:
-		if v.typ != StringCol {
-			return nil
+		if outer.typ != StringCol {
+			return k, false
 		}
-		return lookupText(any(t).(*BTree[string]), v.bytes(id))
+		b := outer.bytes(id)
+		*p = unsafe.String(unsafe.SliceData(b), len(b))
 	}
-	return t.Lookup(k)
+	return k, true
+}
+
+func (t *BTree[K]) appendRuns(outer *vec, ids []int, n int, gr *Groups) {
+	var keys [probeBatch]K
+	var at [probeBatch]int // the outer position of each key
+	var leaf, pos [probeBatch]int32
+	nanK, isFloat := nanKey[K]()
+	nans := isFloat && outer.typ != StringCol
+	for i := 0; i < len(ids); {
+		m := 0
+		for ; i < len(ids) && m < probeBatch; i++ {
+			if k, ok := probeKey[K](outer, ids[i]); ok {
+				keys[m], at[m] = k, i
+				m++
+			}
+		}
+		t.seek(keys[:m], leaf[:m], pos[:m])
+		for j := range m {
+			start := len(gr.arena)
+			gr.arena = t.appendRun(gr.arena, leaf[j], pos[j], keys[j], n)
+			if nans {
+				// The NaN pairs come first: node 0 starts with them.
+				mid := len(gr.arena)
+				gr.arena = t.appendRun(gr.arena, 0, 0, nanK, n)
+				if len(gr.arena) > mid {
+					slices.Sort(gr.arena[start:])
+				}
+			}
+			gr.Runs[at[j]] = gr.arena[start:len(gr.arena):len(gr.arena)]
+		}
+	}
 }
 
 // Bound is one end of a range scan.
@@ -356,31 +574,73 @@ func newInterval(typ ColType, lo, hi Bound) interval {
 	return iv
 }
 
-// Range calls fn for each (key, rows) pair with lo <= key <= hi (subject to
+// Range calls fn for each pair with lo <= key <= hi (subject to
 // inclusivity, and comparing as CompareValues does, so a bound of another
-// type is allowed) in ascending key order; fn returning false stops the
-// scan. A NaN key, equal to every number and ordered against none, is in no
-// interval: Lookup finds it.
-func (t *BTree[K]) Range(lo, hi Bound, fn func(key K, rows []int) bool) {
+// type is allowed) in order; fn returning false stops the scan. A NaN key,
+// equal to every number and ordered against none, is in no interval.
+func (t *BTree[K]) Range(lo, hi Bound, fn func(key K, id int) bool) {
 	iv := newInterval(colTypeOf[K](), lo, hi)
-	t.root.rangeScan(&iv, fn)
-}
-
-// AscendAll visits every key in order, a NaN key first.
-func (t *BTree[K]) AscendAll(fn func(key K, rows []int) bool) {
-	if k, ok := nanKey[K](); ok {
-		if rows := t.Lookup(k); rows != nil && !fn(k, rows) {
+	// Descend to the first key in the interval: a key is past the low bound
+	// from the first separator on that is.
+	at := t.root
+	for level := t.height; ; level-- {
+		nd := &t.nodes[at]
+		i := 0
+		if !iv.lo.Unbounded {
+			i = sort.Search(int(nd.n), func(j int) bool {
+				c := cmpKey(&iv.l, nd.keys[j])
+				return c > 0 || c == 0 && iv.lo.Inclusive
+			})
+		}
+		if level == 0 {
+			t.walk(at, int32(i), func(k K, id int) bool {
+				if k != k {
+					return true // NaN: in no interval
+				}
+				if !iv.hi.Unbounded {
+					if c := cmpKey(&iv.h, k); c > 0 || c == 0 && !iv.hi.Inclusive {
+						return false
+					}
+				}
+				return fn(k, id)
+			})
 			return
 		}
+		at = int32(nd.vals[i])
 	}
-	t.Range(UnboundedBound, UnboundedBound, fn)
 }
 
-func (t *BTree[K]) nanRows() []int {
-	if k, ok := nanKey[K](); ok {
-		return t.Lookup(k)
+// AscendAll visits every pair in order, those of a NaN key first.
+func (t *BTree[K]) AscendAll(fn func(key K, id int) bool) { t.walk(0, 0, fn) }
+
+func (t *BTree[K]) appendIDs(dst []int, lo, hi Bound, nan bool, n int) []int {
+	// Count, then copy into one allocation.
+	total := 0
+	t.committedIDs(lo, hi, nan, n, func(int) { total++ })
+	if total > cap(dst)-len(dst) {
+		dst = append(make([]int, 0, len(dst)+total), dst...)
 	}
-	return nil
+	t.committedIDs(lo, hi, nan, n, func(id int) { dst = append(dst, id) })
+	return dst
+}
+
+// committedIDs calls fn with the id of every pair below n in [lo, hi], after
+// those of the NaN key with nan.
+func (t *BTree[K]) committedIDs(lo, hi Bound, nan bool, n int, fn func(id int)) {
+	if _, isFloat := nanKey[K](); nan && isFloat {
+		t.AscendAll(func(k K, id int) bool {
+			if id < n && k != k {
+				fn(id)
+			}
+			return k != k
+		})
+	}
+	t.Range(lo, hi, func(_ K, id int) bool {
+		if id < n {
+			fn(id)
+		}
+		return true
+	})
 }
 
 // nanKey is the NaN key of a FLOAT tree; ok is false for other key types.
@@ -390,41 +650,4 @@ func nanKey[K key]() (k K, ok bool) {
 		return k, true
 	}
 	return k, false
-}
-
-func (n *btNode[K]) rangeScan(iv *interval, fn func(K, []int) bool) bool {
-	start := 0
-	if !iv.lo.Unbounded {
-		start = sort.Search(len(n.entries), func(i int) bool {
-			c := cmpKey(&iv.l, n.entries[i].key)
-			if iv.lo.Inclusive {
-				return c >= 0
-			}
-			return c > 0
-		})
-	}
-	for i := start; i <= len(n.entries); i++ {
-		if !n.isLeaf() {
-			if !n.children[i].rangeScan(iv, fn) {
-				return false
-			}
-		}
-		if i == len(n.entries) {
-			break
-		}
-		e := &n.entries[i]
-		if e.key != e.key {
-			continue // NaN: in no interval
-		}
-		if !iv.hi.Unbounded {
-			c := cmpKey(&iv.h, e.key)
-			if c > 0 || (c == 0 && !iv.hi.Inclusive) {
-				return false
-			}
-		}
-		if !fn(e.key, e.rows) {
-			return false
-		}
-	}
-	return true
 }

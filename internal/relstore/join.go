@@ -16,13 +16,13 @@ import (
 // locking and opening the inner table once per outer row, the executor hands
 // this operator a BATCH of outer keys and gets back, for each of them, the
 // run of matching inner row ids. The fault point, the table lock and the
-// governor charge are paid once per batch, and — when no constant predicate
-// has to be applied — a run is a view of the B-tree's own posting list
-// (snapshot.go explains why that is snapshot-safe), so a group costs a
-// descent and a slice header. Keys are never boxed: a batch names them as
-// one column of the outer snapshot at a list of row ids (Keys), the index
-// join reads each typed and descends the typed B-tree with it, and the
-// constant predicates are filter kernels over the posting lists.
+// governor charge are paid once per batch, and the batch's keys descend the
+// B-tree together, so their cache misses overlap. Keys are never boxed: a
+// batch names them as one column of the outer snapshot at a list of row ids
+// (Keys), the index join reads each typed and descends the typed B-tree
+// with it, copying each run's committed ids into an arena under the table
+// lock (snapshot.go), and the constant predicates are filter kernels over
+// those copies.
 //
 // Which variant runs is decided by what the table has, never by a caller:
 // an index on the correlation column gives the index join (one descent per
@@ -46,7 +46,7 @@ type GroupJoin struct {
 	// range scan). Unused by the index variant.
 	access AccessPlan
 	// filter holds the constant predicates the index variant applies to
-	// each posting list.
+	// each run.
 	filter conj
 }
 
@@ -103,14 +103,15 @@ func (j *GroupJoin) Explain(outerCol string) string {
 // Groups is the result of one Join and the scratch the next one reuses.
 type Groups struct {
 	// Runs[i] holds the inner row ids matching outer key i, ascending.
-	// READ-ONLY, and valid until the next Join into this Groups: a run may be
-	// a view of a B-tree posting list, and equal outer keys may share one.
+	// READ-ONLY, and valid until the next Join into this Groups: outer keys
+	// may share one.
 	Runs [][]int
 
-	// arena backs the runs that are not posting-list views. A run sliced off
-	// before the arena grew keeps pointing at the old array, which still
-	// holds exactly its ids.
+	// arena backs the runs. A run sliced off before the arena grew keeps
+	// pointing at the old array, which still holds exactly its ids. cands is
+	// the index join's runs laid end to end, before its filter.
 	arena []int
+	cands []int
 	// Scan-variant scratch: the batch's distinct non-NULL keys but NaN in
 	// CompareValues order, the outer positions sorted the same way, the slot
 	// (index into distinct) of each outer key, the slot the NaN keys share
@@ -139,7 +140,7 @@ func (gr *Groups) reset(n int) {
 }
 
 // Release empties the result and drops every reference into table data the
-// scratch holds (posting-list views, key values), keeping its capacity: what
+// scratch holds (the scan variant's key values), keeping its capacity: what
 // an owner calls before parking a Groups in a pool for a later run.
 func (gr *Groups) Release() {
 	clear(gr.Runs)
@@ -166,68 +167,77 @@ func (j *GroupJoin) Join(keys Keys, out *Groups, stats *Stats, g *governor.G) er
 	return j.scanJoin(keys, out, stats, g)
 }
 
-// indexJoin descends once per non-NULL key under one lock acquisition and
-// captures each posting list's committed prefix as a view; the constant
-// predicates' kernels then filter the views lock-free (rows below the pinned
-// length are immutable) into the arena.
+// indexJoin descends once per non-NULL key, the batch's keys together
+// under one lock acquisition, and copies each run's committed ids into the
+// arena; the constant predicates' kernels then filter the copies lock-free
+// (rows below the pinned length are immutable), all runs in one pass, into
+// the arena after them.
 //
 // A NaN equals every number but sits in the tree at one place, so the tree's
 // order cannot find its equals: a numeric key's run also takes the rows of a
-// FLOAT tree's NaN key (merged into the arena), and a NaN key's run is every
-// row whose cell is a number (every non-NULL row of a numeric column, once
-// per batch however many NaN keys it holds).
+// FLOAT tree's NaN key (BTree.appendRuns), and a NaN key's run is every row
+// whose cell is a number (every non-NULL row of a numeric column, once per
+// batch however many NaN keys it holds).
 func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	var descents, visited int
-	t := j.inner.tab
-	t.mu.RLock()
-	idx := t.indexes[j.col]
 	if keys.Ord >= 0 {
 		outer := &keys.Table.cols[keys.Ord]
-		var nanRows, numbers []int
-		if outer.typ != StringCol {
-			nanRows = committedPrefix(idx.nanRows(), j.inner.n)
-		}
+		t := j.inner.tab
+		t.mu.RLock()
+		t.indexes[j.col].appendRuns(outer, keys.IDs, j.inner.n, out)
+		t.mu.RUnlock()
+		var numbers []int
 		for i, id := range keys.IDs {
 			if outer.valid[id] == 0 {
 				continue
 			}
 			descents++
-			var run []int
-			switch {
-			case outer.typ == FloatCol && math.IsNaN(outer.flts[id]):
+			if outer.typ == FloatCol && math.IsNaN(outer.flts[id]) {
 				if numbers == nil {
 					numbers = j.numbers(out)
 				}
-				run = numbers
-			case len(nanRows) > 0:
-				run = out.merge(committedPrefix(idx.probe(outer, id), j.inner.n), nanRows)
-			default:
-				run = committedPrefix(idx.probe(outer, id), j.inner.n)
+				out.Runs[i] = numbers
 			}
-			out.Runs[i] = run
-			visited += len(run)
+			visited += len(out.Runs[i])
 		}
 	}
-	t.mu.RUnlock()
 
 	emitted, charged := visited, 0
 	if len(j.filter.preds) > 0 {
-		emitted = 0
-		uncharged := 0
-		for i, run := range out.Runs {
-			start := len(out.arena)
-			out.arena = j.filter.sel(out.arena, j.inner, 0, 0, run)
-			out.Runs[i] = out.arena[start:len(out.arena):len(out.arena)]
-			emitted += len(out.arena) - start
+		// One kernel pass filters every run, so the inner cells' cache
+		// misses overlap instead of waiting on one call per run (a run often
+		// holds one id). An id passes or fails wherever it occurs, so each
+		// run then takes back, in order, the passing ids equal to its own.
+		all := out.cands[:0]
+		for _, run := range out.Runs {
+			all = append(all, run...)
+		}
+		out.cands = all
+		start := len(out.arena)
+		for lo := 0; lo < len(all); lo += scanChunkRows {
+			hi := min(lo+scanChunkRows, len(all))
+			out.arena = j.filter.sel(out.arena, j.inner, 0, 0, all[lo:hi])
 			// Filtering is the only part of the join whose cost grows with
 			// the inner table; keep cancellation latency bounded like a scan.
-			if uncharged += len(run); uncharged >= scanChunkRows {
-				if err := g.TickN(uncharged); err != nil {
+			if hi < len(all) {
+				if err := g.TickN(hi - lo); err != nil {
 					return err
 				}
-				charged += uncharged
-				uncharged = 0
+				charged = hi
 			}
+		}
+		emitted = len(out.arena) - start
+		// After the passing ids, a -1 no id equals: the split compares
+		// without a bound check and without a branch on the data.
+		out.arena = append(out.arena, -1)
+		passed := out.arena[start:]
+		k := 0
+		for i, run := range out.Runs {
+			from := k
+			for _, id := range run {
+				k += b2i(passed[k] == id)
+			}
+			out.Runs[i] = passed[from:k:k]
 		}
 	}
 	if stats != nil {
@@ -253,21 +263,6 @@ func (j *GroupJoin) numbers(out *Groups) []int {
 		}
 	}
 	return out.arena[start:len(out.arena):len(out.arena)]
-}
-
-// merge appends the union of two ascending, disjoint runs to the arena and
-// returns it.
-func (gr *Groups) merge(a, b []int) []int {
-	start := len(gr.arena)
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] < b[0] {
-			gr.arena, a = append(gr.arena, a[0]), a[1:]
-		} else {
-			gr.arena, b = append(gr.arena, b[0]), b[1:]
-		}
-	}
-	gr.arena = append(append(gr.arena, a...), b...)
-	return gr.arena[start:len(gr.arena):len(gr.arena)]
 }
 
 // scanJoin makes one pass over the inner access path and routes every

@@ -260,9 +260,11 @@ func TestGroupJoinExplainAndStats(t *testing.T) {
 	}
 }
 
-// TestGroupJoinViewsArePinned: an index-join run is a view of the live
-// posting list, and stays exactly the pinned prefix while inserts append to
-// that same list (run with -race: the view and the appends share an array).
+// TestGroupJoinViewsArePinned: an index-join run holds exactly the ids the
+// pinned snapshot committed, and keeps them while inserts land in the very
+// leaves the join read and split them (run with -race: the ids were copied
+// out under the table lock, so nothing the join returned is shared with the
+// tree).
 func TestGroupJoinViewsArePinned(t *testing.T) {
 	tab, err := NewTable("inner", Column{Name: "k", Type: IntCol})
 	if err != nil {

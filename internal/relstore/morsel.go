@@ -16,7 +16,7 @@ import (
 // The candidates come from one of three sources:
 //
 //   - the heap rows of a full scan;
-//   - the posting list of an index range;
+//   - the ids of an index range;
 //   - the members of one group, already selected (OpenGroupMorsels: the
 //     SQL/XML constructor splitting a large XMLAgg).
 //

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -146,14 +147,14 @@ func TestBTreeInsertLookup(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		bt.Insert(int64(i%100), i)
 	}
-	if bt.Len() != 100 {
-		t.Fatalf("distinct keys = %d", bt.Len())
+	if n := distinctKeys(bt); n != 100 {
+		t.Fatalf("distinct keys = %d", n)
 	}
-	rows := bt.Lookup(int64(7))
+	rows := lookup(bt, 7, math.MaxInt)
 	if len(rows) != 10 {
-		t.Fatalf("posting list = %d", len(rows))
+		t.Fatalf("run of key 7 = %d ids", len(rows))
 	}
-	if bt.Lookup(int64(500)) != nil {
+	if lookup(bt, 500, math.MaxInt) != nil {
 		t.Fatal("missing key should return nil")
 	}
 }
@@ -164,7 +165,7 @@ func TestBTreeRange(t *testing.T) {
 		bt.Insert(int64(i), i)
 	}
 	var keys []int64
-	bt.Range(Bound{Value: int64(100), Inclusive: true}, Bound{Value: int64(110)}, func(k int64, _ []int) bool {
+	bt.Range(Bound{Value: int64(100), Inclusive: true}, Bound{Value: int64(110)}, func(k int64, _ int) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -173,7 +174,7 @@ func TestBTreeRange(t *testing.T) {
 	}
 	// Exclusive low bound.
 	keys = keys[:0]
-	bt.Range(Bound{Value: int64(100)}, Bound{Value: int64(103), Inclusive: true}, func(k int64, _ []int) bool {
+	bt.Range(Bound{Value: int64(100)}, Bound{Value: int64(103), Inclusive: true}, func(k int64, _ int) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -182,7 +183,7 @@ func TestBTreeRange(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	bt.AscendAll(func(int64, []int) bool {
+	bt.AscendAll(func(int64, int) bool {
 		count++
 		return count < 5
 	})
@@ -192,7 +193,8 @@ func TestBTreeRange(t *testing.T) {
 }
 
 // TestQuickBTreeOrdered property: ascending iteration yields sorted distinct
-// keys matching a reference map, under random insertion order.
+// keys, each with as many ids as a reference map holds, under random
+// insertion order.
 func TestQuickBTreeOrdered(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%200 + 1
@@ -205,15 +207,20 @@ func TestQuickBTreeOrdered(t *testing.T) {
 			ref[k] = append(ref[k], i)
 		}
 		var got []int64
-		ok := true
-		bt.AscendAll(func(key int64, rows []int) bool {
-			got = append(got, key)
-			if len(rows) != len(ref[key]) {
-				ok = false
+		rows := map[int64]int{}
+		bt.AscendAll(func(key int64, _ int) bool {
+			if len(got) == 0 || got[len(got)-1] != key {
+				got = append(got, key)
 			}
+			rows[key]++
 			return true
 		})
-		if !ok || len(got) != len(ref) {
+		for key, ids := range ref {
+			if rows[key] != len(ids) {
+				return false
+			}
+		}
+		if len(got) != len(ref) {
 			return false
 		}
 		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] })
@@ -243,9 +250,11 @@ func TestQuickBTreeRangeMatchesLinear(t *testing.T) {
 				want++
 			}
 		}
-		got := 0
-		bt.Range(Bound{Value: lo, Inclusive: true}, Bound{Value: hi, Inclusive: true}, func(int64, []int) bool {
-			got++
+		got, last := 0, int64(-1)
+		bt.Range(Bound{Value: lo, Inclusive: true}, Bound{Value: hi, Inclusive: true}, func(k int64, _ int) bool {
+			if k != last {
+				got, last = got+1, k
+			}
 			return true
 		})
 		return got == want
@@ -369,12 +378,12 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mustInsert(t, tab, int64(i%10))
 	}
-	if got := len(tab.indexes["k"].(*BTree[int64]).Lookup(int64(3))); got != 10 {
-		t.Fatalf("index postings = %d", got)
+	if got := len(lookup(tab.indexes["k"].(*BTree[int64]), 3, math.MaxInt)); got != 10 {
+		t.Fatalf("index run of key 3 = %d ids", got)
 	}
 	// NULLs are not indexed.
 	mustInsert(t, tab, nil)
-	if tab.indexes["k"].(*BTree[int64]).Len() != 10 {
+	if distinctKeys(tab.indexes["k"].(*BTree[int64])) != 10 {
 		t.Fatal("NULL should not be indexed")
 	}
 }

@@ -1,6 +1,6 @@
 package relstore
 
-import "sort"
+import "slices"
 
 // MVCC snapshots. Tables are append-only — a published cell is never
 // mutated, and Insert only ever appends to every column vector (column.go) —
@@ -16,20 +16,18 @@ import "sort"
 // a byte per row: a bitmap would share a word between the last pinned row
 // and the next one appended.
 //
-// Secondary indexes need one extra step: the B-tree's nodes mutate in place
-// on Insert, so a pinned reader descends under the table lock. What it
-// brings back needs no copy, though. A posting list is append-only and
-// ascending — row ids are assigned in append order and every index entry is
-// written by the Insert that assigned the id — so the prefix of a list below
-// the pinned length is exactly "committed before the snapshot was taken",
-// and no later writer ever touches it: an append either writes at or past
-// the list's current length or moves the list to a new array. A reader
-// therefore captures rows[:k] under the lock (committedPrefix) and keeps
-// reading it lock-free for as long as it likes — a view, never a copy.
+// Secondary indexes need one extra step: a B-tree's nodes mutate in place
+// on Insert (a split moves pairs to a new node, an insert shifts a leaf's
+// pairs), so nothing a reader brings back may point into the tree. A pinned
+// reader descends under the table's read lock and copies the ids below its
+// pinned length into memory of its own (the caller's arena) before it
+// releases the lock: a table assigns ids in append order, so those are
+// exactly the rows committed before the snapshot. Afterwards it reads only
+// its copy and the pinned vectors, lock-free.
 
 // TableSnap is an immutable point-in-time view of one table. Cell reads are
 // lock-free; the index reads (IndexIDs here, GroupJoin.Join in join.go) hold
-// the table's read lock for the B-tree descent only. The zero value is not
+// the table's read lock for the B-tree descent and the copy of its ids. The zero value is not
 // usable; pin one with Table.Snap or DB.Snapshot.
 type TableSnap struct {
 	tab  *Table
@@ -85,67 +83,24 @@ func (s *TableSnap) Value(id int, col string) Value { return s.Cell(s.ColIndex(c
 // the live table is safe.
 func (s *TableSnap) HasIndex(col string) bool { return s.tab.HasIndex(col) }
 
-// committedPrefix bounds a posting list to the rows committed before a
-// snapshot of n rows: the list is ascending, so that is a prefix. The
-// result is a view of the list (capacity clipped, so an append by the caller
-// cannot reach the tree's array); see the header for why it stays valid
-// after the table lock is released.
-func committedPrefix(rows []int, n int) []int {
-	k := len(rows)
-	if k > 0 && rows[k-1] >= n {
-		k = sort.SearchInts(rows, n)
-	}
-	return rows[:k:k]
-}
-
-// IndexIDs returns the row ids in the bounded interval on col that were
-// committed before the snapshot, and with nan those of a FLOAT column's NaN
-// key (AccessPlan.NaN), ascending (row-id order is heap order, which keeps
-// index-path output deterministic). The B-tree descent runs
-// under the table's read lock because Insert rewrites tree nodes in place.
-// The result is READ-ONLY: an interval holding one key returns a view of
-// that key's posting list; only an interval spanning several keys is copied
-// (their lists have to be merged into one order), into one slice sized by a
-// counting pass over the interval. A missing index yields nil.
-func (s *TableSnap) IndexIDs(col string, lo, hi Bound, nan bool) []int {
-	var ids []int
-	var lists int
+// IndexIDs appends to dst the row ids in the bounded interval on col that
+// were committed before the snapshot, and with nan those of a FLOAT
+// column's NaN key (AccessPlan.NaN), ascending (row-id order is heap order,
+// which keeps index-path output deterministic). The ids are copied under
+// the table's read lock, which the B-tree descent needs because Insert
+// rewrites tree nodes in place; a counting pass sizes dst first, so a copy
+// grows it at most once. A missing index appends nothing.
+func (s *TableSnap) IndexIDs(dst []int, col string, lo, hi Bound, nan bool) []int {
+	start := len(dst)
 	s.tab.mu.RLock()
 	if idx := s.tab.indexes[col]; idx != nil {
-		ids, lists = idx.committedIDs(lo, hi, nan, s.n)
+		dst = idx.appendIDs(dst, lo, hi, nan, s.n)
 	}
 	s.tab.mu.RUnlock()
-	if lists > 1 {
-		sort.Ints(ids)
+	if ids := dst[start:]; !slices.IsSorted(ids) {
+		slices.Sort(ids) // several keys: their ids interleave
 	}
-	return ids
-}
-
-func (t *BTree[K]) committedIDs(lo, hi Bound, nan bool, n int) (ids []int, lists int) {
-	var nanRows []int
-	if nan {
-		nanRows = committedPrefix(t.nanRows(), n)
-	}
-	total := len(nanRows)
-	if total > 0 {
-		ids, lists = nanRows, 1
-	}
-	t.Range(lo, hi, func(_ K, rows []int) bool {
-		if rows = committedPrefix(rows, n); len(rows) > 0 {
-			ids = rows // the answer, if it stays the only list
-			lists++
-			total += len(rows)
-		}
-		return true
-	})
-	if lists > 1 {
-		ids = append(make([]int, 0, total), nanRows...)
-		t.Range(lo, hi, func(_ K, rows []int) bool {
-			ids = append(ids, committedPrefix(rows, n)...)
-			return true
-		})
-	}
-	return ids, lists
+	return dst
 }
 
 // Snapshot is a point-in-time view of the whole database: every table pinned

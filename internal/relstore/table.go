@@ -211,7 +211,8 @@ func (t *Table) Value(id int, col string) Value {
 	return t.Snap().Cell(t.ColIndex(col), id)
 }
 
-// CreateIndex builds a B-tree index on the column (idempotent).
+// CreateIndex builds a B-tree index on the column (idempotent), in one pass
+// over its cells sorted once.
 func (t *Table) CreateIndex(col string) error {
 	ci := t.ColIndex(col)
 	if ci < 0 {
@@ -222,14 +223,7 @@ func (t *Table) CreateIndex(col string) error {
 	if _, ok := t.indexes[col]; ok {
 		return nil
 	}
-	v := &t.cols[ci]
-	idx := newIndex(v.typ)
-	for id := range t.n {
-		if v.valid[id] != 0 {
-			idx.add(v, id)
-		}
-	}
-	t.indexes[col] = idx
+	t.indexes[col] = buildIndex(&t.cols[ci], t.n)
 	t.committed()
 	return nil
 }

@@ -235,10 +235,9 @@ func TestWindowPlanIsOneInterval(t *testing.T) {
 	}
 }
 
-// TestPostingViewsPinnedUnderInserts: a cursor's index joins hand out views
-// of live B-tree posting lists. Inserts that append to those very lists
-// while the cursor streams (run under -race) must not change one byte of
-// what its snapshot selects.
+// TestPostingViewsPinnedUnderInserts: a cursor's index joins read live
+// B-tree leaves. Inserts into those very leaves while the cursor streams
+// (run under -race) must not change one byte of what its snapshot selects.
 func TestPostingViewsPinnedUnderInserts(t *testing.T) {
 	d := newBenchDeptDB(t, 40)
 	ct, err := d.CompileTransform("dept_emp", xslt.PaperStylesheet)
@@ -248,7 +247,7 @@ func TestPostingViewsPinnedUnderInserts(t *testing.T) {
 	want := runRows(t, ct).Rows
 
 	// A small batch size makes the cursor join again every few rows, each
-	// time against lists the writer has grown since.
+	// time against leaves the writer has grown since.
 	cur, err := ct.OpenCursor(context.Background(), WithBatchSize(3))
 	if err != nil {
 		t.Fatal(err)
