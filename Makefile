@@ -9,7 +9,8 @@
 #                 cells, and random bodies), the group-join against a nested
 #                 loop, the B+-tree index against a sorted (key, id) slice,
 #                 the filter kernels against Pred.Matches on every access
-#                 path, and xsltd's p.*/where= parameters (no 500, no panic,
+#                 path (and the CASE WHEN masks against Filter.Matches),
+#                 and xsltd's p.*/where= parameters (no 500, no panic,
 #                 cached equals uncached)
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
@@ -39,6 +40,9 @@
 #                 paper_figs' data), at workers=1 and workers=default
 #   make allocs   the allocation sites of one Run (serve_miss's engine shape),
 #                 from a memory profile kept in a temporary directory
+#   make profile-paper  where Fig. 3's constructor time goes: a CPU profile of
+#                 BenchmarkPaperFigures' avts and metric at 16 000 rows and
+#                 workers=1, printed as pprof -top
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
 #   make demo     paper Examples 1 and 2 end to end, streamed with stats
 #   make console  the demo serving the live debug console on :6060
@@ -46,7 +50,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench paper allocs demo console serve
+.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench paper allocs profile-paper demo console serve
 
 verify: test vet bench-vet race fuzz faults crash diag-smoke bench-smoke
 
@@ -146,6 +150,19 @@ allocs:
 	$(GO) test -run '^$$' -bench '^BenchmarkRunDeptWindow$$/^same-text$$' -benchtime 1000x -benchmem \
 		-memprofilerate 1 -memprofile $$dir/mem.out -o $$dir/xsltdb.test . && \
 	$(GO) tool pprof -sample_index=alloc_objects -nodefraction 0 -focus 'CompiledTransform..run$$' -top $$dir/xsltdb.test $$dir/mem.out; \
+	status=$$?; rm -rf $$dir; exit $$status
+
+# Where the time of paper_figs' constructor-bound cases goes:
+# BenchmarkPaperFigures' avts and metric (Fig. 3) at 16 000 sales rows,
+# serial (workers=1), CPU-profiled and printed as pprof's top functions. The
+# benchmark's one-time set-up (loading 2 000-16 000 rows) is in the profile
+# too, a few per cent of it. The test binary and profile go to a temporary
+# directory that is removed afterwards.
+profile-paper:
+	@dir=$$(mktemp -d); \
+	$(GO) test -run '^$$' -bench '^BenchmarkPaperFigures$$/^(avts|metric)$$/^rows=16000$$/^workers=1$$' -benchtime 3s \
+		-cpuprofile $$dir/cpu.out -o $$dir/xsltdb.test . && \
+	$(GO) tool pprof -top -nodecount 30 $$dir/xsltdb.test $$dir/cpu.out; \
 	status=$$?; rm -rf $$dir; exit $$status
 
 # The serving daemon over the in-memory demo database: the paper stylesheet

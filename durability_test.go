@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,118 @@ func TestOpenReopenRoundtrip(t *testing.T) {
 	}
 	if got := d2.metrics.walAppendSeconds.Count(); got != 1 {
 		t.Fatalf("wal_append_seconds count is %d after one logged statement", got)
+	}
+}
+
+// escapeNames are VARCHAR cells with something for each escaper: what
+// element text escapes, what only an attribute value escapes, both, neither,
+// the empty string and multi-byte UTF-8.
+var escapeNames = []string{
+	`a<b`, `x&y`, `p>q`, `say "hi"`, "line1\nline2", "tab\there", "",
+	"naïve — ünïcödé 日本語 🙂", `]]>`, `&amp;`, "\r\n mixed <&>\"\t", "plain",
+}
+
+// escapeSheet puts the name column in an attribute value and in element
+// text.
+const escapeSheet = `<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+	<xsl:template match="row"><hit n="{name}"><xsl:value-of select="name"/></hit></xsl:template>
+</xsl:stylesheet>`
+
+// TestOpenReopenKeepsEscapeClasses: the escape class a VARCHAR cell keeps
+// from its insert (relstore, column.go) is computed again when the log is
+// replayed, and an index built over the replayed cells finds them. A
+// stylesheet writing every escapeNames cell as an attribute value and as
+// text answers, after reopen and CreateIndex on the column, the bytes it
+// answered before Close and the bytes the interpreter answers; a probe for
+// each name, through the new index, finds the rows a scan found before.
+func TestOpenReopenKeepsEscapeClasses(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(WithDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("row", TableColumn{Name: "id", Type: IntCol}, TableColumn{Name: "name", Type: StringCol}); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range escapeNames {
+		if err := d.Insert("row", int64(i), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CreateXMLView(keyedViewDef()); err != nil {
+		t.Fatal(err)
+	}
+	run := func(d *Database, opts ...RunOption) []string {
+		t.Helper()
+		ct, err := d.CompileTransform("rows", escapeSheet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct.Strategy() != StrategySQL {
+			t.Fatalf("the stylesheet compiled to %v, not to SQL/XML", ct.Strategy())
+		}
+		res, err := ct.Run(context.Background(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	probe := func(d *Database, name string) ([]string, ExecStats) {
+		t.Helper()
+		ct, err := d.CompileTransform("rows", escapeSheet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ct.Run(context.Background(), WithWhere("name = $n"), WithParam("n", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows, res.Stats
+	}
+	want := run(d)
+	if len(want) != len(escapeNames) {
+		t.Fatalf("%d rows before Close, want %d", len(want), len(escapeNames))
+	}
+	found := make([][]string, len(escapeNames))
+	for i, name := range escapeNames {
+		if found[i], _ = probe(d, name); len(found[i]) != 1 {
+			t.Fatalf("name = %q finds %d rows before Close, want 1", name, len(found[i]))
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(WithDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if err := d2.CreateIndex("row", "name"); err != nil {
+		t.Fatal(err)
+	}
+	got := run(d2)
+	nr, err := d2.CompileTransform("rows", escapeSheet, WithForcedStrategy(StrategyNoRewrite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := nr.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] || oracle.Rows[i] != want[i] {
+			t.Fatalf("row %d after reopen: %s\nbefore Close: %s\nno-rewrite: %s", i, got[i], want[i], oracle.Rows[i])
+		}
+	}
+	for i, name := range escapeNames {
+		rows, st := probe(d2, name)
+		if st.IndexProbes == 0 {
+			t.Errorf("name = %q ran %q, not an index probe", name, st.AccessPath)
+		}
+		if !slices.Equal(rows, found[i]) {
+			t.Errorf("name = %q: the index finds %q, the scan before Close found %q", name, rows, found[i])
+		}
 	}
 }
 

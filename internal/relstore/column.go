@@ -3,6 +3,8 @@ package relstore
 import (
 	"bytes"
 	"math"
+
+	"repro/internal/xmltree"
 )
 
 // The heap is columnar. Each column of a table is one vector typed by the
@@ -13,6 +15,22 @@ import (
 //     bytes in it;
 //   - every column has a validity byte per row: 0 is NULL (its typed slot
 //     holds a zero that nothing reads).
+//
+// A validity byte is laid out as
+//
+//	bit 0      1: the cell is not NULL
+//	bits 1–2   VARCHAR only: the cell's escape class (xmltree.EscapeClass),
+//	           computed once at insert — whether its bytes need escaping as
+//	           element text, as an attribute value, or in neither
+//
+// so an INT or FLOAT cell's byte is exactly 0 or 1, and a VARCHAR cell's
+// is 0 or odd. Construction reads the class (TextClass) and copies a cell
+// that needs no escaping with one append instead of scanning it per row.
+// No reader is disturbed by the extra bits: every VARCHAR reader — the
+// kernels' text and constant paths, index builds and probes, the joins,
+// Fetch, Cell — tests the byte against 0, and the numeric kernels, which
+// use it as the number 0 or 1 (selNum and the other branch-free loops in
+// kernel.go, Filter.Mask), only ever read INT and FLOAT vectors.
 //
 // Validity is a byte, not a bit. Tables are append-only, and a pinned reader
 // reads the rows below its pin while Insert appends above it: with a bitmap,
@@ -30,7 +48,7 @@ import (
 // vec is one column's storage.
 type vec struct {
 	typ   ColType
-	valid []byte    // valid[id] != 0: the cell of row id is not NULL
+	valid []byte    // valid[id] != 0: the cell of row id is not NULL (layout above)
 	ints  []int64   // INT cells
 	flts  []float64 // FLOAT cells
 	ends  []int     // VARCHAR: row id's bytes end at text[ends[id]]
@@ -43,7 +61,6 @@ func (v *vec) push(x Value) {
 	if x != nil {
 		ok = 1
 	}
-	v.valid = append(v.valid, ok)
 	switch v.typ {
 	case IntCol:
 		n, _ := x.(int64)
@@ -53,9 +70,13 @@ func (v *vec) push(x Value) {
 		v.flts = append(v.flts, f)
 	default:
 		s, _ := x.(string)
+		if ok != 0 {
+			ok |= xmltree.EscapeClass(s) << 1
+		}
 		v.text = append(v.text, s...)
 		v.ends = append(v.ends, len(v.text))
 	}
+	v.valid = append(v.valid, ok)
 }
 
 // bytes returns row id's VARCHAR bytes where they sit in the arena.
@@ -129,6 +150,18 @@ func (s *TableSnap) Text(ord, id int) (b []byte, ok bool) {
 		return nil, false
 	}
 	return c.bytes(id), true
+}
+
+// TextClass is Text with the cell's escape class (xmltree.EscapeClass),
+// kept since its insert in its validity byte: a VARCHAR cell whose class
+// does not name a context is copied into it as it stands.
+func (s *TableSnap) TextClass(ord, id int) (b []byte, class uint8, ok bool) {
+	c := &s.cols[ord]
+	v := c.valid[id]
+	if v == 0 {
+		return nil, 0, false
+	}
+	return c.bytes(id), v >> 1, true
 }
 
 // Fetch loads the cells of rows ids in columns ords, a column at a time:
@@ -225,4 +258,65 @@ func CompileFilter(typ ColType, ord int, op CmpOp, val Value) Filter {
 // and an unbound placeholder never match.
 func (f *Filter) Matches(ts *TableSnap, id int) bool {
 	return f.ok && ts.has(f.k.ord, id) && f.k.match(&ts.cols[f.k.ord], id)
+}
+
+// Mask tests rows ids of ts (at most 64, rows of the snapshot) at once: bit
+// i of the result is Matches(ts, ids[i]). It is how construction evaluates
+// a CASE WHEN for a chunk of XMLAgg members before it constructs them. An
+// INT or FLOAT comparison runs as the scan kernels do, branch-free: every
+// row's bit is its comparison & its validity byte (0 or 1 in a numeric
+// vector), so the cost does not depend on which rows match. Any other
+// predicate tests row by row.
+func (f *Filter) Mask(ts *TableSnap, ids []int) uint64 {
+	k := &f.k
+	if !f.ok || k.never || k.ord >= len(ts.cols) {
+		return 0
+	}
+	v := &ts.cols[k.ord]
+	switch {
+	case k.opd.mode == opdInt:
+		return maskNum(v.ints, v.valid, k.opd.i, k.op, ids)
+	case k.opd.mode == opdFloat && v.typ == IntCol:
+		return maskNum(v.ints, v.valid, k.opd.f, k.op, ids)
+	case k.opd.mode == opdFloat:
+		return maskNum(v.flts, v.valid, k.opd.f, k.op, ids)
+	}
+	var m uint64
+	for i, id := range ids {
+		if k.match(v, id) {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
+// maskNum is Mask over a numeric vector xs compared, as U, with y.
+func maskNum[T, U int64 | float64](xs []T, valid []byte, y U, op CmpOp, ids []int) (m uint64) {
+	switch op {
+	case CmpEq:
+		for i, id := range ids {
+			m |= uint64(eq(U(xs[id]), y)&int(valid[id])) << i
+		}
+	case CmpNe:
+		for i, id := range ids {
+			m |= uint64(ne(U(xs[id]), y)&int(valid[id])) << i
+		}
+	case CmpLt:
+		for i, id := range ids {
+			m |= uint64(lt(U(xs[id]), y)&int(valid[id])) << i
+		}
+	case CmpLe:
+		for i, id := range ids {
+			m |= uint64(le(U(xs[id]), y)&int(valid[id])) << i
+		}
+	case CmpGt:
+		for i, id := range ids {
+			m |= uint64(gt(U(xs[id]), y)&int(valid[id])) << i
+		}
+	case CmpGe:
+		for i, id := range ids {
+			m |= uint64(ge(U(xs[id]), y)&int(valid[id])) << i
+		}
+	}
+	return m
 }

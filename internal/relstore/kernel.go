@@ -35,7 +35,8 @@ package relstore
 //
 // So a kernel writes every candidate's id to the selection vector and
 // advances the output index by the row's match & valid, 0 or 1 (b2i is a
-// SETcc); valid is only ever 0 or 1 (vec.push). Equality also tests
+// SETcc); a numeric cell's valid is only ever 0 or 1 (vec.push; a VARCHAR
+// cell's also carries its escape class, column.go). Equality also tests
 // selBlock rows at once and skips the block on one branch when none
 // matches: an equality filter is usually selective, so that branch goes the
 // same way nearly every time and a skipped block writes nothing. A range

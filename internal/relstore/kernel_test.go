@@ -92,6 +92,9 @@ func drainMorsels(tb testing.TB, m *Morsels[struct{}]) []int {
 // residuals, and the index join's constant filter. Batches of 7 rows start
 // inside the kernels' blocks of selBlock rows, and the table's
 // MorselMinRows+37 rows leave the last batch and morsel a partial block.
+// Each predicate's Filter, and the same predicate on an unbound bind
+// variable, also tests ascending id lists of 1 to 64 rows with Mask, which
+// must set exactly the bits of the rows Matches accepts.
 func FuzzKernelVsMatches(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 0, 4})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 20, 2, 0, 30, 0, 5, 12})
@@ -154,7 +157,50 @@ func FuzzKernelVsMatches(f *testing.F) {
 			keys = append(keys, kernelInts[int(b)%len(kernelInts)])
 		}
 		checkJoin(t, "index join", ts, "i", keys, preds, 3)
+
+		checkMasks(t, ts, preds, data)
 	})
+}
+
+// checkMasks holds Filter.Mask to Filter.Matches for each of preds, and
+// for each on an unbound bind variable, over ascending id lists of 1 to 64
+// rows of ts whose gaps data decides.
+func checkMasks(t *testing.T, ts *TableSnap, preds []Pred, data []byte) {
+	t.Helper()
+	var filters []Filter
+	var names []string
+	for _, p := range preds {
+		ord := ts.ColIndex(p.Col)
+		var typ ColType
+		if ord >= 0 {
+			typ = ts.Type(ord)
+		}
+		filters = append(filters, CompileFilter(typ, ord, p.Op, p.Val), CompileFilter(typ, ord, p.Op, ParamValue("x")))
+		names = append(names, p.String(), p.String()+" (unbound)")
+	}
+	for n := 1; n <= 64; n++ {
+		// Gaps of 1 to 97 rows: 64 ids span at most 64*97 rows past start.
+		start := (n * 131) % (ts.NumRows() - 64*97)
+		ids := make([]int, n)
+		for b, id := 0, start; b < n; b++ {
+			ids[b] = id
+			if len(data) > 0 {
+				id += int(data[(n+b)%len(data)]) % 97
+			}
+			id++
+		}
+		for i := range filters {
+			var want uint64
+			for b, id := range ids {
+				if filters[i].Matches(ts, id) {
+					want |= 1 << b
+				}
+			}
+			if got := filters[i].Mask(ts, ids); got != want {
+				t.Fatalf("Mask of %s over ids %v: %064b, Matches %064b", names[i], ids, got, want)
+			}
+		}
+	}
 }
 
 // TestKernelCompileRules spells out the cross-type rules a kernel settles at
@@ -203,7 +249,8 @@ func TestKernelCompileRules(t *testing.T) {
 // match on their first and last row, a NULL beside a match and (FLOAT) a
 // NaN; with INT-vs-FLOAT constants; into a selection vector with room for
 // every candidate, one with none, and one already holding ids; and over id
-// lists filtered in place. One run crosses selNum's stack buffer twice.
+// lists filtered in place, and tested as one Filter.Mask. One run crosses
+// selNum's stack buffer twice.
 func TestKernelBlockEdges(t *testing.T) {
 	tab, err := NewTable("e", Column{"i", IntCol}, Column{"f", FloatCol})
 	if err != nil {
@@ -269,6 +316,16 @@ func TestKernelBlockEdges(t *testing.T) {
 						}
 						got = k.sel(append(make([]int, 0, 1+room), -1), ts, 0, 0, cands)
 						check(path+", ids appended", got[1:])
+					}
+					if len(cands) > 0 && len(cands) <= 64 {
+						f := CompileFilter(ts.Type(ord), ord, op, val)
+						var bits []int
+						for b, m := 0, f.Mask(ts, cands); b < len(cands); b++ {
+							if m>>b&1 != 0 {
+								bits = append(bits, cands[b])
+							}
+						}
+						check("mask", bits)
 					}
 					check("ids in place", k.sel(cands[:0], ts, 0, 0, cands))
 				}

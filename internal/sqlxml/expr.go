@@ -216,11 +216,16 @@ type evalContext struct {
 }
 
 // tickFlush is how many ops construction runs between governor charges.
-// Every flush is at least the governor's amortization interval, so it
-// performs a full cancellation check; at some ten to fifty nanoseconds an
-// op, a cancel is seen within tens of microseconds. It is this large
-// because the workers splitting one group (split.go) share the counter: a
-// flush every 64 ops cost a split some 6 % of its time in contention.
+// The count is of source ops: a program's superinstruction (a column op
+// with the static run before it folded in) counts as the two it stands for,
+// and evaluating a chunk's CASE WHEN masks counts nothing, as the per-member
+// test it replaces counted nothing beyond its opCond; so the ticks a run
+// charges do not depend on either. Every flush is at least the governor's
+// amortization interval, so it performs a full cancellation check; at some
+// ten to fifty nanoseconds an op, a cancel is seen within tens of
+// microseconds. It is this large because the workers splitting one group
+// (split.go) share the counter: a flush every 64 ops cost a split some 6 %
+// of its time in contention.
 const tickFlush = 1024
 
 // flushTicks charges the ops run since the last flush.

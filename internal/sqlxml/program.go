@@ -2,6 +2,7 @@ package sqlxml
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -35,6 +36,17 @@ import (
 //   - conditions compiled to relstore filters on ordinals: once, with the
 //     program, when a predicate compares with a constant; once per run, when
 //     the run binds the bind variable it compares with — never per row.
+//     Inside an XMLAgg body a condition is evaluated a chunk of members at
+//     a time, into a 64-bit mask per CASE WHEN (members), and its op tests
+//     one bit;
+//   - superinstructions: the static run before a column's op is folded into
+//     that op, so "literal, column, literal" is two dispatches, not three.
+//     A folded op charges one governor tick per source op it stands for, so
+//     the ticks a run charges are those of the unfolded program;
+//   - copies, not escapes: a VARCHAR cell carries its escape class from
+//     its insert (relstore's validity byte), so a cell with nothing to
+//     escape in its context is one append, and an INT is formatted in place
+//     in the output (appendInt).
 
 // Program is a query body compiled for byte construction. It is immutable
 // once compiled — every run of a plan, and every morsel worker of a run,
@@ -94,10 +106,19 @@ const (
 // op is one instruction. Value ops (opInt, opFloat, opText, opScalar) write
 // character content, closing an open start tag first unless their value is
 // empty, or — attr set — part of an attribute value, escaped for it.
+//
+// opInt, opFloat and opText are superinstructions: the static run the
+// compiler had pending before one is folded into it as lit, its prefix,
+// appended before the value whether the value is empty or not. Such an op
+// stands for two source ops (fused is 1) and charges two governor ticks, so
+// a run's ticks do not depend on the folding.
 type op struct {
 	kind  opKind
 	attr  bool
+	fused uint8 // static ops folded into lit: each charges one more tick
 	lit   string
+	// ord is a column's ordinal, or for an opCond in an XMLAgg body its
+	// mask's slot in the member frame (subOp.conds).
 	ord   int
 	jump  int
 	preds []int // opCond: its predicates, as indexes into the run's filters
@@ -110,12 +131,17 @@ type op struct {
 type subOp struct {
 	q    *SubQuery
 	body []op
-	// cols are the inner columns the body reads directly — its cells and
-	// its CASE WHEN predicates' columns — which the member loop fetches a
-	// chunk of members ahead (members).
+	// cols are the inner columns whose cells the body reads, which the
+	// member loop fetches a chunk of members ahead (members). Its CASE WHEN
+	// predicates' columns are not among them unless a cell is read too:
+	// conds reads those a chunk at a time.
 	cols []int
-	fn   aggFn
-	ord  int
+	// conds holds the predicates of every CASE WHEN of the body, in the
+	// order of their slots (op.ord): the member loop evaluates each over a
+	// chunk of members into one mask word before it runs the body.
+	conds [][]int
+	fn    aggFn
+	ord   int
 	// split marks an Agg body whose members the morsel pool may construct
 	// in parallel (split.go): one that ends with every start tag closed.
 	split bool
@@ -218,6 +244,13 @@ func (c *compiler) flush() {
 }
 
 func (c *compiler) emit(o op) {
+	switch o.kind {
+	case opInt, opFloat, opText:
+		if len(c.run) > 0 {
+			o.lit, o.fused = string(c.run), 1
+			c.run = c.run[:0]
+		}
+	}
 	c.flush()
 	c.code = append(c.code, o)
 }
@@ -431,7 +464,14 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 			body = append(body, op{kind: opOpen})
 		}
 	}
-	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, cols: c.cols, split: out == tagClosed}})
+	var conds [][]int
+	for i := range body {
+		if body[i].kind == opCond {
+			body[i].ord = len(conds)
+			conds = append(conds, body[i].preds)
+		}
+	}
+	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, cols: c.cols, conds: conds, split: out == tagClosed}})
 	c.tag = in
 	return nil
 }
@@ -454,7 +494,6 @@ func (c *compiler) cond(e *Cond, t *relstore.Table) error {
 		var typ relstore.ColType
 		if ord >= 0 {
 			typ = t.Cols[ord].Type
-			c.read(ord)
 		}
 		preds[i] = len(c.filters)
 		if name, ok := p.Val.(relstore.ParamValue); ok {
@@ -578,16 +617,17 @@ func (ec *evalContext) runRow(p *Program, dst []byte) ([]byte, error) {
 	return buf, err
 }
 
-// run executes code for the current row of f, appending to buf. Every op
-// executed is one governor tick.
+// run executes code for the current row of f, appending to buf. Every
+// source op executed is one governor tick: a superinstruction charges one
+// per op folded into it.
 func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 	for pc := 0; pc < len(code); pc++ {
-		if ec.ticks++; ec.ticks >= tickFlush {
+		o := &code[pc]
+		if ec.ticks += 1 + int(o.fused); ec.ticks >= tickFlush {
 			if err := ec.flushTicks(); err != nil {
 				return buf, err
 			}
 		}
-		o := &code[pc]
 		switch o.kind {
 		case opStatic:
 			buf = append(buf, o.lit...)
@@ -603,17 +643,20 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 				buf = append(buf, o.lit...)
 			}
 		case opInt:
+			buf = append(buf, o.lit...)
 			if x, ok := f.ts.Int(o.ord, f.id); ok {
-				buf = strconv.AppendInt(ec.contentOf(buf, o), x, 10)
+				buf = appendInt(ec.contentOf(buf, o), x)
 			}
 		case opFloat:
+			buf = append(buf, o.lit...)
 			if x, ok := f.ts.Float(o.ord, f.id); ok {
 				buf = appendFloat(ec.contentOf(buf, o), x)
 			}
 		case opText:
+			buf = append(buf, o.lit...)
 			// The empty string is no content: it leaves an open tag open.
-			if b, ok := f.ts.Text(o.ord, f.id); ok && len(b) > 0 {
-				buf = appendText(ec.contentOf(buf, o), b, o.attr)
+			if b, class, _ := f.ts.TextClass(o.ord, f.id); len(b) > 0 {
+				buf = appendText(ec.contentOf(buf, o), b, class, o.attr)
 			}
 		case opAgg:
 			inner, ids, err := ec.group(o.sub.q, f)
@@ -642,7 +685,14 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 				buf = ec.cellAt(buf, o, inner, o.sub.ord, best)
 			}
 		case opCond:
-			if !ec.holds(o.preds, f) {
+			// Inside the member loop's chunk the Cond's mask has the answer.
+			var holds bool
+			if len(f.masks) > 0 {
+				holds = f.masks[o.ord]>>(uint(f.pos)%memberChunk)&1 != 0
+			} else {
+				holds = ec.holds(o.preds, f)
+			}
+			if !holds {
 				pc += o.jump
 			}
 		case opJump:
@@ -656,7 +706,9 @@ func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
 // It bounds the lines a fetch brings in to what the cache keeps until the
 // body reads them — 64 members of a few columns is a few hundred lines — so
 // that a group of thousands of members does not evict its first members'
-// lines while it fetches its last.
+// lines while it fetches its last. It is also the width of a CASE WHEN's
+// mask word: a chunk starts at a multiple of it, so member i's bit is
+// i % memberChunk.
 const memberChunk = 64
 
 // members is the member loop of an Agg: it runs sub's body over every row of
@@ -667,10 +719,29 @@ const memberChunk = 64
 // heap overlap instead of stalling the body one at a time. The fetch only
 // reads rows below the snapshot's pin, which never change: it charges no
 // tick, counts nothing and cannot race a writer.
+//
+// Each CASE WHEN of the body is evaluated for the whole chunk too, into one
+// word per Cond on the frame (Filter.Mask: for a numeric comparison, a
+// branch-free loop over the chunk), and the body's opCond tests its
+// member's bit. A Cond answers the same whether or not a member reaches it
+// — the snapshot and the run's filters are fixed — so a mask computed for
+// members that take another branch changes nothing but the time. The masks
+// are dropped when the loop ends, however it ends: anything else run over
+// the frame (a driving row, a split morsel's next member loop) evaluates
+// its Conds afresh.
 func (ec *evalContext) members(sub *subOp, f *frame, buf []byte) (_ []byte, err error) {
+	masks := slices.Grow(f.masks[:0], len(sub.conds))[:len(sub.conds)]
+	if len(masks) > 0 {
+		defer func() { f.masks = masks[:0] }()
+	}
 	for lo := 0; lo < len(f.ids); lo += memberChunk {
 		hi := min(lo+memberChunk, len(f.ids))
-		ec.fetched += f.ts.Fetch(sub.cols, f.ids[lo:hi])
+		chunk := f.ids[lo:hi]
+		ec.fetched += f.ts.Fetch(sub.cols, chunk)
+		for j, preds := range sub.conds {
+			masks[j] = ec.mask(preds, f.ts, chunk)
+		}
+		f.masks = masks
 		for i := lo; i < hi; i++ {
 			f.setPos(i)
 			if buf, err = ec.run(sub.body, f, buf); err != nil {
@@ -679,6 +750,19 @@ func (ec *evalContext) members(sub *subOp, f *frame, buf []byte) (_ []byte, err 
 		}
 	}
 	return buf, nil
+}
+
+// mask evaluates the conjunction preds over rows ids of ts (at most
+// memberChunk): bit i is whether ids[i] satisfies every predicate.
+func (ec *evalContext) mask(preds []int, ts *relstore.TableSnap, ids []int) uint64 {
+	m := ^uint64(0)
+	for _, i := range preds {
+		if m == 0 {
+			break
+		}
+		m &= ec.filters[i].Mask(ts, ids)
+	}
+	return m
 }
 
 func (ec *evalContext) closeTag(buf []byte) []byte {
@@ -703,15 +787,15 @@ func (ec *evalContext) cellAt(buf []byte, o *op, ts *relstore.TableSnap, ord, id
 	switch ts.Type(ord) {
 	case relstore.IntCol:
 		if x, ok := ts.Int(ord, id); ok {
-			return strconv.AppendInt(ec.contentOf(buf, o), x, 10)
+			return appendInt(ec.contentOf(buf, o), x)
 		}
 	case relstore.FloatCol:
 		if x, ok := ts.Float(ord, id); ok {
 			return appendFloat(ec.contentOf(buf, o), x)
 		}
 	default:
-		if b, ok := ts.Text(ord, id); ok && len(b) > 0 {
-			return appendText(ec.contentOf(buf, o), b, o.attr)
+		if b, class, _ := ts.TextClass(ord, id); len(b) > 0 {
+			return appendText(ec.contentOf(buf, o), b, class, o.attr)
 		}
 	}
 	return buf
@@ -728,11 +812,19 @@ func (ec *evalContext) holds(preds []int, f *frame) bool {
 	return true
 }
 
-// appendText appends VARCHAR bytes escaped for their context (attr: an
-// attribute value), from where they sit.
-func appendText(dst, b []byte, attr bool) []byte {
+// appendText appends VARCHAR bytes of escape class class
+// (xmltree.EscapeClass) escaped for their context (attr: an attribute
+// value), from where they sit: bytes with nothing to escape in the context
+// are one copy.
+func appendText(dst, b []byte, class uint8, attr bool) []byte {
 	if attr {
+		if class&xmltree.AttrNeedsEscape == 0 {
+			return append(dst, b...)
+		}
 		return xmltree.AppendEscapeAttr(dst, b)
+	}
+	if class&xmltree.TextNeedsEscape == 0 {
+		return append(dst, b...)
 	}
 	return xmltree.AppendEscapeText(dst, b)
 }
@@ -741,9 +833,72 @@ func appendText(dst, b []byte, attr bool) []byte {
 // value as an integer, anything else in the shortest %g form.
 func appendFloat(dst []byte, f float64) []byte {
 	if f == float64(int64(f)) {
-		return strconv.AppendInt(dst, int64(f), 10)
+		return appendInt(dst, int64(f))
 	}
 	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendInt appends x in decimal, as strconv.AppendInt(dst, x, 10) does,
+// but in place: dst grows once, to its final length, and the digits are
+// written into it two at a time from the right, where AppendInt formats
+// into a temporary and copies it.
+func appendInt(dst []byte, x int64) []byte {
+	u := uint64(x)
+	if x < 0 {
+		u = -u // MinInt64 too: its magnitude, 1<<63, fits a uint64
+	}
+	n := decimalLen(u)
+	if x < 0 {
+		n++
+	}
+	dst = slices.Grow(dst, n)
+	i := len(dst) + n
+	dst = dst[:i]
+	for u >= 100 {
+		q := u / 100
+		r := (u - q*100) * 2
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		i--
+		dst[i] = byte('0' + u)
+	}
+	if x < 0 {
+		dst[i-1] = '-'
+	}
+	return dst
+}
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 holds 10^k for every k a uint64 has room for.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// decimalLen is how many decimal digits u has (0 has one): log10 from the
+// bit length (1233/4096 ≈ log10 2), corrected by one comparison. u|1 has
+// the digits of u and is never 0.
+func decimalLen(u uint64) int {
+	u |= 1
+	t := bits.Len64(u) * 1233 >> 12
+	if u < pow10[t] {
+		return t
+	}
+	return t + 1
 }
 
 // aggregate computes a SQL aggregate over the rows ids of inner, reading

@@ -1,13 +1,20 @@
 package sqlxml
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/governor"
 	"repro/internal/relstore"
+	"repro/internal/xmltree"
 )
 
 // The byte program is held to the tree walk over generated bodies: any
@@ -358,21 +365,27 @@ func TestAggSplitShapes(t *testing.T) {
 }
 
 // TestProgramShapes pins what the compiler decides statically for the
-// corners of the deferred '>' — and the bytes each one constructs.
+// corners of the deferred '>' and for its superinstructions — and the bytes
+// each one constructs, and the governor ticks: one per source op, however
+// many were folded into one.
 func TestProgramShapes(t *testing.T) {
 	db := kindsDB(t, nasty, []float64{0, 1}, 5)
 	for _, tc := range []struct {
-		name string
-		body XMLExpr
-		ops  int // ops compiled for the driving body
+		name  string
+		body  XMLExpr
+		ops   int // ops compiled for the driving body
+		ticks int // governor ticks per driving row; 0: not pinned
 	}{
+		// The static run before a value op is folded into it, and still
+		// charges its tick — also when the value (a NULL note) is empty.
+		{"literal, column, literal", &Concat{Items: []XMLExpr{&Literal{Text: "<x"}, &Column{Name: "note"}, &Literal{Text: "y"}}}, 2, 3},
 		{"static tree is one run", &Element{Name: "a", Attrs: []Attr{{Name: "x", Value: &Literal{Text: `"`}}}, Children: []XMLExpr{
-			&Element{Name: "b"}, &Literal{Text: "<"}, &Element{Name: "c", Children: []XMLExpr{&Literal{Text: "d"}}}}}, 1},
-		{"column under an open tag", &Element{Name: "a", Children: []XMLExpr{&Column{Name: "note"}}}, 4},
-		{"missing column compiles away", &Element{Name: "a", Children: []XMLExpr{&Column{Name: "nope"}}}, 1},
-		{"count is content", &Element{Name: "a", Children: []XMLExpr{&ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "j"}}}}, 3},
+			&Element{Name: "b"}, &Literal{Text: "<"}, &Element{Name: "c", Children: []XMLExpr{&Literal{Text: "d"}}}}}, 1, 0},
+		{"column under an open tag", &Element{Name: "a", Children: []XMLExpr{&Column{Name: "note"}}}, 4, 0},
+		{"missing column compiles away", &Element{Name: "a", Children: []XMLExpr{&Column{Name: "nope"}}}, 1, 0},
+		{"count is content", &Element{Name: "a", Children: []XMLExpr{&ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "j"}}}}, 3, 0},
 		{"agg body entered open", &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id",
-			Body: &Element{Name: "b"}}}}}, 4},
+			Body: &Element{Name: "b"}}}}}, 4, 0},
 		// A repeated attribute name keeps the first position and the last
 		// value; the value it overrides is never evaluated — on either path,
 		// so a non-scalar one is no error and a subquery in it joins nothing.
@@ -380,12 +393,12 @@ func TestProgramShapes(t *testing.T) {
 			{Name: "x", Value: &Element{Name: "not-scalar"}},
 			{Name: "y", Value: &ScalarAgg{Fn: "count", Sub: &SubQuery{Table: "i", CorrInner: "oid", CorrOuter: "id"}}},
 			{Name: "x", Value: &Column{Name: "name"}},
-			{Name: "y", Value: &Literal{Text: "v"}}}}, 3},
+			{Name: "y", Value: &Literal{Text: "v"}}}}, 2, 0},
 		// A CASE WHEN on a column the table does not have never holds, also
 		// over a table whose first column is not INT.
 		{"cond on a missing column", &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "v",
 			Body: &Cond{Preds: []relstore.Pred{{Col: "nope", Op: relstore.CmpEq, Val: int64(1)}},
-				Then: &Literal{Text: "then"}, Else: &Column{Name: "word"}}}}}}, 4},
+				Then: &Literal{Text: "then"}, Else: &Column{Name: "word"}}}}}}, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := &Query{Table: "o", Body: tc.body}
@@ -398,8 +411,40 @@ func TestProgramShapes(t *testing.T) {
 			}
 			assertProgramMatchesTrees(t, NewExecutor(db), q)
 			assertSameStats(t, NewExecutor(db), q)
+			if tc.ticks > 0 {
+				if got, want := programTicks(t, db, p), uint64(tc.ticks*5); got != want {
+					t.Errorf("%d governor ticks over 5 rows, want %d: %s", got, want, dumpOps(p.code))
+				}
+			}
 		})
 	}
+}
+
+// programTicks runs p serially over every row of its driving table and
+// returns the governor ticks charged.
+func programTicks(tb testing.TB, db *relstore.DB, p *Program) uint64 {
+	tb.Helper()
+	filters, err := p.bind(shapeParams)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap := db.Snapshot()
+	ts := snap.Table(p.q.Table)
+	ids := make([]int, ts.NumRows())
+	for i := range ids {
+		ids[i] = i
+	}
+	gov := governor.New(context.Background())
+	ec := &evalContext{snap: snap, stats: new(relstore.Stats), gov: gov, params: shapeParams, filters: filters}
+	ec.setRows(ts, ids)
+	for i := range ids {
+		ec.setPos(i)
+		if _, err := ec.runRow(p, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ec.release()
+	return gov.Ticks()
 }
 
 // assertSameStats demands that the walk and the program do the same
@@ -433,4 +478,59 @@ func dumpOps(code []op) string {
 		s += fmt.Sprintf("[%d %q jump=%d] ", o.kind, o.lit, o.jump)
 	}
 	return s
+}
+
+// TestAppendInt holds appendInt to strconv.AppendInt at every length's
+// edges — 0, ±1, ±9, ±10, ±10^k and ±(10^k − 1) — and the extremes, into
+// an empty slice and after bytes already held.
+func TestAppendInt(t *testing.T) {
+	xs := []int64{0, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); ; p *= 10 {
+		xs = append(xs, p, -p, p-1, -(p - 1), p+1, -(p + 1))
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	for _, x := range xs {
+		for _, dst := range [][]byte{nil, []byte("<a>"), make([]byte, 2, 40)} {
+			want := strconv.AppendInt(slices.Clone(dst), x, 10)
+			if got := appendInt(slices.Clone(dst), x); !bytes.Equal(got, want) {
+				t.Fatalf("appendInt(%q, %d) = %q, want %q", dst, x, got, want)
+			}
+		}
+	}
+}
+
+// TestEscapeClassInValidityByte holds the escape class a VARCHAR cell
+// carries from its insert (TableSnap.TextClass) to the escapers themselves:
+// for every one-byte string and every nasty value, the text bit is set
+// exactly when EscapeText changes the string, and the attribute bit exactly
+// when EscapeAttr does.
+func TestEscapeClassInValidityByte(t *testing.T) {
+	db := relstore.NewDB()
+	tab, err := db.CreateTable("t", relstore.Column{Name: "s", Type: relstore.StringCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := slices.Clone(nasty)
+	for b := range 256 {
+		values = append(values, string([]byte{byte(b)}))
+	}
+	for _, v := range values {
+		if _, err := tab.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := db.Snapshot().Table("t")
+	for id, v := range values {
+		b, class, ok := ts.TextClass(0, id)
+		if !ok || string(b) != v {
+			t.Fatalf("row %d reads %q (ok %v), want %q", id, b, ok, v)
+		}
+		text := class&xmltree.TextNeedsEscape != 0
+		attr := class&xmltree.AttrNeedsEscape != 0
+		if text != (xmltree.EscapeText(v) != v) || attr != (xmltree.EscapeAttr(v) != v) {
+			t.Errorf("%q: class %02b, but EscapeText changes it: %v, EscapeAttr: %v", v, class, xmltree.EscapeText(v) != v, xmltree.EscapeAttr(v) != v)
+		}
+	}
 }

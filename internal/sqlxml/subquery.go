@@ -31,6 +31,11 @@ type frame struct {
 	id   int // ids[pos], the current row
 	// inner is the frame one level down, created when an Agg first needs it.
 	inner *frame
+	// masks is, while the member loop runs a chunk of this list, one word
+	// per CASE WHEN of the Agg body it runs: bit pos%memberChunk is whether
+	// the current member satisfies the Cond (members). It is empty
+	// otherwise; its array is kept for the frame's next member loop.
+	masks []uint64
 }
 
 // setList installs ids (rows of ts) as f's row list; position it with

@@ -158,27 +158,57 @@ func AppendEscapeAttr[S ~string | ~[]byte](dst []byte, s S) []byte {
 	return appendEscaped(dst, s, true)
 }
 
+// Escape classes, as EscapeClass reports them: which of the two escapers
+// would change a string.
+const (
+	TextNeedsEscape = 1 << iota // EscapeText(s) != s: s holds '&', '<' or '>'
+	AttrNeedsEscape             // EscapeAttr(s) != s: s holds one of those, '"', '\n' or '\t'
+)
+
+// escClass is the escape class of each byte.
+var escClass = [256]uint8{
+	'&': TextNeedsEscape | AttrNeedsEscape,
+	'<': TextNeedsEscape | AttrNeedsEscape,
+	'>': TextNeedsEscape | AttrNeedsEscape,
+	'"': AttrNeedsEscape, '\n': AttrNeedsEscape, '\t': AttrNeedsEscape,
+}
+
+// EscapeClass reports which escapers would change s: TextNeedsEscape,
+// AttrNeedsEscape, both or neither. Every string that needs escaping as
+// text needs it as an attribute value too.
+func EscapeClass[S ~string | ~[]byte](s S) uint8 {
+	var c uint8
+	for i := 0; i < len(s); i++ {
+		c |= escClass[s[i]]
+	}
+	return c
+}
+
 func appendEscaped[S ~string | ~[]byte](dst []byte, s S, attr bool) []byte {
+	class := uint8(TextNeedsEscape)
+	if attr {
+		class = AttrNeedsEscape
+	}
 	last := 0
 	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if escClass[c]&class == 0 {
+			continue
+		}
 		var esc string
-		switch c := s[i]; {
-		case c == '&':
+		switch c {
+		case '&':
 			esc = "&amp;"
-		case c == '<':
+		case '<':
 			esc = "&lt;"
-		case c == '>':
+		case '>':
 			esc = "&gt;"
-		case !attr:
-			continue
-		case c == '"':
+		case '"':
 			esc = "&quot;"
-		case c == '\n':
+		case '\n':
 			esc = "&#10;"
-		case c == '\t':
+		default: // '\t'
 			esc = "&#9;"
-		default:
-			continue
 		}
 		dst = append(dst, s[last:i]...)
 		dst = append(dst, esc...)
