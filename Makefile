@@ -1,8 +1,10 @@
 # Tier-1 gate plus static, race, fuzz-smoke, fault-injection and an
 # end-to-end benchmark smoke. No target writes a tracked file.
 #
-#   make verify   build + unit tests + go vet + bench-vet + race suite + fuzz
-#                 smoke + faults + crash + diag-smoke + bench-smoke
+#   make verify   gofmt gate + build + unit tests + go vet + bench-vet + race
+#                 suite + fuzz smoke + faults + crash + diag-smoke + bench-smoke
+#   make fmt      fails, listing the files, when gofmt would change any tracked
+#                 .go file
 #   make test     tier-1 only (what CI gates on)
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
 #                 SQL/XML byte program against the tree serializer (random
@@ -50,9 +52,13 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: verify test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench paper allocs profile-paper demo console serve
+.PHONY: verify fmt test vet bench-vet race fuzz faults crash diag-smoke bench-smoke bench paper allocs profile-paper demo console serve
 
-verify: test vet bench-vet race fuzz faults crash diag-smoke bench-smoke
+verify: fmt test vet bench-vet race fuzz faults crash diag-smoke bench-smoke
+
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) build ./...

@@ -26,7 +26,6 @@ import (
 	"repro/internal/xschema"
 	"repro/internal/xslt"
 	"repro/internal/xsltmark"
-	"repro/internal/xsltvm"
 	"repro/internal/xtest"
 )
 
@@ -69,33 +68,6 @@ func BenchmarkAblationTranslationModes(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationVMvsInterpreter compares the two functional XSLT
-// executors (tree-walking interpreter vs XSLTVM bytecode) on the paper's
-// Example 1.
-func BenchmarkAblationVMvsInterpreter(b *testing.B) {
-	doc, err := xmltree.Parse(xslt.PaperDeptRow1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sheet := xtest.Sheet(b, xslt.PaperStylesheet)
-	b.Run("interpreter", func(b *testing.B) {
-		eng := xslt.New(sheet)
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Transform(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("vm", func(b *testing.B) {
-		vm := newVM(b, sheet)
-		for i := 0; i < b.N; i++ {
-			if _, err := vm.Run(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkRewriteCompilation measures CompileTransform with the plan
@@ -610,13 +582,4 @@ func mustSchema(tb testing.TB, compact string) *xschema.Schema {
 		tb.Fatal(err)
 	}
 	return s
-}
-
-func newVM(tb testing.TB, sheet *xslt.Stylesheet) *xsltvm.VM {
-	tb.Helper()
-	prog, err := xsltvm.Compile(sheet)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return xsltvm.New(prog)
 }

@@ -62,7 +62,7 @@ func rewriteNonInline(peRes *pe.Result, partial bool) (*Result, error) {
 	}
 	allModes := modesOf(r.sheet)
 	for id, list := range peRes.CallLists {
-		mode := peRes.Program.TraceTable[id].Mode
+		mode := peRes.TraceTable[id].Mode
 		for _, e := range list {
 			if e.Kind == xmltree.ElementNode {
 				markPlans(e.Name, mode)

@@ -53,7 +53,9 @@ func (e *LimitError) Unwrap() error { return ErrLimitExceeded }
 // cancelError wraps both ErrCanceled and the context's own error.
 type cancelError struct{ cause error }
 
-func (e *cancelError) Error() string { return "governor: " + ErrCanceled.Error() + ": " + e.cause.Error() }
+func (e *cancelError) Error() string {
+	return "governor: " + ErrCanceled.Error() + ": " + e.cause.Error()
+}
 
 func (e *cancelError) Unwrap() []error { return []error{ErrCanceled, e.cause} }
 

@@ -15,14 +15,15 @@
 package pe
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/governor"
 	"repro/internal/xmltree"
 	"repro/internal/xschema"
 	"repro/internal/xslt"
-	"repro/internal/xsltvm"
 )
 
 // CallEntry is one entry of a trace-call-list: during the sample run, the
@@ -53,10 +54,9 @@ type Result struct {
 	Schema *xschema.Schema
 	Sample *xmltree.Node
 	Sheet  *xslt.Stylesheet
-	// Program is the instrumented (optimistic) program that produced the
-	// trace; the rewriter reads trace ids from the ORIGINAL stylesheet's
-	// instructions, which share numbering.
-	Program *xsltvm.Program
+	// TraceTable has one entry per apply-templates instruction, indexed by
+	// the TraceID traceTable set on the ORIGINAL stylesheet's instructions.
+	TraceTable []TraceEntry
 
 	// CallLists maps each apply-templates trace id to its call list, in
 	// activation order with duplicates (same template+name) removed.
@@ -102,25 +102,18 @@ func Evaluate(sheet *xslt.Stylesheet, schema *xschema.Schema) (*Result, error) {
 	if len(cyclicCallees) > 0 {
 		dropCyclicCalls(optimistic, cyclicCallees)
 	}
-	prog, err := xsltvm.Compile(optimistic)
-	if err != nil {
-		return nil, fmt.Errorf("pe: compile: %w", err)
-	}
-	// Trace ids are assigned in compile order; compile the original too so
-	// callers can map ids back. (The original is not executed here.)
-	origProg, err := xsltvm.Compile(sheet)
-	if err != nil {
-		return nil, fmt.Errorf("pe: compile original: %w", err)
-	}
-	if len(origProg.TraceTable) != len(prog.TraceTable) {
-		return nil, fmt.Errorf("pe: internal: trace tables diverge (%d vs %d)", len(origProg.TraceTable), len(prog.TraceTable))
+	// Number both copies: the rewriter reads trace ids from the original's
+	// instructions, the sample run reports the optimistic copy's.
+	table := traceTable(sheet)
+	if n := len(traceTable(optimistic)); n != len(table) {
+		return nil, fmt.Errorf("pe: internal: trace tables diverge (%d vs %d)", len(table), n)
 	}
 
 	res := &Result{
 		Schema:             schema,
 		Sample:             sample,
 		Sheet:              sheet,
-		Program:            origProg,
+		TraceTable:         table,
 		CallLists:          map[int][]CallEntry{},
 		Instantiated:       map[*xslt.Template]bool{},
 		RecursiveTemplates: map[*xslt.Template]bool{},
@@ -134,7 +127,6 @@ func Evaluate(sheet *xslt.Stylesheet, schema *xschema.Schema) (*Result, error) {
 		return sheet.Templates[opt.Index]
 	}
 
-	vm := xsltvm.New(prog)
 	// The graph: node ids are template indexes; -1 is the built-in pseudo
 	// node. Edges from TraceTable owners to activated templates.
 	edges := map[int]map[int]bool{}
@@ -146,7 +138,8 @@ func Evaluate(sheet *xslt.Stylesheet, schema *xschema.Schema) (*Result, error) {
 	}
 
 	seen := map[string]bool{} // dedupe (traceID, name/kind, template index)
-	vm.Trace = func(ev xsltvm.TraceEvent) {
+	eng := xslt.New(optimistic)
+	eng.Trace = func(ev xslt.TraceEvent) {
 		orig := tmplOf(ev.Template)
 		entry := CallEntry{Node: ev.Node, Kind: ev.Node.Kind, Template: orig}
 		if ev.Node.Kind == xmltree.ElementNode {
@@ -161,7 +154,7 @@ func Evaluate(sheet *xslt.Stylesheet, schema *xschema.Schema) (*Result, error) {
 		// Graph edge: owner of the apply instruction → activated template.
 		from := -1
 		if ev.TraceID >= 0 {
-			if owner := prog.TraceTable[ev.TraceID].Owner; owner != nil {
+			if owner := table[ev.TraceID].Owner; owner != nil {
 				from = owner.Index
 			}
 		}
@@ -183,10 +176,10 @@ func Evaluate(sheet *xslt.Stylesheet, schema *xschema.Schema) (*Result, error) {
 		res.CallLists[ev.TraceID] = append(res.CallLists[ev.TraceID], entry)
 	}
 
-	vm.MaxDepth = 256
-	vm.Runtime.Optimistic = true // key() lookups assumed to match (§4.3)
-	if _, err := vm.Run(sample); err != nil {
-		if strings.Contains(err.Error(), "recursion deeper") {
+	eng.MaxDepth = 256
+	eng.Runtime.Optimistic = true // key() lookups assumed to match (§4.3)
+	if _, err := eng.Transform(sample); err != nil {
+		if errors.Is(err, governor.ErrRecursionLimit) {
 			// Dynamic recursion the static checks missed (e.g. a template
 			// re-applying to its own context node): the trace gathered so
 			// far is still valid; mark the stylesheet recursive.
@@ -232,6 +225,83 @@ func Evaluate(sheet *xslt.Stylesheet, schema *xschema.Schema) (*Result, error) {
 		res.RecursionReason = "schema is recursive at " + strings.Join(recs, ", ")
 	}
 	return res, nil
+}
+
+// TraceEntry is one row of the trace table (§4.3): an apply-templates
+// instruction, numbered by its TraceID.
+type TraceEntry struct {
+	// SelectSrc is the select expression as written ("" = children).
+	SelectSrc string
+	Mode      string
+	// Owner is the template holding the instruction (nil in a global
+	// variable).
+	Owner *xslt.Template
+}
+
+// traceTable numbers every apply-templates instruction of sheet, setting its
+// TraceID, and returns their entries in that order: global variables, then
+// each template's params and body; within a body an instruction's with-param
+// bodies come before the instruction. A variable's or param's body counts
+// only when it has no select; with one, the body never runs.
+func traceTable(sheet *xslt.Stylesheet) []TraceEntry {
+	var table []TraceEntry
+	var owner *xslt.Template
+	var seq func([]xslt.Instruction)
+	defs := func(vars []*xslt.VarDef) {
+		for _, d := range vars {
+			if d.Select == nil {
+				seq(d.Body)
+			}
+		}
+	}
+	seq = func(body []xslt.Instruction) {
+		for _, instr := range body {
+			switch in := instr.(type) {
+			case *xslt.ApplyTemplates:
+				defs(in.Params)
+				in.TraceID = len(table)
+				te := TraceEntry{Mode: in.Mode, Owner: owner}
+				if in.Select != nil {
+					te.SelectSrc = in.Select.String()
+				}
+				table = append(table, te)
+			case *xslt.CallTemplate:
+				defs(in.Params)
+			case *xslt.DeclareVar:
+				defs([]*xslt.VarDef{in.Def})
+			case *xslt.LiteralElement:
+				seq(in.Body)
+			case *xslt.MakeElement:
+				seq(in.Body)
+			case *xslt.MakeAttribute:
+				seq(in.Body)
+			case *xslt.MakeComment:
+				seq(in.Body)
+			case *xslt.MakePI:
+				seq(in.Body)
+			case *xslt.ForEach:
+				seq(in.Body)
+			case *xslt.If:
+				seq(in.Body)
+			case *xslt.Choose:
+				for _, w := range in.Whens {
+					seq(w.Body)
+				}
+				seq(in.Otherwise)
+			case *xslt.Copy:
+				seq(in.Body)
+			case *xslt.Message:
+				seq(in.Body)
+			}
+		}
+	}
+	defs(sheet.GlobalVars)
+	for _, t := range sheet.Templates {
+		owner = t
+		defs(t.Params)
+		seq(t.Body)
+	}
+	return table
 }
 
 func templateIndexByName(sheet *xslt.Stylesheet, name string) int {
@@ -347,7 +417,7 @@ func (r *Result) EntriesFor(at *xslt.ApplyTemplates) []CallEntry {
 func (r *Result) Describe() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "partial evaluation: %d apply-templates sites, %d templates instantiated\n",
-		len(r.Program.TraceTable), len(r.Instantiated))
+		len(r.TraceTable), len(r.Instantiated))
 	if r.Recursive {
 		fmt.Fprintf(&sb, "recursive: %s\n", r.RecursionReason)
 	}
@@ -360,7 +430,7 @@ func (r *Result) Describe() string {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		te := r.Program.TraceTable[id]
+		te := r.TraceTable[id]
 		sel := te.SelectSrc
 		if sel == "" {
 			sel = "child::node()"

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -319,4 +320,63 @@ func TestKeyFunctionOptimistic(t *testing.T) {
 	if !found {
 		t.Fatal("key()-selected templates must trace during PE")
 	}
+}
+
+// TestTraceTable checks §4.3's trace table on the paper's stylesheet: one
+// entry per apply-templates instruction, carrying its select source and its
+// owning template, with the ids set on the instructions themselves; the
+// optimistic copy is numbered the same way.
+func TestTraceTable(t *testing.T) {
+	sheet := xtest.Sheet(t, xslt.PaperStylesheet)
+	optimistic := optimisticSheet(sheet)
+	table := traceTable(sheet)
+	if len(table) != 2 {
+		t.Fatalf("trace table entries = %d, want 2", len(table))
+	}
+	if table[0].SelectSrc != "" {
+		t.Fatalf("first apply has no select, got %q", table[0].SelectSrc)
+	}
+	if !strings.Contains(table[1].SelectSrc, "emp[sal > 2000]") {
+		t.Fatalf("second select = %q", table[1].SelectSrc)
+	}
+	if table[0].Owner == nil || table[0].Owner.MatchSrc != "dept" {
+		t.Fatalf("first owner = %v, want the dept template", table[0].Owner)
+	}
+	if got := applyIDs(sheet.Templates); fmt.Sprint(got) != "[0 1]" {
+		t.Fatalf("ids on the stylesheet's apply-templates = %v, want [0 1]", got)
+	}
+
+	optTable := traceTable(optimistic)
+	if got := applyIDs(optimistic.Templates); fmt.Sprint(got) != "[0 1]" {
+		t.Fatalf("ids on the optimistic copy's apply-templates = %v, want [0 1]", got)
+	}
+	if len(optTable) != len(table) {
+		t.Fatalf("optimistic trace table entries = %d, want %d", len(optTable), len(table))
+	}
+	for id := range table {
+		if optTable[id].Mode != table[id].Mode || optTable[id].Owner.Index != table[id].Owner.Index {
+			t.Fatalf("trace[%d]: optimistic %+v, original %+v", id, optTable[id], table[id])
+		}
+	}
+}
+
+// applyIDs lists the TraceIDs of the apply-templates instructions in the
+// templates' bodies and literal result elements, in document order.
+func applyIDs(templates []*xslt.Template) []int {
+	var ids []int
+	var walk func([]xslt.Instruction)
+	walk = func(body []xslt.Instruction) {
+		for _, instr := range body {
+			switch in := instr.(type) {
+			case *xslt.ApplyTemplates:
+				ids = append(ids, in.TraceID)
+			case *xslt.LiteralElement:
+				walk(in.Body)
+			}
+		}
+	}
+	for _, tm := range templates {
+		walk(tm.Body)
+	}
+	return ids
 }

@@ -211,28 +211,6 @@ func (s *RunSpec) planDriving(ts *relstore.TableSnap, where []relstore.Pred) (re
 	return plan, nil
 }
 
-// BindQuery substitutes bind variables throughout q — the driving WHERE
-// clause, conditional constructors, and nested subqueries — returning a new
-// Query that shares every unmodified subtree with the original. An unbound
-// placeholder is an error wrapping relstore.ErrUnboundParam.
-func BindQuery(q *Query, params map[string]relstore.Value) (*Query, error) {
-	where, err := relstore.BindPreds(q.Where, params)
-	if err != nil {
-		return nil, err
-	}
-	body, err := bindXML(q.Body, params)
-	if err != nil {
-		return nil, err
-	}
-	if !relstore.HasParams(q.Where) && body == q.Body {
-		return q, nil
-	}
-	cp := *q
-	cp.Where = where
-	cp.Body = body
-	return &cp, nil
-}
-
 // bindXML substitutes bind variables inside an XML construction tree
 // (Cond predicates and SubQuery WHERE clauses), copy-on-write: subtrees
 // without placeholders are returned as-is, shared with the compiled plan.

@@ -336,10 +336,3 @@ func (e *PathExpr) String() string {
 	}
 	return sb.String()
 }
-
-// IsContextItem reports whether the expression is exactly "." — a single
-// self::node() step with no predicates.
-func (e *PathExpr) IsContextItem() bool {
-	return e.Start == nil && !e.Abs && len(e.Steps) == 1 &&
-		e.Steps[0].Axis == AxisSelf && e.Steps[0].Test.Kind == TestNode && len(e.Steps[0].Preds) == 0
-}

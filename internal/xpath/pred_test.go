@@ -55,18 +55,18 @@ func TestConjunctsFlipped(t *testing.T) {
 
 func TestConjunctsRejects(t *testing.T) {
 	reject := []string{
-		"price",                   // bare path, no comparison
-		"price > 100 or sal = 1",  // disjunction
-		"not(price > 100)",        // function
-		"position() = 1",          // positional
-		"a/b = 1",                 // multi-step operand
-		"../x = 1",                // non-child axis
-		"a[1] = 1",                // operand with predicate
-		"price > sal",             // column vs column
-		"1 = 2",                   // constant vs constant
-		"price + 1 > 100",         // arithmetic operand
-		"@id = concat('a', 'b')",  // computed value
-		"p:price > 100",           // prefixed name
+		"price",                    // bare path, no comparison
+		"price > 100 or sal = 1",   // disjunction
+		"not(price > 100)",         // function
+		"position() = 1",           // positional
+		"a/b = 1",                  // multi-step operand
+		"../x = 1",                 // non-child axis
+		"a[1] = 1",                 // operand with predicate
+		"price > sal",              // column vs column
+		"1 = 2",                    // constant vs constant
+		"price + 1 > 100",          // arithmetic operand
+		"@id = concat('a', 'b')",   // computed value
+		"p:price > 100",            // prefixed name
 		"price > 100 and (a or b)", // conjunct not a comparison
 	}
 	for _, src := range reject {

@@ -30,19 +30,6 @@ func Parse(src string) (*Module, error) {
 	return m, nil
 }
 
-
-// ParseExpr parses a single expression (no prolog).
-func ParseExpr(src string) (Expr, error) {
-	m, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(m.Vars) > 0 || len(m.Funcs) > 0 {
-		return nil, &ParseError{Src: src, Pos: 0, Msg: "expected a bare expression, found prolog declarations"}
-	}
-	return m.Body, nil
-}
-
 // maxParseDepth bounds parser recursion so hostile inputs (a kilobyte of
 // "((((" or deeply nested constructors) surface a ParseError instead of
 // exhausting the goroutine stack. Real-world queries nest a handful of

@@ -90,7 +90,6 @@ type typedRef struct {
 	line int
 }
 
-
 // commentStart finds the index of a comment '#', skipping content tokens
 // like #text/#int/#float/#empty.
 func commentStart(line string) int {

@@ -611,3 +611,68 @@ func TestXslInclude(t *testing.T) {
 		t.Fatal("unknown href should fail")
 	}
 }
+
+// TestTraceEvents runs the paper's Example 1 with the Trace hook set and
+// checks the observed template activations, the raw material of the partial
+// evaluator's execution graph (§4.3).
+func TestTraceEvents(t *testing.T) {
+	sheet := MustParseStylesheet(PaperStylesheet)
+	// Number the apply-templates instructions in document order, as the
+	// partial evaluator does: <xsl:apply-templates/> in dept is 0, the emp
+	// selection in employees is 1.
+	next := 0
+	var number func([]Instruction)
+	number = func(body []Instruction) {
+		for _, instr := range body {
+			switch in := instr.(type) {
+			case *ApplyTemplates:
+				in.TraceID = next
+				next++
+			case *LiteralElement:
+				number(in.Body)
+			}
+		}
+	}
+	for _, tm := range sheet.Templates {
+		number(tm.Body)
+	}
+	if next != 2 {
+		t.Fatalf("numbered %d apply-templates, want 2", next)
+	}
+
+	eng := New(sheet)
+	var events []TraceEvent
+	eng.Trace = func(ev TraceEvent) { events = append(events, ev) }
+	doc, err := xmltree.Parse(PaperDeptRow1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Transform(doc); err != nil {
+		t.Fatal(err)
+	}
+	byMatch := map[string]int{}
+	rootBuiltin, empID := false, -2
+	for _, ev := range events {
+		if ev.Builtin {
+			if ev.Node.Kind == xmltree.DocumentNode && ev.TraceID == -1 {
+				rootBuiltin = true
+			}
+			continue
+		}
+		byMatch[ev.Template.MatchSrc]++
+		if ev.Template.MatchSrc == "emp" {
+			empID = ev.TraceID
+		}
+	}
+	for _, m := range []string{"dept", "dname", "loc", "employees", "emp"} { // only CLARK passes sal > 2000
+		if byMatch[m] != 1 {
+			t.Fatalf("activations = %v, want one each of dept, dname, loc, employees, emp", byMatch)
+		}
+	}
+	if !rootBuiltin {
+		t.Fatal("expected a built-in activation for the document root")
+	}
+	if empID != 1 {
+		t.Fatalf("emp activation attributed to trace id %d, want 1 (the second apply-templates)", empID)
+	}
+}

@@ -10,7 +10,7 @@ import (
 // RuntimeFuncs resolves the XSLT extension functions the XPath engine does
 // not know natively: key() over xsl:key declarations and generate-id().
 // One instance serves a whole transformation; key tables build lazily per
-// document root. Both the tree-walking interpreter and the XSLTVM share it.
+// document root.
 type RuntimeFuncs struct {
 	sheet *Stylesheet
 	// Optimistic makes key() return every node matching the key's pattern

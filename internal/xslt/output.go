@@ -8,8 +8,7 @@ import (
 
 // OutputBuilder accumulates a result tree. The root is a document node
 // used as a fragment container; OpenElement/CloseElement maintain the
-// current insertion point. It is shared by the tree-walking interpreter
-// and the XSLTVM bytecode executor.
+// current insertion point.
 type OutputBuilder struct {
 	root  *xmltree.Node
 	stack []*xmltree.Node

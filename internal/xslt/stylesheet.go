@@ -133,8 +133,8 @@ type ApplyTemplates struct {
 	Mode   string
 	Sorts  []SortKey
 	Params []*VarDef
-	// TraceID is assigned by compilers that trace instantiations (the
-	// XSLTVM partial evaluator); -1 when untraced.
+	// TraceID numbers the instruction for Engine.Trace; the partial
+	// evaluator assigns it (its trace table), and it is -1 when untraced.
 	TraceID int
 }
 

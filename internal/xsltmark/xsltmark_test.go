@@ -12,7 +12,6 @@ import (
 	"repro/internal/xquery"
 	"repro/internal/xschema"
 	"repro/internal/xslt"
-	"repro/internal/xsltvm"
 	"repro/internal/xtest"
 )
 
@@ -111,32 +110,6 @@ func recursionReason(res *core.Result) string {
 		return res.PE.RecursionReason
 	}
 	return ""
-}
-
-// TestVMEquivalenceOnSuite runs a sample of cases through the XSLTVM as a
-// cross-check of the two executors.
-func TestVMEquivalenceOnSuite(t *testing.T) {
-	for _, name := range []string{"dbonerow", "avts", "chart", "metric", "total", "identity", "bottles", "alphabetize"} {
-		c := ByName(name)
-		if c == nil {
-			t.Fatalf("case %q missing", name)
-		}
-		doc, _ := xmltree.Parse(c.Gen(15))
-		sheet := xtest.Sheet(t, c.Stylesheet)
-		want, err := xslt.New(sheet).TransformToString(doc)
-		if err != nil {
-			t.Fatalf("%s interpreter: %v", name, err)
-		}
-		// VM path exercised through a fresh compile.
-		prog := mustCompile(t, sheet)
-		got, err := prog.RunToString(doc)
-		if err != nil {
-			t.Fatalf("%s vm: %v", name, err)
-		}
-		if got != want {
-			t.Fatalf("%s: VM and interpreter disagree", name)
-		}
-	}
 }
 
 // TestRelationalBackingMatchesDocuments: for cases with a relational
@@ -303,52 +276,5 @@ func TestByName(t *testing.T) {
 	}
 	if ByName("zzz") != nil {
 		t.Fatal("unknown case should be nil")
-	}
-}
-
-// mustCompile builds an XSLTVM program wrapper exposing RunToString.
-func mustCompile(t *testing.T, sheet *xslt.Stylesheet) *vmRunner {
-	t.Helper()
-	prog, err := xsltvm.Compile(sheet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &vmRunner{vm: xsltvm.New(prog)}
-}
-
-type vmRunner struct{ vm *xsltvm.VM }
-
-func (r *vmRunner) RunToString(doc *xmltree.Node) (string, error) {
-	return r.vm.RunToString(doc)
-}
-
-// TestVMEquivalenceAllCases runs the FULL suite through both functional
-// executors: the tree-walking interpreter and the XSLTVM must agree on
-// every case.
-func TestVMEquivalenceAllCases(t *testing.T) {
-	for _, c := range All() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			doc, err := xmltree.Parse(c.Gen(12))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sheet := xtest.Sheet(t, c.Stylesheet)
-			want, err := xslt.New(sheet).TransformToString(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := xsltvm.Compile(sheet)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := xsltvm.New(prog).RunToString(doc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("VM and interpreter disagree:\n vm: %.300s\n it: %.300s", got, want)
-			}
-		})
 	}
 }
