@@ -8,7 +8,9 @@
 #   make test     tier-1 only (what CI gates on)
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
 #                 SQL/XML byte program against the tree serializer (random
-#                 cells, and random bodies), the group-join against a nested
+#                 cells, and random bodies), the scalar aggregates' typed
+#                 loops against a cell-by-cell boxed reference (which the
+#                 program and the tree walk share), the group-join against a nested
 #                 loop, the B+-tree index against a sorted (key, id) slice,
 #                 the filter kernels against Pred.Matches on every access
 #                 path (and the CASE WHEN masks against Filter.Matches),
@@ -42,9 +44,10 @@
 #                 paper_figs' data), at workers=1 and workers=default
 #   make allocs   the allocation sites of one Run (serve_miss's engine shape),
 #                 from a memory profile kept in a temporary directory
-#   make profile-paper  where Fig. 3's constructor time goes: a CPU profile of
-#                 BenchmarkPaperFigures' avts and metric at 16 000 rows and
-#                 workers=1, printed as pprof -top
+#   make profile-paper  where Fig. 3's constructor time goes: CPU profiles of
+#                 BenchmarkPaperFigures' avts, metric and total at 16 000
+#                 rows, one at workers=1 and one at workers=default (the
+#                 split of one large XMLAgg), each printed as pprof -top
 #   make serve    xsltd over the demo database on :8080 (console on :6060)
 #   make demo     paper Examples 1 and 2 end to end, streamed with stats
 #   make console  the demo serving the live debug console on :6060
@@ -83,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
+	$(GO) test -run '^$$' -fuzz '^FuzzAggregateVsBoxed$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeVsModel$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelVsMatches$$' -fuzztime $(FUZZTIME) ./internal/relstore
@@ -101,11 +105,12 @@ faults:
 # property tests (the facade's over a multi-segment log mixing DDL and
 # inserts included), the facade kill-and-replay/fault-matrix durability suite,
 # and the MVCC snapshot-isolation races (joins of a pinned snapshot under
-# inserts into the very leaves they read included) — all under the race
-# detector.
+# inserts into the very leaves they read included, and the 16-byte views of
+# VARCHAR cells construction copies, under inserts right above the pin) —
+# all under the race detector.
 crash:
 	$(GO) test -race ./internal/wal
-	$(GO) test -race -run 'TestGroupJoinViewsArePinned' ./internal/relstore
+	$(GO) test -race -run 'TestGroupJoinViewsArePinned|TestTextWideUnderAppends' ./internal/relstore
 	$(GO) test -race -run 'TestOpenReopen|TestKillAndReplay|TestViewDDLSurvives|TestTornWrite|TestTruncateAcrossSegments|TestFsyncFault|TestRotateFault|TestCloseIdempotent|TestCloseDurable|TestConcurrentClose|TestGroupCommit|TestCursorIsolated|TestRunsRace|TestSnapshotPinsGauge|TestPostingViewsPinned' .
 
 # Flight-recorder smoke: boot with the recorder armed, induce a WAL fsync
@@ -159,17 +164,22 @@ allocs:
 	status=$$?; rm -rf $$dir; exit $$status
 
 # Where the time of paper_figs' constructor-bound cases goes:
-# BenchmarkPaperFigures' avts and metric (Fig. 3) at 16 000 sales rows,
-# serial (workers=1), CPU-profiled and printed as pprof's top functions. The
-# benchmark's one-time set-up (loading 2 000-16 000 rows) is in the profile
-# too, a few per cent of it. The test binary and profile go to a temporary
-# directory that is removed afterwards.
+# BenchmarkPaperFigures' avts, metric and total (Fig. 3) at 16 000 sales
+# rows, CPU-profiled twice — serial (workers=1), then at workers=default,
+# where avts' and metric's one XMLAgg group is split across the morsel pool
+# as paper_figs runs it — each printed as pprof's top functions after the
+# benchmark lines. The benchmark's one-time set-up (loading 2 000-16 000
+# rows) is in each profile too, a few per cent of it. The test binary and
+# profiles go to a temporary directory that is removed afterwards.
 profile-paper:
-	@dir=$$(mktemp -d); \
-	$(GO) test -run '^$$' -bench '^BenchmarkPaperFigures$$/^(avts|metric)$$/^rows=16000$$/^workers=1$$' -benchtime 3s \
-		-cpuprofile $$dir/cpu.out -o $$dir/xsltdb.test . && \
-	$(GO) tool pprof -top -nodecount 30 $$dir/xsltdb.test $$dir/cpu.out; \
-	status=$$?; rm -rf $$dir; exit $$status
+	@dir=$$(mktemp -d); status=0; \
+	for w in 1 default; do \
+		echo "== workers=$$w"; \
+		$(GO) test -run '^$$' -bench "^BenchmarkPaperFigures$$/^(avts|metric|total)$$/^rows=16000$$/^workers=$$w$$" -benchtime 2s \
+			-cpuprofile $$dir/cpu-$$w.out -o $$dir/xsltdb.test . && \
+		$(GO) tool pprof -top -nodecount 30 $$dir/xsltdb.test $$dir/cpu-$$w.out || status=1; \
+	done; \
+	rm -rf $$dir; exit $$status
 
 # The serving daemon over the in-memory demo database: the paper stylesheet
 # at http://localhost:8080/v1/transform/paper, console at :6060.

@@ -24,8 +24,8 @@ import (
 //	           element text, as an attribute value, or in neither
 //
 // so an INT or FLOAT cell's byte is exactly 0 or 1, and a VARCHAR cell's
-// is 0 or odd. Construction reads the class (TextClass) and copies a cell
-// that needs no escaping with one append instead of scanning it per row.
+// is 0 or odd. Construction reads the class (TextWide) and copies a cell
+// that needs no escaping instead of scanning it per row.
 // No reader is disturbed by the extra bits: every VARCHAR reader — the
 // kernels' text and constant paths, index builds and probes, the joins,
 // Fetch, Cell — tests the byte against 0, and the numeric kernels, which
@@ -152,16 +152,27 @@ func (s *TableSnap) Text(ord, id int) (b []byte, ok bool) {
 	return c.bytes(id), true
 }
 
-// TextClass is Text with the cell's escape class (xmltree.EscapeClass),
-// kept since its insert in its validity byte: a VARCHAR cell whose class
-// does not name a context is copied into it as it stands.
-func (s *TableSnap) TextClass(ord, id int) (b []byte, class uint8, ok bool) {
+// TextWide reads a VARCHAR cell for construction: b is the cell's bytes
+// (empty for NULL, whose arena span is empty) and class its escape class
+// (xmltree.EscapeClass), kept since its insert in its validity byte — a
+// cell whose class does not name a context is copied into it as it stands.
+// wide, when the cell is at most 16 bytes long and the 16 arena bytes from
+// its start all lie below the pin, points at those 16 bytes — the cell and
+// what follows it — so that the copy is one 16-byte load and store. Bytes
+// below the pin never change, so reading past the cell reads nothing an
+// Insert writes; a cell that starts within 16 bytes of the pinned arena's
+// end gets no wide view, since its 16 bytes would reach above the pin.
+func (s *TableSnap) TextWide(ord, id int) (b []byte, wide *[16]byte, class uint8) {
 	c := &s.cols[ord]
-	v := c.valid[id]
-	if v == 0 {
-		return nil, 0, false
+	start := 0
+	if id > 0 {
+		start = c.ends[id-1]
 	}
-	return c.bytes(id), v >> 1, true
+	end := c.ends[id]
+	if end-start <= 16 && start+16 <= len(c.text) {
+		wide = (*[16]byte)(c.text[start:])
+	}
+	return c.text[start:end:end], wide, c.valid[id] >> 1
 }
 
 // Fetch loads the cells of rows ids in columns ords, a column at a time:
@@ -202,15 +213,6 @@ func (s *TableSnap) Fetch(ords, ids []int) uint64 {
 		}
 	}
 	return acc
-}
-
-// Num reads an INT or FLOAT cell as float64: ok is false for NULL.
-func (s *TableSnap) Num(ord, id int) (x float64, ok bool) {
-	c := &s.cols[ord]
-	if c.valid[id] == 0 {
-		return 0, false
-	}
-	return c.num(id), true
 }
 
 // Compare orders the cells of rows a and b in column ord as CompareValues

@@ -150,3 +150,81 @@ func TestColumnSnapshotUnderAppends(t *testing.T) {
 	}
 	read()
 }
+
+// TestTextWideUnderAppends (run under -race): the 16-byte view TextWide
+// gives of a short VARCHAR cell never reaches above the pin. The pin leaves
+// the arena room to grow in place, so inserts racing the reader write the
+// bytes right above the pinned end, while the reader reads every pinned
+// cell through TextWide and copies each view's 16 bytes. A cell longer than
+// 16 bytes, or one starting less than 16 bytes before the pinned arena's end
+// (every cell that ends there, the last ones included), gets no view; every
+// other cell's view holds the cell and then the pinned bytes after it.
+func TestTextWideUnderAppends(t *testing.T) {
+	tab, err := NewTable("t", Column{"s", StringCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []Value
+	var arena []byte
+	// Lengths 0 to 20 and a NULL every seventh row, until the arena's array
+	// has room past its end for the writers to fill in place.
+	for r := 0; r < 100 || cap(tab.cols[0].text)-len(tab.cols[0].text) < 64; r++ {
+		var v Value = strings.Repeat(string(rune('a'+r%26)), r%21)
+		if r%7 == 6 {
+			v = nil
+		}
+		mustInsert(t, tab, v)
+		cells = append(cells, v)
+		s, _ := v.(string)
+		arena = append(arena, s...)
+	}
+	ts := tab.Snap()
+	if len(ts.cols[0].text) != len(arena) {
+		t.Fatalf("the pinned arena holds %d bytes, want %d", len(ts.cols[0].text), len(arena))
+	}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 500 {
+				if _, err := tab.Insert(strings.Repeat("y", r%9)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	views := 0
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		start := 0
+		for id, v := range cells {
+			s, _ := v.(string)
+			b, wide, _ := ts.TextWide(0, id)
+			if string(b) != s {
+				t.Fatalf("row %d: TextWide reads %q, pinned %q", id, b, s)
+			}
+			if want := len(s) <= 16 && start+16 <= len(arena); (wide != nil) != want {
+				t.Fatalf("row %d: %d bytes at %d of a %d-byte pinned arena: a wide view %t, want %t", id, len(s), start, len(arena), wide != nil, want)
+			}
+			if wide != nil {
+				if got := *wide; string(got[:]) != string(arena[start:start+16]) {
+					t.Fatalf("row %d: the wide view holds %q, the arena %q", id, got, arena[start:start+16])
+				}
+				views++
+			}
+			start += len(s)
+		}
+	}
+	wg.Wait()
+	if views == 0 {
+		t.Fatal("no cell got a wide view")
+	}
+}

@@ -166,14 +166,8 @@ func TestMemberLoopVsUnchunked(t *testing.T) {
 		chunked, fetched := run(ids, func(ec *evalContext, f *frame) ([]byte, error) {
 			return ec.members(sub, f, nil)
 		})
-		unchunked, _ := run(ids, func(ec *evalContext, f *frame) (buf []byte, err error) {
-			for i := range f.ids {
-				f.setPos(i)
-				if buf, err = ec.run(sub.body, f, buf); err != nil {
-					return buf, err
-				}
-			}
-			return buf, nil
+		unchunked, _ := run(ids, func(ec *evalContext, f *frame) ([]byte, error) {
+			return ec.run(sub.body, f, 0, len(f.ids), nil)
 		})
 		if chunked != unchunked {
 			t.Fatalf("%d members: the member loop gave\n %+v\nthe unchunked loop\n %+v", size, chunked, unchunked)

@@ -1,6 +1,7 @@
 package sqlxml
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -45,8 +46,16 @@ import (
 //     the ticks a run charges are those of the unfolded program;
 //   - copies, not escapes: a VARCHAR cell carries its escape class from
 //     its insert (relstore's validity byte), so a cell with nothing to
-//     escape in its context is one append, and an INT is formatted in place
-//     in the output (appendInt).
+//     escape in its context is one copy, and an INT is formatted in place
+//     in the output (appendInt);
+//   - stores, not copies: a literal of at most 16 bytes is kept padded in
+//     its op and written with one 16-byte store, a clean VARCHAR cell of at
+//     most 16 bytes is one 16-byte load from its pinned arena and one store
+//     (TableSnap.TextWide), and an INT of up to eight digits is formatted in
+//     a register and written with one 8-byte store (digits8). The bytes a
+//     store writes past its value land in the buffer's spare capacity, and
+//     a buffer without 16 bytes of room takes the plain append, so no store
+//     ever grows a buffer.
 
 // Program is a query body compiled for byte construction. It is immutable
 // once compiled — every run of a plan, and every morsel worker of a run,
@@ -117,6 +126,9 @@ type op struct {
 	attr  bool
 	fused uint8 // static ops folded into lit: each charges one more tick
 	lit   string
+	// wide is lit padded with zeros, when lit is at most 16 bytes long: the
+	// run writes it with one 16-byte store (appendLit).
+	wide [16]byte
 	// ord is a column's ordinal, or for an opCond in an XMLAgg body its
 	// mask's slot in the member frame (subOp.conds).
 	ord   int
@@ -217,8 +229,23 @@ func Compile(db *relstore.DB, q *Query) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	widen(code)
 	compiles.Add(1)
 	return &Program{q: q, code: code, params: c.params, filters: c.filters, bound: c.bound}, nil
+}
+
+// widen pads every literal of at most 16 bytes in code, and in the bodies
+// of its XMLAggs, into its op's wide array.
+func widen(code []op) {
+	for i := range code {
+		o := &code[i]
+		if len(o.lit) <= len(o.wide) {
+			copy(o.wide[:], o.lit)
+		}
+		if o.kind == opAgg {
+			widen(o.sub.body)
+		}
+	}
 }
 
 // block compiles x (nil: nothing) over rows of t, starting in state in, into
@@ -610,93 +637,117 @@ func (p *Program) bind(params map[string]relstore.Value) ([]relstore.Filter, err
 // frame to dst and settles the row's governor charge.
 func (ec *evalContext) runRow(p *Program, dst []byte) ([]byte, error) {
 	ec.open = false
-	buf, err := ec.run(p.code, &ec.driving, dst)
+	pos := ec.driving.pos
+	buf, err := ec.run(p.code, &ec.driving, pos, pos+1, dst)
 	if err == nil {
 		err = ec.flushTicks()
 	}
 	return buf, err
 }
 
-// run executes code for the current row of f, appending to buf. Every
-// source op executed is one governor tick: a superinstruction charges one
-// per op folded into it.
-func (ec *evalContext) run(code []op, f *frame, buf []byte) ([]byte, error) {
-	for pc := 0; pc < len(code); pc++ {
-		o := &code[pc]
-		if ec.ticks += 1 + int(o.fused); ec.ticks >= tickFlush {
-			if err := ec.flushTicks(); err != nil {
-				return buf, err
-			}
-		}
-		switch o.kind {
-		case opStatic:
-			buf = append(buf, o.lit...)
-		case opClose:
-			buf = ec.closeTag(buf)
-		case opOpen:
-			ec.open = true
-		case opEnd:
-			if ec.open {
-				buf = append(buf, '/', '>')
-				ec.open = false
-			} else {
-				buf = append(buf, o.lit...)
-			}
-		case opInt:
-			buf = append(buf, o.lit...)
-			if x, ok := f.ts.Int(o.ord, f.id); ok {
-				buf = appendInt(ec.contentOf(buf, o), x)
-			}
-		case opFloat:
-			buf = append(buf, o.lit...)
-			if x, ok := f.ts.Float(o.ord, f.id); ok {
-				buf = appendFloat(ec.contentOf(buf, o), x)
-			}
-		case opText:
-			buf = append(buf, o.lit...)
-			// The empty string is no content: it leaves an open tag open.
-			if b, class, _ := f.ts.TextClass(o.ord, f.id); len(b) > 0 {
-				buf = appendText(ec.contentOf(buf, o), b, class, o.attr)
-			}
-		case opAgg:
-			inner, ids, err := ec.group(o.sub.q, f)
-			if err != nil {
-				return buf, err
-			}
-			if o.sub.split && ec.workers > 1 && len(ids) >= relstore.MorselMinRows {
-				if buf, err = ec.split(o.sub, inner, ids, buf); err != nil {
+// run executes code for rows lo to hi-1 of f's list, one after another,
+// appending to buf, and leaves f at the last. Every source op executed is
+// one governor tick: a superinstruction charges one per op folded into it.
+// The member loop hands it a whole chunk of members at once: the loop over
+// them is here, not around a call per member, which would save and restore
+// the loop's state for every one.
+func (ec *evalContext) run(code []op, f *frame, lo, hi int, buf []byte) ([]byte, error) {
+	for row := lo; row < hi; row++ {
+		f.setPos(row)
+		for pc := 0; pc < len(code); pc++ {
+			o := &code[pc]
+			if ec.ticks += 1 + int(o.fused); ec.ticks >= tickFlush {
+				if err := ec.flushTicks(); err != nil {
 					return buf, err
 				}
-				continue
 			}
-			// The group becomes the row list one level down, so the
-			// subqueries of the body join against all of it at once.
-			if buf, err = ec.members(o.sub, ec.nest(f, inner, ids), buf); err != nil {
-				return buf, err
-			}
-		case opScalar:
-			inner, ids, err := ec.group(o.sub.q, f)
-			if err != nil {
-				return buf, err
-			}
-			if num, best, isNum := aggregate(o.sub.fn, inner, o.sub.ord, ids); isNum {
-				buf = appendFloat(ec.contentOf(buf, o), num)
-			} else if best >= 0 {
-				buf = ec.cellAt(buf, o, inner, o.sub.ord, best)
-			}
-		case opCond:
-			// Inside the member loop's chunk the Cond's mask has the answer.
-			var holds bool
-			if len(f.masks) > 0 {
-				holds = f.masks[o.ord]>>(uint(f.pos)%memberChunk)&1 != 0
-			} else {
-				holds = ec.holds(o.preds, f)
-			}
-			if !holds {
+			switch o.kind {
+			case opStatic:
+				buf = appendLit(buf, o)
+			case opClose:
+				buf = ec.closeTag(buf)
+			case opOpen:
+				ec.open = true
+			case opEnd:
+				if ec.open {
+					buf = append(buf, '/', '>')
+					ec.open = false
+				} else {
+					buf = appendLit(buf, o)
+				}
+			case opInt:
+				buf = appendLit(buf, o)
+				if x, ok := f.ts.Int(o.ord, f.id); ok {
+					buf = ec.contentOf(buf, o)
+					// Up to eight digits are one 8-byte store (digits8), written
+					// here and not in a call, which would spill the loop's state.
+					if n := len(buf); uint64(x) < 1e8 && cap(buf)-n >= 8 {
+						k := decimalLen(uint64(x))
+						binary.LittleEndian.PutUint64(buf[n:n+8], digits8(uint64(x))>>(64-8*k))
+						buf = buf[:n+k]
+					} else {
+						buf = appendInt(buf, x)
+					}
+				}
+			case opFloat:
+				buf = appendLit(buf, o)
+				if x, ok := f.ts.Float(o.ord, f.id); ok {
+					buf = appendFloat(ec.contentOf(buf, o), x)
+				}
+			case opText:
+				buf = appendLit(buf, o)
+				// The empty string is no content: it leaves an open tag open.
+				// A short cell with nothing to escape is one 16-byte load and
+				// store, as a literal is (appendLit).
+				if b, wide, class := f.ts.TextWide(o.ord, f.id); len(b) > 0 {
+					buf = ec.contentOf(buf, o)
+					if n := len(buf); wide != nil && class&o.esc() == 0 && cap(buf)-n >= len(wide) {
+						*(*[16]byte)(buf[n : n+16]) = *wide
+						buf = buf[:n+len(b)]
+					} else {
+						buf = appendText(buf, b, class, o.attr)
+					}
+				}
+			case opAgg:
+				inner, ids, err := ec.group(o.sub.q, f)
+				if err != nil {
+					return buf, err
+				}
+				if o.sub.split && ec.workers > 1 && len(ids) >= relstore.MorselMinRows {
+					if buf, err = ec.split(o.sub, inner, ids, buf); err != nil {
+						return buf, err
+					}
+					continue
+				}
+				// The group becomes the row list one level down, so the
+				// subqueries of the body join against all of it at once.
+				if buf, err = ec.members(o.sub, ec.nest(f, inner, ids), buf); err != nil {
+					return buf, err
+				}
+			case opScalar:
+				inner, ids, err := ec.group(o.sub.q, f)
+				if err != nil {
+					return buf, err
+				}
+				if num, best, isNum := aggregate(o.sub.fn, inner, o.sub.ord, ids); isNum {
+					buf = appendFloat(ec.contentOf(buf, o), num)
+				} else if best >= 0 {
+					buf = ec.cellAt(buf, o, inner, o.sub.ord, best)
+				}
+			case opCond:
+				// Inside the member loop's chunk the Cond's mask has the answer.
+				var holds bool
+				if len(f.masks) > 0 {
+					holds = f.masks[o.ord]>>(uint(f.pos)%memberChunk)&1 != 0
+				} else {
+					holds = ec.holds(o.preds, f)
+				}
+				if !holds {
+					pc += o.jump
+				}
+			case opJump:
 				pc += o.jump
 			}
-		case opJump:
-			pc += o.jump
 		}
 	}
 	return buf, nil
@@ -742,11 +793,8 @@ func (ec *evalContext) members(sub *subOp, f *frame, buf []byte) (_ []byte, err 
 			masks[j] = ec.mask(preds, f.ts, chunk)
 		}
 		f.masks = masks
-		for i := lo; i < hi; i++ {
-			f.setPos(i)
-			if buf, err = ec.run(sub.body, f, buf); err != nil {
-				return buf, err
-			}
+		if buf, err = ec.run(sub.body, f, lo, hi, buf); err != nil {
+			return buf, err
 		}
 	}
 	return buf, nil
@@ -794,7 +842,7 @@ func (ec *evalContext) cellAt(buf []byte, o *op, ts *relstore.TableSnap, ord, id
 			return appendFloat(ec.contentOf(buf, o), x)
 		}
 	default:
-		if b, class, _ := ts.TextClass(ord, id); len(b) > 0 {
+		if b, _, class := ts.TextWide(ord, id); len(b) > 0 {
 			return appendText(ec.contentOf(buf, o), b, class, o.attr)
 		}
 	}
@@ -810,6 +858,27 @@ func (ec *evalContext) holds(preds []int, f *frame) bool {
 		}
 	}
 	return true
+}
+
+// appendLit appends o.lit. A literal of at most 16 bytes is one 16-byte
+// store of o.wide when buf has room for all 16 bytes: the store writes past
+// the literal into buf's spare capacity, which the next append overwrites.
+// Without that room it is a plain append, so the store never grows buf.
+func appendLit(buf []byte, o *op) []byte {
+	if n := len(buf); len(o.lit) <= len(o.wide) && cap(buf)-n >= len(o.wide) {
+		*(*[16]byte)(buf[n : n+16]) = o.wide
+		return buf[:n+len(o.lit)]
+	}
+	return append(buf, o.lit...)
+}
+
+// esc is the escape class bit (xmltree.EscapeClass) of o's context: a
+// VARCHAR cell whose class has it set is escaped, not copied.
+func (o *op) esc() uint8 {
+	if o.attr {
+		return xmltree.AttrNeedsEscape
+	}
+	return xmltree.TextNeedsEscape
 }
 
 // appendText appends VARCHAR bytes of escape class class
@@ -839,9 +908,10 @@ func appendFloat(dst []byte, f float64) []byte {
 }
 
 // appendInt appends x in decimal, as strconv.AppendInt(dst, x, 10) does,
-// but in place: dst grows once, to its final length, and the digits are
-// written into it two at a time from the right, where AppendInt formats
-// into a temporary and copies it.
+// but in place: the digits are written into dst's room two at a time from
+// the right, where AppendInt formats into a temporary and copies it. Only a
+// dst without room for them grows, once, to its final length. (opInt writes
+// a non-negative INT of up to eight digits itself, with digits8.)
 func appendInt(dst []byte, x int64) []byte {
 	u := uint64(x)
 	if x < 0 {
@@ -851,7 +921,9 @@ func appendInt(dst []byte, x int64) []byte {
 	if x < 0 {
 		n++
 	}
-	dst = slices.Grow(dst, n)
+	if cap(dst)-len(dst) < n {
+		dst = slices.Grow(dst, n)
+	}
 	i := len(dst) + n
 	dst = dst[:i]
 	for u >= 100 {
@@ -872,6 +944,24 @@ func appendInt(dst []byte, x int64) []byte {
 		dst[i-1] = '-'
 	}
 	return dst
+}
+
+// digits8 formats u (< 10^8) as eight ASCII digits, leading zeros included,
+// in one word whose lowest byte is the most significant digit — the digits
+// in order once stored little-endian, so that the k digits of a k-digit u
+// are the word shifted right by 64-8k bits, and the bytes stored past them
+// are zeros that land in a buffer's spare capacity. It splits lanes of one
+// word, never looping: u into two four-digit lanes, each of those into two
+// two-digit lanes (x*10486>>20 is x/100 for x < 10^4), and each of those
+// into two digits (x*103>>10 is x/10 for x < 100); no lane's product
+// reaches into the bits its mask keeps of the next.
+func digits8(u uint64) uint64 {
+	v := u/10000 | u%10000<<32
+	q := v * 10486 >> 20 & 0x0000007f_0000007f
+	v = q | (v-q*100)<<16
+	q = v * 103 >> 10 & 0x000f000f_000f000f
+	v = q | (v-q*10)<<8
+	return v | 0x30303030_30303030
 }
 
 const digitPairs = "00010203040506070809" +
@@ -906,37 +996,60 @@ func decimalLen(u uint64) int {
 // whose cell is the answer (min, max; best) or NULL — neither, best < 0. An
 // aggregate over no (non-NULL) values is NULL, except count and sum, which
 // are 0. A VARCHAR cell sums as the number it spells (0 when none).
+//
+// An INT or FLOAT column is read in a loop of its own type: the sum adds
+// float64(x) in id order, as a cell-at-a-time sum would, and min and max
+// keep the first row of the least or greatest cell as TableSnap.Compare
+// orders them — INTs exactly, a NaN equal to every number.
 func aggregate(fn aggFn, inner *relstore.TableSnap, ord int, ids []int) (num float64, best int, isNum bool) {
 	if fn == aggCount {
 		return float64(len(ids)), -1, true
 	}
-	if ord < 0 {
-		ids = nil // a column the table does not have: every value is NULL
-	}
 	var total float64
 	var count int
 	best = -1
-	text := ord >= 0 && inner.Type(ord) == relstore.StringCol
-	for _, id := range ids {
-		var x float64
-		if text {
+	switch {
+	case ord < 0: // a column the table does not have: every value is NULL
+	case inner.Type(ord) == relstore.IntCol:
+		var bestX int64 // the cell of best
+		for _, id := range ids {
+			x, ok := inner.Int(ord, id)
+			if !ok {
+				continue
+			}
+			count++
+			total += float64(x)
+			if best < 0 || fn == aggMin && x < bestX || fn == aggMax && x > bestX {
+				best, bestX = id, x
+			}
+		}
+	case inner.Type(ord) == relstore.FloatCol:
+		var bestX float64
+		for _, id := range ids {
+			x, ok := inner.Float(ord, id)
+			if !ok {
+				continue
+			}
+			count++
+			total += x
+			if best < 0 || fn == aggMin && x < bestX || fn == aggMax && x > bestX {
+				best, bestX = id, x
+			}
+		}
+	default:
+		for _, id := range ids {
 			b, ok := inner.Text(ord, id)
 			if !ok {
 				continue
 			}
-			x, _ = strconv.ParseFloat(strings.TrimSpace(string(b)), 64)
-		} else {
-			var ok bool
-			if x, ok = inner.Num(ord, id); !ok {
-				continue
+			x, _ := strconv.ParseFloat(strings.TrimSpace(string(b)), 64)
+			count++
+			total += x
+			if best < 0 ||
+				(fn == aggMin && inner.Compare(ord, id, best) < 0) ||
+				(fn == aggMax && inner.Compare(ord, id, best) > 0) {
+				best = id
 			}
-		}
-		count++
-		total += x
-		if best < 0 ||
-			(fn == aggMin && inner.Compare(ord, id, best) < 0) ||
-			(fn == aggMax && inner.Compare(ord, id, best) > 0) {
-			best = id
 		}
 	}
 	switch fn {

@@ -3,9 +3,11 @@ package sqlxml
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -235,10 +237,11 @@ var (
 	shapeDB     *relstore.DB
 )
 
-// bigShapeDB is kindsDB with o just past MorselMinRows, built once.
+// bigShapeDB is kindsDB over wideTexts with o just past MorselMinRows,
+// built once.
 func bigShapeDB(tb testing.TB) *relstore.DB {
 	shapeDBOnce.Do(func() {
-		shapeDB = kindsDB(tb, nasty, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, relstore.MorselMinRows+5)
+		shapeDB = kindsDB(tb, wideTexts, []float64{0, 1, -2.5, 1e6, 1e21, 3.0000001, -7}, relstore.MorselMinRows+5)
 	})
 	return shapeDB
 }
@@ -296,6 +299,22 @@ func FuzzProgramVsTree(f *testing.F) {
 		f.Add(shape, true)
 	}
 	f.Add([]byte{1, 1, 2, 4, 0, 0, 0, 0, 1, 2, 1}, true)
+	// Static runs of 15, 16 and 17 bytes before (or after) a VARCHAR cell,
+	// over driving rows and as an XMLAgg's body: the 16-byte stores' edge,
+	// over wideTexts' cells of 0 to 17 bytes.
+	for _, seed := range []struct {
+		shape  []byte
+		oneRow bool
+	}{
+		{[]byte{4, 0, 3, 3, 6, 1, 2, 5, 0}, false},                         // 15
+		{[]byte{3, 6, 7, 2, 1, 4, 6, 7, 2, 6, 4, 6, 5, 1, 1, 0, 4}, false}, // 16
+		{[]byte{7, 6, 3, 5, 0, 0, 4, 5, 7}, false},                         // 17
+		{[]byte{1, 5, 6, 5, 6, 0, 0, 0, 0, 4, 1, 1, 7, 4}, true},           // 15
+		{[]byte{7, 0, 3, 3, 3, 7, 3, 3, 4, 1, 2, 3, 0}, true},              // 16
+		{[]byte{2, 0, 6, 3, 5, 4, 0, 4, 5, 6}, true},                       // 17
+	} {
+		f.Add(seed.shape, seed.oneRow)
+	}
 	f.Fuzz(func(t *testing.T, shape []byte, oneRow bool) {
 		db := bigShapeDB(t)
 		g := &shapeGen{b: shape}
@@ -364,12 +383,24 @@ func TestAggSplitShapes(t *testing.T) {
 	}
 }
 
+// wideTexts are VARCHAR cells on either side of the 16-byte store that
+// copies a short cell (and nasty after them): 16 and 17 bytes with nothing
+// to escape, empty, 15 bytes, and 16 bytes that need escaping as text and
+// as an attribute value, or as an attribute value only.
+var wideTexts = append([]string{
+	"abcdefghijklmnop", "abcdefghijklmnopq", "", "abcdefghijklmno",
+	"abcdefgh<jklmnop", `abcdefgh"jklmnop`,
+}, nasty...)
+
 // TestProgramShapes pins what the compiler decides statically for the
 // corners of the deferred '>' and for its superinstructions — and the bytes
 // each one constructs, and the governor ticks: one per source op, however
-// many were folded into one.
+// many were folded into one. The driving rows' name and note cells are
+// wideTexts, around the 16-byte stores' edge, and each body also runs into
+// buffers whose capacity ends exactly where its bytes do, where the stores
+// fall back to appends and nothing is allocated.
 func TestProgramShapes(t *testing.T) {
-	db := kindsDB(t, nasty, []float64{0, 1}, 5)
+	db := kindsDB(t, wideTexts, []float64{0, 1}, 5)
 	for _, tc := range []struct {
 		name  string
 		body  XMLExpr
@@ -399,6 +430,16 @@ func TestProgramShapes(t *testing.T) {
 		{"cond on a missing column", &Element{Name: "a", Children: []XMLExpr{&Agg{Sub: &SubQuery{Table: "v",
 			Body: &Cond{Preds: []relstore.Pred{{Col: "nope", Op: relstore.CmpEq, Val: int64(1)}},
 				Then: &Literal{Text: "then"}, Else: &Column{Name: "word"}}}}}}, 4, 0},
+		// Literals on either side of 16 bytes, each folded into the column
+		// op after it or left as the last static run, around cells of 0, 15,
+		// 16 and 17 bytes, escaped or not.
+		{"literals of 15, 16 and 17 bytes", &Concat{Items: []XMLExpr{
+			&Literal{Text: strings.Repeat("a", 15)}, &Column{Name: "name"},
+			&Literal{Text: strings.Repeat("b", 16)}, &Column{Name: "note"},
+			&Literal{Text: strings.Repeat("c", 17)}}}, 3, 5},
+		{"cells of 0 to 17 bytes as attribute values", &Element{Name: "e", Attrs: []Attr{
+			{Name: "x", Value: &Column{Name: "name"}}, {Name: "y", Value: &Column{Name: "note"}}}}, 3, 5},
+		{"a 17-byte end tag after a cell", &Element{Name: "abcdefghijklmn", Children: []XMLExpr{&Column{Name: "name"}}}, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := &Query{Table: "o", Body: tc.body}
@@ -411,6 +452,7 @@ func TestProgramShapes(t *testing.T) {
 			}
 			assertProgramMatchesTrees(t, NewExecutor(db), q)
 			assertSameStats(t, NewExecutor(db), q)
+			assertExactCapacity(t, db, p)
 			if tc.ticks > 0 {
 				if got, want := programTicks(t, db, p), uint64(tc.ticks*5); got != want {
 					t.Errorf("%d governor ticks over 5 rows, want %d: %s", got, want, dumpOps(p.code))
@@ -420,9 +462,44 @@ func TestProgramShapes(t *testing.T) {
 	}
 }
 
-// programTicks runs p serially over every row of its driving table and
-// returns the governor ticks charged.
-func programTicks(tb testing.TB, db *relstore.DB, p *Program) uint64 {
+// assertExactCapacity runs p over every row of its driving table into a
+// buffer that holds a prefix and has room for exactly the row's bytes: the
+// bytes must be the row's, in that same array, and the run must allocate
+// nothing — no 16-byte store may grow a buffer, and none may write past its
+// capacity.
+func assertExactCapacity(tb testing.TB, db *relstore.DB, p *Program) {
+	tb.Helper()
+	ec, rows := everyDrivingRow(tb, db, p, governor.New(context.Background()))
+	defer ec.release()
+	for i := range rows {
+		ec.setPos(i)
+		want, err := ec.runRow(p, []byte("<<"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		buf := make([]byte, 2, len(want))
+		copy(buf, "<<")
+		var got []byte
+		allocs := testing.AllocsPerRun(10, func() {
+			ec.setPos(i)
+			got, err = ec.runRow(p, buf[:2])
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || cap(got) != cap(buf) || &got[0] != &buf[0] {
+			tb.Fatalf("row %d into an exact buffer: %q (cap %d), want %q in the buffer (cap %d)", i, got, cap(got), want, cap(buf))
+		}
+		if allocs != 0 {
+			tb.Fatalf("row %d into an exact buffer: %v allocations per run, want 0", i, allocs)
+		}
+	}
+}
+
+// everyDrivingRow returns a serial context for p, its filters bound to
+// shapeParams and charging gov, whose driving rows are every row of p's
+// driving table, and those rows.
+func everyDrivingRow(tb testing.TB, db *relstore.DB, p *Program, gov *governor.G) (*evalContext, []int) {
 	tb.Helper()
 	filters, err := p.bind(shapeParams)
 	if err != nil {
@@ -434,10 +511,18 @@ func programTicks(tb testing.TB, db *relstore.DB, p *Program) uint64 {
 	for i := range ids {
 		ids[i] = i
 	}
-	gov := governor.New(context.Background())
 	ec := &evalContext{snap: snap, stats: new(relstore.Stats), gov: gov, params: shapeParams, filters: filters}
 	ec.setRows(ts, ids)
-	for i := range ids {
+	return ec, ids
+}
+
+// programTicks runs p serially over every row of its driving table and
+// returns the governor ticks charged.
+func programTicks(tb testing.TB, db *relstore.DB, p *Program) uint64 {
+	tb.Helper()
+	gov := governor.New(context.Background())
+	ec, rows := everyDrivingRow(tb, db, p, gov)
+	for i := range rows {
 		ec.setPos(i)
 		if _, err := ec.runRow(p, nil); err != nil {
 			tb.Fatal(err)
@@ -501,8 +586,35 @@ func TestAppendInt(t *testing.T) {
 	}
 }
 
+// TestDigits8 holds digits8, the 8-byte store opInt writes an INT of up to
+// eight digits with, to strconv: every number below 10^6, every 997th up to
+// 10^8, and each side of every power of ten — the k digits of a k-digit
+// number, once the word is shifted as opInt shifts it, and zeros after them.
+func TestDigits8(t *testing.T) {
+	check := func(u uint64) {
+		k := decimalLen(u)
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], digits8(u)>>(64-8*k))
+		if want := strconv.FormatUint(u, 10); string(b[:k]) != want || strings.Trim(string(b[k:]), "\x00") != "" {
+			t.Fatalf("digits8(%d) stores %q, want %q and zeros", u, b, want)
+		}
+	}
+	for u := uint64(0); u < 1e6; u++ {
+		check(u)
+	}
+	for u := uint64(1e6); u < 1e8; u += 997 {
+		check(u)
+	}
+	for p := uint64(1); p <= 1e8; p *= 10 {
+		check(p - 1)
+		if p < 1e8 {
+			check(p)
+		}
+	}
+}
+
 // TestEscapeClassInValidityByte holds the escape class a VARCHAR cell
-// carries from its insert (TableSnap.TextClass) to the escapers themselves:
+// carries from its insert (TableSnap.TextWide) to the escapers themselves:
 // for every one-byte string and every nasty value, the text bit is set
 // exactly when EscapeText changes the string, and the attribute bit exactly
 // when EscapeAttr does.
@@ -523,9 +635,9 @@ func TestEscapeClassInValidityByte(t *testing.T) {
 	}
 	ts := db.Snapshot().Table("t")
 	for id, v := range values {
-		b, class, ok := ts.TextClass(0, id)
-		if !ok || string(b) != v {
-			t.Fatalf("row %d reads %q (ok %v), want %q", id, b, ok, v)
+		b, _, class := ts.TextWide(0, id)
+		if string(b) != v {
+			t.Fatalf("row %d reads %q, want %q", id, b, v)
 		}
 		text := class&xmltree.TextNeedsEscape != 0
 		attr := class&xmltree.AttrNeedsEscape != 0
@@ -533,4 +645,111 @@ func TestEscapeClassInValidityByte(t *testing.T) {
 			t.Errorf("%q: class %02b, but EscapeText changes it: %v, EscapeAttr: %v", v, class, xmltree.EscapeText(v) != v, xmltree.EscapeAttr(v) != v)
 		}
 	}
+}
+
+// aggCells are what FuzzAggregateVsBoxed fills its INT, FLOAT and VARCHAR
+// columns from: NULL in each; INTs past 2^53, where float64(x) rounds, and
+// the extremes; FLOATs NaN, −0 and +0, infinities and 2^53+2; VARCHARs
+// empty, numeric (padded, negative zero, out of range) and not numeric.
+var (
+	aggInts   = []relstore.Value{nil, int64(0), int64(1), int64(-1), int64(7), int64(1<<53 + 1), int64(-(1<<53 + 1)), int64(math.MaxInt64), int64(math.MinInt64)}
+	aggFloats = []relstore.Value{nil, math.NaN(), math.Copysign(0, -1), 0.0, 1.5, -2.25, math.Inf(1), math.Inf(-1), float64(1<<53 + 2)}
+	aggTexts  = []relstore.Value{nil, "", "12", " 3.5 ", "-0", "NaN", "abc", "1e400", "9007199254740993"}
+)
+
+// boxedAggregate is aggregate as it reads cell by cell: each cell boxed
+// (TableSnap.Cell), converted to a number by its dynamic type, and min and
+// max ordered by CompareValues.
+func boxedAggregate(fn aggFn, ts *relstore.TableSnap, ord int, ids []int) (num float64, best int, isNum bool) {
+	if fn == aggCount {
+		return float64(len(ids)), -1, true
+	}
+	var total float64
+	var count int
+	var bestV relstore.Value
+	best = -1
+	for _, id := range ids {
+		v := ts.Cell(ord, id)
+		var x float64
+		switch c := v.(type) {
+		case nil:
+			continue
+		case int64:
+			x = float64(c)
+		case float64:
+			x = c
+		case string:
+			x, _ = strconv.ParseFloat(strings.TrimSpace(c), 64)
+		}
+		count++
+		total += x
+		if best < 0 ||
+			fn == aggMin && relstore.CompareValues(v, bestV) < 0 ||
+			fn == aggMax && relstore.CompareValues(v, bestV) > 0 {
+			best, bestV = id, v
+		}
+	}
+	switch fn {
+	case aggSum:
+		return total, -1, true
+	case aggAvg:
+		if count > 0 {
+			return total / float64(count), -1, true
+		}
+	case aggMin, aggMax:
+		return 0, best, false
+	}
+	return 0, -1, false
+}
+
+// FuzzAggregateVsBoxed holds aggregate's typed loops to boxedAggregate, for
+// every function over every column of a table decoded from cells (three
+// bytes a row, each picking an INT, a FLOAT and a VARCHAR from aggCells) and
+// a column it does not have, over its rows in heap order, reversed, or
+// shuffled and cut (order). The answers must be equal to the bit: the same
+// sum, the same NaN, the same signed zero, the same row. (The program and
+// the tree walk share aggregate, so FuzzProgramVsTree cannot tell a wrong
+// aggregate from a right one.)
+func FuzzAggregateVsBoxed(f *testing.F) {
+	f.Add([]byte{0, 0, 0}, uint8(0))
+	f.Add([]byte{5, 1, 3, 6, 2, 2, 1, 3, 8, 4, 1, 7}, uint8(1))
+	f.Add([]byte{7, 2, 4, 8, 3, 4, 5, 8, 5, 6, 1, 6, 0, 0, 1}, uint8(2))
+	f.Add([]byte{2, 4, 1, 3, 6, 5, 8, 7, 3, 1, 8, 2, 4, 2, 7, 6, 1, 0}, uint8(7))
+	f.Fuzz(func(t *testing.T, cells []byte, order uint8) {
+		db := relstore.NewDB()
+		tab, err := db.CreateTable("a",
+			relstore.Column{Name: "i", Type: relstore.IntCol},
+			relstore.Column{Name: "f", Type: relstore.FloatCol},
+			relstore.Column{Name: "s", Type: relstore.StringCol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r+2 < len(cells) && r < 3*256; r += 3 {
+			if _, err := tab.Insert(aggInts[int(cells[r])%len(aggInts)],
+				aggFloats[int(cells[r+1])%len(aggFloats)], aggTexts[int(cells[r+2])%len(aggTexts)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := db.Snapshot().Table("a")
+		ids := make([]int, ts.NumRows())
+		for i := range ids {
+			ids[i] = i
+		}
+		switch order % 3 {
+		case 1:
+			slices.Reverse(ids)
+		case 2:
+			rand.New(rand.NewSource(int64(order))).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			ids = ids[:len(ids)*int(order%4+1)/4]
+		}
+		for fn := aggNone; fn <= aggMax; fn++ {
+			for ord := -1; ord < 3; ord++ {
+				num, best, isNum := aggregate(fn, ts, ord, ids)
+				wnum, wbest, wisNum := boxedAggregate(fn, ts, ord, ids)
+				if math.Float64bits(num) != math.Float64bits(wnum) || best != wbest || isNum != wisNum {
+					t.Fatalf("fn %d, column %d, rows %v: (%v, %d, %t), boxed (%v, %d, %t)", fn, ord, ids, num, best, isNum, wnum, wbest, wisNum)
+				}
+			}
+		}
+	})
 }

@@ -175,18 +175,21 @@ func (f *frame) enter(where string) error {
 
 func (f *frame) leave() { f.depth-- }
 
-// applyTemplates selects nodes (nil selectExpr = child::node()), sorts them,
-// and instantiates the best-matching template for each.
-func (f *frame) applyTemplates(nodes []*xmltree.Node, mode string, sorts []SortKey, traceID int) error {
+// applyTemplates instantiates the best-matching template for each of nodes,
+// in order, passing wp (nil: none) as its with-param values.
+func (f *frame) applyTemplates(nodes []*xmltree.Node, mode string, wp map[string]xpath.Value, traceID int) error {
 	for i, node := range nodes {
-		if err := f.applyOne(node, mode, i+1, len(nodes), traceID); err != nil {
+		if err := f.applyOne(node, mode, i+1, len(nodes), wp, traceID); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (f *frame) applyOne(node *xmltree.Node, mode string, pos, size int, traceID int) error {
+// applyOne is one template activation: it finds the rule for node, counts
+// and traces the activation, and instantiates the rule with wp, or the
+// built-in rule (which takes no parameters).
+func (f *frame) applyOne(node *xmltree.Node, mode string, pos, size int, wp map[string]xpath.Value, traceID int) error {
 	if err := f.enter("apply-templates"); err != nil {
 		return err
 	}
@@ -203,7 +206,7 @@ func (f *frame) applyOne(node *xmltree.Node, mode string, pos, size int, traceID
 	if tmpl == nil {
 		return f.builtinRule(node, mode)
 	}
-	return f.instantiate(tmpl, node, pos, size, nil)
+	return f.instantiate(tmpl, node, pos, size, wp)
 }
 
 // FindTemplate returns the highest-priority template matching node in mode,
@@ -359,14 +362,11 @@ func (f *frame) exec(instr Instruction, node *xmltree.Node, pos, size int) error
 			}
 		}
 		// with-param values are evaluated in the caller's context.
-		if len(in.Params) > 0 {
-			wp, err := f.evalWithParams(in.Params, node)
-			if err != nil {
-				return err
-			}
-			return f.applyWithParams(selected, in.Mode, wp, in.TraceID)
+		wp, err := f.evalWithParams(in.Params, node)
+		if err != nil {
+			return err
 		}
-		return f.applyTemplates(selected, in.Mode, nil, in.TraceID)
+		return f.applyTemplates(selected, in.Mode, wp, in.TraceID)
 
 	case *CallTemplate:
 		var target *Template
@@ -520,32 +520,6 @@ func (f *frame) selectNodes(sel xpath.Expr, ctx *xpath.Context) ([]*xmltree.Node
 		return nil, err
 	}
 	return ns, nil
-}
-
-func (f *frame) applyWithParams(nodes []*xmltree.Node, mode string, wp map[string]xpath.Value, traceID int) error {
-	for i, node := range nodes {
-		if err := f.enter("apply-templates"); err != nil {
-			return err
-		}
-		tmpl, err := f.engine.FindTemplate(node, mode, f)
-		if err != nil {
-			f.leave()
-			return err
-		}
-		if f.engine.Trace != nil {
-			f.engine.Trace(TraceEvent{TraceID: traceID, Node: node, Template: tmpl, Builtin: tmpl == nil})
-		}
-		if tmpl == nil {
-			err = f.builtinRule(node, mode)
-		} else {
-			err = f.instantiate(tmpl, node, i+1, len(nodes), wp)
-		}
-		f.leave()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (f *frame) evalWithParams(defs []*VarDef, node *xmltree.Node) (map[string]xpath.Value, error) {

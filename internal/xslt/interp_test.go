@@ -676,3 +676,30 @@ func TestTraceEvents(t *testing.T) {
 		t.Fatalf("emp activation attributed to trace id %d, want 1 (the second apply-templates)", empID)
 	}
 }
+
+// TestTemplatesAppliedCountsWithParams: every activation counts once,
+// whether or not its xsl:apply-templates passes xsl:with-param — the root
+// rule's one and the two x rules' two.
+func TestTemplatesAppliedCountsWithParams(t *testing.T) {
+	for _, apply := range []string{
+		`<xsl:apply-templates select="r/x"/>`,
+		`<xsl:apply-templates select="r/x"><xsl:with-param name="p" select="'v'"/></xsl:apply-templates>`,
+	} {
+		sheet, err := ParseStylesheet(wrap(`<xsl:template match="/"><o>` + apply + `</o></xsl:template>` +
+			`<xsl:template match="x"><xsl:param name="p" select="'d'"/><y><xsl:value-of select="$p"/></y></xsl:template>`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmltree.Parse(`<r><x/><x/></r>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(sheet)
+		if _, err := e.TransformToString(doc); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.TemplatesApplied() - 1; got != 2 {
+			t.Errorf("%s: the x rule counted %d activations, want 2", apply, got)
+		}
+	}
+}
