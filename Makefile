@@ -41,7 +41,8 @@
 #                 paper's evaluation is the repo benchmark, bash bench/run.sh
 #   make paper    BenchmarkPaperFigures: Run per paper figure case (and
 #                 attrmap, choose) over 2 000-16 000 sales rows (16 000 is
-#                 paper_figs' data), at workers=1 and workers=default
+#                 paper_figs' data), at workers=1 and workers=default, and
+#                 forced no-rewrite (.../norewrite) at 2 000 and 16 000
 #   make allocs   the allocation sites of one Run (serve_miss's engine shape),
 #                 from a memory profile kept in a temporary directory
 #   make profile-paper  where Fig. 3's constructor time goes: CPU profiles of
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeProgramVsWalk$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzAggregateVsBoxed$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinVsNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeVsModel$$' -fuzztime $(FUZZTIME) ./internal/relstore

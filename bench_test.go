@@ -465,12 +465,15 @@ func benchParallelRun(b *testing.B, ct *CompiledTransform, n int, workers []int,
 // (make paper). Each case runs at workers=1 (fully serial) and
 // workers=default (GOMAXPROCS: an XMLAgg group of relstore.MorselMinRows
 // members or more is split across the morsel pool) and reports the morsels
-// a run executed.
+// a run executed. At 2 000 and 16 000 rows each case also runs forced
+// StrategyNoRewrite at workers=default (<case>/rows=<n>/norewrite): the
+// paper's baseline, the view's documents interpreted.
 func BenchmarkPaperFigures(b *testing.B) {
 	sizes := []int{2_000, 4_000, 8_000, 16_000}
 	view := xsltmark.SalesView()
 	cases := []string{"dbonerow", "avts", "chart", "metric", "total", "attrmap", "choose"}
 	cts := make(map[string][]*CompiledTransform)
+	norewrite := make(map[string]*CompiledTransform) // by case and rows, at 2 000 and 16 000
 	for _, rows := range sizes {
 		d := NewDatabase()
 		if err := xsltmark.SetupSalesDB(d.Rel(), rows); err != nil {
@@ -491,6 +494,13 @@ func BenchmarkPaperFigures(b *testing.B) {
 				b.Fatalf("%s compiled to %v, not to SQL/XML", name, ct.Strategy())
 			}
 			cts[name] = append(cts[name], ct)
+			if rows == sizes[0] || rows == sizes[len(sizes)-1] {
+				nr, err := d.CompileTransform(view.Name, xsltmark.ByName(name).Stylesheet, WithForcedStrategy(StrategyNoRewrite))
+				if err != nil {
+					b.Fatal(err)
+				}
+				norewrite[fmt.Sprintf("%s/rows=%d", name, rows)] = nr
+			}
 		}
 	}
 	for _, name := range cases {
@@ -512,6 +522,17 @@ func BenchmarkPaperFigures(b *testing.B) {
 						st = res.Stats
 					}
 					b.ReportMetric(float64(st.MorselsExecuted), "morsels/op")
+				})
+			}
+			leg := fmt.Sprintf("%s/rows=%d", name, rows)
+			if nr := norewrite[leg]; nr != nil {
+				b.Run(leg+"/norewrite", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := nr.Run(context.Background()); err != nil {
+							b.Fatal(err)
+						}
+					}
 				})
 			}
 		}

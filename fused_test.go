@@ -19,7 +19,10 @@ import (
 )
 
 // treeRows is the reference the fused SQL strategy is held to: the plan's
-// trees from ExecQueryParallelSpec, each through Node.Serialize.
+// trees from ExecQueryParallelSpec, each through Node.Serialize. Those
+// trees come from the plan's tree program, which the compiler also builds;
+// it is a reference because internal/sqlxml's tests hold every tree program
+// to the expression walk there, node for node (FuzzTreeProgramVsWalk).
 func treeRows(t *testing.T, d *Database, ct *CompiledTransform) []string {
 	t.Helper()
 	var sink relstore.Stats

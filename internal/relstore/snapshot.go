@@ -114,7 +114,6 @@ func (s *TableSnap) IndexIDs(dst []int, col string, lo, hi Bound, nan bool) []in
 // same two commits share one (DB.Snapshot). (The facade keeps a pins gauge
 // for observability; that bookkeeping lives there, not here.)
 type Snapshot struct {
-	db   *DB
 	seq  int64
 	taps map[string]*TableSnap
 }
@@ -159,7 +158,7 @@ func (db *DB) Snapshot() *Snapshot {
 		if db.commits.Load() != seq {
 			continue
 		}
-		s := &Snapshot{db: db, seq: seq, taps: taps}
+		s := &Snapshot{seq: seq, taps: taps}
 		db.last.Store(s)
 		// A write that bumped the counter since the check above may have
 		// dropped the shared pin before this store landed: take it back out.
@@ -178,6 +177,3 @@ func (s *Snapshot) CommitSeq() int64 { return s.seq }
 // Table returns the pinned view of the named table, or nil if the table did
 // not exist when the snapshot was taken.
 func (s *Snapshot) Table(name string) *TableSnap { return s.taps[name] }
-
-// DB returns the live database this snapshot was pinned from.
-func (s *Snapshot) DB() *DB { return s.db }

@@ -211,172 +211,60 @@ func (s *RunSpec) planDriving(ts *relstore.TableSnap, where []relstore.Pred) (re
 	return plan, nil
 }
 
-// bindXML substitutes bind variables inside an XML construction tree
-// (Cond predicates and SubQuery WHERE clauses), copy-on-write: subtrees
-// without placeholders are returned as-is, shared with the compiled plan.
-func bindXML(x XMLExpr, params map[string]relstore.Value) (XMLExpr, error) {
-	switch e := x.(type) {
-	case *Element:
-		kids, changed, err := bindList(e.Children, params)
-		if err != nil {
-			return nil, err
-		}
-		if !changed {
-			return e, nil
-		}
-		cp := *e
-		cp.Children = kids
-		return &cp, nil
-	case *Concat:
-		items, changed, err := bindList(e.Items, params)
-		if err != nil {
-			return nil, err
-		}
-		if !changed {
-			return e, nil
-		}
-		return &Concat{Items: items}, nil
-	case *Agg:
-		sub, err := bindSub(e.Sub, params)
-		if err != nil {
-			return nil, err
-		}
-		if sub == e.Sub {
-			return e, nil
-		}
-		return &Agg{Sub: sub}, nil
-	case *ScalarAgg:
-		sub, err := bindSub(e.Sub, params)
-		if err != nil {
-			return nil, err
-		}
-		if sub == e.Sub {
-			return e, nil
-		}
-		cp := *e
-		cp.Sub = sub
-		return &cp, nil
-	case *Cond:
-		preds, err := relstore.BindPreds(e.Preds, params)
-		if err != nil {
-			return nil, err
-		}
-		then, err := bindXML(e.Then, params)
-		if err != nil {
-			return nil, err
-		}
-		els := e.Else
-		if els != nil {
-			if els, err = bindXML(els, params); err != nil {
-				return nil, err
-			}
-		}
-		if !relstore.HasParams(e.Preds) && then == e.Then && els == e.Else {
-			return e, nil
-		}
-		return &Cond{Preds: preds, Then: then, Else: els}, nil
-	default:
-		// Column, Literal: no predicates to bind.
-		return x, nil
-	}
-}
-
-func bindList(xs []XMLExpr, params map[string]relstore.Value) ([]XMLExpr, bool, error) {
-	changed := false
-	out := xs
-	for i, x := range xs {
-		b, err := bindXML(x, params)
-		if err != nil {
-			return nil, false, err
-		}
-		if b != x && !changed {
-			changed = true
-			out = make([]XMLExpr, len(xs))
-			copy(out, xs)
-		}
-		if changed {
-			out[i] = b
-		}
-	}
-	return out, changed, nil
-}
-
-func bindSub(s *SubQuery, params map[string]relstore.Value) (*SubQuery, error) {
-	where, err := relstore.BindPreds(s.Where, params)
+// OpenQueryCursorSpec opens a streaming execution of q, pulled with
+// AppendNext: the driving access path is planned from the compiled WHERE
+// clause plus the spec's run-time predicates, with parameters bound for this
+// run only. Operator counters go to sink (nil discards them); g (may be nil)
+// governs the scan and the construction. It compiles q's byte program;
+// OpenProgramCursorSpec runs one compiled beforehand.
+func (e *Executor) OpenQueryCursorSpec(q *Query, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
+	p, err := Compile(e.DB, q)
 	if err != nil {
 		return nil, err
 	}
-	body := s.Body
-	if body != nil {
-		if body, err = bindXML(body, params); err != nil {
-			return nil, err
-		}
-	}
-	if !relstore.HasParams(s.Where) && body == s.Body {
-		return s, nil
-	}
-	cp := *s
-	cp.Where = where
-	cp.Body = body
-	return &cp, nil
-}
-
-// OpenQueryCursorSpec opens a streaming execution of q: the driving access
-// path is planned from the compiled WHERE clause plus the spec's run-time
-// predicates, with parameters bound for this run only. Operator counters go
-// to sink (nil discards them); g (may be nil) governs the scan and the
-// construction. Pulled as bytes, the cursor compiles q's program first;
-// OpenProgramCursorSpec runs one compiled beforehand.
-func (e *Executor) OpenQueryCursorSpec(q *Query, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
-	return e.openQuery(q, nil, sink, g, spec)
+	return e.OpenProgramCursorSpec(p, sink, g, spec)
 }
 
 // OpenProgramCursorSpec is OpenQueryCursorSpec over p's query, with p as the
-// cursor's byte program: a plan compiles its program once and every run
-// shares it.
+// cursor's program: a plan compiles its programs once and every run shares
+// them. A byte program's cursor is the SQL strategy's, and its fault points
+// are sqlxml.query.open and sqlxml.query.next; a tree program's rows are the
+// documents the functional strategies evaluate, each a sqlxml.view.row.
 func (e *Executor) OpenProgramCursorSpec(p *Program, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
-	return e.openQuery(p.q, p, sink, g, spec)
-}
-
-func (e *Executor) openQuery(q *Query, p *Program, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
-	if err := faultpoint.Hit("sqlxml.query.open"); err != nil {
-		return nil, err
+	fp := "sqlxml.view.row"
+	if !p.tree {
+		if err := faultpoint.Hit("sqlxml.query.open"); err != nil {
+			return nil, err
+		}
+		fp = "sqlxml.query.next"
 	}
 	snap := spec.snapshot(e.DB)
-	ts := snap.Table(q.Table)
+	ts := snap.Table(p.q.Table)
 	if ts == nil {
-		return nil, fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
+		return nil, fmt.Errorf("sqlxml: query references unknown table %q", p.q.Table)
 	}
-	plan, err := spec.planDriving(ts, q.Where)
+	plan, err := spec.planDriving(ts, p.q.Where)
 	if err != nil {
 		return nil, err
 	}
-	return spec.openCursor(snap, ts, plan, q.Body, p, "sqlxml.query.next", sink, g)
-}
-
-// OpenViewCursorSpec opens a streaming materialization of v — one XMLType
-// instance per driving row passing where, pulled on demand. The fallback
-// execution strategies pass the compiled plan's WHERE clause so a run that
-// could not be lowered to SQL still filters (and index-probes) the driving
-// table exactly like the SQL path would — cross-strategy result consistency.
-func (e *Executor) OpenViewCursorSpec(v *ViewDef, where []relstore.Pred, sink *relstore.Stats, g *governor.G, spec *RunSpec) (*QueryCursor, error) {
-	snap := spec.snapshot(e.DB)
-	ts := snap.Table(v.Table)
-	if ts == nil {
-		return nil, fmt.Errorf("sqlxml: view %q references unknown table %q", v.Name, v.Table)
-	}
-	plan, err := spec.planDriving(ts, where)
-	if err != nil {
-		return nil, err
-	}
-	return spec.openCursor(snap, ts, plan, v.Body, nil, "sqlxml.view.row", sink, g)
+	return spec.openCursor(snap, ts, plan, p, fp, sink, g)
 }
 
 // MaterializeViewSpec builds the XMLType instance — a document node — of
 // every view row passing where (the paper's "functional evaluation" input
-// path: the XML is materialized before XSLT runs on it).
+// path: the XML is materialized before XSLT runs on it), with a tree program
+// compiled for the call.
 func (e *Executor) MaterializeViewSpec(v *ViewDef, where []relstore.Pred, sink *relstore.Stats, g *governor.G, spec *RunSpec) ([]*xmltree.Node, error) {
-	c, err := e.OpenViewCursorSpec(v, where, sink, g, spec)
+	return e.drainTrees(&Query{Table: v.Table, Where: where, Body: v.Body}, sink, g, spec)
+}
+
+// drainTrees runs q's tree program, compiled for the call, to the end.
+func (e *Executor) drainTrees(q *Query, sink *relstore.Stats, g *governor.G, spec *RunSpec) ([]*xmltree.Node, error) {
+	p, err := CompileTree(e.DB, q)
+	if err != nil {
+		return nil, err
+	}
+	c, err := e.OpenProgramCursorSpec(p, sink, g, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -416,9 +304,9 @@ func (e *Executor) ExplainViewSpec(v *ViewDef, where []relstore.Pred, spec *RunS
 	return plan.Explain(ts.Table())
 }
 
-// ExecQueryParallelSpec runs the query to trees: one result fragment per
-// qualifying driving row, in driving-row order, drained from a QueryCursor
-// whose worker count is workers (0: GOMAXPROCS). Like every cursor it
+// ExecQueryParallelSpec runs the query's tree program to the end: one result
+// fragment per qualifying driving row, in driving-row order, drained from a
+// QueryCursor whose worker count is workers (0: GOMAXPROCS). Like every cursor it
 // constructs in parallel when its driving scan has the candidates for it
 // (the paper notes the rewritten SQL/XML "can be efficiently executed by the
 // underlying RDBMS aggregation process in parallel manner").
@@ -428,11 +316,7 @@ func (e *Executor) ExecQueryParallelSpec(q *Query, workers int, sink *relstore.S
 		s = *spec
 	}
 	s.Batch.Workers = workers
-	c, err := e.OpenQueryCursorSpec(q, sink, g, &s)
-	if err != nil {
-		return nil, err
-	}
-	return c.drain()
+	return e.drainTrees(q, sink, g, &s)
 }
 
 // RowBuf accumulates a run's serialized rows in one buffer: each row followed

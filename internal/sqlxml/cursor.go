@@ -1,6 +1,7 @@
 package sqlxml
 
 import (
+	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,9 @@ import (
 // up front, a cursor holds the relstore access path open and constructs one
 // XMLType instance per call — as a tree (Next, what the functional
 // strategies evaluate over) or directly as serialized bytes (AppendNext, the
-// SQL strategy's output). The materializing entry points drain these
-// cursors, so every execution style shares one construction path.
+// SQL strategy's output), as its program's emitter says. The materializing
+// entry points drain these cursors, so every execution style shares one
+// construction path.
 //
 // Cursors write physical-operator counters to the sink passed at open time;
 // passing a per-run sink keeps concurrent executions from sharing counters.
@@ -38,19 +40,12 @@ import (
 //     hands out one constructed row in scan order.
 //
 // Either way the per-call surface stays row-oriented while the storage layer
-// pays its locks, fault checks and governor ticks once per batch. A cursor
-// is pulled by Next or by AppendNext, not both: on the parallel route the
-// workers construct for the kind of the first pull.
-//
-// Next walks the body into a tree (evalContext.eval); AppendNext runs the
-// body's compiled Program. A cursor opened over a plan's program binds the
-// program's filters at open and binds the tree body only if it is pulled as
-// trees; a cursor opened over a bare query or view binds the tree body at
-// open and compiles a program only if it is pulled as bytes.
+// pays its locks, fault checks and governor ticks once per batch. The
+// cursor's program, whose filters it binds at open, fixes how it is pulled:
+// a tree program's cursor with Next, a byte program's with AppendNext. The
+// other pull is an error.
 type QueryCursor struct {
-	src  XMLExpr  // the body as compiled: parameters unbound
-	body XMLExpr  // src with the run's parameters bound; nil until a tree pull needs it
-	prog *Program // nil until a byte pull needs it
+	prog *Program
 	ts   *relstore.TableSnap
 	ec   *evalContext // the serial route's; the parallel route copies its run state
 	fp   string       // faultpoint name hit once per handed-out row
@@ -68,11 +63,9 @@ type QueryCursor struct {
 	pool *drivePool
 	mu   sync.Mutex
 
-	pulled bool
-	trees  bool  // par's workers build trees (Next), not bytes (AppendNext): the first pull's kind
-	chunk  int   // rows in the current batch or run
-	bpos   int   // rows of it handed out
-	stop   error // the driving stream's end, io.EOF or its terminal error; nil while it runs
+	chunk int   // rows in the current batch or run
+	bpos  int   // rows of it handed out
+	stop  error // the driving stream's end, io.EOF or its terminal error; nil while it runs
 
 	bytesOut int64 // serialized bytes produced so far
 
@@ -83,8 +76,9 @@ type QueryCursor struct {
 }
 
 // built is one morsel as the parallel route's workers construct it: its
-// rows serialized (for AppendNext) or as trees (for Next). A slot keeps its
-// rows buffer from morsel to morsel and, in a kept pool, from run to run.
+// rows serialized (a byte program) or as trees (a tree program). A slot
+// keeps its rows buffer from morsel to morsel and, in a kept pool, from run
+// to run.
 type built struct {
 	rows *RowBuf
 	docs []*xmltree.Node
@@ -99,19 +93,14 @@ type drivePool struct {
 	ecs []*evalContext
 }
 
-// takeDrive takes p's kept driving pool, if p (nil: a cursor that has no
-// program yet) keeps one.
-func (p *Program) takeDrive() *drivePool {
-	if p == nil {
-		return nil
-	}
-	return p.drive.Swap(nil)
-}
+// takeDrive takes p's kept driving pool, if it keeps one.
+func (p *Program) takeDrive() *drivePool { return p.drive.Swap(nil) }
 
 // keepDrive keeps d (nil: none), which no cursor uses any more, for p's
-// next parallel scan — unless p is nil or already keeps one.
+// next parallel scan — unless p already keeps one, or is a tree program,
+// whose slots hold trees that a kept pool would pin.
 func (p *Program) keepDrive(d *drivePool) {
-	if p != nil && d != nil {
+	if d != nil && !p.tree {
 		p.drive.CompareAndSwap(nil, d)
 	}
 }
@@ -124,13 +113,13 @@ func (j *morselJob) RunMorsel(w int, ids []int, out *built) error {
 	return (*QueryCursor)(j).construct(w, ids, out)
 }
 
-// openCursor opens a cursor constructing src over plan's driving rows: with
-// prog as its byte program when non-nil, whose filters it binds here; else
-// with src bound as its tree body.
-func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, src XMLExpr, prog *Program, fp string, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
+// openCursor opens a cursor running prog over plan's driving rows, with
+// prog's filters bound to the run's parameters.
+func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, plan relstore.AccessPlan, prog *Program, fp string, sink *relstore.Stats, g *governor.G) (*QueryCursor, error) {
 	opts := s.batchOpts()
-	c := &QueryCursor{src: src, prog: prog, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g, params: s.params(), workers: int32(opts.WorkerCount())}, fp: fp, size: opts.Size()}
-	if err := c.bind(prog == nil); err != nil {
+	c := &QueryCursor{prog: prog, ts: ts, ec: &evalContext{snap: snap, stats: sink, gov: g, params: s.params(), workers: int32(opts.WorkerCount())}, fp: fp, size: opts.Size()}
+	var err error
+	if c.ec.filters, err = prog.bind(c.ec.params); err != nil {
 		return nil, err
 	}
 	d := prog.takeDrive()
@@ -153,37 +142,16 @@ func (s *RunSpec) openCursor(snap *relstore.Snapshot, ts *relstore.TableSnap, pl
 	return c, nil
 }
 
-// bind readies the cursor for a tree pull (trees) or a byte pull: it binds
-// the run's parameters into the tree body, or compiles the program if the
-// cursor has none and binds the program's filters. Either fails on an unbound
-// parameter.
-func (c *QueryCursor) bind(trees bool) (err error) {
-	if trees {
-		if c.body == nil {
-			c.body, err = bindXML(c.src, c.ec.params)
-		}
-		return err
-	}
-	if c.prog == nil {
-		if c.prog, err = Compile(c.ec.snap.DB(), &Query{Table: c.ts.Name(), Body: c.src}); err != nil {
-			return err
-		}
-	}
-	c.ec.filters, err = c.prog.bind(c.ec.params)
-	return err
-}
-
 // construct is the parallel route's morsel job. Worker w installs the
 // morsel's rows a batch at a time — the unit the body's subqueries are
 // group-joined against, as on the serial route — and constructs each into
-// out. A worker's context takes the run's state at its first morsel: the
-// first pull has bound what it needs by then.
+// out. A worker's context takes the run's state at its first morsel.
 func (c *QueryCursor) construct(w int, ids []int, out *built) error {
 	ec := c.pool.ecs[w]
 	if ec.snap == nil {
 		ec.bindRun(c.ec)
 	}
-	if c.trees {
+	if c.prog.tree {
 		clear(out.docs)
 		out.docs = out.docs[:0]
 	} else {
@@ -199,9 +167,9 @@ func (c *QueryCursor) construct(w int, ids []int, out *built) error {
 			ec.setPos(i)
 			start := c.buildStart()
 			var err error
-			if c.trees {
+			if c.prog.tree {
 				var doc *xmltree.Node
-				if doc, err = ec.evalDoc(c.body); err == nil {
+				if doc, err = ec.runDoc(c.prog); err == nil {
 					out.docs = append(out.docs, doc)
 				}
 			} else {
@@ -240,8 +208,7 @@ func (c *QueryCursor) refill() error {
 		}
 		c.chunk = 0
 		c.stop = c.end(c.par.Err())
-		// The workers have exited: the pool goes back to the program, unless
-		// its slots hold trees, which a kept pool would pin.
+		// The workers have exited: the pool goes back to the program.
 		c.mu.Lock()
 		d := c.pool
 		c.pool = nil
@@ -249,9 +216,7 @@ func (c *QueryCursor) refill() error {
 		for _, ec := range d.ecs {
 			ec.unbindRun()
 		}
-		if !c.trees {
-			c.prog.keepDrive(d)
-		}
+		c.prog.keepDrive(d)
 		return c.stop
 	}
 	if c.batch == nil {
@@ -287,20 +252,17 @@ func (c *QueryCursor) end(err error) error {
 	return io.EOF
 }
 
-// advance moves to the next qualifying driving row, for a tree pull or a
-// byte pull. It returns io.EOF when the driving scan is exhausted, and the
-// scan's terminal error (cancellation, injected fault) when it stopped
-// early. Under a trace the refills accrue on the scan span, with rows-out
-// credited per refill.
-func (c *QueryCursor) advance(trees bool) error {
-	if !c.pulled {
-		c.pulled, c.trees = true, trees
-	}
-	if trees && c.body == nil || !trees && c.prog == nil {
-		if err := c.bind(trees); err != nil {
-			return err
-		}
-	}
+// The errors of a pull the cursor's program does not construct for.
+var (
+	errTreePull = errors.New("sqlxml: Next on a cursor that constructs bytes (pull it with AppendNext)")
+	errBytePull = errors.New("sqlxml: AppendNext on a cursor that constructs trees (pull it with Next)")
+)
+
+// advance moves to the next qualifying driving row. It returns io.EOF when
+// the driving scan is exhausted, and the scan's terminal error
+// (cancellation, injected fault) when it stopped early. Under a trace the
+// refills accrue on the scan span, with rows-out credited per refill.
+func (c *QueryCursor) advance() error {
 	if err := faultpoint.Hit(c.fp); err != nil {
 		c.scanSp.Fail(err)
 		return err
@@ -353,17 +315,21 @@ func (c *QueryCursor) buildEnd(start time.Time, err error) {
 	c.buildSp.AddRowsOut(1)
 }
 
-// Next constructs the XML tree for the next qualifying driving row (see
-// advance for the end-of-stream and error contract).
+// Next constructs the XML tree for the next qualifying driving row of a
+// tree program's cursor (see advance for the end-of-stream and error
+// contract).
 func (c *QueryCursor) Next() (*xmltree.Node, error) {
-	if err := c.advance(true); err != nil {
+	if !c.prog.tree {
+		return nil, errTreePull
+	}
+	if err := c.advance(); err != nil {
 		return nil, err
 	}
 	if c.par != nil {
 		return c.run.Out.docs[c.run.Off+c.bpos-1], nil
 	}
 	start := c.buildStart()
-	doc, err := c.ec.evalDoc(c.body)
+	doc, err := c.ec.runDoc(c.prog)
 	c.buildEnd(start, err)
 	if err != nil {
 		c.ec.release() // a failed row ends the stream
@@ -372,10 +338,14 @@ func (c *QueryCursor) Next() (*xmltree.Node, error) {
 }
 
 // AppendNext appends the serialized XML of the next qualifying driving row
-// to dst — the bytes Next's tree would serialize to, produced without the
-// tree. On error (io.EOF included) the returned slice is dst, unextended.
+// of a byte program's cursor to dst — the bytes the tree program's document
+// would serialize to, produced without the tree. On error (io.EOF included)
+// the returned slice is dst, unextended.
 func (c *QueryCursor) AppendNext(dst []byte) ([]byte, error) {
-	if err := c.advance(false); err != nil {
+	if c.prog.tree {
+		return dst, errBytePull
+	}
+	if err := c.advance(); err != nil {
 		return dst, err
 	}
 	if c.par != nil {

@@ -12,9 +12,10 @@ import (
 )
 
 // The SQL strategy's contract is byte identity with the tree plan: for any
-// query, a cursor's AppendNext rows equal ExecQueryParallelSpec's trees
-// through Node.Serialize. The tests below hold the fused emitter to that over a view
-// built to hit every XMLExpr kind and every serializer corner.
+// query, a cursor's AppendNext rows equal the reference walk's documents
+// through Node.Serialize, and so do the trees of its tree program
+// (ExecQueryParallelSpec). The tests below hold both emitters to that over
+// a view built to hit every XMLExpr kind and every serializer corner.
 
 // nasty is the cell-value corpus: everything the two escapers treat
 // specially, the empty string, and multi-byte UTF-8.
@@ -166,15 +167,13 @@ func serializeDocs(docs []*xmltree.Node) []string {
 }
 
 // assertEmitMatchesTrees runs q as trees and as bytes through the streaming
-// cursor at each worker count, and demands the bytes of the one-worker trees.
-// It returns those and the sink of every run.
+// cursor at each worker count, and demands the walk's documents: node for
+// node from the trees, their bytes from the bytes. It returns those bytes
+// and the sink of every run.
 func assertEmitMatchesTrees(tb testing.TB, ex *Executor, q *Query, workers ...int) ([]string, *relstore.Stats) {
 	tb.Helper()
-	docs, err := ex.ExecQueryParallelSpec(q, 1, nil, nil, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	want := serializeDocs(docs)
+	walked := walkDocs(tb, ex.DB, q, nil, nil)
+	want := serializeDocs(walked)
 	same := func(label string, got []string) {
 		tb.Helper()
 		if len(got) != len(want) {
@@ -192,7 +191,7 @@ func assertEmitMatchesTrees(tb testing.TB, ex *Executor, q *Query, workers ...in
 		if err != nil {
 			tb.Fatal(err)
 		}
-		same(fmt.Sprintf("trees/workers=%d", w), serializeDocs(docs))
+		assertSameDocs(tb, fmt.Sprintf("trees/workers=%d", w), docs, walked, q)
 		c, err := ex.OpenQueryCursorSpec(q, &sink, nil, &RunSpec{Batch: relstore.BatchOpts{Workers: w}})
 		if err != nil {
 			tb.Fatal(err)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/governor"
 	"repro/internal/relstore"
-	"repro/internal/xmltree"
 )
 
 // XMLExpr produces XML content from one row of a driving table.
@@ -170,28 +169,25 @@ func (q *SubQuery) fromWhereSQL() string {
 // An evalContext belongs to one goroutine and is reused for every driving
 // row it constructs, so nothing below is set up per row or per subquery
 // evaluation: the row frames live as long as the context, and the subquery
-// plans with their group scratch are drawn from a pool once per run. It
-// serves both halves of construction: the byte program (program.go) and the
-// tree walk below.
+// plans with their group scratch are drawn from a pool once per run. It runs
+// programs of both emitters (program.go).
 type evalContext struct {
 	snap  *relstore.Snapshot
 	stats *relstore.Stats
 	// gov, when non-nil, bounds the construction: deep Agg nests and wide
 	// scans abort promptly on cancellation or budget exhaustion.
 	gov *governor.G
-	// ticks counts the ops run (or expression nodes walked) since the
-	// governor was last charged (flushTicks): the run's shared tick counter
-	// is one contended cache line, so construction charges it every tickFlush
-	// ops and at the end of each driving row instead of once per op.
+	// ticks counts the ops run since the governor was last charged
+	// (flushTicks): the run's shared tick counter is one contended cache
+	// line, so construction charges it every tickFlush ops and at the end of
+	// each driving row instead of once per op.
 	ticks int
 	// params binds the placeholders of subquery WHERE clauses as their plans
 	// are made; filters holds the program's CASE WHEN predicates, bound once
-	// per run (Program.bind), and conds the walk's, compiled at the first row
-	// each Cond tests.
+	// per run (Program.bind).
 	params  map[string]relstore.Value
 	filters []relstore.Filter
-	conds   map[*Cond][]relstore.Filter
-	// open is the program's run-time "start tag open" bit.
+	// open is a byte program's run-time "start tag open" bit.
 	open bool
 	// workers is how many morsel workers may construct one large Agg group
 	// (split.go); at most 1 — as on every morsel worker's own context —
@@ -208,8 +204,10 @@ type evalContext struct {
 	// (subBuf backs the first few).
 	subs   []*subPlan
 	subBuf [4]*subPlan
-	// num is the formatting buffer for numeric values.
-	num [32]byte
+	// sink is the document a tree program is building (runDoc), and raw the
+	// bytes its value ops have written since its last opFlush.
+	sink treeSink
+	raw  []byte
 	// fetched keeps what the member loop's fetches return, so that the
 	// compiler cannot drop their loads (members).
 	fetched uint64
@@ -233,201 +231,4 @@ func (ec *evalContext) flushTicks() error {
 	n := ec.ticks
 	ec.ticks = 0
 	return ec.gov.TickN(n)
-}
-
-// evalDoc constructs the XML of expr for the current driving row as a
-// document tree and settles the row's governor charge.
-func (ec *evalContext) evalDoc(expr XMLExpr) (*xmltree.Node, error) {
-	doc := xmltree.NewDocument()
-	if err := ec.eval(&treeSink{cur: doc}, expr, &ec.driving); err != nil {
-		return nil, err
-	}
-	if err := ec.flushTicks(); err != nil {
-		return nil, err
-	}
-	doc.Renumber()
-	return doc, nil
-}
-
-// eval walks expr for the current row of f and builds what it constructs
-// into out. This is the tree half of construction — the functional
-// strategies' input and the byte program's identity oracle — so it stays a
-// plain walk of the expression.
-func (ec *evalContext) eval(out *treeSink, expr XMLExpr, f *frame) error {
-	if ec.ticks++; ec.ticks >= tickFlush {
-		if err := ec.flushTicks(); err != nil {
-			return err
-		}
-	}
-	switch e := expr.(type) {
-	case *Literal:
-		out.text(e.Text)
-		return nil
-	case *Column:
-		ec.emitCell(out, f, e.Name)
-		return nil
-	case *Element:
-		out.startElement(e.Name)
-		// A repeated attribute name keeps the first one's position and the
-		// last one's value (Node.SetAttr replaces in place), so only that
-		// value is evaluated, there — as the program compiles it.
-		for i, a := range e.Attrs {
-			last := lastAttrNamed(e.Attrs, i)
-			if last < 0 {
-				continue
-			}
-			out.startAttr(a.Name)
-			err := ec.evalScalar(out, e.Attrs[last].Value, f)
-			out.endAttr()
-			if err != nil {
-				return err
-			}
-		}
-		for _, c := range e.Children {
-			if err := ec.eval(out, c, f); err != nil {
-				return err
-			}
-		}
-		out.endElement()
-		return nil
-	case *Concat:
-		for _, it := range e.Items {
-			if err := ec.eval(out, it, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *Agg:
-		inner, ids, err := ec.group(e.Sub, f)
-		if err != nil {
-			return err
-		}
-		// The group becomes the row list one level down, so the subqueries
-		// of the body join against all of it at once.
-		body := ec.nest(f, inner, ids)
-		for i := range ids {
-			body.setPos(i)
-			if err := ec.eval(out, e.Sub.Body, body); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *ScalarAgg:
-		inner, ids, err := ec.group(e.Sub, f)
-		if err != nil {
-			return err
-		}
-		ec.emitScalarAgg(out, e, inner, ids)
-		return nil
-	case *Cond:
-		holds := true
-		fs := ec.condFilters(e, f.ts)
-		for i := range fs {
-			if !fs[i].Matches(f.ts, f.id) {
-				holds = false
-				break
-			}
-		}
-		if holds {
-			return ec.eval(out, e.Then, f)
-		}
-		if e.Else != nil {
-			return ec.eval(out, e.Else, f)
-		}
-		return nil
-	}
-	return fmt.Errorf("sqlxml: unhandled expression %T", expr)
-}
-
-// condFilters returns e's predicates compiled against ts, the table of the
-// rows e tests: compiled at the first test in this run, as the program
-// compiles them with the plan. (The walk runs a bound body, so every
-// predicate compares with a constant.)
-func (ec *evalContext) condFilters(e *Cond, ts *relstore.TableSnap) []relstore.Filter {
-	if fs, ok := ec.conds[e]; ok {
-		return fs
-	}
-	fs := make([]relstore.Filter, len(e.Preds))
-	for i, p := range e.Preds {
-		ord := ts.ColIndex(p.Col)
-		var typ relstore.ColType
-		if ord >= 0 {
-			typ = ts.Type(ord)
-		}
-		fs[i] = relstore.CompileFilter(typ, ord, p.Op, p.Val)
-	}
-	if ec.conds == nil {
-		ec.conds = make(map[*Cond][]relstore.Filter)
-	}
-	ec.conds[e] = fs
-	return fs
-}
-
-// evalScalar evaluates a scalar-producing expression (Column, Literal,
-// ScalarAgg, or a Concat of those) into the attribute out has open.
-func (ec *evalContext) evalScalar(out *treeSink, expr XMLExpr, f *frame) error {
-	switch e := expr.(type) {
-	case *Literal:
-		out.text(e.Text)
-		return nil
-	case *Column:
-		ec.emitCell(out, f, e.Name)
-		return nil
-	case *ScalarAgg:
-		inner, ids, err := ec.group(e.Sub, f)
-		if err != nil {
-			return err
-		}
-		ec.emitScalarAgg(out, e, inner, ids)
-		return nil
-	case *Concat:
-		for _, it := range e.Items {
-			if err := ec.evalScalar(out, it, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("sqlxml: attribute value must be scalar, got %T", expr)
-}
-
-// emitCell adds the current row's cell of column col as text, formatted as
-// the program formats it: NULL (or a column the table does not have) is no
-// text. A VARCHAR cell becomes a string here, at the tree's edge.
-func (ec *evalContext) emitCell(out *treeSink, f *frame, col string) {
-	ord := f.ts.ColIndex(col)
-	if ord < 0 {
-		return
-	}
-	ec.emitAt(out, f.ts, ord, f.id)
-}
-
-// textOp formats a number for emitAt: as attribute text, so formatting it
-// touches no start tag of a program's run.
-var textOp = op{attr: true}
-
-// emitAt adds the cell of row id in column ord of ts as text.
-func (ec *evalContext) emitAt(out *treeSink, ts *relstore.TableSnap, ord, id int) {
-	if ts.Type(ord) == relstore.StringCol {
-		if b, ok := ts.Text(ord, id); ok {
-			out.text(string(b))
-		}
-		return
-	}
-	if buf := ec.cellAt(ec.num[:0], &textOp, ts, ord, id); len(buf) > 0 {
-		out.text(string(buf))
-	}
-}
-
-// emitScalarAgg adds a SQL aggregate over the selected inner rows as text
-// (aggregate).
-func (ec *evalContext) emitScalarAgg(out *treeSink, e *ScalarAgg, inner *relstore.TableSnap, ids []int) {
-	ord := inner.ColIndex(e.Col)
-	num, best, isNum := aggregate(aggOf(e.Fn), inner, ord, ids)
-	switch {
-	case isNum:
-		out.text(string(appendFloat(ec.num[:0], num)))
-	case best >= 0:
-		ec.emitAt(out, inner, ord, best)
-	}
 }

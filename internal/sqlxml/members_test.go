@@ -100,11 +100,12 @@ var chunkQuery = &Query{Table: "g", Body: &Element{Name: "g",
 // chunk at a time). Its fetches must have read exactly the group's cells of
 // the columns whose cells the body reads — not g, which only its CASE WHEN
 // reads, a chunk at a time of its own (their folded value is a sum, so
-// chunking does not change it); and the program's bytes are the tree
-// walk's on every route.
+// chunking does not change it); and the program's bytes, and the tree
+// program's documents, are the walk's on every route.
 func TestMemberLoopVsUnchunked(t *testing.T) {
 	db := chunkDB(t)
 	assertProgramMatchesTrees(t, NewExecutor(db), chunkQuery)
+	assertTreesMatchWalk(t, NewExecutor(db), chunkQuery)
 	assertSameStats(t, NewExecutor(db), chunkQuery)
 
 	p, err := Compile(db, chunkQuery)

@@ -13,22 +13,17 @@ import (
 	"repro/internal/xmltree"
 )
 
-// This file is the byte half of construction (the paper's §4 idea applied
-// to the constructor itself: specialize over the structure once, at compile
-// time). A Query's body is compiled, beside the plan, into a flat program of
-// ops that append serialized XML — byte for byte what Node.Serialize prints
-// for the tree the walk in expr.go would build, without the tree. What the
-// walk re-decides on every row is decided here once:
+// This file is the constructor (the paper's §4 idea applied to the
+// constructor itself: specialize over the structure once, at compile time).
+// A Query's body is compiled into a flat program of ops, which one loop (run)
+// executes per driving row. A program has one of two emitters, fixed when it
+// is compiled: a byte program (Compile) appends serialized XML, the SQL
+// strategy's output; a tree program (CompileTree) builds the document tree
+// the functional strategies evaluate over. Both read cells through the same
+// ordinals, bound filters, CASE WHEN jumps, XMLAgg sub-programs and member
+// loop; they differ only in the ops that write markup and in the escaping of
+// values. What a tree walk would re-decide on every row is decided here once:
 //
-//   - static runs: tag names, attribute names and literal text are escaped
-//     at compile time, and adjacent static bytes merge into one append, across
-//     element boundaries;
-//   - the deferred '>': a start tag stays open until its element receives
-//     content, so an element with none closes as "/>". Where the content is
-//     statically known — a child element, a non-empty literal — the compiler
-//     writes '>' (or "/>", or the end tag) into the static run; only content
-//     that may turn out empty (a NULL or empty column, an aggregate over no
-//     rows, an untaken branch) leaves a run-time "start tag open" bit;
 //   - columns as ordinals, typed: each column resolves against its table's
 //     schema, which never changes (tables are created, never altered or
 //     dropped), so an ordinal compiled once holds for every snapshot;
@@ -39,7 +34,19 @@ import (
 //     the run binds the bind variable it compares with — never per row.
 //     Inside an XMLAgg body a condition is evaluated a chunk of members at
 //     a time, into a 64-bit mask per CASE WHEN (members), and its op tests
-//     one bit;
+//     one bit.
+//
+// A byte program also decides at compile time what serialization would:
+//
+//   - static runs: tag names, attribute names and literal text are escaped
+//     at compile time, and adjacent static bytes merge into one append, across
+//     element boundaries;
+//   - the deferred '>': a start tag stays open until its element receives
+//     content, so an element with none closes as "/>". Where the content is
+//     statically known — a child element, a non-empty literal — the compiler
+//     writes '>' (or "/>", or the end tag) into the static run; only content
+//     that may turn out empty (a NULL or empty column, an aggregate over no
+//     rows, an untaken branch) leaves a run-time "start tag open" bit;
 //   - superinstructions: the static run before a column's op is folded into
 //     that op, so "literal, column, literal" is two dispatches, not three.
 //     A folded op charges one governor tick per source op it stands for, so
@@ -56,15 +63,24 @@ import (
 //     store writes past its value land in the buffer's spare capacity, and
 //     a buffer without 16 bytes of room takes the plain append, so no store
 //     ever grows a buffer.
+//
+// A tree program has none of these: in place of static runs it starts and
+// ends elements and attributes and adds literal text through a treeSink, and
+// its value ops write their cells raw (an escape mask of zero, fixed in the
+// op) into a scratch buffer that a flush op hands to the sink as one text
+// node or attribute value part. Its XMLAggs never split (split.go).
 
-// Program is a query body compiled for byte construction. It is immutable
-// once compiled — every run of a plan, and every morsel worker of a run,
-// shares it — but for two scratch caches, each taken and put back
-// atomically by one run at a time: the driving pool (drive) and each Agg's
-// split pool (subOp.scratch).
+// Program is a query body compiled for byte or for tree construction. It is
+// immutable once compiled — every run of a plan, and every morsel worker of
+// a run, shares it — but for two scratch caches of a byte program, each
+// taken and put back atomically by one run at a time: the driving pool
+// (drive) and each Agg's split pool (subOp.scratch).
 type Program struct {
 	q    *Query
 	code []op
+	// tree marks a tree program: its cursors are pulled with Next, a byte
+	// program's with AppendNext.
+	tree bool
 	// params names the bind variables the body reads; a run fails unless it
 	// binds every one.
 	params []string
@@ -92,8 +108,9 @@ type boundPred struct {
 var compiles atomic.Int64
 
 // ProgramsCompiled reports how many programs this process has compiled: a
-// plan compiles one, and a cursor opened without one compiles one at its
-// first byte pull.
+// SQL plan compiles its byte program with the plan, a plan that runs a
+// functional strategy its tree program at the first such run, and an entry
+// point given a bare query or view compiles one per call.
 func ProgramsCompiled() int64 { return compiles.Load() }
 
 type opKind uint8
@@ -110,21 +127,37 @@ const (
 	opScalar               // a scalar aggregate over the group
 	opCond                 // unless every predicate holds, skip jump ops
 	opJump                 // skip jump ops
+
+	// A tree program's markup ops, in place of static runs.
+	opElem    // start element lit
+	opElemEnd // end the element
+	opAttr    // start attribute lit
+	opAttrEnd // set the attribute
+	opLit     // lit as text
+	opFlush   // the bytes written since the last flush as text
 )
 
 // op is one instruction. Value ops (opInt, opFloat, opText, opScalar) write
 // character content, closing an open start tag first unless their value is
-// empty, or — attr set — part of an attribute value, escaped for it.
+// empty, or — attr set — part of an attribute value; a VARCHAR cell is
+// escaped when its escape class has a bit of esc set.
 //
 // opInt, opFloat and opText are superinstructions: the static run the
 // compiler had pending before one is folded into it as lit, its prefix,
 // appended before the value whether the value is empty or not. Such an op
-// stands for two source ops (fused is 1) and charges two governor ticks, so
-// a run's ticks do not depend on the folding.
+// stands for two source ops and charges two governor ticks, so a run's
+// ticks do not depend on the folding.
 type op struct {
-	kind  opKind
-	attr  bool
-	fused uint8 // static ops folded into lit: each charges one more tick
+	kind opKind
+	attr bool
+	// esc is the escape class bits (xmltree.EscapeClass) that make a VARCHAR
+	// cell escaped rather than copied: its context's in a byte program, none
+	// in a tree program, whose values are raw text.
+	esc uint8
+	// ticks is the governor ticks the op charges: one per source op it stands
+	// for, and none for the tree ops that only finish what another op began
+	// (opElemEnd, opAttrEnd, opFlush).
+	ticks uint8
 	lit   string
 	// wide is lit padded with zeros, when lit is at most 16 bytes long: the
 	// run writes it with one 16-byte store (appendLit).
@@ -155,7 +188,8 @@ type subOp struct {
 	fn    aggFn
 	ord   int
 	// split marks an Agg body whose members the morsel pool may construct
-	// in parallel (split.go): one that ends with every start tag closed.
+	// in parallel (split.go): a byte program's that ends with every start tag
+	// closed.
 	split bool
 	// scratch is a finished split's pool, worker contexts and buffers, kept
 	// for the next run's split of this Agg.
@@ -212,38 +246,54 @@ type compiler struct {
 	code    []op
 	run     []byte // static bytes not yet emitted as an opStatic
 	tag     tagState
+	// tree compiles a tree program; pending is whether its value ops may have
+	// written bytes since the last opFlush. A tree block starts and ends with
+	// none pending (block, emit), so the bytes are always the text between
+	// two markup ops.
+	tree, pending bool
 	// cols collects the columns the Agg body being compiled reads directly
 	// (read); a nested Agg collects its own.
 	cols []int
 }
 
-// Compile compiles q's body against db's schemas. A table the body reads
-// that db does not have is an error.
-func Compile(db *relstore.DB, q *Query) (*Program, error) {
+// Compile compiles q's body against db's schemas into a byte program. A
+// table the body reads that db does not have is an error.
+func Compile(db *relstore.DB, q *Query) (*Program, error) { return compile(db, q, false) }
+
+// CompileTree compiles q's body against db's schemas into a tree program.
+func CompileTree(db *relstore.DB, q *Query) (*Program, error) { return compile(db, q, true) }
+
+func compile(db *relstore.DB, q *Query, tree bool) (*Program, error) {
 	t := db.Table(q.Table)
 	if t == nil {
 		return nil, fmt.Errorf("sqlxml: query references unknown table %q", q.Table)
 	}
-	c := &compiler{db: db}
+	c := &compiler{db: db, tree: tree}
 	code, _, err := c.block(q.Body, t, tagClosed)
 	if err != nil {
 		return nil, err
 	}
-	widen(code)
+	finish(code)
 	compiles.Add(1)
-	return &Program{q: q, code: code, params: c.params, filters: c.filters, bound: c.bound}, nil
+	return &Program{q: q, code: code, tree: tree, params: c.params, filters: c.filters, bound: c.bound}, nil
 }
 
-// widen pads every literal of at most 16 bytes in code, and in the bodies
-// of its XMLAggs, into its op's wide array.
-func widen(code []op) {
+// finish sets the ticks of every op in code, and in the bodies of its
+// XMLAggs, and pads every literal of at most 16 bytes into its op's wide
+// array.
+func finish(code []op) {
 	for i := range code {
 		o := &code[i]
+		switch o.kind {
+		case opElemEnd, opAttrEnd, opFlush:
+		default:
+			o.ticks++ // beside the static op folded into it, if any (emit)
+		}
 		if len(o.lit) <= len(o.wide) {
 			copy(o.wide[:], o.lit)
 		}
 		if o.kind == opAgg {
-			widen(o.sub.body)
+			finish(o.sub.body)
 		}
 	}
 }
@@ -251,15 +301,16 @@ func widen(code []op) {
 // block compiles x (nil: nothing) over rows of t, starting in state in, into
 // an op list of its own; it returns the list and the state it ends in.
 func (c *compiler) block(x XMLExpr, t *relstore.Table, in tagState) ([]op, tagState, error) {
-	code, run, tag := c.code, c.run, c.tag
-	c.code, c.run, c.tag = nil, nil, in
+	code, run, tag, pending := c.code, c.run, c.tag, c.pending
+	c.code, c.run, c.tag, c.pending = nil, nil, in, false
 	var err error
 	if x != nil {
 		err = c.expr(x, t)
 	}
 	c.flush()
+	c.flushText()
 	out, end := c.code, c.tag
-	c.code, c.run, c.tag = code, run, tag
+	c.code, c.run, c.tag, c.pending = code, run, tag, pending
 	return out, end, err
 }
 
@@ -270,13 +321,38 @@ func (c *compiler) flush() {
 	}
 }
 
+// flushText emits the opFlush that ends a tree program's pending bytes.
+func (c *compiler) flushText() {
+	if c.pending {
+		c.code = append(c.code, op{kind: opFlush})
+		c.pending = false
+	}
+}
+
+// node emits a tree program's markup op, behind the text written before it.
+func (c *compiler) node(kind opKind, lit string) {
+	c.flushText()
+	c.code = append(c.code, op{kind: kind, lit: lit})
+}
+
 func (c *compiler) emit(o op) {
 	switch o.kind {
-	case opInt, opFloat, opText:
-		if len(c.run) > 0 {
-			o.lit, o.fused = string(c.run), 1
+	case opInt, opFloat, opText, opScalar:
+		if c.tree {
+			c.pending = true // raw: esc stays 0
+			break
+		}
+		o.esc = xmltree.TextNeedsEscape
+		if o.attr {
+			o.esc = xmltree.AttrNeedsEscape
+		}
+		if o.kind != opScalar && len(c.run) > 0 {
+			o.lit, o.ticks = string(c.run), 1
 			c.run = c.run[:0]
 		}
+	case opAgg, opCond:
+		// The body or branch starts with nothing pending (block).
+		c.flushText()
 	}
 	c.flush()
 	c.code = append(c.code, o)
@@ -305,7 +381,11 @@ func (c *compiler) value(o op) {
 func (c *compiler) expr(x XMLExpr, t *relstore.Table) error {
 	switch e := x.(type) {
 	case *Literal:
-		if e.Text != "" {
+		switch {
+		case e.Text == "":
+		case c.tree:
+			c.node(opLit, e.Text)
+		default:
 			c.content()
 			c.run = xmltree.AppendEscapeText(c.run, e.Text)
 		}
@@ -363,26 +443,44 @@ func column(t *relstore.Table, name string) (op, bool) {
 func (c *compiler) element(e *Element, t *relstore.Table) error {
 	c.content()
 	name := serialName(e.Name)
-	c.run = append(c.run, '<')
-	c.run = append(c.run, name...)
+	if c.tree {
+		c.node(opElem, e.Name)
+	} else {
+		c.run = append(c.run, '<')
+		c.run = append(c.run, name...)
+	}
 	for i, a := range e.Attrs {
 		last := lastAttrNamed(e.Attrs, i)
 		if last < 0 {
 			continue
 		}
-		c.run = append(c.run, ' ')
-		c.run = append(c.run, serialName(a.Name)...)
-		c.run = append(c.run, '=', '"')
+		if c.tree {
+			c.node(opAttr, a.Name)
+		} else {
+			c.run = append(c.run, ' ')
+			c.run = append(c.run, serialName(a.Name)...)
+			c.run = append(c.run, '=', '"')
+		}
 		if err := c.attrValue(e.Attrs[last].Value, t); err != nil {
 			return err
 		}
-		c.run = append(c.run, '"')
+		if c.tree {
+			c.node(opAttrEnd, "")
+		} else {
+			c.run = append(c.run, '"')
+		}
 	}
-	c.tag = tagOpen
+	if !c.tree {
+		c.tag = tagOpen // a tree program's stays tagClosed: it writes no tags
+	}
 	for _, ch := range e.Children {
 		if err := c.expr(ch, t); err != nil {
 			return err
 		}
+	}
+	if c.tree {
+		c.node(opElemEnd, "")
+		return nil
 	}
 	switch c.tag {
 	case tagOpen:
@@ -401,7 +499,13 @@ func (c *compiler) element(e *Element, t *relstore.Table) error {
 func (c *compiler) attrValue(x XMLExpr, t *relstore.Table) error {
 	switch e := x.(type) {
 	case *Literal:
-		c.run = xmltree.AppendEscapeAttr(c.run, e.Text)
+		switch {
+		case e.Text == "":
+		case c.tree:
+			c.node(opLit, e.Text)
+		default:
+			c.run = xmltree.AppendEscapeAttr(c.run, e.Text)
+		}
 	case *Column:
 		if o, ok := column(t, e.Name); ok {
 			o.attr = true
@@ -454,10 +558,10 @@ func (c *compiler) scalar(e *ScalarAgg) (*subOp, error) {
 // one iteration ends where it began, else tagDyn — set up before the loop,
 // kept exact by the body.
 //
-// A body that ends tagClosed may be split across the morsel pool. It starts
-// tagClosed (no tag pending) or tagDyn (the open bit says), and every path
-// through it closes — opClose, or a non-empty value's closeTag — before it
-// writes a byte, and leaves the bit false. So every member after the first
+// A byte program's body that ends tagClosed may be split across the morsel
+// pool. It starts tagClosed (no tag pending) or tagDyn (the open bit says),
+// and every path through it closes — opClose, or a non-empty value's
+// closeTag — before it writes a byte, and leaves the bit false. So every member after the first
 // starts with the bit false, and the first writes the pending '>', if any,
 // before anything else: that '>' written once, then every member's bytes
 // built with the bit false, is the serial loop's output. A body that may end
@@ -498,7 +602,7 @@ func (c *compiler) agg(e *Agg, t *relstore.Table) error {
 			conds = append(conds, body[i].preds)
 		}
 	}
-	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, cols: c.cols, conds: conds, split: out == tagClosed}})
+	c.emit(op{kind: opAgg, sub: &subOp{q: e.Sub, body: body, cols: c.cols, conds: conds, split: out == tagClosed && !c.tree}})
 	c.tag = in
 	return nil
 }
@@ -645,9 +749,28 @@ func (ec *evalContext) runRow(p *Program, dst []byte) ([]byte, error) {
 	return buf, err
 }
 
+// runDoc builds tree program p's document for the current row of the
+// driving frame and settles the row's governor charge.
+func (ec *evalContext) runDoc(p *Program) (*xmltree.Node, error) {
+	doc := xmltree.NewDocument()
+	ec.sink.cur = doc
+	pos := ec.driving.pos
+	buf, err := ec.run(p.code, &ec.driving, pos, pos+1, ec.raw[:0])
+	ec.raw, ec.sink = buf[:0], treeSink{}
+	if err == nil {
+		err = ec.flushTicks()
+	}
+	if err != nil {
+		return nil, err
+	}
+	doc.Renumber()
+	return doc, nil
+}
+
 // run executes code for rows lo to hi-1 of f's list, one after another,
-// appending to buf, and leaves f at the last. Every source op executed is
-// one governor tick: a superinstruction charges one per op folded into it.
+// appending to buf, and leaves f at the last. Every op executed charges its
+// ticks: a superinstruction one per source op, a tree program's end and
+// flush ops none.
 // The member loop hands it a whole chunk of members at once: the loop over
 // them is here, not around a call per member, which would save and restore
 // the loop's state for every one.
@@ -656,7 +779,7 @@ func (ec *evalContext) run(code []op, f *frame, lo, hi int, buf []byte) ([]byte,
 		f.setPos(row)
 		for pc := 0; pc < len(code); pc++ {
 			o := &code[pc]
-			if ec.ticks += 1 + int(o.fused); ec.ticks >= tickFlush {
+			if ec.ticks += int(o.ticks); ec.ticks >= tickFlush {
 				if err := ec.flushTicks(); err != nil {
 					return buf, err
 				}
@@ -701,11 +824,11 @@ func (ec *evalContext) run(code []op, f *frame, lo, hi int, buf []byte) ([]byte,
 				// store, as a literal is (appendLit).
 				if b, wide, class := f.ts.TextWide(o.ord, f.id); len(b) > 0 {
 					buf = ec.contentOf(buf, o)
-					if n := len(buf); wide != nil && class&o.esc() == 0 && cap(buf)-n >= len(wide) {
+					if n := len(buf); wide != nil && class&o.esc == 0 && cap(buf)-n >= len(wide) {
 						*(*[16]byte)(buf[n : n+16]) = *wide
 						buf = buf[:n+len(b)]
 					} else {
-						buf = appendText(buf, b, class, o.attr)
+						buf = appendText(buf, b, class&o.esc, o.attr)
 					}
 				}
 			case opAgg:
@@ -747,10 +870,35 @@ func (ec *evalContext) run(code []op, f *frame, lo, hi int, buf []byte) ([]byte,
 				}
 			case opJump:
 				pc += o.jump
+			default:
+				buf = ec.markup(o, buf)
 			}
 		}
 	}
 	return buf, nil
+}
+
+// markup runs a tree program's markup op o (opElem … opFlush) into the
+// document being built; buf is the bytes its value ops wrote since the last
+// opFlush. It sits outside run's switch, which gains one arm for the tree
+// emitter, not six.
+func (ec *evalContext) markup(o *op, buf []byte) []byte {
+	switch o.kind {
+	case opElem:
+		ec.sink.startElement(o.lit)
+	case opElemEnd:
+		ec.sink.endElement()
+	case opAttr:
+		ec.sink.startAttr(o.lit)
+	case opAttrEnd:
+		ec.sink.endAttr()
+	case opLit:
+		ec.sink.text(o.lit)
+	case opFlush:
+		ec.sink.text(string(buf))
+		buf = buf[:0]
+	}
+	return buf
 }
 
 // memberChunk is how many members the member loop fetches ahead of the body.
@@ -843,7 +991,7 @@ func (ec *evalContext) cellAt(buf []byte, o *op, ts *relstore.TableSnap, ord, id
 		}
 	default:
 		if b, _, class := ts.TextWide(ord, id); len(b) > 0 {
-			return appendText(ec.contentOf(buf, o), b, class, o.attr)
+			return appendText(ec.contentOf(buf, o), b, class&o.esc, o.attr)
 		}
 	}
 	return buf
@@ -872,19 +1020,10 @@ func appendLit(buf []byte, o *op) []byte {
 	return append(buf, o.lit...)
 }
 
-// esc is the escape class bit (xmltree.EscapeClass) of o's context: a
-// VARCHAR cell whose class has it set is escaped, not copied.
-func (o *op) esc() uint8 {
-	if o.attr {
-		return xmltree.AttrNeedsEscape
-	}
-	return xmltree.TextNeedsEscape
-}
-
 // appendText appends VARCHAR bytes of escape class class
-// (xmltree.EscapeClass) escaped for their context (attr: an attribute
-// value), from where they sit: bytes with nothing to escape in the context
-// are one copy.
+// (xmltree.EscapeClass, masked by the op's esc) escaped for their context
+// (attr: an attribute value), from where they sit: bytes with nothing to
+// escape in the context are one copy.
 func appendText(dst, b []byte, class uint8, attr bool) []byte {
 	if attr {
 		if class&xmltree.AttrNeedsEscape == 0 {

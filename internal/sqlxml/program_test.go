@@ -19,10 +19,11 @@ import (
 	"repro/internal/xmltree"
 )
 
-// The byte program is held to the tree walk over generated bodies: any
-// XMLExpr the generator below decodes from fuzz bytes must append, through
-// AppendNext, exactly the bytes Node.Serialize prints for the trees of
-// ExecQueryParallelSpec — at every batch size and worker count, over enough
+// Both emitters are held to the reference walk (walk_test.go) over
+// generated bodies: for any XMLExpr the generator below decodes from fuzz
+// bytes, a byte program must append, through AppendNext, exactly the bytes
+// Node.Serialize prints for the walk's documents, and a tree program must
+// build those documents — at every batch size and worker count, over enough
 // driving rows that the morsel pool constructs.
 
 // shapeGen decodes bytes into an XMLExpr over kindsDB's tables: o drives,
@@ -193,16 +194,12 @@ func (g *shapeGen) content(table string, depth, aggs int) XMLExpr {
 // shapeParams binds the generator's bind variables.
 var shapeParams = map[string]relstore.Value{"p": int64(2), "s": nasty[1]}
 
-// assertProgramMatchesTrees demands the one-worker trees' bytes from every
+// assertProgramMatchesTrees demands the walk's documents' bytes from every
 // byte route: batch sizes 1, 7 and 1024 at 1 and 4 workers. It returns the
 // morsels the 4-worker runs executed.
 func assertProgramMatchesTrees(tb testing.TB, ex *Executor, q *Query) int64 {
 	tb.Helper()
-	docs, err := ex.ExecQueryParallelSpec(q, 1, nil, nil, &RunSpec{Params: shapeParams})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	want := serializeDocs(docs)
+	want := serializeDocs(walkDocs(tb, ex.DB, q, shapeParams, nil))
 	var sink relstore.Stats
 	for _, workers := range []int{1, 4} {
 		for _, size := range []int{1, 7, 1024} {
@@ -282,11 +279,9 @@ func splits(tb testing.TB, db *relstore.DB, q *Query) bool {
 	return false
 }
 
-// FuzzProgramVsTree: for any generated body, the program and the walk agree
-// on every row of a driving table large enough for the morsel pool — and, in
-// one-row mode, on the one document whose XMLAgg groups that whole table,
-// which the pool splits exactly when the body ends with its tags closed.
-func FuzzProgramVsTree(f *testing.F) {
+// addShapeSeeds seeds a generated-body fuzz target (shapeGen), in its
+// driving-rows and its one-row mode.
+func addShapeSeeds(f *testing.F) {
 	for _, shape := range [][]byte{
 		{},
 		{0, 5, 3, 0, 1, 2, 4, 6, 1, 7, 2},
@@ -315,6 +310,15 @@ func FuzzProgramVsTree(f *testing.F) {
 	} {
 		f.Add(seed.shape, seed.oneRow)
 	}
+}
+
+// FuzzProgramVsTree: for any generated body, the byte program and the walk
+// agree on every row of a driving table large enough for the morsel pool —
+// and, in one-row mode, on the one document whose XMLAgg groups that whole
+// table, which the pool splits exactly when the body ends with its tags
+// closed.
+func FuzzProgramVsTree(f *testing.F) {
+	addShapeSeeds(f)
 	f.Fuzz(func(t *testing.T, shape []byte, oneRow bool) {
 		db := bigShapeDB(t)
 		g := &shapeGen{b: shape}
@@ -451,11 +455,21 @@ func TestProgramShapes(t *testing.T) {
 				t.Errorf("%d ops, want %d: %s", len(p.code), tc.ops, dumpOps(p.code))
 			}
 			assertProgramMatchesTrees(t, NewExecutor(db), q)
+			assertTreesMatchWalk(t, NewExecutor(db), q)
 			assertSameStats(t, NewExecutor(db), q)
 			assertExactCapacity(t, db, p)
 			if tc.ticks > 0 {
-				if got, want := programTicks(t, db, p), uint64(tc.ticks*5); got != want {
-					t.Errorf("%d governor ticks over 5 rows, want %d: %s", got, want, dumpOps(p.code))
+				// A tree program charges one tick per op that does work —
+				// a literal, a value, a start tag or attribute — which for
+				// these shapes is the byte program's count too.
+				tp, err := CompileTree(db, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []*Program{p, tp} {
+					if got, want := programTicks(t, db, p), uint64(tc.ticks*5); got != want {
+						t.Errorf("tree %t: %d governor ticks over 5 rows, want %d: %s", p.tree, got, want, dumpOps(p.code))
+					}
 				}
 			}
 		})
@@ -516,15 +530,21 @@ func everyDrivingRow(tb testing.TB, db *relstore.DB, p *Program, gov *governor.G
 	return ec, ids
 }
 
-// programTicks runs p serially over every row of its driving table and
-// returns the governor ticks charged.
+// programTicks runs p (of either emitter) serially over every row of its
+// driving table and returns the governor ticks charged.
 func programTicks(tb testing.TB, db *relstore.DB, p *Program) uint64 {
 	tb.Helper()
 	gov := governor.New(context.Background())
 	ec, rows := everyDrivingRow(tb, db, p, gov)
 	for i := range rows {
 		ec.setPos(i)
-		if _, err := ec.runRow(p, nil); err != nil {
+		var err error
+		if p.tree {
+			_, err = ec.runDoc(p)
+		} else {
+			_, err = ec.runRow(p, nil)
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -532,11 +552,12 @@ func programTicks(tb testing.TB, db *relstore.DB, p *Program) uint64 {
 	return gov.Ticks()
 }
 
-// assertSameStats demands that the walk and the program do the same
+// assertSameStats demands that the walk and both programs do the same
 // relational work for q: equal counters from one serial run each.
 func assertSameStats(tb testing.TB, ex *Executor, q *Query) {
 	tb.Helper()
-	var trees, bytes relstore.Stats
+	var walk, trees, bytes relstore.Stats
+	walkDocs(tb, ex.DB, q, shapeParams, &walk)
 	if _, err := ex.ExecQueryParallelSpec(q, 1, &trees, nil, &RunSpec{Params: shapeParams}); err != nil {
 		tb.Fatal(err)
 	}
@@ -552,8 +573,8 @@ func assertSameStats(tb testing.TB, ex *Executor, q *Query) {
 			tb.Fatal(err)
 		}
 	}
-	if trees.Snapshot() != bytes.Snapshot() {
-		tb.Fatalf("trees did %+v, the program %+v: %s", trees.Snapshot(), bytes.Snapshot(), q.Body.SQL())
+	if walk.Snapshot() != bytes.Snapshot() || trees.Snapshot() != bytes.Snapshot() {
+		tb.Fatalf("the walk did %+v, the tree program %+v, the byte program %+v: %s", walk.Snapshot(), trees.Snapshot(), bytes.Snapshot(), q.Body.SQL())
 	}
 }
 

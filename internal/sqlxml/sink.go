@@ -4,10 +4,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// treeSink builds the xmltree the walk (evalContext.eval) constructs, under
-// a document node. Between startAttr and endAttr every text call contributes
-// to the attribute's value; elsewhere it is character content of the open
-// element (or of the document, at top level).
+// treeSink builds the xmltree a tree program constructs, under a document
+// node. Between startAttr and endAttr every text call contributes to the
+// attribute's value; elsewhere it is character content of the open element
+// (or of the document, at top level).
 type treeSink struct {
 	cur      *xmltree.Node // node receiving children: the document or an open element
 	inAttr   bool

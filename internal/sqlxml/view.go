@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/relstore"
-	"repro/internal/xmltree"
 	"repro/internal/xschema"
 )
 
@@ -68,24 +67,6 @@ func NewExecutor(db *relstore.DB) *Executor {
 // AddStats merges a per-run stats sink into the executor's accumulated
 // counters (atomically).
 func (e *Executor) AddStats(s *relstore.Stats) { e.Stats.Add(s) }
-
-// MaterializeRow builds the XMLType instance for a single driving row,
-// pinning a fresh snapshot for the construction.
-func (e *Executor) MaterializeRow(v *ViewDef, rowID int) (*xmltree.Node, error) {
-	snap := e.DB.Snapshot()
-	ts := snap.Table(v.Table)
-	if ts == nil {
-		return nil, fmt.Errorf("sqlxml: view %q references unknown table %q", v.Name, v.Table)
-	}
-	if rowID < 0 || rowID >= ts.NumRows() {
-		return nil, fmt.Errorf("sqlxml: view %q has no row %d", v.Name, rowID)
-	}
-	ec := &evalContext{snap: snap, stats: &e.Stats}
-	defer ec.release()
-	ec.setRows(ts, []int{rowID})
-	ec.setPos(0)
-	return ec.evalDoc(v.Body)
-}
 
 // explainSubqueries appends one line per subquery of expr, which constructs
 // from rows of outer: the group-join the executor would run for it, rendered

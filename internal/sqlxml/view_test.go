@@ -52,17 +52,6 @@ func TestDeptEmpView(t *testing.T) {
 	}
 }
 
-func TestMaterializeRow(t *testing.T) {
-	_, ex := setup(t)
-	doc, err := ex.MaterializeRow(DeptEmpView(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(doc.String(), "OPERATIONS") {
-		t.Fatal("row 1 should be OPERATIONS")
-	}
-}
-
 func TestViewSQLRendering(t *testing.T) {
 	sql := DeptEmpView().SQL()
 	for _, frag := range []string{
@@ -362,7 +351,8 @@ func TestErrorPaths(t *testing.T) {
 
 // TestExecQueryParallelMatchesSerial: with more driving rows than
 // relstore.MorselMinRows the workers group-join and construct the trees the
-// serial route builds, through a full scan and through an index range.
+// serial route builds — the walk's — through a full scan and through an
+// index range.
 func TestExecQueryParallelMatchesSerial(t *testing.T) {
 	db, ex := setup(t)
 	for d := 100; d < 100+relstore.MorselMinRows; d++ {
@@ -407,11 +397,9 @@ func TestExecQueryParallelMatchesSerial(t *testing.T) {
 		if len(serial) != len(parallel) || len(serial) < relstore.MorselMinRows {
 			t.Fatalf("%s: row counts %d vs %d", path, len(serial), len(parallel))
 		}
-		for i := range serial {
-			if serial[i].String() != parallel[i].String() {
-				t.Fatalf("%s: row %d differs", path, i)
-			}
-		}
+		walked := walkDocs(t, db, q, nil, nil)
+		assertSameDocs(t, path+" serial", serial, walked, q)
+		assertSameDocs(t, path+" parallel", parallel, walked, q)
 		if serialStats.Morsels != 0 || parallelStats.Morsels == 0 {
 			t.Fatalf("%s: morsels serial=%d parallel=%d", path, serialStats.Morsels, parallelStats.Morsels)
 		}
@@ -446,8 +434,7 @@ func TestDeriveSchemaRejectsMixedContent(t *testing.T) {
 func TestExecutorSurface(t *testing.T) {
 	want := []string{
 		"AddStats", "DeriveSchema", "ExecQueryParallelSpec", "ExplainQuerySpec",
-		"ExplainViewSpec", "MaterializeRow", "MaterializeViewSpec", "OpenProgramCursorSpec", "OpenQueryCursorSpec",
-		"OpenViewCursorSpec",
+		"ExplainViewSpec", "MaterializeViewSpec", "OpenProgramCursorSpec", "OpenQueryCursorSpec",
 	}
 	typ := reflect.TypeOf(&Executor{})
 	var got []string

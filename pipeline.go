@@ -74,7 +74,11 @@ func (d *Database) open(p *pipeline, st *planState, spec *sqlxml.RunSpec, sink *
 		operator, p.eval = "xslt-interpret", (*pipeline).interpret
 		p.eng = xslt.New(st.sheet).Govern(p.gov)
 	}
-	if p.rows, err = d.exec.OpenViewCursorSpec(st.view, st.drivingWhere(), sink, p.gov, spec); err != nil {
+	tree, err := st.tree()
+	if err != nil {
+		return err
+	}
+	if p.rows, err = d.exec.OpenProgramCursorSpec(tree, sink, p.gov, spec); err != nil {
 		return err
 	}
 	if p.evalSp = p.span.Start(operator); p.evalSp != nil && p.module != nil {

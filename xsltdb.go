@@ -495,6 +495,10 @@ type planState struct {
 	plan        *sqlxml.Query   // nil unless StrategySQL
 	prog        *sqlxml.Program // plan's byte constructor, compiled with it
 	fallback    string          // why a stronger strategy was not used
+	// tree returns the view's tree constructor, the functional strategies'
+	// input, compiled at the plan's first functional run (a plan that only
+	// runs as SQL never compiles it) and shared by every later one.
+	tree func() (*sqlxml.Program, error)
 }
 
 // chain lists the runtime degradation chain for this plan, strongest
@@ -627,6 +631,12 @@ func (d *Database) compilePlanUncached(view *ViewDef, version int, stylesheet st
 	}
 	parseSp.End()
 	st = &planState{view: view, viewVersion: version, sheet: sheet, strategy: StrategyNoRewrite}
+	// The functional strategies read the view's documents filtered by the
+	// plan's driving predicates, so every strategy selects the same rows
+	// (and index-probes the driving table as the SQL plan would).
+	st.tree = sync.OnceValues(func() (*sqlxml.Program, error) {
+		return sqlxml.CompileTree(d.rel, &sqlxml.Query{Table: view.Table, Where: st.drivingWhere(), Body: view.Body})
+	})
 
 	if opts.Force != nil && *opts.Force == StrategyNoRewrite {
 		if len(opts.OuterPath) > 0 {
