@@ -7,6 +7,8 @@
 #                 .go file
 #   make test     tier-1 only (what CI gates on)
 #   make fuzz     short fuzz smoke (5s each): the XPath/XQuery parsers, the
+#                 rewriter's XPath→XQuery conversion against the interpreter's
+#                 XPath (string/number/boolean of one expression), the
 #                 SQL/XML byte program against the tree serializer (random
 #                 cells, and random bodies), the scalar aggregates' typed
 #                 loops against a cell-by-cell boxed reference (which the
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xquery
+	$(GO) test -run '^$$' -fuzz '^FuzzXPathVsXQuery$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEmitVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramVsTree$$' -fuzztime $(FUZZTIME) ./internal/sqlxml
 	$(GO) test -run '^$$' -fuzz '^FuzzTreeProgramVsWalk$$' -fuzztime $(FUZZTIME) ./internal/sqlxml

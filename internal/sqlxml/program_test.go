@@ -17,6 +17,7 @@ import (
 	"repro/internal/governor"
 	"repro/internal/relstore"
 	"repro/internal/xmltree"
+	"repro/internal/xpath"
 )
 
 // Both emitters are held to the reference walk (walk_test.go) over
@@ -700,7 +701,7 @@ func boxedAggregate(fn aggFn, ts *relstore.TableSnap, ord int, ids []int) (num f
 		case float64:
 			x = c
 		case string:
-			x, _ = strconv.ParseFloat(strings.TrimSpace(c), 64)
+			x = xpath.StringToNumber(c)
 		}
 		count++
 		total += x

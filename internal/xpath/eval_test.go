@@ -443,11 +443,61 @@ func TestNumberToString(t *testing.T) {
 	}{
 		{1, "1"}, {2450, "2450"}, {1.5, "1.5"}, {-7, "-7"},
 		{math.NaN(), "NaN"}, {math.Inf(1), "Infinity"}, {math.Inf(-1), "-Infinity"},
-		{0, "0"},
+		{0, "0"}, {math.Copysign(0, -1), "0"}, {0.1, "0.1"}, {-2.25, "-2.25"},
+		// §4.2: decimal form, never an exponent.
+		{1e16 + 2750, "10000000000002750"}, {1e21, "1000000000000000000000"},
+		{-1e21, "-1000000000000000000000"}, {1e-7, "0.0000001"}, {1.5e-10, "0.00000000015"},
 	}
 	for _, tc := range cases {
 		if got := NumberToString(tc.in); got != tc.want {
 			t.Errorf("NumberToString(%v) = %q, want %q", tc.in, got, tc.want)
+		}
+		if got := string(AppendNumber([]byte("x"), tc.in)); got != "x"+tc.want {
+			t.Errorf("AppendNumber(%v) = %q, want %q", tc.in, got, "x"+tc.want)
+		}
+	}
+}
+
+// TestStringToNumber: §4.4's lexical rule — optional whitespace, an
+// optional '-', digits with at most one '.'; anything else is NaN.
+func TestStringToNumber(t *testing.T) {
+	for in, want := range map[string]float64{
+		"7": 7, " 7 ": 7, "\t\r\n12\n": 12, "-0.5": -0.5, ".5": 0.5, "5.": 5, "007": 7,
+		"2450": 2450, "-3": -3,
+	} {
+		if got := StringToNumber(in); got != want {
+			t.Errorf("StringToNumber(%q) = %v, want %v", in, got, want)
+		}
+	}
+	for _, in := range []string{
+		"", " ", ".", "-", "-.", "1e3", "+5", "Infinity", "-Infinity", "NaN", "0x1p4", "1_0",
+		"1.2.3", "- 5", "5-", "\u00a07", "\v7", "abc", "1,5",
+	} {
+		if got := StringToNumber(in); !math.IsNaN(got) {
+			t.Errorf("StringToNumber(%q) = %v, want NaN", in, got)
+		}
+	}
+}
+
+// TestNodeSetComparedWithBoolean: §3.4 — a node-set compared with a
+// boolean compares boolean(node-set), not each node's string value.
+func TestNodeSetComparedWithBoolean(t *testing.T) {
+	doc := parseDoc(t, `<r><b/><n>0</n></r>`)
+	for expr, want := range map[string]bool{
+		"/r/b = true()":       true, // one node: true, although its string is ""
+		"true() = /r/b":       true,
+		"/r/b != false()":     true,
+		"/r/b = false()":      false,
+		"/r/nosuch = false()": true,
+		"false() = /r/nosuch": true,
+		"/r/nosuch != true()": true,
+		"/r/n = true()":       true, // not number("0")
+		"/r/nosuch < true()":  true, // 0 < 1
+		"/r/b > false()":      true,
+		"/r/b = ''":           true, // strings still compare node by node
+	} {
+		if got := ToBool(evalOn(t, doc, expr)); got != want {
+			t.Errorf("%s = %v, want %v", expr, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/xmltree"
 )
@@ -13,264 +14,186 @@ import (
 // carry an "fn:" prefix (the XQuery spelling) which resolves to the same
 // core library.
 func evalFunc(e *FuncExpr, ctx *Context) (Value, error) {
-	name := strings.TrimPrefix(e.Name, "fn:")
-	if f, ok := coreFunctions[name]; ok {
-		args := make([]Value, len(e.Args))
-		for i, a := range e.Args {
-			v, err := Eval(a, ctx)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+	f := coreFunctions[strings.TrimPrefix(e.Name, "fn:")]
+	var ext Function
+	if f == nil {
+		ok := false
+		if ctx.Funcs != nil {
+			ext, ok = ctx.Funcs(e.Name)
 		}
-		return f(ctx, e, args)
-	}
-	if ctx.Funcs != nil {
-		if f, ok := ctx.Funcs(e.Name); ok {
-			args := make([]Value, len(e.Args))
-			for i, a := range e.Args {
-				v, err := Eval(a, ctx)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			}
-			return f(ctx, args)
+		if !ok {
+			return nil, fmt.Errorf("xpath: unknown function %s()", e.Name)
 		}
 	}
-	return nil, fmt.Errorf("xpath: unknown function %s()", e.Name)
-}
-
-type coreFunc func(ctx *Context, call *FuncExpr, args []Value) (Value, error)
-
-func argc(call *FuncExpr, min, max int) error {
-	n := len(call.Args)
-	if n < min || (max >= 0 && n > max) {
-		return fmt.Errorf("xpath: wrong number of arguments to %s(): got %d", call.Name, n)
-	}
-	return nil
-}
-
-// contextNodeSet returns the implicit node-set argument: the context node.
-func contextNodeSet(ctx *Context) NodeSet { return NodeSet{ctx.Node} }
-
-var coreFunctions map[string]coreFunc
-
-func init() {
-	coreFunctions = map[string]coreFunc{
-		// Node-set functions.
-		"last": func(ctx *Context, call *FuncExpr, _ []Value) (Value, error) {
-			if err := argc(call, 0, 0); err != nil {
-				return nil, err
-			}
-			return float64(ctx.Size), nil
-		},
-		"position": func(ctx *Context, call *FuncExpr, _ []Value) (Value, error) {
-			if err := argc(call, 0, 0); err != nil {
-				return nil, err
-			}
-			return float64(ctx.Position), nil
-		},
-		"count": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 1, 1); err != nil {
-				return nil, err
-			}
-			ns, err := ToNodeSet(args[0])
-			if err != nil {
-				return nil, err
-			}
-			return float64(len(ns)), nil
-		},
-		"local-name": nameFunc(func(n *xmltree.Node) string { return n.Name }),
-		"name":       nameFunc(func(n *xmltree.Node) string { return n.QName() }),
-		"namespace-uri": nameFunc(func(n *xmltree.Node) string {
-			return n.NamespaceURI
-		}),
-		"current": func(ctx *Context, call *FuncExpr, _ []Value) (Value, error) {
-			if err := argc(call, 0, 0); err != nil {
-				return nil, err
-			}
-			if ctx.Current != nil {
-				return NodeSet{ctx.Current}, nil
-			}
-			return NodeSet{ctx.Node}, nil
-		},
-
-		// String functions.
-		"string": func(ctx *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 0, 1); err != nil {
-				return nil, err
-			}
-			if len(args) == 0 {
-				return ctx.Node.StringValue(), nil
-			}
-			return ToString(args[0]), nil
-		},
-		"concat": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 2, -1); err != nil {
-				return nil, err
-			}
-			var sb strings.Builder
-			for _, a := range args {
-				sb.WriteString(ToString(a))
-			}
-			return sb.String(), nil
-		},
-		"starts-with": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 2, 2); err != nil {
-				return nil, err
-			}
-			return strings.HasPrefix(ToString(args[0]), ToString(args[1])), nil
-		},
-		"contains": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 2, 2); err != nil {
-				return nil, err
-			}
-			return strings.Contains(ToString(args[0]), ToString(args[1])), nil
-		},
-		"substring-before": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 2, 2); err != nil {
-				return nil, err
-			}
-			s, sep := ToString(args[0]), ToString(args[1])
-			if i := strings.Index(s, sep); i >= 0 {
-				return s[:i], nil
-			}
-			return "", nil
-		},
-		"substring-after": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 2, 2); err != nil {
-				return nil, err
-			}
-			s, sep := ToString(args[0]), ToString(args[1])
-			if i := strings.Index(s, sep); i >= 0 {
-				return s[i+len(sep):], nil
-			}
-			return "", nil
-		},
-		"substring": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 2, 3); err != nil {
-				return nil, err
-			}
-			return substring(ToString(args[0]), ToNumber(args[1]), args[2:]), nil
-		},
-		"string-length": func(ctx *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 0, 1); err != nil {
-				return nil, err
-			}
-			s := ""
-			if len(args) == 0 {
-				s = ctx.Node.StringValue()
-			} else {
-				s = ToString(args[0])
-			}
-			return float64(len([]rune(s))), nil
-		},
-		"normalize-space": func(ctx *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 0, 1); err != nil {
-				return nil, err
-			}
-			s := ""
-			if len(args) == 0 {
-				s = ctx.Node.StringValue()
-			} else {
-				s = ToString(args[0])
-			}
-			return strings.Join(strings.Fields(s), " "), nil
-		},
-		"translate": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 3, 3); err != nil {
-				return nil, err
-			}
-			return Translate(ToString(args[0]), ToString(args[1]), ToString(args[2])), nil
-		},
-
-		// Boolean functions.
-		"boolean": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 1, 1); err != nil {
-				return nil, err
-			}
-			return ToBool(args[0]), nil
-		},
-		"not": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 1, 1); err != nil {
-				return nil, err
-			}
-			return !ToBool(args[0]), nil
-		},
-		"true": func(_ *Context, call *FuncExpr, _ []Value) (Value, error) {
-			if err := argc(call, 0, 0); err != nil {
-				return nil, err
-			}
-			return true, nil
-		},
-		"false": func(_ *Context, call *FuncExpr, _ []Value) (Value, error) {
-			if err := argc(call, 0, 0); err != nil {
-				return nil, err
-			}
-			return false, nil
-		},
-
-		// Number functions.
-		"number": func(ctx *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 0, 1); err != nil {
-				return nil, err
-			}
-			if len(args) == 0 {
-				return ToNumber(NodeSet{ctx.Node}), nil
-			}
-			return ToNumber(args[0]), nil
-		},
-		"sum": func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-			if err := argc(call, 1, 1); err != nil {
-				return nil, err
-			}
-			ns, err := ToNodeSet(args[0])
-			if err != nil {
-				return nil, err
-			}
-			total := 0.0
-			for _, n := range ns {
-				total += stringToNumber(n.StringValue())
-			}
-			return total, nil
-		},
-		"floor":   numFunc(math.Floor),
-		"ceiling": numFunc(math.Ceil),
-		"round": numFunc(func(f float64) float64 {
-			// XPath round: round half towards positive infinity.
-			return math.Floor(f + 0.5)
-		}),
-	}
-}
-
-func nameFunc(get func(*xmltree.Node) string) coreFunc {
-	return func(ctx *Context, call *FuncExpr, args []Value) (Value, error) {
-		if err := argc(call, 0, 1); err != nil {
+	args := make([]Value, len(e.Args))
+	for i, a := range e.Args {
+		v, err := Eval(a, ctx)
+		if err != nil {
 			return nil, err
 		}
-		ns := contextNodeSet(ctx)
+		args[i] = v
+	}
+	if f != nil {
+		return f.Call(ctx, args)
+	}
+	return ext(ctx, args)
+}
+
+// CoreFunc is a function of the XPath 1.0 core library (§4): its arity
+// (Max < 0: any number from Min up) and its body over evaluated arguments.
+// The XQuery evaluator calls the functions XQuery shares with XPath 1.0
+// through it.
+type CoreFunc struct {
+	Name     string
+	Min, Max int
+	body     func(ctx *Context, args []Value) (Value, error)
+}
+
+// Call calls f on evaluated arguments in ctx, after checking their number.
+// A function whose argument defaults to the context node reads ctx.Node
+// only when it is called without one.
+func (f *CoreFunc) Call(ctx *Context, args []Value) (Value, error) {
+	if len(args) < f.Min || f.Max >= 0 && len(args) > f.Max {
+		return nil, fmt.Errorf("xpath: wrong number of arguments to %s(): got %d", f.Name, len(args))
+	}
+	return f.body(ctx, args)
+}
+
+// LookupCore returns the core library function called name, or nil.
+func LookupCore(name string) *CoreFunc { return coreFunctions[name] }
+
+var coreFunctions = indexCore(
+	// Node-set functions.
+	&CoreFunc{"last", 0, 0, func(ctx *Context, _ []Value) (Value, error) {
+		return float64(ctx.Size), nil
+	}},
+	&CoreFunc{"position", 0, 0, func(ctx *Context, _ []Value) (Value, error) {
+		return float64(ctx.Position), nil
+	}},
+	&CoreFunc{"count", 1, 1, func(_ *Context, args []Value) (Value, error) {
+		ns, err := ToNodeSet(args[0])
+		return float64(len(ns)), err
+	}},
+	nameFunc("local-name", func(n *xmltree.Node) string { return n.Name }),
+	nameFunc("name", func(n *xmltree.Node) string { return n.QName() }),
+	nameFunc("namespace-uri", func(n *xmltree.Node) string { return n.NamespaceURI }),
+	&CoreFunc{"current", 0, 0, func(ctx *Context, _ []Value) (Value, error) {
+		if ctx.Current != nil {
+			return NodeSet{ctx.Current}, nil
+		}
+		return NodeSet{ctx.Node}, nil
+	}},
+
+	// String functions.
+	&CoreFunc{"string", 0, 1, func(ctx *Context, args []Value) (Value, error) {
+		return stringArg(ctx, args), nil
+	}},
+	&CoreFunc{"concat", 2, -1, func(_ *Context, args []Value) (Value, error) {
+		var sb strings.Builder
+		for _, a := range args {
+			sb.WriteString(ToString(a))
+		}
+		return sb.String(), nil
+	}},
+	&CoreFunc{"starts-with", 2, 2, func(_ *Context, args []Value) (Value, error) {
+		return strings.HasPrefix(ToString(args[0]), ToString(args[1])), nil
+	}},
+	&CoreFunc{"contains", 2, 2, func(_ *Context, args []Value) (Value, error) {
+		return strings.Contains(ToString(args[0]), ToString(args[1])), nil
+	}},
+	&CoreFunc{"substring-before", 2, 2, func(_ *Context, args []Value) (Value, error) {
+		s, sep := ToString(args[0]), ToString(args[1])
+		if i := strings.Index(s, sep); i >= 0 {
+			return s[:i], nil
+		}
+		return "", nil
+	}},
+	&CoreFunc{"substring-after", 2, 2, func(_ *Context, args []Value) (Value, error) {
+		s, sep := ToString(args[0]), ToString(args[1])
+		if i := strings.Index(s, sep); i >= 0 {
+			return s[i+len(sep):], nil
+		}
+		return "", nil
+	}},
+	&CoreFunc{"substring", 2, 3, func(_ *Context, args []Value) (Value, error) {
+		return substring(ToString(args[0]), ToNumber(args[1]), args[2:]), nil
+	}},
+	&CoreFunc{"string-length", 0, 1, func(ctx *Context, args []Value) (Value, error) {
+		return float64(utf8.RuneCountInString(stringArg(ctx, args))), nil
+	}},
+	&CoreFunc{"normalize-space", 0, 1, func(ctx *Context, args []Value) (Value, error) {
+		return strings.Join(strings.Fields(stringArg(ctx, args)), " "), nil
+	}},
+	&CoreFunc{"translate", 3, 3, func(_ *Context, args []Value) (Value, error) {
+		return Translate(ToString(args[0]), ToString(args[1]), ToString(args[2])), nil
+	}},
+
+	// Boolean functions.
+	&CoreFunc{"boolean", 1, 1, func(_ *Context, args []Value) (Value, error) {
+		return ToBool(args[0]), nil
+	}},
+	&CoreFunc{"not", 1, 1, func(_ *Context, args []Value) (Value, error) {
+		return !ToBool(args[0]), nil
+	}},
+	&CoreFunc{"true", 0, 0, func(*Context, []Value) (Value, error) { return true, nil }},
+	&CoreFunc{"false", 0, 0, func(*Context, []Value) (Value, error) { return false, nil }},
+
+	// Number functions.
+	&CoreFunc{"number", 0, 1, func(ctx *Context, args []Value) (Value, error) {
+		if len(args) == 0 {
+			return StringToNumber(ctx.Node.StringValue()), nil
+		}
+		return ToNumber(args[0]), nil
+	}},
+	&CoreFunc{"sum", 1, 1, func(_ *Context, args []Value) (Value, error) {
+		ns, err := ToNodeSet(args[0])
+		total := 0.0
+		for _, n := range ns {
+			total += StringToNumber(n.StringValue())
+		}
+		return total, err
+	}},
+	numFunc("floor", math.Floor),
+	numFunc("ceiling", math.Ceil),
+	// XPath round: round half towards positive infinity.
+	numFunc("round", func(f float64) float64 { return math.Floor(f + 0.5) }),
+)
+
+func indexCore(fs ...*CoreFunc) map[string]*CoreFunc {
+	m := make(map[string]*CoreFunc, len(fs))
+	for _, f := range fs {
+		m[f.Name] = f
+	}
+	return m
+}
+
+// stringArg is the string of a function's optional argument, which
+// defaults to the context node.
+func stringArg(ctx *Context, args []Value) string {
+	if len(args) == 0 {
+		return ctx.Node.StringValue()
+	}
+	return ToString(args[0])
+}
+
+func nameFunc(name string, get func(*xmltree.Node) string) *CoreFunc {
+	return &CoreFunc{name, 0, 1, func(ctx *Context, args []Value) (Value, error) {
+		n := ctx.Node
 		if len(args) == 1 {
-			var err error
-			ns, err = ToNodeSet(args[0])
-			if err != nil {
-				return nil, err
+			ns, err := ToNodeSet(args[0])
+			if err != nil || len(ns) == 0 {
+				return "", err
 			}
+			n = ns[0]
 		}
-		if len(ns) == 0 {
-			return "", nil
-		}
-		return get(ns[0]), nil
-	}
+		return get(n), nil
+	}}
 }
 
-func numFunc(f func(float64) float64) coreFunc {
-	return func(_ *Context, call *FuncExpr, args []Value) (Value, error) {
-		if err := argc(call, 1, 1); err != nil {
-			return nil, err
-		}
+func numFunc(name string, f func(float64) float64) *CoreFunc {
+	return &CoreFunc{name, 1, 1, func(_ *Context, args []Value) (Value, error) {
 		return f(ToNumber(args[0])), nil
-	}
+	}}
 }
 
 // substring implements the XPath substring() rounding rules over runes.

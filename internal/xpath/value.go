@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/xmltree"
 )
@@ -46,25 +45,50 @@ func ToNumber(v Value) float64 {
 		}
 		return 0
 	case string:
-		return stringToNumber(x)
+		return StringToNumber(x)
 	case NodeSet:
 		if len(x) == 0 {
 			return math.NaN()
 		}
-		return stringToNumber(x[0].StringValue())
+		return StringToNumber(x[0].StringValue())
 	}
 	return math.NaN()
 }
 
-func stringToNumber(s string) float64 {
-	s = strings.TrimSpace(s)
-	if s == "" {
+// StringToNumber is XPath 1.0's string→number (§4.4): optional whitespace,
+// an optional '-', digits with at most one '.' (and at least one digit),
+// optional whitespace. Anything else — an exponent, a '+', "Infinity", hex
+// — is NaN.
+func StringToNumber(s string) float64 {
+	i, j := 0, len(s)
+	for i < j && isSpace(s[i]) {
+		i++
+	}
+	for j > i && isSpace(s[j-1]) {
+		j--
+	}
+	s = s[i:j]
+	k := 0
+	if k < len(s) && s[k] == '-' {
+		k++
+	}
+	digits, dot := 0, false
+	for ; k < len(s); k++ {
+		switch c := s[k]; {
+		case isDigit(c):
+			digits++
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return math.NaN()
+		}
+	}
+	if digits == 0 {
 		return math.NaN()
 	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return math.NaN()
-	}
+	// The lexical check leaves ParseFloat only a range error, whose ±Inf is
+	// the nearest number.
+	f, _ := strconv.ParseFloat(s, 64)
 	return f
 }
 
@@ -92,22 +116,31 @@ func ToString(v Value) string {
 	return fmt.Sprint(v)
 }
 
-// NumberToString formats a float64 following the XPath 1.0 rules: integers
-// print without a decimal point, NaN prints "NaN", infinities print
-// "Infinity"/"-Infinity".
+// NumberToString is XPath 1.0's number→string (§4.2): NaN, Infinity and
+// -Infinity by name, zero (either sign) as 0, anything else in decimal
+// form with as many digits as distinguish it from every other float64 —
+// never an exponent.
 func NumberToString(f float64) string {
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		return strconv.FormatInt(int64(f), 10) // 0-99 without allocating
+	}
+	var buf [32]byte
+	return string(AppendNumber(buf[:0], f))
+}
+
+// AppendNumber appends NumberToString(f) to dst.
+func AppendNumber(dst []byte, f float64) []byte {
 	switch {
 	case math.IsNaN(f):
-		return "NaN"
+		return append(dst, "NaN"...)
 	case math.IsInf(f, 1):
-		return "Infinity"
+		return append(dst, "Infinity"...)
 	case math.IsInf(f, -1):
-		return "-Infinity"
+		return append(dst, "-Infinity"...)
 	case f == math.Trunc(f) && math.Abs(f) < 1e15:
-		return strconv.FormatInt(int64(f), 10)
-	default:
-		return strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendInt(dst, int64(f), 10) // -0 included
 	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64)
 }
 
 // ToNodeSet converts a value to a node-set, failing for the scalar types
@@ -119,16 +152,23 @@ func ToNodeSet(v Value) (NodeSet, error) {
 	return nil, fmt.Errorf("xpath: cannot convert %T to a node-set", v)
 }
 
-// compareValues implements the XPath 1.0 comparison semantics, including the
-// existential semantics when one or both operands are node-sets.
+// compareValues implements the XPath 1.0 comparison semantics (§3.4),
+// including the existential semantics when one or both operands are
+// node-sets: a node-set compared with a boolean compares as
+// boolean(node-set); otherwise some node's string value must compare true.
 func compareValues(op BinaryOp, l, r Value) bool {
 	ln, lok := l.(NodeSet)
 	rn, rok := r.(NodeSet)
 	switch {
+	case lok && isBool(r):
+		return Compare(op, len(ln) > 0, r)
+	case rok && isBool(l):
+		return Compare(op, l, len(rn) > 0)
 	case lok && rok:
 		for _, a := range ln {
+			sa := a.StringValue()
 			for _, b := range rn {
-				if compareScalar(op, a.StringValue(), b.StringValue()) {
+				if Compare(op, sa, b.StringValue()) {
 					return true
 				}
 			}
@@ -136,35 +176,27 @@ func compareValues(op BinaryOp, l, r Value) bool {
 		return false
 	case lok:
 		for _, a := range ln {
-			if compareMixed(op, a, r, false) {
+			if Compare(op, a.StringValue(), r) {
 				return true
 			}
 		}
 		return false
 	case rok:
 		for _, b := range rn {
-			if compareMixed(op, b, l, true) {
+			if Compare(op, l, b.StringValue()) {
 				return true
 			}
 		}
 		return false
-	default:
-		return compareScalarValues(op, l, r)
 	}
+	return Compare(op, l, r)
 }
 
-// compareMixed compares node against a scalar; flipped reverses operand
-// order (scalar op node).
-func compareMixed(op BinaryOp, node *xmltree.Node, scalar Value, flipped bool) bool {
-	sv := node.StringValue()
-	var l, r Value = sv, scalar
-	if flipped {
-		l, r = scalar, sv
-	}
-	return compareScalarValues(op, l, r)
-}
-
-func compareScalarValues(op BinaryOp, l, r Value) bool {
+// Compare compares two scalars (bool, float64 or string) under op, a
+// comparison operator, with XPath 1.0's conversions (§3.4): = and != compare
+// as booleans when either is a boolean, else as numbers when either is a
+// number, else as strings; the relational operators compare numbers.
+func Compare(op BinaryOp, l, r Value) bool {
 	switch op {
 	case OpEq, OpNeq:
 		var eq bool
@@ -176,42 +208,15 @@ func compareScalarValues(op BinaryOp, l, r Value) bool {
 		default:
 			eq = ToString(l) == ToString(r)
 		}
-		if op == OpEq {
-			return eq
-		}
-		return !eq
-	default:
-		return compareNumbers(op, ToNumber(l), ToNumber(r))
-	}
-}
-
-// compareScalar compares two strings under op with XPath coercion
-// (relational ops go through number()).
-func compareScalar(op BinaryOp, a, b string) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNeq:
-		return a != b
-	default:
-		return compareNumbers(op, stringToNumber(a), stringToNumber(b))
-	}
-}
-
-func compareNumbers(op BinaryOp, a, b float64) bool {
-	switch op {
+		return eq == (op == OpEq)
 	case OpLt:
-		return a < b
+		return ToNumber(l) < ToNumber(r)
 	case OpLe:
-		return a <= b
+		return ToNumber(l) <= ToNumber(r)
 	case OpGt:
-		return a > b
+		return ToNumber(l) > ToNumber(r)
 	case OpGe:
-		return a >= b
-	case OpEq:
-		return a == b
-	case OpNeq:
-		return a != b
+		return ToNumber(l) >= ToNumber(r)
 	}
 	return false
 }

@@ -7,7 +7,12 @@
 // comparisons with XPath 1.0 coercion semantics, arithmetic, sequence and
 // union expressions, path expressions over the xmltree model, direct and
 // computed constructors with embedded expressions, "instance of" element
-// tests, and the core function library shared with internal/xpath.
+// tests, and a function library. XPath 1.0's value rules — conversions,
+// comparisons and its core functions — are internal/xpath's, called on
+// evaluated sequences (callXPath); XQuery adds data, string-join, empty,
+// exists, avg, min, max, abs, ends-with, upper-case, lower-case,
+// distinct-values, reverse, subsequence and root, and defines count and
+// sum over any sequence.
 package xquery
 
 import (
