@@ -16,8 +16,10 @@
 #                 loop, the B+-tree index against a sorted (key, id) slice,
 #                 the filter kernels against Pred.Matches on every access
 #                 path (and the CASE WHEN masks against Filter.Matches),
-#                 and xsltd's p.*/where= parameters (no 500, no panic,
-#                 cached equals uncached)
+#                 xsltd's p.*/where= parameters (no 500, no panic,
+#                 cached equals uncached), and the SQL plan's lowered
+#                 comparison of an INT or FLOAT column (NaN cells included)
+#                 with a number literal against the no-rewrite strategy
 #   make bench-vet  vet + build the read-only benchmark module against the
 #                 engine, so API drift that breaks bench/ fails here first
 #   make faults   the fault-injection and robustness tests, under -race
@@ -96,6 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBTreeVsModel$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelVsMatches$$' -fuzztime $(FUZZTIME) ./internal/relstore
 	$(GO) test -run '^$$' -fuzz '^FuzzTransformParams$$' -fuzztime $(FUZZTIME) ./serve
+	$(GO) test -run '^$$' -fuzz '^FuzzNumericPredVsXPath$$' -fuzztime $(FUZZTIME) .
 
 # The robustness suite arms faultpoints (degradation, persistent faults,
 # panic containment — on the caller's goroutine and on a morsel worker's —

@@ -226,13 +226,13 @@ type batchIndexIter struct {
 
 func (it *batchIndexIter) materialize() {
 	it.run = true
-	if it.plan.emptyInterval() && !it.plan.NaN {
+	if it.plan.emptyInterval() {
 		return // contradictory bounds: no key to descend to
 	}
 	if it.stats != nil {
 		atomic.AddInt64(&it.stats.IndexProbes, 1)
 	}
-	it.ids = it.snap.IndexIDs(it.buf[:0], it.plan.Col, it.plan.Lo, it.plan.Hi, it.plan.NaN)
+	it.ids = it.snap.IndexIDs(it.buf[:0], it.plan.Col, it.plan.Lo, it.plan.Hi)
 }
 
 func (it *batchIndexIter) NextBatch(batch *Batch) (int, bool) {

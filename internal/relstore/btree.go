@@ -83,6 +83,10 @@ func CompareValues(a, b Value) int {
 	return 0
 }
 
+// compareFloats orders two floats, a NaN equal to every number: the order
+// of sorts, min and max, and of the bounds of an index interval, which are
+// never NaN. A predicate compares through cmpNumbers, in which a NaN is
+// unordered.
 func compareFloats(x, y float64) int {
 	switch {
 	case x < y:
@@ -169,14 +173,14 @@ func (t *BTree[K]) newNode() int32 {
 type index interface {
 	// add indexes row id, whose cell in v (the indexed column) is not NULL.
 	add(v *vec, id int)
-	// appendIDs appends the ids below n of the pairs in [lo, hi] and, with
-	// nan, of a FLOAT tree's NaN key: in key order, not yet in id order.
-	appendIDs(dst []int, lo, hi Bound, nan bool, n int) []int
+	// appendIDs appends the ids below n of the pairs in [lo, hi]: in key
+	// order, not yet in id order.
+	appendIDs(dst []int, lo, hi Bound, n int) []int
 	// appendRuns is the index join's probe. For each outer row ids[i] whose
 	// key in outer (a column of any type) is neither NULL nor NaN, it
 	// appends to gr.arena the ids below n of the pairs whose key equals it,
-	// ascending, and points gr.Runs[i] at them. A FLOAT tree's NaN rows
-	// equal every number: they join every numeric key.
+	// ascending, and points gr.Runs[i] at them. A NaN equals nothing, so a
+	// FLOAT tree's NaN rows join no key.
 	appendRuns(outer *vec, ids []int, n int, gr *Groups)
 }
 
@@ -469,10 +473,9 @@ func cellKey[K key](v *vec, id int) K {
 }
 
 // probeKey reads row id's cell of outer, a column of any type, as a key of
-// the tree's type: ok is false when the cell is NULL or NaN (equal to every
-// number, the caller's to answer), or when no key can equal it. A VARCHAR
-// key is a string over the outer arena's bytes, not a copy: a probe only
-// compares it.
+// the tree's type: ok is false when the cell is NULL or NaN, or when no key
+// can equal it. A VARCHAR key is a string over the outer arena's bytes, not
+// a copy: a probe only compares it.
 func probeKey[K key](outer *vec, id int) (k K, ok bool) {
 	if outer.valid[id] == 0 {
 		return k, false
@@ -518,8 +521,6 @@ func (t *BTree[K]) appendRuns(outer *vec, ids []int, n int, gr *Groups) {
 	var keys [probeBatch]K
 	var at [probeBatch]int // the outer position of each key
 	var leaf, pos [probeBatch]int32
-	nanK, isFloat := nanKey[K]()
-	nans := isFloat && outer.typ != StringCol
 	for i := 0; i < len(ids); {
 		m := 0
 		for ; i < len(ids) && m < probeBatch; i++ {
@@ -532,14 +533,6 @@ func (t *BTree[K]) appendRuns(outer *vec, ids []int, n int, gr *Groups) {
 		for j := range m {
 			start := len(gr.arena)
 			gr.arena = t.appendRun(gr.arena, leaf[j], pos[j], keys[j], n)
-			if nans {
-				// The NaN pairs come first: node 0 starts with them.
-				mid := len(gr.arena)
-				gr.arena = t.appendRun(gr.arena, 0, 0, nanK, n)
-				if len(gr.arena) > mid {
-					slices.Sort(gr.arena[start:])
-				}
-			}
 			gr.Runs[at[j]] = gr.arena[start:len(gr.arena):len(gr.arena)]
 		}
 	}
@@ -577,7 +570,7 @@ func newInterval(typ ColType, lo, hi Bound) interval {
 // Range calls fn for each pair with lo <= key <= hi (subject to
 // inclusivity, and comparing as CompareValues does, so a bound of another
 // type is allowed) in order; fn returning false stops the scan. A NaN key,
-// equal to every number and ordered against none, is in no interval.
+// unordered against every bound, is in no interval.
 func (t *BTree[K]) Range(lo, hi Bound, fn func(key K, id int) bool) {
 	iv := newInterval(colTypeOf[K](), lo, hi)
 	// Descend to the first key in the interval: a key is past the low bound
@@ -613,41 +606,23 @@ func (t *BTree[K]) Range(lo, hi Bound, fn func(key K, id int) bool) {
 // AscendAll visits every pair in order, those of a NaN key first.
 func (t *BTree[K]) AscendAll(fn func(key K, id int) bool) { t.walk(0, 0, fn) }
 
-func (t *BTree[K]) appendIDs(dst []int, lo, hi Bound, nan bool, n int) []int {
+func (t *BTree[K]) appendIDs(dst []int, lo, hi Bound, n int) []int {
 	// Count, then copy into one allocation.
 	total := 0
-	t.committedIDs(lo, hi, nan, n, func(int) { total++ })
+	t.committedIDs(lo, hi, n, func(int) { total++ })
 	if total > cap(dst)-len(dst) {
 		dst = append(make([]int, 0, len(dst)+total), dst...)
 	}
-	t.committedIDs(lo, hi, nan, n, func(id int) { dst = append(dst, id) })
+	t.committedIDs(lo, hi, n, func(id int) { dst = append(dst, id) })
 	return dst
 }
 
-// committedIDs calls fn with the id of every pair below n in [lo, hi], after
-// those of the NaN key with nan.
-func (t *BTree[K]) committedIDs(lo, hi Bound, nan bool, n int, fn func(id int)) {
-	if _, isFloat := nanKey[K](); nan && isFloat {
-		t.AscendAll(func(k K, id int) bool {
-			if id < n && k != k {
-				fn(id)
-			}
-			return k != k
-		})
-	}
+// committedIDs calls fn with the id of every pair below n in [lo, hi].
+func (t *BTree[K]) committedIDs(lo, hi Bound, n int, fn func(id int)) {
 	t.Range(lo, hi, func(_ K, id int) bool {
 		if id < n {
 			fn(id)
 		}
 		return true
 	})
-}
-
-// nanKey is the NaN key of a FLOAT tree; ok is false for other key types.
-func nanKey[K key]() (k K, ok bool) {
-	if p, isFloat := any(&k).(*float64); isFloat {
-		*p = math.NaN()
-		return k, true
-	}
-	return k, false
 }

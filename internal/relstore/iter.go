@@ -3,7 +3,6 @@ package relstore
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync/atomic"
 )
@@ -200,10 +199,13 @@ func HasParams(preds []Pred) bool {
 	return false
 }
 
-// Matches evaluates the predicate against a boxed cell value. It is the
-// reference semantics: no access path evaluates a residual through it —
-// the filter kernels (kernel.go) answer the same from the typed vectors,
-// and the tests hold them to it.
+// Matches evaluates the predicate against a boxed cell value: a number
+// against a number by value, a NaN on either side unordered (it satisfies
+// != and nothing else, as in XPath 1.0 §3.4), and values of incomparable
+// types by CompareValues' type-name order. It is the reference semantics:
+// no access path evaluates a residual through it — the filter kernels
+// (kernel.go) answer the same from the typed vectors, and the tests hold
+// them to it.
 func (p Pred) Matches(cell Value) bool {
 	if cell == nil || p.Val == nil {
 		return false // SQL three-valued logic: NULL never matches
@@ -212,21 +214,15 @@ func (p Pred) Matches(cell Value) bool {
 		return false // unbound placeholder: callers must BindPreds first
 	}
 	c := CompareValues(cell, p.Val)
-	switch p.Op {
-	case CmpEq:
-		return c == 0
-	case CmpNe:
-		return c != 0
-	case CmpLt:
-		return c < 0
-	case CmpLe:
-		return c <= 0
-	case CmpGt:
-		return c > 0
-	case CmpGe:
-		return c >= 0
+	if c == 0 && (isNaN(cell) || isNaN(p.Val)) {
+		c = unordered // a NaN against a number
 	}
-	return false
+	return accepts(p.Op, c)
+}
+
+func isNaN(v Value) bool {
+	f, ok := v.(float64)
+	return ok && f != f
 }
 
 // appendRange appends the interval [lo, hi] on col. A bound's value is
@@ -318,33 +314,31 @@ type AccessPlan struct {
 	// Residual holds the predicates applied per row after the driving
 	// access (every predicate, for a full scan).
 	Residual []Pred
-	// NaN reports whether the interval is on a FLOAT column and its NaN key
-	// belongs to it: a NaN cell compares equal to every number, so it
-	// matches each predicate folded into [Lo, Hi] that accepts equality (=,
-	// <=, >=) and no other. The tree sorts the NaN key first, outside every
-	// ordered interval, so it is looked up on its own.
-	NaN bool
 	// TableRows is the table's row count observed at planning time — the
 	// statistic the chooser's cost reasoning is based on.
 	TableRows int
 }
 
-// sargable reports whether p can bound a B-tree interval: its constant
-// must order against the keys and the other bounds as the kernels order it.
-// An int64, a string and a non-NaN float64 do (numbers by value, every
-// number below every string); a placeholder is planned as one of those,
-// which is what WithParam binds. A NaN orders nothing, as it compares equal
-// to every number, and a constant of any other type orders by type name,
-// so that int(4) would sort below int64(1): either stays a residual filter.
-func sargable(p Pred) bool {
+// sargable reports whether p can bound a B-tree interval over a column of
+// type typ. Its constant must be of the column's kind, a number on INT or
+// FLOAT and a string on VARCHAR, to order against the keys as the kernels
+// order it; a placeholder is planned as one, which is what WithParam binds.
+// A NaN is unordered against every key, and a constant of another kind
+// orders against every key by type name, the NaN key included, which the
+// tree keeps outside every interval: either stays a residual filter.
+func sargable(p Pred, typ ColType) bool {
 	if p.Op == CmpNe {
 		return false
 	}
 	switch v := p.Val.(type) {
-	case int64, string, ParamValue:
+	case ParamValue:
 		return true
+	case string:
+		return typ == StringCol
+	case int64:
+		return typ != StringCol
 	case float64:
-		return v == v
+		return typ != StringCol && v == v
 	}
 	return false
 }
@@ -370,7 +364,7 @@ func PlanAccessAt(ts *TableSnap, preds []Pred) AccessPlan {
 	rows := ts.NumRows()
 	best := -1
 	for i, p := range preds {
-		if !sargable(p) || !ts.HasIndex(p.Col) {
+		if typ, _ := ts.ColType(p.Col); !ts.HasIndex(p.Col) || !sargable(p, typ) {
 			continue
 		}
 		// Prefer equality probes over ranges.
@@ -381,14 +375,14 @@ func PlanAccessAt(ts *TableSnap, preds []Pred) AccessPlan {
 	if best == -1 {
 		return AccessPlan{Kind: PathFullScan, Residual: preds, TableRows: rows}
 	}
-	plan := AccessPlan{Kind: PathIndexRange, Col: preds[best].Col, TableRows: rows, Lo: UnboundedBound, Hi: UnboundedBound,
-		NaN: ts.Type(ts.ColIndex(preds[best].Col)) == FloatCol}
+	plan := AccessPlan{Kind: PathIndexRange, Col: preds[best].Col, TableRows: rows, Lo: UnboundedBound, Hi: UnboundedBound}
+	typ, _ := ts.ColType(plan.Col)
 	plan.tighten(preds[best]) // first, so an equality is never displaced by a placeholder bound
 	for i, p := range preds {
 		if i == best {
 			continue
 		}
-		if p.Col != plan.Col || !sargable(p) || !plan.tighten(p) {
+		if p.Col != plan.Col || !sargable(p, typ) || !plan.tighten(p) {
 			plan.Residual = append(plan.Residual, p)
 		}
 	}
@@ -422,12 +416,8 @@ func (p *AccessPlan) tighten(q Pred) bool {
 		return false
 	}
 	p.Lo, p.Hi = newLo, newHi
-	p.NaN = p.NaN && q.Matches(nanCell)
 	return true
 }
-
-// nanCell is a NaN FLOAT cell, boxed once.
-var nanCell Value = math.NaN()
 
 // tighterBound picks the tighter of two bounds on one side of an interval:
 // dir is 1 for lower bounds (the larger value is tighter) and -1 for upper

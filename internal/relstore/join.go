@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"bytes"
-	"math"
 	"slices"
 	"sync/atomic"
 
@@ -112,15 +111,13 @@ type Groups struct {
 	// the index join's runs laid end to end, before its filter.
 	arena []int
 	cands []int
-	// Scan-variant scratch: the batch's distinct non-NULL keys but NaN in
-	// CompareValues order, the outer positions sorted the same way, the slot
-	// (index into distinct) of each outer key, the slot the NaN keys share
-	// (len(distinct); -1 when there is none), and the matched (slot, inner
-	// id) pairs before they are bucketed.
+	// Scan-variant scratch: the batch's distinct keys, neither NULL nor NaN,
+	// in CompareValues order, the outer positions sorted the same way, the
+	// slot (index into distinct) of each outer key, and the matched (slot,
+	// inner id) pairs before they are bucketed.
 	distinct []joinKey
 	order    []int32
 	slotOf   []int32
-	nan      int32
 	pairs    []slotID
 	ends     []int
 }
@@ -150,12 +147,12 @@ func (gr *Groups) Release() {
 }
 
 // Join computes, for every outer key in keys (in the caller's outer order),
-// the run of inner row ids with the correlation column equal to it and every constant
-// predicate satisfied. Equality is CompareValues equality (an INT 7 equals a
-// FLOAT 7, and a NaN equals every number), and a NULL key or cell equals
-// nothing. A non-nil error — the fault point "relstore.join.batch", a fault
-// in the inner scan, the governor's verdict — means out holds no usable
-// group: a run is never silently truncated. stats and g may be nil.
+// the run of inner row ids with the correlation column equal to it and
+// every constant predicate satisfied. Equality is Pred.Matches' (an INT 7
+// equals a FLOAT 7), and a NULL or NaN key or cell equals nothing. A
+// non-nil error — the fault point "relstore.join.batch", a fault in the
+// inner scan, the governor's verdict — means out holds no usable group: a
+// run is never silently truncated. stats and g may be nil.
 func (j *GroupJoin) Join(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	if err := faultpoint.Hit("relstore.join.batch"); err != nil {
 		return err
@@ -172,12 +169,6 @@ func (j *GroupJoin) Join(keys Keys, out *Groups, stats *Stats, g *governor.G) er
 // arena; the constant predicates' kernels then filter the copies lock-free
 // (rows below the pinned length are immutable), all runs in one pass, into
 // the arena after them.
-//
-// A NaN equals every number but sits in the tree at one place, so the tree's
-// order cannot find its equals: a numeric key's run also takes the rows of a
-// FLOAT tree's NaN key (BTree.appendRuns), and a NaN key's run is every row
-// whose cell is a number (every non-NULL row of a numeric column, once per
-// batch however many NaN keys it holds).
 func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	var descents, visited int
 	if keys.Ord >= 0 {
@@ -186,17 +177,9 @@ func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.
 		t.mu.RLock()
 		t.indexes[j.col].appendRuns(outer, keys.IDs, j.inner.n, out)
 		t.mu.RUnlock()
-		var numbers []int
 		for i, id := range keys.IDs {
-			if outer.valid[id] == 0 {
-				continue
-			}
-			descents++
-			if outer.typ == FloatCol && math.IsNaN(outer.flts[id]) {
-				if numbers == nil {
-					numbers = j.numbers(out)
-				}
-				out.Runs[i] = numbers
+			if outer.valid[id] != 0 {
+				descents++
 			}
 			visited += len(out.Runs[i])
 		}
@@ -250,26 +233,10 @@ func (j *GroupJoin) indexJoin(keys Keys, out *Groups, stats *Stats, g *governor.
 	return g.TickN(visited - charged)
 }
 
-// numbers appends to the arena every row whose correlation cell is a number
-// — what a NaN key equals — and returns them: none on a VARCHAR column.
-func (j *GroupJoin) numbers(out *Groups) []int {
-	c := &j.inner.cols[j.ord]
-	start := len(out.arena)
-	if c.typ != StringCol {
-		for id, ok := range c.valid[:j.inner.n] {
-			if ok != 0 {
-				out.arena = append(out.arena, id)
-			}
-		}
-	}
-	return out.arena[start:len(out.arena):len(out.arena)]
-}
-
 // scanJoin makes one pass over the inner access path and routes every
 // qualifying row to the outer keys its correlation cell equals. The pass is
 // an ordinary batch scan: its fault points, stats and governor charges are
-// the scan's own. A NaN cell equals every key (a number); a row joins a NaN
-// key when its cell is a number at all.
+// the scan's own.
 func (j *GroupJoin) scanJoin(keys Keys, out *Groups, stats *Stats, g *governor.G) error {
 	correlated := j.col != ""
 	var dom keyDomain
@@ -300,20 +267,13 @@ func (j *GroupJoin) scanJoin(keys Keys, out *Groups, stats *Stats, g *governor.G
 				continue
 			}
 			cell := dom.key(inner, id)
-			s, end := 0, len(out.distinct)
-			if !dom.isNaN(cell) {
-				// Distinct keys equal to one cell are adjacent in key order.
-				s, _ = slices.BinarySearchFunc(out.distinct, cell, dom.cmp)
-				end = s
-				for end < len(out.distinct) && dom.cmp(out.distinct[end], cell) == 0 {
-					end++
-				}
+			if dom.isNaN(cell) {
+				continue
 			}
-			for ; s < end; s++ {
+			// Distinct keys equal to one cell are adjacent in key order.
+			s, _ := slices.BinarySearchFunc(out.distinct, cell, dom.cmp)
+			for ; s < len(out.distinct) && dom.cmp(out.distinct[s], cell) == 0; s++ {
 				out.pairs = append(out.pairs, slotID{int32(s), id})
-			}
-			if out.nan >= 0 {
-				out.pairs = append(out.pairs, slotID{out.nan, id})
 			}
 		}
 	}
@@ -374,8 +334,7 @@ func (d keyDomain) key(v *vec, id int) joinKey {
 	return joinKey{b: v.bytes(id)}
 }
 
-// isNaN reports whether k is a NaN, which equals every number and so has no
-// place in the key order.
+// isNaN reports whether k is a NaN, which equals nothing.
 func (d keyDomain) isNaN(k joinKey) bool { return d == domFloat && k.f != k.f }
 
 func (d keyDomain) cmp(a, b joinKey) int {
@@ -389,12 +348,10 @@ func (d keyDomain) cmp(a, b joinKey) int {
 }
 
 // assignSlots sorts the batch's non-NULL keys, numbers the distinct ones
-// (slots) and records each outer position's slot (-1 for NULL). NaN keys,
-// which have no place in that order, share one slot after the others
-// (Groups.nan). It reports whether any key can match at all.
+// (slots) and records each outer position's slot (-1 for NULL or NaN). It
+// reports whether any key can match at all.
 func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 	gr.order = gr.order[:0]
-	gr.nan = -1
 	if cap(gr.slotOf) < len(keys.IDs) {
 		gr.slotOf = make([]int32, len(keys.IDs))
 	}
@@ -406,15 +363,9 @@ func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 	gr.distinct = gr.distinct[:0]
 	outer := &keys.Table.cols[keys.Ord]
 	key := func(pos int32) joinKey { return dom.key(outer, keys.IDs[pos]) }
-	nans := false
 	if dom != domNone {
 		for i, id := range keys.IDs {
-			switch {
-			case outer.valid[id] == 0:
-			case dom.isNaN(key(int32(i))):
-				gr.slotOf[i] = nanPending
-				nans = true
-			default:
+			if outer.valid[id] != 0 && !dom.isNaN(key(int32(i))) {
 				gr.order = append(gr.order, int32(i))
 			}
 		}
@@ -427,28 +378,14 @@ func (gr *Groups) assignSlots(keys Keys, dom keyDomain) bool {
 		}
 		gr.slotOf[pos] = int32(len(gr.distinct) - 1)
 	}
-	if nans {
-		gr.nan = int32(len(gr.distinct))
-		for i, s := range gr.slotOf {
-			if s == nanPending {
-				gr.slotOf[i] = gr.nan
-			}
-		}
-	}
-	return len(gr.distinct) > 0 || nans
+	return len(gr.distinct) > 0
 }
-
-// nanPending marks a NaN key's position until its slot is known.
-const nanPending = -2
 
 // bucketPairs turns the matched (slot, id) pairs into one run per slot — a
 // counting sort, stable, so ids stay in the ascending order the scan
 // produced them — and points every outer position at its slot's run.
 func (gr *Groups) bucketPairs() {
 	slots := len(gr.distinct)
-	if gr.nan >= 0 {
-		slots++
-	}
 	if cap(gr.ends) < slots {
 		gr.ends = make([]int, slots)
 	}

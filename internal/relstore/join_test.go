@@ -350,8 +350,8 @@ func TestGroupJoinFaults(t *testing.T) {
 
 // FuzzJoinVsNestedLoop drives both join variants from fuzzed table contents,
 // outer keys and a residual bound, with NaN among the FLOAT cells and keys
-// (CompareValues makes it equal to every number, which no key order can
-// place). Numeric values stay below 2^53, where
+// (a NaN equals nothing, as a NULL does). Numeric values stay below 2^53,
+// where
 // INT/FLOAT equality is exact (beyond it CompareValues itself is not
 // transitive and a B-tree holds one entry per key).
 func FuzzJoinVsNestedLoop(f *testing.F) {
@@ -367,7 +367,7 @@ func FuzzJoinVsNestedLoop(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A byte b is NULL when b%11 == 10, NaN (equal to every number) when
+		// A byte b is NULL when b%11 == 10, NaN (equal to nothing) when
 		// b%11 == 9 on a FLOAT column, else the key b%16 — halved into x.5
 		// values on a FLOAT column for odd b above 127.
 		val := func(b byte, float bool) Value {
@@ -445,6 +445,10 @@ func TestPlanAccessInterval(t *testing.T) {
 			"INDEX RANGE SCAN t(a) a > 7 AND a <= 5", 0},
 		{"not-equal and other columns stay residual", []Pred{p("a", CmpGe, int64(30)), p("a", CmpNe, int64(31)), p("b", CmpEq, nil), p("a", CmpLt, int64(34))},
 			"INDEX RANGE SCAN t(a) a >= 30 AND a < 34 FILTER a <> 31 AND b = <nil>", 0},
+		{"a string on an INT index stays residual", []Pred{p("a", CmpLt, "b")},
+			"TABLE SCAN t FILTER a < 'b'", 100},
+		{"and beside a bound", []Pred{p("a", CmpGe, int64(30)), p("a", CmpLt, "b"), p("a", CmpLt, int64(34))},
+			"INDEX RANGE SCAN t(a) a >= 30 AND a < 34 FILTER a < 'b'", 4},
 		{"placeholders bound both sides", []Pred{p("a", CmpGe, ParamValue("lo")), p("a", CmpLt, ParamValue("hi"))},
 			"INDEX RANGE SCAN t(a) a >= :lo AND a < :hi", -1},
 		{"an incomparable second bound stays residual", []Pred{p("a", CmpGe, ParamValue("lo")), p("a", CmpGe, int64(3)), p("a", CmpLe, ParamValue("hi"))},

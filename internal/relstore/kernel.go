@@ -15,8 +15,9 @@ package relstore
 //   - INT vs INT compares as int64; INT vs FLOAT, FLOAT vs INT and FLOAT vs
 //     FLOAT compare as float64 (an INT beyond 2^53 rounds, as CompareValues
 //     rounds it);
-//   - a NaN on either side compares equal to everything, so a NaN constant
-//     makes the comparison one constant answer for every non-NULL row;
+//   - a NaN on either side of a numeric comparison is unordered, as in IEEE
+//     754 and XPath 1.0 §3.4: it satisfies != and nothing else, so a NaN
+//     constant is the native float comparison too;
 //   - incomparable types (VARCHAR vs a number, or any other constant type)
 //     order by type name, also one answer per non-NULL row;
 //   - a NULL cell, a nil constant and an unbound placeholder never match.
@@ -55,7 +56,7 @@ const (
 )
 
 // operand is a constant compiled against a column type: cmpAt computes
-// CompareValues(cell, constant) from the vector.
+// the comparison of a cell with it that Pred.Matches makes, from the vector.
 type operand struct {
 	mode opdMode
 	i    int64
@@ -73,13 +74,13 @@ func compileOperand(typ ColType, v Value) operand {
 		case int64:
 			return operand{mode: opdInt, i: x}
 		case float64:
-			return floatOperand(x)
+			return operand{mode: opdFloat, f: x}
 		}
 		return operand{mode: opdConst, c: CompareValues(int64(0), v)}
 	case FloatCol:
 		switch x := v.(type) {
 		case float64:
-			return floatOperand(x)
+			return operand{mode: opdFloat, f: x}
 		case int64:
 			return operand{mode: opdFloat, f: float64(x)}
 		}
@@ -91,32 +92,42 @@ func compileOperand(typ ColType, v Value) operand {
 	return operand{mode: opdConst, c: CompareValues("", v)}
 }
 
-func floatOperand(f float64) operand {
-	if f != f {
-		return operand{mode: opdConst} // NaN: equal to every number
-	}
-	return operand{mode: opdFloat, f: f}
-}
+// unordered is the comparison result of a NaN against a number: it
+// satisfies != and nothing else.
+const unordered = 2
 
-// cmpAt compares the (non-NULL) cell of row id of v with the constant.
+// cmpAt compares the (non-NULL) cell of row id of v with the constant: -1,
+// 0, 1, or unordered.
 func (o *operand) cmpAt(v *vec, id int) int {
 	switch o.mode {
 	case opdInt:
 		return cmpOrdered(v.ints[id], o.i)
 	case opdFloat:
-		return compareFloats(v.num(id), o.f)
+		return cmpNumbers(v.num(id), o.f)
 	case opdText:
 		return cmpText(v.bytes(id), o.s)
 	}
 	return o.c
 }
 
+// cmpNumbers compares two numbers as a predicate does.
+func cmpNumbers(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	case x == y:
+		return 0
+	}
+	return unordered
+}
+
 // cmpKey compares an index key of a tree over the operand's column type. A
 // NaN key, which the tree sorts first, is below every bound: that keeps the
-// comparison monotone in key order, where compareFloats would make a NaN
-// equal to every bound. (A range scan therefore never visits the NaN key;
-// an index path looks it up on its own when its predicates accept it,
-// AccessPlan.NaN. The planner never bounds an index by a NaN constant.)
+// comparison monotone in key order, and a range scan never visits the NaN
+// key, which satisfies no bound. The planner never bounds an index by a NaN
+// constant.
 func cmpKey[K key](o *operand, k K) int {
 	switch x := any(k).(type) {
 	case int64:
@@ -168,7 +179,7 @@ type kernel struct {
 	never bool // no row can match: NULL constant, placeholder, missing column
 	opd   operand
 	// accept[c+1] is whether a comparison result c satisfies op.
-	accept [3]bool
+	accept [unordered + 2]bool
 }
 
 // compileKernel compiles "column ord (of type typ) op val"; ord < 0 is a
@@ -180,28 +191,33 @@ func compileKernel(typ ColType, ord int, op CmpOp, val Value) kernel {
 		return k
 	}
 	k.opd = compileOperand(typ, val)
-	for c := -1; c <= 1; c++ {
-		var ok bool
-		switch op {
-		case CmpEq:
-			ok = c == 0
-		case CmpNe:
-			ok = c != 0
-		case CmpLt:
-			ok = c < 0
-		case CmpLe:
-			ok = c <= 0
-		case CmpGt:
-			ok = c > 0
-		case CmpGe:
-			ok = c >= 0
-		}
-		k.accept[c+1] = ok
+	for c := -1; c <= unordered; c++ {
+		k.accept[c+1] = accepts(op, c)
 	}
 	if k.opd.mode == opdConst && !k.accept[k.opd.c+1] {
 		k.never = true
 	}
 	return k
+}
+
+// accepts reports whether a comparison result c (-1, 0, 1 or unordered)
+// satisfies op.
+func accepts(op CmpOp, c int) bool {
+	switch op {
+	case CmpEq:
+		return c == 0
+	case CmpNe:
+		return c != 0
+	case CmpLt:
+		return c == -1
+	case CmpLe:
+		return c == -1 || c == 0
+	case CmpGt:
+		return c == 1
+	case CmpGe:
+		return c == 0 || c == 1
+	}
+	return false
 }
 
 // match tests one row.
@@ -429,15 +445,15 @@ func b2i(b bool) int {
 	return 0
 }
 
-// The comparisons, 1 when x (a cell) op y (a constant, never NaN) holds.
-// A NaN cell equals every constant, as compareFloats has it: it satisfies
-// =, <= and >= and nothing else. For int64 the NaN terms fold away.
-func eq[U int64 | float64](x, y U) int { return b2i(x == y) | b2i(x != x) }
-func ne[U int64 | float64](x, y U) int { return b2i(x != y) & b2i(x == x) }
+// The comparisons, 1 when x (a cell) op y (a constant) holds. A NaN on
+// either side satisfies != and nothing else, as the native operators have
+// it.
+func eq[U int64 | float64](x, y U) int { return b2i(x == y) }
+func ne[U int64 | float64](x, y U) int { return b2i(x != y) }
 func lt[U int64 | float64](x, y U) int { return b2i(x < y) }
-func le[U int64 | float64](x, y U) int { return b2i(!(x > y)) }
+func le[U int64 | float64](x, y U) int { return b2i(x <= y) }
 func gt[U int64 | float64](x, y U) int { return b2i(x > y) }
-func ge[U int64 | float64](x, y U) int { return b2i(!(x < y)) }
+func ge[U int64 | float64](x, y U) int { return b2i(x >= y) }
 
 // conjInline is how many kernels a conj holds without allocating. Every
 // conjunction the benchmark workloads open has one or two predicates; a

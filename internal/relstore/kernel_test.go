@@ -212,8 +212,11 @@ func TestKernelCompileRules(t *testing.T) {
 		{Col: "i", Op: CmpEq, Val: float64(1 << 53)}, // INT vs FLOAT compares as float64, past 2^53 too
 		{Col: "i", Op: CmpLt, Val: "a"},              // VARCHAR vs a number: by type name, every non-NULL row
 		{Col: "s", Op: CmpGt, Val: int64(3)},         // and the other way round: none
-		{Col: "f", Op: CmpEq, Val: math.NaN()},       // NaN equals every number
-		{Col: "f", Op: CmpLe, Val: 1.0},              // a NaN cell equals every constant
+		{Col: "f", Op: CmpEq, Val: math.NaN()},       // a NaN constant equals nothing
+		{Col: "f", Op: CmpNe, Val: math.NaN()},       // and differs from every number
+		{Col: "i", Op: CmpGe, Val: math.NaN()},       // an INT column against a NaN too
+		{Col: "f", Op: CmpLe, Val: 1.0},              // a NaN cell is unordered: not <=
+		{Col: "f", Op: CmpNe, Val: 1.0},              // but !=
 		{Col: "f", Op: CmpEq, Val: 0.0},              // negative zero equals zero
 		{Col: "i", Op: CmpNe, Val: nil},              // NULL never matches
 		{Col: "i", Op: CmpEq, Val: ParamValue("x")},  // nor does an unbound placeholder
@@ -355,10 +358,12 @@ func TestZeroFilterMatchesNothing(t *testing.T) {
 	}
 }
 
-// TestNaNAccessPathsAgree: a NaN cell compares equal to every number, so it
-// matches =, <= and >= and no other operator — through the serial scan, an
+// TestNaNAccessPathsAgree: a NaN cell is unordered against every number,
+// so it matches != and no other operator — through the serial scan, an
 // index probe or range, and the morsel pool over either, for every operator
-// and for conjunctions whose bounds fold into one interval.
+// and for conjunctions whose bounds fold into one interval. Each
+// conjunction's count of the cells 1, NaN, 2 and 3 it keeps is spelled out,
+// so the reference, Pred.Matches, is checked too.
 func TestNaNAccessPathsAgree(t *testing.T) {
 	cells := []Value{1.0, math.NaN(), 2.0, 3.0}
 	tab, err := NewTable("n", Column{"f", FloatCol})
@@ -376,21 +381,33 @@ func TestNaNAccessPathsAgree(t *testing.T) {
 	}
 	ts := tab.Snap()
 	two := func(op CmpOp) Pred { return Pred{Col: "f", Op: op, Val: 2.0} }
-	conjs := [][]Pred{
-		{{Col: "f", Op: CmpGe, Val: 1.0}, {Col: "f", Op: CmpLt, Val: 3.0}},
-		{{Col: "f", Op: CmpLe, Val: 2.0}, {Col: "f", Op: CmpLt, Val: 3.0}}, // the looser < folds away, yet rejects NaN
-		{{Col: "f", Op: CmpGe, Val: 3.0}, {Col: "f", Op: CmpLe, Val: 1.0}}, // no number is in it; NaN is
-		{{Col: "f", Op: CmpGe, Val: int64(2)}, {Col: "f", Op: CmpLe, Val: int64(2)}},
+	conjs := []struct {
+		preds []Pred
+		cells int // of 1, NaN, 2 and 3
+	}{
+		{[]Pred{{Col: "f", Op: CmpGe, Val: 1.0}, {Col: "f", Op: CmpLt, Val: 3.0}}, 2},
+		{[]Pred{{Col: "f", Op: CmpLe, Val: 2.0}, {Col: "f", Op: CmpLt, Val: 3.0}}, 2}, // the looser < folds away
+		{[]Pred{{Col: "f", Op: CmpGe, Val: 3.0}, {Col: "f", Op: CmpLe, Val: 1.0}}, 0}, // neither a number nor NaN is in it
+		{[]Pred{{Col: "f", Op: CmpGe, Val: int64(2)}, {Col: "f", Op: CmpLe, Val: int64(2)}}, 1},
+		{[]Pred{two(CmpEq)}, 1},
+		{[]Pred{two(CmpNe)}, 3}, // NaN among them
+		{[]Pred{two(CmpLt)}, 1},
+		{[]Pred{two(CmpLe)}, 2},
+		{[]Pred{two(CmpGt)}, 1},
+		{[]Pred{two(CmpGe)}, 2},
+		{[]Pred{{Col: "f", Op: CmpEq, Val: math.NaN()}}, 0},
+		{[]Pred{{Col: "f", Op: CmpNe, Val: math.NaN()}}, 4},
 	}
-	for op := CmpEq; op <= CmpGe; op++ {
-		conjs = append(conjs, []Pred{two(op)})
-	}
-	for _, preds := range conjs {
+	for _, c := range conjs {
+		preds := c.preds
 		var want []int
 		for id := range rows {
 			if matchesAll(ts, id, preds) {
 				want = append(want, id)
 			}
+		}
+		if len(want) != c.cells*rows/len(cells) {
+			t.Errorf("Pred.Matches over %s keeps %d rows, want %d", predsString(preds), len(want), c.cells*rows/len(cells))
 		}
 		plan := PlanAccessAt(ts, preds)
 		for _, path := range []struct {

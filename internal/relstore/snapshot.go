@@ -84,17 +84,17 @@ func (s *TableSnap) Value(id int, col string) Value { return s.Cell(s.ColIndex(c
 func (s *TableSnap) HasIndex(col string) bool { return s.tab.HasIndex(col) }
 
 // IndexIDs appends to dst the row ids in the bounded interval on col that
-// were committed before the snapshot, and with nan those of a FLOAT
-// column's NaN key (AccessPlan.NaN), ascending (row-id order is heap order,
-// which keeps index-path output deterministic). The ids are copied under
+// were committed before the snapshot (a FLOAT column's NaN cells are in no
+// interval), ascending (row-id order is heap order, which keeps index-path
+// output deterministic). The ids are copied under
 // the table's read lock, which the B-tree descent needs because Insert
 // rewrites tree nodes in place; a counting pass sizes dst first, so a copy
 // grows it at most once. A missing index appends nothing.
-func (s *TableSnap) IndexIDs(dst []int, col string, lo, hi Bound, nan bool) []int {
+func (s *TableSnap) IndexIDs(dst []int, col string, lo, hi Bound) []int {
 	start := len(dst)
 	s.tab.mu.RLock()
 	if idx := s.tab.indexes[col]; idx != nil {
-		dst = idx.appendIDs(dst, lo, hi, nan, s.n)
+		dst = idx.appendIDs(dst, lo, hi, s.n)
 	}
 	s.tab.mu.RUnlock()
 	if ids := dst[start:]; !slices.IsSorted(ids) {

@@ -34,7 +34,7 @@ func TestSnapshotSharedUntilCommit(t *testing.T) {
 			func(s *Snapshot) bool { return s.Table("u") != nil }},
 		{"create index", func() error { return tab.CreateIndex("id") },
 			func(s *Snapshot) bool {
-				return s.Table("t").IndexIDs(nil, "id", UnboundedBound, UnboundedBound, false) != nil
+				return s.Table("t").IndexIDs(nil, "id", UnboundedBound, UnboundedBound) != nil
 			}},
 	}
 	for _, w := range writes {

@@ -3,6 +3,7 @@ package sqlxml
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -1125,7 +1126,9 @@ func decimalLen(u uint64) int {
 // column ord (-1: none) from its vector: a number (count, sum, avg), the row
 // whose cell is the answer (min, max; best) or NULL — neither, best < 0. An
 // aggregate over no (non-NULL) values is NULL, except count and sum, which
-// are 0. A VARCHAR cell sums as XPath's number() of its text.
+// are 0. A VARCHAR cell sums as XPath's number() of its text, and so does
+// an infinite FLOAT cell: the document prints it Infinity, which number()
+// reads as NaN (XPath 1.0 §4.4).
 //
 // An INT or FLOAT column is read in a loop of its own type: the sum adds
 // float64(x) in id order, as a cell-at-a-time sum would, and min and max
@@ -1161,10 +1164,13 @@ func aggregate(fn aggFn, inner *relstore.TableSnap, ord int, ids []int) (num flo
 				continue
 			}
 			count++
-			total += x
 			if best < 0 || fn == aggMin && x < bestX || fn == aggMax && x > bestX {
 				best, bestX = id, x
 			}
+			if math.IsInf(x, 0) {
+				x = math.NaN()
+			}
+			total += x
 		}
 	default:
 		for _, id := range ids {

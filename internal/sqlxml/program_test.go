@@ -680,8 +680,9 @@ var (
 )
 
 // boxedAggregate is aggregate as it reads cell by cell: each cell boxed
-// (TableSnap.Cell), converted to a number by its dynamic type, and min and
-// max ordered by CompareValues.
+// (TableSnap.Cell) and converted to a number as the document holds it (a
+// FLOAT cell through the text it prints as), and min and max ordered by
+// CompareValues.
 func boxedAggregate(fn aggFn, ts *relstore.TableSnap, ord int, ids []int) (num float64, best int, isNum bool) {
 	if fn == aggCount {
 		return float64(len(ids)), -1, true
@@ -699,7 +700,7 @@ func boxedAggregate(fn aggFn, ts *relstore.TableSnap, ord int, ids []int) (num f
 		case int64:
 			x = float64(c)
 		case float64:
-			x = c
+			x = xpath.StringToNumber(xpath.NumberToString(c))
 		case string:
 			x = xpath.StringToNumber(c)
 		}
